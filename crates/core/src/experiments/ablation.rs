@@ -1,5 +1,5 @@
-//! Ablations A1–A3 (DESIGN.md): the §5.3 WILDFIRE optimizations and the
-//! §5.2 sum-insertion fast path.
+//! Ablations A1–A3: the §5.3 WILDFIRE optimizations (A1 early deadline,
+//! A2 piggyback) and the §5.2 sum-insertion fast path (A3).
 //!
 //! The paper asserts both engineering optimizations without isolating
 //! them; these drivers quantify each one.

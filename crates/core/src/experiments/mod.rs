@@ -14,7 +14,7 @@
 //! | [`fig12`] | Fig 12 — computation-cost distribution |
 //! | [`fig13`] | Fig 13a/b — time cost; messages per time instant |
 //! | [`price`] | §1.1/§7 headline — the price of validity |
-//! | [`ablation`] | DESIGN.md A1–A3 — §5.3 optimizations, sketch paths |
+//! | [`ablation`] | ablations A1–A3 — §5.3 optimizations, sketch paths |
 //! | [`adversary`] | beyond the paper — sketch-targeted vs uniform churn at equal budget |
 //! | [`overlay`] | beyond the paper — static graph vs maintained overlay at equal churn |
 

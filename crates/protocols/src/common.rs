@@ -256,6 +256,25 @@ impl Partial {
         }
     }
 
+    /// Overwrite `self` with a copy of `other` in place. Same-variant FM
+    /// sketches reuse their register allocation — WILDFIRE does this once
+    /// per neighbour per flush — and every other pairing (scalars, KMV,
+    /// histograms, a change of variant) is `*self = other.clone()`.
+    pub fn assign(&mut self, other: &Partial) {
+        match (self, other) {
+            (Partial::SketchCount(a), Partial::SketchCount(b))
+            | (Partial::SketchSum(a), Partial::SketchSum(b)) => a.assign(b),
+            (
+                Partial::SketchAvg { sum: s1, count: c1 },
+                Partial::SketchAvg { sum: s2, count: c2 },
+            ) => {
+                s1.assign(s2);
+                c1.assign(c2);
+            }
+            (me, other) => *me = other.clone(),
+        }
+    }
+
     /// The scalar answer this partial represents at declaration time.
     pub fn value(&self) -> f64 {
         match self {

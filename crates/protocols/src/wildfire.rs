@@ -21,7 +21,7 @@
 //!   new `A_y` value from w, so it skips sending the value back to w"*).
 //!
 //! Both §5.3 engineering optimizations are implemented and toggleable
-//! (ablation A1/A2 in DESIGN.md):
+//! (ablation A1/A2, `pov_core::experiments::ablation`):
 //!
 //! * **early deadline** — a host at hop distance `l` participates only
 //!   until `(2·D̂ − l + 1)·δ` instead of `2·D̂·δ`;
@@ -63,8 +63,9 @@ impl Default for WildfireOpts {
 /// Partials travel as `Rc<Partial>`: a fan-out to `d` neighbours is `d`
 /// reference bumps on one sketch allocation instead of `d` deep clones
 /// of the FM registers (the engine is single-threaded per simulation,
-/// so `Rc` is safe). Receivers copy-on-write via [`Rc::make_mut`] only
-/// when a combine actually has to mutate.
+/// so `Rc` is safe). The `Rc` is a snapshot built once per flush that
+/// actually sends; receivers only read it, combining into state they
+/// hold by value.
 #[derive(Clone, Debug)]
 pub enum WfMsg {
     /// Phase-I flood: query spec, hop count so far, and (optionally)
@@ -87,53 +88,56 @@ pub enum WfMsg {
 /// Active-phase state.
 #[derive(Debug)]
 struct Active {
-    partial: Rc<Partial>,
+    partial: Partial,
     depth: u32,
-    spec: QuerySpec,
+    /// Last tick at which this host still participates (see
+    /// [`WildfireNode::deadline_for`]).
+    deadline: u64,
     /// Last partial each contact is known to hold (either because it
     /// sent it to us, or because we sent ours to it), as a vec sorted by
-    /// `HostId` — no hashing on the flush path, and the "we sent ours"
-    /// entries share the partial's allocation instead of deep-cloning it
-    /// per neighbour. Keyed by host rather than by neighbour-slot index
-    /// because under an overlay ([`pov_sim::OverlayDriver`]) the
-    /// neighbour set can grow and reorder mid-run; entries for contacts
-    /// that are no longer neighbours simply stop being consulted.
-    knowledge: Vec<(HostId, Rc<Partial>)>,
+    /// `HostId` — no hashing on the flush path. Entries are held by
+    /// value and updated in place (`combine` on receipt, `assign` on
+    /// send), so the steady state allocates nothing. Keyed by host
+    /// rather than by neighbour-slot index because under an overlay
+    /// ([`pov_sim::OverlayDriver`]) the neighbour set can grow and
+    /// reorder mid-run; entries for contacts that are no longer
+    /// neighbours simply stop being consulted.
+    knowledge: Vec<(HostId, Partial)>,
     flush_scheduled: bool,
 }
 
 impl Active {
     /// Whether neighbour `n` is known to already hold exactly the
-    /// current partial (Example 5.1's skip rule). Pointer equality
-    /// catches the overwhelmingly common case — the entry aliases the
-    /// partial we last sent — before falling back to deep comparison.
+    /// current partial (Example 5.1's skip rule).
     fn synced(&self, n: HostId) -> bool {
         self.knowledge
             .binary_search_by_key(&n, |e| e.0)
-            .is_ok_and(|i| {
-                let k = &self.knowledge[i].1;
-                Rc::ptr_eq(k, &self.partial) || **k == *self.partial
-            })
+            .is_ok_and(|i| self.knowledge[i].1 == self.partial)
     }
 
-    /// Join `incoming` into what neighbour `n` is known to hold
-    /// (copy-on-write: don't overwrite — reliable links mean the sender
-    /// still holds everything we sent it earlier).
-    fn absorb(&mut self, n: HostId, incoming: &Rc<Partial>) {
+    /// Join `incoming` into what neighbour `n` is known to hold (don't
+    /// overwrite — reliable links mean the sender still holds everything
+    /// we sent it earlier).
+    fn absorb(&mut self, n: HostId, incoming: &Partial) {
         match self.knowledge.binary_search_by_key(&n, |e| e.0) {
-            Ok(i) => Rc::make_mut(&mut self.knowledge[i].1).combine(incoming),
-            Err(i) => self.knowledge.insert(i, (n, Rc::clone(incoming))),
+            Ok(i) => self.knowledge[i].1.combine(incoming),
+            Err(i) => self.knowledge.insert(i, (n, incoming.clone())),
         }
     }
 
     /// Note that neighbour `n` now holds exactly the current partial
     /// (we just sent it to them).
     fn record(&mut self, n: HostId) {
-        let p = Rc::clone(&self.partial);
         match self.knowledge.binary_search_by_key(&n, |e| e.0) {
-            Ok(i) => self.knowledge[i].1 = p,
-            Err(i) => self.knowledge.insert(i, (n, p)),
+            Ok(i) => self.knowledge[i].1.assign(&self.partial),
+            Err(i) => self.knowledge.insert(i, (n, self.partial.clone())),
         }
+    }
+
+    /// A shareable snapshot of the current partial for one round of
+    /// sends.
+    fn snapshot(&self) -> Rc<Partial> {
+        Rc::new(self.partial.clone())
     }
 }
 
@@ -199,7 +203,7 @@ impl WildfireNode {
 
     /// Current partial aggregate (diagnostics/tests).
     pub fn partial(&self) -> Option<&Partial> {
-        self.active.as_ref().map(|a| a.partial.as_ref())
+        self.active.as_ref().map(|a| &a.partial)
     }
 
     /// Hop depth at which this host was activated.
@@ -222,9 +226,9 @@ impl WildfireNode {
             .operator
             .init(spec.aggregate, self.value, spec.c, ctx.rng());
         self.active = Some(Active {
-            partial: Rc::new(partial),
+            partial,
             depth,
-            spec,
+            deadline: self.deadline_for(&spec, depth),
             knowledge: Vec::new(),
             flush_scheduled: false,
         });
@@ -233,23 +237,18 @@ impl WildfireNode {
 
     /// Fig 4's receive-a-partial step (batched: combine now, send at the
     /// end of the tick).
-    fn receive_partial(&mut self, ctx: &mut Ctx<'_, WfMsg>, from: HostId, incoming: Rc<Partial>) {
+    fn receive_partial(&mut self, ctx: &mut Ctx<'_, WfMsg>, from: HostId, incoming: &Partial) {
         let Some(active) = self.active.as_mut() else {
             return;
         };
-        let deadline = if self.opts.early_deadline && !self.is_query_host {
-            active.spec.deadline().saturating_sub(active.depth as u64) + 1
-        } else {
-            active.spec.deadline()
-        };
-        if ctx.now().ticks() > deadline {
+        if ctx.now().ticks() > active.deadline {
             return; // Fig 4: "else Terminate"
         }
-        Rc::make_mut(&mut active.partial).combine_check(&incoming);
+        active.partial.combine_check(incoming);
         // Join, don't overwrite: the sender still holds everything we
         // sent it earlier (reliable links), even if this message was in
         // flight before ours arrived.
-        active.absorb(from, &incoming);
+        active.absorb(from, incoming);
         if !active.flush_scheduled {
             active.flush_scheduled = true;
             ctx.set_timer_at_tick_end(TIMER_FLUSH);
@@ -259,17 +258,11 @@ impl WildfireNode {
     /// End-of-tick flush: send the (possibly updated) partial to every
     /// neighbour not already known to hold it.
     fn flush(&mut self, ctx: &mut Ctx<'_, WfMsg>) {
-        let deadline = {
-            let Some(active) = self.active.as_ref() else {
-                return;
-            };
-            self.deadline_for(&active.spec, active.depth)
-        };
         let Some(active) = self.active.as_mut() else {
             return;
         };
         active.flush_scheduled = false;
-        if ctx.now().ticks() > deadline {
+        if ctx.now().ticks() > active.deadline {
             return;
         }
         let neighbors = ctx.neighbors();
@@ -279,22 +272,21 @@ impl WildfireNode {
             }
             // One transmission reaches everyone; all neighbours now know.
             ctx.broadcast(WfMsg::Converge {
-                partial: Rc::clone(&active.partial),
+                partial: active.snapshot(),
             });
             for &n in neighbors {
                 active.record(n);
             }
         } else {
+            // Built on the first send, so a flush that finds every
+            // neighbour in sync allocates nothing.
+            let mut snapshot = None;
             for &n in neighbors {
                 if active.synced(n) {
                     continue;
                 }
-                ctx.send(
-                    n,
-                    WfMsg::Converge {
-                        partial: Rc::clone(&active.partial),
-                    },
-                );
+                let partial = Rc::clone(snapshot.get_or_insert_with(|| active.snapshot()));
+                ctx.send(n, WfMsg::Converge { partial });
                 active.record(n);
             }
         }
@@ -323,7 +315,7 @@ impl NodeLogic for WildfireNode {
         ctx.set_timer(spec.deadline(), TIMER_DECLARE);
         let active = self.active.as_mut().expect("just activated");
         let piggyback = self.opts.piggyback;
-        let partial = piggyback.then(|| Rc::clone(&active.partial));
+        let partial = piggyback.then(|| active.snapshot());
         ctx.broadcast(WfMsg::Broadcast {
             spec,
             hops: 0,
@@ -331,7 +323,7 @@ impl NodeLogic for WildfireNode {
         });
         if !piggyback {
             ctx.broadcast(WfMsg::Converge {
-                partial: Rc::clone(&active.partial),
+                partial: active.snapshot(),
             });
         }
         // Everyone we just reached has our current partial.
@@ -358,7 +350,7 @@ impl NodeLogic for WildfireNode {
                     // (Example 5.1: x forwards A_x = 15, already combined).
                     if let Some(p) = partial {
                         let active = self.active.as_mut().expect("just activated");
-                        Rc::make_mut(&mut active.partial).combine_check(&p);
+                        active.partial.combine_check(&p);
                         active.absorb(from, &p);
                     }
                     let piggyback = self.opts.piggyback;
@@ -366,7 +358,7 @@ impl NodeLogic for WildfireNode {
                     let fwd = WfMsg::Broadcast {
                         spec,
                         hops: depth,
-                        partial: piggyback.then(|| Rc::clone(&active.partial)),
+                        partial: piggyback.then(|| active.snapshot()),
                     };
                     let radio = ctx.medium() == Medium::Radio;
                     ctx.broadcast_except(Some(from), fwd);
@@ -387,7 +379,7 @@ impl NodeLogic for WildfireNode {
                 } else if let Some(p) = partial {
                     // Duplicate flood copy: its piggybacked partial is an
                     // ordinary convergecast contribution.
-                    self.receive_partial(ctx, from, p);
+                    self.receive_partial(ctx, from, &p);
                 }
             }
             WfMsg::Converge { partial } => {
@@ -397,7 +389,7 @@ impl NodeLogic for WildfireNode {
                     // so drop it.
                     return;
                 }
-                self.receive_partial(ctx, from, partial);
+                self.receive_partial(ctx, from, &partial);
             }
         }
     }
@@ -458,6 +450,18 @@ mod tests {
             });
         sim.run_until(Time(spec.deadline() + 1));
         sim
+    }
+
+    /// Sizes measured before the knowledge table went by-value; neither
+    /// may grow. Inline FM registers (`[u64; 8]` + heap fallback) were
+    /// tried and bought ~4 % on `wildfire_static`, but took `Partial` to
+    /// 136 bytes — and SPANNINGTREE carries `Partial` by value in every
+    /// message and host, so `scale_tree` peak RSS went 338 → 579 MB
+    /// (docs/BENCHMARKING.md, "WILDFIRE hot path"). Don't re-try it.
+    #[test]
+    fn partial_and_message_layout_do_not_grow() {
+        assert!(std::mem::size_of::<Partial>() <= 56);
+        assert!(std::mem::size_of::<WfMsg>() <= 32);
     }
 
     #[test]

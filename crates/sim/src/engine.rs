@@ -203,7 +203,7 @@ impl<'g> SimBuilder<'g> {
                 edges_removed: 0,
             }
         });
-        let logic: Vec<Option<L>> = (0..n as u32).map(|i| Some(factory(HostId(i)))).collect();
+        let logic: Vec<L> = (0..n as u32).map(|i| factory(HostId(i))).collect();
         // Summaries are read only through poll-time EngineViews. Seeding
         // every slot once here (pre-`on_start`, same state the old
         // refresh-everyone poll loop would observe for never-activated
@@ -214,7 +214,7 @@ impl<'g> SimBuilder<'g> {
         let mut summaries = arena::take_summaries(n);
         if track_summaries {
             for (slot, l) in summaries.iter_mut().zip(&logic) {
-                *slot = l.as_ref().expect("logic present").summary();
+                *slot = l.summary();
             }
         }
         let mut initially_alive = arena::take_bools(n);
@@ -265,7 +265,7 @@ impl<'g> SimBuilder<'g> {
 /// behind one accessor so the hot path indexes parallel dense arrays
 /// rather than chasing per-host structs.
 struct Hosts<L> {
-    logic: Vec<Option<L>>,
+    logic: Vec<L>,
     alive: Vec<bool>,
     /// Bitset mirror of `alive` with an O(1) count and O(active)
     /// ascending iteration — the index behind every per-poll loop that
@@ -296,17 +296,7 @@ impl<L> Hosts<L> {
 
     #[inline]
     fn logic(&self, h: HostId) -> &L {
-        self.logic[h.index()].as_ref().expect("logic present")
-    }
-
-    #[inline]
-    fn take_logic(&mut self, h: HostId) -> L {
-        self.logic[h.index()].take().expect("logic present")
-    }
-
-    #[inline]
-    fn put_logic(&mut self, h: HostId, logic: L) {
-        self.logic[h.index()] = Some(logic);
+        &self.logic[h.index()]
     }
 
     #[inline]
@@ -572,10 +562,7 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
             let mut visited = 0usize;
             for i in self.hosts.alive_set.iter() {
                 visited += 1;
-                let s = self.hosts.logic[i]
-                    .as_ref()
-                    .expect("logic present")
-                    .summary();
+                let s = self.hosts.logic[i].summary();
                 if s.active {
                     active += 1;
                 }
@@ -702,10 +689,7 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
         let mut visited = 0usize;
         for i in self.hosts.alive_set.iter() {
             visited += 1;
-            self.summaries[i] = self.hosts.logic[i]
-                .as_ref()
-                .expect("logic present")
-                .summary();
+            self.summaries[i] = self.hosts.logic[i].summary();
         }
         debug_assert!(
             visited <= 2 * self.hosts.alive_set.count().max(1),
@@ -839,11 +823,13 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
     }
 
     fn activate(&mut self, h: HostId, activation: Activation<L::Msg>) {
-        let mut logic = self.hosts.take_logic(h);
         let chain_depth = match &activation {
             Activation::Message { depth, .. } => *depth,
             _ => self.hosts.last_depth(h),
         };
+        // Borrowed in place: the handler's `Ctx` only reaches fields
+        // disjoint from `hosts.logic`.
+        let logic = &mut self.hosts.logic[h.index()];
         let mut ctx = Ctx {
             now: self.now,
             me: h,
@@ -864,7 +850,6 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
             Activation::Message { from, msg, .. } => logic.on_message(&mut ctx, from, msg),
             Activation::Timer { key } => logic.on_timer(&mut ctx, key),
         }
-        self.hosts.put_logic(h, logic);
     }
 
     /// Immutable view of a host's logic (alive or failed — failed hosts
@@ -889,9 +874,7 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
     /// Account for `n` out-of-band messages (e.g. probe traffic of
     /// estimators implemented outside the event loop).
     pub fn charge_messages(&mut self, n: u64) {
-        for _ in 0..n {
-            self.metrics.record_send(self.now);
-        }
+        self.metrics.record_sends(self.now, n);
     }
 
     /// Current virtual time.
@@ -1008,7 +991,7 @@ struct ShardShared<'a> {
 /// plus the batch items addressed to it.
 struct ShardTask<'a, L: NodeLogic> {
     items: Vec<(u32, DeliverEvent<L::Msg>)>,
-    logic: &'a mut [Option<L>],
+    logic: &'a mut [L],
     last_depth: &'a mut [u32],
     processed: &'a mut [u32],
     touched: Option<&'a mut [u32]>,
@@ -1137,14 +1120,7 @@ where
         sends += out.sends;
         sim.metrics.longest_chain = sim.metrics.longest_chain.max(out.longest_chain);
     }
-    sim.metrics.messages_sent += sends;
-    if sends > 0 {
-        let idx = now.ticks() as usize;
-        if sim.metrics.sent_per_tick.len() <= idx {
-            sim.metrics.sent_per_tick.resize(idx + 1, 0);
-        }
-        sim.metrics.sent_per_tick[idx] += sends;
-    }
+    sim.metrics.record_sends(now, sends);
     if let Some(t) = sim.tele.as_mut() {
         for out in &outs {
             t.counts.delivered += out.delivered;
@@ -1239,7 +1215,6 @@ where
         processed[li] += 1;
         out.longest_chain = out.longest_chain.max(depth);
         last_depth[li] = last_depth[li].max(depth);
-        let mut logic_inst = logic[li].take().expect("logic present");
         let mut rng = SmallRng::seed_from_u64(event_seed(shared.seed, shared.batch_no, origin));
         let mut ctx = Ctx {
             now: shared.now,
@@ -1258,8 +1233,7 @@ where
             chain_depth: depth,
             in_timer: false,
         };
-        logic_inst.on_message(&mut ctx, from, msg);
-        logic[li] = Some(logic_inst);
+        logic[li].on_message(&mut ctx, from, msg);
     }
     out
 }

@@ -57,13 +57,24 @@ impl Metrics {
         self.events_dispatched += 1;
     }
 
+    #[inline]
     pub(crate) fn record_send(&mut self, at: Time) {
-        self.messages_sent += 1;
+        self.record_sends(at, 1);
+    }
+
+    /// Account for `n` messages sent at `at` in O(1). `n == 0` leaves
+    /// the counters — including the length of `sent_per_tick` — alone.
+    #[inline]
+    pub(crate) fn record_sends(&mut self, at: Time, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.messages_sent += n;
         let idx = at.ticks() as usize;
         if self.sent_per_tick.len() <= idx {
             self.sent_per_tick.resize(idx + 1, 0);
         }
-        self.sent_per_tick[idx] += 1;
+        self.sent_per_tick[idx] += n;
     }
 
     pub(crate) fn record_processed(&mut self, host: HostId, depth: u32) {
@@ -122,6 +133,27 @@ mod tests {
         assert_eq!(m.messages_sent, 3);
         assert_eq!(m.sent_per_tick, vec![1, 0, 2]);
         assert_eq!(m.last_active_tick(), Some(2));
+    }
+
+    #[test]
+    fn record_sends_matches_the_per_message_loop() {
+        for (tick, n) in [(0u64, 0u64), (0, 1), (3, 5), (3, 0), (1, 2), (7, 1_000)] {
+            let mut bulk = Metrics::from_arena(1);
+            let mut looped = Metrics::from_arena(1);
+            // Shared history, so the bulk call lands on a non-empty table.
+            for m in [&mut bulk, &mut looped] {
+                m.record_send(Time(2));
+            }
+            bulk.record_sends(Time(tick), n);
+            for _ in 0..n {
+                looped.record_send(Time(tick));
+            }
+            assert_eq!(bulk.messages_sent, looped.messages_sent);
+            assert_eq!(
+                bulk.sent_per_tick, looped.sent_per_tick,
+                "tick {tick} n {n}"
+            );
+        }
     }
 
     #[test]

@@ -132,6 +132,13 @@ impl FmSketch {
         changed
     }
 
+    /// Overwrite `self` with a copy of `other`, reusing the register
+    /// allocation (no realloc when the repetition counts match) — the
+    /// in-place counterpart of `*self = other.clone()`.
+    pub fn assign(&mut self, other: &FmSketch) {
+        self.registers.clone_from(&other.registers);
+    }
+
     /// Per-register `z_i`: index of the lowest-order bit still 0.
     fn lowest_zero_bits(&self) -> impl Iterator<Item = u32> + '_ {
         self.registers.iter().map(|r| (!r).trailing_zeros())
@@ -266,6 +273,28 @@ mod tests {
         assert!(!acc.merge_check(&a));
         assert_eq!(acc, a.merged(&b));
         let _ = first;
+    }
+
+    #[test]
+    fn assign_copies_and_reuses_the_allocation() {
+        let mut r = rng(12);
+        for c in [1usize, 4, 8, 31] {
+            let mut src = FmSketch::new(c);
+            src.insert_elements(40, &mut r);
+            let mut dst = FmSketch::new(c);
+            dst.insert_elements(40, &mut r);
+            let (ptr, cap) = (dst.registers.as_ptr(), dst.registers.capacity());
+            dst.assign(&src);
+            assert_eq!(dst, src);
+            assert_eq!(dst.registers.as_ptr(), ptr, "c={c}: reallocated");
+            assert_eq!(dst.registers.capacity(), cap);
+        }
+        // A different repetition count still ends up equal.
+        let src = FmSketch::new(3);
+        let mut dst = FmSketch::new(9);
+        dst.insert_one(&mut r);
+        dst.assign(&src);
+        assert_eq!(dst, src);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Synthetic Gnutella-like topology.
 //!
 //! The paper evaluates on a real 2001 crawl of Gnutella (DSS Clip2 [10])
-//! with `|H| = 39,046`. That dataset is not redistributable, so — per the
-//! substitution policy in DESIGN.md — we synthesize a graph matching the
-//! structural properties reported for Gnutella snapshots of that era by
-//! Ripeanu, Foster & Iamnitchi [33]:
+//! with `|H| = 39,046`. That dataset is not redistributable, so we
+//! synthesize a graph matching the structural properties reported for
+//! Gnutella snapshots of that era by Ripeanu, Foster & Iamnitchi [33]:
 //!
 //! * heavy-tailed ("multi-modal power-law") degree distribution,
 //! * average degree ≈ 3.4,

@@ -3,8 +3,8 @@
 //! §6.1 of the paper evaluates on four topologies:
 //!
 //! * **Gnutella** — a 2001 crawl with `|H| = 39,046` ([`gnutella`];
-//!   we synthesize a structurally matching graph, see crate docs and
-//!   DESIGN.md for the substitution rationale);
+//!   we synthesize a structurally matching graph, see that module's
+//!   docs for the substitution rationale);
 //! * **Random** — uniform random edges with average degree 5
 //!   ([`random_average_degree`]);
 //! * **Power-law** — degree exponent γ = 2.9 ([`power_law`]);

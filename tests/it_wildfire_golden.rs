@@ -1,0 +1,210 @@
+//! Golden equivalence for WILDFIRE's receive/flush path.
+//!
+//! The constants in [`GOLDEN`] were captured on the commit *before* the
+//! knowledge table moved from copy-on-write `Rc<Partial>` entries to
+//! by-value ones; any rewrite of that path must reproduce them bit for
+//! bit. The overlay arm matters most: the table is keyed by `HostId`
+//! precisely because neighbour sets grow and reorder mid-run there.
+//!
+//! To re-capture after an *intended* behaviour change, empty the table,
+//! run the test, and paste the rows the failure message prints.
+
+use pov_core::pov_protocols::runner::{run, run_wildfire_operator};
+use pov_core::pov_protocols::wildfire::WildfireOpts;
+use pov_core::pov_protocols::{Operator, OverlayConfig};
+use pov_core::pov_sim::{Metrics, PartitionPlan};
+use pov_core::prelude::*;
+
+const N: usize = 500;
+const D_HAT: u32 = 12;
+const SEED: u64 = 2004;
+
+/// `(value.to_bits(), declared_at, messages_sent, events_dispatched,
+/// computation_cost)` of one run.
+type Row = (u64, u64, u64, u64, u64);
+
+fn row(value: Option<f64>, declared_at: Option<Time>, metrics: &Metrics) -> Row {
+    (
+        value.expect("hq is spared, so it declares").to_bits(),
+        declared_at.expect("declared").ticks(),
+        metrics.messages_sent,
+        metrics.events_dispatched,
+        metrics.computation_cost(),
+    )
+}
+
+/// The three environments, by name: static; 10 % uniform failures plus a
+/// BFS cut around the far end of the id space; maintained overlay under
+/// oscillating churn.
+fn environments(graph: &Graph) -> Vec<(&'static str, RunPlan)> {
+    let base = || RunPlan::query(Aggregate::Count).d_hat(D_HAT).seed(SEED);
+    let deadline = Time(2 * u64::from(D_HAT));
+    vec![
+        ("static", base()),
+        (
+            "churn+cut",
+            base()
+                .churn(ChurnPlan::uniform_failures(
+                    N,
+                    N / 10,
+                    Time(0),
+                    deadline,
+                    HostId(0),
+                    SEED,
+                ))
+                .partition(
+                    PartitionPlan::split_bfs(graph, HostId(N as u32 - 1), 0.3)
+                        .window(Time(3), Time(9)),
+                ),
+        ),
+        (
+            "overlay+osc",
+            base()
+                .churn(ChurnPlan::oscillating(
+                    N,
+                    N / 10,
+                    Time(0),
+                    deadline,
+                    8,
+                    3,
+                    HostId(0),
+                    SEED,
+                ))
+                .overlay(OverlayConfig {
+                    shuffle_every: 4,
+                    probe_every: 2,
+                    seed: SEED,
+                    ..OverlayConfig::default()
+                }),
+        ),
+    ]
+}
+
+fn actual() -> Vec<(String, Row)> {
+    let graph = TopologyKind::Random.build(N, SEED);
+    let values = workload::paper_values(N, SEED);
+    let mut rows = Vec::new();
+    let environments = environments(&graph);
+    for (env, plan) in &environments {
+        for aggregate in [
+            Aggregate::Count,
+            Aggregate::Sum,
+            Aggregate::Average,
+            Aggregate::Min,
+        ] {
+            for medium in [Medium::PointToPoint, Medium::Radio] {
+                for on in [true, false] {
+                    let opts = WildfireOpts {
+                        early_deadline: on,
+                        piggyback: on,
+                    };
+                    let mut plan = plan.clone().medium(medium);
+                    plan.aggregate = aggregate;
+                    let out = run(ProtocolKind::Wildfire(opts), &graph, &values, &plan);
+                    rows.push((
+                        format!("{env} {} {medium:?} opts={on}", aggregate.name()),
+                        row(out.value, out.declared_at, &out.metrics),
+                    ));
+                }
+            }
+        }
+    }
+    let (_, churned) = &environments[1];
+    for (name, operator) in [
+        ("kmv", Operator::KmvCount { k: 32 }),
+        (
+            "histogram",
+            Operator::ValueHistogram {
+                min: 10,
+                max: 500,
+                buckets: 8,
+            },
+        ),
+    ] {
+        let out =
+            run_wildfire_operator(operator, WildfireOpts::default(), &graph, &values, churned);
+        rows.push((
+            format!("operator {name}"),
+            row(out.value, out.declared_at, &out.metrics),
+        ));
+    }
+    rows
+}
+
+#[rustfmt::skip]
+const GOLDEN: &[(&str, Row)] = &[
+    ("static count PointToPoint opts=true", (4648505855648819575, 24, 16940, 20677, 80)),
+    ("static count PointToPoint opts=false", (4648505855648819575, 24, 18067, 21804, 84)),
+    ("static count Radio opts=true", (4648505855648819575, 24, 3406, 22285, 94)),
+    ("static count Radio opts=false", (4648505855648819575, 24, 3655, 23566, 101)),
+    ("static sum PointToPoint opts=true", (4671503059631949876, 24, 15874, 19504, 78)),
+    ("static sum PointToPoint opts=false", (4671503059631949876, 24, 17028, 20658, 82)),
+    ("static sum Radio opts=true", (4671503059631949876, 24, 3252, 21348, 91)),
+    ("static sum Radio opts=false", (4671503059631949876, 24, 3504, 22660, 98)),
+    ("static avg PointToPoint opts=true", (4629700416936869888, 24, 17559, 21445, 84)),
+    ("static avg PointToPoint opts=false", (4629700416936869888, 24, 18683, 22569, 93)),
+    ("static avg Radio opts=true", (4629700416936869888, 24, 3531, 23112, 98)),
+    ("static avg Radio opts=false", (4629700416936869888, 24, 3782, 24394, 105)),
+    ("static min PointToPoint opts=true", (4621819117588971520, 24, 2816, 4022, 19)),
+    ("static min PointToPoint opts=false", (4621819117588971520, 24, 4670, 5777, 31)),
+    ("static min Radio opts=true", (4621819117588971520, 24, 682, 4981, 20)),
+    ("static min Radio opts=false", (4621819117588971520, 24, 1129, 7427, 32)),
+    ("churn+cut count PointToPoint opts=true", (4648505855648819575, 24, 18830, 23460, 72)),
+    ("churn+cut count PointToPoint opts=false", (4648505855648819575, 24, 20056, 24686, 73)),
+    ("churn+cut count Radio opts=true", (4648505855648819575, 24, 3998, 26507, 93)),
+    ("churn+cut count Radio opts=false", (4648505855648819575, 24, 4276, 27941, 96)),
+    ("churn+cut sum PointToPoint opts=true", (4671503059631949876, 24, 16069, 19788, 69)),
+    ("churn+cut sum PointToPoint opts=false", (4671503059631949876, 24, 17323, 21042, 73)),
+    ("churn+cut sum Radio opts=true", (4671503059631949876, 24, 3339, 21810, 82)),
+    ("churn+cut sum Radio opts=false", (4671503059631949876, 24, 3619, 23265, 85)),
+    ("churn+cut avg PointToPoint opts=true", (4633456455444046983, 24, 18995, 23323, 77)),
+    ("churn+cut avg PointToPoint opts=false", (4633456455444046983, 24, 20220, 24548, 78)),
+    ("churn+cut avg Radio opts=true", (4633456455444046983, 24, 3884, 25419, 93)),
+    ("churn+cut avg Radio opts=false", (4633456455444046983, 24, 4160, 26849, 96)),
+    ("churn+cut min PointToPoint opts=true", (4621819117588971520, 24, 2734, 3801, 12)),
+    ("churn+cut min PointToPoint opts=false", (4621819117588971520, 24, 4638, 5637, 17)),
+    ("churn+cut min Radio opts=true", (4621819117588971520, 24, 650, 4724, 18)),
+    ("churn+cut min Radio opts=false", (4621819117588971520, 24, 1100, 7162, 26)),
+    ("overlay+osc count PointToPoint opts=true", (4648505855648819575, 24, 19339, 23364, 72)),
+    ("overlay+osc count PointToPoint opts=false", (4648505855648819575, 24, 20601, 24654, 78)),
+    ("overlay+osc count Radio opts=true", (4648505855648819575, 24, 3652, 29458, 99)),
+    ("overlay+osc count Radio opts=false", (4648505855648819575, 24, 3948, 31967, 105)),
+    ("overlay+osc sum PointToPoint opts=true", (4671503059631949876, 24, 17860, 21699, 68)),
+    ("overlay+osc sum PointToPoint opts=false", (4671503059631949876, 24, 19139, 23006, 74)),
+    ("overlay+osc sum Radio opts=true", (4671503059631949876, 24, 3390, 27607, 96)),
+    ("overlay+osc sum Radio opts=false", (4671503059631949876, 24, 3690, 30166, 102)),
+    ("overlay+osc avg PointToPoint opts=true", (4631037263444584999, 24, 19288, 23321, 73)),
+    ("overlay+osc avg PointToPoint opts=false", (4631037263444584999, 24, 20519, 24565, 79)),
+    ("overlay+osc avg Radio opts=true", (4631037263444584999, 24, 3579, 29017, 101)),
+    ("overlay+osc avg Radio opts=false", (4631037263444584999, 24, 3875, 31526, 107)),
+    ("overlay+osc min PointToPoint opts=true", (4621819117588971520, 24, 4098, 5995, 23)),
+    ("overlay+osc min PointToPoint opts=false", (4621819117588971520, 24, 6331, 8316, 34)),
+    ("overlay+osc min Radio opts=true", (4621819117588971520, 24, 1272, 13141, 40)),
+    ("overlay+osc min Radio opts=false", (4621819117588971520, 24, 1768, 16941, 51)),
+    ("operator kmv", (4647137962280656936, 24, 20138, 24595, 78)),
+    ("operator histogram", (4648743753925957107, 24, 21130, 25860, 88)),
+];
+
+#[test]
+fn wildfire_outcomes_match_the_pre_rewrite_capture() {
+    let actual = actual();
+    let differs = |i: usize, (name, row): &(String, Row)| {
+        GOLDEN
+            .get(i)
+            .is_none_or(|(gname, grow)| name != gname || row != grow)
+    };
+    let moved =
+        actual.len() != GOLDEN.len() || actual.iter().enumerate().any(|(i, e)| differs(i, e));
+    if moved {
+        let mut table = String::new();
+        for (i, entry) in actual.iter().enumerate() {
+            let mark = if differs(i, entry) {
+                " // <- differs"
+            } else {
+                ""
+            };
+            table.push_str(&format!("    ({:?}, {:?}),{mark}\n", entry.0, entry.1));
+        }
+        panic!("WILDFIRE outcomes moved; actual rows:\n{table}");
+    }
+}
