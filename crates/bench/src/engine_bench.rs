@@ -1,18 +1,21 @@
-//! `repro bench` — a deterministic wall-clock harness for the engine
-//! hot path.
+//! `repro bench` — a smoke driver for the engine hot path with
+//! deterministic event counts.
 //!
 //! Three fixed workloads mirror the scenario library's regimes
 //! (`paper_baseline`, `churn_plus_partition`, `adversarial_sketch`) but
-//! run straight through [`runner::run_all`], so what is measured is the
+//! run straight through [`runner::run_all`], so what is exercised is the
 //! simulator itself: event-queue throughput, delivery fan-out, churn
 //! and partition checks — not the oracle or the report aggregation.
 //! Every workload is a pure function of its hard-coded seeds: the
 //! *event counts* are asserted stable (`runs`, `events`, `messages`
-//! never change unless engine semantics change), only the wall-clock
-//! numbers vary per machine.
+//! never change unless engine semantics change) and, with the scale
+//! ladder's RSS-per-host ceiling, are the only thing this module gates
+//! on. The wall-clock figures it prints are information for the person
+//! running it; every wall-clock *claim* goes through the repo benchmark
+//! (`benchmark/`, see docs/BENCHMARKING.md).
 //!
-//! The harness emits `BENCH_engine.json` (schema documented in the
-//! README) carrying, per workload:
+//! `repro bench --json PATH` writes one flat document describing this
+//! run only, carrying per workload:
 //!
 //! * `events` / `events_per_sec` — engine-loop dispatches (fails, joins,
 //!   deliveries, timers, churn polls) and their wall-clock rate;
@@ -20,13 +23,7 @@
 //! * `peak_rss_kb` — the process peak RSS (`VmHWM`) after the workload,
 //!   a monotone proxy for the engine's high-water memory;
 //!
-//! plus the **recorded pre-refactor baseline** (`baseline` object): the
-//! same workloads measured on the reference machine with the PR-5
-//! pre-refactor engine (`BinaryHeap` event queue, per-run graph clones,
-//! per-wave buffer allocations). The `speedup_events_per_sec` ratios
-//! make the perf trajectory of this and every future PR explicit;
-//! absolute numbers shift with hardware, the *ratio between two runs on
-//! one machine* is the signal.
+//! plus the deterministic `counters` block of [`counters_json`].
 
 use pov_core::pov_protocols::wildfire::WildfireOpts;
 use pov_core::pov_protocols::{runner, AdversarySpec, Aggregate, ProtocolKind, RunPlan};
@@ -83,31 +80,11 @@ impl BenchMode {
     }
 }
 
-/// The recorded pre-refactor baseline (events/sec per workload), in
-/// workload order. Measured on the reference machine at quick/full
-/// scale with the pre-refactor engine — `BinaryHeap<Event>` queue,
-/// `graph.clone()` per run, fresh per-wave buffers — immediately before
-/// the hot-path refactor landed, using this exact harness.
-pub fn recorded_baseline(mode: BenchMode) -> [(&'static str, f64); 3] {
-    match mode {
-        BenchMode::Quick => [
-            ("paper_baseline", 2.58e6),
-            ("churn_plus_partition", 3.17e6),
-            ("adversarial_sketch", 2.57e6),
-        ],
-        BenchMode::Full => [
-            ("paper_baseline", 1.59e6),
-            ("churn_plus_partition", 2.11e6),
-            ("adversarial_sketch", 1.71e6),
-        ],
-    }
-}
-
-pub(crate) struct Workload {
-    pub(crate) name: &'static str,
+struct Workload {
+    name: &'static str,
     n: usize,
     seeds: u64,
-    pub(crate) protocols: Vec<ProtocolKind>,
+    protocols: Vec<ProtocolKind>,
     regime: Regime,
 }
 
@@ -117,7 +94,7 @@ enum Regime {
     AdversarialSketch,
 }
 
-pub(crate) fn workloads(mode: BenchMode) -> Vec<Workload> {
+fn workloads(mode: BenchMode) -> Vec<Workload> {
     let (n1, n2, n3, seeds) = match mode {
         BenchMode::Quick => (1_000, 800, 800, 3),
         BenchMode::Full => (6_000, 4_000, 4_000, 5),
@@ -150,18 +127,17 @@ pub(crate) fn workloads(mode: BenchMode) -> Vec<Workload> {
 
 /// A bench workload's setup products (topology, values, base plan) —
 /// built once outside any timed region, and shared with the counter
-/// replay and the flight-recorder replay so both instrument the exact
-/// simulations the harness times.
-pub(crate) struct BenchSetup {
-    pub(crate) graph: pov_core::pov_topology::Graph,
-    pub(crate) values: Vec<u64>,
-    pub(crate) base: RunPlan,
-    pub(crate) n: usize,
-    pub(crate) deadline: u64,
-    pub(crate) hq: HostId,
+/// replay so it instruments the exact simulations the harness times.
+struct BenchSetup {
+    graph: pov_core::pov_topology::Graph,
+    values: Vec<u64>,
+    base: RunPlan,
+    n: usize,
+    deadline: u64,
+    hq: HostId,
 }
 
-pub(crate) fn setup(w: &Workload) -> BenchSetup {
+fn setup(w: &Workload) -> BenchSetup {
     let graph = TopologyKind::Random.build(w.n, 1);
     let n = graph.num_hosts();
     let values = workload::paper_values(n, 0x5eed_0001);
@@ -182,9 +158,8 @@ pub(crate) fn setup(w: &Workload) -> BenchSetup {
     }
 }
 
-/// The plan for one seed of a workload (pure in its arguments — what
-/// makes the per-seed work freely distributable across threads).
-pub(crate) fn seed_plan(
+/// The plan for one seed of a workload (pure in its arguments).
+fn seed_plan(
     w: &Workload,
     base: &RunPlan,
     graph: &pov_core::pov_topology::Graph,
@@ -223,54 +198,27 @@ pub(crate) fn seed_plan(
     plan
 }
 
-/// Run one workload on `threads` workers and measure it. Seeds fan out
-/// across the workers; each seed's counts land in its own slot, so the
-/// summed `events` / `messages` / `runs` are identical for every thread
-/// count — only the wall-clock rates change.
-fn run_workload(w: &Workload, threads: usize) -> BenchResult {
+/// Run one workload once and measure it.
+fn run_workload(w: &Workload) -> BenchResult {
     // Setup (topology, values, diameter probe) happens outside the
     // timed region: the harness measures the event loop, not graph
     // construction.
-    let BenchSetup {
-        graph,
-        values,
-        base,
-        n,
-        deadline,
-        hq,
-    } = setup(w);
-
-    let seeds: Vec<u64> = (0..w.seeds).collect();
-    let mut slots: Vec<(u64, u64, usize)> = vec![(0, 0, 0); seeds.len()];
-    let chunk = seeds.len().div_ceil(threads.max(1));
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        let (graph, values, base, w) = (&graph, &values, &base, &w);
-        for (seed_chunk, slot_chunk) in seeds.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (&seed, slot) in seed_chunk.iter().zip(slot_chunk) {
-                    let plan = seed_plan(w, base, graph, n, deadline, hq, seed);
-                    for (_, out) in runner::run_all(graph, values, &plan) {
-                        slot.0 += out.metrics.events_dispatched;
-                        slot.1 += out.metrics.messages_sent;
-                        slot.2 += 1;
-                    }
-                }
-            });
-        }
-    });
-    let wall = start.elapsed();
+    let s = setup(w);
     let (mut events, mut messages, mut runs) = (0u64, 0u64, 0usize);
-    for (e, m, r) in slots {
-        events += e;
-        messages += m;
-        runs += r;
+    let start = Instant::now();
+    for seed in 0..w.seeds {
+        let plan = seed_plan(w, &s.base, &s.graph, s.n, s.deadline, s.hq, seed);
+        for (_, out) in runner::run_all(&s.graph, &s.values, &plan) {
+            events += out.metrics.events_dispatched;
+            messages += out.metrics.messages_sent;
+            runs += 1;
+        }
     }
-    let wall_s = wall.as_secs_f64().max(1e-9);
-    let ticks = (deadline + 2) * runs as u64;
+    let wall_s = start.elapsed().as_secs_f64().max(1e-9);
+    let ticks = (s.deadline + 2) * runs as u64;
     BenchResult {
         name: w.name,
-        n,
+        n: s.n,
         runs,
         ticks,
         events,
@@ -282,14 +230,33 @@ fn run_workload(w: &Workload, threads: usize) -> BenchResult {
     }
 }
 
+/// The fastest of `reps` runs of `w`. Event counts are asserted equal
+/// across the repetitions — a nondeterministic rerun is a bug, and the
+/// one way a plain `repro bench` exits non-zero.
+fn best_of(w: &Workload, reps: usize) -> BenchResult {
+    (0..reps)
+        .map(|_| run_workload(w))
+        .reduce(|best, next| {
+            assert_eq!(
+                best.events, next.events,
+                "{}: nondeterministic rerun",
+                w.name
+            );
+            if next.events_per_sec > best.events_per_sec {
+                next
+            } else {
+                best
+            }
+        })
+        .expect("at least one repetition")
+}
+
 /// Timed repetitions per workload: the reported rates are the *best*
 /// of these. Quick workloads finish in tens of milliseconds, where
-/// scheduler noise alone swings a single measurement by 20%+ — far past
-/// the `--check` gate's 10% budget. Noise is one-sided (a run can only
-/// be slowed down, never sped up), so best-of-N converges on the true
-/// rate; event counts are identical across repetitions by construction.
-/// Quick mode takes 7 so a same-machine gate holds even on busy shared
-/// runners; full-scale workloads run seconds each, where 2 suffice.
+/// scheduler noise alone swings a single measurement by 20%+. Noise is
+/// one-sided (a run can only be slowed down, never sped up), so
+/// best-of-N converges on the true rate; full-scale workloads run
+/// seconds each, where 2 suffice.
 fn repeats(mode: BenchMode) -> usize {
     match mode {
         BenchMode::Quick => 7,
@@ -299,33 +266,9 @@ fn repeats(mode: BenchMode) -> usize {
 
 /// Execute all three workloads at `mode` scale, single-threaded.
 pub fn run(mode: BenchMode) -> Vec<BenchResult> {
-    run_threaded(mode, 1)
-}
-
-/// Execute all three workloads at `mode` scale on `threads` workers.
-/// Event counts are identical for every thread count; the wall-clock
-/// rates (best of `repeats(mode)` timed repetitions) measure the engine
-/// under parallel load.
-pub fn run_threaded(mode: BenchMode, threads: usize) -> Vec<BenchResult> {
     workloads(mode)
         .iter()
-        .map(|w| {
-            (0..repeats(mode))
-                .map(|_| run_workload(w, threads))
-                .reduce(|best, next| {
-                    assert_eq!(
-                        best.events, next.events,
-                        "{}: nondeterministic rerun",
-                        w.name
-                    );
-                    if next.events_per_sec > best.events_per_sec {
-                        next
-                    } else {
-                        best
-                    }
-                })
-                .expect("at least one repetition")
-        })
+        .map(|w| best_of(w, repeats(mode)))
         .collect()
 }
 
@@ -373,27 +316,12 @@ fn scale_workload(name: &'static str, n: usize) -> Workload {
 
 /// Execute the scale ladder, ascending. Rates are best-of-3 below the
 /// million-host rung; that rung runs once — it is seconds long, where
-/// scheduler noise is already amortized, and repeating it would double
-/// the walltime of every CI scale job for a number the `--check` gate
-/// never reads (the ladder is gated on its RSS ceiling, not throughput).
+/// scheduler noise is already amortized, and the ladder is gated on
+/// its RSS ceiling, not throughput.
 pub fn run_scale(mode: BenchMode) -> Vec<BenchResult> {
     scale_sizes(mode)
         .iter()
-        .map(|&(name, n)| {
-            let w = scale_workload(name, n);
-            let reps = if n >= 1_000_000 { 1 } else { 3 };
-            (0..reps)
-                .map(|_| run_workload(&w, 1))
-                .reduce(|best, next| {
-                    assert_eq!(best.events, next.events, "{name}: nondeterministic rerun");
-                    if next.events_per_sec > best.events_per_sec {
-                        next
-                    } else {
-                        best
-                    }
-                })
-                .expect("at least one repetition")
-        })
+        .map(|&(name, n)| best_of(&scale_workload(name, n), if n >= 1_000_000 { 1 } else { 3 }))
         .collect()
 }
 
@@ -430,8 +358,7 @@ pub fn scale_failures(results: &[BenchResult]) -> Vec<String> {
 /// [`pov_telemetry::TickRecorder`] attached. Never taken during the
 /// timed repetitions — recording there would perturb the rates being
 /// measured. Each entry is `(workload name, counters object)` for the
-/// opt-in `counters` section of `BENCH_engine.json`
-/// (`repro bench --counters`).
+/// `counters` section of the `repro bench --json` document.
 pub fn counters(mode: BenchMode) -> Vec<(&'static str, Json)> {
     use pov_core::pov_protocols::runner;
     use pov_telemetry::TickRecorder;
@@ -483,8 +410,8 @@ pub fn counters(mode: BenchMode) -> Vec<(&'static str, Json)> {
         .collect()
 }
 
-/// The `counters` object for `BENCH_engine.json`: one block per
-/// workload, keyed by name.
+/// The `counters` object of the `repro bench --json` document: one
+/// block per workload, keyed by name.
 pub fn counters_json(mode: BenchMode) -> Json {
     let mut obj = Json::obj();
     for (name, block) in counters(mode) {
@@ -493,148 +420,19 @@ pub fn counters_json(mode: BenchMode) -> Json {
     obj
 }
 
-/// Telemetry-overhead budget enforced by [`Overhead::failure`]: with a
-/// [`NullSink`](pov_core::pov_sim::NullSink) attached — every hook
-/// firing, every sample aggregated, nothing recorded — the engine may
-/// lose at most this fraction of its telemetry-*disabled* throughput.
-/// The disabled path does strictly less work than the null-sink path,
-/// so this also bounds the cost of the `Option` test the disabled hot
-/// path pays.
-pub const MAX_OVERHEAD: f64 = 0.03;
-
-/// One telemetry-overhead measurement: events/sec for two
-/// telemetry-disabled passes and one null-sink pass over the same
-/// workload, taken from the cleanest repetition (see
-/// [`measure_overhead`]). Two disabled passes make the run its own
-/// noise floor — the gate compares the null-sink rate against the
-/// *faster* disabled pass, so within a repetition noise can only make
-/// the check stricter, not looser.
-#[derive(Clone, Copy, Debug)]
-pub struct Overhead {
-    /// Events/sec of the first telemetry-disabled pass.
-    pub disabled_a: f64,
-    /// Events/sec of the second telemetry-disabled pass.
-    pub disabled_b: f64,
-    /// Events/sec with a `NullSink` attached.
-    pub null_sink: f64,
-}
-
-impl Overhead {
-    /// Fraction of disabled throughput the null-sink pass lost
-    /// (negative when it measured faster — pure noise).
-    pub fn overhead_fraction(&self) -> f64 {
-        1.0 - self.null_sink / self.disabled_a.max(self.disabled_b)
-    }
-
-    /// `Some(message)` when the overhead exceeds [`MAX_OVERHEAD`].
-    pub fn failure(&self) -> Option<String> {
-        let f = self.overhead_fraction();
-        (f > MAX_OVERHEAD).then(|| {
-            format!(
-                "telemetry hooks cost {:.1}% of disabled throughput \
-                 (null-sink {:.0} events/sec vs disabled {:.0}; budget {:.0}%)",
-                f * 100.0,
-                self.null_sink,
-                self.disabled_a.max(self.disabled_b),
-                MAX_OVERHEAD * 100.0,
-            )
-        })
-    }
-}
-
-/// Measure telemetry overhead on the `paper_baseline` workload,
-/// single-threaded. The three passes interleave inside each repetition
-/// (disabled, disabled, null-sink) so load drift hits all of them
-/// alike, and the repetition with the *lowest* paired overhead wins:
-/// the hooks' cost is deterministic constant work that shows up in
-/// every repetition, while a scheduling burst during the null-sink
-/// pass only inflates some — so the minimum is the cleanest estimate
-/// of intrinsic cost, exactly the best-of-N reasoning the wall-clock
-/// bench itself uses. Event counts are asserted identical across every
-/// pass — a sink must never change what the engine does, only observe
-/// it.
-pub fn measure_overhead(mode: BenchMode) -> Overhead {
-    use pov_core::pov_protocols::runner;
-    use pov_core::pov_sim::NullSink;
-    let w = &workloads(mode)[0];
-    let s = setup(w);
-    let timed_pass = |null: bool| -> (u64, f64) {
-        let start = Instant::now();
-        let mut events = 0u64;
-        for seed in 0..w.seeds {
-            let plan = seed_plan(w, &s.base, &s.graph, s.n, s.deadline, s.hq, seed);
-            for &kind in &w.protocols {
-                let mut sink = NullSink;
-                let out = runner::run_with(
-                    kind,
-                    &s.graph,
-                    &s.values,
-                    &plan,
-                    if null { Some(&mut sink) } else { None },
-                );
-                events += out.metrics.events_dispatched;
-            }
-        }
-        let wall_s = start.elapsed().as_secs_f64().max(1e-9);
-        (events, events as f64 / wall_s)
-    };
-    let mut best: Option<Overhead> = None;
-    let mut events_seen = None;
-    for _ in 0..repeats(mode) {
-        let mut rates = [0f64; 3];
-        for (slot, null) in [(0usize, false), (1, false), (2, true)] {
-            let (events, eps) = timed_pass(null);
-            let expected = *events_seen.get_or_insert(events);
-            assert_eq!(
-                expected, events,
-                "telemetry sink changed engine behaviour on {}",
-                w.name
-            );
-            rates[slot] = eps;
-        }
-        let rep = Overhead {
-            disabled_a: rates[0],
-            disabled_b: rates[1],
-            null_sink: rates[2],
-        };
-        if best.is_none_or(|b| rep.overhead_fraction() < b.overhead_fraction()) {
-            best = Some(rep);
-        }
-    }
-    best.expect("repeats(mode) >= 1")
-}
-
-/// The `BENCH_engine.json` document (schema `bench_engine/v2`): mode
-/// and thread count, per-workload measurements, the recorded
-/// pre-refactor baseline with the speedup ratio of each workload
-/// against it, and the per-PR `history` trajectory (one entry per
-/// `--json` run, keyed by git SHA — build it with
-/// [`crate::trajectory::appended_history`]).
-pub fn to_json(
-    mode: BenchMode,
-    threads: usize,
-    results: &[BenchResult],
-    history: Vec<Json>,
-) -> Json {
-    let baseline = recorded_baseline(mode);
-    let mut base_obj = Json::obj();
-    for &(name, eps) in &baseline {
-        base_obj = base_obj.with(name, Json::obj().with("events_per_sec", eps));
-    }
+/// The `repro bench --json` document: the mode label (`quick`, `full`,
+/// `scale-quick`, `scale-full`) and this run's per-workload
+/// measurements — nothing carried over from any earlier run.
+pub fn to_json(mode_label: &str, results: &[BenchResult]) -> Json {
     Json::obj()
         .with("schema", "bench_engine/v2")
-        .with("mode", mode.label())
-        .with("threads", threads)
+        .with("mode", mode_label)
         .with(
             "workloads",
             Json::Arr(
                 results
                     .iter()
                     .map(|r| {
-                        let base = baseline
-                            .iter()
-                            .find(|&&(name, _)| name == r.name)
-                            .map(|&(_, eps)| eps);
                         Json::obj()
                             .with("name", r.name)
                             .with("n", r.n)
@@ -646,25 +444,10 @@ pub fn to_json(
                             .with("events_per_sec", r.events_per_sec)
                             .with("ticks_per_sec", r.ticks_per_sec)
                             .with("peak_rss_kb", r.peak_rss_kb)
-                            .with(
-                                "speedup_events_per_sec",
-                                base.map(|eps| r.events_per_sec / eps),
-                            )
                     })
                     .collect(),
             ),
         )
-        .with(
-            "baseline",
-            Json::obj()
-                .with(
-                    "recorded",
-                    "pre-refactor engine (BinaryHeap queue, per-run graph clones), \
-                     reference machine, release build",
-                )
-                .with("workloads", base_obj),
-        )
-        .with("history", Json::Arr(history))
 }
 
 /// Peak resident set size in kB from `/proc/self/status` (`VmHWM`), the
@@ -694,20 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_run_keeps_event_counts() {
-        // The --threads fan-out may only change wall-clock rates — the
-        // per-seed slot sums must match the sequential run exactly.
-        let one = run_threaded(BenchMode::Quick, 1);
-        let four = run_threaded(BenchMode::Quick, 4);
-        for (a, b) in one.iter().zip(&four) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.events, b.events, "{}", a.name);
-            assert_eq!(a.messages, b.messages, "{}", a.name);
-            assert_eq!((a.runs, a.ticks), (b.runs, b.ticks), "{}", a.name);
-        }
-    }
-
-    #[test]
     fn scale_ladder_ascends_and_quick_fits_ci() {
         let quick = scale_sizes(BenchMode::Quick);
         let full = scale_sizes(BenchMode::Full);
@@ -727,8 +496,8 @@ mod tests {
         // A miniature rung (the real ladder starts at 10⁴ — too slow
         // for a debug-build unit test) through the same machinery.
         let w = scale_workload("scale_test", 1_500);
-        let a = run_workload(&w, 1);
-        let b = run_workload(&w, 1);
+        let a = run_workload(&w);
+        let b = run_workload(&w);
         assert_eq!(a.runs, 1);
         assert_eq!(
             (a.events, a.messages, a.ticks),
@@ -815,76 +584,31 @@ mod tests {
     }
 
     #[test]
-    fn overhead_passes_agree_on_event_counts_and_measure_sane_rates() {
-        let o = measure_overhead(BenchMode::Quick);
-        assert!(o.disabled_a > 0.0 && o.disabled_b > 0.0 && o.null_sink > 0.0);
-        // Asserting the 3% budget here would flake on a loaded test
-        // machine; CI enforces it via `repro bench --overhead` on a
-        // release build. Bound it loosely so a gross hook regression
-        // still fails the suite.
-        assert!(o.overhead_fraction() < 0.5, "{o:?}");
-    }
-
-    #[test]
-    fn overhead_failure_fires_only_past_the_budget() {
-        let ok = Overhead {
-            disabled_a: 1.0e6,
-            disabled_b: 0.98e6,
-            null_sink: 0.98e6,
-        };
-        assert!(ok.failure().is_none(), "2% overhead is within budget");
-        let bad = Overhead {
-            disabled_a: 1.0e6,
-            disabled_b: 0.99e6,
-            null_sink: 0.9e6,
-        };
-        let msg = bad.failure().expect("10% overhead breaches the budget");
-        assert!(msg.contains("10.0%"), "{msg}");
-        // Noise-faster null-sink passes are fine, never a failure.
-        let fast = Overhead {
-            disabled_a: 1.0e6,
-            disabled_b: 1.0e6,
-            null_sink: 1.1e6,
-        };
-        assert!(fast.overhead_fraction() < 0.0);
-        assert!(fast.failure().is_none());
-    }
-
-    #[test]
     fn json_schema_has_all_sections() {
         let results = run(BenchMode::Quick);
-        let history = vec![crate::trajectory::history_entry(
-            "abc1234",
-            BenchMode::Quick.label(),
-            1,
-            &results,
-        )];
-        let doc = to_json(BenchMode::Quick, 1, &results, history).render();
+        let doc = to_json(BenchMode::Quick.label(), &results)
+            .with("counters", counters_json(BenchMode::Quick))
+            .render();
         for needle in [
             "\"schema\": \"bench_engine/v2\"",
             "\"mode\": \"quick\"",
-            "\"threads\": 1",
             "\"workloads\"",
             "\"events_per_sec\"",
-            "\"baseline\"",
-            "\"speedup_events_per_sec\"",
             "\"paper_baseline\"",
             "\"churn_plus_partition\"",
             "\"adversarial_sketch\"",
-            "\"history\"",
-            "\"sha\": \"abc1234\"",
+            "\"counters\"",
+            "\"peak_frontier\"",
         ] {
             assert!(doc.contains(needle), "missing {needle} in:\n{doc}");
         }
-        // The document round-trips through the reader the --check gate
-        // uses.
         let parsed = Json::parse(&doc).expect("own document parses");
         assert_eq!(
             parsed
-                .get("history")
+                .get("workloads")
                 .and_then(Json::as_arr)
-                .map(|h| h.len()),
-            Some(1)
+                .map(|w| w.len()),
+            Some(3)
         );
     }
 }

@@ -1,19 +1,18 @@
-//! Post-hoc flight-recorder dumps for breached gates.
+//! Post-hoc flight-recorder dumps for breached soak limits.
 //!
-//! When `repro soak` trips a limit or `repro bench --check` flags a
-//! regression, a throughput number alone is a dead end — the question
-//! is what the engine was *doing* when it got slow. This module
-//! re-runs the breaching workload deterministically (same seeds, same
-//! plans, so the replay IS the run that breached) with a
-//! [`FlightRecorder`] attached, and writes its last-N-ticks ring next
-//! to the failure as `FLIGHT_<workload>.jsonl`, stamped with
+//! When `repro soak` trips a limit, the breach line alone is a dead end
+//! — the question is what the engine was *doing* at the end of the
+//! run. This module re-runs the breaching workload deterministically
+//! (same seeds, same plans, so the replay IS the run that breached)
+//! with a [`FlightRecorder`] attached, and writes its last-N-ticks ring
+//! next to the failure as `FLIGHT_<workload>.jsonl`, stamped with
 //! [`pov_telemetry::FLIGHT_SCHEMA`].
 //!
 //! The recorder is never attached to the measured run itself: the
-//! timed repetitions stay telemetry-free, and the replay only happens
-//! on the failure path, where wall-clock no longer matters.
+//! timed run stays telemetry-free, and the replay only happens on the
+//! failure path, where wall-clock no longer matters.
 
-use crate::engine_bench::{self, BenchMode};
+use crate::engine_bench::BenchMode;
 use crate::soak;
 use pov_core::judged::window_local_plans;
 use pov_core::pov_protocols::runner;
@@ -25,38 +24,6 @@ use std::path::{Path, PathBuf};
 /// span several continuous windows of context before the end of the
 /// run, small enough that a dump stays a few tens of kilobytes.
 pub const WINDOW: usize = 256;
-
-/// The distinct workload names a failure list points at, in first-seen
-/// order. Failure strings from `soak::assert_limits` and
-/// `trajectory::check_against` lead with `<workload>: ...`; lines that
-/// carry no such prefix (e.g. an empty-baseline complaint) are skipped
-/// — there is nothing to replay for them.
-pub fn breached_workloads(failures: &[String]) -> Vec<String> {
-    let mut names: Vec<String> = Vec::new();
-    for f in failures {
-        let Some((name, _)) = f.split_once(':') else {
-            continue;
-        };
-        let name = name.trim();
-        if name.is_empty() || name.contains(' ') || names.iter().any(|n| n == name) {
-            continue;
-        }
-        names.push(name.to_string());
-    }
-    names
-}
-
-/// Every failure string for `name`, joined — the `reason` field of the
-/// dump header.
-fn reason_for(failures: &[String], name: &str) -> String {
-    let prefix = format!("{name}:");
-    failures
-        .iter()
-        .filter(|f| f.starts_with(&prefix))
-        .map(String::as_str)
-        .collect::<Vec<_>>()
-        .join("; ")
-}
 
 /// Replay the named soak workload with a [`FlightRecorder`] and return
 /// the dump text, or `None` when no such workload exists at `mode`.
@@ -75,31 +42,22 @@ pub fn replay_soak(mode: BenchMode, name: &str, reason: &str) -> Option<String> 
     Some(rec.dump(name, reason))
 }
 
-/// Replay the named bench workload's first seed with a
-/// [`FlightRecorder`] and return the dump text, or `None` when no such
-/// workload exists at `mode`. One seed suffices: every seed runs the
-/// same regime, and the ring only retains the last [`WINDOW`] ticks
-/// anyway.
-pub fn replay_bench(mode: BenchMode, name: &str, reason: &str) -> Option<String> {
-    let workloads = engine_bench::workloads(mode);
-    let w = workloads.iter().find(|w| w.name == name)?;
-    let s = engine_bench::setup(w);
-    let plan = engine_bench::seed_plan(w, &s.base, &s.graph, s.n, s.deadline, s.hq, 0);
-    let mut rec = FlightRecorder::new(WINDOW);
-    for &kind in &w.protocols {
-        let _ = runner::run_with(kind, &s.graph, &s.values, &plan, Some(&mut rec));
-    }
-    Some(rec.dump(name, reason))
-}
-
-fn write_dumps(
-    failures: &[String],
+/// Replay every soak workload named by `breaches` (the
+/// `(workload, reason)` pairs of [`soak::assert_limits`], which reports
+/// a workload's breaches together) and write one
+/// `FLIGHT_<workload>.jsonl` per breached workload into `dir`, its
+/// header carrying all of that workload's reasons. Returns the paths
+/// written.
+pub fn write_soak_dumps(
+    mode: BenchMode,
+    breaches: &[(&'static str, String)],
     dir: &Path,
-    replay: impl Fn(&str, &str) -> Option<String>,
 ) -> Vec<PathBuf> {
     let mut written = Vec::new();
-    for name in breached_workloads(failures) {
-        let Some(dump) = replay(&name, &reason_for(failures, &name)) else {
+    for group in breaches.chunk_by(|a, b| a.0 == b.0) {
+        let name = group[0].0;
+        let reasons: Vec<&str> = group.iter().map(|(_, reason)| reason.as_str()).collect();
+        let Some(dump) = replay_soak(mode, name, &reasons.join("; ")) else {
             continue;
         };
         let path = dir.join(format!("FLIGHT_{name}.jsonl"));
@@ -109,24 +67,6 @@ fn write_dumps(
         }
     }
     written
-}
-
-/// Replay every soak workload named by `failures` and write one
-/// `FLIGHT_<workload>.jsonl` per breach into `dir`. Returns the paths
-/// written.
-pub fn write_soak_dumps(mode: BenchMode, failures: &[String], dir: &Path) -> Vec<PathBuf> {
-    write_dumps(failures, dir, |name, reason| {
-        replay_soak(mode, name, reason)
-    })
-}
-
-/// Replay every bench workload named by `failures` and write one
-/// `FLIGHT_<workload>.jsonl` per breach into `dir`. Returns the paths
-/// written.
-pub fn write_bench_dumps(mode: BenchMode, failures: &[String], dir: &Path) -> Vec<PathBuf> {
-    write_dumps(failures, dir, |name, reason| {
-        replay_bench(mode, name, reason)
-    })
 }
 
 #[cfg(test)]
@@ -141,27 +81,10 @@ mod tests {
     }
 
     #[test]
-    fn breach_parsing_dedups_and_skips_non_workload_failures() {
-        let failures = vec![
-            "lifecycle_wildfire: throughput collapsed to 10 events/sec (floor 50000)".to_string(),
-            "lifecycle_wildfire: peak RSS 9999999 kB breaches the 1048576 kB ceiling".to_string(),
-            "baseline document carries no workload measurements".to_string(),
-            "workload 'ghost' missing from baseline document".to_string(),
-            "double_dip_wildfire: throughput collapsed to 9 events/sec (floor 50000)".to_string(),
-        ];
-        assert_eq!(
-            breached_workloads(&failures),
-            ["lifecycle_wildfire", "double_dip_wildfire"]
-        );
-        let reason = reason_for(&failures, "lifecycle_wildfire");
-        assert!(reason.contains("throughput collapsed") && reason.contains("; "));
-    }
-
-    #[test]
     fn soak_floor_breach_produces_a_schema_stamped_dump() {
-        // Force the quick soak's throughput floor: a result measuring
-        // 1 event/sec sits far below `limits(Quick).0`, so the limit
-        // check reports a breach — exactly what a collapsed run would.
+        // Force the quick soak's RSS ceiling: a result whose high-water
+        // mark sits past `max_rss_kb(Quick)` makes the limit check
+        // report a breach — exactly what a leaking run would.
         let breached = SoakResult {
             name: "lifecycle_wildfire",
             n: 300,
@@ -171,10 +94,10 @@ mod tests {
             events: 1_000_000,
             messages: 900_000,
             declared_fraction: 1.0,
-            wall_ms: 1.0e9,
-            events_per_sec: 1.0,
-            ticks_per_sec: 1.0,
-            peak_rss_kb: Some(50_000),
+            wall_ms: 100.0,
+            events_per_sec: 1.0e7,
+            ticks_per_sec: 1.0e5,
+            peak_rss_kb: Some(soak::max_rss_kb(BenchMode::Quick) + 1),
         };
         let failures = assert_limits(&[breached], BenchMode::Quick);
         assert_eq!(failures.len(), 1, "{failures:?}");
@@ -200,36 +123,12 @@ mod tests {
             header.contains("\"workload\": \"lifecycle_wildfire\""),
             "{header}"
         );
-        assert!(header.contains("throughput collapsed"), "{header}");
+        assert!(header.contains("peak RSS"), "{header}");
         assert!(header.contains("\"num_hosts\": 300"), "{header}");
         for line in &lines[1..] {
             assert!(line.starts_with("{\"t\": "), "malformed tick line: {line}");
             assert!(line.ends_with('}'), "malformed tick line: {line}");
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bench_replay_covers_known_workloads_only() {
-        assert!(replay_bench(BenchMode::Quick, "no_such_workload", "r").is_none());
-        let dump = replay_bench(
-            BenchMode::Quick,
-            "adversarial_sketch",
-            "synthetic regression",
-        )
-        .expect("known workload replays");
-        let header = dump.lines().next().expect("header line");
-        assert!(
-            header.contains("\"schema\": \"flight_recorder/v1\""),
-            "{header}"
-        );
-        assert!(
-            header.contains("\"workload\": \"adversarial_sketch\""),
-            "{header}"
-        );
-        assert!(
-            header.contains("\"reason\": \"synthetic regression\""),
-            "{header}"
-        );
     }
 }

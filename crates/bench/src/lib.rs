@@ -15,7 +15,6 @@ pub mod engine_bench;
 pub mod flight;
 pub mod mux;
 pub mod soak;
-pub mod trajectory;
 
 use pov_core::experiments::{
     ablation, adversary, fig06, fig10, fig11, fig12, fig13, overlay, price, validity,

@@ -2,18 +2,15 @@
 //! run of a mixed workload versus the same queries executed one at a
 //! time, on the same graph, values and churn realization.
 //!
-//! The headline is `queries_per_sec` — how fast the multiplexed engine
-//! retires whole judged queries — and `speedup`, the wall-clock ratio
-//! of the sequential baseline to the multiplexed run. The comparison is
-//! only meaningful because the answers agree: the synchronous-round mux
-//! engine makes every non-joined query's trajectory independent of its
-//! co-residents, so its solo twin declares the byte-identical
-//! `(value, time)` and receives the same ORACLE verdict. The bench
-//! asserts exactly that before it reports any throughput number.
-//!
-//! `repro mux --json` appends one entry to the `BENCH_engine.json` v2
-//! history (mode `mux-quick` / `mux-full`), so the multiplexing gain is
-//! tracked per PR alongside the engine throughput trajectory.
+//! The gate is deterministic: every non-joined query must declare the
+//! byte-identical `(value, time)` and receive the same ORACLE verdict
+//! as its solo twin (the synchronous-round mux engine makes a
+//! non-joined query's trajectory independent of its co-residents), and
+//! the shared substrate must send strictly fewer raw engine messages
+//! than the sequential runs summed. `queries_per_sec` and `speedup`
+//! (sequential wall-clock over multiplexed) are printed and recorded
+//! for information only; the wall-clock claim for this engine is the
+//! repo benchmark's `mux_mixed` workload (docs/BENCHMARKING.md).
 
 use crate::engine_bench::BenchMode;
 use pov_core::mux::{judged_mux, solo_twin, MuxJudged, WorkloadSpec};
@@ -24,12 +21,6 @@ use pov_core::pov_topology::{analysis, HostId};
 use pov_core::workload;
 use pov_scenario::Json;
 use std::time::Instant;
-
-/// The wall-clock speedup `repro mux` must demonstrate before its
-/// throughput claim counts: the sequential baseline must take at least
-/// this many times longer than the multiplexed run. CI gates on the
-/// printed `speedup:` line against this same floor.
-pub const MIN_SPEEDUP: f64 = 3.0;
 
 /// One fixed multiplexed workload: everything needed to reproduce the
 /// run bit-for-bit.
@@ -102,7 +93,13 @@ impl MuxBenchResult {
         self.mismatches.is_empty()
     }
 
-    /// The JSON block appended to the bench document.
+    /// Whether sharing paid in communication: the multiplexed run sent
+    /// strictly fewer raw engine messages than the solo runs summed.
+    pub fn shares_messages(&self) -> bool {
+        self.raw_messages < self.sequential_raw_messages
+    }
+
+    /// The `mux` block of the `repro mux --json` document.
     pub fn to_json(&self) -> Json {
         Json::obj()
             .with("n", self.n)
@@ -153,8 +150,7 @@ pub fn run_config(cfg: &MuxBenchConfig) -> MuxBenchResult {
         seed: cfg.seed ^ 0x51b,
     };
 
-    // Both sides are timed best-of-N (the `repro bench` discipline:
-    // scheduler noise on runs this short otherwise flips the CI gate),
+    // Both sides are timed best-of-N (the `repro bench` discipline),
     // with identical-answer asserts across repetitions — the runs are
     // deterministic, so any divergence is a bug, not jitter.
     const TIMING_REPS: usize = 2;
@@ -273,11 +269,12 @@ mod tests {
     fn bench_answers_agree_and_share_messages() {
         let r = run_config(&tiny());
         assert_eq!(r.queries, 24);
+        // The two facts `repro mux` exits non-zero on.
         assert!(r.answers_agree(), "mismatches: {:?}", r.mismatches);
         // Sharing is the whole point: overlapping waves ride the same
         // engine messages, so the multiplexed run sends strictly fewer.
         assert!(
-            r.raw_messages < r.sequential_raw_messages,
+            r.shares_messages(),
             "mux {} vs sequential {}",
             r.raw_messages,
             r.sequential_raw_messages
@@ -293,55 +290,6 @@ mod tests {
         for key in ["queries_per_sec", "speedup", "answers_agree"] {
             assert!(json.contains(key), "{key} missing from {json}");
         }
-    }
-
-    #[test]
-    #[ignore]
-    fn profile_breakdown() {
-        use pov_core::mux::judge_workload;
-        use pov_core::pov_protocols::run_mux;
-        let cfg = MuxBenchConfig::preset(BenchMode::Quick);
-        let graph = TopologyKind::Random.build(cfg.n, cfg.seed);
-        let n = graph.num_hosts();
-        let values = workload::paper_values(n, cfg.seed ^ 0x5eed_0001);
-        let d_hat = analysis::diameter_estimate(&graph, 4, cfg.seed | 1) + 2;
-        let spec = WorkloadSpec {
-            queries: cfg.queries,
-            span: 2 * d_hat as u64,
-            d_hat,
-            window: None,
-            seed: cfg.seed ^ 0x006d_7578,
-        };
-        let queries = spec.generate(n);
-        let horizon = queries.iter().map(|q| q.deadline()).max().unwrap_or(0) + 2;
-        let plan = MuxPlan {
-            churn: ChurnPlan::uniform_failures(
-                n,
-                (cfg.churn_fraction * n as f64).round() as usize,
-                Time(1),
-                Time(horizon),
-                HostId(0),
-                cfg.seed ^ 0xc4u64,
-            ),
-            partition: None,
-            seed: cfg.seed ^ 0x51b,
-        };
-        for take in [25, 50, 100, 200] {
-            let qs = &queries[..take];
-            let t0 = Instant::now();
-            let out = run_mux(&graph, &values, qs, &plan);
-            eprintln!(
-                "q={take}: run_mux {:?} ({} raw msgs, {} payload, horizon {})",
-                t0.elapsed(),
-                out.raw_messages,
-                out.payload_items,
-                out.horizon.ticks()
-            );
-        }
-        let t1 = Instant::now();
-        let out = run_mux(&graph, &values, &queries, &plan);
-        let judged = judge_workload(&graph, &values, &queries, &out);
-        eprintln!("judge: {:?} ({} queries)", t1.elapsed(), judged.len());
     }
 
     #[test]

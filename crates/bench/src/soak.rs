@@ -1,24 +1,23 @@
 //! `repro soak` — long-horizon endurance workloads for the full
-//! pipeline (engine + oracle), with throughput and memory assertions.
+//! pipeline (engine + oracle), with window-count and memory assertions.
 //!
 //! Where `repro bench` measures the raw event loop over short one-shot
 //! runs, the soak harness answers the question a long-lived deployment
 //! would ask: does the stack survive 10⁴+ simulated ticks of membership
 //! drift — growth, stability, shrinkage, a partition, healing — without
-//! its throughput collapsing or its memory high-water mark creeping?
+//! losing windows or its memory high-water mark creeping?
 //! Each workload scripts that arc as a [`PhaseSchedule`], lowers it to
 //! churn/partition plans, and drives it through [`judged_plan`] as a
 //! stream of continuous windows, so every window also pays the oracle's
 //! `HC`/`HU` judging — the costs a registration-style consumer of the
 //! paper's §4.2 semantics actually incurs.
 //!
-//! [`limits`] pins a floor on events/sec and a ceiling on peak RSS per
-//! mode. Both are deliberately loose — an order of magnitude below/above
-//! what a healthy build measures — because they run on arbitrary CI
-//! hardware: they exist to catch collapse (an accidental O(n²) in the
-//! window replay, a leak across 10³ windows), not percent-level drift.
-//! Percent-level regressions are `repro bench --check`'s job, which
-//! compares same-machine runs.
+//! [`assert_limits`] gates on two machine-independent facts: every
+//! window of the horizon was judged, and peak RSS stayed under
+//! [`max_rss_kb`] — a ceiling ~10× the observed high-water mark, so
+//! only a leak across 10³ windows can trip it. The events/sec figure is
+//! printed for information; wall-clock claims belong to the repo
+//! benchmark (docs/BENCHMARKING.md).
 
 use pov_core::judged::judged_plan;
 use pov_core::pov_protocols::wildfire::WildfireOpts;
@@ -63,18 +62,14 @@ pub struct SoakResult {
     pub peak_rss_kb: Option<u64>,
 }
 
-/// Per-mode assertion limits: `(min_events_per_sec, max_rss_kb)`.
-///
-/// The floors sit ~100× below a healthy release build (which measures
-/// millions of events/sec on any current machine) and the RSS ceilings
-/// ~10× above the observed high-water mark (tens of MB), so only a
-/// complexity blow-up or a leak can trip them. Re-baseline them by
-/// running `repro soak` on a healthy build and keeping the same
-/// margins; see docs/BENCHMARKING.md.
-pub fn limits(mode: BenchMode) -> (f64, u64) {
+/// Per-mode peak-RSS ceiling in kB: ~10× above the observed
+/// high-water mark (tens of MB), so only a leak can trip it.
+/// Re-baseline it by running `repro soak` on a healthy build and
+/// keeping the same margin; see docs/BENCHMARKING.md.
+pub fn max_rss_kb(mode: BenchMode) -> u64 {
     match mode {
-        BenchMode::Quick => (50_000.0, 1_048_576),
-        BenchMode::Full => (50_000.0, 2_097_152),
+        BenchMode::Quick => 1_048_576,
+        BenchMode::Full => 2_097_152,
     }
 }
 
@@ -236,48 +231,39 @@ pub fn run(mode: BenchMode) -> Vec<SoakResult> {
     workloads(mode).iter().map(run_workload).collect()
 }
 
-/// Check every result against the mode's [`limits`]: one
-/// human-readable failure per breach, empty when the soak passes.
-pub fn assert_limits(results: &[SoakResult], mode: BenchMode) -> Vec<String> {
-    let (min_eps, max_rss) = limits(mode);
-    let mut failures = Vec::new();
+/// Check every result against the mode's limits: one
+/// `(workload, reason)` pair per breach, empty when the soak passes.
+pub fn assert_limits(results: &[SoakResult], mode: BenchMode) -> Vec<(&'static str, String)> {
+    let max_rss = max_rss_kb(mode);
+    let mut breaches = Vec::new();
     for r in results {
-        if r.events_per_sec < min_eps {
-            failures.push(format!(
-                "{}: throughput collapsed to {:.0} events/sec (floor {:.0})",
-                r.name, r.events_per_sec, min_eps,
-            ));
-        }
         if let Some(rss) = r.peak_rss_kb {
             if rss > max_rss {
-                failures.push(format!(
-                    "{}: peak RSS {} kB breaches the {} kB ceiling",
-                    r.name, rss, max_rss,
+                breaches.push((
+                    r.name,
+                    format!("peak RSS {rss} kB breaches the {max_rss} kB ceiling"),
                 ));
             }
         }
         if r.judged_windows < r.windows {
-            failures.push(format!(
-                "{}: only {}/{} windows judged — hq died mid-soak",
-                r.name, r.judged_windows, r.windows,
+            breaches.push((
+                r.name,
+                format!(
+                    "only {}/{} windows judged — hq died mid-soak",
+                    r.judged_windows, r.windows
+                ),
             ));
         }
     }
-    failures
+    breaches
 }
 
 /// The `repro soak --json` document.
 pub fn to_json(mode: BenchMode, results: &[SoakResult]) -> Json {
-    let (min_eps, max_rss) = limits(mode);
     Json::obj()
         .with("schema", "soak_engine/v1")
         .with("mode", mode.label())
-        .with(
-            "limits",
-            Json::obj()
-                .with("min_events_per_sec", min_eps)
-                .with("max_rss_kb", max_rss),
-        )
+        .with("limits", Json::obj().with("max_rss_kb", max_rss_kb(mode)))
         .with(
             "workloads",
             Json::Arr(
@@ -364,27 +350,27 @@ mod tests {
             peak_rss_kb: Some(50_000),
         };
         assert!(assert_limits(std::slice::from_ref(&healthy), BenchMode::Quick).is_empty());
-        let collapsed = SoakResult {
+        // Wall-clock is information, never a gate: a crawl still passes.
+        let slow = SoakResult {
             events_per_sec: 10.0,
             ..healthy.clone()
         };
-        let fails = assert_limits(&[collapsed], BenchMode::Quick);
-        assert_eq!(fails.len(), 1);
-        assert!(fails[0].contains("throughput collapsed"), "{fails:?}");
+        assert!(assert_limits(&[slow], BenchMode::Quick).is_empty());
         let bloated = SoakResult {
             peak_rss_kb: Some(2_000_000),
             ..healthy.clone()
         };
         let fails = assert_limits(&[bloated], BenchMode::Quick);
         assert_eq!(fails.len(), 1);
-        assert!(fails[0].contains("peak RSS"), "{fails:?}");
+        assert_eq!(fails[0].0, "synthetic");
+        assert!(fails[0].1.contains("peak RSS"), "{fails:?}");
         let truncated = SoakResult {
             judged_windows: 400,
             ..healthy
         };
         let fails = assert_limits(&[truncated], BenchMode::Quick);
         assert_eq!(fails.len(), 1);
-        assert!(fails[0].contains("hq died"), "{fails:?}");
+        assert!(fails[0].1.contains("hq died"), "{fails:?}");
     }
 
     #[test]
@@ -394,7 +380,7 @@ mod tests {
         for needle in [
             "\"schema\": \"soak_engine/v1\"",
             "\"limits\"",
-            "\"min_events_per_sec\"",
+            "\"max_rss_kb\"",
             "\"horizon_ticks\"",
             "\"lifecycle_wildfire\"",
             "\"lifecycle_spanning_tree_grid\"",

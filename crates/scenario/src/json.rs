@@ -6,17 +6,19 @@
 //! across PRs. So this writer is deliberately boring: keys keep
 //! insertion order, floats use Rust's shortest-roundtrip formatting,
 //! non-finite floats become `null`, and indentation is fixed at two
-//! spaces. (The vendored `serde` stand-in is a no-op, so hand-rolling
-//! the few value types we need is also the only offline option.)
+//! spaces. Numbers and strings go through `pov_telemetry::fmt`, the
+//! leaf writers the trace exporters share. (The vendored `serde`
+//! stand-in is a no-op, so hand-rolling the few value types we need is
+//! also the only offline option.)
 //!
-//! [`Json::parse`] is the matching recursive-descent reader. The bench
-//! trajectory needs it twice: `repro bench --json` reads the existing
-//! `BENCH_engine.json` back to *append* to its `history` array instead
-//! of overwriting it, and `repro bench --check BASELINE.json` reads the
-//! committed baseline to diff fresh numbers against. It accepts exactly
-//! the documents the writer produces (plus arbitrary whitespace); it is
-//! not a general validating JSON parser.
+//! [`Json::parse`] is the matching recursive-descent reader: the repo
+//! benchmark (`benchmark/`) reads its own per-workload result objects
+//! back to aggregate them, and tests check that exported documents
+//! (the Chrome trace, the bench and soak documents) are well-formed. It
+//! accepts exactly the documents the writer produces (plus arbitrary
+//! whitespace); it is not a general validating JSON parser.
 
+use pov_telemetry::fmt::{push_f64, push_str};
 use std::fmt;
 
 /// A JSON value tree.
@@ -127,20 +129,8 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Int(i) => out.push_str(&i.to_string()),
-            Json::Num(v) => {
-                if v.is_finite() {
-                    // Shortest-roundtrip formatting; force a decimal point
-                    // so a reader always sees this field as a float.
-                    let s = format!("{v}");
-                    out.push_str(&s);
-                    if !s.contains('.') && !s.contains('e') {
-                        out.push_str(".0");
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
+            Json::Num(v) => push_f64(out, *v),
+            Json::Str(s) => push_str(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -171,7 +161,7 @@ impl Json {
                     }
                     out.push('\n');
                     push_indent(out, indent + 1);
-                    write_escaped(out, key);
+                    push_str(out, key);
                     out.push_str(": ");
                     value.write(out, indent + 1);
                 }
@@ -380,24 +370,6 @@ fn push_indent(out: &mut String, levels: usize) {
     for _ in 0..levels {
         out.push_str("  ");
     }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl From<bool> for Json {

@@ -42,7 +42,6 @@
 //!   and per-tick message counts (Fig 13b).
 //! * [`Trace`] — timestamped join/fail record consumed by the oracle to
 //!   compute the Single-Site-Validity bounds `HC`/`HU`.
-//! * [`heartbeat`] — the heartbeat failure detector described in §3.1.
 //!
 //! Time is measured in ticks of `δ`: a message sent at `t` to an alive
 //! neighbour arrives at `t + d` with `1 ≤ d ≤ delay_bound` (default 1).
@@ -66,7 +65,6 @@ mod delay;
 mod dynamic;
 mod engine;
 mod event;
-pub mod heartbeat;
 mod metrics;
 mod node;
 mod overlay;

@@ -1,15 +1,17 @@
 //! Deterministic JSON fragment writers.
 //!
-//! The exporters hand-roll their JSON for the same reason the scenario
-//! reports do: byte-identical output across platforms and thread
-//! counts. The rules mirror `pov_scenario`'s writer — shortest-
-//! roundtrip floats forced to carry a decimal point, non-finite values
-//! lowered to `null`, and strings escaped per RFC 8259.
+//! The one number writer and the one string writer behind every JSON
+//! document the workspace emits — the trace exporters here and
+//! `pov_scenario::Json` both render their leaves through these two
+//! functions, so output is byte-identical across platforms and thread
+//! counts: shortest-roundtrip floats forced to carry a decimal point,
+//! non-finite values lowered to `null`, and strings escaped per
+//! RFC 8259.
 
 /// Append `v` as a deterministic JSON number (or `null` when not
 /// finite). The shortest-roundtrip form always carries a `.` or an
 /// exponent so readers see the field as a float.
-pub(crate) fn push_f64(out: &mut String, v: f64) {
+pub fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         let s = format!("{v}");
         out.push_str(&s);
@@ -22,7 +24,7 @@ pub(crate) fn push_f64(out: &mut String, v: f64) {
 }
 
 /// Append `s` as a JSON string literal with RFC 8259 escaping.
-pub(crate) fn push_str(out: &mut String, s: &str) {
+pub fn push_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -29,7 +29,7 @@
 
 pub mod export;
 mod flight;
-mod fmt;
+pub mod fmt;
 mod record;
 
 pub use export::{CellTrace, PhaseSpan, TraceDoc};
