@@ -379,8 +379,9 @@ fn scale_main(mode: BenchMode, opts: &Opts) {
 /// `repro mux`: the multiplexed-query driver. One shared-substrate run
 /// of the preset workload versus the same queries executed one at a
 /// time over the same environment. Exits non-zero when a non-joined
-/// query diverges from its solo twin or when sharing saved no messages;
-/// the wall-clock figures are information only.
+/// query diverges from its solo twin, when sharing saved no messages, or
+/// when peak RSS breaches the per-(host × query) ceiling; the
+/// wall-clock figures are information only.
 fn mux_main(args: &[String]) {
     let (opts, mode) = driver_opts(args, "repro mux");
     reject_scale_flag(&opts, "repro mux");
@@ -430,12 +431,24 @@ fn mux_main(args: &[String]) {
         );
         std::process::exit(1);
     }
-    // Fixed-key line for the CI grep: printed only once both gates hold.
+    if let Some(f) = mux::rss_failure(&r) {
+        eprintln!("MUX FAILURE: {f}");
+        std::process::exit(1);
+    }
+    // Fixed-key lines for the CI grep: printed only once the gates hold.
     println!(
         "shared_messages: {} < {}",
         r.raw_messages, r.sequential_raw_messages
     );
-    eprintln!("[mux passed: per-query answers equal their solo twins, fewer messages sent]");
+    if let Some(rss) = r.peak_rss_kb {
+        println!("mux_rss_kb: {rss} <= {}", r.rss_ceiling_kb());
+    }
+    eprintln!(
+        "[mux passed: per-query answers equal their solo twins, fewer messages sent, \
+         RSS within {} B per host × query + {} kB base]",
+        mux::MUX_RSS_PER_PAIR_B,
+        mux::MUX_RSS_ALLOWANCE_KB
+    );
 }
 
 // --------------------------------------------------------------------- soak

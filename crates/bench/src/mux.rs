@@ -7,12 +7,15 @@
 //! as its solo twin (the synchronous-round mux engine makes a
 //! non-joined query's trajectory independent of its co-residents), and
 //! the shared substrate must send strictly fewer raw engine messages
-//! than the sequential runs summed. `queries_per_sec` and `speedup`
+//! than the sequential runs summed, and the process's peak RSS must
+//! stay under a per-(host × query) ceiling ([`rss_failure`]) — the
+//! guard against per-host state that grows with the whole workload
+//! instead of the queries open at a host. `queries_per_sec` and `speedup`
 //! (sequential wall-clock over multiplexed) are printed and recorded
 //! for information only; the wall-clock claim for this engine is the
 //! repo benchmark's `mux_mixed` workload (docs/BENCHMARKING.md).
 
-use crate::engine_bench::BenchMode;
+use crate::engine_bench::{peak_rss_kb, BenchMode};
 use pov_core::mux::{judged_mux, solo_twin, MuxJudged, WorkloadSpec};
 use pov_core::pov_protocols::MuxPlan;
 use pov_core::pov_sim::{ChurnPlan, Time};
@@ -81,6 +84,9 @@ pub struct MuxBenchResult {
     pub cache_joins: u64,
     /// Fraction of multiplexed queries judged Single-Site Valid.
     pub valid_fraction: f64,
+    /// Process peak RSS (`VmHWM`) after both sides ran, kB; `None` off
+    /// Linux.
+    pub peak_rss_kb: Option<u64>,
     /// Non-joined queries whose solo twin declared a *different*
     /// `(value, time)` or verdict — must be empty for the numbers to
     /// mean anything.
@@ -114,7 +120,42 @@ impl MuxBenchResult {
             .with("cache_joins", self.cache_joins)
             .with("valid_fraction", self.valid_fraction)
             .with("answers_agree", self.answers_agree())
+            .with("peak_rss_kb", self.peak_rss_kb)
     }
+
+    /// The RSS ceiling for this run's size, kB:
+    /// `MUX_RSS_ALLOWANCE_KB + MUX_RSS_PER_PAIR_B × hosts × queries`.
+    pub fn rss_ceiling_kb(&self) -> u64 {
+        MUX_RSS_ALLOWANCE_KB + (MUX_RSS_PER_PAIR_B * (self.n * self.queries) as u64).div_ceil(1024)
+    }
+}
+
+/// Per-(host × query) RSS budget of `repro mux`, in bytes. A host holds
+/// state only for the queries open at it, plus one retired bit per query
+/// it has heard, so the run costs far less than this per pair; a table
+/// sized hosts × queries (the dense per-host query slots this engine
+/// used to keep, ~240 B per pair at the quick preset) breaches it.
+pub const MUX_RSS_PER_PAIR_B: u64 = 48;
+
+/// Fixed allowance on top of the per-pair budget, in kB: the process
+/// baseline plus the traffic in flight, which scales with the graph's
+/// edges rather than with hosts × queries.
+pub const MUX_RSS_ALLOWANCE_KB: u64 = 32 * 1024;
+
+/// The memory gate: why `r` breaches its RSS ceiling, if it does. A run
+/// without an RSS reading (non-Linux) is not judged.
+pub fn rss_failure(r: &MuxBenchResult) -> Option<String> {
+    let rss = r.peak_rss_kb?;
+    let ceiling = r.rss_ceiling_kb();
+    (rss > ceiling).then(|| {
+        format!(
+            "peak RSS {rss} kB breaches ceiling {ceiling} kB \
+             ({:.0} B per host × query at n = {}, {} queries; budget {MUX_RSS_PER_PAIR_B} B + {MUX_RSS_ALLOWANCE_KB} kB base)",
+            rss as f64 * 1024.0 / (r.n * r.queries) as f64,
+            r.n,
+            r.queries,
+        )
+    })
 }
 
 /// Run the preset workload for one bench mode.
@@ -230,6 +271,7 @@ pub fn run_config(cfg: &MuxBenchConfig) -> MuxBenchResult {
         payload_items: out.payload_items,
         cache_joins: out.cache_joins,
         valid_fraction: valid as f64 / queries.len().max(1) as f64,
+        peak_rss_kb: peak_rss_kb(),
         mismatches,
     }
 }
@@ -287,9 +329,43 @@ mod tests {
     fn bench_json_carries_the_headline_fields() {
         let r = run_config(&tiny());
         let json = r.to_json().render();
-        for key in ["queries_per_sec", "speedup", "answers_agree"] {
+        for key in ["queries_per_sec", "speedup", "answers_agree", "peak_rss_kb"] {
             assert!(json.contains(key), "{key} missing from {json}");
         }
+    }
+
+    #[test]
+    fn rss_gate_fires_only_past_the_per_pair_ceiling() {
+        let mut r = MuxBenchResult {
+            n: 4_000,
+            queries: 200,
+            mux_wall_ms: 1.0,
+            sequential_wall_ms: 3.0,
+            speedup: 3.0,
+            queries_per_sec: 2e5,
+            raw_messages: 1,
+            sequential_raw_messages: 2,
+            payload_items: 1,
+            cache_joins: 0,
+            valid_fraction: 1.0,
+            peak_rss_kb: None,
+            mismatches: Vec::new(),
+        };
+        // Within budget: allowance + 48 B per host × query.
+        let ceiling = MUX_RSS_ALLOWANCE_KB + 48 * 4_000 * 200 / 1024;
+        assert_eq!(r.rss_ceiling_kb(), ceiling);
+        r.peak_rss_kb = Some(ceiling);
+        assert_eq!(rss_failure(&r), None);
+        r.peak_rss_kb = Some(ceiling + 1);
+        let fail = rss_failure(&r).expect("one kB over the ceiling fails");
+        assert!(fail.contains("breaches ceiling"), "{fail}");
+        assert!(fail.contains("per host × query"), "{fail}");
+        // A dense hosts × queries table at ~240 B per pair fails.
+        r.peak_rss_kb = Some(240 * 4_000 * 200 / 1024);
+        assert!(rss_failure(&r).is_some());
+        // No reading (non-Linux): skipped, not failed.
+        r.peak_rss_kb = None;
+        assert_eq!(rss_failure(&r), None);
     }
 
     #[test]

@@ -205,6 +205,13 @@ pub fn judged_mux(
 /// synchronous-round engine makes a non-aliased query's multiplexed
 /// trajectory independent of its co-residents, so its solo twin
 /// declares the byte-identical `(value, time)`.
+///
+/// The twin's run ends at *its own* deadline + 2, a multiplexed run at
+/// the latest deadline + 2. A query's flood can outlive its deadline
+/// (hosts deeper than `D̂` keep forwarding it), so when a later query
+/// keeps the shared run going, an earlier query's `payload_msgs` counts
+/// traffic its twin's shorter run never reaches. Its declaration is
+/// unaffected, and so is the payload of a query that ends last.
 pub fn solo_twin(graph: &Graph, values: &[u64], query: &MuxQuery, plan: &MuxPlan) -> MuxJudged {
     let (mut judged, _) = judged_mux(graph, values, std::slice::from_ref(query), plan);
     judged.pop().expect("one query in, one verdict out")
@@ -331,6 +338,47 @@ mod tests {
                 j.query.id
             );
             assert_eq!(j.is_valid(), twin.is_valid(), "query {:?}", j.query.id);
+        }
+    }
+
+    #[test]
+    fn past_due_fallback_is_not_stranded_by_a_co_resident_query() {
+        // With D̂ = 2 the hosts past depth 4 of a chain first hear a
+        // query after its raw fallback tick (deadline − depth); their
+        // report is clamped to the next tick. A co-resident query's
+        // earlier fallback firing must not strand that report: the
+        // later query's trajectory, payload included, is its solo one.
+        let g = special::chain(10);
+        let values: Vec<u64> = (1..=10).collect();
+        let count = MuxQuery {
+            id: QueryId(0),
+            aggregate: Aggregate::Count,
+            root: HostId(0),
+            arrival: 1,
+            d_hat: 2,
+            window: None,
+        };
+        let sum = MuxQuery {
+            id: QueryId(1),
+            aggregate: Aggregate::Sum,
+            arrival: 3,
+            ..count
+        };
+        for churn in [
+            ChurnPlan::none(),
+            ChurnPlan::none().with_failure(Time(1), HostId(6)),
+        ] {
+            let plan = MuxPlan {
+                churn,
+                ..MuxPlan::default()
+            };
+            let (judged, _) = judged_mux(&g, &values, &[count, sum], &plan);
+            // Only the later query is comparable (see `solo_twin`).
+            let (mux, twin) = (&judged[1], solo_twin(&g, &values, &sum, &plan));
+            assert_eq!(
+                (mux.value, mux.declared_at, mux.payload_msgs),
+                (twin.value, twin.declared_at, twin.payload_msgs)
+            );
         }
     }
 

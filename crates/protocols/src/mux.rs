@@ -21,10 +21,11 @@
 //! query copy heard, echo completion, per-host fallback at
 //! `(2·D̂ − depth)·δ` past the query's arrival. To keep each query's
 //! answer independent of which other queries share its waves, the node
-//! runs **synchronous rounds**: `on_message` only buffers incoming
-//! items into a per-query inbox; all protocol logic runs at a tick-end
-//! flush, where the parent of a first-heard query is the *minimum*
-//! `HostId` among that tick's candidate senders. Delivery order within
+//! runs **synchronous rounds**: `on_message` only folds incoming items
+//! into order-insensitive state (child partials combine commutatively,
+//! classified neighbours form a set, a first-heard query keeps its
+//! minimum `(hops, HostId)` candidate parent); every decision — adopt,
+//! flood on, report — waits for a tick-end flush. Delivery order within
 //! a tick therefore cannot perturb any query, and a query's trajectory
 //! in a multiplexed run is byte-identical to its solo run over the same
 //! churn realization — the property `it_mux.rs` asserts.
@@ -33,10 +34,13 @@ use crate::common::Aggregate;
 use crate::observer::ProtocolObserver;
 use crate::pool;
 use pov_sim::{
-    ChurnPlan, Ctx, Metrics, NodeLogic, PartitionPlan, SimBuilder, StateSummary, Time, Trace,
+    ChurnPlan, Ctx, Metrics, NodeLogic, PartitionPlan, SimBuilder, Simulation, StateSummary, Time,
+    Trace,
 };
 use pov_topology::{Graph, HostId};
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashSet};
+use std::rc::Rc;
 
 /// Compact identity of one query within a workload. Wire payloads carry
 /// this tag so one [`MuxMsg`] can interleave many queries' traffic.
@@ -168,7 +172,8 @@ pub struct MuxMsg {
     pub items: Vec<(QueryId, MuxItem)>,
 }
 
-/// Timer key: tick-end flush of the buffered inbox.
+/// Timer key: the tick-end flush (adopt this tick's first hearings,
+/// report the echo-complete).
 const KEY_FLUSH: u64 = 0;
 /// Timer key class: query arrivals at this root (one timer per distinct
 /// arrival tick serves every query due then).
@@ -179,15 +184,15 @@ const KEY_ARRIVAL: u64 = 1 << 32;
 const KEY_FALLBACK: u64 = 2 << 32;
 const KEY_CLASS: u64 = !0u64 << 32;
 
-/// Which neighbours a query has classified at this host. With hundreds
-/// of co-resident queries there are `O(hosts × queries)` of these, so
-/// the common case must not touch the heap: a bitmask over the host's
-/// neighbour *indices* covers degree ≤ 128 inline; hub hosts beyond
-/// that spill to a deduplicated vector.
+/// Which neighbours a query has classified at this host. Every open
+/// query carries one, so the common case must not touch the heap: a
+/// bitmask over the host's neighbour *indices* covers degree ≤ 128
+/// inline (two words, not a `u128`, so the state keeps 8-byte
+/// alignment); hub hosts beyond that spill to a deduplicated vector.
 #[derive(Debug)]
 enum Heard {
     /// Bit `i` = neighbour `neighbors[i]` classified.
-    Mask(u128),
+    Mask([u64; 2]),
     /// Degree > 128: the classified neighbours themselves.
     Spill(Vec<HostId>),
 }
@@ -195,60 +200,102 @@ enum Heard {
 impl Heard {
     fn for_degree(degree: usize) -> Heard {
         if degree <= 128 {
-            Heard::Mask(0)
+            Heard::Mask([0; 2])
         } else {
             Heard::Spill(Vec::new())
         }
     }
 
-    /// Classify neighbour `h` (idempotent). Senders are always
+    /// Classify neighbour `h`; whether it was new. Senders are always
     /// neighbours on the static substrate the engine runs over, and CSR
     /// neighbour lists are sorted ascending — binary search keeps this
     /// `O(log d)` on the per-item hot path.
-    fn note(&mut self, neighbors: &[HostId], h: HostId) {
+    fn note(&mut self, neighbors: &[HostId], h: HostId) -> bool {
         match self {
             Heard::Mask(m) => {
                 let i = neighbors.binary_search(&h).expect("sender is a neighbor");
-                *m |= 1u128 << i;
+                let bit = 1u64 << (i % 64);
+                let new = m[i / 64] & bit == 0;
+                m[i / 64] |= bit;
+                new
             }
             Heard::Spill(v) => {
-                if !v.contains(&h) {
+                let new = !v.contains(&h);
+                if new {
                     v.push(h);
                 }
+                new
             }
+        }
+    }
+
+    /// Unclassify neighbour `h` (the adopted parent is nobody's child).
+    fn forget(&mut self, neighbors: &[HostId], h: HostId) {
+        match self {
+            Heard::Mask(m) => {
+                let i = neighbors.binary_search(&h).expect("parent is a neighbor");
+                m[i / 64] &= !(1u64 << (i % 64));
+            }
+            Heard::Spill(v) => v.retain(|&x| x != h),
         }
     }
 
     fn count(&self) -> usize {
         match self {
-            Heard::Mask(m) => m.count_ones() as usize,
+            Heard::Mask(m) => (m[0].count_ones() + m[1].count_ones()) as usize,
             Heard::Spill(v) => v.len(),
         }
     }
 }
 
-/// Per-query tree state at one host (the SPANNINGTREE fields, tagged).
+/// Tree state of one query at one host while the query is *open* there
+/// — from first hearing (or launch, at the root) until the host reports
+/// upward (or declares). The SPANNINGTREE fields, minus what retirement
+/// makes moot: a retired query needs no state at all.
+///
+/// A query first heard during the current tick is *fresh*: its items
+/// are folded in as they arrive, and the tick-end flush adopts it —
+/// the minimum `(hops, sender)` candidate becomes the parent, exactly
+/// the choice a synchronous round over the whole tick makes.
 #[derive(Debug)]
 struct QState {
-    aggregate: Aggregate,
-    /// Absolute declare-by tick.
-    deadline: u64,
-    parent: Option<HostId>,
-    depth: u32,
-    reported: bool,
-    /// Non-parent neighbours already classified (flooded past us or
-    /// reported as child).
+    /// Neighbours classified so far: flooded past us or reported as
+    /// child (while fresh: every query sender, the parent-to-be too).
     heard: Heard,
+    /// This host's subtree aggregate so far; it carries the query's
+    /// aggregate function.
     partial: MuxPartial,
-    is_root: bool,
+    /// Tick the forced report fires at: `deadline − depth`, clamped to
+    /// the tick after first hearing (the timer's own fire tick). While
+    /// fresh: the query's absolute deadline.
+    fallback_at: u64,
+    /// Tree parent (while fresh: the best candidate so far); `None` at
+    /// the query's root.
+    parent: Option<HostId>,
+    /// Hops from the root.
+    depth: u32,
+    /// First heard this tick, not yet adopted.
+    fresh: bool,
 }
+
+/// The per-neighbour outgoing buffers of one timer firing, slot `i` =
+/// neighbour `neighbors[i]`.
+type OutBufs = [Vec<(QueryId, MuxItem)>];
 
 /// Per-host logic of the multiplexed engine.
 ///
-/// Every per-query collection is a flat vector indexed by the compact
-/// [`QueryId`] (grown on demand): with hundreds of co-resident queries
-/// the hot path touches these maps millions of times per run, and
-/// direct indexing beats tree walks by an order of magnitude.
+/// A host keeps per-query state only while the query is open here: a
+/// slab of `QState`s behind `open`, a table of `(qid, slot)` pairs in
+/// ascending query order. Wave messages carry their items in ascending
+/// query order too, so a delivery folds each item into its state with
+/// one search over the rest of the table, and no per-host buffer holds
+/// a tick's traffic until the flush. Once the host reports, the slot is
+/// freed and a single *retired* bit remains, enough to drop late
+/// traffic exactly as SPANNINGTREE does. The per-neighbour outgoing
+/// buffers are borrowed from the thread's pool for one timer firing,
+/// and payload counts go to one ledger shared by the run's hosts, so a
+/// host's memory follows its open queries, not the number of queries it
+/// ever heard.
 #[derive(Debug, Default)]
 pub struct MuxNode {
     value: u64,
@@ -256,18 +303,18 @@ pub struct MuxNode {
     started: bool,
     /// Queries rooted at this host, ascending arrival then id.
     rooted: Vec<MuxQuery>,
-    /// Slot `q` = live tree state of query `q` at this host.
-    live: Vec<Option<QState>>,
-    /// All `(query, sender, item)` triples delivered this tick, in
-    /// arrival order — one flat buffer per host, capacity reused tick
-    /// after tick. The flush stable-sorts by query id, which regroups
-    /// the buffer into exactly the per-query arrival-order runs a
-    /// qid-keyed map of vectors would hold, without `O(queries)`
-    /// per-host allocations.
-    staging: Vec<(QueryId, HostId, MuxItem)>,
-    /// Scratch for the fallback path's mid-tick extraction of one
-    /// query's pending items from `staging`.
-    scratch: Vec<(QueryId, HostId, MuxItem)>,
+    /// Open queries at this host, ascending qid: `(qid, slot in states)`.
+    open: Vec<(u32, u32)>,
+    /// Slab of open-query states; the slots in `free` are vacant.
+    states: Vec<QState>,
+    /// Vacant slots of `states`, reused before the slab grows.
+    free: Vec<u32>,
+    /// Bit `q` set = query `q` reported (or declared) here; any later
+    /// item for it is dropped.
+    retired: Vec<u64>,
+    /// Queries the tick-end flush must act on: first heard this tick
+    /// (adopt) or echo-complete since the last flush (report).
+    due: Vec<u32>,
     /// Tick the flush timer was last armed at (a stamp, not a flag: a
     /// bool would wedge if this host died between arming and firing).
     flush_armed_at: Option<u64>,
@@ -275,38 +322,26 @@ pub struct MuxNode {
     results: BTreeMap<u32, (f64, Time)>,
     /// Partial-cache joins recorded here: `(live target, alias)`.
     aliases: Vec<(u32, u32)>,
-    /// Slot `q` = payload items this host sent for query `q`.
-    payload_sent: Vec<u64>,
     /// Number of queries that joined a live wave instead of flooding.
     cache_joins: u64,
-    /// Fallback schedule, indexed by *tick*: slot `t` = queries due at
-    /// `t`, in adoption order. A firing drains every slot at or before
-    /// `now` — each query is visited O(1) times over the run instead of
-    /// every live query being rescanned at every firing. Tick-indexed
-    /// because arming runs once per (query, host) first-hearing — the
-    /// hottest bookkeeping site of the engine — and the run horizon is
-    /// short (`max deadline + 2`), so a flat slot beats a search tree.
-    fallback_due: Vec<Vec<u32>>,
-    /// Slot `t` = a [`KEY_FALLBACK`] event already in flight for tick
-    /// `t`, so co-resident queries sharing a deadline share one timer.
-    fallback_armed: Vec<bool>,
-    /// Ticks below this are drained (firings never rescan the past).
-    fallback_cursor: u64,
-    /// Outgoing payload items of the current timer firing, slot `i` =
-    /// neighbour `neighbors[i]`. Direct indexing instead of a keyed map:
-    /// the hot path pushes one item per (query, neighbour) — millions
-    /// per run — and every neighbour still receives at most one engine
-    /// message per tick when [`MuxNode::ship`] drains the slots.
-    out_bufs: Vec<Vec<(QueryId, MuxItem)>>,
+    /// Fire ticks of the [`KEY_FALLBACK`] timers in flight, so
+    /// co-resident queries sharing a fire tick share one timer.
+    fallback_armed: Vec<u64>,
+    /// Payload items sent per query (slot = [`QueryId`]), one ledger
+    /// shared by every host of the run.
+    payload: Rc<[Cell<u64>]>,
 }
 
 impl MuxNode {
-    /// A host with attribute `value` rooting the given queries.
-    pub fn new(value: u64, mut rooted: Vec<MuxQuery>) -> Self {
+    /// A host with attribute `value` rooting the given queries, charging
+    /// the payload items it sends to the run-wide `payload` ledger
+    /// (indexed by [`QueryId`], long enough for every query).
+    pub fn new(value: u64, mut rooted: Vec<MuxQuery>, payload: Rc<[Cell<u64>]>) -> Self {
         rooted.sort_by_key(|q| (q.arrival, q.id));
         MuxNode {
             value,
             rooted,
+            payload,
             ..MuxNode::default()
         }
     }
@@ -322,13 +357,6 @@ impl MuxNode {
         &self.results
     }
 
-    /// Payload items this host sent, indexed by query (zero = none; the
-    /// slice may be shorter than the workload if this host never sent
-    /// for the tail queries).
-    pub fn payload_sent(&self) -> &[u64] {
-        &self.payload_sent
-    }
-
     /// Queries that joined a live wave here instead of flooding.
     pub fn cache_joins(&self) -> u64 {
         self.cache_joins
@@ -339,52 +367,60 @@ impl MuxNode {
         &self.aliases
     }
 
-    /// This host's parent in query `id`'s tree (diagnostics / tests).
-    pub fn parent(&self, id: QueryId) -> Option<HostId> {
-        self.state(id.index()).and_then(|s| s.parent)
+    fn is_retired(&self, qid: u32) -> bool {
+        self.retired
+            .get(qid as usize / 64)
+            .is_some_and(|w| w >> (qid % 64) & 1 == 1)
     }
 
-    fn state(&self, qid: u32) -> Option<&QState> {
-        self.live.get(qid as usize).and_then(|s| s.as_ref())
-    }
-
-    /// The live slot for `qid`, growing the table on first touch.
-    fn slot(&mut self, qid: u32) -> &mut Option<QState> {
-        let idx = qid as usize;
-        if self.live.len() <= idx {
-            self.live.resize_with(idx + 1, || None);
+    fn retire(&mut self, qid: u32) {
+        let word = qid as usize / 64;
+        if self.retired.len() <= word {
+            self.retired.resize(word + 1, 0);
         }
-        &mut self.live[idx]
+        self.retired[word] |= 1 << (qid % 64);
+    }
+
+    /// Open `qid` at position `pos` of the `open` table.
+    fn open_at(&mut self, pos: usize, qid: u32, state: QState) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.states[slot as usize] = state;
+                slot
+            }
+            None => {
+                self.states.push(state);
+                (self.states.len() - 1) as u32
+            }
+        };
+        self.open.insert(pos, (qid, slot));
     }
 
     fn launched(&self, qid: u32) -> bool {
-        self.state(qid).is_some() || self.aliases.iter().any(|&(_, alias)| alias == qid)
+        self.is_retired(qid)
+            || self.open.binary_search_by_key(&qid, |&(q, _)| q).is_ok()
+            || self.aliases.iter().any(|&(_, alias)| alias == qid)
     }
 
-    /// Schedule query `qid`'s forced report at tick `fallback_at`
-    /// (clamped to the next tick if already past), sharing one engine
-    /// timer among every query due at the same fire tick.
-    fn arm_fallback(&mut self, ctx: &mut Ctx<'_, MuxMsg>, qid: u32, fallback_at: u64) {
-        let due = fallback_at as usize;
-        if self.fallback_due.len() <= due {
-            self.fallback_due.resize_with(due + 1, Vec::new);
-        }
-        self.fallback_due[due].push(qid);
+    /// Arm the forced report due at tick `fallback_at` (clamped to the
+    /// next tick if already past), sharing one engine timer among every
+    /// query due at the same fire tick. Returns the fire tick, which is
+    /// what the query is filed under: a firing reports every open query
+    /// whose fire tick has come.
+    fn arm_fallback(&mut self, ctx: &mut Ctx<'_, MuxMsg>, fallback_at: u64) -> u64 {
         let now = ctx.now().ticks();
         let fire_at = fallback_at.max(now + 1);
-        let fire = fire_at as usize;
-        if self.fallback_armed.len() <= fire {
-            self.fallback_armed.resize(fire + 1, false);
-        }
-        if !self.fallback_armed[fire] {
-            self.fallback_armed[fire] = true;
+        self.fallback_armed.retain(|&t| t > now);
+        if !self.fallback_armed.contains(&fire_at) {
+            self.fallback_armed.push(fire_at);
             ctx.set_timer(fire_at - now, KEY_FALLBACK);
         }
+        fire_at
     }
 
     /// Handle every rooted query due by now: join a live matching wave
     /// (partial cache) or launch a fresh flood.
-    fn arrivals(&mut self, ctx: &mut Ctx<'_, MuxMsg>) {
+    fn arrivals(&mut self, ctx: &mut Ctx<'_, MuxMsg>, out: &mut OutBufs) {
         let now = ctx.now().ticks();
         let due: Vec<MuxQuery> = self
             .rooted
@@ -395,176 +431,175 @@ impl MuxNode {
         for q in due {
             let qid = q.id.index();
             // Partial cache: a live (unreported) wave rooted here with
-            // the same aggregate computes the same answer — join it.
-            let target = self.live.iter().position(|s| {
-                s.as_ref()
-                    .is_some_and(|s| s.is_root && !s.reported && s.aggregate == q.aggregate)
+            // the same aggregate computes the same answer — join the
+            // lowest-numbered one.
+            let target = self.open.iter().find(|&&(_, slot)| {
+                let s = &self.states[slot as usize];
+                s.parent.is_none() && s.partial.aggregate == q.aggregate
             });
-            if let Some(target) = target {
-                let target = target as u32;
+            if let Some(&(target, _)) = target {
                 self.aliases.push((target, qid));
                 self.cache_joins += 1;
                 continue;
             }
-            let mut state = QState {
-                aggregate: q.aggregate,
-                deadline: q.deadline(),
-                parent: None,
-                depth: 0,
-                reported: false,
-                heard: Heard::for_degree(ctx.degree()),
-                partial: MuxPartial::init(q.aggregate, self.value),
-                is_root: true,
-            };
-            self.arm_fallback(ctx, qid, state.deadline);
-            for buf in &mut self.out_bufs {
+            let deadline = q.deadline();
+            let fallback_at = self.arm_fallback(ctx, deadline);
+            for buf in out.iter_mut() {
                 buf.push((
                     q.id,
                     MuxItem::Query {
                         aggregate: q.aggregate,
                         hops: 0,
-                        deadline: state.deadline,
+                        deadline,
                     },
                 ));
             }
+            let partial = MuxPartial::init(q.aggregate, self.value);
             if ctx.degree() == 0 {
                 // Isolated root: nothing to wait for.
-                state.reported = true;
-                self.declare(qid, state.partial.value(), ctx.now());
+                self.retire(qid);
+                self.declare(qid, partial.value(), ctx.now());
+                continue;
             }
-            *self.slot(qid) = Some(state);
+            let pos = self.open.partition_point(|&(open, _)| open < qid);
+            let state = QState {
+                heard: Heard::for_degree(ctx.degree()),
+                partial,
+                fallback_at,
+                parent: None,
+                depth: 0,
+                fresh: false,
+            };
+            self.open_at(pos, qid, state);
         }
     }
 
-    /// Process one query's buffered items: adopt a parent on first
-    /// hearing, fold children, echo-complete.
-    fn process(
+    /// Fold one delivered item into query `qid`'s state; `pos` is where
+    /// `qid` sits in the `open` table, or would be inserted.
+    fn receive(
         &mut self,
-        ctx: &mut Ctx<'_, MuxMsg>,
+        ctx: &Ctx<'_, MuxMsg>,
+        pos: usize,
         qid: u32,
-        items: &[(QueryId, HostId, MuxItem)],
+        from: HostId,
+        item: MuxItem,
     ) {
-        if self.state(qid).is_none() {
-            // First hearing. Parent = minimum candidate sender among the
-            // minimum-hops query copies of this tick — independent of
-            // intra-tick delivery order, so co-resident queries cannot
-            // perturb each other's trees.
-            let mut best: Option<(u32, HostId)> = None;
-            for (_, from, item) in items {
-                if let MuxItem::Query { hops, .. } = item {
-                    let cand = (*hops, *from);
-                    if best.is_none_or(|b| cand < b) {
-                        best = Some(cand);
-                    }
-                }
-            }
-            let Some((hops, parent)) = best else {
-                // Only Child items for an unknown query: the sender's
-                // parent pointer predates a state we no longer reach
-                // (unreachable in practice — state is retained across
-                // death). Best-effort: drop.
-                return;
-            };
-            let (aggregate, deadline) = items
-                .iter()
-                .find_map(|(_, _, item)| match item {
-                    MuxItem::Query {
-                        aggregate,
-                        deadline,
-                        ..
-                    } => Some((*aggregate, *deadline)),
-                    MuxItem::Child { .. } => None,
-                })
-                .expect("a Query item produced the parent");
-            let mut state = QState {
-                aggregate,
-                deadline,
-                parent: Some(parent),
-                depth: hops + 1,
-                reported: false,
-                heard: Heard::for_degree(ctx.degree()),
-                partial: MuxPartial::init(aggregate, self.value),
-                is_root: false,
-            };
-            // Every same-tick co-sender is someone else's child.
-            for (_, from, item) in items {
-                if matches!(item, MuxItem::Query { .. }) && *from != parent {
-                    state.heard.note(ctx.neighbors(), *from);
-                }
-            }
-            // Fallback at (deadline − depth)·δ so partial subtrees still
-            // drain upward before the root declares.
-            let fallback_at = deadline.saturating_sub(state.depth as u64);
-            self.arm_fallback(ctx, qid, fallback_at);
-            let parent_idx = ctx
-                .neighbors()
-                .binary_search(&parent)
-                .expect("parent is a neighbor");
-            for (i, buf) in self.out_bufs.iter_mut().enumerate() {
-                if i != parent_idx {
-                    buf.push((
-                        QueryId(qid),
-                        MuxItem::Query {
-                            aggregate,
-                            hops: state.depth,
-                            deadline,
-                        },
-                    ));
-                }
-            }
-            *self.slot(qid) = Some(state);
-        } else {
-            let state = self.live[qid as usize].as_mut().expect("checked above");
-            if state.reported {
+        let Some(&(_, slot)) = self.open.get(pos).filter(|&&(q, _)| q == qid) else {
+            if self.is_retired(qid) {
                 // Late traffic after we reported upward — contribution
                 // lost (best-effort semantics, exactly as SPANNINGTREE).
                 return;
             }
-            for (_, from, item) in items {
-                match item {
-                    MuxItem::Query { .. } => {
-                        state.heard.note(ctx.neighbors(), *from);
-                    }
-                    MuxItem::Child { partial } => {
-                        state.partial.combine(*partial);
-                        state.heard.note(ctx.neighbors(), *from);
-                    }
-                }
-            }
-        }
-        self.check_completion(ctx, qid);
-    }
-
-    fn check_completion(&mut self, ctx: &mut Ctx<'_, MuxMsg>, qid: u32) {
-        let Some(state) = self.state(qid) else {
+            // First hearing. Only a query copy opens the query: a child
+            // report for a query never held here is dropped
+            // (unreachable — a child adopted us from our own copy, so
+            // none reaches a query that is still fresh either).
+            let MuxItem::Query {
+                aggregate,
+                hops,
+                deadline,
+            } = item
+            else {
+                return;
+            };
+            let mut heard = Heard::for_degree(ctx.degree());
+            heard.note(ctx.neighbors(), from);
+            let state = QState {
+                heard,
+                partial: MuxPartial::init(aggregate, self.value),
+                fallback_at: deadline,
+                parent: Some(from),
+                depth: hops + 1,
+                fresh: true,
+            };
+            self.open_at(pos, qid, state);
+            self.due.push(qid);
             return;
         };
-        let expected = ctx.degree() - usize::from(state.parent.is_some());
-        if !state.reported && state.heard.count() >= expected {
-            self.report(ctx, qid);
+        let state = &mut self.states[slot as usize];
+        let new = match item {
+            MuxItem::Query { hops, .. } => {
+                // Parent = minimum `(hops, sender)` among the tick's
+                // query copies — independent of intra-tick delivery
+                // order, so co-resident queries cannot perturb each
+                // other's trees.
+                if state.fresh && (hops + 1, Some(from)) < (state.depth, state.parent) {
+                    state.depth = hops + 1;
+                    state.parent = Some(from);
+                }
+                state.heard.note(ctx.neighbors(), from)
+            }
+            MuxItem::Child { partial } => {
+                state.partial.combine(partial);
+                state.heard.note(ctx.neighbors(), from)
+            }
+        };
+        // Echo completion: the flush reports once every non-parent
+        // neighbour is classified (a fresh query is checked on adoption).
+        if new && !state.fresh && state.heard.count() == self.expected(ctx, slot) {
+            self.due.push(qid);
         }
     }
 
-    /// Report query `qid` upward (or declare, at the root).
-    fn report(&mut self, ctx: &mut Ctx<'_, MuxMsg>, qid: u32) {
-        let (is_root, parent, partial) = {
-            let state = self.live[qid as usize]
-                .as_mut()
-                .expect("reporting a live query");
-            if state.reported {
-                return;
+    /// Non-parent neighbours query state `slot` waits on.
+    fn expected(&self, ctx: &Ctx<'_, MuxMsg>, slot: u32) -> usize {
+        ctx.degree() - usize::from(self.states[slot as usize].parent.is_some())
+    }
+
+    /// Adopt the fresh query at position `pos` of the `open` table: fix
+    /// its parent, arm its fallback, flood it onward, and report at
+    /// once if every other neighbour already sent a copy.
+    fn adopt(&mut self, ctx: &mut Ctx<'_, MuxMsg>, out: &mut OutBufs, pos: usize) {
+        let (qid, slot) = self.open[pos];
+        let state = &mut self.states[slot as usize];
+        state.fresh = false;
+        let parent = state.parent.expect("a copy opened the query");
+        // Every same-tick co-sender is someone else's child.
+        state.heard.forget(ctx.neighbors(), parent);
+        let (aggregate, deadline, depth) =
+            (state.partial.aggregate, state.fallback_at, state.depth);
+        // Fallback at (deadline − depth)·δ so partial subtrees still
+        // drain upward before the root declares.
+        let fallback_at = self.arm_fallback(ctx, deadline.saturating_sub(depth as u64));
+        self.states[slot as usize].fallback_at = fallback_at;
+        let parent_idx = ctx
+            .neighbors()
+            .binary_search(&parent)
+            .expect("parent is a neighbor");
+        for (i, buf) in out.iter_mut().enumerate() {
+            if i != parent_idx {
+                buf.push((
+                    QueryId(qid),
+                    MuxItem::Query {
+                        aggregate,
+                        hops: depth,
+                        deadline,
+                    },
+                ));
             }
-            state.reported = true;
-            (state.is_root, state.parent, state.partial)
-        };
-        if is_root {
-            self.declare(qid, partial.value(), ctx.now());
-        } else if let Some(parent) = parent {
-            let idx = ctx
-                .neighbors()
-                .binary_search(&parent)
-                .expect("parent is a neighbor");
-            self.out_bufs[idx].push((QueryId(qid), MuxItem::Child { partial }));
+        }
+        if self.states[slot as usize].heard.count() >= self.expected(ctx, slot) {
+            self.report(ctx, out, pos);
+        }
+    }
+
+    /// Report the query at position `pos` of the `open` table upward
+    /// (or declare, at the root), and retire it here.
+    fn report(&mut self, ctx: &mut Ctx<'_, MuxMsg>, out: &mut OutBufs, pos: usize) {
+        let (qid, slot) = self.open.remove(pos);
+        self.free.push(slot);
+        self.retire(qid);
+        let state = &self.states[slot as usize];
+        let partial = state.partial;
+        match state.parent {
+            None => self.declare(qid, partial.value(), ctx.now()),
+            Some(parent) => {
+                let idx = ctx
+                    .neighbors()
+                    .binary_search(&parent)
+                    .expect("parent is a neighbor");
+                out[idx].push((QueryId(qid), MuxItem::Child { partial }));
+            }
         }
     }
 
@@ -578,25 +613,64 @@ impl MuxNode {
         }
     }
 
+    /// The synchronous round, after every delivery of the tick: adopt
+    /// the queries first heard this tick and report the echo-complete
+    /// ones, in ascending qid order.
+    fn flush(&mut self, ctx: &mut Ctx<'_, MuxMsg>, out: &mut OutBufs) {
+        let mut due = std::mem::take(&mut self.due);
+        due.sort_unstable();
+        let mut pos = 0;
+        for &qid in &due {
+            pos += self.open[pos..].partition_point(|&(q, _)| q < qid);
+            match self.open.get(pos) {
+                Some(&(q, slot)) if q == qid => {
+                    if self.states[slot as usize].fresh {
+                        self.adopt(ctx, out, pos);
+                    } else {
+                        self.report(ctx, out, pos);
+                    }
+                }
+                // Reported by this tick's fallback already.
+                _ => {}
+            }
+        }
+        due.clear();
+        self.due = due;
+    }
+
+    /// The fallback orders after this tick's deliveries (already folded
+    /// in, so same-tick child reports still count) but before the
+    /// flush: force the report of every open query whose fire tick has
+    /// come. One firing reports every due query, so their reports ship
+    /// batched.
+    fn fallbacks(&mut self, ctx: &mut Ctx<'_, MuxMsg>, out: &mut OutBufs) {
+        let now = ctx.now().ticks();
+        let mut pos = 0;
+        while let Some(&(_, slot)) = self.open.get(pos) {
+            let state = &self.states[slot as usize];
+            if state.fresh || state.fallback_at > now {
+                pos += 1;
+            } else {
+                self.report(ctx, out, pos);
+            }
+        }
+    }
+
     /// Drain this firing's per-neighbour buffers: one engine message per
     /// neighbour with traffic, items in ascending `QueryId` order. The
-    /// buffers keep their capacity across firings — the message gets one
-    /// exact-size allocation instead of inheriting a from-scratch regrow
-    /// (this fires for every engine message of the run).
-    fn ship(&mut self, ctx: &mut Ctx<'_, MuxMsg>) {
-        for i in 0..self.out_bufs.len() {
-            let buf = &mut self.out_bufs[i];
+    /// buffers keep their capacity for the thread's next firing — the
+    /// message gets one exact-size allocation from the pool instead of
+    /// inheriting a from-scratch regrow (this fires for every engine
+    /// message of the run).
+    fn ship(&self, ctx: &mut Ctx<'_, MuxMsg>, out: &mut OutBufs) {
+        for (i, buf) in out.iter_mut().enumerate() {
             if buf.is_empty() {
                 continue;
             }
             buf.sort_unstable_by_key(|&(qid, _)| qid);
-            if let Some(&(last, _)) = buf.last() {
-                if self.payload_sent.len() <= last.index() as usize {
-                    self.payload_sent.resize(last.index() as usize + 1, 0);
-                }
-            }
             for &(qid, _) in buf.iter() {
-                self.payload_sent[qid.index() as usize] += 1;
+                let sent = &self.payload[qid.index() as usize];
+                sent.set(sent.get() + 1);
             }
             let mut items = pool::take_mux_items();
             items.append(buf);
@@ -609,7 +683,7 @@ impl MuxNode {
 impl ProtocolObserver for MuxNode {
     fn state_summary(&self) -> StateSummary {
         StateSummary {
-            active: self.live.iter().flatten().any(|s| !s.reported),
+            active: !self.open.is_empty(),
             sketch_weight: None,
         }
     }
@@ -641,15 +715,22 @@ impl NodeLogic for MuxNode {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, MuxMsg>, from: HostId, mut msg: MuxMsg) {
-        let now = ctx.now().ticks();
-        self.staging
-            .extend(msg.items.drain(..).map(|(qid, item)| (qid, from, item)));
+        // Items arrive in ascending qid order: each search resumes where
+        // the previous item's left off.
+        let mut pos = 0;
+        for &(qid, item) in &msg.items {
+            let qid = qid.index();
+            pos += self.open[pos..].partition_point(|&(q, _)| q < qid);
+            self.receive(ctx, pos, qid, from, item);
+        }
         // The emptied wire vector goes back to the thread-local pool the
         // sender took it from — steady-state message traffic allocates
         // nothing.
+        msg.items.clear();
         pool::put_mux_items(msg.items);
-        // All logic runs at the tick-end flush, after every delivery of
-        // this instant — the synchronous round.
+        // Adoption and reports run at the tick-end flush, after every
+        // delivery of this instant — the synchronous round.
+        let now = ctx.now().ticks();
         if self.flush_armed_at != Some(now) {
             self.flush_armed_at = Some(now);
             ctx.set_timer_at_tick_end(KEY_FLUSH);
@@ -657,75 +738,19 @@ impl NodeLogic for MuxNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, MuxMsg>, key: u64) {
-        if self.out_bufs.len() < ctx.degree() {
-            self.out_bufs.resize_with(ctx.degree(), Vec::new);
+        let mut bufs = pool::take_mux_out();
+        if bufs.len() < ctx.degree() {
+            bufs.resize_with(ctx.degree(), Vec::new);
         }
+        let out = &mut bufs[..ctx.degree()];
         match key & KEY_CLASS {
-            _ if key == KEY_FLUSH => {
-                // Stable sort regroups the tick's triples into per-query
-                // arrival-order runs, processed in ascending qid order —
-                // exactly what a qid-keyed map of vectors would yield.
-                let mut staging = std::mem::take(&mut self.staging);
-                // Unstable is safe: combine operators are commutative and
-                // parent selection is a min over the tick's senders, so
-                // within-qid item order never reaches the answer.
-                staging.sort_unstable_by_key(|&(qid, _, _)| qid);
-                let mut i = 0;
-                while i < staging.len() {
-                    let qid = staging[i].0;
-                    let run = i + staging[i..]
-                        .iter()
-                        .take_while(|&&(q, _, _)| q == qid)
-                        .count();
-                    self.process(ctx, qid.index(), &staging[i..run]);
-                    i = run;
-                }
-                staging.clear();
-                self.staging = staging;
-            }
-            KEY_ARRIVAL => self.arrivals(ctx),
-            KEY_FALLBACK => {
-                // The fallback orders after this tick's deliveries but
-                // before the flush. For every query whose fallback tick
-                // has passed: fold its own pending items first (so
-                // same-tick child reports still count), then force the
-                // report. One firing pops every due query from the
-                // schedule so their reports ship batched — and each
-                // query is popped exactly once over the whole run.
-                let now = ctx.now().ticks();
-                let end = (now + 1).min(self.fallback_due.len() as u64);
-                for t in self.fallback_cursor..end {
-                    let qids = std::mem::take(&mut self.fallback_due[t as usize]);
-                    for qid in qids {
-                        if self.state(qid).is_none_or(|s| s.reported) {
-                            continue;
-                        }
-                        if self.staging.iter().any(|&(q, _, _)| q.index() == qid) {
-                            // Pull this query's pending items out of the
-                            // staging buffer (preserving arrival order
-                            // for it and everything left behind).
-                            let mut scratch = std::mem::take(&mut self.scratch);
-                            scratch.clear();
-                            scratch.extend(
-                                self.staging
-                                    .iter()
-                                    .filter(|&&(q, _, _)| q.index() == qid)
-                                    .cloned(),
-                            );
-                            self.staging.retain(|&(q, _, _)| q.index() != qid);
-                            self.process(ctx, qid, &scratch);
-                            self.scratch = scratch;
-                        }
-                        if self.state(qid).is_some_and(|s| !s.reported) {
-                            self.report(ctx, qid);
-                        }
-                    }
-                }
-                self.fallback_cursor = self.fallback_cursor.max(now + 1);
-            }
+            _ if key == KEY_FLUSH => self.flush(ctx, out),
+            KEY_ARRIVAL => self.arrivals(ctx, out),
+            KEY_FALLBACK => self.fallbacks(ctx, out),
             _ => unreachable!("unknown timer key {key:#x}"),
         }
-        self.ship(ctx);
+        self.ship(ctx, out);
+        pool::put_mux_out(bufs);
     }
 }
 
@@ -772,6 +797,47 @@ pub struct MuxOutcome {
 /// Panics if a query's `arrival` is 0, its root is out of range, or two
 /// queries share a `QueryId`.
 pub fn run_mux(graph: &Graph, values: &[u64], queries: &[MuxQuery], plan: &MuxPlan) -> MuxOutcome {
+    let (sim, horizon, payload) = simulate(graph, values, queries, plan);
+    let mut results = BTreeMap::new();
+    let mut cache_joins = 0u64;
+    let mut aliased = Vec::new();
+    for i in 0..graph.num_hosts() {
+        // Logic is retained across death, so dead hosts still account.
+        let node = sim.logic(HostId(i as u32));
+        results.extend(node.results().iter().map(|(&q, &r)| (q, r)));
+        cache_joins += node.cache_joins();
+        aliased.extend(node.aliases().iter().map(|&(_, alias)| alias));
+    }
+    aliased.sort_unstable();
+    let per_query_payload: BTreeMap<u32, u64> = payload
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| c.get() > 0)
+        .map(|(q, c)| (q as u32, c.get()))
+        .collect();
+    let payload_items = per_query_payload.values().sum();
+    MuxOutcome {
+        results,
+        per_query_payload,
+        raw_messages: sim.metrics().messages_sent,
+        payload_items,
+        cache_joins,
+        aliased,
+        metrics: sim.metrics().clone(),
+        trace: sim.trace().clone(),
+        horizon,
+    }
+}
+
+/// Build the multiplexed simulation of `queries` and drive it to its
+/// horizon (`max deadline + 2`). Returns the finished simulation, the
+/// horizon and the run's payload ledger.
+fn simulate<'g>(
+    graph: &'g Graph,
+    values: &[u64],
+    queries: &[MuxQuery],
+    plan: &MuxPlan,
+) -> (Simulation<'g, MuxNode>, Time, Rc<[Cell<u64>]>) {
     let n = graph.num_hosts();
     let mut rooted: BTreeMap<u32, Vec<MuxQuery>> = BTreeMap::new();
     let mut seen = HashSet::new();
@@ -789,6 +855,8 @@ pub fn run_mux(graph: &Graph, values: &[u64], queries: &[MuxQuery], plan: &MuxPl
         rooted.entry(q.root.0).or_default().push(*q);
     }
     let horizon = Time(horizon + 2);
+    let ledger_len = queries.iter().map(|q| q.id.index() as usize + 1).max();
+    let payload: Rc<[Cell<u64>]> = (0..ledger_len.unwrap_or(0)).map(|_| Cell::new(0)).collect();
     let mut builder = SimBuilder::over(graph)
         .churn(plan.churn.clone())
         .seed(plan.seed);
@@ -799,39 +867,11 @@ pub fn run_mux(graph: &Graph, values: &[u64], queries: &[MuxQuery], plan: &MuxPl
         MuxNode::new(
             values[h.index()],
             rooted.get(&h.0).cloned().unwrap_or_default(),
+            Rc::clone(&payload),
         )
     });
     sim.run_until(horizon);
-
-    let mut results = BTreeMap::new();
-    let mut per_query_payload: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut cache_joins = 0u64;
-    let mut aliased = Vec::new();
-    for i in 0..n {
-        // Logic is retained across death, so dead hosts still account.
-        let node = sim.logic(HostId(i as u32));
-        results.extend(node.results().iter().map(|(&q, &r)| (q, r)));
-        for (q, &c) in node.payload_sent().iter().enumerate() {
-            if c > 0 {
-                *per_query_payload.entry(q as u32).or_insert(0) += c;
-            }
-        }
-        cache_joins += node.cache_joins();
-        aliased.extend(node.aliases().iter().map(|&(_, alias)| alias));
-    }
-    aliased.sort_unstable();
-    let payload_items = per_query_payload.values().sum();
-    MuxOutcome {
-        results,
-        per_query_payload,
-        raw_messages: sim.metrics().messages_sent,
-        payload_items,
-        cache_joins,
-        aliased,
-        metrics: sim.metrics().clone(),
-        trace: sim.trace().clone(),
-        horizon,
-    }
+    (sim, horizon, payload)
 }
 
 #[cfg(test)]
@@ -989,6 +1029,62 @@ mod tests {
         let (v, at) = out.results[&0];
         assert_eq!(v, 7.0);
         assert_eq!(at, Time(5), "the arrival + 2·D̂ fallback");
+    }
+
+    #[test]
+    fn no_host_holds_state_once_every_query_has_reported() {
+        // On a static graph every host reports every query it heard, so
+        // at the horizon nothing is open anywhere: what is left per host
+        // is one retired bit per query, not a table of states.
+        let n = 30;
+        let g = special::cycle(n);
+        let queries: Vec<MuxQuery> = (0..50)
+            .map(|i| {
+                let agg = [Aggregate::Count, Aggregate::Sum, Aggregate::Max][i as usize % 3];
+                q(i, agg, (i * 7) % n as u32, 1 + u64::from(i % 9), 16)
+            })
+            .collect();
+        let (sim, _, _) = simulate(&g, &vec![1; n], &queries, &MuxPlan::default());
+        let aliased: Vec<u32> = (0..n)
+            .flat_map(|h| sim.logic(HostId(h as u32)).aliases().to_vec())
+            .map(|(_, alias)| alias)
+            .collect();
+        for h in 0..n {
+            let node = sim.logic(HostId(h as u32));
+            assert!(node.open.is_empty(), "host {h} still holds {:?}", node.open);
+            assert!(!node.summary().active);
+            for qid in (0..50).filter(|qid| !aliased.contains(qid)) {
+                assert!(node.is_retired(qid), "host {h} never retired query {qid}");
+            }
+        }
+    }
+
+    #[test]
+    fn retired_bit_drops_a_late_query_copy() {
+        //     0 — 1 — 2
+        //          \    \
+        //           3 — 4
+        // D̂ = 2, COUNT from 0 at tick 1 (deadline 5). Hosts 2 and 3
+        // hear at tick 3 and are forced to report at tick 4; host 4
+        // hears both at tick 4, adopts 2 (the lower id) and floods on to
+        // 3, whose copy arrives at tick 5 — after 3 retired the query.
+        let mut b = pov_topology::GraphBuilder::with_hosts(5);
+        for (x, y) in [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)] {
+            b.add_edge(HostId(x), HostId(y));
+        }
+        let g = b.build();
+        let queries = [q(0, Aggregate::Count, 0, 1, 2)];
+        let (sim, _, payload) = simulate(&g, &[1; 5], &queries, &MuxPlan::default());
+        let host3 = sim.logic(HostId(3));
+        assert!(host3.is_retired(0) && host3.open.is_empty());
+        // 1 (root) + 3 (host 1) + 2 each for hosts 2, 3 and 4. Had host
+        // 3 re-opened the query on the late copy, it would have flooded
+        // it back to host 1.
+        assert_eq!(payload[0].get(), 10);
+        assert_eq!(
+            sim.logic(HostId(0)).result(QueryId(0)),
+            Some((2.0, Time(5)))
+        );
     }
 
     #[test]

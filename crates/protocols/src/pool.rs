@@ -39,6 +39,9 @@ struct Pool {
     host_sets: Vec<HashSet<HostId>>,
     values: Vec<Vec<u64>>,
     mux_items: Vec<Vec<(QueryId, MuxItem)>>,
+    /// The mux engine's per-neighbour outgoing buffers: empty between
+    /// timer firings, so one set serves every host on the thread.
+    mux_out: Vec<Vec<(QueryId, MuxItem)>>,
 }
 
 thread_local! {
@@ -82,6 +85,18 @@ pooled!(
     mux_items,
     Vec<(QueryId, MuxItem)>
 );
+
+/// Borrow the thread's mux outgoing buffers (one per neighbour slot,
+/// each empty, capacity retained) for one timer firing.
+pub(crate) fn take_mux_out() -> Vec<Vec<(QueryId, MuxItem)>> {
+    POOL.with(|p| std::mem::take(&mut p.borrow_mut().mux_out))
+}
+
+/// Hand the outgoing buffers back once the firing has shipped them.
+pub(crate) fn put_mux_out(bufs: Vec<Vec<(QueryId, MuxItem)>>) {
+    debug_assert!(bufs.iter().all(Vec::is_empty), "unshipped mux items");
+    POOL.with(|p| p.borrow_mut().mux_out = bufs);
+}
 
 #[cfg(test)]
 mod tests {

@@ -167,13 +167,26 @@ const WINDOW: u64 = 1 << 12;
 /// tick becomes current, then drained from the front.
 type Bucket<M> = VecDeque<(u8, Payload<M>)>;
 
+/// A storage recycled to the ring tail keeps its allocation only up to
+/// this many events; a larger one is freed. The tail is reached again
+/// only after a full ring's worth of ticks (often never: a pre-scheduled
+/// churn plan stretches the ring over the whole horizon), so holding
+/// wave-sized storage there would pin one peak per tick of the ring.
+const TAIL_KEEP: usize = 16;
+
 /// The bucketed calendar queue.
 ///
 /// # Ordering invariants
 ///
-/// * `buckets[i]` holds the events of tick `base + i`; the ring is
-///   rotated (never reallocated) as ticks drain, so steady-state
-///   operation is allocation-free.
+/// * `buckets[i]` holds the events of tick `base + i`. When the front
+///   tick drains, its storage (sized by that tick's wave) is handed to
+///   the bucket one tick ahead of the new front — where the next tick's
+///   sends land — taking over that bucket's already-queued events in
+///   order; whichever storage is smaller moves to the ring tail (freed
+///   if larger than [`TAIL_KEEP`]). A couple of wave-sized buffers
+///   circulate, and every other bucket holds capacity for what is in
+///   flight in it, so the queue's memory tracks the events in flight,
+///   not the horizon.
 /// * Within a bucket, events are appended in push order, which **is**
 ///   `seq` order; a single *stable* sort by rank when the tick becomes
 ///   current yields exactly the `(rank, seq)` order the heap produced.
@@ -307,11 +320,28 @@ impl<M> BucketQueue<M> {
                 }
                 return;
             }
-            // Rotate the drained front bucket to the back, retaining
-            // its capacity for a future tick.
-            let mut spent = self.buckets.pop_front().expect("in_buckets > 0");
-            spent.clear();
-            self.buckets.push_back(spent);
+            // Recycle the drained front bucket's storage (see the
+            // invariants above): the larger of it and the storage one
+            // tick ahead of the new front serves that tick. In a ring
+            // of at most two ticks the tail *is* that tick.
+            //
+            // Storage is emptied by draining, but `clear` also rewinds a
+            // ring buffer's head: the next tick then fills it from the
+            // start, so the rank sort finds it contiguous and only the
+            // pages it needs are touched.
+            let mut spare = self.buckets.pop_front().expect("in_buckets > 0");
+            spare.clear();
+            if let Some(ahead) = self.buckets.get_mut(1) {
+                if spare.capacity() > ahead.capacity() {
+                    spare.append(ahead);
+                    std::mem::swap(&mut spare, ahead);
+                    spare.clear();
+                }
+                if spare.capacity() > TAIL_KEEP {
+                    spare = VecDeque::new();
+                }
+            }
+            self.buckets.push_back(spare);
             self.base += 1;
             self.prepared = false;
             self.migrate_far();
@@ -336,6 +366,12 @@ impl<M> BucketQueue<M> {
     pub fn peek_time(&mut self) -> Option<Time> {
         self.settle();
         (self.len() > 0).then_some(Time(self.base))
+    }
+
+    /// Event slots allocated across the ring (the memory-bound tests).
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        self.buckets.iter().map(VecDeque::capacity).sum()
     }
 
     pub fn pop(&mut self) -> Option<(Time, Payload<M>)> {
@@ -596,10 +632,89 @@ mod tests {
         ));
     }
 
+    fn deliver(msg: u8) -> Payload<u8> {
+        Payload::Deliver {
+            to: HostId(0),
+            from: HostId(1),
+            msg,
+            depth: 0,
+        }
+    }
+
+    #[test]
+    fn drained_storage_moves_one_tick_ahead_of_the_new_front() {
+        // Tick 1 is a wave, tick 3 already holds two events when tick 1
+        // drains: the wave's storage takes them over, in order.
+        let mut q: BucketQueue<u8> = BucketQueue::new();
+        for i in 0..40 {
+            q.push(Time(1), deliver(i));
+        }
+        q.push(Time(2), deliver(100));
+        q.push(Time(3), deliver(200));
+        q.push(Time(3), deliver(201));
+        for _ in 0..40 {
+            assert_eq!(q.pop().map(|(t, _)| t), Some(Time(1)));
+        }
+        assert!(matches!(
+            q.pop(),
+            Some((Time(2), Payload::Deliver { msg: 100, .. }))
+        ));
+        assert!(
+            q.buckets[1].capacity() >= 40,
+            "tick 3 should now own the wave's storage"
+        );
+        for want in [200, 201] {
+            assert!(matches!(
+                q.pop(),
+                Some((Time(3), Payload::Deliver { msg, .. })) if msg == want
+            ));
+        }
+        assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn ring_capacity_tracks_events_in_flight_not_the_horizon() {
+        // K sends per tick over H ticks, landing `1..=spread` ticks
+        // ahead, behind one pre-scheduled event at the horizon (a churn
+        // plan does this) so the ring spans all H ticks. Rotating every
+        // drained bucket to the tail with its capacity would retain
+        // ~H·K slots; recycling keeps O(K).
+        const K: usize = 256;
+        const H: u64 = 512;
+        for spread in [1u64, 3] {
+            let mut q: BucketQueue<u8> = BucketQueue::new();
+            q.push(Time(H + spread + 1), Payload::ChurnPoll);
+            let mut due = vec![0usize; (H + spread + 2) as usize];
+            for t in 0..=H {
+                for _ in 0..due[t as usize] {
+                    assert_eq!(q.pop().map(|(at, _)| at), Some(Time(t)));
+                }
+                for i in 0..K {
+                    let at = t + 1 + i as u64 % spread;
+                    q.push(Time(at), deliver(i as u8));
+                    due[at as usize] += 1;
+                }
+            }
+            assert!(q.buckets.len() as u64 > H, "the ring spans the horizon");
+            let cap = q.capacity();
+            assert!(
+                cap <= 8 * K,
+                "spread {spread}: {cap} slots retained for {K} sends per tick"
+            );
+        }
+    }
+
     /// A compact encodable action stream for the equivalence property:
     /// interleaved pushes (time offset, payload class) and pops.
     fn arb_actions() -> impl Strategy<Value = Vec<(u16, u8, u8)>> {
         prop::collection::vec((0u16..2_000, 0u8..6, 0u8..2), 1..400)
+    }
+
+    /// Near-future bursts: each action pushes `copies` events `dt`
+    /// ticks ahead, then pops up to `pops` — so drained waves recycle
+    /// into a next-but-one bucket that already holds events.
+    fn arb_bursts() -> impl Strategy<Value = Vec<(u16, u8, u8, u8)>> {
+        prop::collection::vec((0u16..4, 0u8..6, 1u8..24, 0u8..32), 1..120)
     }
 
     fn payload_of(class: u8, tag: u8) -> Payload<u8> {
@@ -631,6 +746,48 @@ mod tests {
         (t.0, p.rank(), host, msg)
     }
 
+    /// Replay `(dt, class, copies, pops)` actions against the bucketed
+    /// queue and the heap oracle; both must emit the identical sequence.
+    fn check_against_oracle(actions: impl IntoIterator<Item = (u16, u8, u8, u8)>) {
+        let mut bucket: EventQueue<u8> = EventQueue::new();
+        let mut heap: EventQueue<u8> = EventQueue::heap_oracle();
+        let mut now = 0u64; // events may never be pushed in the past
+        let mut tag = 0u8;
+        for (dt, class, copies, pops) in actions {
+            // As in the engine, only tick-end timers (class 5) may target
+            // the instant being drained.
+            let dt = if class == 5 { dt } else { dt.max(1) };
+            let at = Time(now + u64::from(dt));
+            for _ in 0..copies {
+                tag = tag.wrapping_add(1);
+                bucket.push(at, payload_of(class, tag));
+                heap.push(at, payload_of(class, tag));
+            }
+            assert_eq!(bucket.len(), heap.len());
+            for _ in 0..pops {
+                match (bucket.pop(), heap.pop()) {
+                    (Some((bt, bp)), Some((ht, hp))) => {
+                        assert_eq!(fingerprint(bt, &bp), fingerprint(ht, &hp));
+                        now = bt.0;
+                    }
+                    (None, None) => {}
+                    _ => panic!("one queue emptied before the other"),
+                }
+            }
+        }
+        // Drain both to the end.
+        loop {
+            assert_eq!(bucket.peek_time(), heap.peek_time());
+            match (bucket.pop(), heap.pop()) {
+                (Some((bt, bp)), Some((ht, hp))) => {
+                    assert_eq!(fingerprint(bt, &bp), fingerprint(ht, &hp));
+                }
+                (None, None) => break,
+                _ => panic!("one queue emptied before the other"),
+            }
+        }
+    }
+
     proptest! {
         /// The tentpole equivalence bar at the queue level: for any
         /// interleaving of pushes and pops (with monotone lower bounds
@@ -638,43 +795,17 @@ mod tests {
         /// and the BinaryHeap oracle emit the identical event sequence.
         #[test]
         fn bucket_queue_matches_heap_oracle(actions in arb_actions()) {
-            let mut bucket: EventQueue<u8> = EventQueue::new();
-            let mut heap: EventQueue<u8> = EventQueue::heap_oracle();
-            let mut now = 0u64; // events may never be pushed in the past
-            let mut tag = 0u8;
-            for (dt, class, do_pop) in actions {
-                let at = Time(now + u64::from(dt));
-                tag = tag.wrapping_add(1);
-                bucket.push(at, payload_of(class, tag));
-                heap.push(at, payload_of(class, tag));
-                prop_assert_eq!(bucket.len(), heap.len());
-                if do_pop == 1 {
-                    let b = bucket.pop();
-                    let h = heap.pop();
-                    match (b, h) {
-                        (Some((bt, bp)), Some((ht, hp))) => {
-                            prop_assert_eq!(
-                                fingerprint(bt, &bp),
-                                fingerprint(ht, &hp)
-                            );
-                            now = bt.0;
-                        }
-                        (None, None) => {}
-                        _ => prop_assert!(false, "one queue emptied before the other"),
-                    }
-                }
-            }
-            // Drain both to the end.
-            loop {
-                prop_assert_eq!(bucket.peek_time(), heap.peek_time());
-                match (bucket.pop(), heap.pop()) {
-                    (Some((bt, bp)), Some((ht, hp))) => {
-                        prop_assert_eq!(fingerprint(bt, &bp), fingerprint(ht, &hp));
-                    }
-                    (None, None) => break,
-                    _ => prop_assert!(false, "one queue emptied before the other"),
-                }
-            }
+            check_against_oracle(
+                actions.into_iter().map(|(dt, class, pop)| (dt, class, 1, pop)),
+            );
+        }
+
+        /// The same bar where storage recycling does its work: dense
+        /// near-future bursts, so a drained wave's storage routinely
+        /// takes over a bucket that already holds events.
+        #[test]
+        fn bucket_queue_matches_heap_oracle_under_recycling(actions in arb_bursts()) {
+            check_against_oracle(actions);
         }
     }
 }
