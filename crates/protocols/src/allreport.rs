@@ -80,7 +80,7 @@ impl AllReportNode {
             routing,
             parent: None,
             seen_query: false,
-            collected: crate::pool::take_values(),
+            collected: Vec::new(),
             query: None,
             result: None,
             is_query_host: false,
@@ -122,12 +122,6 @@ impl AllReportNode {
     /// Number of reports gathered so far (diagnostics; `hq` only).
     pub fn reports_received(&self) -> usize {
         self.collected.len()
-    }
-}
-
-impl Drop for AllReportNode {
-    fn drop(&mut self) {
-        crate::pool::put_values(std::mem::take(&mut self.collected));
     }
 }
 

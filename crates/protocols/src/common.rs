@@ -1,6 +1,7 @@
 //! Shared query/aggregate machinery.
 
 use pov_sketch::{Buckets, FmSketch, HistogramSketch, KmvSketch};
+use pov_topology::HostId;
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 
@@ -77,6 +78,20 @@ impl QuerySpec {
     /// Absolute deadline `2·D̂·δ` in ticks.
     pub fn deadline(&self) -> u64 {
         2 * self.d_hat as u64
+    }
+}
+
+/// Classify neighbour `h` in a tree host's echo set `heard`, kept
+/// sorted: SPANNINGTREE and DAG only ever ask how many neighbours are
+/// classified, so the set needs a duplicate-free insert and `len()`.
+/// The first insert reserves the `expected` neighbours the host waits
+/// for: one exact allocation, not a doubling regrow, per host.
+pub(crate) fn note_heard(heard: &mut Vec<HostId>, h: HostId, expected: usize) {
+    if let Err(i) = heard.binary_search(&h) {
+        if heard.capacity() == 0 {
+            heard.reserve_exact(expected);
+        }
+        heard.insert(i, h);
     }
 }
 

@@ -27,11 +27,10 @@
 //! SPANNINGTREE — while still letting a value climb around a dead first
 //! parent level by level.
 
-use crate::common::{Partial, QuerySpec};
+use crate::common::{note_heard, Partial, QuerySpec};
 use crate::observer::{summary_of, ProtocolObserver};
 use pov_sim::{Ctx, NodeLogic, StateSummary, Time};
 use pov_topology::HostId;
-use std::collections::HashSet;
 
 /// Timer key for the per-host fallback deadline.
 const TIMER_FALLBACK: u64 = 1;
@@ -67,7 +66,9 @@ pub struct DagNode {
     depth: u32,
     activated: bool,
     reported: bool,
-    heard: HashSet<HostId>,
+    /// Non-parent neighbours already classified (flooded past us or
+    /// reported), ascending.
+    heard: Vec<HostId>,
     partial: Option<Partial>,
     query: Option<QuerySpec>,
     result: Option<(f64, Time)>,
@@ -83,11 +84,11 @@ impl DagNode {
         DagNode {
             value,
             k,
-            parents: crate::pool::take_hosts(),
+            parents: Vec::new(),
             depth: 0,
             activated: false,
             reported: false,
-            heard: crate::pool::take_host_set(),
+            heard: Vec::new(),
             partial: None,
             query: None,
             result: None,
@@ -113,13 +114,6 @@ impl DagNode {
     /// Parents adopted so far (diagnostics).
     pub fn parents(&self) -> &[HostId] {
         &self.parents
-    }
-}
-
-impl Drop for DagNode {
-    fn drop(&mut self) {
-        crate::pool::put_hosts(std::mem::take(&mut self.parents));
-        crate::pool::put_host_set(std::mem::take(&mut self.heard));
     }
 }
 
@@ -230,7 +224,8 @@ impl NodeLogic for DagNode {
                     {
                         self.parents.push(from);
                     }
-                    self.heard.insert(from);
+                    let expected = self.expected(ctx);
+                    note_heard(&mut self.heard, from, expected);
                     self.check_completion(ctx);
                 }
             }
@@ -240,7 +235,8 @@ impl NodeLogic for DagNode {
                 };
                 let changed = p.combine_check(&partial);
                 if !self.reported {
-                    self.heard.insert(from);
+                    let expected = self.expected(ctx);
+                    note_heard(&mut self.heard, from, expected);
                     self.check_completion(ctx);
                 } else if changed && !self.is_query_host {
                     // Late arrival after our completion report: spend the
@@ -475,6 +471,51 @@ mod tests {
             c3 > c1,
             "k=3 ({c3}) should send more than k=1 ({c1}) on a grid"
         );
+    }
+
+    #[test]
+    fn a_neighbour_heard_twice_counts_once() {
+        //   0 — 1
+        //   |    \
+        //   2 —— 3        and a tail 2 — 4 — 5 — 6 — 7
+        // Host 3's first parent is 1; host 2's duplicate copy makes 2 an
+        // extra parent. At tick 3 host 2 hears 3 twice — 3's duplicate
+        // query copy, then its report — and must still wait for the tail.
+        let edges = [
+            (0, 1),
+            (0, 2),
+            (1, 3),
+            (2, 3),
+            (2, 4),
+            (4, 5),
+            (5, 6),
+            (6, 7),
+        ];
+        let mut b = pov_topology::GraphBuilder::with_hosts(8);
+        for (x, y) in edges {
+            b.add_edge(HostId(x), HostId(y));
+        }
+        let spec = QuerySpec {
+            aggregate: Aggregate::Max,
+            d_hat: 8,
+            c: 16,
+        };
+        let mut sim = SimBuilder::new(b.build()).build(|h| {
+            let value = if h == HostId(7) { 99 } else { 1 };
+            if h == HostId(0) {
+                DagNode::query_host(value, 2, spec)
+            } else {
+                DagNode::host(value, 2)
+            }
+        });
+        sim.run_until(Time(3));
+        assert_eq!(sim.logic(HostId(3)).parents(), &[HostId(1), HostId(2)]);
+        let host2 = sim.logic(HostId(2));
+        assert_eq!(host2.heard, vec![HostId(3)]);
+        assert!(!host2.reported, "host 2 still waits on host 4");
+        sim.run_until(Time(spec.deadline() + 2));
+        let (v, _) = sim.logic(HostId(0)).result().expect("declared");
+        assert_eq!(v, 99.0);
     }
 
     #[test]

@@ -25,7 +25,6 @@ pub mod dag;
 pub mod gossip;
 pub mod mux;
 pub mod observer;
-mod pool;
 pub mod runner;
 pub mod spanning_tree;
 pub mod wildfire;

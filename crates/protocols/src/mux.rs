@@ -32,13 +32,12 @@
 
 use crate::common::Aggregate;
 use crate::observer::ProtocolObserver;
-use crate::pool;
 use pov_sim::{
     ChurnPlan, Ctx, Metrics, NodeLogic, PartitionPlan, SimBuilder, Simulation, StateSummary, Time,
     Trace,
 };
 use pov_topology::{Graph, HostId};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashSet};
 use std::rc::Rc;
 
@@ -282,6 +281,17 @@ struct QState {
 /// neighbour `neighbors[i]`.
 type OutBufs = [Vec<(QueryId, MuxItem)>];
 
+/// What the hosts of one multiplexed run share. `simulate` creates one
+/// per run, so it is freed with the run.
+#[derive(Debug, Default)]
+struct MuxRun {
+    /// Payload items sent per query (slot = [`QueryId`]).
+    payload: Box<[Cell<u64>]>,
+    /// The outgoing buffers of the timer firing in progress: empty
+    /// between firings, so one set serves every host of the run.
+    out: RefCell<Vec<Vec<(QueryId, MuxItem)>>>,
+}
+
 /// Per-host logic of the multiplexed engine.
 ///
 /// A host keeps per-query state only while the query is open here: a
@@ -292,10 +302,9 @@ type OutBufs = [Vec<(QueryId, MuxItem)>];
 /// a tick's traffic until the flush. Once the host reports, the slot is
 /// freed and a single *retired* bit remains, enough to drop late
 /// traffic exactly as SPANNINGTREE does. The per-neighbour outgoing
-/// buffers are borrowed from the thread's pool for one timer firing,
-/// and payload counts go to one ledger shared by the run's hosts, so a
-/// host's memory follows its open queries, not the number of queries it
-/// ever heard.
+/// buffers and the payload ledger belong to the run, shared by its
+/// hosts, so a host's memory follows its open queries, not the number
+/// of queries it ever heard.
 #[derive(Debug, Default)]
 pub struct MuxNode {
     value: u64,
@@ -327,21 +336,20 @@ pub struct MuxNode {
     /// Fire ticks of the [`KEY_FALLBACK`] timers in flight, so
     /// co-resident queries sharing a fire tick share one timer.
     fallback_armed: Vec<u64>,
-    /// Payload items sent per query (slot = [`QueryId`]), one ledger
-    /// shared by every host of the run.
-    payload: Rc<[Cell<u64>]>,
+    /// The run's shared ledger and outgoing buffers.
+    run: Rc<MuxRun>,
 }
 
 impl MuxNode {
-    /// A host with attribute `value` rooting the given queries, charging
-    /// the payload items it sends to the run-wide `payload` ledger
-    /// (indexed by [`QueryId`], long enough for every query).
-    pub fn new(value: u64, mut rooted: Vec<MuxQuery>, payload: Rc<[Cell<u64>]>) -> Self {
+    /// A host with attribute `value` rooting the given queries, sharing
+    /// `run` with the other hosts (its ledger is long enough for every
+    /// query).
+    fn new(value: u64, mut rooted: Vec<MuxQuery>, run: Rc<MuxRun>) -> Self {
         rooted.sort_by_key(|q| (q.arrival, q.id));
         MuxNode {
             value,
             rooted,
-            payload,
+            run,
             ..MuxNode::default()
         }
     }
@@ -657,11 +665,9 @@ impl MuxNode {
     }
 
     /// Drain this firing's per-neighbour buffers: one engine message per
-    /// neighbour with traffic, items in ascending `QueryId` order. The
-    /// buffers keep their capacity for the thread's next firing — the
-    /// message gets one exact-size allocation from the pool instead of
-    /// inheriting a from-scratch regrow (this fires for every engine
-    /// message of the run).
+    /// neighbour with traffic, items in ascending `QueryId` order. Each
+    /// message takes an exact-size copy, and the buffers keep their
+    /// capacity for the run's next firing.
     fn ship(&self, ctx: &mut Ctx<'_, MuxMsg>, out: &mut OutBufs) {
         for (i, buf) in out.iter_mut().enumerate() {
             if buf.is_empty() {
@@ -669,11 +675,11 @@ impl MuxNode {
             }
             buf.sort_unstable_by_key(|&(qid, _)| qid);
             for &(qid, _) in buf.iter() {
-                let sent = &self.payload[qid.index() as usize];
+                let sent = &self.run.payload[qid.index() as usize];
                 sent.set(sent.get() + 1);
             }
-            let mut items = pool::take_mux_items();
-            items.append(buf);
+            let items = buf.clone();
+            buf.clear();
             let nb = ctx.neighbors()[i];
             ctx.send(nb, MuxMsg { items });
         }
@@ -714,7 +720,7 @@ impl NodeLogic for MuxNode {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_, MuxMsg>, from: HostId, mut msg: MuxMsg) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, MuxMsg>, from: HostId, msg: MuxMsg) {
         // Items arrive in ascending qid order: each search resumes where
         // the previous item's left off.
         let mut pos = 0;
@@ -723,11 +729,6 @@ impl NodeLogic for MuxNode {
             pos += self.open[pos..].partition_point(|&(q, _)| q < qid);
             self.receive(ctx, pos, qid, from, item);
         }
-        // The emptied wire vector goes back to the thread-local pool the
-        // sender took it from — steady-state message traffic allocates
-        // nothing.
-        msg.items.clear();
-        pool::put_mux_items(msg.items);
         // Adoption and reports run at the tick-end flush, after every
         // delivery of this instant — the synchronous round.
         let now = ctx.now().ticks();
@@ -738,7 +739,7 @@ impl NodeLogic for MuxNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, MuxMsg>, key: u64) {
-        let mut bufs = pool::take_mux_out();
+        let mut bufs = self.run.out.take();
         if bufs.len() < ctx.degree() {
             bufs.resize_with(ctx.degree(), Vec::new);
         }
@@ -750,7 +751,8 @@ impl NodeLogic for MuxNode {
             _ => unreachable!("unknown timer key {key:#x}"),
         }
         self.ship(ctx, out);
-        pool::put_mux_out(bufs);
+        debug_assert!(bufs.iter().all(Vec::is_empty), "unshipped mux items");
+        self.run.out.replace(bufs);
     }
 }
 
@@ -797,7 +799,7 @@ pub struct MuxOutcome {
 /// Panics if a query's `arrival` is 0, its root is out of range, or two
 /// queries share a `QueryId`.
 pub fn run_mux(graph: &Graph, values: &[u64], queries: &[MuxQuery], plan: &MuxPlan) -> MuxOutcome {
-    let (sim, horizon, payload) = simulate(graph, values, queries, plan);
+    let (sim, horizon, run) = simulate(graph, values, queries, plan);
     let mut results = BTreeMap::new();
     let mut cache_joins = 0u64;
     let mut aliased = Vec::new();
@@ -809,7 +811,8 @@ pub fn run_mux(graph: &Graph, values: &[u64], queries: &[MuxQuery], plan: &MuxPl
         aliased.extend(node.aliases().iter().map(|&(_, alias)| alias));
     }
     aliased.sort_unstable();
-    let per_query_payload: BTreeMap<u32, u64> = payload
+    let per_query_payload: BTreeMap<u32, u64> = run
+        .payload
         .iter()
         .enumerate()
         .filter(|(_, c)| c.get() > 0)
@@ -831,13 +834,13 @@ pub fn run_mux(graph: &Graph, values: &[u64], queries: &[MuxQuery], plan: &MuxPl
 
 /// Build the multiplexed simulation of `queries` and drive it to its
 /// horizon (`max deadline + 2`). Returns the finished simulation, the
-/// horizon and the run's payload ledger.
+/// horizon and the state its hosts shared (the payload ledger).
 fn simulate<'g>(
     graph: &'g Graph,
     values: &[u64],
     queries: &[MuxQuery],
     plan: &MuxPlan,
-) -> (Simulation<'g, MuxNode>, Time, Rc<[Cell<u64>]>) {
+) -> (Simulation<'g, MuxNode>, Time, Rc<MuxRun>) {
     let n = graph.num_hosts();
     let mut rooted: BTreeMap<u32, Vec<MuxQuery>> = BTreeMap::new();
     let mut seen = HashSet::new();
@@ -856,7 +859,10 @@ fn simulate<'g>(
     }
     let horizon = Time(horizon + 2);
     let ledger_len = queries.iter().map(|q| q.id.index() as usize + 1).max();
-    let payload: Rc<[Cell<u64>]> = (0..ledger_len.unwrap_or(0)).map(|_| Cell::new(0)).collect();
+    let run = Rc::new(MuxRun {
+        payload: (0..ledger_len.unwrap_or(0)).map(|_| Cell::new(0)).collect(),
+        out: RefCell::default(),
+    });
     let mut builder = SimBuilder::over(graph)
         .churn(plan.churn.clone())
         .seed(plan.seed);
@@ -867,11 +873,11 @@ fn simulate<'g>(
         MuxNode::new(
             values[h.index()],
             rooted.get(&h.0).cloned().unwrap_or_default(),
-            Rc::clone(&payload),
+            Rc::clone(&run),
         )
     });
     sim.run_until(horizon);
-    (sim, horizon, payload)
+    (sim, horizon, run)
 }
 
 #[cfg(test)]
@@ -1074,13 +1080,13 @@ mod tests {
         }
         let g = b.build();
         let queries = [q(0, Aggregate::Count, 0, 1, 2)];
-        let (sim, _, payload) = simulate(&g, &[1; 5], &queries, &MuxPlan::default());
+        let (sim, _, run) = simulate(&g, &[1; 5], &queries, &MuxPlan::default());
         let host3 = sim.logic(HostId(3));
         assert!(host3.is_retired(0) && host3.open.is_empty());
         // 1 (root) + 3 (host 1) + 2 each for hosts 2, 3 and 4. Had host
         // 3 re-opened the query on the late copy, it would have flooded
         // it back to host 1.
-        assert_eq!(payload[0].get(), 10);
+        assert_eq!(run.payload[0].get(), 10);
         assert_eq!(
             sim.logic(HostId(0)).result(QueryId(0)),
             Some((2.0, Time(5)))

@@ -16,11 +16,10 @@
 //! mid-protocol — which is precisely when SPANNINGTREE silently loses
 //! whole subtrees (Theorem 4.4, Figs 7–9).
 
-use crate::common::{Partial, QuerySpec};
+use crate::common::{note_heard, Partial, QuerySpec};
 use crate::observer::{summary_of, ProtocolObserver};
 use pov_sim::{Ctx, NodeLogic, StateSummary, Time};
 use pov_topology::HostId;
-use std::collections::HashSet;
 
 /// Timer key for the per-host fallback deadline.
 const TIMER_FALLBACK: u64 = 1;
@@ -51,8 +50,8 @@ pub struct SpanningTreeNode {
     activated: bool,
     reported: bool,
     /// Non-parent neighbours already classified (flooded past us or
-    /// reported as child).
-    heard: HashSet<HostId>,
+    /// reported as child), ascending.
+    heard: Vec<HostId>,
     partial: Option<Partial>,
     query: Option<QuerySpec>,
     result: Option<(f64, Time)>,
@@ -68,7 +67,7 @@ impl SpanningTreeNode {
             depth: 0,
             activated: false,
             reported: false,
-            heard: crate::pool::take_host_set(),
+            heard: Vec::new(),
             partial: None,
             query: None,
             result: None,
@@ -92,12 +91,6 @@ impl SpanningTreeNode {
     /// This host's parent in the tree (diagnostics).
     pub fn parent(&self) -> Option<HostId> {
         self.parent
-    }
-}
-
-impl Drop for SpanningTreeNode {
-    fn drop(&mut self) {
-        crate::pool::put_host_set(std::mem::take(&mut self.heard));
     }
 }
 
@@ -179,7 +172,8 @@ impl NodeLogic for SpanningTreeNode {
                     self.check_completion(ctx); // leaf with 1 neighbour
                 } else {
                     // Duplicate: `from` is someone else's child, not ours.
-                    self.heard.insert(from);
+                    let expected = self.expected(ctx);
+                    note_heard(&mut self.heard, from, expected);
                     self.check_completion(ctx);
                 }
             }
@@ -192,7 +186,8 @@ impl NodeLogic for SpanningTreeNode {
                 if let Some(p) = self.partial.as_mut() {
                     p.combine(&partial);
                 }
-                self.heard.insert(from);
+                let expected = self.expected(ctx);
+                note_heard(&mut self.heard, from, expected);
                 self.check_completion(ctx);
             }
         }

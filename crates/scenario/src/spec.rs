@@ -460,11 +460,7 @@ impl Scenario {
         if c == 0 {
             return Err(query.err("c", "FM repetitions c must be >= 1"));
         }
-        let hq = match query.opt_u64("hq")? {
-            Some(v) => u32::try_from(v)
-                .map_err(|_| query.err("hq", format!("host id {v} exceeds u32::MAX")))?,
-            None => 0,
-        };
+        let hq = query.opt_u32("hq")?.unwrap_or(0);
         // Grids round n down to a perfect square, so validate against the
         // host count the topology will actually produce.
         let effective_n = match topology {
@@ -483,7 +479,7 @@ impl Scenario {
                 ),
             ));
         }
-        let d_hat_slack = query.opt_u64("d_hat_slack")?.unwrap_or(2) as u32;
+        let d_hat_slack = query.opt_u32("d_hat_slack")?.unwrap_or(2);
         query.finish()?;
 
         let med = Keys::over(doc, "medium")?;
@@ -517,9 +513,13 @@ impl Scenario {
             let spec = match proto.require_str("kind")?.as_str() {
                 "wildfire" => ProtocolSpec::Wildfire,
                 "spanning-tree" | "spanningtree" => ProtocolSpec::SpanningTree,
-                "dag" => ProtocolSpec::Dag {
-                    k: proto.opt_usize("k")?.unwrap_or(2),
-                },
+                "dag" => {
+                    let k = proto.opt_usize("k")?.unwrap_or(2);
+                    if k == 0 {
+                        return Err(proto.err("k", "a DAG host needs at least one parent slot"));
+                    }
+                    ProtocolSpec::Dag { k }
+                }
                 "allreport" => ProtocolSpec::AllReport,
                 "randomized-report" => {
                     let p = proto.require_f64("p")?;
@@ -531,7 +531,9 @@ impl Scenario {
                     ProtocolSpec::RandomizedReport { p }
                 }
                 "gossip" => ProtocolSpec::Gossip {
-                    rounds: proto.require_u64("rounds")? as u32,
+                    rounds: proto
+                        .opt_u32("rounds")?
+                        .ok_or_else(|| proto.missing("rounds", "integer"))?,
                 },
                 other => {
                     return Err(proto.err(
@@ -598,11 +600,18 @@ impl Scenario {
                         fraction: fraction_key(&ch)?,
                         window: window(&ch)?,
                     },
-                    "correlated" => ChurnSpec::Correlated {
-                        clusters: ch.require_usize("clusters")?,
-                        cluster_size: ch.require_usize("cluster_size")?,
-                        window: window(&ch)?,
-                    },
+                    "correlated" => {
+                        let clusters = ch.require_usize("clusters")?;
+                        let cluster_size = ch.require_usize("cluster_size")?;
+                        if cluster_size == 0 {
+                            return Err(ch.err("cluster_size", "a cluster needs at least one host"));
+                        }
+                        ChurnSpec::Correlated {
+                            clusters,
+                            cluster_size,
+                            window: window(&ch)?,
+                        }
+                    }
                     "oscillating" => {
                         let period = ch.opt_f64("period")?.unwrap_or(0.5);
                         let downtime = ch.opt_f64("downtime")?.unwrap_or(period / 2.0);
@@ -636,7 +645,7 @@ impl Scenario {
                         ChurnSpec::None
                     }
                     "adversarial-root" => ChurnSpec::AdversarialRoot {
-                        radius: ch.opt_u64("radius")?.unwrap_or(1) as u32,
+                        radius: ch.opt_u32("radius")?.unwrap_or(1),
                         at: {
                             let at = ch.opt_f64("at")?.unwrap_or(0.25);
                             if !(0.0..=1.0).contains(&at) {
@@ -1130,6 +1139,12 @@ impl<'a> Keys<'a> {
                 ref v => Err(self.err(key, format!("expected an integer, got {}", v.type_name()))),
             },
         }
+    }
+
+    fn opt_u32(&self, key: &'a str) -> Result<Option<u32>, ParseError> {
+        self.opt_u64(key)?
+            .map(|v| u32::try_from(v).map_err(|_| self.err(key, format!("{v} exceeds u32::MAX"))))
+            .transpose()
     }
 
     fn require_usize(&self, key: &'a str) -> Result<usize, ParseError> {
@@ -1862,13 +1877,27 @@ seeds = [1]
         assert!(err.msg.contains("window_factor"), "{}", err.msg);
     }
 
+    /// Replace every line of GOOD whose key matches the mutation's first
+    /// key — only inside `[section]` when the mutation starts with that
+    /// prefix — by the mutation's lines, and expect a parse error.
     fn fails_with(mutation: &str, needle: &str) {
-        // Replace the matching line of GOOD (by key) or append.
+        let (section, mutation) = match mutation.strip_prefix('[') {
+            Some(rest) => {
+                let (name, m) = rest.split_once("] ").expect("`[section] key = value`");
+                (Some(name), m)
+            }
+            None => (None, mutation),
+        };
         let key = mutation.split('=').next().unwrap().trim();
+        let mut current = "";
         let text: String = GOOD
             .lines()
             .map(|l| {
-                if l.split('=').next().map(str::trim) == Some(key) {
+                if let Some(name) = l.strip_prefix('[').and_then(|r| r.strip_suffix(']')) {
+                    current = name;
+                }
+                let here = section.is_none_or(|s| s == current);
+                if here && l.split('=').next().map(str::trim) == Some(key) {
                     mutation.to_string()
                 } else {
                     l.to_string()
@@ -1894,6 +1923,29 @@ seeds = [1]
         fails_with("from = 0.9", "from < heal");
         fails_with("seeds = []", "at least one seed");
         fails_with("repetitions = 0", ">= 1");
+        fails_with("[protocol] kind = \"dag\"\nk = 0", "[protocol] k: ");
+        fails_with(
+            "[churn] model = \"correlated\"\nclusters = 2\ncluster_size = 0",
+            "[churn] cluster_size: a cluster needs at least one host",
+        );
+    }
+
+    #[test]
+    fn u32_keys_reject_values_that_would_wrap() {
+        // 2³² + 2 used to be cast `as u32` and run as 2.
+        fails_with(
+            "[query] c = 16\nd_hat_slack = 4294967298",
+            "[query] d_hat_slack: 4294967298 exceeds u32::MAX",
+        );
+        fails_with(
+            "[protocol] kind = \"gossip\"\nrounds = 4294967298",
+            "[protocol] rounds: 4294967298 exceeds u32::MAX",
+        );
+        fails_with(
+            "[churn] model = \"adversarial-root\"\nradius = 4294967298",
+            "[churn] radius: 4294967298 exceeds u32::MAX",
+        );
+        fails_with("hq = 4294967298", "[query] hq: 4294967298 exceeds u32::MAX");
     }
 
     #[test]

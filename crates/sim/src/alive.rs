@@ -5,19 +5,17 @@
 //! protocol-state samples, alive counts — now iterates this bitset
 //! instead, making per-poll work proportional to the *active*
 //! population rather than the full host range (the n = 10⁶ requirement;
-//! see `docs/SCALING.md`). The index is maintained incrementally at the
-//! four membership toggle sites (static Fail/Join dispatch, dynamic
-//! churn-source Fail/Join application) alongside the flat `Vec<bool>`
-//! that [`EngineView`](crate::EngineView) exposes for O(1) reads.
+//! see `docs/SCALING.md`). The index is maintained incrementally by the
+//! engine's two membership toggles (`Simulation::fail` / `join`, which
+//! planned and churn-source events share) alongside the flat
+//! `Vec<bool>` that [`EngineView`](crate::EngineView) exposes for O(1)
+//! reads.
 //!
 //! Cost model: one bit per host (1/8 the `Vec<bool>`), O(1) toggles, an
 //! O(count + words) ascending iteration, and an O(1) count.
 
-use crate::arena;
-
 /// A bitset over dense host ids with an incrementally maintained
-/// population count. Backed by a pooled `Vec<u64>` word buffer that
-/// returns to the engine arena when released.
+/// population count, owned by one simulation.
 pub(crate) struct AliveSet {
     words: Vec<u64>,
     num_hosts: usize,
@@ -25,10 +23,10 @@ pub(crate) struct AliveSet {
 }
 
 impl AliveSet {
-    /// An all-dead set over `n` hosts, words drawn from the arena pool.
+    /// An all-dead set over `n` hosts.
     pub(crate) fn with_hosts(n: usize) -> Self {
         AliveSet {
-            words: arena::take_u64s(n.div_ceil(64)),
+            words: vec![0; n.div_ceil(64)],
             num_hosts: n,
             count: 0,
         }
@@ -80,13 +78,6 @@ impl AliveSet {
             })
             .map(move |b| w * 64 + b.trailing_zeros() as usize)
         })
-    }
-
-    /// Hand the word buffer back to the arena pool (engine drop path).
-    pub(crate) fn release(&mut self) {
-        arena::put_u64s(std::mem::take(&mut self.words));
-        self.num_hosts = 0;
-        self.count = 0;
     }
 
     /// Debug-only consistency check: the incremental count matches a

@@ -135,14 +135,12 @@ impl ChurnPlan {
             let mut seen = vec![false; graph.num_hosts()];
             seen[centre.index()] = true;
             let mut taken = 0usize;
-            while let Some(h) = frontier.pop_front() {
+            while taken < cluster_size {
+                let Some(h) = frontier.pop_front() else { break };
                 if !failed[h.index()] {
                     failed[h.index()] = true;
                     failures.push((at, h));
                     taken += 1;
-                    if taken == cluster_size {
-                        break;
-                    }
                 }
                 for &nb in graph.neighbors(h) {
                     if !seen[nb.index()] {
@@ -415,6 +413,19 @@ mod tests {
         }
         // Sorted by time.
         assert!(plan.failures.windows(2).all(|w| w[0].0 <= w[1].0));
+    }
+
+    #[test]
+    fn correlated_cluster_size_bounds_each_cluster() {
+        let g = pov_topology::generators::grid_square(10);
+        let plan =
+            |size| ChurnPlan::correlated_failures(&g, 3, size, Time(0), Time(30), HostId(0), 11);
+        // Size 0 takes nobody — not every host reachable from a centre.
+        assert_eq!(plan(0).num_failures(), 0);
+        // Size 1 takes exactly the three centres, one per instant.
+        let times: Vec<u64> = plan(1).failures.iter().map(|&(t, _)| t.0).collect();
+        assert_eq!(times, vec![0, 10, 20]);
+        assert_eq!(plan(2).num_failures(), 6);
     }
 
     #[test]

@@ -128,9 +128,8 @@ pub trait ChurnSource {
     /// Write the membership changes to apply at `now` into `out`
     /// (cleared by the engine before the call; events are applied in
     /// `out` order). Called exactly once per polled instant. The
-    /// out-parameter shape lets the engine reuse one pooled wave buffer
-    /// across every poll of a run instead of allocating a `Vec` per
-    /// wave.
+    /// out-parameter shape lets the engine reuse one wave buffer across
+    /// every poll of a run instead of allocating a `Vec` per wave.
     fn next_events(&mut self, now: Time, view: &EngineView<'_>, out: &mut Vec<ChurnEvent>);
 
     /// The next instant this source wants to be polled, strictly after
@@ -326,7 +325,7 @@ mod tests {
     }
 
     /// Collect one poll's wave into a fresh buffer (tests only; the
-    /// engine reuses a pooled buffer instead).
+    /// engine reuses one buffer per run instead).
     fn events_of(src: &mut impl ChurnSource, now: Time, view: &EngineView<'_>) -> Vec<ChurnEvent> {
         let mut out = Vec::new();
         src.next_events(now, view, &mut out);

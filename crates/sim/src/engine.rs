@@ -1,7 +1,6 @@
 //! The simulation engine: deterministic event loop over a dynamic network.
 
 use crate::alive::AliveSet;
-use crate::arena;
 use crate::churn::ChurnPlan;
 use crate::ctx::{CostSink, Ctx, EventSink};
 use crate::delay::{DelayModel, PartitionPlan};
@@ -158,16 +157,12 @@ impl<'g> SimBuilder<'g> {
     /// [`Simulation`]. `on_start` has not run yet — call
     /// [`Simulation::start`] (or one of the `run_*` helpers).
     ///
-    /// All host-indexed engine buffers come from the crate's
-    /// thread-local arena pool and return to it when the simulation
-    /// drops, so a batch worker reuses one engine arena across every
-    /// cell it runs.
+    /// The simulation owns every host-indexed buffer allocated here and
+    /// frees them when it drops: nothing carries over to the next
+    /// simulation a batch worker builds.
     pub fn build<L: NodeLogic>(self, mut factory: impl FnMut(HostId) -> L) -> Simulation<'g, L> {
         let n = self.graph.num_hosts();
-        let mut alive = arena::take_bools(n);
-        for flag in alive.iter_mut() {
-            *flag = true;
-        }
+        let mut alive = vec![true; n];
         for h in self.churn.initially_dead() {
             alive[h.index()] = false;
         }
@@ -204,44 +199,41 @@ impl<'g> SimBuilder<'g> {
             }
         });
         let logic: Vec<L> = (0..n as u32).map(|i| factory(HostId(i))).collect();
-        // Summaries are read only through poll-time EngineViews. Seeding
+        // Summaries are read only through poll-time EngineViews, so only
+        // a run with a churn source or overlay driver keeps them. Seeding
         // every slot once here (pre-`on_start`, same state the old
         // refresh-everyone poll loop would observe for never-activated
         // hosts) lets each poll refresh *alive* hosts only: a dead
         // host's logic never activates, so its seeded (or fail-time
         // captured) summary stays exact.
-        let track_summaries = self.dynamic.is_some() || overlay.is_some();
-        let mut summaries = arena::take_summaries(n);
-        if track_summaries {
-            for (slot, l) in summaries.iter_mut().zip(&logic) {
-                *slot = l.summary();
-            }
-        }
-        let mut initially_alive = arena::take_bools(n);
-        initially_alive.copy_from_slice(&alive);
+        let summaries = if self.dynamic.is_some() || overlay.is_some() {
+            logic.iter().map(L::summary).collect()
+        } else {
+            Vec::new()
+        };
         let tele = self.tele.map(|sink| {
-            sink.on_run_start(n, arena::pooled_buffers());
+            sink.on_run_start(n);
             Telemetry {
                 next_summary: sink.summary_every().map(|_| 0),
                 sink,
                 alive: alive_set.count() as u32,
-                touched: arena::take_u32s(n),
+                touched: vec![0; n],
                 counts: TickCounts::default(),
                 flushed_through: 0,
             }
         });
         Simulation {
             tele,
-            trace: Trace::new(initially_alive),
+            trace: Trace::new(alive.clone()),
             graph: self.graph,
             hosts: Hosts {
                 logic,
                 alive,
                 alive_set,
-                last_depth: arena::take_u32s(n),
+                last_depth: vec![0; n],
             },
             queue,
-            metrics: Metrics::from_arena(n),
+            metrics: Metrics::with_hosts(n),
             medium: self.medium,
             delay: self.delay,
             dynamic: self.dynamic,
@@ -251,9 +243,8 @@ impl<'g> SimBuilder<'g> {
             seed: self.seed,
             shard: None,
             shard_batches: 0,
-            track_summaries,
             summaries,
-            churn_buf: arena::take_churn(),
+            churn_buf: Vec::new(),
             now: Time::ZERO,
             started: false,
         }
@@ -391,12 +382,9 @@ pub struct Simulation<'g, L: NodeLogic> {
     /// ordinal, advanced identically for every thread count.
     shard_batches: u64,
     tele: Option<Telemetry<'g>>,
-    /// Whether `summaries` is live (a churn source or overlay driver is
-    /// installed). Gates the fail-time summary captures; stored as a
-    /// flag because `dynamic` is `take()`n to `None` mid-poll.
-    track_summaries: bool,
-    /// Reused per-poll scratch: one summary slot per host. Seeded once
-    /// at build, refreshed for *alive* hosts at each poll, captured at
+    /// Per-poll scratch: one summary slot per host, empty unless a
+    /// churn source or overlay driver is installed. Seeded once at
+    /// build, refreshed for *alive* hosts at each poll, captured at
     /// fail sites — dead hosts' logic never changes, so the invariant
     /// "slot == current summary" holds without full-range scans.
     summaries: Vec<StateSummary>,
@@ -404,24 +392,6 @@ pub struct Simulation<'g, L: NodeLogic> {
     churn_buf: Vec<ChurnEvent>,
     now: Time,
     started: bool,
-}
-
-impl<'g, L: NodeLogic> Drop for Simulation<'g, L> {
-    fn drop(&mut self) {
-        // Hand the host-indexed buffers back to the thread-local arena
-        // for the next cell of the batch.
-        arena::put_bools(std::mem::take(&mut self.hosts.alive));
-        self.hosts.alive_set.release();
-        arena::put_u32s(std::mem::take(&mut self.hosts.last_depth));
-        arena::put_bools(std::mem::take(&mut self.trace.initially_alive));
-        arena::put_u32s(std::mem::take(&mut self.metrics.processed_per_host));
-        arena::put_u64s(std::mem::take(&mut self.metrics.sent_per_tick));
-        arena::put_summaries(std::mem::take(&mut self.summaries));
-        arena::put_churn(std::mem::take(&mut self.churn_buf));
-        if let Some(t) = self.tele.as_mut() {
-            arena::put_u32s(std::mem::take(&mut t.touched));
-        }
-    }
 }
 
 impl<'g, L: NodeLogic> Simulation<'g, L> {
@@ -585,33 +555,8 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
             t.counts.dispatched += 1;
         }
         match payload {
-            Payload::Fail(h) => {
-                if self.hosts.is_alive(h) {
-                    self.hosts.set_alive(h, false);
-                    self.trace.record(TraceEvent::Fail(self.now, h));
-                    if let Some(t) = self.tele.as_mut() {
-                        t.counts.fails += 1;
-                        t.alive -= 1;
-                    }
-                    if self.track_summaries {
-                        // Capture the host's final summary: its slot is
-                        // no longer refreshed by the alive-only poll
-                        // loops, and dead logic never changes.
-                        self.summaries[h.index()] = self.hosts.logic(h).summary();
-                    }
-                }
-            }
-            Payload::Join(h) => {
-                if !self.hosts.is_alive(h) {
-                    self.hosts.set_alive(h, true);
-                    self.trace.record(TraceEvent::Join(self.now, h));
-                    if let Some(t) = self.tele.as_mut() {
-                        t.counts.joins += 1;
-                        t.alive += 1;
-                    }
-                    self.activate(h, Activation::Start);
-                }
-            }
+            Payload::Fail(h) => self.fail(h),
+            Payload::Join(h) => self.join(h),
             Payload::Deliver {
                 to,
                 from,
@@ -679,6 +624,41 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
         }
     }
 
+    /// Take `h` down — a planned failure or a churn source's, alike. A
+    /// dead host is left alone.
+    fn fail(&mut self, h: HostId) {
+        if !self.hosts.is_alive(h) {
+            return;
+        }
+        self.hosts.set_alive(h, false);
+        self.trace.record(TraceEvent::Fail(self.now, h));
+        if let Some(t) = self.tele.as_mut() {
+            t.counts.fails += 1;
+            t.alive -= 1;
+        }
+        // Capture the host's final summary when summaries are kept: its
+        // slot is no longer refreshed by the alive-only poll loops, and
+        // dead logic never changes.
+        if let Some(slot) = self.summaries.get_mut(h.index()) {
+            *slot = self.hosts.logic(h).summary();
+        }
+    }
+
+    /// Bring `h` back and fire its `on_start` — a planned join or a
+    /// churn source's, alike. A live host is left alone.
+    fn join(&mut self, h: HostId) {
+        if self.hosts.is_alive(h) {
+            return;
+        }
+        self.hosts.set_alive(h, true);
+        self.trace.record(TraceEvent::Join(self.now, h));
+        if let Some(t) = self.tele.as_mut() {
+            t.counts.joins += 1;
+            t.alive += 1;
+        }
+        self.activate(h, Activation::Start);
+    }
+
     /// Bring the summary scratch up to date for the next
     /// [`EngineView`]: refresh *alive* hosts only. Dead hosts keep the
     /// summary captured when they failed (or the build-time seed if
@@ -702,10 +682,9 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
 
     /// Poll the dynamic churn source: summarize the *alive* hosts'
     /// protocol state, hand the source an [`EngineView`], apply the events it
-    /// writes into the (pooled, reused) wave buffer — source failures
-    /// and joins have the same semantics as statically scheduled ones,
-    /// including trace recording — and schedule the next poll it asks
-    /// for.
+    /// writes into the (reused) wave buffer through the same `fail` /
+    /// `join` as statically scheduled ones, and schedule the next poll
+    /// it asks for.
     fn poll_churn_source(&mut self) {
         let Some(mut source) = self.dynamic.take() else {
             return;
@@ -724,31 +703,8 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
         source.next_events(self.now, &view, &mut wave);
         for &ev in &wave {
             match ev {
-                ChurnEvent::Fail(h) => {
-                    if self.hosts.is_alive(h) {
-                        self.hosts.set_alive(h, false);
-                        self.trace.record(TraceEvent::Fail(self.now, h));
-                        if let Some(t) = self.tele.as_mut() {
-                            t.counts.fails += 1;
-                            t.alive -= 1;
-                        }
-                        // Final-summary capture, as in the static Fail
-                        // path (`track_summaries` is always true here —
-                        // a source is installed).
-                        self.summaries[h.index()] = self.hosts.logic(h).summary();
-                    }
-                }
-                ChurnEvent::Join(h) => {
-                    if !self.hosts.is_alive(h) {
-                        self.hosts.set_alive(h, true);
-                        self.trace.record(TraceEvent::Join(self.now, h));
-                        if let Some(t) = self.tele.as_mut() {
-                            t.counts.joins += 1;
-                            t.alive += 1;
-                        }
-                        self.activate(h, Activation::Start);
-                    }
-                }
+                ChurnEvent::Fail(h) => self.fail(h),
+                ChurnEvent::Join(h) => self.join(h),
             }
         }
         self.churn_buf = wave;
@@ -1758,15 +1714,15 @@ mod tests {
     /// telemetry invariants.
     #[derive(Default)]
     struct Recorder {
-        started: Option<(usize, usize)>,
+        started: Option<usize>,
         ticks: Vec<TickSample>,
         summaries: Vec<(Time, u32, u64)>,
         every: Option<u64>,
     }
 
     impl TelemetrySink for Recorder {
-        fn on_run_start(&mut self, num_hosts: usize, arena_pooled: usize) {
-            self.started = Some((num_hosts, arena_pooled));
+        fn on_run_start(&mut self, num_hosts: usize) {
+            self.started = Some(num_hosts);
         }
         fn on_tick(&mut self, sample: &TickSample) {
             self.ticks.push(*sample);
@@ -1828,7 +1784,7 @@ mod tests {
         let sent = sim.metrics().messages_sent;
         let processed = sim.metrics().total_processed();
         drop(sim);
-        assert_eq!(rec.started, Some((8, 0)));
+        assert_eq!(rec.started, Some(8));
         // Every dispatched event, sent message and processed delivery
         // lands in exactly one tick sample.
         assert_eq!(

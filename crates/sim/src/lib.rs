@@ -49,16 +49,15 @@
 //! The hot path is engineered for batch sweeps: the event loop runs on
 //! a bucketed calendar queue (O(1) push/pop; ordering invariants
 //! documented in `event.rs`, equivalence to the original binary heap
-//! property-tested), [`SimBuilder::over`] borrows a topology so a
-//! thousand cells share one CSR neighbour arena, and every host-indexed
-//! engine buffer recycles through a thread-local pool across the
-//! simulations a worker thread builds and drops.
+//! property-tested) and [`SimBuilder::over`] borrows a topology so a
+//! thousand cells share one CSR neighbour arena. Everything else a run
+//! uses — host-indexed vectors, queue storage, scratch — is owned by its
+//! [`Simulation`] and freed with it.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod alive;
-mod arena;
 mod churn;
 mod ctx;
 mod delay;

@@ -39,17 +39,11 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Fresh counters with the host-indexed buffers drawn from the
-    /// thread-local [`arena`](crate::arena) pool (the engine returns
-    /// them on drop).
-    pub(crate) fn from_arena(num_hosts: usize) -> Self {
+    /// Fresh counters over `num_hosts` hosts.
+    pub(crate) fn with_hosts(num_hosts: usize) -> Self {
         Metrics {
-            messages_sent: 0,
-            processed_per_host: crate::arena::take_u32s(num_hosts),
-            sent_per_tick: crate::arena::take_u64s(0),
-            longest_chain: 0,
-            timers_fired: 0,
-            events_dispatched: 0,
+            processed_per_host: vec![0; num_hosts],
+            ..Metrics::default()
         }
     }
 
@@ -126,7 +120,7 @@ mod tests {
 
     #[test]
     fn send_accounting() {
-        let mut m = Metrics::from_arena(3);
+        let mut m = Metrics::with_hosts(3);
         m.record_send(Time(0));
         m.record_send(Time(2));
         m.record_send(Time(2));
@@ -138,8 +132,8 @@ mod tests {
     #[test]
     fn record_sends_matches_the_per_message_loop() {
         for (tick, n) in [(0u64, 0u64), (0, 1), (3, 5), (3, 0), (1, 2), (7, 1_000)] {
-            let mut bulk = Metrics::from_arena(1);
-            let mut looped = Metrics::from_arena(1);
+            let mut bulk = Metrics::with_hosts(1);
+            let mut looped = Metrics::with_hosts(1);
             // Shared history, so the bulk call lands on a non-empty table.
             for m in [&mut bulk, &mut looped] {
                 m.record_send(Time(2));
@@ -158,7 +152,7 @@ mod tests {
 
     #[test]
     fn processed_accounting() {
-        let mut m = Metrics::from_arena(3);
+        let mut m = Metrics::with_hosts(3);
         m.record_processed(HostId(1), 4);
         m.record_processed(HostId(1), 2);
         m.record_processed(HostId(2), 7);
@@ -170,7 +164,7 @@ mod tests {
 
     #[test]
     fn histogram() {
-        let mut m = Metrics::from_arena(4);
+        let mut m = Metrics::with_hosts(4);
         m.record_processed(HostId(0), 1);
         m.record_processed(HostId(0), 1);
         m.record_processed(HostId(1), 1);
@@ -181,7 +175,7 @@ mod tests {
 
     #[test]
     fn empty_metrics() {
-        let m = Metrics::from_arena(0);
+        let m = Metrics::with_hosts(0);
         assert_eq!(m.computation_cost(), 0);
         assert_eq!(m.last_active_tick(), None);
         assert_eq!(m.computation_histogram(), vec![0]);

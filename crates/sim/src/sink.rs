@@ -68,12 +68,10 @@ pub struct TickSample {
 /// The engine borrows the sink mutably for the simulation's lifetime;
 /// the caller keeps ownership and reads the recording afterwards.
 pub trait TelemetrySink {
-    /// Called once at build time, before any event fires.
-    /// `arena_pooled` is the number of recycled host-indexed buffers
-    /// currently held by this worker thread's engine arena — the
-    /// occupancy figure behind the allocation-free batch hot path.
-    fn on_run_start(&mut self, num_hosts: usize, arena_pooled: usize) {
-        let _ = (num_hosts, arena_pooled);
+    /// Called once at build time, before any event fires, with the
+    /// number of simulated hosts.
+    fn on_run_start(&mut self, num_hosts: usize) {
+        let _ = num_hosts;
     }
 
     /// Called when an active tick closes (virtual time advances past it
@@ -122,7 +120,7 @@ mod tests {
             }
         }
         let mut m = Minimal(0);
-        m.on_run_start(10, 0);
+        m.on_run_start(10);
         m.on_summary(Time(3), 1, 2.0);
         assert_eq!(m.summary_every(), None);
         m.on_tick(&TickSample {
@@ -135,7 +133,7 @@ mod tests {
     #[test]
     fn null_sink_accepts_everything() {
         let mut s = NullSink;
-        s.on_run_start(5, 2);
+        s.on_run_start(5);
         s.on_tick(&TickSample::default());
         s.on_summary(Time(1), 0, 0.0);
         assert_eq!(s.summary_every(), None);

@@ -402,7 +402,6 @@ mod tests {
                 offset: 4,
                 series: TickSeries {
                     num_hosts: 16,
-                    arena_pooled: 0,
                     ticks: vec![sample(0, 16), sample(3, 15)],
                     summaries: vec![SummarySample {
                         tick: 0,

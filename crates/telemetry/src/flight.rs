@@ -81,7 +81,7 @@ impl FlightRecorder {
 }
 
 impl TelemetrySink for FlightRecorder {
-    fn on_run_start(&mut self, num_hosts: usize, _arena_pooled: usize) {
+    fn on_run_start(&mut self, num_hosts: usize) {
         self.num_hosts = num_hosts;
     }
 
@@ -121,7 +121,7 @@ mod tests {
     #[test]
     fn dump_is_schema_stamped_jsonl() {
         let mut fr = FlightRecorder::new(2);
-        fr.on_run_start(50, 0);
+        fr.on_run_start(50);
         fr.on_tick(&tick(4));
         fr.on_tick(&tick(5));
         fr.on_tick(&tick(6));

@@ -21,9 +21,6 @@ pub struct SummarySample {
 pub struct TickSeries {
     /// Hosts in the simulated network.
     pub num_hosts: usize,
-    /// Recycled engine-arena buffers held by the worker thread when the
-    /// run started (allocation-free hot path occupancy).
-    pub arena_pooled: usize,
     /// One sample per *active* tick, in strictly increasing tick order.
     /// Quiet ticks are absent.
     pub ticks: Vec<TickSample>,
@@ -111,9 +108,8 @@ impl TickRecorder {
 }
 
 impl TelemetrySink for TickRecorder {
-    fn on_run_start(&mut self, num_hosts: usize, arena_pooled: usize) {
+    fn on_run_start(&mut self, num_hosts: usize) {
         self.series.num_hosts = num_hosts;
-        self.series.arena_pooled = arena_pooled;
     }
 
     fn on_tick(&mut self, sample: &TickSample) {
@@ -151,14 +147,13 @@ mod tests {
     #[test]
     fn recorder_accumulates_in_order() {
         let mut r = TickRecorder::with_summary_every(4);
-        r.on_run_start(64, 3);
+        r.on_run_start(64);
         r.on_tick(&sample(0, 4, 2));
         r.on_tick(&sample(3, 6, 5));
         r.on_summary(Time(0), 10, 1.5);
         assert_eq!(r.summary_every(), Some(4));
         let s = r.finish();
         assert_eq!(s.num_hosts, 64);
-        assert_eq!(s.arena_pooled, 3);
         assert_eq!(s.dispatched(), 10);
         assert_eq!(s.delivered(), 5);
         assert_eq!(s.sent(), 10);

@@ -1,10 +1,14 @@
-//! Golden equivalence for WILDFIRE's receive/flush path.
+//! Golden equivalence for WILDFIRE's receive/flush path and the tree
+//! protocols' neighbour classification.
 //!
-//! The constants in [`GOLDEN`] were captured on the commit *before* the
-//! knowledge table moved from copy-on-write `Rc<Partial>` entries to
-//! by-value ones; any rewrite of that path must reproduce them bit for
-//! bit. The overlay arm matters most: the table is keyed by `HostId`
-//! precisely because neighbour sets grow and reorder mid-run there.
+//! The WILDFIRE constants in [`GOLDEN`] were captured on the commit
+//! *before* the knowledge table moved from copy-on-write `Rc<Partial>`
+//! entries to by-value ones; any rewrite of that path must reproduce
+//! them bit for bit. The overlay arm matters most: the table is keyed by
+//! `HostId` precisely because neighbour sets grow and reorder mid-run
+//! there. The SPANNINGTREE and DAG rows were captured while both kept
+//! their classified neighbours in a `HashSet`, before it became a
+//! sorted `Vec`.
 //!
 //! To re-capture after an *intended* behaviour change, empty the table,
 //! run the test, and paste the rows the failure message prints.
@@ -128,6 +132,20 @@ fn actual() -> Vec<(String, Row)> {
             row(out.value, out.declared_at, &out.metrics),
         ));
     }
+    for (env, plan) in &environments {
+        for (name, kind) in [
+            ("spanning-tree", ProtocolKind::SpanningTree),
+            ("dag k=2", ProtocolKind::Dag { k: 2 }),
+        ] {
+            for medium in [Medium::PointToPoint, Medium::Radio] {
+                let out = run(kind, &graph, &values, &plan.clone().medium(medium));
+                rows.push((
+                    format!("{env} {name} {medium:?}"),
+                    row(out.value, out.declared_at, &out.metrics),
+                ));
+            }
+        }
+    }
     rows
 }
 
@@ -183,6 +201,18 @@ const GOLDEN: &[(&str, Row)] = &[
     ("overlay+osc min Radio opts=false", (4621819117588971520, 24, 1768, 16941, 51)),
     ("operator kmv", (4647137962280656936, 24, 20138, 24595, 78)),
     ("operator histogram", (4648743753925957107, 24, 21130, 25860, 88)),
+    ("static spanning-tree PointToPoint", (4647503709213818880, 12, 2618, 3118, 13)),
+    ("static spanning-tree Radio", (4616189618054758400, 2, 999, 3617, 20)),
+    ("static dag k=2 PointToPoint", (4648505855648819575, 12, 3034, 3688, 19)),
+    ("static dag k=2 Radio", (4626467063358244916, 6, 1273, 4481, 28)),
+    ("churn+cut spanning-tree PointToPoint", (4645480607818711040, 24, 2504, 3034, 10)),
+    ("churn+cut spanning-tree Radio", (4616189618054758400, 2, 938, 3519, 18)),
+    ("churn+cut dag k=2 PointToPoint", (4646873067053823409, 24, 2643, 3181, 12)),
+    ("churn+cut dag k=2 Radio", (4643108503870181341, 24, 1005, 3800, 24)),
+    ("overlay+osc spanning-tree PointToPoint", (4639165013028765696, 24, 3038, 3777, 13)),
+    ("overlay+osc spanning-tree Radio", (4616189618054758400, 2, 979, 4301, 20)),
+    ("overlay+osc dag k=2 PointToPoint", (4643562822322885001, 24, 3408, 4206, 17)),
+    ("overlay+osc dag k=2 Radio", (4624355068916970929, 7, 1197, 5006, 25)),
 ];
 
 #[test]
@@ -205,6 +235,6 @@ fn wildfire_outcomes_match_the_pre_rewrite_capture() {
             };
             table.push_str(&format!("    ({:?}, {:?}),{mark}\n", entry.0, entry.1));
         }
-        panic!("WILDFIRE outcomes moved; actual rows:\n{table}");
+        panic!("golden outcomes moved; actual rows:\n{table}");
     }
 }
