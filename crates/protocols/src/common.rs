@@ -271,22 +271,126 @@ impl Partial {
         }
     }
 
-    /// Overwrite `self` with a copy of `other` in place. Same-variant FM
-    /// sketches reuse their register allocation — WILDFIRE does this once
-    /// per neighbour per flush — and every other pairing (scalars, KMV,
-    /// histograms, a change of variant) is `*self = other.clone()`.
-    pub fn assign(&mut self, other: &Partial) {
-        match (self, other) {
-            (Partial::SketchCount(a), Partial::SketchCount(b))
-            | (Partial::SketchSum(a), Partial::SketchSum(b)) => a.assign(b),
-            (
-                Partial::SketchAvg { sum: s1, count: c1 },
-                Partial::SketchAvg { sum: s2, count: c2 },
-            ) => {
-                s1.assign(s2);
-                c1.assign(c2);
+    /// Words in this partial's register row — the flat form WILDFIRE
+    /// keeps its own partial and its contacts' knowledge in
+    /// ([`crate::wildfire`]). Every partial WILDFIRE holds has one:
+    ///
+    /// * min / max: one word;
+    /// * FM count and sum: the `c` registers; FM avg: sum's `c` then
+    ///   count's `c`;
+    /// * histogram: each bucket's `c` registers, in bucket order;
+    /// * KMV: the number of minima held, then `k` slots with the minima
+    ///   ascending and the rest zero.
+    ///
+    /// Two partials of the same shape (variant, `c`, `k`, bucket layout)
+    /// are equal exactly when their rows are.
+    ///
+    /// # Panics
+    /// On the exact count/sum/avg partials, which are
+    /// duplicate-sensitive and never joined in rows.
+    pub(crate) fn row_width(&self) -> usize {
+        match self {
+            Partial::Min(_) | Partial::Max(_) => 1,
+            Partial::SketchCount(s) | Partial::SketchSum(s) => s.repetitions(),
+            Partial::SketchAvg { sum, count } => sum.repetitions() + count.repetitions(),
+            Partial::Histogram(h) => h.bucket_sketches().iter().map(|s| s.repetitions()).sum(),
+            Partial::KmvCount(s) => 1 + s.k(),
+            exact => no_row(exact),
+        }
+    }
+
+    /// Write this partial's row into `row` (`row_width` words).
+    pub(crate) fn write_row(&self, row: &mut [u64]) {
+        debug_assert_eq!(row.len(), self.row_width());
+        match self {
+            Partial::Min(v) | Partial::Max(v) => row[0] = *v,
+            Partial::SketchCount(s) | Partial::SketchSum(s) => row.copy_from_slice(s.registers()),
+            Partial::SketchAvg { sum, count } => {
+                let (s, c) = row.split_at_mut(sum.repetitions());
+                s.copy_from_slice(sum.registers());
+                c.copy_from_slice(count.registers());
             }
-            (me, other) => *me = other.clone(),
+            Partial::Histogram(h) => {
+                let mut rest = row;
+                for s in h.bucket_sketches() {
+                    let (bucket, tail) = rest.split_at_mut(s.repetitions());
+                    bucket.copy_from_slice(s.registers());
+                    rest = tail;
+                }
+            }
+            Partial::KmvCount(s) => {
+                let (held, slots) = row.split_first_mut().expect("k >= 2 slots");
+                let mins = s.mins();
+                *held = mins.len() as u64;
+                slots[..mins.len()].copy_from_slice(mins);
+                slots[mins.len()..].fill(0);
+            }
+            exact => no_row(exact),
+        }
+    }
+
+    /// Join this partial into `row`, a row of the same shape, and report
+    /// whether the row changed — the row form of
+    /// [`Partial::combine_check`], with the same result and flag. FM
+    /// shapes are a word-wise OR; min/max one compare.
+    pub(crate) fn join_row(&self, row: &mut [u64]) -> bool {
+        debug_assert_eq!(row.len(), self.row_width());
+        match self {
+            Partial::Min(v) => {
+                let grew = *v < row[0];
+                row[0] = row[0].min(*v);
+                grew
+            }
+            Partial::Max(v) => {
+                let grew = *v > row[0];
+                row[0] = row[0].max(*v);
+                grew
+            }
+            Partial::SketchCount(s) | Partial::SketchSum(s) => or_into(row, s.registers()),
+            Partial::SketchAvg { sum, count } => {
+                let (s, c) = row.split_at_mut(sum.repetitions());
+                let a = or_into(s, sum.registers());
+                let b = or_into(c, count.registers());
+                a || b
+            }
+            Partial::Histogram(h) => {
+                let mut grew = false;
+                let mut rest = row;
+                for s in h.bucket_sketches() {
+                    let (bucket, tail) = rest.split_at_mut(s.repetitions());
+                    grew |= or_into(bucket, s.registers());
+                    rest = tail;
+                }
+                grew
+            }
+            // KMV's merge is not word-wise: decode, merge, re-encode.
+            Partial::KmvCount(_) => {
+                let mut held = self.clone();
+                held.read_row(row);
+                let grew = held.combine_check(self);
+                held.write_row(row);
+                grew
+            }
+            exact => no_row(exact),
+        }
+    }
+
+    /// Overwrite `self` in place with the partial `row` holds; `row` must
+    /// have `self`'s shape, which `self` keeps (no reallocation for FM
+    /// registers).
+    pub(crate) fn read_row(&mut self, row: &[u64]) {
+        debug_assert_eq!(row.len(), self.row_width());
+        match self {
+            Partial::Min(v) | Partial::Max(v) => *v = row[0],
+            Partial::SketchCount(s) | Partial::SketchSum(s) => s.overwrite_registers(row),
+            Partial::SketchAvg { sum, count } => {
+                let (s, c) = row.split_at(sum.repetitions());
+                sum.overwrite_registers(s);
+                count.overwrite_registers(c);
+            }
+            Partial::Histogram(h) => h.overwrite_registers(row),
+            Partial::KmvCount(s) => s.overwrite_mins(&row[1..][..row[0] as usize]),
+            exact => no_row(exact),
         }
     }
 
@@ -349,6 +453,21 @@ impl Partial {
     }
 }
 
+/// OR `words` into `row` and report whether any bit was gained.
+fn or_into(row: &mut [u64], words: &[u64]) -> bool {
+    assert_eq!(row.len(), words.len(), "register rows of different widths");
+    let mut gained = 0;
+    for (r, &w) in row.iter_mut().zip(words) {
+        gained |= w & !*r;
+        *r |= w;
+    }
+    gained != 0
+}
+
+fn no_row(exact: &Partial) -> ! {
+    panic!("exact partials are duplicate-sensitive and have no register row: {exact:?}")
+}
+
 /// Which duplicate-insensitive operator family a WILDFIRE query uses
 /// (§5.2 FM is the paper's; KMV and histograms are the §7 "future work"
 /// operators this reproduction adds).
@@ -399,6 +518,7 @@ impl Operator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn rng() -> SmallRng {
@@ -500,6 +620,72 @@ mod tests {
         // True average is 50; FM error on both sketches compounds, so be
         // generous but bounded.
         assert!((10.0..250.0).contains(&est), "avg estimate {est}");
+    }
+
+    /// One of the seven partial shapes WILDFIRE holds (`kind` picks which:
+    /// min, max, FM count, sum, avg, KMV, histogram), seeded from a host
+    /// value, a repetition count and an RNG seed.
+    fn partial(kind: usize, value: u64, c: usize, seed: u64) -> Partial {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let aggregates = [
+            Aggregate::Min,
+            Aggregate::Max,
+            Aggregate::Count,
+            Aggregate::Sum,
+            Aggregate::Average,
+        ];
+        match kind {
+            0..=4 => Partial::init_sketched(aggregates[kind], value, c, &mut rng),
+            5 => Operator::KmvCount { k: c + 1 }.init(Aggregate::Count, value, c, &mut rng),
+            _ => Operator::ValueHistogram {
+                min: 10,
+                max: 500,
+                buckets: 1 + c % 5,
+            }
+            .init(Aggregate::Count, value, c, &mut rng),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn register_rows_mirror_partials(
+            kind in 0usize..7,
+            values in (10u64..500, 10u64..500),
+            c in 1usize..34,
+            seeds in (0u64..4, 0u64..4),
+        ) {
+            // Small seed and value ranges make equal pairs common.
+            let a = partial(kind, values.0, c, seeds.0);
+            let b = partial(kind, values.1 % 40 + 10, c, seeds.1);
+            let width = a.row_width();
+            prop_assert_eq!(b.row_width(), width);
+            let (mut row_a, mut row_b) = (vec![0; width], vec![0; width]);
+            a.write_row(&mut row_a);
+            b.write_row(&mut row_b);
+
+            let mut back = b.clone();
+            back.read_row(&row_a);
+            prop_assert_eq!(back, a, "read_row(write_row(a)) != a");
+            prop_assert_eq!(row_a == row_b, a == b, "row equality is not partial equality");
+
+            let mut joined = a.clone();
+            let changed = joined.combine_check(&b);
+            let before = row_a.clone();
+            prop_assert_eq!(b.join_row(&mut row_a), changed, "join flag differs");
+            let mut expected = vec![0; width];
+            joined.write_row(&mut expected);
+            prop_assert_eq!(row_a, expected, "join result differs");
+            prop_assert_eq!(row_a == before, joined == a);
+            prop_assert!(!b.join_row(&mut row_a), "re-join reported a change");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no register row")]
+    fn exact_partials_have_no_row() {
+        Partial::init_exact(Aggregate::Count, 1).row_width();
     }
 
     #[test]

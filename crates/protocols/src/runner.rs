@@ -635,7 +635,7 @@ pub fn run_wildfire_operator(
     let result = logic.result();
     OperatorOutcome {
         value: result.map(|(v, _)| v),
-        partial: logic.partial().cloned(),
+        partial: logic.partial(),
         declared_at: result.map(|(_, t)| t),
         metrics: sim.metrics().clone(),
         trace: sim.trace().clone(),

@@ -20,6 +20,16 @@
 //!   known to hold its exact partial (Example 5.1: *"Host y received its
 //!   new `A_y` value from w, so it skips sending the value back to w"*).
 //!
+//! **Register rows.** With FM sketches (§5.2) both a host's partial and
+//! its copy of each contact's are `c` register words, so an active host
+//! keeps them all as rows of `u64` words in one allocation (the row
+//! layout is `Partial::row_width`'s): row 0 is its own `A_h`, row
+//! `i + 1` what its `i`-th contact is known to hold. A receipt ORs the
+//! incoming partial into row 0 and into the sender's row; the skip rule
+//! is a word compare of two rows; a send copies row 0 over the
+//! receiver's row. `Partial` stays the type on the wire and at the API
+//! boundary, decoded from row 0 only to send, declare or report.
+//!
 //! Both §5.3 engineering optimizations are implemented and toggleable
 //! (ablation A1/A2, `pov_core::experiments::ablation`):
 //!
@@ -63,9 +73,10 @@ impl Default for WildfireOpts {
 /// Partials travel as `Rc<Partial>`: a fan-out to `d` neighbours is `d`
 /// reference bumps on one sketch allocation instead of `d` deep clones
 /// of the FM registers (the engine is single-threaded per simulation,
-/// so `Rc` is safe). The `Rc` is a snapshot built once per flush that
-/// actually sends; receivers only read it, combining into state they
-/// hold by value.
+/// so `Rc` is safe). The sender decodes its row 0 into that `Rc` only
+/// when the row has grown since the last send — in place when no
+/// message still holds the previous one. Receivers only read it,
+/// joining it into their own register rows.
 #[derive(Clone, Debug)]
 pub enum WfMsg {
     /// Phase-I flood: query spec, hop count so far, and (optionally)
@@ -85,59 +96,133 @@ pub enum WfMsg {
     },
 }
 
-/// Active-phase state.
+/// Active-phase state: the host's partial and what each contact is known
+/// to hold (because it sent it to us, or we sent ours to it), as register
+/// rows of `width` words in one allocation.
+///
+/// Contacts are keyed by `HostId` rather than by neighbour-slot index
+/// because under an overlay ([`pov_sim::OverlayDriver`]) the neighbour
+/// set can grow and reorder mid-run; rows of contacts that are no longer
+/// neighbours simply stop being consulted. The ids sit in their own
+/// sorted vec, packed, so the binary search touches a line or two; both
+/// vecs are reserved at activation for every neighbour, and rows are
+/// updated in place, so the steady state allocates nothing.
 #[derive(Debug)]
 struct Active {
-    partial: Partial,
     depth: u32,
     /// Last tick at which this host still participates (see
     /// [`WildfireNode::deadline_for`]).
     deadline: u64,
-    /// Last partial each contact is known to hold (either because it
-    /// sent it to us, or because we sent ours to it), as a vec sorted by
-    /// `HostId` — no hashing on the flush path. Entries are held by
-    /// value and updated in place (`combine` on receipt, `assign` on
-    /// send), so the steady state allocates nothing. Keyed by host
-    /// rather than by neighbour-slot index because under an overlay
-    /// ([`pov_sim::OverlayDriver`]) the neighbour set can grow and
-    /// reorder mid-run; entries for contacts that are no longer
-    /// neighbours simply stop being consulted.
-    knowledge: Vec<(HostId, Partial)>,
+    /// Words per row ([`Partial::row_width`]).
+    width: usize,
+    /// Contact ids, ascending; `keys[i]` owns row `i + 1`.
+    keys: Vec<HostId>,
+    /// Row 0 is this host's partial `A_h`; row `i + 1` is what `keys[i]`
+    /// is known to hold.
+    rows: Vec<u64>,
+    /// The partial last sent (shared with the messages carrying it), and
+    /// the shape template row 0 decodes into.
+    sent: Rc<Partial>,
+    /// Whether row 0 has grown since `sent` was decoded from it.
+    sent_stale: bool,
     flush_scheduled: bool,
 }
 
 impl Active {
+    fn new(partial: Partial, depth: u32, deadline: u64, degree: usize) -> Active {
+        let width = partial.row_width();
+        let mut rows = Vec::with_capacity(width * (degree + 1));
+        rows.resize(width, 0);
+        partial.write_row(&mut rows);
+        Active {
+            depth,
+            deadline,
+            width,
+            keys: Vec::with_capacity(degree),
+            rows,
+            sent: Rc::new(partial),
+            sent_stale: false,
+            flush_scheduled: false,
+        }
+    }
+
+    fn row(&self, i: usize) -> &[u64] {
+        &self.rows[i * self.width..][..self.width]
+    }
+
+    fn row_mut(&mut self, i: usize) -> &mut [u64] {
+        &mut self.rows[i * self.width..][..self.width]
+    }
+
     /// Whether neighbour `n` is known to already hold exactly the
     /// current partial (Example 5.1's skip rule).
     fn synced(&self, n: HostId) -> bool {
-        self.knowledge
-            .binary_search_by_key(&n, |e| e.0)
-            .is_ok_and(|i| self.knowledge[i].1 == self.partial)
+        self.keys
+            .binary_search(&n)
+            .is_ok_and(|i| self.row(i + 1) == self.row(0))
     }
 
-    /// Join `incoming` into what neighbour `n` is known to hold (don't
-    /// overwrite — reliable links mean the sender still holds everything
-    /// we sent it earlier).
+    /// Fig 4's receipt: join `incoming` into our partial, and into what
+    /// neighbour `n` is known to hold (don't overwrite — reliable links
+    /// mean the sender still holds everything we sent it earlier, even
+    /// if this message was in flight before ours arrived).
     fn absorb(&mut self, n: HostId, incoming: &Partial) {
-        match self.knowledge.binary_search_by_key(&n, |e| e.0) {
-            Ok(i) => self.knowledge[i].1.combine(incoming),
-            Err(i) => self.knowledge.insert(i, (n, incoming.clone())),
+        self.sent_stale |= incoming.join_row(self.row_mut(0));
+        match self.keys.binary_search(&n) {
+            Ok(i) => {
+                incoming.join_row(self.row_mut(i + 1));
+            }
+            Err(i) => {
+                let row = self.insert_row(i, n);
+                incoming.write_row(self.row_mut(row));
+            }
         }
     }
 
     /// Note that neighbour `n` now holds exactly the current partial
     /// (we just sent it to them).
     fn record(&mut self, n: HostId) {
-        match self.knowledge.binary_search_by_key(&n, |e| e.0) {
-            Ok(i) => self.knowledge[i].1.assign(&self.partial),
-            Err(i) => self.knowledge.insert(i, (n, self.partial.clone())),
-        }
+        let row = match self.keys.binary_search(&n) {
+            Ok(i) => i + 1,
+            Err(i) => self.insert_row(i, n),
+        };
+        self.rows.copy_within(..self.width, row * self.width);
     }
 
-    /// A shareable snapshot of the current partial for one round of
-    /// sends.
-    fn snapshot(&self) -> Rc<Partial> {
-        Rc::new(self.partial.clone())
+    /// Make `n` contact `i`, with a zeroed row; returns that row's index.
+    fn insert_row(&mut self, i: usize, n: HostId) -> usize {
+        self.keys.insert(i, n);
+        let at = (i + 1) * self.width;
+        let end = self.rows.len();
+        self.rows.resize(end + self.width, 0);
+        self.rows.copy_within(at..end, at + self.width);
+        i + 1
+    }
+
+    /// The current partial, shareable by one round of sends. Decoded
+    /// only if row 0 grew since the last send, into the previous
+    /// snapshot when no message holds it any more.
+    fn snapshot(&mut self) -> Rc<Partial> {
+        if self.sent_stale {
+            self.sent_stale = false;
+            let own = &self.rows[..self.width];
+            match Rc::get_mut(&mut self.sent) {
+                Some(sent) => sent.read_row(own),
+                None => {
+                    let mut fresh = Partial::clone(&self.sent);
+                    fresh.read_row(own);
+                    self.sent = Rc::new(fresh);
+                }
+            }
+        }
+        Rc::clone(&self.sent)
+    }
+
+    /// The current partial, decoded from row 0.
+    fn partial(&self) -> Partial {
+        let mut p = Partial::clone(&self.sent);
+        p.read_row(self.row(0));
+        p
     }
 }
 
@@ -201,9 +286,10 @@ impl WildfireNode {
         self.result
     }
 
-    /// Current partial aggregate (diagnostics/tests).
-    pub fn partial(&self) -> Option<&Partial> {
-        self.active.as_ref().map(|a| &a.partial)
+    /// Current partial aggregate (diagnostics/tests), decoded from the
+    /// host's register row.
+    pub fn partial(&self) -> Option<Partial> {
+        self.active.as_ref().map(Active::partial)
     }
 
     /// Hop depth at which this host was activated.
@@ -225,13 +311,9 @@ impl WildfireNode {
         let partial = self
             .operator
             .init(spec.aggregate, self.value, spec.c, ctx.rng());
-        self.active = Some(Active {
-            partial,
-            depth,
-            deadline: self.deadline_for(&spec, depth),
-            knowledge: Vec::new(),
-            flush_scheduled: false,
-        });
+        let deadline = self.deadline_for(&spec, depth);
+        let degree = ctx.neighbors().len();
+        self.active = Some(Active::new(partial, depth, deadline, degree));
         self.query = Some(spec);
     }
 
@@ -244,10 +326,6 @@ impl WildfireNode {
         if ctx.now().ticks() > active.deadline {
             return; // Fig 4: "else Terminate"
         }
-        active.partial.combine_check(incoming);
-        // Join, don't overwrite: the sender still holds everything we
-        // sent it earlier (reliable links), even if this message was in
-        // flight before ours arrived.
         active.absorb(from, incoming);
         if !active.flush_scheduled {
             active.flush_scheduled = true;
@@ -278,15 +356,16 @@ impl WildfireNode {
                 active.record(n);
             }
         } else {
-            // Built on the first send, so a flush that finds every
-            // neighbour in sync allocates nothing.
-            let mut snapshot = None;
             for &n in neighbors {
                 if active.synced(n) {
                     continue;
                 }
-                let partial = Rc::clone(snapshot.get_or_insert_with(|| active.snapshot()));
-                ctx.send(n, WfMsg::Converge { partial });
+                ctx.send(
+                    n,
+                    WfMsg::Converge {
+                        partial: active.snapshot(),
+                    },
+                );
                 active.record(n);
             }
         }
@@ -295,7 +374,7 @@ impl WildfireNode {
 
 impl ProtocolObserver for WildfireNode {
     fn state_summary(&self) -> StateSummary {
-        summary_of(self.partial())
+        summary_of(self.partial().as_ref())
     }
 }
 
@@ -350,7 +429,6 @@ impl NodeLogic for WildfireNode {
                     // (Example 5.1: x forwards A_x = 15, already combined).
                     if let Some(p) = partial {
                         let active = self.active.as_mut().expect("just activated");
-                        active.partial.combine_check(&p);
                         active.absorb(from, &p);
                     }
                     let piggyback = self.opts.piggyback;
@@ -399,7 +477,7 @@ impl NodeLogic for WildfireNode {
             TIMER_FLUSH => self.flush(ctx),
             TIMER_DECLARE if self.is_query_host => {
                 if let Some(active) = &self.active {
-                    self.result = Some((active.partial.value(), ctx.now()));
+                    self.result = Some((active.partial().value(), ctx.now()));
                 }
             }
             _ => {}
@@ -458,6 +536,8 @@ mod tests {
     /// 136 bytes — and SPANNINGTREE carries `Partial` by value in every
     /// message and host, so `scale_tree` peak RSS went 338 → 579 MB
     /// (docs/BENCHMARKING.md, "WILDFIRE hot path"). Don't re-try it.
+    /// Nor row-form wire messages (`Rc<[u64]>` instead of `Rc<Partial>`):
+    /// no gain, and `WfMsg` grows to 40 bytes ("round two").
     #[test]
     fn partial_and_message_layout_do_not_grow() {
         assert!(std::mem::size_of::<Partial>() <= 56);

@@ -4,12 +4,10 @@
 
 use pov_protocols::allreport::ReportRouting;
 use pov_protocols::wildfire::WildfireOpts;
-use pov_protocols::{runner, Aggregate, Operator, Partial, ProtocolKind, RunPlan};
+use pov_protocols::{runner, Aggregate, ProtocolKind, RunPlan};
 use pov_sim::{ChurnPlan, Time};
 use pov_topology::{analysis, Graph, GraphBuilder, HostId};
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// Arbitrary connected graph + per-host values + churn plan.
 #[derive(Debug, Clone)]
@@ -99,53 +97,8 @@ fn min_max_valid(sc: &Scenario, aggregate: Aggregate, v: f64) -> bool {
     }
 }
 
-/// One of the ten `Partial` variants (`kind` picks which), seeded from
-/// a host value, a repetition count and an RNG seed.
-fn partial(kind: usize, value: u64, c: usize, seed: u64) -> Partial {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let aggregates = [
-        Aggregate::Min,
-        Aggregate::Max,
-        Aggregate::Count,
-        Aggregate::Sum,
-        Aggregate::Average,
-    ];
-    match kind {
-        0..=4 => Partial::init_exact(aggregates[kind], value),
-        5..=7 => Partial::init_sketched(aggregates[kind - 3], value, c, &mut rng),
-        8 => Operator::KmvCount { k: c + 1 }.init(Aggregate::Count, value, c, &mut rng),
-        _ => Operator::ValueHistogram {
-            min: 10,
-            max: 500,
-            buckets: 1 + c % 5,
-        }
-        .init(Aggregate::Count, value, c, &mut rng),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn assign_makes_any_pair_equal(
-        kinds in (0usize..10, 0usize..10),
-        values in (10u64..500, 10u64..500),
-        cs in (1usize..12, 1usize..12),
-        seeds in (0u64..1_000, 0u64..1_000),
-    ) {
-        // Same variant and `c` (the allocation-reusing arm), same variant
-        // with a different `c`, and different variants (the clone
-        // fallback) must all leave the target equal to the source.
-        let src = partial(kinds.1, values.1, cs.1, seeds.1);
-        for mut dst in [
-            partial(kinds.0, values.0, cs.0, seeds.0),
-            partial(kinds.1, values.0, cs.1, seeds.0),
-            partial(kinds.1, values.0, cs.0, seeds.0),
-        ] {
-            dst.assign(&src);
-            prop_assert_eq!(&dst, &src);
-        }
-    }
 
     #[test]
     fn theorem_5_1_wildfire_min_max_valid(sc in scenario(16), seed in 0u64..100) {

@@ -132,11 +132,21 @@ impl FmSketch {
         changed
     }
 
-    /// Overwrite `self` with a copy of `other`, reusing the register
-    /// allocation (no realloc when the repetition counts match) — the
-    /// in-place counterpart of `*self = other.clone()`.
-    pub fn assign(&mut self, other: &FmSketch) {
-        self.registers.clone_from(&other.registers);
+    /// The `c` register words, read-only (WILDFIRE copies them into its
+    /// flat per-host register rows).
+    pub fn registers(&self) -> &[u64] {
+        &self.registers
+    }
+
+    /// Overwrite the registers in place with `words`, which must hold
+    /// exactly `c` words (the sketch keeps its shape).
+    pub fn overwrite_registers(&mut self, words: &[u64]) {
+        assert_eq!(
+            self.registers.len(),
+            words.len(),
+            "cannot overwrite a sketch with a different repetition count"
+        );
+        self.registers.copy_from_slice(words);
     }
 
     /// Per-register `z_i`: index of the lowest-order bit still 0.
@@ -276,25 +286,9 @@ mod tests {
     }
 
     #[test]
-    fn assign_copies_and_reuses_the_allocation() {
-        let mut r = rng(12);
-        for c in [1usize, 4, 8, 31] {
-            let mut src = FmSketch::new(c);
-            src.insert_elements(40, &mut r);
-            let mut dst = FmSketch::new(c);
-            dst.insert_elements(40, &mut r);
-            let (ptr, cap) = (dst.registers.as_ptr(), dst.registers.capacity());
-            dst.assign(&src);
-            assert_eq!(dst, src);
-            assert_eq!(dst.registers.as_ptr(), ptr, "c={c}: reallocated");
-            assert_eq!(dst.registers.capacity(), cap);
-        }
-        // A different repetition count still ends up equal.
-        let src = FmSketch::new(3);
-        let mut dst = FmSketch::new(9);
-        dst.insert_one(&mut r);
-        dst.assign(&src);
-        assert_eq!(dst, src);
+    #[should_panic(expected = "different repetition count")]
+    fn overwrite_registers_keeps_the_shape() {
+        FmSketch::new(4).overwrite_registers(&[0; 8]);
     }
 
     #[test]

@@ -21,11 +21,32 @@ pub struct Buckets {
 }
 
 impl Buckets {
-    /// `count` equi-width buckets spanning `[min, max]` inclusive.
+    /// `count` equi-width buckets spanning `[min, max]` inclusive. Every
+    /// bucket holds at least one value, so there can be no more buckets
+    /// than values in the range.
     pub fn equi_width(min: u64, max: u64, count: usize) -> Self {
         assert!(max >= min, "empty value range");
         assert!(count >= 1, "need at least one bucket");
-        Buckets { min, max, count }
+        let b = Buckets { min, max, count };
+        assert!(
+            count as u128 <= b.span(),
+            "{count} buckets over [{min}, {max}]: more buckets than values"
+        );
+        b
+    }
+
+    /// Number of values in `[min, max]`; `u64::MAX + 1` for the full
+    /// range, hence the wider type.
+    fn span(&self) -> u128 {
+        u128::from(self.max - self.min) + 1
+    }
+
+    /// Offset from `min` of the first value in bucket `i` (`i ≤ count`):
+    /// `⌈i · span / count⌉`, the least offset [`Buckets::index_of`] maps
+    /// to bucket `i` or later. Exact, and no overflow: `i · span < 2^128`.
+    fn start(&self, i: usize) -> u128 {
+        let count = self.count as u128;
+        (i as u128 * self.span()).div_ceil(count)
     }
 
     /// Number of buckets.
@@ -41,29 +62,26 @@ impl Buckets {
     /// The bucket index for a value (values outside the range clamp to
     /// the edge buckets — hosts must never drop data silently).
     pub fn index_of(&self, value: u64) -> usize {
-        let v = value.clamp(self.min, self.max);
-        let span = (self.max - self.min + 1) as f64;
-        let idx = ((v - self.min) as f64 / span * self.count as f64) as usize;
-        idx.min(self.count - 1)
+        let offset = u128::from(value.clamp(self.min, self.max) - self.min);
+        // offset < span, so the quotient is < count.
+        (offset * self.count as u128 / self.span()) as usize
     }
 
-    /// The value range `[lo, hi]` covered by bucket `i`.
+    /// The value range `[lo, hi]` covered by bucket `i`: exactly the
+    /// values [`Buckets::index_of`] maps to `i`. The buckets tile
+    /// `[min, max]` and none is empty.
     pub fn range_of(&self, i: usize) -> (u64, u64) {
         assert!(i < self.count, "bucket out of range");
-        let span = (self.max - self.min + 1) as f64;
-        let lo = self.min + (span * i as f64 / self.count as f64) as u64;
-        let hi = if i + 1 == self.count {
-            self.max
-        } else {
-            self.min + (span * (i + 1) as f64 / self.count as f64) as u64 - 1
-        };
+        // Both offsets are < span ≤ 2^64, so they fit a u64.
+        let lo = self.min + self.start(i) as u64;
+        let hi = self.min + (self.start(i + 1) - 1) as u64;
         (lo, hi)
     }
 
     /// Midpoint of bucket `i` (used by the histogram average).
     pub fn midpoint(&self, i: usize) -> f64 {
         let (lo, hi) = self.range_of(i);
-        (lo + hi) as f64 / 2.0
+        (lo as f64 + hi as f64) / 2.0
     }
 }
 
@@ -84,6 +102,25 @@ impl HistogramSketch {
     /// The bucket layout.
     pub fn buckets(&self) -> &Buckets {
         &self.buckets
+    }
+
+    /// The per-bucket FM sketches, read-only, in bucket order.
+    pub fn bucket_sketches(&self) -> &[FmSketch] {
+        &self.counts
+    }
+
+    /// Overwrite every bucket's registers in place from `words`: bucket
+    /// `i` takes the `i`-th run of `c` words (the layout keeps its shape).
+    pub fn overwrite_registers(&mut self, words: &[u64]) {
+        let c = self.counts[0].repetitions();
+        assert_eq!(
+            words.len(),
+            self.counts.len() * c,
+            "cannot overwrite a histogram of a different shape"
+        );
+        for (s, w) in self.counts.iter_mut().zip(words.chunks_exact(c)) {
+            s.overwrite_registers(w);
+        }
     }
 
     /// Record this host's attribute value (one distinct element in the
@@ -195,6 +232,25 @@ mod tests {
             expected = hi + 1;
         }
         assert_eq!(expected, 100);
+    }
+
+    #[test]
+    fn full_range_buckets_index_without_overflow() {
+        let b = Buckets::equi_width(0, u64::MAX, 4);
+        assert_eq!(b.index_of(5), 0);
+        assert_eq!(b.index_of(u64::MAX / 4), 0);
+        assert_eq!(b.index_of(u64::MAX / 4 + 1), 1);
+        assert_eq!(b.index_of(u64::MAX / 2 + 1), 2);
+        assert_eq!(b.index_of(u64::MAX), 3);
+        assert_eq!(b.range_of(0), (0, u64::MAX / 4));
+        assert_eq!(b.range_of(3), (u64::MAX / 4 * 3 + 3, u64::MAX));
+        assert_eq!(b.midpoint(3), (u64::MAX / 8 * 7) as f64);
+    }
+
+    #[test]
+    #[should_panic(expected = "more buckets than values")]
+    fn rejects_more_buckets_than_values() {
+        Buckets::equi_width(0, 2, 5);
     }
 
     #[test]

@@ -39,6 +39,20 @@ impl KmvSketch {
         self.k
     }
 
+    /// The retained minima, ascending and distinct (at most `k`).
+    pub fn mins(&self) -> &[u64] {
+        &self.mins
+    }
+
+    /// Replace the retained minima with `mins`, which must be ascending,
+    /// distinct and at most `k` long (the sketch keeps its `k`).
+    pub fn overwrite_mins(&mut self, mins: &[u64]) {
+        assert!(mins.len() <= self.k, "more than k = {} minima", self.k);
+        debug_assert!(mins.windows(2).all(|w| w[0] < w[1]), "minima not ascending");
+        self.mins.clear();
+        self.mins.extend_from_slice(mins);
+    }
+
     /// Whether no element was ever inserted.
     pub fn is_empty(&self) -> bool {
         self.mins.is_empty()

@@ -3,7 +3,7 @@
 //! holds the line.
 //!
 //! ```sh
-//! cargo run --release -p pov-examples --bin adversarial_tree
+//! cargo run --release --example adversarial_tree
 //! ```
 
 use pov_core::pov_oracle::host_sets;

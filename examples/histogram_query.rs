@@ -5,7 +5,7 @@
 //! count does.
 //!
 //! ```sh
-//! cargo run --release -p pov-examples --bin histogram_query
+//! cargo run --release --example histogram_query
 //! ```
 
 use pov_core::pov_protocols::runner::run_wildfire_operator;

@@ -7,7 +7,7 @@
 //! shrinking population size in parallel.
 //!
 //! ```sh
-//! cargo run --release -p pov-examples --bin p2p_monitoring
+//! cargo run --release --example p2p_monitoring
 //! ```
 
 use pov_core::capture_recapture::{JollySeber, PopulationModel};

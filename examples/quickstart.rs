@@ -2,7 +2,7 @@
 //! let the oracle judge the answer.
 //!
 //! ```sh
-//! cargo run --release -p pov-examples --bin quickstart
+//! cargo run --release --example quickstart
 //! ```
 
 use pov_core::prelude::*;

@@ -6,7 +6,7 @@
 //! communication price WILDFIRE pays — and how min queries escape it.
 //!
 //! ```sh
-//! cargo run --release -p pov-examples --bin sensor_grid
+//! cargo run --release --example sensor_grid
 //! ```
 
 use pov_core::prelude::*;

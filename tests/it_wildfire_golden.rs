@@ -1,14 +1,18 @@
 //! Golden equivalence for WILDFIRE's receive/flush path and the tree
 //! protocols' neighbour classification.
 //!
-//! The WILDFIRE constants in [`GOLDEN`] were captured on the commit
-//! *before* the knowledge table moved from copy-on-write `Rc<Partial>`
-//! entries to by-value ones; any rewrite of that path must reproduce
-//! them bit for bit. The overlay arm matters most: the table is keyed by
-//! `HostId` precisely because neighbour sets grow and reorder mid-run
-//! there. The SPANNINGTREE and DAG rows were captured while both kept
-//! their classified neighbours in a `HashSet`, before it became a
-//! sorted `Vec`.
+//! The WILDFIRE rows pin the register-row layout: each host keeps its
+//! own partial and what every contact is known to hold as rows of `u64`
+//! words in one allocation. The first 50 were captured before the
+//! knowledge table moved from copy-on-write `Rc<Partial>` entries to
+//! by-value ones; the `max`, odd-width (`c = 1`, `c = 31`) and KMV
+//! `k = 2` rows were added while it still held one `Partial` per
+//! contact, before the rows replaced it. Any rewrite of that path must
+//! reproduce every row bit for bit. The overlay arm matters most: rows
+//! are keyed by `HostId` precisely because neighbour sets grow and
+//! reorder mid-run there. The SPANNINGTREE and DAG rows were captured
+//! while both kept their classified neighbours in a `HashSet`, before it
+//! became a sorted `Vec`.
 //!
 //! To re-capture after an *intended* behaviour change, empty the table,
 //! run the test, and paste the rows the failure message prints.
@@ -95,6 +99,7 @@ fn actual() -> Vec<(String, Row)> {
             Aggregate::Sum,
             Aggregate::Average,
             Aggregate::Min,
+            Aggregate::Max,
         ] {
             for medium in [Medium::PointToPoint, Medium::Radio] {
                 for on in [true, false] {
@@ -113,9 +118,27 @@ fn actual() -> Vec<(String, Row)> {
             }
         }
     }
+    // Odd register-row widths: one word per sketch, and 31 (62 for avg).
+    for (env, plan) in &environments[..2] {
+        for c in [1, 31] {
+            for aggregate in [Aggregate::Count, Aggregate::Average] {
+                for medium in [Medium::PointToPoint, Medium::Radio] {
+                    let mut plan = plan.clone().medium(medium).repetitions(c);
+                    plan.aggregate = aggregate;
+                    let kind = ProtocolKind::Wildfire(WildfireOpts::default());
+                    let out = run(kind, &graph, &values, &plan);
+                    rows.push((
+                        format!("{env} {} c={c} {medium:?}", aggregate.name()),
+                        row(out.value, out.declared_at, &out.metrics),
+                    ));
+                }
+            }
+        }
+    }
     let (_, churned) = &environments[1];
     for (name, operator) in [
         ("kmv", Operator::KmvCount { k: 32 }),
+        ("kmv k=2", Operator::KmvCount { k: 2 }),
         (
             "histogram",
             Operator::ValueHistogram {
@@ -167,6 +190,10 @@ const GOLDEN: &[(&str, Row)] = &[
     ("static min PointToPoint opts=false", (4621819117588971520, 24, 4670, 5777, 31)),
     ("static min Radio opts=true", (4621819117588971520, 24, 682, 4981, 20)),
     ("static min Radio opts=false", (4621819117588971520, 24, 1129, 7427, 32)),
+    ("static max PointToPoint opts=true", (4647204642051063808, 24, 7999, 10669, 47)),
+    ("static max PointToPoint opts=false", (4647204642051063808, 24, 9377, 12030, 57)),
+    ("static max Radio opts=true", (4647204642051063808, 24, 1947, 13599, 55)),
+    ("static max Radio opts=false", (4647204642051063808, 24, 2266, 15312, 63)),
     ("churn+cut count PointToPoint opts=true", (4648505855648819575, 24, 18830, 23460, 72)),
     ("churn+cut count PointToPoint opts=false", (4648505855648819575, 24, 20056, 24686, 73)),
     ("churn+cut count Radio opts=true", (4648505855648819575, 24, 3998, 26507, 93)),
@@ -183,6 +210,10 @@ const GOLDEN: &[(&str, Row)] = &[
     ("churn+cut min PointToPoint opts=false", (4621819117588971520, 24, 4638, 5637, 17)),
     ("churn+cut min Radio opts=true", (4621819117588971520, 24, 650, 4724, 18)),
     ("churn+cut min Radio opts=false", (4621819117588971520, 24, 1100, 7162, 26)),
+    ("churn+cut max PointToPoint opts=true", (4647204642051063808, 24, 7870, 10554, 32)),
+    ("churn+cut max PointToPoint opts=false", (4647204642051063808, 24, 9368, 12033, 38)),
+    ("churn+cut max Radio opts=true", (4647204642051063808, 24, 1873, 13261, 45)),
+    ("churn+cut max Radio opts=false", (4647204642051063808, 24, 2218, 15112, 55)),
     ("overlay+osc count PointToPoint opts=true", (4648505855648819575, 24, 19339, 23364, 72)),
     ("overlay+osc count PointToPoint opts=false", (4648505855648819575, 24, 20601, 24654, 78)),
     ("overlay+osc count Radio opts=true", (4648505855648819575, 24, 3652, 29458, 99)),
@@ -199,7 +230,28 @@ const GOLDEN: &[(&str, Row)] = &[
     ("overlay+osc min PointToPoint opts=false", (4621819117588971520, 24, 6331, 8316, 34)),
     ("overlay+osc min Radio opts=true", (4621819117588971520, 24, 1272, 13141, 40)),
     ("overlay+osc min Radio opts=false", (4621819117588971520, 24, 1768, 16941, 51)),
+    ("overlay+osc max PointToPoint opts=true", (4647204642051063808, 24, 9567, 12660, 44)),
+    ("overlay+osc max PointToPoint opts=false", (4647204642051063808, 24, 11369, 14572, 53)),
+    ("overlay+osc max Radio opts=true", (4647204642051063808, 24, 2351, 20750, 67)),
+    ("overlay+osc max Radio opts=false", (4647204642051063808, 24, 2730, 23750, 78)),
+    ("static count c=1 PointToPoint", (4644481461867726900, 24, 9571, 12584, 45)),
+    ("static count c=1 Radio", (4644481461867726900, 24, 2267, 15604, 65)),
+    ("static avg c=1 PointToPoint", (4629700416936869888, 24, 12111, 15112, 57)),
+    ("static avg c=1 Radio", (4629700416936869888, 24, 2602, 17279, 75)),
+    ("static count c=31 PointToPoint", (4647932600283197901, 24, 18690, 22690, 92)),
+    ("static count c=31 Radio", (4647932600283197901, 24, 3661, 23876, 103)),
+    ("static avg c=31 PointToPoint", (4634850611602045607, 24, 19767, 24067, 93)),
+    ("static avg c=31 Radio", (4634850611602045607, 24, 3904, 25628, 110)),
+    ("churn+cut count c=1 PointToPoint", (4644481461867726900, 24, 8955, 11807, 30)),
+    ("churn+cut count c=1 Radio", (4644481461867726900, 24, 2112, 14565, 52)),
+    ("churn+cut avg c=1 PointToPoint", (4629700416936869888, 24, 12196, 15505, 45)),
+    ("churn+cut avg c=1 Radio", (4629700416936869888, 24, 2738, 18240, 66)),
+    ("churn+cut count c=31 PointToPoint", (4647932600283197901, 24, 21610, 26524, 95)),
+    ("churn+cut count c=31 Radio", (4647932600283197901, 24, 4337, 28464, 106)),
+    ("churn+cut avg c=31 PointToPoint", (4632728718431665056, 24, 22115, 27061, 96)),
+    ("churn+cut avg c=31 Radio", (4632728718431665056, 24, 4385, 28755, 111)),
     ("operator kmv", (4647137962280656936, 24, 20138, 24595, 78)),
+    ("operator kmv k=2", (4640161383615149810, 24, 12223, 15752, 49)),
     ("operator histogram", (4648743753925957107, 24, 21130, 25860, 88)),
     ("static spanning-tree PointToPoint", (4647503709213818880, 12, 2618, 3118, 13)),
     ("static spanning-tree Radio", (4616189618054758400, 2, 999, 3617, 20)),
