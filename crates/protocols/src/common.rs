@@ -1,7 +1,6 @@
 //! Shared query/aggregate machinery.
 
 use pov_sketch::{Buckets, FmSketch, HistogramSketch, KmvSketch};
-use pov_topology::HostId;
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 
@@ -77,49 +76,123 @@ pub struct QuerySpec {
 impl QuerySpec {
     /// Absolute deadline `2·D̂·δ` in ticks.
     pub fn deadline(&self) -> u64 {
-        2 * self.d_hat as u64
+        deadline(self.d_hat)
     }
 }
 
-/// Classify neighbour `h` in a tree host's echo set `heard`, kept
-/// sorted: SPANNINGTREE and DAG only ever ask how many neighbours are
-/// classified, so the set needs a duplicate-free insert and `len()`.
-/// The first insert reserves the `expected` neighbours the host waits
-/// for: one exact allocation, not a doubling regrow, per host.
-pub(crate) fn note_heard(heard: &mut Vec<HostId>, h: HostId, expected: usize) {
-    if let Err(i) = heard.binary_search(&h) {
-        if heard.capacity() == 0 {
-            heard.reserve_exact(expected);
+/// The absolute deadline `2·D̂·δ`, in ticks, of a query with diameter
+/// overestimate `d_hat`.
+pub(crate) fn deadline(d_hat: u32) -> u64 {
+    2 * u64::from(d_hat)
+}
+
+/// An exact partial aggregate: the conventional combine (+ / min / max)
+/// over two words. Count and sum are **duplicate-sensitive** — correct
+/// along a tree, wrong if a contribution is ever combined twice — so
+/// only the tree protocols use it: SPANNINGTREE ([`crate::spanning_tree`])
+/// and the multiplexed engine ([`crate::mux`]), which carry it by value
+/// in every child report. Duplicate-insensitive protocols use
+/// [`Partial`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ExactPartial {
+    aggregate: Aggregate,
+    /// The min/max/count/sum accumulator (the running sum for AVG).
+    a: u64,
+    /// Contributing-host count (AVG only; unused elsewhere). A host
+    /// count fits a `u32`, as a `HostId` does, which keeps the whole
+    /// partial at 16 bytes and SPANNINGTREE's host record at 48.
+    b: u32,
+}
+
+impl ExactPartial {
+    /// A host's initial partial for `aggregate` given its attribute
+    /// `value`.
+    pub fn init(aggregate: Aggregate, value: u64) -> ExactPartial {
+        let (a, b) = match aggregate {
+            Aggregate::Min | Aggregate::Max | Aggregate::Sum => (value, 0),
+            Aggregate::Count => (1, 0),
+            Aggregate::Average => (value, 1),
+        };
+        ExactPartial { aggregate, a, b }
+    }
+
+    /// The one-host partial of a host whose query has not named its
+    /// aggregate yet: it holds `value` as is, for
+    /// [`ExactPartial::named`] to seed from. A host record keeps its
+    /// value this way instead of in a word of its own.
+    pub(crate) fn unnamed(value: u64) -> ExactPartial {
+        ExactPartial::init(Aggregate::Sum, value)
+    }
+
+    /// `init(aggregate, value)` for the `value` an
+    /// [`ExactPartial::unnamed`] partial holds.
+    pub(crate) fn named(self, aggregate: Aggregate) -> ExactPartial {
+        ExactPartial::init(aggregate, self.a)
+    }
+
+    /// The aggregate function this partial computes.
+    pub fn aggregate(&self) -> Aggregate {
+        self.aggregate
+    }
+
+    /// Fold `other` into `self` (the §5.1 combine; commutative and
+    /// associative, so delivery order never reaches the answer).
+    pub fn combine(&mut self, other: ExactPartial) {
+        debug_assert_eq!(
+            self.aggregate, other.aggregate,
+            "partials from different queries must never meet"
+        );
+        match self.aggregate {
+            Aggregate::Min => self.a = self.a.min(other.a),
+            Aggregate::Max => self.a = self.a.max(other.a),
+            Aggregate::Count | Aggregate::Sum => self.a += other.a,
+            Aggregate::Average => {
+                self.a += other.a;
+                self.b += other.b;
+            }
         }
-        heard.insert(i, h);
+    }
+
+    /// The scalar answer this partial represents at declaration time.
+    pub fn value(&self) -> f64 {
+        match self.aggregate {
+            Aggregate::Min | Aggregate::Max | Aggregate::Count | Aggregate::Sum => self.a as f64,
+            Aggregate::Average => {
+                if self.b == 0 {
+                    0.0
+                } else {
+                    self.a as f64 / f64::from(self.b)
+                }
+            }
+        }
+    }
+
+    /// The scalar a protocol-state-aware adversary ranks this host by:
+    /// as [`Partial::sketch_weight`] does for min/max (the minimum
+    /// negated, so the answer-carrying host ranks highest), and the
+    /// answer itself otherwise.
+    pub fn sketch_weight(&self) -> f64 {
+        match self.aggregate {
+            Aggregate::Min => -(self.a as f64),
+            _ => self.value(),
+        }
     }
 }
 
-/// A partial aggregate `A_h` (§5.1) — the state a host contributes and
-/// combines during convergecast.
+/// A partial aggregate `A_h` (§5.1) — the state a duplicate-insensitive
+/// protocol contributes and combines during convergecast.
 ///
-/// Exact variants use the conventional combine (+ / min / max) and are
-/// **duplicate-sensitive** for count/sum: correct along a tree
-/// (SPANNINGTREE), wrong if ever combined twice. Sketched variants use
-/// FM bit-vectors with OR-combine and are duplicate-insensitive, which
-/// is what WILDFIRE and DIRECTEDACYCLICGRAPH require.
+/// Min and max use the conventional combine, which is already
+/// duplicate-insensitive. Count, sum and average use FM bit-vectors
+/// with OR-combine (or the §7 KMV and histogram sketches), which is what
+/// WILDFIRE and DIRECTEDACYCLICGRAPH require. The exact, duplicate-
+/// sensitive form is [`ExactPartial`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Partial {
     /// Running minimum.
     Min(u64),
     /// Running maximum.
     Max(u64),
-    /// Exact (duplicate-sensitive) count.
-    ExactCount(u64),
-    /// Exact (duplicate-sensitive) sum.
-    ExactSum(u64),
-    /// Exact (duplicate-sensitive) average state.
-    ExactAvg {
-        /// Sum of contributing values.
-        sum: u64,
-        /// Number of contributing hosts.
-        count: u64,
-    },
     /// Duplicate-insensitive count sketch.
     SketchCount(FmSketch),
     /// Duplicate-insensitive sum sketch.
@@ -140,21 +213,6 @@ pub enum Partial {
 }
 
 impl Partial {
-    /// A host's initial partial aggregate for an *exact* protocol
-    /// (SPANNINGTREE) given its attribute value.
-    pub fn init_exact(aggregate: Aggregate, value: u64) -> Partial {
-        match aggregate {
-            Aggregate::Min => Partial::Min(value),
-            Aggregate::Max => Partial::Max(value),
-            Aggregate::Count => Partial::ExactCount(1),
-            Aggregate::Sum => Partial::ExactSum(value),
-            Aggregate::Average => Partial::ExactAvg {
-                sum: value,
-                count: 1,
-            },
-        }
-    }
-
     /// A host's initial partial aggregate for a *duplicate-insensitive*
     /// protocol (WILDFIRE, DAG): min/max stay exact (already
     /// duplicate-insensitive), count/sum/avg become FM sketches seeded by
@@ -194,15 +252,6 @@ impl Partial {
         match (self, other) {
             (Partial::Min(a), Partial::Min(b)) => *a = (*a).min(*b),
             (Partial::Max(a), Partial::Max(b)) => *a = (*a).max(*b),
-            (Partial::ExactCount(a), Partial::ExactCount(b)) => *a += *b,
-            (Partial::ExactSum(a), Partial::ExactSum(b)) => *a += *b,
-            (
-                Partial::ExactAvg { sum: s1, count: c1 },
-                Partial::ExactAvg { sum: s2, count: c2 },
-            ) => {
-                *s1 += *s2;
-                *c1 += *c2;
-            }
             (Partial::SketchCount(a), Partial::SketchCount(b)) => a.merge(b),
             (Partial::SketchSum(a), Partial::SketchSum(b)) => a.merge(b),
             (
@@ -239,22 +288,6 @@ impl Partial {
                     false
                 }
             }
-            (Partial::ExactCount(a), Partial::ExactCount(b)) => {
-                *a += *b;
-                *b > 0
-            }
-            (Partial::ExactSum(a), Partial::ExactSum(b)) => {
-                *a += *b;
-                *b > 0
-            }
-            (
-                Partial::ExactAvg { sum: s1, count: c1 },
-                Partial::ExactAvg { sum: s2, count: c2 },
-            ) => {
-                *s1 += *s2;
-                *c1 += *c2;
-                *s2 > 0 || *c2 > 0
-            }
             (Partial::SketchCount(a), Partial::SketchCount(b)) => a.merge_check(b),
             (Partial::SketchSum(a), Partial::SketchSum(b)) => a.merge_check(b),
             (
@@ -273,7 +306,7 @@ impl Partial {
 
     /// Words in this partial's register row — the flat form WILDFIRE
     /// keeps its own partial and its contacts' knowledge in
-    /// ([`crate::wildfire`]). Every partial WILDFIRE holds has one:
+    /// ([`crate::wildfire`]). Every partial has one:
     ///
     /// * min / max: one word;
     /// * FM count and sum: the `c` registers; FM avg: sum's `c` then
@@ -284,10 +317,6 @@ impl Partial {
     ///
     /// Two partials of the same shape (variant, `c`, `k`, bucket layout)
     /// are equal exactly when their rows are.
-    ///
-    /// # Panics
-    /// On the exact count/sum/avg partials, which are
-    /// duplicate-sensitive and never joined in rows.
     pub(crate) fn row_width(&self) -> usize {
         match self {
             Partial::Min(_) | Partial::Max(_) => 1,
@@ -295,7 +324,6 @@ impl Partial {
             Partial::SketchAvg { sum, count } => sum.repetitions() + count.repetitions(),
             Partial::Histogram(h) => h.bucket_sketches().iter().map(|s| s.repetitions()).sum(),
             Partial::KmvCount(s) => 1 + s.k(),
-            exact => no_row(exact),
         }
     }
 
@@ -325,7 +353,6 @@ impl Partial {
                 slots[..mins.len()].copy_from_slice(mins);
                 slots[mins.len()..].fill(0);
             }
-            exact => no_row(exact),
         }
     }
 
@@ -371,7 +398,6 @@ impl Partial {
                 held.write_row(row);
                 grew
             }
-            exact => no_row(exact),
         }
     }
 
@@ -390,7 +416,6 @@ impl Partial {
             }
             Partial::Histogram(h) => h.overwrite_registers(row),
             Partial::KmvCount(s) => s.overwrite_mins(&row[1..][..row[0] as usize]),
-            exact => no_row(exact),
         }
     }
 
@@ -398,15 +423,6 @@ impl Partial {
     pub fn value(&self) -> f64 {
         match self {
             Partial::Min(v) | Partial::Max(v) => *v as f64,
-            Partial::ExactCount(c) => *c as f64,
-            Partial::ExactSum(s) => *s as f64,
-            Partial::ExactAvg { sum, count } => {
-                if *count == 0 {
-                    0.0
-                } else {
-                    *sum as f64 / *count as f64
-                }
-            }
             Partial::SketchCount(s) | Partial::SketchSum(s) => s.estimate(),
             Partial::SketchAvg { sum, count } => {
                 let c = count.estimate();
@@ -462,10 +478,6 @@ fn or_into(row: &mut [u64], words: &[u64]) -> bool {
         *r |= w;
     }
     gained != 0
-}
-
-fn no_row(exact: &Partial) -> ! {
-    panic!("exact partials are duplicate-sensitive and have no register row: {exact:?}")
 }
 
 /// Which duplicate-insensitive operator family a WILDFIRE query uses
@@ -545,36 +557,44 @@ mod tests {
 
     #[test]
     fn exact_combines() {
-        let mut p = Partial::init_exact(Aggregate::Count, 5);
-        p.combine(&Partial::init_exact(Aggregate::Count, 9));
-        assert_eq!(p.value(), 2.0);
-
-        let mut p = Partial::init_exact(Aggregate::Sum, 5);
-        p.combine(&Partial::init_exact(Aggregate::Sum, 9));
-        assert_eq!(p.value(), 14.0);
-
-        let mut p = Partial::init_exact(Aggregate::Average, 10);
-        p.combine(&Partial::init_exact(Aggregate::Average, 20));
-        assert_eq!(p.value(), 15.0);
-
-        let mut p = Partial::init_exact(Aggregate::Min, 10);
-        p.combine(&Partial::init_exact(Aggregate::Min, 3));
-        assert_eq!(p.value(), 3.0);
-
-        let mut p = Partial::init_exact(Aggregate::Max, 10);
-        p.combine(&Partial::init_exact(Aggregate::Max, 3));
-        assert_eq!(p.value(), 10.0);
+        let combined = |aggregate, x, y| {
+            let mut p = ExactPartial::init(aggregate, x);
+            p.combine(ExactPartial::init(aggregate, y));
+            p.value()
+        };
+        assert_eq!(combined(Aggregate::Count, 5, 9), 2.0);
+        assert_eq!(combined(Aggregate::Sum, 5, 9), 14.0);
+        assert_eq!(combined(Aggregate::Average, 10, 20), 15.0);
+        assert_eq!(combined(Aggregate::Min, 10, 3), 3.0);
+        assert_eq!(combined(Aggregate::Max, 10, 3), 10.0);
     }
 
     #[test]
     fn exact_count_is_duplicate_sensitive() {
         // Demonstrates *why* WILDFIRE cannot use exact count: combining
         // the same contribution twice inflates the result.
-        let other = Partial::init_exact(Aggregate::Count, 1);
-        let mut p = Partial::init_exact(Aggregate::Count, 1);
-        p.combine(&other);
-        p.combine(&other);
+        let other = ExactPartial::init(Aggregate::Count, 1);
+        let mut p = ExactPartial::init(Aggregate::Count, 1);
+        p.combine(other);
+        p.combine(other);
         assert_eq!(p.value(), 3.0); // counted one host twice
+    }
+
+    #[test]
+    fn an_unnamed_partial_seeds_every_aggregate() {
+        for aggregate in [
+            Aggregate::Min,
+            Aggregate::Max,
+            Aggregate::Count,
+            Aggregate::Sum,
+            Aggregate::Average,
+        ] {
+            let named = ExactPartial::unnamed(42).named(aggregate);
+            assert_eq!(named, ExactPartial::init(aggregate, 42), "{aggregate:?}");
+        }
+        // The adversary's ranking: the smallest minimum weighs most.
+        assert_eq!(ExactPartial::init(Aggregate::Min, 7).sketch_weight(), -7.0);
+        assert_eq!(ExactPartial::init(Aggregate::Max, 7).sketch_weight(), 7.0);
     }
 
     #[test]
@@ -680,12 +700,6 @@ mod tests {
             prop_assert_eq!(row_a == before, joined == a);
             prop_assert!(!b.join_row(&mut row_a), "re-join reported a change");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "no register row")]
-    fn exact_partials_have_no_row() {
-        Partial::init_exact(Aggregate::Count, 1).row_width();
     }
 
     #[test]

@@ -26,9 +26,19 @@
 //! single multicast, which is why the paper's Fig 11 DAG curve overlaps
 //! SPANNINGTREE — while still letting a value climb around a dead first
 //! parent level by level.
+//!
+//! SPANNINGTREE's radio rule and one-shot root hold here too: each query
+//! copy names its sender's *first* parent, a copy that names the
+//! receiver comes from its own child's radio flood and classifies
+//! nothing, and a root that rejoins does not flood again. Unlike
+//! SPANNINGTREE, a DAG host keeps *which* neighbours it has classified,
+//! not a count: an extra parent hears its child twice even
+//! point-to-point — the child's query copy (sent before the adoption)
+//! and then its report.
 
-use crate::common::{note_heard, Partial, QuerySpec};
+use crate::common::{Partial, QuerySpec};
 use crate::observer::{summary_of, ProtocolObserver};
+use crate::spanning_tree::NO_PARENT;
 use pov_sim::{Ctx, NodeLogic, StateSummary, Time};
 use pov_topology::HostId;
 
@@ -48,6 +58,8 @@ pub enum DagMsg {
         spec: QuerySpec,
         /// Hops travelled (sender's depth).
         hops: u32,
+        /// The sender's first parent ([`NO_PARENT`] from the root).
+        parent: HostId,
     },
     /// An aggregate from a host that adopted us as one of its parents
     /// (either its completion report or a late update).
@@ -117,6 +129,20 @@ impl DagNode {
     }
 }
 
+/// Classify neighbour `h` in `heard`, kept sorted: a DAG host only
+/// ever asks how many distinct neighbours are classified, so the set
+/// needs a duplicate-free insert and `len()`. The first insert reserves
+/// the `expected` neighbours the host waits for: one exact allocation,
+/// not a doubling regrow, per host.
+fn note_heard(heard: &mut Vec<HostId>, h: HostId, expected: usize) {
+    if let Err(i) = heard.binary_search(&h) {
+        if heard.capacity() == 0 {
+            heard.reserve_exact(expected);
+        }
+        heard.insert(i, h);
+    }
+}
+
 impl DagNode {
     fn expected(&self, ctx: &Ctx<'_, DagMsg>) -> usize {
         ctx.degree() - usize::from(!self.parents.is_empty())
@@ -160,7 +186,7 @@ impl DagNode {
 
 impl ProtocolObserver for DagNode {
     fn state_summary(&self) -> StateSummary {
-        summary_of(self.partial.as_ref())
+        summary_of(self.partial.as_ref().map(Partial::sketch_weight))
     }
 }
 
@@ -172,7 +198,8 @@ impl NodeLogic for DagNode {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, DagMsg>) {
-        if !self.is_query_host {
+        // A root that rejoins after a failure has already flooded.
+        if !self.is_query_host || self.activated {
             return;
         }
         let spec = self.query.expect("query host has a spec");
@@ -184,13 +211,17 @@ impl NodeLogic for DagNode {
             ctx.rng(),
         ));
         ctx.set_timer(spec.deadline(), TIMER_FALLBACK);
-        ctx.broadcast(DagMsg::Query { spec, hops: 0 });
+        ctx.broadcast(DagMsg::Query {
+            spec,
+            hops: 0,
+            parent: NO_PARENT,
+        });
         self.check_completion(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, DagMsg>, from: HostId, msg: DagMsg) {
         match msg {
-            DagMsg::Query { spec, hops } => {
+            DagMsg::Query { spec, hops, parent } => {
                 if !self.activated {
                     self.activated = true;
                     self.query = Some(spec);
@@ -210,13 +241,15 @@ impl NodeLogic for DagNode {
                         DagMsg::Query {
                             spec,
                             hops: self.depth,
+                            parent: from,
                         },
                     );
                     self.check_completion(ctx);
-                } else {
-                    // Duplicate copy: classify the sender; adopt it as an
-                    // extra parent while slots remain, but only if it is
-                    // strictly closer to the root (acyclicity).
+                } else if parent != ctx.me() {
+                    // Duplicate copy (not our own child's radio flood):
+                    // classify the sender; adopt it as an extra parent
+                    // while slots remain, but only if it is strictly
+                    // closer to the root (acyclicity).
                     if !self.is_query_host
                         && self.parents.len() < self.k
                         && hops < self.depth

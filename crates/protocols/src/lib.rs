@@ -29,7 +29,7 @@ pub mod runner;
 pub mod spanning_tree;
 pub mod wildfire;
 
-pub use common::{Aggregate, Operator, Partial, QuerySpec};
+pub use common::{Aggregate, ExactPartial, Operator, Partial, QuerySpec};
 pub use mux::{run_mux, MuxOutcome, MuxPlan, MuxQuery, QueryId};
 pub use observer::ProtocolObserver;
 pub use pov_overlay::OverlayConfig;

@@ -30,7 +30,7 @@
 //! in a multiplexed run is byte-identical to its solo run over the same
 //! churn realization — the property `it_mux.rs` asserts.
 
-use crate::common::Aggregate;
+use crate::common::{Aggregate, ExactPartial};
 use crate::observer::ProtocolObserver;
 use pov_sim::{
     ChurnPlan, Ctx, Metrics, NodeLogic, PartitionPlan, SimBuilder, Simulation, StateSummary, Time,
@@ -81,69 +81,6 @@ impl MuxQuery {
     }
 }
 
-/// A compact exact partial aggregate for the multiplexed wire.
-///
-/// The mux engine computes exact (duplicate-sensitive) aggregates, so
-/// it never needs the sketch variants of [`crate::Partial`] — and that
-/// enum is sized for its largest (sketch) variant. With millions of
-/// `(QueryId, MuxItem)` pairs staged, sorted and shipped per run, item
-/// size is directly wall-clock: this 24-byte struct mirrors the exact
-/// arms of `Partial::{init_exact, combine, value}` bit for bit.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MuxPartial {
-    aggregate: Aggregate,
-    /// The min/max/count/sum accumulator (the running sum for AVG).
-    a: u64,
-    /// Contributing-host count (AVG only; unused elsewhere).
-    b: u64,
-}
-
-impl MuxPartial {
-    /// A host's initial partial for `aggregate` given its attribute
-    /// `value` — exactly `Partial::init_exact`.
-    pub fn init(aggregate: Aggregate, value: u64) -> MuxPartial {
-        let (a, b) = match aggregate {
-            Aggregate::Min | Aggregate::Max | Aggregate::Sum => (value, 0),
-            Aggregate::Count => (1, 0),
-            Aggregate::Average => (value, 1),
-        };
-        MuxPartial { aggregate, a, b }
-    }
-
-    /// Fold `other` into `self` (the §5.1 combine; commutative and
-    /// associative, so within-tick delivery order never reaches it).
-    pub fn combine(&mut self, other: MuxPartial) {
-        debug_assert_eq!(
-            self.aggregate, other.aggregate,
-            "partials from different queries must never meet"
-        );
-        match self.aggregate {
-            Aggregate::Min => self.a = self.a.min(other.a),
-            Aggregate::Max => self.a = self.a.max(other.a),
-            Aggregate::Count | Aggregate::Sum => self.a += other.a,
-            Aggregate::Average => {
-                self.a += other.a;
-                self.b += other.b;
-            }
-        }
-    }
-
-    /// The scalar answer this partial induces — exactly
-    /// `Partial::value` on the matching exact variant.
-    pub fn value(&self) -> f64 {
-        match self.aggregate {
-            Aggregate::Min | Aggregate::Max | Aggregate::Count | Aggregate::Sum => self.a as f64,
-            Aggregate::Average => {
-                if self.b == 0 {
-                    0.0
-                } else {
-                    self.a as f64 / self.b as f64
-                }
-            }
-        }
-    }
-}
-
 /// One query's payload inside a shared wave message.
 #[derive(Clone, Copy, Debug)]
 pub enum MuxItem {
@@ -159,7 +96,7 @@ pub enum MuxItem {
     /// A child's subtree aggregate.
     Child {
         /// The child's combined partial.
-        partial: MuxPartial,
+        partial: ExactPartial,
     },
 }
 
@@ -263,7 +200,7 @@ struct QState {
     heard: Heard,
     /// This host's subtree aggregate so far; it carries the query's
     /// aggregate function.
-    partial: MuxPartial,
+    partial: ExactPartial,
     /// Tick the forced report fires at: `deadline − depth`, clamped to
     /// the tick after first hearing (the timer's own fire tick). While
     /// fresh: the query's absolute deadline.
@@ -443,7 +380,7 @@ impl MuxNode {
             // lowest-numbered one.
             let target = self.open.iter().find(|&&(_, slot)| {
                 let s = &self.states[slot as usize];
-                s.parent.is_none() && s.partial.aggregate == q.aggregate
+                s.parent.is_none() && s.partial.aggregate() == q.aggregate
             });
             if let Some(&(target, _)) = target {
                 self.aliases.push((target, qid));
@@ -462,7 +399,7 @@ impl MuxNode {
                     },
                 ));
             }
-            let partial = MuxPartial::init(q.aggregate, self.value);
+            let partial = ExactPartial::init(q.aggregate, self.value);
             if ctx.degree() == 0 {
                 // Isolated root: nothing to wait for.
                 self.retire(qid);
@@ -514,7 +451,7 @@ impl MuxNode {
             heard.note(ctx.neighbors(), from);
             let state = QState {
                 heard,
-                partial: MuxPartial::init(aggregate, self.value),
+                partial: ExactPartial::init(aggregate, self.value),
                 fallback_at: deadline,
                 parent: Some(from),
                 depth: hops + 1,
@@ -565,7 +502,7 @@ impl MuxNode {
         // Every same-tick co-sender is someone else's child.
         state.heard.forget(ctx.neighbors(), parent);
         let (aggregate, deadline, depth) =
-            (state.partial.aggregate, state.fallback_at, state.depth);
+            (state.partial.aggregate(), state.fallback_at, state.depth);
         // Fallback at (deadline − depth)·δ so partial subtrees still
         // drain upward before the root declares.
         let fallback_at = self.arm_fallback(ctx, deadline.saturating_sub(depth as u64));

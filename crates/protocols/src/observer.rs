@@ -21,8 +21,6 @@
 
 use pov_sim::StateSummary;
 
-use crate::common::Partial;
-
 /// Expose a host's protocol state to dynamic churn sources.
 pub trait ProtocolObserver {
     /// The host's current observable state. Called by the engine on
@@ -30,23 +28,20 @@ pub trait ProtocolObserver {
     fn state_summary(&self) -> StateSummary;
 }
 
-/// The shared lowering: an activated host with partial `p` is active
-/// with `p`'s sketch weight; a host the query has not reached is
-/// opaque.
-pub(crate) fn summary_of(partial: Option<&Partial>) -> StateSummary {
-    match partial {
-        Some(p) => StateSummary {
-            active: true,
-            sketch_weight: Some(p.sketch_weight()),
-        },
-        None => StateSummary::default(),
+/// The shared lowering: an activated host whose partial has sketch
+/// weight `w` is active with weight `w`; a host the query has not
+/// reached (`None`) is opaque.
+pub(crate) fn summary_of(weight: Option<f64>) -> StateSummary {
+    StateSummary {
+        active: weight.is_some(),
+        sketch_weight: weight,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::Aggregate;
+    use crate::common::{Aggregate, Partial};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -59,7 +54,7 @@ mod tests {
     fn active_hosts_expose_their_sketch_weight() {
         let mut rng = SmallRng::seed_from_u64(5);
         let p = Partial::init_sketched(Aggregate::Count, 1, 8, &mut rng);
-        let s = summary_of(Some(&p));
+        let s = summary_of(Some(p.sketch_weight()));
         assert!(s.active);
         assert_eq!(s.sketch_weight, Some(p.sketch_weight()));
     }

@@ -15,8 +15,23 @@
 //! deadline at `(2·D̂ − depth)·δ` bounds the wait when a child dies
 //! mid-protocol — which is precisely when SPANNINGTREE silently loses
 //! whole subtrees (Theorem 4.4, Figs 7–9).
+//!
+//! **The radio rule.** A radio transmission reaches every neighbour, so
+//! a child's onward flood reaches its own parent too. Each query copy
+//! therefore names its sender's parent, and a copy that names the
+//! receiver comes from the receiver's own child: it classifies nothing,
+//! and the child's report still counts when it arrives.
+//!
+//! **Why a count suffices.** With the radio rule, every neighbour sends a
+//! host at most one classifying message: its query copy if it chose
+//! another parent, or its child report if it chose this host. The root
+//! floods once — `on_start` does nothing for a root that has already
+//! started, so a root that fails and rejoins neither floods again nor
+//! resets its partial. A host therefore keeps *how many* neighbours it
+//! has heard from, not which, and its whole record is a few words with
+//! no heap allocation.
 
-use crate::common::{note_heard, Partial, QuerySpec};
+use crate::common::{deadline, Aggregate, ExactPartial, QuerySpec};
 use crate::observer::{summary_of, ProtocolObserver};
 use pov_sim::{Ctx, NodeLogic, StateSummary, Time};
 use pov_topology::HostId;
@@ -24,86 +39,104 @@ use pov_topology::HostId;
 /// Timer key for the per-host fallback deadline.
 const TIMER_FALLBACK: u64 = 1;
 
-/// SPANNINGTREE messages.
-#[derive(Clone, Debug)]
+/// The parent a host without one names: the root's query copies carry
+/// it, and a host's record holds it until the query arrives.
+pub const NO_PARENT: HostId = HostId(u32::MAX);
+
+/// SPANNINGTREE messages, flat words carried by value.
+#[derive(Clone, Copy, Debug)]
 pub enum StMsg {
-    /// The flooded query; receipt from `f` means `f` is not my child.
+    /// The flooded query; receipt from `f` means `f` is not my child,
+    /// unless `f`'s parent is me (the radio rule).
     Query {
-        /// Query parameters.
-        spec: QuerySpec,
+        /// Which aggregate to compute.
+        aggregate: Aggregate,
+        /// Overestimate of the stable diameter; protocols run for `2·D̂·δ`.
+        d_hat: u32,
         /// Hops travelled (sender's depth).
         hops: u32,
+        /// The sender's parent ([`NO_PARENT`] from the root).
+        parent: HostId,
     },
     /// A child's subtree aggregate.
     Child {
         /// The child's combined partial aggregate.
-        partial: Partial,
+        partial: ExactPartial,
     },
 }
 
 /// Per-host SPANNINGTREE state.
 #[derive(Debug)]
 pub struct SpanningTreeNode {
-    value: u64,
-    parent: Option<HostId>,
+    /// This host's subtree aggregate so far. Until the query reaches a
+    /// host it is the host's own value, [`ExactPartial::unnamed`]; the
+    /// root's is named from the start.
+    partial: ExactPartial,
+    /// Tick the root declared at, once it has reported.
+    declared_at: Time,
+    /// Tree parent; [`NO_PARENT`] at the root and before activation.
+    parent: HostId,
+    /// Hops from the root.
     depth: u32,
+    /// The root's `D̂` (any other host reads it off the query).
+    d_hat: u32,
+    /// Neighbours classified so far: flooded past us or reported as
+    /// child. A count is exact (see the module docs).
+    heard: u32,
+    is_query_host: bool,
     activated: bool,
     reported: bool,
-    /// Non-parent neighbours already classified (flooded past us or
-    /// reported as child), ascending.
-    heard: Vec<HostId>,
-    partial: Option<Partial>,
-    query: Option<QuerySpec>,
-    result: Option<(f64, Time)>,
-    is_query_host: bool,
 }
 
 impl SpanningTreeNode {
     /// A passive host.
     pub fn host(value: u64) -> Self {
         SpanningTreeNode {
-            value,
-            parent: None,
+            partial: ExactPartial::unnamed(value),
+            declared_at: Time::ZERO,
+            parent: NO_PARENT,
             depth: 0,
+            d_hat: 0,
+            heard: 0,
+            is_query_host: false,
             activated: false,
             reported: false,
-            heard: Vec::new(),
-            partial: None,
-            query: None,
-            result: None,
-            is_query_host: false,
         }
     }
 
     /// The querying host (tree root).
     pub fn query_host(value: u64, spec: QuerySpec) -> Self {
-        let mut n = Self::host(value);
-        n.is_query_host = true;
-        n.query = Some(spec);
-        n
+        SpanningTreeNode {
+            partial: ExactPartial::init(spec.aggregate, value),
+            d_hat: spec.d_hat,
+            is_query_host: true,
+            ..Self::host(value)
+        }
     }
 
     /// The declared result at the root.
     pub fn result(&self) -> Option<(f64, Time)> {
-        self.result
+        // A root that has reported drops every later child report, so
+        // its partial is the declared one.
+        (self.is_query_host && self.reported).then(|| (self.partial.value(), self.declared_at))
     }
 
     /// This host's parent in the tree (diagnostics).
     pub fn parent(&self) -> Option<HostId> {
-        self.parent
+        (self.parent != NO_PARENT).then_some(self.parent)
     }
 }
 
 impl SpanningTreeNode {
     fn expected(&self, ctx: &Ctx<'_, StMsg>) -> usize {
-        ctx.degree() - usize::from(self.parent.is_some())
+        ctx.degree() - usize::from(self.parent != NO_PARENT)
     }
 
     fn check_completion(&mut self, ctx: &mut Ctx<'_, StMsg>) {
         if self.reported || !self.activated {
             return;
         }
-        if self.heard.len() >= self.expected(ctx) {
+        if self.heard as usize >= self.expected(ctx) {
             self.report(ctx);
         }
     }
@@ -113,18 +146,22 @@ impl SpanningTreeNode {
             return;
         }
         self.reported = true;
-        let partial = self.partial.clone().expect("activated host has a partial");
         if self.is_query_host {
-            self.result = Some((partial.value(), ctx.now()));
-        } else if let Some(parent) = self.parent {
-            ctx.send(parent, StMsg::Child { partial });
+            self.declared_at = ctx.now();
+        } else {
+            ctx.send(
+                self.parent,
+                StMsg::Child {
+                    partial: self.partial,
+                },
+            );
         }
     }
 }
 
 impl ProtocolObserver for SpanningTreeNode {
     fn state_summary(&self) -> StateSummary {
-        summary_of(self.partial.as_ref())
+        summary_of(self.activated.then(|| self.partial.sketch_weight()))
     }
 }
 
@@ -136,44 +173,54 @@ impl NodeLogic for SpanningTreeNode {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, StMsg>) {
-        if !self.is_query_host {
+        // A root that rejoins after a failure has already flooded.
+        if !self.is_query_host || self.activated {
             return;
         }
-        let spec = self.query.expect("query host has a spec");
         self.activated = true;
-        self.partial = Some(Partial::init_exact(spec.aggregate, self.value));
-        ctx.set_timer(spec.deadline(), TIMER_FALLBACK);
-        ctx.broadcast(StMsg::Query { spec, hops: 0 });
+        ctx.set_timer(deadline(self.d_hat), TIMER_FALLBACK);
+        ctx.broadcast(StMsg::Query {
+            aggregate: self.partial.aggregate(),
+            d_hat: self.d_hat,
+            hops: 0,
+            parent: NO_PARENT,
+        });
         self.check_completion(ctx); // isolated root: degree 0
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, StMsg>, from: HostId, msg: StMsg) {
         match msg {
-            StMsg::Query { spec, hops } => {
+            StMsg::Query {
+                aggregate,
+                d_hat,
+                hops,
+                parent,
+            } => {
                 if !self.activated {
                     // First copy: `from` becomes our parent.
                     self.activated = true;
-                    self.query = Some(spec);
-                    self.parent = Some(from);
+                    self.parent = from;
                     self.depth = hops + 1;
-                    self.partial = Some(Partial::init_exact(spec.aggregate, self.value));
+                    self.partial = self.partial.named(aggregate);
                     // Fallback at (2D̂ − depth)δ so partial subtrees still
                     // drain upward before the root declares.
-                    let fallback_at = spec.deadline().saturating_sub(self.depth as u64);
+                    let fallback_at = deadline(d_hat).saturating_sub(u64::from(self.depth));
                     let delay = fallback_at.saturating_sub(ctx.now().ticks()).max(1);
                     ctx.set_timer(delay, TIMER_FALLBACK);
                     ctx.broadcast_except(
                         Some(from),
                         StMsg::Query {
-                            spec,
+                            aggregate,
+                            d_hat,
                             hops: self.depth,
+                            parent: from,
                         },
                     );
                     self.check_completion(ctx); // leaf with 1 neighbour
-                } else {
+                } else if parent != ctx.me() {
                     // Duplicate: `from` is someone else's child, not ours.
-                    let expected = self.expected(ctx);
-                    note_heard(&mut self.heard, from, expected);
+                    // (A copy naming us is our own child's radio flood.)
+                    self.heard += 1;
                     self.check_completion(ctx);
                 }
             }
@@ -183,11 +230,9 @@ impl NodeLogic for SpanningTreeNode {
                     // (best-effort semantics).
                     return;
                 }
-                if let Some(p) = self.partial.as_mut() {
-                    p.combine(&partial);
-                }
-                let expected = self.expected(ctx);
-                note_heard(&mut self.heard, from, expected);
+                debug_assert!(self.activated, "a child adopted us from our own copy");
+                self.partial.combine(partial);
+                self.heard += 1;
                 self.check_completion(ctx);
             }
         }
@@ -203,12 +248,12 @@ impl NodeLogic for SpanningTreeNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::Aggregate;
-    use pov_sim::{ChurnPlan, SimBuilder, Simulation};
+    use pov_sim::{ChurnPlan, Medium, SimBuilder, Simulation};
     use pov_topology::generators::special;
-    use pov_topology::Graph;
+    use pov_topology::{Graph, GraphBuilder};
 
-    fn run(
+    fn run_on(
+        medium: Medium,
         graph: Graph,
         values: &[u64],
         aggregate: Aggregate,
@@ -221,15 +266,44 @@ mod tests {
             c: 8,
         };
         let values = values.to_vec();
-        let mut sim = SimBuilder::new(graph).churn(churn).seed(2).build(move |h| {
-            if h == HostId(0) {
-                SpanningTreeNode::query_host(values[h.index()], spec)
-            } else {
-                SpanningTreeNode::host(values[h.index()])
-            }
-        });
+        let mut sim = SimBuilder::new(graph)
+            .medium(medium)
+            .churn(churn)
+            .seed(2)
+            .build(move |h| {
+                if h == HostId(0) {
+                    SpanningTreeNode::query_host(values[h.index()], spec)
+                } else {
+                    SpanningTreeNode::host(values[h.index()])
+                }
+            });
         sim.run_until(Time(spec.deadline() + 2));
         sim
+    }
+
+    fn run(
+        graph: Graph,
+        values: &[u64],
+        aggregate: Aggregate,
+        d_hat: u32,
+        churn: ChurnPlan,
+    ) -> Simulation<'static, SpanningTreeNode> {
+        run_on(Medium::PointToPoint, graph, values, aggregate, d_hat, churn)
+    }
+
+    /// The record and the message are flat words: 4·10⁵ hosts and every
+    /// delivery in flight carry them on `scale_tree`, where the record
+    /// was 144 bytes with a heap-allocated neighbour set and the message
+    /// 56. The node must stay `Send` for sharded delivery.
+    #[test]
+    fn record_and_message_layout_do_not_grow() {
+        fn send<T: Send>() {}
+        send::<SpanningTreeNode>();
+        send::<StMsg>();
+        let record = std::mem::size_of::<SpanningTreeNode>();
+        assert!(record <= 48, "host record is {record} bytes");
+        let msg = std::mem::size_of::<StMsg>();
+        assert!(msg <= 24, "message is {msg} bytes");
     }
 
     #[test]
@@ -251,22 +325,46 @@ mod tests {
 
     #[test]
     fn echo_completes_early() {
-        // On a chain the echo finishes in ~2n ticks even with a huge D̂:
-        // SPANNINGTREE has the least latency (Fig 13a).
+        // On a chain the echo finishes in 2(n − 1) ticks even with a huge
+        // D̂: SPANNINGTREE has the least latency (Fig 13a). Under radio,
+        // host 1's onward flood also reaches the root at tick 2; taking
+        // it for an echo would declare 2 hosts there.
         let n = 8;
-        let sim = run(
-            special::chain(n),
-            &vec![1; n],
-            Aggregate::Count,
-            50,
-            ChurnPlan::none(),
+        for medium in [Medium::PointToPoint, Medium::Radio] {
+            let sim = run_on(
+                medium,
+                special::chain(n),
+                &vec![1; n],
+                Aggregate::Count,
+                50,
+                ChurnPlan::none(),
+            );
+            let (v, at) = sim.logic(HostId(0)).result().expect("declared");
+            assert_eq!((v, at), (n as f64, Time(2 * (n as u64 - 1))), "{medium:?}");
+        }
+    }
+
+    #[test]
+    fn a_rejoining_root_neither_floods_again_nor_resets_its_partial() {
+        // 1 — 0 — 2 — 3 — 4: host 1's report reaches the root at tick 2;
+        // the root fails at tick 3 and rejoins at tick 4, before host 2's
+        // subtree reports at tick 6.
+        let mut b = GraphBuilder::with_hosts(5);
+        for (x, y) in [(0, 1), (0, 2), (2, 3), (3, 4)] {
+            b.add_edge(HostId(x), HostId(y));
+        }
+        let g = b.build();
+        let quiet = run(g.clone(), &[1; 5], Aggregate::Count, 4, ChurnPlan::none());
+        let churn = ChurnPlan::none()
+            .with_failure(Time(3), HostId(0))
+            .with_join(Time(4), HostId(0));
+        let sim = run(g, &[1; 5], Aggregate::Count, 4, churn);
+        assert_eq!(sim.logic(HostId(0)).result(), Some((5.0, Time(6))));
+        assert_eq!(
+            sim.logic(HostId(0)).result(),
+            quiet.logic(HostId(0)).result()
         );
-        let (v, at) = sim.logic(HostId(0)).result().expect("declared");
-        assert_eq!(v, n as f64);
-        assert!(
-            at.ticks() <= 2 * n as u64 + 2,
-            "declared at {at}, echo should beat the 100-tick deadline"
-        );
+        assert_eq!(sim.metrics().messages_sent, quiet.metrics().messages_sent);
     }
 
     #[test]
@@ -345,7 +443,7 @@ mod tests {
         let churn = ChurnPlan::none()
             .with_failure(Time(0), HostId(1))
             .with_failure(Time(0), HostId(2));
-        let mut b = pov_topology::GraphBuilder::with_hosts(3);
+        let mut b = GraphBuilder::with_hosts(3);
         b.add_edge(HostId(0), HostId(1));
         b.add_edge(HostId(0), HostId(2));
         let sim = run(b.build(), &[7, 8, 9], Aggregate::Sum, 2, churn);

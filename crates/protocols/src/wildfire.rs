@@ -374,7 +374,7 @@ impl WildfireNode {
 
 impl ProtocolObserver for WildfireNode {
     fn state_summary(&self) -> StateSummary {
-        summary_of(self.partial().as_ref())
+        summary_of(self.partial().as_ref().map(Partial::sketch_weight))
     }
 }
 

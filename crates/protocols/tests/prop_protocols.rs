@@ -5,7 +5,8 @@
 use pov_protocols::allreport::ReportRouting;
 use pov_protocols::wildfire::WildfireOpts;
 use pov_protocols::{runner, Aggregate, ProtocolKind, RunPlan};
-use pov_sim::{ChurnPlan, Time};
+use pov_sim::{ChurnPlan, DelayModel, Medium, Time};
+use pov_topology::generators::{grid_square, random_average_degree, special};
 use pov_topology::{analysis, Graph, GraphBuilder, HostId};
 use proptest::prelude::*;
 
@@ -50,6 +51,16 @@ fn scenario(max_n: u32) -> impl Strategy<Value = Scenario> {
                 d_hat: d + 1,
             }
         })
+}
+
+/// A connected graph of one of three shapes: random (joined into one
+/// component), a grid, or the Theorem 4.4 cycle with a spur.
+fn tree_graph() -> impl Strategy<Value = Graph> {
+    (0u8..3, 2usize..8, 0u64..1000).prop_map(|(shape, size, seed)| match shape {
+        0 => analysis::connect_components(&random_average_degree(4 * size, 3.0, seed)).0,
+        1 => grid_square(size),
+        _ => special::cycle_with_spur(size).0,
+    })
 }
 
 fn config(sc: &Scenario, aggregate: Aggregate, seed: u64) -> RunPlan {
@@ -155,6 +166,54 @@ proptest! {
                     aggregate,
                     kind
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn tree_protocols_are_exact_without_failures(graph in tree_graph(), seed in 0u64..100) {
+        // With no failures nothing is lost: SPANNINGTREE is exact for all
+        // five aggregates, and DAG for min/max, on either medium and
+        // with or without jitter. Under radio a child's onward flood
+        // also reaches its parent, which must not take it for a sign
+        // that the child's subtree is done.
+        let n = graph.num_hosts();
+        let values: Vec<u64> = (0..n as u64).map(|i| 10 + (i * 37 + seed) % 490).collect();
+        // A hop takes up to 3 ticks and the tree may be up to n deep:
+        // D̂ = 4n leaves every fallback well behind the echo.
+        let d_hat = 4 * n as u32;
+        let runs = [
+            (ProtocolKind::SpanningTree, &[
+                Aggregate::Count,
+                Aggregate::Sum,
+                Aggregate::Average,
+                Aggregate::Min,
+                Aggregate::Max,
+            ][..]),
+            (ProtocolKind::Dag { k: 2 }, &[Aggregate::Min, Aggregate::Max][..]),
+        ];
+        for (kind, aggregates) in runs {
+            for &aggregate in aggregates {
+                let truth = aggregate.ground_truth(&values);
+                for medium in [Medium::PointToPoint, Medium::Radio] {
+                    for delay in [DelayModel::Fixed(1), DelayModel::Uniform { min: 1, max: 3 }] {
+                        let plan = RunPlan::query(aggregate)
+                            .d_hat(d_hat)
+                            .medium(medium)
+                            .delay(delay)
+                            .seed(seed);
+                        let out = runner::run(kind, &graph, &values, &plan);
+                        prop_assert_eq!(
+                            out.value,
+                            truth,
+                            "{:?} {:?} under {:?}, {:?}",
+                            kind,
+                            aggregate,
+                            medium,
+                            delay
+                        );
+                    }
+                }
             }
         }
     }

@@ -8,8 +8,11 @@
 //! `1..=δ` ticks ahead, a timer at most a deadline ahead), so a ring of
 //! per-tick buckets — each a rank-sorted FIFO — turns every push and
 //! pop into `O(1)` bucket ops instead of a `BinaryHeap`'s `O(log n)`
-//! sift that repeatedly moves whole payloads. The original heap
-//! implementation survives as the `#[cfg(test)]` oracle
+//! sift that repeatedly moves whole payloads. A bucket entry is the
+//! payload alone: its rank is a function of the variant
+//! ([`Payload::rank`]), so no rank byte is stored beside it, and a
+//! delivery of a 24-byte message takes 40 bytes in flight, not 48. The
+//! original heap implementation survives as the `#[cfg(test)]` oracle
 //! ([`HeapQueue`]); property tests assert the two pop identical event
 //! sequences.
 
@@ -164,8 +167,9 @@ impl<M> EventQueue<M> {
 const WINDOW: u64 = 1 << 12;
 
 /// One tick's events: pushed in seq order, rank-sorted once when the
-/// tick becomes current, then drained from the front.
-type Bucket<M> = VecDeque<(u8, Payload<M>)>;
+/// tick becomes current (by [`Payload::rank`], computed, not stored),
+/// then drained from the front.
+type Bucket<M> = VecDeque<Payload<M>>;
 
 /// A storage recycled to the ring tail keeps its allocation only up to
 /// this many events; a larger one is freed. The tail is reached again
@@ -217,14 +221,13 @@ pub(crate) struct BucketQueue<M> {
 
 struct FarEvent<M> {
     at: u64,
-    rank: u8,
     seq: u64,
     payload: Payload<M>,
 }
 
 impl<M> FarEvent<M> {
     fn key(&self) -> (u64, u8, u64) {
-        (self.at, self.rank, self.seq)
+        (self.at, self.payload.rank(), self.seq)
     }
 }
 
@@ -268,7 +271,6 @@ impl<M> BucketQueue<M> {
         if offset >= WINDOW {
             self.far.push(FarEvent {
                 at: at.0,
-                rank: payload.rank(),
                 seq: self.far_seq,
                 payload,
             });
@@ -279,17 +281,18 @@ impl<M> BucketQueue<M> {
         if self.buckets.len() <= idx {
             self.buckets.resize_with(idx + 1, VecDeque::new);
         }
-        let rank = payload.rank();
         if idx == 0 && self.prepared {
             // The current tick is mid-drain: appending is only correct
             // if the new event sorts after everything still in the
             // bucket (see the ordering invariants above).
             debug_assert!(
-                self.buckets[0].back().is_none_or(|&(r, _)| r <= rank),
+                self.buckets[0]
+                    .back()
+                    .is_none_or(|last| last.rank() <= payload.rank()),
                 "same-tick push would reorder the current bucket"
             );
         }
-        self.buckets[idx].push_back((rank, payload));
+        self.buckets[idx].push_back(payload);
         self.in_buckets += 1;
     }
 
@@ -313,9 +316,7 @@ impl<M> BucketQueue<M> {
             if self.buckets.front().is_some_and(|b| !b.is_empty()) {
                 if !self.prepared {
                     // Stable sort: equal ranks keep push (= seq) order.
-                    self.buckets[0]
-                        .make_contiguous()
-                        .sort_by_key(|&(rank, _)| rank);
+                    self.buckets[0].make_contiguous().sort_by_key(Payload::rank);
                     self.prepared = true;
                 }
                 return;
@@ -358,7 +359,7 @@ impl<M> BucketQueue<M> {
             if self.buckets.len() <= idx {
                 self.buckets.resize_with(idx + 1, VecDeque::new);
             }
-            self.buckets[idx].push_back((fe.rank, fe.payload));
+            self.buckets[idx].push_back(fe.payload);
             self.in_buckets += 1;
         }
     }
@@ -376,7 +377,7 @@ impl<M> BucketQueue<M> {
 
     pub fn pop(&mut self) -> Option<(Time, Payload<M>)> {
         self.settle();
-        let (_, payload) = self.buckets.front_mut()?.pop_front()?;
+        let payload = self.buckets.front_mut()?.pop_front()?;
         self.in_buckets -= 1;
         Some((Time(self.base), payload))
     }
@@ -394,8 +395,11 @@ impl<M> BucketQueue<M> {
             return None;
         }
         let front = self.buckets.front_mut()?;
-        if front.front().is_some_and(|&(rank, _)| rank == 4) {
-            let (_, payload) = front.pop_front().expect("head checked");
+        if front
+            .front()
+            .is_some_and(|p| matches!(p, Payload::Deliver { .. }))
+        {
+            let payload = front.pop_front().expect("head checked");
             self.in_buckets -= 1;
             Some(payload)
         } else {
@@ -630,6 +634,15 @@ mod tests {
             q.pop(),
             Some((Time(3), Payload::Timer { key: 9, .. }))
         ));
+    }
+
+    #[test]
+    fn a_queue_entry_is_the_payload_alone() {
+        // Compiles only while a bucket holds bare payloads: no rank byte
+        // beside each, so a 24-byte message's delivery fits 40 bytes.
+        let bucket: Bucket<[u64; 3]> = VecDeque::new();
+        let _: Option<&Payload<[u64; 3]>> = bucket.front();
+        assert!(std::mem::size_of::<Payload<[u64; 3]>>() <= 40);
     }
 
     fn deliver(msg: u8) -> Payload<u8> {
