@@ -130,6 +130,18 @@ impl ExactPartial {
         ExactPartial::init(aggregate, self.a)
     }
 
+    /// The accumulator words `(a, b)`, for a record that keeps the
+    /// aggregate beside them rather than in every partial.
+    pub(crate) fn words(self) -> (u64, u32) {
+        (self.a, self.b)
+    }
+
+    /// The partial of `aggregate` whose accumulator words are `(a, b)`:
+    /// the inverse of [`ExactPartial::words`].
+    pub(crate) fn from_words(aggregate: Aggregate, a: u64, b: u32) -> ExactPartial {
+        ExactPartial { aggregate, a, b }
+    }
+
     /// The aggregate function this partial computes.
     pub fn aggregate(&self) -> Aggregate {
         self.aggregate

@@ -7,11 +7,10 @@
 //! back-to-back re-floods the same topology N times. This module runs
 //! them *co-resident* in one simulation instead:
 //!
-//! * every per-query payload is tagged with a compact [`QueryId`];
-//! * co-resident queries **piggyback** their payloads into shared wave
-//!   messages — one engine message ([`MuxMsg`]) carries many
-//!   `(QueryId, item)` pairs, so message cost is accounted both *raw*
-//!   (engine messages) and *per query* (payload items);
+//! * every per-query payload is tagged with the query's *rank* — its
+//!   place among the workload's [`QueryId`]s, ascending — so one engine
+//!   message carries many queries' items, and message cost is accounted
+//!   both *raw* (engine messages) and *per query* (payload items);
 //! * a per-host **partial cache** lets a newly arrived query whose
 //!   `(aggregate, root)` matches a live wave at its root *join* that
 //!   wave instead of launching a fresh flood (an alias: it is answered
@@ -21,36 +20,61 @@
 //! query copy heard, echo completion, per-host fallback at
 //! `(2·D̂ − depth)·δ` past the query's arrival. To keep each query's
 //! answer independent of which other queries share its waves, the node
-//! runs **synchronous rounds**: `on_message` only folds incoming items
-//! into order-insensitive state (child partials combine commutatively,
-//! classified neighbours form a set, a first-heard query keeps its
+//! runs **synchronous rounds**: incoming items only fold into
+//! order-insensitive state (child partials combine commutatively,
+//! classified neighbours are counted, a first-heard query keeps its
 //! minimum `(hops, HostId)` candidate parent); every decision — adopt,
 //! flood on, report — waits for a tick-end flush. Delivery order within
 //! a tick therefore cannot perturb any query, and a query's trajectory
 //! in a multiplexed run is byte-identical to its solo run over the same
 //! churn realization — the property `it_mux.rs` asserts.
+//!
+//! **The inbox fold.** A delivery does not touch the host's query
+//! state: `on_message` appends `(sender, message)` to the host's inbox
+//! and arms the tick-end flush. The host's first timer of the tick — a
+//! fallback, an arrival or that flush — folds the whole inbox into its
+//! open table at once. Timers order after every delivery of their
+//! instant, so the fold sees exactly what per-delivery folding would
+//! have seen by then (a fallback still counts same-tick child reports),
+//! and by the synchronous-round argument above the order the fold walks
+//! the inbox in cannot matter.
+//!
+//! **Flat words the run owns.** What is per query — aggregate,
+//! deadline, payload ledger, declared result — sits in run-wide tables
+//! indexed by rank, and so do the per-host *retired* bits. A host keeps
+//! one table of the queries open there, sorted by rank, each a few
+//! words inline. A message is a slice of the run's wire arena: items
+//! shipped at tick `t` sit in segment `t mod 2`, which the first ship at
+//! `t + 2` clears. That is sound because the engine runs over the
+//! unit-delay medium, so every message is read (folded) the tick after
+//! it was shipped; `simulate` pins the delay and the fold asserts it.
+//!
+//! **Why a count suffices.** On the point-to-point medium the engine
+//! runs over, each neighbour classifies a query at a host at most once:
+//! by its query copy if it chose another parent, or by its child report
+//! if it chose this host — never both, because a child floods to every
+//! neighbour except its parent. A host floods a query at most once (a
+//! first hearing needs the query neither open nor retired, and a
+//! rejoining host's `on_start` does nothing), a root floods only at
+//! launch, and an alias never floods. So a host keeps *how many*
+//! neighbours have classified a query, not which, as SPANNINGTREE does.
 
 use crate::common::{Aggregate, ExactPartial};
 use crate::observer::ProtocolObserver;
+use crate::spanning_tree::NO_PARENT;
 use pov_sim::{
-    ChurnPlan, Ctx, Metrics, NodeLogic, PartitionPlan, SimBuilder, Simulation, StateSummary, Time,
-    Trace,
+    ChurnPlan, Ctx, DelayModel, Medium, Metrics, NodeLogic, PartitionPlan, SimBuilder, Simulation,
+    StateSummary, Time, Trace,
 };
 use pov_topology::{Graph, HostId};
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashSet};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::rc::Rc;
 
-/// Compact identity of one query within a workload. Wire payloads carry
-/// this tag so one [`MuxMsg`] can interleave many queries' traffic.
+/// Compact identity of one query within a workload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct QueryId(pub u32);
-
-impl QueryId {
-    fn index(self) -> u32 {
-        self.0
-    }
-}
 
 /// One query of a multiplexed workload: an aggregate rooted at `root`,
 /// injected at tick `arrival`, judged (and bounded by a fallback) over
@@ -81,31 +105,54 @@ impl MuxQuery {
     }
 }
 
-/// One query's payload inside a shared wave message.
+/// One query's payload inside a shared wave message: a query copy or a
+/// child report, in two words. The query's aggregate and deadline are
+/// the run's to look up by rank.
 #[derive(Clone, Copy, Debug)]
-pub enum MuxItem {
-    /// The flooded query; receipt from `f` means `f` is not my child.
-    Query {
-        /// The aggregate being computed.
-        aggregate: Aggregate,
-        /// Hops travelled (sender's depth).
-        hops: u32,
-        /// Absolute declare-by tick (hosts derive their fallback from it).
-        deadline: u64,
-    },
-    /// A child's subtree aggregate.
-    Child {
-        /// The child's combined partial.
-        partial: ExactPartial,
-    },
+struct MuxItem {
+    /// `rank << 1 | child`.
+    tag: u32,
+    /// A query copy's hops travelled (the sender's depth), or a child
+    /// report's AVG host count.
+    small: u32,
+    /// A child report's accumulator word (0 in a query copy).
+    word: u64,
 }
 
-/// A shared wave message: one engine message carrying many queries'
-/// payload items, in ascending [`QueryId`] order.
-#[derive(Clone, Debug)]
-pub struct MuxMsg {
-    /// The piggybacked `(query, item)` pairs.
-    pub items: Vec<(QueryId, MuxItem)>,
+impl MuxItem {
+    fn query(rank: u32, hops: u32) -> MuxItem {
+        MuxItem {
+            tag: rank << 1,
+            small: hops,
+            word: 0,
+        }
+    }
+
+    fn child(rank: u32, partial: ExactPartial) -> MuxItem {
+        let (word, small) = partial.words();
+        MuxItem {
+            tag: rank << 1 | 1,
+            small,
+            word,
+        }
+    }
+
+    fn rank(self) -> u32 {
+        self.tag >> 1
+    }
+
+    fn is_child(self) -> bool {
+        self.tag & 1 == 1
+    }
+}
+
+/// A shared wave message: `len` items from `start` in segment `segment`
+/// of the run's wire arena, in ascending rank order.
+#[derive(Clone, Copy, Debug)]
+struct MuxMsg {
+    segment: u32,
+    start: u32,
+    len: u32,
 }
 
 /// Timer key: the tick-end flush (adopt this tick's first hearings,
@@ -120,231 +167,136 @@ const KEY_ARRIVAL: u64 = 1 << 32;
 const KEY_FALLBACK: u64 = 2 << 32;
 const KEY_CLASS: u64 = !0u64 << 32;
 
-/// Which neighbours a query has classified at this host. Every open
-/// query carries one, so the common case must not touch the heap: a
-/// bitmask over the host's neighbour *indices* covers degree ≤ 128
-/// inline (two words, not a `u128`, so the state keeps 8-byte
-/// alignment); hub hosts beyond that spill to a deduplicated vector.
-#[derive(Debug)]
-enum Heard {
-    /// Bit `i` = neighbour `neighbors[i]` classified.
-    Mask([u64; 2]),
-    /// Degree > 128: the classified neighbours themselves.
-    Spill(Vec<HostId>),
-}
-
-impl Heard {
-    fn for_degree(degree: usize) -> Heard {
-        if degree <= 128 {
-            Heard::Mask([0; 2])
-        } else {
-            Heard::Spill(Vec::new())
-        }
-    }
-
-    /// Classify neighbour `h`; whether it was new. Senders are always
-    /// neighbours on the static substrate the engine runs over, and CSR
-    /// neighbour lists are sorted ascending — binary search keeps this
-    /// `O(log d)` on the per-item hot path.
-    fn note(&mut self, neighbors: &[HostId], h: HostId) -> bool {
-        match self {
-            Heard::Mask(m) => {
-                let i = neighbors.binary_search(&h).expect("sender is a neighbor");
-                let bit = 1u64 << (i % 64);
-                let new = m[i / 64] & bit == 0;
-                m[i / 64] |= bit;
-                new
-            }
-            Heard::Spill(v) => {
-                let new = !v.contains(&h);
-                if new {
-                    v.push(h);
-                }
-                new
-            }
-        }
-    }
-
-    /// Unclassify neighbour `h` (the adopted parent is nobody's child).
-    fn forget(&mut self, neighbors: &[HostId], h: HostId) {
-        match self {
-            Heard::Mask(m) => {
-                let i = neighbors.binary_search(&h).expect("parent is a neighbor");
-                m[i / 64] &= !(1u64 << (i % 64));
-            }
-            Heard::Spill(v) => v.retain(|&x| x != h),
-        }
-    }
-
-    fn count(&self) -> usize {
-        match self {
-            Heard::Mask(m) => (m[0].count_ones() + m[1].count_ones()) as usize,
-            Heard::Spill(v) => v.len(),
-        }
-    }
-}
-
 /// Tree state of one query at one host while the query is *open* there
 /// — from first hearing (or launch, at the root) until the host reports
-/// upward (or declares). The SPANNINGTREE fields, minus what retirement
-/// makes moot: a retired query needs no state at all.
+/// upward (or declares). The SPANNINGTREE fields in flat words, minus
+/// what retirement makes moot: a retired query needs no state at all.
 ///
-/// A query first heard during the current tick is *fresh*: its items
-/// are folded in as they arrive, and the tick-end flush adopts it —
-/// the minimum `(hops, sender)` candidate becomes the parent, exactly
-/// the choice a synchronous round over the whole tick makes.
-#[derive(Debug)]
-struct QState {
-    /// Neighbours classified so far: flooded past us or reported as
-    /// child (while fresh: every query sender, the parent-to-be too).
-    heard: Heard,
-    /// This host's subtree aggregate so far; it carries the query's
-    /// aggregate function.
-    partial: ExactPartial,
-    /// Tick the forced report fires at: `deadline − depth`, clamped to
-    /// the tick after first hearing (the timer's own fire tick). While
-    /// fresh: the query's absolute deadline.
-    fallback_at: u64,
-    /// Tree parent (while fresh: the best candidate so far); `None` at
-    /// the query's root.
-    parent: Option<HostId>,
+/// A query first heard during the current tick is *fresh*: the
+/// tick-end flush adopts it, and the minimum `(hops, sender)` candidate
+/// becomes the parent — exactly the choice a synchronous round over the
+/// whole tick makes.
+#[derive(Clone, Copy, Debug)]
+struct Open {
+    /// The query's rank.
+    rank: u32,
+    /// Tree parent (while fresh: the best candidate so far);
+    /// [`NO_PARENT`] at the query's root.
+    parent: HostId,
+    /// This host's subtree aggregate so far, as the words of an
+    /// [`ExactPartial`] of the query's aggregate.
+    acc: u64,
+    /// The partial's AVG host count.
+    hosts: u32,
     /// Hops from the root.
     depth: u32,
+    /// Neighbours classified so far: flooded past us or reported as
+    /// child (while fresh: every query sender, the parent-to-be too).
+    heard: u32,
     /// First heard this tick, not yet adopted.
     fresh: bool,
+    /// The flush must act on it: adopt it (fresh) or report it (every
+    /// non-parent neighbour classified).
+    due: bool,
+    /// Tick the forced report fires at: `deadline − depth`, clamped to
+    /// the tick after adoption or launch (the timer's own fire tick).
+    /// Unset while fresh.
+    fallback_at: u64,
 }
 
-/// The per-neighbour outgoing buffers of one timer firing, slot `i` =
-/// neighbour `neighbors[i]`.
-type OutBufs = [Vec<(QueryId, MuxItem)>];
+impl Open {
+    /// Neighbours this state waits on: every one but the parent.
+    fn expected(&self, degree: usize) -> u32 {
+        (degree - usize::from(self.parent != NO_PARENT)) as u32
+    }
+}
+
+/// What the run knows of one query, by rank.
+#[derive(Clone, Copy, Debug)]
+struct QueryInfo {
+    aggregate: Aggregate,
+    deadline: u64,
+}
 
 /// What the hosts of one multiplexed run share. `simulate` creates one
 /// per run, so it is freed with the run.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct MuxRun {
-    /// Payload items sent per query (slot = [`QueryId`]).
-    payload: Box<[Cell<u64>]>,
-    /// The outgoing buffers of the timer firing in progress: empty
-    /// between firings, so one set serves every host of the run.
-    out: RefCell<Vec<Vec<(QueryId, MuxItem)>>>,
+    /// Aggregate and deadline per rank.
+    queries: Box<[QueryInfo]>,
+    /// Every query's `(arrival, rank)`, grouped by root host in
+    /// ascending host order, each group ascending.
+    rooted: Box<[(u64, u32)]>,
+    /// Retired words per host: `⌈queries / 64⌉`.
+    words: usize,
+    /// Payload items sent per rank.
+    payload: Vec<u64>,
+    /// Declared `(value, time)` per rank (aliases are filled in from
+    /// their live wave when the run ends).
+    results: Vec<Option<(f64, Time)>>,
+    /// Per rank: the rank of the live wave the query joined through the
+    /// partial cache.
+    joined: Vec<Option<u32>>,
+    /// Bit `r` of host `h`'s row (`words` words from `h · words`) set =
+    /// query rank `r` reported (or declared) at `h`; any later item for
+    /// it is dropped there.
+    retired: Vec<u64>,
+    /// The per-neighbour outgoing items of the timer firing in
+    /// progress, slot `i` = neighbour `neighbors[i]`: empty between
+    /// firings, so one set serves every host of the run.
+    out: Vec<Vec<MuxItem>>,
+    /// The wire arena: items shipped at tick `t` sit in segment `t % 2`.
+    wire: [Vec<MuxItem>; 2],
+    /// Tick each segment was last shipped into.
+    filled_at: [u64; 2],
+}
+
+impl MuxRun {
+    fn is_retired(&self, row: usize, rank: u32) -> bool {
+        self.retired[row + rank as usize / 64] >> (rank % 64) & 1 == 1
+    }
+
+    fn retire(&mut self, row: usize, rank: u32) {
+        self.retired[row + rank as usize / 64] |= 1 << (rank % 64);
+    }
 }
 
 /// Per-host logic of the multiplexed engine.
 ///
-/// A host keeps per-query state only while the query is open here: a
-/// slab of `QState`s behind `open`, a table of `(qid, slot)` pairs in
-/// ascending query order. Wave messages carry their items in ascending
-/// query order too, so a delivery folds each item into its state with
-/// one search over the rest of the table, and no per-host buffer holds
-/// a tick's traffic until the flush. Once the host reports, the slot is
-/// freed and a single *retired* bit remains, enough to drop late
-/// traffic exactly as SPANNINGTREE does. The per-neighbour outgoing
-/// buffers and the payload ledger belong to the run, shared by its
-/// hosts, so a host's memory follows its open queries, not the number
-/// of queries it ever heard.
-#[derive(Debug, Default)]
-pub struct MuxNode {
-    value: u64,
-    /// Guards against `on_start` re-firing on rejoin.
-    started: bool,
-    /// Queries rooted at this host, ascending arrival then id.
-    rooted: Vec<MuxQuery>,
-    /// Open queries at this host, ascending qid: `(qid, slot in states)`.
-    open: Vec<(u32, u32)>,
-    /// Slab of open-query states; the slots in `free` are vacant.
-    states: Vec<QState>,
-    /// Vacant slots of `states`, reused before the slab grows.
-    free: Vec<u32>,
-    /// Bit `q` set = query `q` reported (or declared) here; any later
-    /// item for it is dropped.
-    retired: Vec<u64>,
-    /// Queries the tick-end flush must act on: first heard this tick
-    /// (adopt) or echo-complete since the last flush (report).
-    due: Vec<u32>,
-    /// Tick the flush timer was last armed at (a stamp, not a flag: a
-    /// bool would wedge if this host died between arming and firing).
-    flush_armed_at: Option<u64>,
-    /// Declared results of queries rooted here.
-    results: BTreeMap<u32, (f64, Time)>,
-    /// Partial-cache joins recorded here: `(live target, alias)`.
-    aliases: Vec<(u32, u32)>,
-    /// Number of queries that joined a live wave instead of flooding.
-    cache_joins: u64,
+/// A host keeps per-query state only while the query is open here: the
+/// `open` table, in ascending rank order. Once the host reports, the
+/// state goes and the host's retired bit in the run's table remains,
+/// enough to drop late traffic exactly as SPANNINGTREE does. A host's
+/// memory follows its open queries, not the number of queries it ever
+/// heard.
+#[derive(Debug)]
+struct MuxNode {
+    /// Open queries at this host, ascending rank.
+    open: Vec<Open>,
+    /// This tick's deliveries, folded by the host's first timer.
+    inbox: Vec<(HostId, MuxMsg)>,
     /// Fire ticks of the [`KEY_FALLBACK`] timers in flight, so
     /// co-resident queries sharing a fire tick share one timer.
     fallback_armed: Vec<u64>,
-    /// The run's shared ledger and outgoing buffers.
-    run: Rc<MuxRun>,
+    /// The run's shared tables.
+    run: Rc<RefCell<MuxRun>>,
+    value: u64,
+    /// Tick the flush timer was last armed at (a stamp, not a flag: a
+    /// bool would wedge if this host died between arming and firing).
+    flush_armed_at: Option<u64>,
+    /// This host's queries: a range of `run.rooted`.
+    rooted: Range<u32>,
+    /// Guards against `on_start` re-firing on rejoin.
+    started: bool,
 }
 
 impl MuxNode {
-    /// A host with attribute `value` rooting the given queries, sharing
-    /// `run` with the other hosts (its ledger is long enough for every
-    /// query).
-    fn new(value: u64, mut rooted: Vec<MuxQuery>, run: Rc<MuxRun>) -> Self {
-        rooted.sort_by_key(|q| (q.arrival, q.id));
-        MuxNode {
-            value,
-            rooted,
-            run,
-            ..MuxNode::default()
-        }
-    }
-
-    /// Declared `(value, time)` of query `id`, if it was rooted here
-    /// and declared (directly or through the partial cache).
-    pub fn result(&self, id: QueryId) -> Option<(f64, Time)> {
-        self.results.get(&id.index()).copied()
-    }
-
-    /// All declared results rooted at this host, ascending `QueryId`.
-    pub fn results(&self) -> &BTreeMap<u32, (f64, Time)> {
-        &self.results
-    }
-
-    /// Queries that joined a live wave here instead of flooding.
-    pub fn cache_joins(&self) -> u64 {
-        self.cache_joins
-    }
-
-    /// Partial-cache joins recorded here, as `(live target, alias)`.
-    pub fn aliases(&self) -> &[(u32, u32)] {
-        &self.aliases
-    }
-
-    fn is_retired(&self, qid: u32) -> bool {
-        self.retired
-            .get(qid as usize / 64)
-            .is_some_and(|w| w >> (qid % 64) & 1 == 1)
-    }
-
-    fn retire(&mut self, qid: u32) {
-        let word = qid as usize / 64;
-        if self.retired.len() <= word {
-            self.retired.resize(word + 1, 0);
-        }
-        self.retired[word] |= 1 << (qid % 64);
-    }
-
-    /// Open `qid` at position `pos` of the `open` table.
-    fn open_at(&mut self, pos: usize, qid: u32, state: QState) {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.states[slot as usize] = state;
-                slot
-            }
-            None => {
-                self.states.push(state);
-                (self.states.len() - 1) as u32
-            }
-        };
-        self.open.insert(pos, (qid, slot));
-    }
-
-    fn launched(&self, qid: u32) -> bool {
-        self.is_retired(qid)
-            || self.open.binary_search_by_key(&qid, |&(q, _)| q).is_ok()
-            || self.aliases.iter().any(|&(_, alias)| alias == qid)
+    /// Whether the query of `rank` rooted here was launched or joined a
+    /// live wave already.
+    fn launched(&self, run: &MuxRun, row: usize, rank: u32) -> bool {
+        run.is_retired(row, rank)
+            || self.open.binary_search_by_key(&rank, |s| s.rank).is_ok()
+            || run.joined[rank as usize].is_some()
     }
 
     /// Arm the forced report due at tick `fallback_at` (clamped to the
@@ -363,224 +315,195 @@ impl MuxNode {
         fire_at
     }
 
+    /// Fold this tick's inbox into the open table: child partials
+    /// combine, classified neighbours are counted, a first hearing opens
+    /// a fresh state, and an echo-complete state is marked due.
+    fn fold(&mut self, ctx: &Ctx<'_, MuxMsg>, run: &MuxRun) {
+        if self.inbox.is_empty() {
+            return;
+        }
+        let now = ctx.now().ticks();
+        debug_assert_eq!(
+            self.flush_armed_at,
+            Some(now),
+            "an inbox outlived the tick that filled it"
+        );
+        let degree = ctx.degree();
+        let row = ctx.me().index() * run.words;
+        for &(from, msg) in &self.inbox {
+            debug_assert_eq!(
+                run.filled_at[msg.segment as usize] + 1,
+                now,
+                "a wire slice is read the tick after it was shipped"
+            );
+            let start = msg.start as usize;
+            let items = &run.wire[msg.segment as usize][start..start + msg.len as usize];
+            // Items arrive in ascending rank order: each search resumes
+            // where the previous item's left off.
+            let mut pos = 0;
+            for &item in items {
+                let rank = item.rank();
+                pos += self.open[pos..].partition_point(|s| s.rank < rank);
+                let Some(s) = self.open.get_mut(pos).filter(|s| s.rank == rank) else {
+                    // Late traffic after we reported upward is lost
+                    // (best-effort semantics, exactly as SPANNINGTREE),
+                    // and only a query copy opens a query: no child
+                    // adopted us from a copy we never sent.
+                    if item.is_child() || run.is_retired(row, rank) {
+                        continue;
+                    }
+                    let aggregate = run.queries[rank as usize].aggregate;
+                    let (acc, hosts) = ExactPartial::init(aggregate, self.value).words();
+                    let state = Open {
+                        rank,
+                        parent: from,
+                        acc,
+                        hosts,
+                        depth: item.small + 1,
+                        heard: 1,
+                        fresh: true,
+                        due: true,
+                        fallback_at: 0,
+                    };
+                    self.open.insert(pos, state);
+                    continue;
+                };
+                if item.is_child() {
+                    let aggregate = run.queries[rank as usize].aggregate;
+                    let mut partial = ExactPartial::from_words(aggregate, s.acc, s.hosts);
+                    partial.combine(ExactPartial::from_words(aggregate, item.word, item.small));
+                    (s.acc, s.hosts) = partial.words();
+                } else if s.fresh && (item.small + 1, from) < (s.depth, s.parent) {
+                    // Parent = minimum `(hops, sender)` among the tick's
+                    // query copies — independent of delivery order.
+                    s.depth = item.small + 1;
+                    s.parent = from;
+                }
+                s.heard += 1;
+                // Echo completion: the flush reports once every
+                // non-parent neighbour is classified (a fresh query is
+                // checked on adoption).
+                if !s.fresh && s.heard == s.expected(degree) {
+                    s.due = true;
+                }
+            }
+        }
+        self.inbox.clear();
+    }
+
     /// Handle every rooted query due by now: join a live matching wave
     /// (partial cache) or launch a fresh flood.
-    fn arrivals(&mut self, ctx: &mut Ctx<'_, MuxMsg>, out: &mut OutBufs) {
+    fn arrivals(&mut self, ctx: &mut Ctx<'_, MuxMsg>, run: &mut MuxRun) {
         let now = ctx.now().ticks();
-        let due: Vec<MuxQuery> = self
-            .rooted
-            .iter()
-            .filter(|q| q.arrival <= now && !self.launched(q.id.index()))
-            .copied()
-            .collect();
-        for q in due {
-            let qid = q.id.index();
+        let row = ctx.me().index() * run.words;
+        for i in self.rooted.clone() {
+            let (arrival, rank) = run.rooted[i as usize];
+            if arrival > now || self.launched(run, row, rank) {
+                continue;
+            }
+            let QueryInfo {
+                aggregate,
+                deadline,
+            } = run.queries[rank as usize];
             // Partial cache: a live (unreported) wave rooted here with
             // the same aggregate computes the same answer — join the
-            // lowest-numbered one.
-            let target = self.open.iter().find(|&&(_, slot)| {
-                let s = &self.states[slot as usize];
-                s.parent.is_none() && s.partial.aggregate() == q.aggregate
+            // lowest-ranked one.
+            let target = self.open.iter().find(|s| {
+                s.parent == NO_PARENT && run.queries[s.rank as usize].aggregate == aggregate
             });
-            if let Some(&(target, _)) = target {
-                self.aliases.push((target, qid));
-                self.cache_joins += 1;
+            if let Some(target) = target {
+                run.joined[rank as usize] = Some(target.rank);
                 continue;
             }
-            let deadline = q.deadline();
             let fallback_at = self.arm_fallback(ctx, deadline);
-            for buf in out.iter_mut() {
-                buf.push((
-                    q.id,
-                    MuxItem::Query {
-                        aggregate: q.aggregate,
-                        hops: 0,
-                        deadline,
-                    },
-                ));
+            for buf in &mut run.out[..ctx.degree()] {
+                buf.push(MuxItem::query(rank, 0));
             }
-            let partial = ExactPartial::init(q.aggregate, self.value);
+            let partial = ExactPartial::init(aggregate, self.value);
             if ctx.degree() == 0 {
                 // Isolated root: nothing to wait for.
-                self.retire(qid);
-                self.declare(qid, partial.value(), ctx.now());
+                run.retire(row, rank);
+                run.results[rank as usize] = Some((partial.value(), ctx.now()));
                 continue;
             }
-            let pos = self.open.partition_point(|&(open, _)| open < qid);
-            let state = QState {
-                heard: Heard::for_degree(ctx.degree()),
-                partial,
-                fallback_at,
-                parent: None,
+            let (acc, hosts) = partial.words();
+            let pos = self.open.partition_point(|s| s.rank < rank);
+            let state = Open {
+                rank,
+                parent: NO_PARENT,
+                acc,
+                hosts,
                 depth: 0,
+                heard: 0,
                 fresh: false,
+                due: false,
+                fallback_at,
             };
-            self.open_at(pos, qid, state);
+            self.open.insert(pos, state);
+        }
+        // A firing that catches up on arrivals of several ticks pushed
+        // them in arrival order; a message carries ascending ranks.
+        for buf in &mut run.out[..ctx.degree()] {
+            buf.sort_unstable_by_key(|item| item.tag);
         }
     }
 
-    /// Fold one delivered item into query `qid`'s state; `pos` is where
-    /// `qid` sits in the `open` table, or would be inserted.
-    fn receive(
-        &mut self,
-        ctx: &Ctx<'_, MuxMsg>,
-        pos: usize,
-        qid: u32,
-        from: HostId,
-        item: MuxItem,
-    ) {
-        let Some(&(_, slot)) = self.open.get(pos).filter(|&&(q, _)| q == qid) else {
-            if self.is_retired(qid) {
-                // Late traffic after we reported upward — contribution
-                // lost (best-effort semantics, exactly as SPANNINGTREE).
-                return;
-            }
-            // First hearing. Only a query copy opens the query: a child
-            // report for a query never held here is dropped
-            // (unreachable — a child adopted us from our own copy, so
-            // none reaches a query that is still fresh either).
-            let MuxItem::Query {
-                aggregate,
-                hops,
-                deadline,
-            } = item
-            else {
-                return;
-            };
-            let mut heard = Heard::for_degree(ctx.degree());
-            heard.note(ctx.neighbors(), from);
-            let state = QState {
-                heard,
-                partial: ExactPartial::init(aggregate, self.value),
-                fallback_at: deadline,
-                parent: Some(from),
-                depth: hops + 1,
-                fresh: true,
-            };
-            self.open_at(pos, qid, state);
-            self.due.push(qid);
-            return;
-        };
-        let state = &mut self.states[slot as usize];
-        let new = match item {
-            MuxItem::Query { hops, .. } => {
-                // Parent = minimum `(hops, sender)` among the tick's
-                // query copies — independent of intra-tick delivery
-                // order, so co-resident queries cannot perturb each
-                // other's trees.
-                if state.fresh && (hops + 1, Some(from)) < (state.depth, state.parent) {
-                    state.depth = hops + 1;
-                    state.parent = Some(from);
-                }
-                state.heard.note(ctx.neighbors(), from)
-            }
-            MuxItem::Child { partial } => {
-                state.partial.combine(partial);
-                state.heard.note(ctx.neighbors(), from)
-            }
-        };
-        // Echo completion: the flush reports once every non-parent
-        // neighbour is classified (a fresh query is checked on adoption).
-        if new && !state.fresh && state.heard.count() == self.expected(ctx, slot) {
-            self.due.push(qid);
-        }
-    }
-
-    /// Non-parent neighbours query state `slot` waits on.
-    fn expected(&self, ctx: &Ctx<'_, MuxMsg>, slot: u32) -> usize {
-        ctx.degree() - usize::from(self.states[slot as usize].parent.is_some())
-    }
-
-    /// Adopt the fresh query at position `pos` of the `open` table: fix
-    /// its parent, arm its fallback, flood it onward, and report at
-    /// once if every other neighbour already sent a copy.
-    fn adopt(&mut self, ctx: &mut Ctx<'_, MuxMsg>, out: &mut OutBufs, pos: usize) {
-        let (qid, slot) = self.open[pos];
-        let state = &mut self.states[slot as usize];
-        state.fresh = false;
-        let parent = state.parent.expect("a copy opened the query");
-        // Every same-tick co-sender is someone else's child.
-        state.heard.forget(ctx.neighbors(), parent);
-        let (aggregate, deadline, depth) =
-            (state.partial.aggregate(), state.fallback_at, state.depth);
+    /// Adopt the fresh state `s`: fix its parent, arm its fallback and
+    /// flood it onward. Every same-tick co-sender is someone else's
+    /// child, so only the parent's copy stops counting.
+    fn adopt(&mut self, ctx: &mut Ctx<'_, MuxMsg>, run: &mut MuxRun, s: &mut Open) {
+        s.fresh = false;
+        s.heard -= 1;
         // Fallback at (deadline − depth)·δ so partial subtrees still
         // drain upward before the root declares.
-        let fallback_at = self.arm_fallback(ctx, deadline.saturating_sub(depth as u64));
-        self.states[slot as usize].fallback_at = fallback_at;
-        let parent_idx = ctx
-            .neighbors()
-            .binary_search(&parent)
-            .expect("parent is a neighbor");
-        for (i, buf) in out.iter_mut().enumerate() {
-            if i != parent_idx {
-                buf.push((
-                    QueryId(qid),
-                    MuxItem::Query {
-                        aggregate,
-                        hops: depth,
-                        deadline,
-                    },
-                ));
-            }
-        }
-        if self.states[slot as usize].heard.count() >= self.expected(ctx, slot) {
-            self.report(ctx, out, pos);
-        }
-    }
-
-    /// Report the query at position `pos` of the `open` table upward
-    /// (or declare, at the root), and retire it here.
-    fn report(&mut self, ctx: &mut Ctx<'_, MuxMsg>, out: &mut OutBufs, pos: usize) {
-        let (qid, slot) = self.open.remove(pos);
-        self.free.push(slot);
-        self.retire(qid);
-        let state = &self.states[slot as usize];
-        let partial = state.partial;
-        match state.parent {
-            None => self.declare(qid, partial.value(), ctx.now()),
-            Some(parent) => {
-                let idx = ctx
-                    .neighbors()
-                    .binary_search(&parent)
-                    .expect("parent is a neighbor");
-                out[idx].push((QueryId(qid), MuxItem::Child { partial }));
+        let deadline = run.queries[s.rank as usize].deadline;
+        s.fallback_at = self.arm_fallback(ctx, deadline.saturating_sub(u64::from(s.depth)));
+        let parent = neighbor_index(ctx, s.parent);
+        for (i, buf) in run.out[..ctx.degree()].iter_mut().enumerate() {
+            if i != parent {
+                buf.push(MuxItem::query(s.rank, s.depth));
             }
         }
     }
 
-    /// Record a root declaration and satisfy every alias joined to it.
-    fn declare(&mut self, qid: u32, value: f64, at: Time) {
-        self.results.insert(qid, (value, at));
-        for &(target, alias) in &self.aliases {
-            if target == qid {
-                self.results.insert(alias, (value, at));
-            }
+    /// Report `s` upward (or declare, at the root) and retire it here.
+    fn report(ctx: &Ctx<'_, MuxMsg>, run: &mut MuxRun, s: &Open) {
+        run.retire(ctx.me().index() * run.words, s.rank);
+        let partial =
+            ExactPartial::from_words(run.queries[s.rank as usize].aggregate, s.acc, s.hosts);
+        if s.parent == NO_PARENT {
+            run.results[s.rank as usize] = Some((partial.value(), ctx.now()));
+        } else {
+            let parent = neighbor_index(ctx, s.parent);
+            run.out[parent].push(MuxItem::child(s.rank, partial));
         }
     }
 
     /// The synchronous round, after every delivery of the tick: adopt
     /// the queries first heard this tick and report the echo-complete
-    /// ones, in ascending qid order.
-    fn flush(&mut self, ctx: &mut Ctx<'_, MuxMsg>, out: &mut OutBufs) {
-        let mut due = std::mem::take(&mut self.due);
-        due.sort_unstable();
-        let mut pos = 0;
-        for &qid in &due {
-            pos += self.open[pos..].partition_point(|&(q, _)| q < qid);
-            match self.open.get(pos) {
-                Some(&(q, slot)) if q == qid => {
-                    if self.states[slot as usize].fresh {
-                        self.adopt(ctx, out, pos);
-                    } else {
-                        self.report(ctx, out, pos);
-                    }
+    /// ones, in ascending rank order.
+    fn flush(&mut self, ctx: &mut Ctx<'_, MuxMsg>, run: &mut MuxRun) {
+        let degree = ctx.degree();
+        let mut kept = 0;
+        for i in 0..self.open.len() {
+            let mut s = self.open[i];
+            if s.due {
+                s.due = false;
+                // Adoption reports at once if every other neighbour
+                // already sent a copy.
+                let fresh = s.fresh;
+                if fresh {
+                    self.adopt(ctx, run, &mut s);
                 }
-                // Reported by this tick's fallback already.
-                _ => {}
+                if !fresh || s.heard >= s.expected(degree) {
+                    Self::report(ctx, run, &s);
+                    continue;
+                }
             }
+            self.open[kept] = s;
+            kept += 1;
         }
-        due.clear();
-        self.due = due;
+        self.open.truncate(kept);
     }
 
     /// The fallback orders after this tick's deliveries (already folded
@@ -588,38 +511,61 @@ impl MuxNode {
     /// flush: force the report of every open query whose fire tick has
     /// come. One firing reports every due query, so their reports ship
     /// batched.
-    fn fallbacks(&mut self, ctx: &mut Ctx<'_, MuxMsg>, out: &mut OutBufs) {
+    fn fallbacks(&mut self, ctx: &Ctx<'_, MuxMsg>, run: &mut MuxRun) {
         let now = ctx.now().ticks();
-        let mut pos = 0;
-        while let Some(&(_, slot)) = self.open.get(pos) {
-            let state = &self.states[slot as usize];
-            if state.fresh || state.fallback_at > now {
-                pos += 1;
-            } else {
-                self.report(ctx, out, pos);
+        self.open.retain(|s| {
+            let force = !s.fresh && s.fallback_at <= now;
+            if force {
+                Self::report(ctx, run, s);
             }
-        }
+            !force
+        });
     }
+}
 
-    /// Drain this firing's per-neighbour buffers: one engine message per
-    /// neighbour with traffic, items in ascending `QueryId` order. Each
-    /// message takes an exact-size copy, and the buffers keep their
-    /// capacity for the run's next firing.
-    fn ship(&self, ctx: &mut Ctx<'_, MuxMsg>, out: &mut OutBufs) {
-        for (i, buf) in out.iter_mut().enumerate() {
-            if buf.is_empty() {
-                continue;
-            }
-            buf.sort_unstable_by_key(|&(qid, _)| qid);
-            for &(qid, _) in buf.iter() {
-                let sent = &self.run.payload[qid.index() as usize];
-                sent.set(sent.get() + 1);
-            }
-            let items = buf.clone();
-            buf.clear();
-            let nb = ctx.neighbors()[i];
-            ctx.send(nb, MuxMsg { items });
+/// Slot of neighbour `h` in the host's sorted neighbour list.
+fn neighbor_index(ctx: &Ctx<'_, MuxMsg>, h: HostId) -> usize {
+    ctx.neighbors()
+        .binary_search(&h)
+        .expect("a parent is a neighbor")
+}
+
+/// Ship this firing's outgoing items: one engine message per neighbour
+/// with traffic, a slice of this tick's wire segment. The per-neighbour
+/// buffers keep their capacity for the run's next firing.
+fn ship(ctx: &mut Ctx<'_, MuxMsg>, run: &mut MuxRun) {
+    let now = ctx.now().ticks();
+    let segment = (now % 2) as usize;
+    let MuxRun {
+        payload,
+        out,
+        wire,
+        filled_at,
+        ..
+    } = run;
+    if filled_at[segment] != now {
+        // Everything in it was shipped two ticks ago and folded last
+        // tick.
+        wire[segment].clear();
+        filled_at[segment] = now;
+    }
+    let wire = &mut wire[segment];
+    for (i, buf) in out[..ctx.degree()].iter_mut().enumerate() {
+        if buf.is_empty() {
+            continue;
         }
+        debug_assert!(buf.windows(2).all(|w| w[0].tag < w[1].tag));
+        for item in buf.iter() {
+            payload[item.rank() as usize] += 1;
+        }
+        let msg = MuxMsg {
+            segment: segment as u32,
+            start: wire.len() as u32,
+            len: buf.len() as u32,
+        };
+        wire.extend_from_slice(buf);
+        buf.clear();
+        ctx.send(ctx.neighbors()[i], msg);
     }
 }
 
@@ -646,50 +592,48 @@ impl NodeLogic for MuxNode {
         }
         self.started = true;
         let now = ctx.now().ticks();
-        let mut ticks: Vec<u64> = self
-            .rooted
-            .iter()
-            .map(|q| q.arrival.saturating_sub(now).max(1))
-            .collect();
-        ticks.dedup();
-        for delay in ticks {
-            ctx.set_timer(delay, KEY_ARRIVAL);
+        let run = self.run.borrow();
+        let mut last = None;
+        for &(arrival, _) in &run.rooted[self.rooted.start as usize..self.rooted.end as usize] {
+            let delay = arrival.saturating_sub(now).max(1);
+            if last != Some(delay) {
+                last = Some(delay);
+                ctx.set_timer(delay, KEY_ARRIVAL);
+            }
         }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, MuxMsg>, from: HostId, msg: MuxMsg) {
-        // Items arrive in ascending qid order: each search resumes where
-        // the previous item's left off.
-        let mut pos = 0;
-        for &(qid, item) in &msg.items {
-            let qid = qid.index();
-            pos += self.open[pos..].partition_point(|&(q, _)| q < qid);
-            self.receive(ctx, pos, qid, from, item);
-        }
-        // Adoption and reports run at the tick-end flush, after every
-        // delivery of this instant — the synchronous round.
+        // The fold, adoption and reports run at the host's timers, after
+        // every delivery of this instant — the synchronous round.
         let now = ctx.now().ticks();
         if self.flush_armed_at != Some(now) {
+            debug_assert!(
+                self.inbox.is_empty(),
+                "an inbox outlived the tick that filled it"
+            );
             self.flush_armed_at = Some(now);
             ctx.set_timer_at_tick_end(KEY_FLUSH);
         }
+        self.inbox.push((from, msg));
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, MuxMsg>, key: u64) {
-        let mut bufs = self.run.out.take();
-        if bufs.len() < ctx.degree() {
-            bufs.resize_with(ctx.degree(), Vec::new);
+        let shared = Rc::clone(&self.run);
+        let mut run = shared.borrow_mut();
+        self.fold(ctx, &run);
+        let degree = ctx.degree();
+        if run.out.len() < degree {
+            run.out.resize_with(degree, Vec::new);
         }
-        let out = &mut bufs[..ctx.degree()];
         match key & KEY_CLASS {
-            _ if key == KEY_FLUSH => self.flush(ctx, out),
-            KEY_ARRIVAL => self.arrivals(ctx, out),
-            KEY_FALLBACK => self.fallbacks(ctx, out),
+            _ if key == KEY_FLUSH => self.flush(ctx, &mut run),
+            KEY_ARRIVAL => self.arrivals(ctx, &mut run),
+            KEY_FALLBACK => self.fallbacks(ctx, &mut run),
             _ => unreachable!("unknown timer key {key:#x}"),
         }
-        self.ship(ctx, out);
-        debug_assert!(bufs.iter().all(Vec::is_empty), "unshipped mux items");
-        self.run.out.replace(bufs);
+        ship(ctx, &mut run);
+        debug_assert!(run.out.iter().all(Vec::is_empty), "unshipped mux items");
     }
 }
 
@@ -736,24 +680,28 @@ pub struct MuxOutcome {
 /// Panics if a query's `arrival` is 0, its root is out of range, or two
 /// queries share a `QueryId`.
 pub fn run_mux(graph: &Graph, values: &[u64], queries: &[MuxQuery], plan: &MuxPlan) -> MuxOutcome {
-    let (sim, horizon, run) = simulate(graph, values, queries, plan);
+    let (sim, horizon, run, ids) = simulate(graph, values, queries, plan);
+    let run = run.borrow();
     let mut results = BTreeMap::new();
-    let mut cache_joins = 0u64;
     let mut aliased = Vec::new();
-    for i in 0..graph.num_hosts() {
-        // Logic is retained across death, so dead hosts still account.
-        let node = sim.logic(HostId(i as u32));
-        results.extend(node.results().iter().map(|(&q, &r)| (q, r)));
-        cache_joins += node.cache_joins();
-        aliased.extend(node.aliases().iter().map(|&(_, alias)| alias));
+    for (rank, id) in ids.iter().enumerate() {
+        // An alias is answered by its live wave's declaration.
+        let declared = match run.joined[rank] {
+            Some(target) => {
+                aliased.push(id.0);
+                run.results[target as usize]
+            }
+            None => run.results[rank],
+        };
+        if let Some(declared) = declared {
+            results.insert(id.0, declared);
+        }
     }
-    aliased.sort_unstable();
-    let per_query_payload: BTreeMap<u32, u64> = run
-        .payload
+    let per_query_payload: BTreeMap<u32, u64> = ids
         .iter()
-        .enumerate()
-        .filter(|(_, c)| c.get() > 0)
-        .map(|(q, c)| (q as u32, c.get()))
+        .zip(&run.payload)
+        .filter(|&(_, &sent)| sent > 0)
+        .map(|(id, &sent)| (id.0, sent))
         .collect();
     let payload_items = per_query_payload.values().sum();
     MuxOutcome {
@@ -761,7 +709,7 @@ pub fn run_mux(graph: &Graph, values: &[u64], queries: &[MuxQuery], plan: &MuxPl
         per_query_payload,
         raw_messages: sim.metrics().messages_sent,
         payload_items,
-        cache_joins,
+        cache_joins: aliased.len() as u64,
         aliased,
         metrics: sim.metrics().clone(),
         trace: sim.trace().clone(),
@@ -771,16 +719,20 @@ pub fn run_mux(graph: &Graph, values: &[u64], queries: &[MuxQuery], plan: &MuxPl
 
 /// Build the multiplexed simulation of `queries` and drive it to its
 /// horizon (`max deadline + 2`). Returns the finished simulation, the
-/// horizon and the state its hosts shared (the payload ledger).
+/// horizon, the tables its hosts shared and the workload's ids in rank
+/// order.
 fn simulate<'g>(
     graph: &'g Graph,
     values: &[u64],
     queries: &[MuxQuery],
     plan: &MuxPlan,
-) -> (Simulation<'g, MuxNode>, Time, Rc<MuxRun>) {
+) -> (
+    Simulation<'g, MuxNode>,
+    Time,
+    Rc<RefCell<MuxRun>>,
+    Vec<QueryId>,
+) {
     let n = graph.num_hosts();
-    let mut rooted: BTreeMap<u32, Vec<MuxQuery>> = BTreeMap::new();
-    let mut seen = HashSet::new();
     let mut horizon = 0u64;
     for q in queries {
         assert!(q.arrival >= 1, "query {:?} arrives before tick 1", q.id);
@@ -790,31 +742,77 @@ fn simulate<'g>(
             q.id,
             q.root
         );
-        assert!(seen.insert(q.id), "duplicate {:?}", q.id);
         horizon = horizon.max(q.deadline());
-        rooted.entry(q.root.0).or_default().push(*q);
     }
     let horizon = Time(horizon + 2);
-    let ledger_len = queries.iter().map(|q| q.id.index() as usize + 1).max();
-    let run = Rc::new(MuxRun {
-        payload: (0..ledger_len.unwrap_or(0)).map(|_| Cell::new(0)).collect(),
-        out: RefCell::default(),
-    });
+    // Tables are indexed by rank, so their size follows the number of
+    // queries, whatever their ids.
+    let mut ids: Vec<QueryId> = queries.iter().map(|q| q.id).collect();
+    ids.sort_unstable();
+    if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+        panic!("duplicate {:?}", w[0]);
+    }
+    let rank_of = |id: QueryId| ids.binary_search(&id).expect("an id of the workload") as u32;
+    let mut info = vec![
+        QueryInfo {
+            aggregate: Aggregate::Count,
+            deadline: 0,
+        };
+        ids.len()
+    ];
+    let mut rooted: Vec<(u32, u64, u32)> = Vec::with_capacity(queries.len());
+    for q in queries {
+        let rank = rank_of(q.id);
+        info[rank as usize] = QueryInfo {
+            aggregate: q.aggregate,
+            deadline: q.deadline(),
+        };
+        rooted.push((q.root.0, q.arrival, rank));
+    }
+    rooted.sort_unstable();
+    let words = ids.len().div_ceil(64);
+    let run = Rc::new(RefCell::new(MuxRun {
+        queries: info.into(),
+        rooted: rooted
+            .iter()
+            .map(|&(_, arrival, rank)| (arrival, rank))
+            .collect(),
+        words,
+        payload: vec![0; ids.len()],
+        results: vec![None; ids.len()],
+        joined: vec![None; ids.len()],
+        retired: vec![0; n * words],
+        out: Vec::new(),
+        wire: Default::default(),
+        filled_at: [u64::MAX; 2],
+    }));
+    // The wire arena keeps two segments, so a message must be read the
+    // tick after it was shipped; the neighbour count is exact on the
+    // point-to-point medium.
     let mut builder = SimBuilder::over(graph)
+        .medium(Medium::PointToPoint)
+        .delay(DelayModel::Fixed(1))
         .churn(plan.churn.clone())
         .seed(plan.seed);
     if let Some(p) = &plan.partition {
         builder = builder.partition(p.clone());
     }
     let mut sim = builder.build(|h| {
-        MuxNode::new(
-            values[h.index()],
-            rooted.get(&h.0).cloned().unwrap_or_default(),
-            Rc::clone(&run),
-        )
+        let first = rooted.partition_point(|&(root, ..)| root < h.0) as u32;
+        let end = rooted.partition_point(|&(root, ..)| root <= h.0) as u32;
+        MuxNode {
+            open: Vec::new(),
+            inbox: Vec::new(),
+            fallback_armed: Vec::new(),
+            run: Rc::clone(&run),
+            value: values[h.index()],
+            flush_armed_at: None,
+            rooted: first..end,
+            started: false,
+        }
     });
     sim.run_until(horizon);
-    (sim, horizon, run)
+    (sim, horizon, run, ids)
 }
 
 #[cfg(test)]
@@ -987,17 +985,18 @@ mod tests {
                 q(i, agg, (i * 7) % n as u32, 1 + u64::from(i % 9), 16)
             })
             .collect();
-        let (sim, _, _) = simulate(&g, &vec![1; n], &queries, &MuxPlan::default());
-        let aliased: Vec<u32> = (0..n)
-            .flat_map(|h| sim.logic(HostId(h as u32)).aliases().to_vec())
-            .map(|(_, alias)| alias)
-            .collect();
+        let (sim, _, run, _) = simulate(&g, &vec![1; n], &queries, &MuxPlan::default());
+        let st = run.borrow();
         for h in 0..n {
             let node = sim.logic(HostId(h as u32));
             assert!(node.open.is_empty(), "host {h} still holds {:?}", node.open);
+            assert!(node.inbox.is_empty(), "host {h} never folded its inbox");
             assert!(!node.summary().active);
-            for qid in (0..50).filter(|qid| !aliased.contains(qid)) {
-                assert!(node.is_retired(qid), "host {h} never retired query {qid}");
+            for rank in (0..50).filter(|&r| st.joined[r as usize].is_none()) {
+                assert!(
+                    st.is_retired(h * st.words, rank),
+                    "host {h} never retired query {rank}"
+                );
             }
         }
     }
@@ -1017,17 +1016,49 @@ mod tests {
         }
         let g = b.build();
         let queries = [q(0, Aggregate::Count, 0, 1, 2)];
-        let (sim, _, run) = simulate(&g, &[1; 5], &queries, &MuxPlan::default());
-        let host3 = sim.logic(HostId(3));
-        assert!(host3.is_retired(0) && host3.open.is_empty());
+        let (sim, _, run, _) = simulate(&g, &[1; 5], &queries, &MuxPlan::default());
+        let st = run.borrow();
+        assert!(st.is_retired(3 * st.words, 0) && sim.logic(HostId(3)).open.is_empty());
         // 1 (root) + 3 (host 1) + 2 each for hosts 2, 3 and 4. Had host
         // 3 re-opened the query on the late copy, it would have flooded
         // it back to host 1.
-        assert_eq!(run.payload[0].get(), 10);
+        assert_eq!(st.payload[0], 10);
+        assert_eq!(st.results[0], Some((2.0, Time(5))));
+    }
+
+    #[test]
+    fn tables_follow_the_number_of_queries_not_their_ids() {
+        // The ledger and the retired bits are indexed by rank: a
+        // workload whose largest id is u32::MAX sizes them for two
+        // queries, and both declare.
+        let g = special::cycle(6);
+        let queries = [
+            q(u32::MAX, Aggregate::Sum, 4, 2, 3),
+            q(3, Aggregate::Count, 0, 1, 3),
+        ];
+        let out = run_mux(&g, &[1; 6], &queries, &MuxPlan::default());
+        assert_eq!(out.results[&3].0, 6.0);
+        assert_eq!(out.results[&u32::MAX].0, 6.0);
         assert_eq!(
-            sim.logic(HostId(0)).result(QueryId(0)),
-            Some((2.0, Time(5)))
+            out.per_query_payload.keys().copied().collect::<Vec<_>>(),
+            [3, u32::MAX]
         );
+        let (_, _, run, ids) = simulate(&g, &[1; 6], &queries, &MuxPlan::default());
+        assert_eq!(ids, [QueryId(3), QueryId(u32::MAX)]);
+        let run = run.borrow();
+        assert_eq!((run.words, run.retired.len()), (1, 6));
+    }
+
+    /// The flat layout's budget: a wire item is two words, a message a
+    /// slice of the arena, an open state at most five words.
+    #[test]
+    fn item_message_and_state_layout_do_not_grow() {
+        let item = std::mem::size_of::<MuxItem>();
+        assert!(item <= 16, "wire item is {item} bytes");
+        let msg = std::mem::size_of::<MuxMsg>();
+        assert!(msg <= 16, "message is {msg} bytes");
+        let state = std::mem::size_of::<Open>();
+        assert!(state <= 40, "open state is {state} bytes");
     }
 
     #[test]
