@@ -1,7 +1,7 @@
 //! Computing `HC` and `HU` from a ground-truth trace.
 
 use pov_sim::{Time, Trace};
-use pov_topology::{analysis, Graph, HostId};
+use pov_topology::{analysis::Sweep, Graph, HostId};
 
 /// The Single-Site-Validity host sets for a query interval `[start, end]`
 /// observed from `hq`.
@@ -68,15 +68,21 @@ fn collect(flags: &[bool]) -> Vec<HostId> {
 
 /// Compute `HC` and `HU` for the interval `[start, end]`.
 ///
-/// `HC` is found by one BFS from `hq` over the subgraph induced by hosts
-/// alive *throughout* the interval: a path in that subgraph is exactly a
-/// stable path. The invariant `HC ⊆ HU` always holds (stable hosts are in
-/// particular alive at some instant).
+/// `HC` is found by one reach-only [`Sweep`] from `hq` over the subgraph
+/// induced by hosts alive *throughout* the interval: a path in that
+/// subgraph is exactly a stable path. The invariant `HC ⊆ HU` always
+/// holds (stable hosts are in particular alive at some instant).
 pub fn host_sets(graph: &Graph, trace: &Trace, hq: HostId, start: Time, end: Time) -> HostSets {
     let throughout = trace.alive_throughout(start, end);
     let hu = trace.alive_sometime(start, end);
-    let dist = analysis::bfs_distances_filtered(graph, hq, |h| throughout[h.index()]);
-    let hc = dist.iter().map(|&d| d != analysis::UNREACHABLE).collect();
+    let mut hc = vec![false; graph.num_hosts()];
+    let mut sweep = Sweep::new(graph.num_hosts());
+    sweep.reset(|h| throughout[h.index()]);
+    sweep.search(graph, hq, |_, level| {
+        for &h in level {
+            hc[h.index()] = true;
+        }
+    });
     HostSets { hc, hu }
 }
 

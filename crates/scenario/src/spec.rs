@@ -436,8 +436,15 @@ impl Scenario {
             }
         };
         let n = topo.require_usize("n")?;
-        if n < 2 {
-            return Err(topo.err("n", "need at least 2 hosts"));
+        if n < topology.min_hosts() {
+            return Err(topo.err(
+                "n",
+                format!(
+                    "{} needs at least {} hosts, got {n}",
+                    topology.name(),
+                    topology.min_hosts()
+                ),
+            ));
         }
         let topology_seed = topo.opt_u64("seed")?.unwrap_or(1);
         topo.finish()?;
@@ -1946,6 +1953,42 @@ seeds = [1]
             "[churn] radius: 4294967298 exceeds u32::MAX",
         );
         fails_with("hq = 4294967298", "[query] hq: 4294967298 exceeds u32::MAX");
+    }
+
+    #[test]
+    fn topology_smaller_than_its_generator_needs_is_a_line_numbered_error() {
+        // Below a kind's `min_hosts()` its generator would panic; the
+        // parser must refuse the `n` line first.
+        for (kind, name) in [
+            (TopologyKind::Gnutella, "gnutella"),
+            (TopologyKind::Random, "random"),
+            (TopologyKind::PowerLaw, "powerlaw"),
+            (TopologyKind::Grid, "grid"),
+        ] {
+            let min = kind.min_hosts();
+            let with_n = |n: usize| {
+                GOOD.replace("kind = \"grid\"", &format!("kind = \"{name}\""))
+                    .replace("n = 400", &format!("n = {n}"))
+            };
+            let text = with_n(min - 1);
+            let err = Scenario::from_str(&text).expect_err(name);
+            let line = text
+                .lines()
+                .position(|l| l == format!("n = {}", min - 1))
+                .expect("n line")
+                + 1;
+            assert_eq!(err.line, line, "{name}");
+            assert!(
+                err.msg.contains(&format!(
+                    "[topology] n: {} needs at least {min} hosts, got {}",
+                    kind.name(),
+                    min - 1
+                )),
+                "{name}: {}",
+                err.msg
+            );
+            assert!(Scenario::from_str(&with_n(min)).is_ok(), "{name}");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! uniform attachment (creating the exponential low-degree mode), the
 //! standard recipe for Gnutella-like overlays.
 
-use crate::analysis::connect_components;
+use super::TopologyKind;
 use crate::{EdgeSink, Graph, HostId, StreamingBuilder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -28,7 +28,8 @@ const PREFERENTIAL_MIX: f64 = 0.7;
 /// Emit the Gnutella-like edge stream into `sink`. Shared by the
 /// streaming production path and the materialized `#[cfg(test)]` oracle.
 fn emit_gnutella<S: EdgeSink>(n: usize, seed: u64, sink: &mut S) {
-    assert!(n >= 8, "need at least 8 hosts");
+    let min = TopologyKind::Gnutella.min_hosts();
+    assert!(n >= min, "need at least {min} hosts");
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut endpoints: Vec<HostId> = Vec::with_capacity(4 * n);
 
@@ -75,8 +76,7 @@ pub fn gnutella(n: usize, seed: u64) -> Graph {
     let hint = (n as f64 * 1.8) as usize + 16;
     let mut b = StreamingBuilder::with_edge_capacity(n, hint);
     emit_gnutella(n, seed, &mut b);
-    let (g, _) = connect_components(&b.build());
-    g
+    b.build_connected().0
 }
 
 /// The pre-streaming materialized path, kept as the byte-identity oracle
@@ -85,8 +85,7 @@ pub fn gnutella(n: usize, seed: u64) -> Graph {
 pub(crate) fn gnutella_materialized(n: usize, seed: u64) -> Graph {
     let mut b = crate::GraphBuilder::with_hosts(n);
     emit_gnutella(n, seed, &mut b);
-    let (g, _) = connect_components(&b.build());
-    g
+    crate::reference::connect_components(&b.build()).0
 }
 
 #[cfg(test)]

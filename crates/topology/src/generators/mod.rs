@@ -60,6 +60,19 @@ impl TopologyKind {
         }
     }
 
+    /// The fewest hosts a topology of this kind is built from: two for
+    /// any network, eight for Gnutella's seed ring and four for the
+    /// power-law stub pairing. The Gnutella, random and power-law
+    /// generators assert it, and scenario validation rejects a smaller
+    /// `n` with it.
+    pub fn min_hosts(self) -> usize {
+        match self {
+            TopologyKind::Gnutella => 8,
+            TopologyKind::PowerLaw => 4,
+            TopologyKind::Random | TopologyKind::Grid => 2,
+        }
+    }
+
     /// Host count used in the paper's experiments for this topology.
     pub fn paper_size(self) -> usize {
         match self {

@@ -1,7 +1,7 @@
 //! Power-law graphs (the §6.1 "Power-law" topology, γ = 2.9, citing
 //! Barabási–Albert [4]).
 
-use crate::analysis::connect_components;
+use super::TopologyKind;
 use crate::{EdgeSink, Graph, HostId, StreamingBuilder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -62,7 +62,8 @@ pub(crate) fn barabasi_albert_materialized(n: usize, m: usize, seed: u64) -> Gra
 /// Emit the configuration-model stub pairing into `sink`. Shared by the
 /// streaming production path and the materialized `#[cfg(test)]` oracle.
 fn emit_power_law<S: EdgeSink>(n: usize, gamma: f64, seed: u64, sink: &mut S) {
-    assert!(n >= 4, "need at least 4 hosts");
+    let min = TopologyKind::PowerLaw.min_hosts();
+    assert!(n >= min, "need at least {min} hosts");
     assert!(gamma > 1.0, "gamma must exceed 1");
     let mut rng = SmallRng::seed_from_u64(seed);
     let min_deg = 2usize;
@@ -110,8 +111,7 @@ pub fn power_law(n: usize, gamma: f64, seed: u64) -> Graph {
     let hint = (n as f64 * 1.5) as usize + 16;
     let mut b = StreamingBuilder::with_edge_capacity(n, hint);
     emit_power_law(n, gamma, seed, &mut b);
-    let (g, _) = connect_components(&b.build());
-    g
+    b.build_connected().0
 }
 
 /// The pre-streaming materialized path, kept as the byte-identity oracle
@@ -120,8 +120,7 @@ pub fn power_law(n: usize, gamma: f64, seed: u64) -> Graph {
 pub(crate) fn power_law_materialized(n: usize, gamma: f64, seed: u64) -> Graph {
     let mut b = crate::GraphBuilder::with_hosts(n);
     emit_power_law(n, gamma, seed, &mut b);
-    let (g, _) = connect_components(&b.build());
-    g
+    crate::reference::connect_components(&b.build()).0
 }
 
 /// Maximum-likelihood (Hill) estimate of the power-law exponent of a

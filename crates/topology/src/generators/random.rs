@@ -1,6 +1,6 @@
 //! Uniform random graphs (the §6.1 "Random" topology).
 
-use crate::analysis::connect_components;
+use super::TopologyKind;
 use crate::{EdgeSink, Graph, HostId, StreamingBuilder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -9,7 +9,10 @@ use rand::{Rng, SeedableRng};
 /// production path and the materialized `#[cfg(test)]` oracle, so both
 /// consume the rng identically.
 fn emit_random<S: EdgeSink>(n: usize, avg_degree: f64, seed: u64, sink: &mut S) {
-    assert!(n >= 2, "need at least two hosts");
+    assert!(
+        n >= TopologyKind::Random.min_hosts(),
+        "need at least two hosts"
+    );
     let p = (avg_degree / (n as f64 - 1.0)).clamp(0.0, 1.0);
     let mut rng = SmallRng::seed_from_u64(seed);
 
@@ -55,8 +58,7 @@ pub fn random_average_degree(n: usize, avg_degree: f64, seed: u64) -> Graph {
     let hint = ((n as f64 * avg_degree / 2.0) * 1.05) as usize + 16;
     let mut b = StreamingBuilder::with_edge_capacity(n, hint);
     emit_random(n, avg_degree, seed, &mut b);
-    let (g, _) = connect_components(&b.build());
-    g
+    b.build_connected().0
 }
 
 /// The pre-streaming materialized path, kept as the byte-identity oracle
@@ -65,8 +67,7 @@ pub fn random_average_degree(n: usize, avg_degree: f64, seed: u64) -> Graph {
 pub(crate) fn random_average_degree_materialized(n: usize, avg_degree: f64, seed: u64) -> Graph {
     let mut b = crate::GraphBuilder::with_hosts(n);
     emit_random(n, avg_degree, seed, &mut b);
-    let (g, _) = connect_components(&b.build());
-    g
+    crate::reference::connect_components(&b.build()).0
 }
 
 #[cfg(test)]
@@ -113,6 +114,30 @@ mod tests {
         let g = random_average_degree(5_000, 5.0, 3);
         let d = analysis::diameter_estimate(&g, 4, 5);
         assert!(d <= 15, "diameter {d} too large for a random graph");
+    }
+
+    /// At average degree 1 the raw stream falls into hundreds of
+    /// components; the union-find patch made before the CSR must match
+    /// the BFS-labelled patch of the built graph byte for byte.
+    #[test]
+    fn sparse_patch_matches_bfs_oracle() {
+        for n in [500, 3000] {
+            for seed in 0..3u64 {
+                let mut b = StreamingBuilder::with_hosts(n);
+                emit_random(n, 1.0, seed, &mut b);
+                let (oracle, oracle_added) =
+                    crate::reference::connect_components(&b.clone().build());
+                let (g, added) = b.build_connected();
+                assert!(added >= n / 10, "n={n} seed={seed}: only {added} patches");
+                assert_eq!(added, oracle_added, "n={n} seed={seed}");
+                assert_eq!(g.csr_parts(), oracle.csr_parts(), "n={n} seed={seed}");
+                assert_eq!(
+                    g.csr_parts(),
+                    random_average_degree(n, 1.0, seed).csr_parts(),
+                    "n={n} seed={seed}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Undirected simple graph over hosts.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Identifier of a host in the network.
@@ -139,8 +140,9 @@ impl Graph {
     /// Assemble a graph directly from CSR parts. The caller guarantees the
     /// invariants: `offsets` has length `n + 1`, is non-decreasing, starts
     /// at 0; each host's `targets` slice is sorted, deduplicated and
-    /// symmetric. Used by [`crate::analysis::connect_components`] to patch
-    /// a graph without round-tripping through a [`GraphBuilder`].
+    /// symmetric. Used by the CSR-merging component patch kept as a test
+    /// oracle in `reference`.
+    #[cfg(test)]
     pub(crate) fn from_csr(offsets: Vec<u32>, targets: Vec<HostId>, num_edges: usize) -> Self {
         debug_assert!(!offsets.is_empty() && offsets[0] == 0);
         debug_assert_eq!(*offsets.last().unwrap() as usize, targets.len());
@@ -303,13 +305,91 @@ impl StreamingBuilder {
 
     /// Finalize: sort and deduplicate the pair buffer, then counting-sort
     /// it into the CSR arena.
+    pub fn build(self) -> Graph {
+        let n = self.num_hosts;
+        self.into_csr(vec![0; n + 1], vec![0; n])
+    }
+
+    /// Finalize as [`build`](Self::build) does, after wiring each
+    /// secondary component to the largest one with a single edge between
+    /// their lowest hosts — the patch [`crate::analysis::connect_components`]
+    /// applies to a built graph, made here before the CSR exists so the
+    /// arena is filled once. Returns the graph and the number of edges
+    /// added.
+    ///
+    /// Components come from a union-find over the pair buffer whose two
+    /// `n`-word arrays (parents, then component sizes) are the ones the
+    /// CSR fill reuses as its cursors and offsets.
+    pub fn build_connected(mut self) -> (Graph, usize) {
+        let n = self.num_hosts;
+        let mut parent: Vec<u32> = (0..n as u32).collect();
+        let mut size = vec![0u32; n + 1];
+        let added = self.patch_components(&mut parent, &mut size);
+        size.fill(0);
+        (self.into_csr(size, parent), added)
+    }
+
+    /// Union-find over the pairs with path halving, the smaller root
+    /// winning, so each root is its component's lowest host. Pushes one
+    /// `(anchor, root)` pair per secondary component, where the anchor is
+    /// the lowest host of the largest component — of equal-largest ones
+    /// the last in lowest-host order — and returns how many it pushed.
+    fn patch_components(&mut self, parent: &mut [u32], size: &mut [u32]) -> usize {
+        fn find(parent: &mut [u32], mut h: u32) -> u32 {
+            while parent[h as usize] != h {
+                let grand = parent[parent[h as usize] as usize];
+                parent[h as usize] = grand;
+                h = grand;
+            }
+            h
+        }
+        for &p in &self.pairs {
+            let a = find(parent, (p >> 32) as u32);
+            let b = find(parent, p as u32);
+            match a.cmp(&b) {
+                Ordering::Less => parent[b as usize] = a,
+                Ordering::Greater => parent[a as usize] = b,
+                Ordering::Equal => {}
+            }
+        }
+        let n = self.num_hosts as u32;
+        for h in 0..n {
+            size[find(parent, h) as usize] += 1;
+        }
+        // Path halving never points a non-root at itself, so the roots are
+        // exactly the fixed points, met here in lowest-host order.
+        let (mut anchor, mut largest, mut roots) = (0u32, 0u32, 0usize);
+        for h in 0..n {
+            if parent[h as usize] == h {
+                roots += 1;
+                if size[h as usize] >= largest {
+                    (anchor, largest) = (h, size[h as usize]);
+                }
+            }
+        }
+        if roots <= 1 {
+            return 0;
+        }
+        self.pairs.reserve(roots - 1);
+        for h in 0..n {
+            if parent[h as usize] == h && h != anchor {
+                let (lo, hi) = (anchor.min(h), anchor.max(h));
+                self.pairs.push(((lo as u64) << 32) | hi as u64);
+            }
+        }
+        roots - 1
+    }
+
+    /// Sort and deduplicate the pair buffer, then counting-sort it into
+    /// the CSR arena, given a zeroed `offsets` of `n + 1` words and a
+    /// `cursor` of `n` words with any contents.
     ///
     /// Filling in pair-sorted order leaves every neighbour list already
     /// sorted ascending: host `h` first receives its smaller neighbours
     /// `c < h` (from pairs `(c, h)`, which sort before any `(h, ·)` pair),
     /// each in ascending `c` order, then its larger neighbours from
     /// `(h, b)` pairs in ascending `b` order.
-    pub fn build(mut self) -> Graph {
+    fn into_csr(mut self, mut offsets: Vec<u32>, mut cursor: Vec<u32>) -> Graph {
         self.pairs.sort_unstable();
         self.pairs.dedup();
         let n = self.num_hosts;
@@ -318,7 +398,6 @@ impl StreamingBuilder {
             num_edges <= (u32::MAX / 2) as usize,
             "edge count overflows u32 CSR offsets"
         );
-        let mut offsets = vec![0u32; n + 1];
         for &p in &self.pairs {
             offsets[(p >> 32) as usize + 1] += 1;
             offsets[(p & 0xffff_ffff) as usize + 1] += 1;
@@ -327,7 +406,7 @@ impl StreamingBuilder {
             offsets[i + 1] += offsets[i];
         }
         // cursor[h] = next free slot in h's CSR slice.
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
+        cursor.copy_from_slice(&offsets[..n]);
         let mut targets = vec![HostId(0); 2 * num_edges];
         for &p in &self.pairs {
             let a = (p >> 32) as u32;
@@ -475,5 +554,37 @@ mod tests {
         for h in g.hosts() {
             assert_eq!(c.neighbors(h), g.neighbors(h));
         }
+    }
+
+    #[test]
+    fn build_connected_anchors_the_later_of_equal_largest_components() {
+        // {0, 1, 2} and {3, 4, 5} tie for largest; 6 and 7 are isolated.
+        let mut sb = StreamingBuilder::with_hosts(8);
+        for (a, b) in [(0, 1), (1, 2), (4, 3), (5, 4)] {
+            sb.add_edge(HostId(a), HostId(b));
+        }
+        let raw = sb.clone().build();
+        let (g, added) = sb.build_connected();
+        assert_eq!(added, 3);
+        assert_eq!(g.neighbors(HostId(3)), &[0, 4, 6, 7].map(HostId));
+        let (oracle, oracle_added) = crate::reference::connect_components(&raw);
+        assert_eq!(g.csr_parts(), oracle.csr_parts());
+        assert_eq!((g.num_edges(), added), (oracle.num_edges(), oracle_added));
+        let (replayed, replay_added) = crate::analysis::connect_components(&raw);
+        assert_eq!(replayed.csr_parts(), g.csr_parts());
+        assert_eq!(replay_added, added);
+    }
+
+    #[test]
+    fn build_connected_is_build_on_a_connected_stream() {
+        let mut sb = StreamingBuilder::with_hosts(4);
+        for (a, b) in [(3, 0), (1, 2), (0, 1), (1, 0)] {
+            sb.add_edge(HostId(a), HostId(b));
+        }
+        let (g, added) = sb.clone().build_connected();
+        assert_eq!(added, 0);
+        assert_eq!(g.csr_parts(), sb.build().csr_parts());
+        assert_eq!(StreamingBuilder::with_hosts(0).build_connected().1, 0);
+        assert_eq!(StreamingBuilder::with_hosts(1).build_connected().1, 0);
     }
 }

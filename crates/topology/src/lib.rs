@@ -39,6 +39,8 @@ pub mod analysis;
 pub mod generators;
 mod graph;
 mod overlay;
+#[cfg(test)]
+mod reference;
 pub mod ring;
 
 pub use graph::{EdgeSink, Graph, GraphBuilder, HostId, StreamingBuilder};
