@@ -26,7 +26,7 @@ use pov_core::experiments::{
     ablation, adversary, ext_accuracy, fig06, fig10, fig11, fig12, fig13, overlay, price, validity,
 };
 use pov_core::report::Table;
-use pov_scenario::{run_batch_sharded, table_to_json, trace_batch_sharded, Json, Scenario};
+use pov_scenario::{run_batch, table_to_json, trace_batch, Json, Scenario};
 use pov_telemetry::export;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -53,8 +53,8 @@ repro — regenerate the tables and figures of the paper's §6
 
 USAGE:
     repro [--paper] [--json PATH] [EXPERIMENT]...
-    repro scenario FILE... [--threads N] [--shard-delivery N] [--json PATH]
-    repro trace FILE... [--threads N] [--shard-delivery N] [--out DIR] [--format jsonl|chrome|summary]
+    repro scenario FILE... [--threads N] [--json PATH]
+    repro trace FILE... [--threads N] [--out DIR] [--format jsonl|chrome|summary]
     repro bench [--quick] [--scale] [--json PATH]
     repro mux [--quick] [--json PATH]
     repro soak [--quick] [--json PATH]
@@ -70,15 +70,15 @@ SUBCOMMANDS:
                    the same queries run sequentially (answers must agree and
                    the shared run must send fewer messages)
     soak           long-horizon endurance run with window-count and RSS limits
-
-    bench, mux and soak print wall-clock figures for information only; they
-    exit non-zero on counts and RSS, never on time. Wall-clock claims go
-    through benchmark/run.sh (see docs/BENCHMARKING.md).
     overlay        one experiment by name: maintained-overlay vs frozen-graph
                    validity/cost comparison (`repro overlay`)
     adversary      one experiment by name: adaptive sketch-targeting attacker
                    vs oblivious churn at equal budget (`repro adversary`)
                    — any name from `repro list` runs the same way
+
+    bench, mux and soak print wall-clock figures for information only; they
+    exit non-zero on counts and RSS, never on time. Wall-clock claims go
+    through benchmark/run.sh (see docs/BENCHMARKING.md).
 
     Unknown subcommands are treated as experiment names and rejected with
     a non-zero exit and a pointer to `repro list`.
@@ -87,12 +87,6 @@ OPTIONS:
     --paper        run experiments at the paper's full §6 sizes (default: quick scale)
     --threads N    worker threads for the scenario batch runner or the trace
                    runner (default: 1)
-    --shard-delivery N
-                   `repro scenario` / `repro trace` only: shard each tick's
-                   in-simulation delivery batch across N worker threads
-                   (deterministic — output is byte-identical for any N; see
-                   docs/SCALING.md). Composes with '--threads', which
-                   parallelizes across cells rather than within a simulation
     --json PATH    write results as JSON to PATH (experiment rows, scenario reports,
                    or this run's bench / mux / soak document; the bench document
                    carries the deterministic per-workload `counters` block).
@@ -124,7 +118,6 @@ struct Opts {
     quick: bool,
     scale: bool,
     threads: Option<usize>,
-    shard_delivery: Option<usize>,
     json: Option<String>,
     out: Option<String>,
     format: Option<String>,
@@ -137,7 +130,6 @@ fn parse_opts(args: &[String]) -> Opts {
         quick: false,
         scale: false,
         threads: None,
-        shard_delivery: None,
         json: None,
         out: None,
         format: None,
@@ -153,13 +145,7 @@ fn parse_opts(args: &[String]) -> Opts {
                 let v = it
                     .next()
                     .unwrap_or_else(|| fail("'--threads' expects a value (e.g. --threads 8)"));
-                opts.threads = Some(parse_threads("--threads", v));
-            }
-            "--shard-delivery" => {
-                let v = it.next().unwrap_or_else(|| {
-                    fail("'--shard-delivery' expects a thread count (e.g. --shard-delivery 4)")
-                });
-                opts.shard_delivery = Some(parse_threads("--shard-delivery", v));
+                opts.threads = Some(parse_threads(v));
             }
             "--json" => {
                 let v = it
@@ -193,14 +179,16 @@ fn parse_opts(args: &[String]) -> Opts {
     opts
 }
 
-fn parse_threads(flag: &str, v: &str) -> usize {
+fn parse_threads(v: &str) -> usize {
     match v.parse::<usize>() {
-        Ok(0) => fail(&format!("'{flag} 0' makes no progress; use at least 1")),
+        Ok(0) => fail("'--threads 0' makes no progress; use at least 1"),
         Ok(n) if n > 512 => fail(&format!(
-            "'{flag} {n}' is past any plausible core count; use 1..=512"
+            "'--threads {n}' is past any plausible core count; use 1..=512"
         )),
         Ok(n) => n,
-        Err(_) => fail(&format!("'{flag}' expects a positive integer, got '{v}'")),
+        Err(_) => fail(&format!(
+            "'--threads' expects a positive integer, got '{v}'"
+        )),
     }
 }
 
@@ -242,16 +230,6 @@ fn reject_trace_flags(opts: &Opts, subcommand: &str) {
     }
 }
 
-/// Reject `--shard-delivery` outside the two subcommands that run
-/// simulations through the scenario machinery.
-fn reject_shard_flag(opts: &Opts, subcommand: &str) {
-    if opts.shard_delivery.is_some() {
-        fail(&format!(
-            "'--shard-delivery' applies to `repro scenario` and `repro trace`, not `{subcommand}`"
-        ));
-    }
-}
-
 /// Reject the `repro bench`-only ladder flag elsewhere.
 fn reject_scale_flag(opts: &Opts, subcommand: &str) {
     if opts.scale {
@@ -277,7 +255,6 @@ fn driver_opts(args: &[String], subcommand: &str) -> (Opts, BenchMode) {
         ));
     }
     reject_trace_flags(&opts, subcommand);
-    reject_shard_flag(&opts, subcommand);
     if let Some(arg) = opts.positional.first() {
         fail(&format!(
             "`{subcommand}` takes no workload arguments (got '{arg}')"
@@ -509,6 +486,17 @@ fn soak_main(args: &[String]) {
 
 // ---------------------------------------------------------------- scenarios
 
+/// Read and parse one `.scn` file, exiting 1 on an I/O or parse error.
+fn load_scenario(path: &str) -> Scenario {
+    let parsed = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read '{path}': {e}"))
+        .and_then(|text| text.parse().map_err(|e| format!("{path}: {e}")));
+    parsed.unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(1);
+    })
+}
+
 fn scenario_main(args: &[String]) {
     let opts = parse_opts(args);
     if opts.paper {
@@ -525,22 +513,9 @@ fn scenario_main(args: &[String]) {
     let threads = opts.threads.unwrap_or(1);
     let mut reports = Vec::new();
     for path in &opts.positional {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read '{path}': {e}");
-                std::process::exit(1);
-            }
-        };
-        let scn: Scenario = match text.parse() {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                std::process::exit(1);
-            }
-        };
+        let scn = load_scenario(path);
         let start = Instant::now();
-        let report = run_batch_sharded(&scn, threads, opts.shard_delivery);
+        let report = run_batch(&scn, threads);
         for t in summary_tables(&report) {
             println!("{t}");
         }
@@ -593,22 +568,9 @@ fn trace_main(args: &[String]) {
         std::process::exit(1);
     }
     for path in &opts.positional {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read '{path}': {e}");
-                std::process::exit(1);
-            }
-        };
-        let scn: Scenario = match text.parse() {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                std::process::exit(1);
-            }
-        };
+        let scn = load_scenario(path);
         let start = Instant::now();
-        let doc = trace_batch_sharded(&scn, threads, opts.shard_delivery);
+        let doc = trace_batch(&scn, threads);
         for fmt in &formats {
             let (ext, rendered) = match *fmt {
                 "jsonl" => ("jsonl", export::jsonl(&doc)),
@@ -737,7 +699,6 @@ fn experiments_main(args: &[String]) {
     }
     reject_trace_flags(&opts, "the experiments");
     reject_scale_flag(&opts, "the experiments");
-    reject_shard_flag(&opts, "the experiments");
     let scale = if opts.paper {
         Scale::Paper
     } else {

@@ -3,8 +3,8 @@
 //! Every paper experiment exists in two sizes:
 //!
 //! * [`Scale::Quick`] — minutes-not-hours defaults used by `repro`
-//!   without flags and by the Criterion benches (topologies around a few
-//!   thousand hosts; same sweep *shapes* as the paper);
+//!   without flags (topologies around a few thousand hosts; same sweep
+//!   *shapes* as the paper);
 //! * [`Scale::Paper`] — the full §6 sizes (Gnutella 39,046; Random /
 //!   Power-law 40K; Grid 100×100), selected with `repro --paper`.
 

@@ -2,7 +2,7 @@
 //!
 //! Every driver has a `paper()` configuration (the sizes and sweeps of
 //! the paper) and a `smoke()` configuration (minutes → milliseconds, for
-//! tests and Criterion benches), runs deterministically from its seed,
+//! tests and the `repro` smoke runs), runs deterministically from its seed,
 //! and renders its results as the same rows/series the paper plots.
 //!
 //! | Module | Paper figure |

@@ -213,13 +213,6 @@ pub struct RunPlan {
     /// When set, the plan describes a §4.2 continuous query instead of
     /// a one-shot: re-issue every `window` ticks, `windows` times.
     pub continuous: Option<ContinuousSpec>,
-    /// When set, each simulation runs with sharded message delivery
-    /// across this many worker threads
-    /// ([`Simulation::enable_sharded_delivery`]): output is
-    /// byte-identical for any thread count. WILDFIRE is exempt (its
-    /// `Rc`-shared partials are not `Send`) and always runs
-    /// sequentially.
-    pub shard_threads: Option<usize>,
 }
 
 impl RunPlan {
@@ -241,16 +234,7 @@ impl RunPlan {
             hq: HostId(0),
             protocols: Vec::new(),
             continuous: None,
-            shard_threads: None,
         }
-    }
-
-    /// Run each simulation with sharded message delivery across
-    /// `threads` workers (see the [`RunPlan::shard_threads`] field
-    /// docs for the determinism contract and the WILDFIRE exemption).
-    pub fn sharded_delivery(mut self, threads: usize) -> Self {
-        self.shard_threads = Some(threads);
-        self
     }
 
     /// Set the stable-diameter overestimate `D̂`.
@@ -415,18 +399,6 @@ impl Outcome {
     }
 }
 
-/// Turn on sharded delivery when the plan asks for it. Callable only
-/// for `Send` protocols — the WILDFIRE arm deliberately omits the call.
-fn maybe_shard<L>(sim: &mut Simulation<'_, L>, plan: &RunPlan)
-where
-    L: NodeLogic + Send,
-    L::Msg: Send,
-{
-    if let Some(threads) = plan.shard_threads {
-        sim.enable_sharded_delivery(threads);
-    }
-}
-
 fn finish<L: NodeLogic>(
     mut sim: Simulation<'_, L>,
     horizon: Time,
@@ -501,48 +473,44 @@ pub fn run_with(
     };
     match kind {
         ProtocolKind::AllReport(routing) => {
-            let mut sim = builder().build(move |h| {
+            let sim = builder().build(move |h| {
                 if h == hq {
                     AllReportNode::query_host(vals[h.index()], spec, routing)
                 } else {
                     AllReportNode::host(vals[h.index()], routing)
                 }
             });
-            maybe_shard(&mut sim, cfg);
             finish(sim, horizon, AllReportNode::result, hq)
         }
         ProtocolKind::RandomizedReport { p } => {
             let routing = ReportRouting::Direct;
-            let mut sim = builder().build(move |h| {
+            let sim = builder().build(move |h| {
                 if h == hq {
                     AllReportNode::randomized_query_host(vals[h.index()], spec, p, routing)
                 } else {
                     AllReportNode::host(vals[h.index()], routing)
                 }
             });
-            maybe_shard(&mut sim, cfg);
             finish(sim, horizon, AllReportNode::result, hq)
         }
         ProtocolKind::SpanningTree => {
-            let mut sim = builder().build(move |h| {
+            let sim = builder().build(move |h| {
                 if h == hq {
                     SpanningTreeNode::query_host(vals[h.index()], spec)
                 } else {
                     SpanningTreeNode::host(vals[h.index()])
                 }
             });
-            maybe_shard(&mut sim, cfg);
             finish(sim, horizon, SpanningTreeNode::result, hq)
         }
         ProtocolKind::Dag { k } => {
-            let mut sim = builder().build(move |h| {
+            let sim = builder().build(move |h| {
                 if h == hq {
                     DagNode::query_host(vals[h.index()], k, spec)
                 } else {
                     DagNode::host(vals[h.index()], k)
                 }
             });
-            maybe_shard(&mut sim, cfg);
             finish(sim, horizon, DagNode::result, hq)
         }
         ProtocolKind::Wildfire(opts) => {
@@ -557,10 +525,9 @@ pub fn run_with(
         }
         ProtocolKind::Gossip { rounds } => {
             let aggregate = cfg.aggregate;
-            let mut sim = builder()
+            let sim = builder()
                 .build(move |h| GossipNode::new(vals[h.index()], aggregate, rounds, h == hq));
             let horizon = Time(rounds as u64 * cfg.delay.bound() + 2);
-            maybe_shard(&mut sim, cfg);
             finish(sim, horizon, GossipNode::result, hq)
         }
     }

@@ -294,7 +294,8 @@ mod tests {
     /// The record and the message are flat words: 4·10⁵ hosts and every
     /// delivery in flight carry them on `scale_tree`, where the record
     /// was 144 bytes with a heap-allocated neighbour set and the message
-    /// 56. The node must stay `Send` for sharded delivery.
+    /// 56. Both must stay `Send`, so the engine's parallel delivery can
+    /// hand them to worker threads.
     #[test]
     fn record_and_message_layout_do_not_grow() {
         fn send<T: Send>() {}

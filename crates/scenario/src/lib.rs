@@ -49,14 +49,14 @@ pub mod trace;
 pub use json::{table_to_json, Json};
 pub use parse::ParseError;
 pub use run::{
-    run_batch, run_batch_sharded, Agg, PairedDiff, PairedSection, ProtocolSection, Report,
-    RunRecord, WorkloadCellStats, WorkloadRecord, WorkloadSection,
+    run_batch, Agg, PairedDiff, PairedSection, ProtocolSection, Report, RunRecord,
+    WorkloadCellStats, WorkloadRecord, WorkloadSection,
 };
 pub use spec::{
     AdversarySpec, ChurnSpec, ContinuousSpec, PartitionSpec, PhasesSpec, ProtocolSpec, Scenario,
     TelemetrySpec, WorkloadSpec,
 };
-pub use trace::{trace_batch, trace_batch_sharded};
+pub use trace::trace_batch;
 
 #[cfg(test)]
 mod smoke {

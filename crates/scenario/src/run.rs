@@ -660,13 +660,81 @@ pub(crate) fn cell_plan(scn: &Scenario, prep: &Prepared, seed: u64, rep: usize) 
     }
 }
 
-/// What one `(seed, rep)` cell hands back to the regrouping step: one
-/// record stream per protocol, plus the multiplexed workload's records
-/// and sharing stats when the scenario carries a `[workload]`.
-struct CellOutput {
-    protocols: Vec<Vec<RunRecord>>,
-    workload: Option<(Vec<WorkloadRecord>, WorkloadCellStats)>,
+/// Prepare `scn` once, run `cell` for every `(seed, rep)` on `threads`
+/// scoped workers, and regroup the cell-major output protocol-major.
+/// `cell` returns one stream per protocol plus an extra value. Returns
+/// the prepared graph, one stream per protocol in deterministic
+/// `(seed, rep, window)` order, and the extras in the same cell order.
+/// Cells land in slot-indexed positions, so the result is the same for
+/// any `threads`. The batch runner and the trace runner share this.
+///
+/// # Panics
+/// Panics if `threads == 0`, the scenario has no protocols, its `hq`
+/// exceeds the host count the topology actually produced (grids round
+/// down to squares), or its seeds × repetitions matrix is empty.
+pub(crate) fn run_cells<R, X, F>(
+    scn: &Scenario,
+    threads: usize,
+    cell: F,
+) -> (Prepared, Vec<Vec<R>>, Vec<X>)
+where
+    R: Send,
+    X: Send,
+    F: Fn(&Prepared, u64, usize) -> (Vec<Vec<R>>, X) + Sync,
+{
+    assert!(threads >= 1, "need at least one worker thread");
+    assert!(
+        !scn.protocols.is_empty(),
+        "scenario '{}' has no protocols",
+        scn.name
+    );
+    let prep = prepare(scn);
+    assert!(
+        (scn.hq as usize) < prep.graph.num_hosts(),
+        "querying host {} out of range: topology produced {} hosts",
+        scn.hq,
+        prep.graph.num_hosts()
+    );
+    let jobs: Vec<(u64, usize)> = scn
+        .seeds
+        .iter()
+        .flat_map(|&s| (0..scn.repetitions).map(move |r| (s, r)))
+        .collect();
+    // The parser rejects empty seed lists / zero repetitions, but the
+    // Scenario fields are public — fail loudly for hand-built specs.
+    assert!(
+        !jobs.is_empty(),
+        "scenario '{}' has an empty seeds × repetitions matrix",
+        scn.name
+    );
+    let mut slots: Vec<Option<(Vec<Vec<R>>, X)>> = Vec::new();
+    slots.resize_with(jobs.len(), || None);
+    let chunk = jobs.len().div_ceil(threads);
+    std::thread::scope(|scope| {
+        let (prep, cell) = (&prep, &cell);
+        for (job_chunk, slot_chunk) in jobs.chunks(chunk).zip(slots.chunks_mut(chunk)) {
+            scope.spawn(move || {
+                for (&(seed, rep), slot) in job_chunk.iter().zip(slot_chunk) {
+                    *slot = Some(cell(prep, seed, rep));
+                }
+            });
+        }
+    });
+    let mut per_protocol: Vec<Vec<R>> = Vec::new();
+    per_protocol.resize_with(scn.protocols.len(), Vec::new);
+    let mut extras = Vec::with_capacity(slots.len());
+    for slot in slots {
+        let (streams, extra) = slot.expect("every cell ran");
+        for (p, records) in streams.into_iter().enumerate() {
+            per_protocol[p].extend(records);
+        }
+        extras.push(extra);
+    }
+    (prep, per_protocol, extras)
 }
+
+/// One cell's multiplexed workload: its records and sharing stats.
+type WorkloadCell = (Vec<WorkloadRecord>, WorkloadCellStats);
 
 /// Execute one cell's `[workload]`: lower the fractions to ticks of the
 /// unit-delay mux deadline `2·D̂`, materialize the arrival process from
@@ -679,7 +747,7 @@ fn run_cell_workload(
     workload_seed: u64,
     seed: u64,
     rep: usize,
-) -> (Vec<WorkloadRecord>, WorkloadCellStats) {
+) -> WorkloadCell {
     let wl = scn.workload.expect("caller checked [workload] presence");
     // The multiplexed engine always runs on the unit-delay point-to-point
     // substrate, so its deadline base is 2·D̂ hops = ticks.
@@ -734,21 +802,20 @@ fn run_cell_workload(
 
 /// Execute one `(seed, rep)` cell: every protocol (and window) shares
 /// the churn/partition realization drawn from this cell's RNG stream.
+/// Returns one record stream per protocol, plus the multiplexed
+/// workload's records and stats when the scenario carries a
+/// `[workload]`.
 fn run_cell(
     scn: &Scenario,
     prep: &Prepared,
     seed: u64,
     rep: usize,
-    shard_delivery: Option<usize>,
-) -> CellOutput {
+) -> (Vec<Vec<RunRecord>>, Option<WorkloadCell>) {
     let CellPlan {
-        mut plan,
+        plan,
         phases: phase_schedule,
         workload_seed,
     } = cell_plan(scn, prep, seed, rep);
-    if let Some(threads) = shard_delivery {
-        plan = plan.sharded_delivery(threads);
-    }
     let workload = workload_seed.map(|ws| run_cell_workload(scn, prep, &plan, ws, seed, rep));
     let protocols = judged_plan(&prep.graph, &prep.values, &plan)
         .into_iter()
@@ -774,10 +841,7 @@ fn run_cell(
                 .collect()
         })
         .collect();
-    CellOutput {
-        protocols,
-        workload,
-    }
+    (protocols, workload)
 }
 
 /// Execute the whole batch on `threads` workers and aggregate.
@@ -787,79 +851,21 @@ fn run_cell(
 /// exceeds the host count the topology actually produced (grids round
 /// down to squares).
 pub fn run_batch(scn: &Scenario, threads: usize) -> Report {
-    run_batch_sharded(scn, threads, None)
-}
-
-/// [`run_batch`] with in-simulation sharded message delivery: each
-/// cell's simulations additionally fan their per-tick delivery batches
-/// across `shard_delivery` worker threads
-/// ([`RunPlan::sharded_delivery`]). Reports are byte-identical for any
-/// combination of `threads` and `shard_delivery` values — only the
-/// `None`-vs-`Some` switch may change RNG-drawing protocols' outputs.
-///
-/// # Panics
-/// Same conditions as [`run_batch`].
-pub fn run_batch_sharded(scn: &Scenario, threads: usize, shard_delivery: Option<usize>) -> Report {
-    assert!(threads >= 1, "need at least one worker thread");
-    assert!(
-        !scn.protocols.is_empty(),
-        "scenario '{}' has no protocols",
-        scn.name
-    );
-    let prep = prepare(scn);
-    assert!(
-        (scn.hq as usize) < prep.graph.num_hosts(),
-        "querying host {} out of range: topology produced {} hosts",
-        scn.hq,
-        prep.graph.num_hosts()
-    );
-    let jobs: Vec<(u64, usize)> = scn
-        .seeds
-        .iter()
-        .flat_map(|&s| (0..scn.repetitions).map(move |r| (s, r)))
-        .collect();
-    // The parser rejects empty seed lists / zero repetitions, but the
-    // Scenario fields are public — fail loudly for hand-built specs.
-    assert!(
-        !jobs.is_empty(),
-        "scenario '{}' has an empty seeds × repetitions matrix",
-        scn.name
-    );
-    let mut cells: Vec<Option<CellOutput>> = Vec::new();
-    cells.resize_with(jobs.len(), || None);
-
-    let chunk = jobs.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let prep = &prep;
-        for (job_chunk, slot_chunk) in jobs.chunks(chunk).zip(cells.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (&(seed, rep), slot) in job_chunk.iter().zip(slot_chunk) {
-                    *slot = Some(run_cell(scn, prep, seed, rep, shard_delivery));
-                }
-            });
-        }
+    let (prep, per_protocol, extras) = run_cells(scn, threads, |prep, seed, rep| {
+        run_cell(scn, prep, seed, rep)
     });
-
-    // Regroup: cell-major [(protocol, windows)] → protocol-major record
-    // streams, still in deterministic (seed, rep, window) order. The
-    // workload streams concatenate in the same cell order.
-    let mut per_protocol: Vec<Vec<RunRecord>> = vec![Vec::new(); scn.protocols.len()];
+    // The workload streams concatenate in the same cell order.
+    let runs = extras.len();
     let mut workload_records: Vec<WorkloadRecord> = Vec::new();
     let mut workload_stats = WorkloadCellStats::default();
-    for cell in cells {
-        let cell = cell.expect("every cell ran");
-        for (p, records) in cell.protocols.into_iter().enumerate() {
-            per_protocol[p].extend(records);
-        }
-        if let Some((records, stats)) = cell.workload {
-            workload_records.extend(records);
-            workload_stats.add(stats);
-        }
+    for (records, stats) in extras.into_iter().flatten() {
+        workload_records.extend(records);
+        workload_stats.add(stats);
     }
     let workload = scn
         .workload
         .map(|_| workload_section(workload_records, workload_stats));
-    aggregate(scn, &prep, jobs.len(), per_protocol, workload)
+    aggregate(scn, &prep, runs, per_protocol, workload)
 }
 
 /// Aggregate the concatenated workload record stream into its report

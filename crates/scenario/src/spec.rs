@@ -496,9 +496,18 @@ impl Scenario {
             other => return Err(med.err("kind", format!("unknown medium '{other}' (p2p|radio)"))),
         };
         let delay = match med.opt_str("delay")?.as_deref().unwrap_or("fixed") {
-            "fixed" => DelayModel::Fixed(med.opt_u64("ticks")?.unwrap_or(1)),
+            "fixed" => {
+                let ticks = med.opt_u64("ticks")?.unwrap_or(1);
+                if ticks == 0 {
+                    return Err(med.err("ticks", "a delay is at least 1 tick"));
+                }
+                DelayModel::Fixed(ticks)
+            }
             "uniform" => {
                 let min = med.opt_u64("min")?.unwrap_or(1);
+                if min == 0 {
+                    return Err(med.err("min", "a delay is at least 1 tick"));
+                }
                 let max = med.require_u64("max")?;
                 if max < min {
                     return Err(med.err("max", format!("delay max {max} < min {min}")));
@@ -1934,6 +1943,16 @@ seeds = [1]
         fails_with(
             "[churn] model = \"correlated\"\nclusters = 2\ncluster_size = 0",
             "[churn] cluster_size: a cluster needs at least one host",
+        );
+        // The engine would clamp a 0-tick delay to 1 and run a
+        // different medium than the file describes.
+        fails_with(
+            "[medium] delay = \"fixed\"\nticks = 0",
+            "[medium] ticks: a delay is at least 1 tick",
+        );
+        fails_with(
+            "[medium] min = 0",
+            "[medium] min: a delay is at least 1 tick",
         );
     }
 

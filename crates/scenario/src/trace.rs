@@ -3,8 +3,9 @@
 //! the recordings into a [`TraceDoc`] for the exporters.
 //!
 //! The runner shares the batch executor's cell machinery —
-//! [`crate::run`]'s `cell_plan` derives the per-cell seeds and
-//! churn/partition realization, and `pov_core::judged::window_local_plans`
+//! [`crate::run`]'s `run_cells` fans the cells out and regroups them,
+//! its `cell_plan` derives the per-cell seeds and churn/partition
+//! realization, and `pov_core::judged::window_local_plans`
 //! slices continuous registrations exactly the way `judged_plan` does —
 //! so a trace records *the same runs the report aggregates*, not a
 //! parallel universe. Determinism carries over too: cells land in
@@ -44,12 +45,8 @@ fn trace_cell(
     seed: u64,
     rep: usize,
     summary_every: u64,
-    shard_delivery: Option<usize>,
 ) -> Vec<Vec<CellTrace>> {
-    let mut plan = run::cell_plan(scn, prep, seed, rep).plan;
-    if let Some(threads) = shard_delivery {
-        plan = plan.sharded_delivery(threads);
-    }
+    let plan = run::cell_plan(scn, prep, seed, rep).plan;
     let windows = window_local_plans(&prep.graph, &plan);
     scn.protocols
         .iter()
@@ -89,72 +86,10 @@ fn trace_cell(
 /// Panics if `threads == 0`, the scenario has no protocols, or its `hq`
 /// exceeds the host count the topology actually produced.
 pub fn trace_batch(scn: &Scenario, threads: usize) -> TraceDoc {
-    trace_batch_sharded(scn, threads, None)
-}
-
-/// [`trace_batch`] with in-simulation sharded message delivery (see
-/// [`crate::run_batch_sharded`]): traces are byte-identical for any
-/// combination of `threads` and `shard_delivery` values.
-///
-/// # Panics
-/// Same conditions as [`trace_batch`].
-pub fn trace_batch_sharded(
-    scn: &Scenario,
-    threads: usize,
-    shard_delivery: Option<usize>,
-) -> TraceDoc {
-    assert!(threads >= 1, "need at least one worker thread");
-    assert!(
-        !scn.protocols.is_empty(),
-        "scenario '{}' has no protocols",
-        scn.name
-    );
-    let prep = run::prepare(scn);
-    assert!(
-        (scn.hq as usize) < prep.graph.num_hosts(),
-        "querying host {} out of range: topology produced {} hosts",
-        scn.hq,
-        prep.graph.num_hosts()
-    );
     let summary_every = scn.telemetry.unwrap_or_default().summary_every;
-    let jobs: Vec<(u64, usize)> = scn
-        .seeds
-        .iter()
-        .flat_map(|&s| (0..scn.repetitions).map(move |r| (s, r)))
-        .collect();
-    assert!(
-        !jobs.is_empty(),
-        "scenario '{}' has an empty seeds × repetitions matrix",
-        scn.name
-    );
-    let mut cells: Vec<Option<Vec<Vec<CellTrace>>>> = vec![None; jobs.len()];
-    let chunk = jobs.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let prep = &prep;
-        for (job_chunk, slot_chunk) in jobs.chunks(chunk).zip(cells.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (&(seed, rep), slot) in job_chunk.iter().zip(slot_chunk) {
-                    *slot = Some(trace_cell(
-                        scn,
-                        prep,
-                        seed,
-                        rep,
-                        summary_every,
-                        shard_delivery,
-                    ));
-                }
-            });
-        }
+    let (prep, per_protocol, _) = run::run_cells(scn, threads, |prep, seed, rep| {
+        (trace_cell(scn, prep, seed, rep, summary_every), ())
     });
-    // Regroup cell-major → protocol-major, still in deterministic
-    // (seed, rep, window) order — the report's section order.
-    let mut per_protocol: Vec<Vec<CellTrace>> = vec![Vec::new(); scn.protocols.len()];
-    for cell in cells {
-        let cell = cell.expect("every cell ran");
-        for (p, traces) in cell.into_iter().enumerate() {
-            per_protocol[p].extend(traces);
-        }
-    }
     let deadline = 2 * prep.d_hat as u64 * scn.delay.bound();
     let span = run::regime_span(scn, deadline);
     let phases = run::materialize_phases(scn, span)

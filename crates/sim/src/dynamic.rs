@@ -11,19 +11,16 @@
 //! worst-case adaptive schedules strictly above random churn; this is
 //! the hook that makes them expressible.
 //!
-//! Two sources ship with the crate:
-//!
-//! * every [`ChurnPlan`](crate::ChurnPlan) is the trivial *static*
-//!   source — it replays its pre-materialized schedule and ignores the
-//!   view (the engine's fast path keeps pre-pushing plan events into
-//!   the queue directly, which is behaviourally identical);
-//! * [`SketchAdversary`] — the protocol-state-aware attacker from the
-//!   ROADMAP's "adversary targeting the sketch" item: each wave it
-//!   kills the `k` alive hosts whose current partials hold the FM
-//!   sketch maxima, under a fixed total event budget so runs are
-//!   comparable to [`ChurnPlan::uniform_failures`] at equal cost.
+//! A [`ChurnPlan`](crate::ChurnPlan) is not a source:
+//! `SimBuilder::churn` pre-pushes its events into the queue before the
+//! run starts, and that is the only way a plan runs. One source ships
+//! with the crate: [`SketchAdversary`], the protocol-state-aware
+//! attacker. Each wave it kills the `k` alive hosts whose current
+//! partials hold the FM sketch maxima, under a fixed total event budget
+//! so runs are comparable to
+//! [`ChurnPlan::uniform_failures`](crate::ChurnPlan::uniform_failures)
+//! at equal cost.
 
-use crate::churn::ChurnPlan;
 use crate::time::Time;
 use pov_topology::{Graph, HostId, OverlayView};
 
@@ -136,45 +133,6 @@ pub trait ChurnSource {
     /// `now`; `None` once the source is exhausted (lets
     /// `run_to_quiescence` terminate).
     fn next_poll(&self, now: Time) -> Option<Time>;
-}
-
-/// The trivial static source: replay the pre-materialized schedule,
-/// ignore the view. Within one instant failures are yielded before
-/// joins — the same fail-before-join tie-break the event queue applies
-/// to pre-pushed plan events, so routing a plan through the dynamic
-/// path produces an identical trace. Plans with pinned
-/// [`ChurnPlan::dead_from_start`] hosts are rejected (panic): only the
-/// builder's static path can seed the time-0 alive set, and silently
-/// dropping the pin would resurrect hosts a window slicer put down.
-impl ChurnSource for ChurnPlan {
-    fn next_events(&mut self, now: Time, _view: &EngineView<'_>, out: &mut Vec<ChurnEvent>) {
-        assert!(
-            self.dead_from_start.is_empty(),
-            "a ChurnPlan with initially-dead hosts cannot run as a dynamic source; \
-             install it with SimBuilder::churn instead"
-        );
-        out.extend(
-            self.failures
-                .iter()
-                .filter(|&&(t, _)| t == now)
-                .map(|&(_, h)| ChurnEvent::Fail(h))
-                .chain(
-                    self.joins
-                        .iter()
-                        .filter(|&&(t, _)| t == now)
-                        .map(|&(_, h)| ChurnEvent::Join(h)),
-                ),
-        );
-    }
-
-    fn next_poll(&self, now: Time) -> Option<Time> {
-        self.failures
-            .iter()
-            .chain(&self.joins)
-            .map(|&(t, _)| t)
-            .filter(|&t| t > now)
-            .min()
-    }
 }
 
 /// The sketch-targeting adaptive adversary.
@@ -306,6 +264,7 @@ impl ChurnSource for SketchAdversary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::churn::ChurnPlan;
     use pov_topology::generators::special;
 
     fn view_of<'a>(
@@ -330,36 +289,6 @@ mod tests {
         let mut out = Vec::new();
         src.next_events(now, view, &mut out);
         out
-    }
-
-    #[test]
-    fn plan_as_source_yields_fails_before_joins() {
-        let g = special::chain(4);
-        let mut plan = ChurnPlan::none()
-            .with_failure(Time(3), HostId(1))
-            .with_join(Time(3), HostId(2))
-            .with_failure(Time(7), HostId(2));
-        let alive = vec![true; 4];
-        let summaries = vec![StateSummary::default(); 4];
-        assert_eq!(plan.next_poll(Time(0)), Some(Time(3)));
-        let view = view_of(&g, &alive, &summaries, Time(3));
-        assert_eq!(
-            events_of(&mut plan, Time(3), &view),
-            vec![ChurnEvent::Fail(HostId(1)), ChurnEvent::Join(HostId(2))]
-        );
-        assert_eq!(plan.next_poll(Time(3)), Some(Time(7)));
-        assert_eq!(plan.next_poll(Time(7)), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot run as a dynamic source")]
-    fn plan_with_pinned_dead_rejected_as_source() {
-        let g = special::chain(3);
-        let alive = vec![true; 3];
-        let summaries = vec![StateSummary::default(); 3];
-        let mut plan = ChurnPlan::none().with_initially_dead(HostId(1));
-        let view = view_of(&g, &alive, &summaries, Time::ZERO);
-        events_of(&mut plan, Time::ZERO, &view);
     }
 
     #[test]

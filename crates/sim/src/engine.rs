@@ -1530,38 +1530,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_through_dynamic_path_matches_static_path() {
-        // The trivial static source: routing a fail/rejoin plan through
-        // the dynamic poll path produces the same trace, metrics and
-        // final membership as the pre-materialized fast path.
-        let plan = ChurnPlan::none()
-            .with_failure(Time(2), HostId(1))
-            .with_failure(Time(3), HostId(4))
-            .with_join(Time(5), HostId(1));
-        let run = |dynamic: bool| {
-            let b = SimBuilder::new(special::chain(6));
-            let b = if dynamic {
-                b.dynamic_churn(plan.clone())
-            } else {
-                b.churn(plan.clone())
-            };
-            let mut sim = b.build(|h| Flood {
-                origin: h == HostId(0),
-                seen_at: None,
-            });
-            sim.run_until(Time(50));
-            let alive: Vec<bool> = (0..6u32).map(|h| sim.is_alive(HostId(h))).collect();
-            (
-                sim.trace().events.clone(),
-                sim.metrics().messages_sent,
-                sim.metrics().total_processed(),
-                alive,
-            )
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
     fn dynamic_source_sees_node_summaries() {
         use crate::dynamic::StateSummary;
 

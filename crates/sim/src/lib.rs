@@ -21,8 +21,8 @@
 //!   event loop polls the source each announced instant with an
 //!   [`EngineView`] (alive set, per-host protocol state summaries via
 //!   [`NodeLogic::summary`]), which is what adaptive adversaries such
-//!   as the sketch-targeting [`SketchAdversary`] need; every
-//!   [`ChurnPlan`] doubles as the trivial static source.
+//!   as the sketch-targeting [`SketchAdversary`] need. A
+//!   [`ChurnPlan`] is not a source: the builder pre-pushes its events.
 //! * [`OverlayDriver`] — overlay *maintenance* decided during the run:
 //!   the event loop polls the installed driver like a churn source and
 //!   applies the edge mutations it answers with to a mutable

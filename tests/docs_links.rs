@@ -7,6 +7,9 @@
 //! silently. External (`http://`, `https://`, `mailto:`) and
 //! pure-fragment (`#section`) links are out of scope — the build
 //! environment is offline and fragments are editor-dependent.
+//!
+//! The same documents' `repro` examples must also name only flags the
+//! binary parses: a removed flag left in a fenced example fails here.
 
 use std::path::{Path, PathBuf};
 
@@ -70,6 +73,93 @@ fn is_external(target: &str) -> bool {
         || target.starts_with("https://")
         || target.starts_with("mailto:")
         || target.starts_with('#')
+}
+
+/// The `--flag`s passed to `repro` on the command lines inside fenced
+/// code blocks. A command line may continue over `\`-ended lines.
+/// Only tokens after the `repro` (or `…/repro`) token count, up to a
+/// `#` comment or the next command (`|`, `&&`, `;`, `>`).
+fn fenced_repro_flags(markdown: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut in_fence = false;
+    let mut command = String::new();
+    for line in markdown.lines() {
+        if line.trim_start().starts_with("```") {
+            in_fence = !in_fence;
+            command.clear();
+            continue;
+        }
+        if !in_fence {
+            continue;
+        }
+        match line.trim_end().strip_suffix('\\') {
+            Some(head) => {
+                command.push_str(head);
+                command.push(' ');
+                continue;
+            }
+            None => command.push_str(line),
+        }
+        let mut tokens = command
+            .split_whitespace()
+            .take_while(|t| !t.starts_with('#') && !matches!(*t, "|" | "&&" | ";" | ">"))
+            .skip_while(|t| *t != "repro" && !t.ends_with("/repro"))
+            .skip(1)
+            .peekable();
+        if tokens.peek().is_some() {
+            for token in tokens {
+                let flag = token
+                    .trim_start_matches('[')
+                    .trim_end_matches([']', ',', ')']);
+                let flag = flag.split('=').next().unwrap_or(flag);
+                let named = flag
+                    .strip_prefix("--")
+                    .is_some_and(|name| name.starts_with(|c: char| c.is_ascii_alphabetic()));
+                if named {
+                    out.push(flag.to_string());
+                }
+            }
+        }
+        command.clear();
+    }
+    out
+}
+
+#[test]
+fn documented_repro_flags_exist() {
+    let root = repo_root();
+    let source = std::fs::read_to_string(root.join("crates/bench/src/bin/repro.rs"))
+        .expect("crates/bench/src/bin/repro.rs");
+    let mut failures = Vec::new();
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc))
+            .unwrap_or_else(|e| panic!("cannot read tracked doc {doc}: {e}"));
+        for flag in fenced_repro_flags(&text) {
+            if !source.contains(&format!("\"{flag}\"")) {
+                failures.push(format!("{doc}: `repro {flag}` is not a flag repro parses"));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "documented repro flags missing from repro.rs:\n{}",
+        failures.join("\n")
+    );
+}
+
+#[test]
+fn repro_flag_extractor_handles_the_grammar() {
+    let md = "repro --paper outside a fence\n\
+              ```sh\n\
+              cargo run --release --bin repro -- bench --quick --json b.json  # --not-this\n\
+              target/release/repro scenario a.scn \\\n  --threads 8 | grep --count x\n\
+              repro [--out DIR] [--format=chrome]\n\
+              cargo build --release\n\
+              ```";
+    assert_eq!(
+        fenced_repro_flags(md),
+        ["--quick", "--json", "--threads", "--out", "--format"]
+    );
 }
 
 #[test]
