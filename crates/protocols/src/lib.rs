@@ -33,7 +33,7 @@ pub use common::{Aggregate, ExactPartial, Operator, Partial, QuerySpec};
 pub use mux::{run_mux, MuxOutcome, MuxPlan, MuxQuery, QueryId};
 pub use observer::ProtocolObserver;
 pub use pov_overlay::OverlayConfig;
-pub use runner::{AdversarySpec, AdversaryTarget, ContinuousSpec, Outcome, ProtocolKind, RunPlan};
+pub use runner::{AdversarySpec, ContinuousSpec, Outcome, ProtocolKind, RunPlan};
 
 #[cfg(test)]
 mod smoke {

@@ -58,28 +58,15 @@ impl ProtocolKind {
     }
 }
 
-/// What a dynamic adversary aims at. Today there is one target — the
-/// hosts holding the current FM sketch maxima — but the enum keeps the
-/// scenario grammar and `RunPlan` stable as further adaptive workloads
-/// (e.g. cut-vertex or convergecast-frontier targeting) land.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum AdversaryTarget {
-    /// Kill the hosts whose current partials hold the highest FM bit
-    /// ranks (see [`SketchAdversary`]).
-    #[default]
-    FmMaxima,
-}
-
 /// Declarative description of a protocol-state-aware adversary attached
-/// to a [`RunPlan`] via [`RunPlan::adversary`]. Lowered per run into a
+/// to a [`RunPlan`] via [`RunPlan::adversary`]: it kills the hosts whose
+/// current partials hold the highest FM bit ranks. Lowered per run into a
 /// fresh [`SketchAdversary`] (full budget each run, sparing `plan.hq`),
 /// so every protocol under a multi-protocol plan faces the same
 /// attacker policy — though, being adaptive, the attacker's realized
 /// kill schedule follows each protocol's own state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdversarySpec {
-    /// What the adversary aims at.
-    pub target: AdversaryTarget,
     /// Hosts killed per wave.
     pub kills_per_wave: usize,
     /// Total kill budget — pick it equal to a
@@ -97,7 +84,6 @@ impl AdversarySpec {
     /// `kills_per_wave` across `[start, until]`.
     pub fn fm_maxima(kills_per_wave: usize, budget: usize, start: Time, until: Time) -> Self {
         AdversarySpec {
-            target: AdversaryTarget::FmMaxima,
             kills_per_wave,
             budget,
             start,
@@ -108,15 +94,13 @@ impl AdversarySpec {
     /// Lower the spec into a runnable churn source sparing `spare`
     /// (the querying host).
     pub fn build(&self, spare: HostId) -> SketchAdversary {
-        match self.target {
-            AdversaryTarget::FmMaxima => SketchAdversary::new(
-                self.kills_per_wave,
-                self.budget,
-                self.start,
-                self.until,
-                spare,
-            ),
-        }
+        SketchAdversary::new(
+            self.kills_per_wave,
+            self.budget,
+            self.start,
+            self.until,
+            spare,
+        )
     }
 }
 
@@ -333,8 +317,18 @@ impl RunPlan {
             aggregate: self.aggregate,
             // Protocol timer arithmetic runs in ticks; one hop costs up
             // to `δ = delay.bound()` of them, so the tick-denominated
-            // diameter overestimate is `D̂·δ`.
-            d_hat: self.d_hat * self.delay.bound() as u32,
+            // diameter overestimate is `D̂·δ`. A wrapped product would
+            // run a different query, so overflow is fatal.
+            d_hat: u32::try_from(self.delay.bound())
+                .ok()
+                .and_then(|delta| self.d_hat.checked_mul(delta))
+                .unwrap_or_else(|| {
+                    panic!(
+                        "D̂·δ exceeds u32::MAX: D̂ = {}, δ = {}",
+                        self.d_hat,
+                        self.delay.bound()
+                    )
+                }),
             c: self.c,
         }
     }
@@ -870,6 +864,18 @@ mod tests {
         assert_eq!(out.alive_at_end.iter().filter(|&&a| !a).count(), 7);
         assert!(out.alive_at_end[0], "hq is spared");
         assert!(out.value.is_some(), "hq declares");
+    }
+
+    #[test]
+    #[should_panic(expected = "D̂·δ exceeds u32::MAX: D̂ = 7, δ = 1073741824")]
+    fn tick_diameter_overflow_panics_instead_of_wrapping() {
+        // 7 · 2³⁰ wraps u32 to 3 · 2³⁰, a shorter deadline and so a
+        // different query; the plan must refuse to run it.
+        let g = special::cycle(8);
+        let plan = RunPlan::query(Aggregate::Count)
+            .d_hat(7)
+            .delay(DelayModel::Fixed(1 << 30));
+        run(ProtocolKind::SpanningTree, &g, &[1; 8], &plan);
     }
 
     #[test]

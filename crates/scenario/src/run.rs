@@ -647,7 +647,7 @@ pub(crate) fn cell_plan(scn: &Scenario, prep: &Prepared, seed: u64, rep: usize) 
     if let Some(ov) = &scn.overlay {
         plan = plan.overlay(OverlayConfig {
             seed: overlay_seed.expect("drawn when [overlay] present"),
-            ..ov.config
+            ..*ov
         });
     }
     if let Some(c) = &scn.continuous {
@@ -1454,9 +1454,7 @@ mod tests {
             fraction: 0.15,
             window: (0.0, 1.0),
         });
-        scn.overlay = Some(crate::spec::OverlaySpec {
-            config: OverlayConfig::default(),
-        });
+        scn.overlay = Some(OverlayConfig::default());
         let report = run_batch(&scn, 2);
         assert_eq!(report.runs, 6);
         // hq never dies, and the overlay starts as a copy of the base
@@ -1478,9 +1476,7 @@ mod tests {
             fraction: 0.15,
             window: (0.0, 1.0),
         });
-        scn.overlay = Some(crate::spec::OverlaySpec {
-            config: OverlayConfig::default(),
-        });
+        scn.overlay = Some(OverlayConfig::default());
         scn.protocols = vec![ProtocolSpec::Wildfire, ProtocolSpec::SpanningTree];
         let report = run_batch(&scn, 2);
         let wf = report.section("WILDFIRE").expect("section");

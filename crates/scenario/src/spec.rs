@@ -4,9 +4,11 @@
 //! A scenario pins down *everything* a batch run needs — topology,
 //! query, medium, delay, protocol, dynamism regime, seed set and
 //! repetition count — so that `repro scenario file.scn` is a pure
-//! function of the file. Validation is strict: unknown sections or keys
-//! are errors (with line numbers), because a typoed key silently
-//! falling back to a default is the classic way benchmark configs rot.
+//! function of the file. One table, `GRAMMAR`, declares the sections,
+//! their keys and which may repeat, are required or exclude each other;
+//! every violation, and every key a variant ignores, is a line-numbered
+//! error, because a typoed key silently falling back to a default is
+//! the classic way benchmark configs rot.
 
 use crate::parse::{Doc, Entry, ParseError, Section, Value};
 use pov_core::pov_protocols::allreport::ReportRouting;
@@ -14,6 +16,9 @@ use pov_core::pov_protocols::wildfire::WildfireOpts;
 use pov_core::pov_protocols::{Aggregate, OverlayConfig, ProtocolKind};
 use pov_core::pov_sim::{DelayModel, Medium, PhaseKind};
 use pov_core::pov_topology::generators::TopologyKind;
+use std::cell::Cell;
+use std::ops::Bound::{self, Excluded, Included, Unbounded};
+use std::ops::RangeBounds;
 
 /// Which protocol a scenario runs (name-addressable mirror of
 /// [`ProtocolKind`]).
@@ -167,8 +172,7 @@ pub struct PartitionSpec {
 /// fixes the total number of kills, making the regime comparable to
 /// `[churn] model = "uniform"` at `fraction = budget / n`; `start` /
 /// `until` are fractions of the regime span like every other window.
-/// Composes with any `[churn]` model; incompatible with `[continuous]`
-/// (a dynamic schedule cannot be replayed into window-local plans).
+/// Composes with any `[churn]` model.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AdversarySpec {
     /// Hosts killed per wave.
@@ -201,8 +205,7 @@ pub struct ContinuousSpec {
 /// one-shot deadline, or the whole `windows × W` horizon under
 /// `[continuous]` — the soak-length case), then lowers through
 /// [`pov_core::pov_sim::PhaseSchedule`] to ordinary churn/partition
-/// plans. Owns the whole membership regime: conflicts with `[churn]`
-/// and `[partition]` sections.
+/// plans. Owns the whole membership regime.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhasesSpec {
     /// Fraction of hosts alive at tick 0 (the rest join later), in
@@ -236,22 +239,6 @@ impl Default for TelemetrySpec {
     }
 }
 
-/// An `[overlay]` section: maintain a dynamic overlay (HyParView-style
-/// partial views + SWIM-style failure detection, see
-/// `pov_overlay::OverlayMaintenance`) over the base topology during
-/// every run. Unlike `[telemetry]`, the section *does* change what a
-/// scenario reports — protocols route over the maintained overlay
-/// instead of the static graph. The driver's RNG seed is not a file
-/// key: like the churn and simulation seeds, it is derived
-/// deterministically from each cell's root seed, so repetitions explore
-/// independent overlay evolutions.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct OverlaySpec {
-    /// The parsed maintenance knobs; `seed` is always 0 here and is
-    /// replaced per cell by the batch runner.
-    pub config: OverlayConfig,
-}
-
 /// A `[workload]` section: a deterministic multiplexed query workload
 /// executed *concurrently inside one simulation* per cell, alongside
 /// the `[[protocol]]` contenders. `queries` mixed-aggregate queries
@@ -261,10 +248,7 @@ pub struct OverlaySpec {
 /// `[end − W, end]` interval. All fractions scale to the one-shot
 /// deadline like churn windows do. The multiplexed engine always runs
 /// on the unit-delay point-to-point substrate (the `[medium]` section
-/// applies to the protocol contenders only). Incompatible with
-/// `[continuous]` (a workload is already many queries) and
-/// `[adversary]` (a dynamic kill schedule cannot be replayed into the
-/// workload's environment).
+/// applies to the protocol contenders only).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WorkloadSpec {
     /// Number of base queries per cell.
@@ -323,8 +307,13 @@ pub struct Scenario {
     /// reports).
     pub telemetry: Option<TelemetrySpec>,
     /// Optional `[overlay]` maintenance layered over the base topology
-    /// (affects reports: protocols route over the evolving overlay).
-    pub overlay: Option<OverlaySpec>,
+    /// (HyParView-style partial views + SWIM-style failure detection,
+    /// see `pov_overlay::OverlayMaintenance`). Unlike `[telemetry]`, it
+    /// changes what a scenario reports: protocols route over the
+    /// evolving overlay. `seed` is always 0 here: the batch runner
+    /// draws one per cell from the cell's root seed, so repetitions
+    /// explore independent overlay evolutions.
+    pub overlay: Option<OverlayConfig>,
     /// Optional `[workload]` multiplexed query workload run per cell
     /// alongside the protocol contenders.
     pub workload: Option<WorkloadSpec>,
@@ -372,102 +361,29 @@ impl Scenario {
         }
     }
 
-    fn from_doc(doc: &Doc) -> Result<Scenario, ParseError> {
-        const KNOWN: &[&str] = &[
-            "scenario",
-            "topology",
-            "query",
-            "medium",
-            "protocol",
-            "churn",
-            "partition",
-            "phases",
-            "phase",
-            "adversary",
-            "continuous",
-            "telemetry",
-            "overlay",
-            "workload",
-            "run",
-        ];
-        for s in &doc.sections {
-            if !KNOWN.contains(&s.name.as_str()) {
-                return Err(ParseError::at(
-                    s.line,
-                    format!(
-                        "unknown section [{}] (expected one of: {})",
-                        s.name,
-                        KNOWN.join(", ")
-                    ),
-                ));
-            }
-            // Only [[protocol]], [[partition]] and [[phase]] may
-            // repeat: every other reader consumes a single section, so
-            // a second [[run]]/[[churn]]/… table would be silently
-            // ignored — exactly the "typo falls back to a default"
-            // failure mode this validator exists to stop.
-            if s.array && s.name != "protocol" && s.name != "partition" && s.name != "phase" {
-                return Err(ParseError::at(
-                    s.line,
-                    format!(
-                        "[[{}]] is not repeatable; only [[protocol]], [[partition]] and \
-                         [[phase]] tables may repeat (write [{}] instead)",
-                        s.name, s.name
-                    ),
-                ));
-            }
-        }
-        let scn = Keys::over(doc, "scenario")?;
-        let name = scn.require_str("name")?;
-        let description = scn.opt_str("description")?.unwrap_or_default();
+    fn from_doc(doc: &Doc) -> Parsed<Scenario> {
+        check_grammar(doc)?;
+        let section = |name| Keys::of(doc.section(name).unwrap_or(&ABSENT));
+
+        let scn = section("scenario");
+        let name = scn.string("name", None)?.to_string();
+        let description = scn.string("description", Some(""))?.to_string();
         scn.finish()?;
 
-        let topo = Keys::over(doc, "topology")?;
-        let topology = match topo.require_str("kind")?.as_str() {
-            "gnutella" => TopologyKind::Gnutella,
-            "random" => TopologyKind::Random,
-            "powerlaw" | "power-law" => TopologyKind::PowerLaw,
-            "grid" => TopologyKind::Grid,
-            other => {
-                return Err(topo.err(
-                    "kind",
-                    format!("unknown topology '{other}' (gnutella|random|powerlaw|grid)"),
-                ))
-            }
-        };
-        let n = topo.require_usize("n")?;
+        let topo = section("topology");
+        let topology = topo.choice("kind", None, "topology", TOPOLOGIES)?;
+        let n: usize = topo.int("n", None)?;
         if n < topology.min_hosts() {
-            return Err(topo.err(
-                "n",
-                format!(
-                    "{} needs at least {} hosts, got {n}",
-                    topology.name(),
-                    topology.min_hosts()
-                ),
-            ));
+            let (name, min) = (topology.name(), topology.min_hosts());
+            return Err(topo.err("n", format!("{name} needs at least {min} hosts, got {n}")));
         }
-        let topology_seed = topo.opt_u64("seed")?.unwrap_or(1);
+        let topology_seed = topo.int("seed", Some(1))?;
         topo.finish()?;
 
-        let query = Keys::over(doc, "query")?;
-        let aggregate = match query.require_str("aggregate")?.as_str() {
-            "count" => Aggregate::Count,
-            "sum" => Aggregate::Sum,
-            "min" => Aggregate::Min,
-            "max" => Aggregate::Max,
-            "avg" | "average" => Aggregate::Average,
-            other => {
-                return Err(query.err(
-                    "aggregate",
-                    format!("unknown aggregate '{other}' (count|sum|min|max|avg)"),
-                ))
-            }
-        };
-        let c = query.opt_usize("c")?.unwrap_or(8);
-        if c == 0 {
-            return Err(query.err("c", "FM repetitions c must be >= 1"));
-        }
-        let hq = query.opt_u32("hq")?.unwrap_or(0);
+        let query = section("query");
+        let aggregate = query.choice("aggregate", None, "aggregate", AGGREGATES)?;
+        let c = query.positive("c", Some(8), "FM repetitions c must be >= 1")?;
+        let hq: u32 = query.int("hq", Some(0))?;
         // Grids round n down to a perfect square, so validate against the
         // host count the topology will actually produce.
         let effective_n = match topology {
@@ -486,516 +402,43 @@ impl Scenario {
                 ),
             ));
         }
-        let d_hat_slack = query.opt_u32("d_hat_slack")?.unwrap_or(2);
+        let d_hat_slack = query.int("d_hat_slack", Some(2))?;
         query.finish()?;
 
-        let med = Keys::over(doc, "medium")?;
-        let medium = match med.opt_str("kind")?.as_deref().unwrap_or("p2p") {
-            "p2p" | "point-to-point" => Medium::PointToPoint,
-            "radio" => Medium::Radio,
-            other => return Err(med.err("kind", format!("unknown medium '{other}' (p2p|radio)"))),
-        };
-        let delay = match med.opt_str("delay")?.as_deref().unwrap_or("fixed") {
-            "fixed" => {
-                let ticks = med.opt_u64("ticks")?.unwrap_or(1);
-                if ticks == 0 {
-                    return Err(med.err("ticks", "a delay is at least 1 tick"));
-                }
-                DelayModel::Fixed(ticks)
-            }
-            "uniform" => {
-                let min = med.opt_u64("min")?.unwrap_or(1);
-                if min == 0 {
-                    return Err(med.err("min", "a delay is at least 1 tick"));
-                }
-                let max = med.require_u64("max")?;
-                if max < min {
-                    return Err(med.err("max", format!("delay max {max} < min {min}")));
-                }
-                DelayModel::Uniform { min, max }
-            }
-            other => {
-                return Err(med.err(
-                    "delay",
-                    format!("unknown delay model '{other}' (fixed|uniform)"),
-                ))
-            }
-        };
+        let med = section("medium");
+        let medium = med.choice("kind", Some("p2p"), "medium", MEDIA)?;
+        let delay = med.choice("delay", Some("fixed"), "delay model", DELAYS)?(&med)?;
         med.finish()?;
 
         let mut protocols = Vec::new();
-        for section in doc.sections_named("protocol") {
-            let proto = Keys::for_section(section);
-            let spec = match proto.require_str("kind")?.as_str() {
-                "wildfire" => ProtocolSpec::Wildfire,
-                "spanning-tree" | "spanningtree" => ProtocolSpec::SpanningTree,
-                "dag" => {
-                    let k = proto.opt_usize("k")?.unwrap_or(2);
-                    if k == 0 {
-                        return Err(proto.err("k", "a DAG host needs at least one parent slot"));
-                    }
-                    ProtocolSpec::Dag { k }
-                }
-                "allreport" => ProtocolSpec::AllReport,
-                "randomized-report" => {
-                    let p = proto.require_f64("p")?;
-                    if !(0.0..=1.0).contains(&p) {
-                        return Err(
-                            proto.err("p", format!("report probability {p} outside [0, 1]"))
-                        );
-                    }
-                    ProtocolSpec::RandomizedReport { p }
-                }
-                "gossip" => ProtocolSpec::Gossip {
-                    rounds: proto
-                        .opt_u32("rounds")?
-                        .ok_or_else(|| proto.missing("rounds", "integer"))?,
-                },
-                other => {
-                    return Err(proto.err(
-                        "kind",
-                        format!(
-                            "unknown protocol '{other}' \
-                             (wildfire|spanning-tree|dag|allreport|randomized-report|gossip)"
-                        ),
-                    ))
-                }
-            };
+        for s in doc.sections_named("protocol") {
+            let read = |p: &Keys| p.choice("kind", None, "protocol", PROTOCOLS)?(p);
+            let spec = Keys::of(s).read(read)?;
             if protocols.contains(&spec) {
-                return Err(ParseError::at(
-                    section.line,
-                    format!("duplicate [[protocol]] table for {}", spec.label()),
-                ));
+                let msg = format!("duplicate [[protocol]] table for {}", spec.label());
+                return Err(ParseError::at(s.line, msg));
             }
-            proto.finish()?;
             protocols.push(spec);
-        }
-        if protocols.is_empty() {
-            return Err(ParseError::at(
-                0,
-                "missing required section [protocol] (or one [[protocol]] table per contender)",
-            ));
         }
 
         // [partition] may stand alone or co-occur with any [churn]
         // model; repeated [[partition]] tables overlay cascading cuts;
         // `[churn] model = "partition"` remains as legacy sugar for a
         // single cut.
-        let mut partitions: Vec<PartitionSpec> = Vec::new();
-        for section in doc.sections_named("partition") {
-            let pa = Keys::for_section(section);
-            partitions.push(partition_spec(&pa)?);
-            pa.finish()?;
-        }
+        let mut partitions = doc
+            .sections_named("partition")
+            .map(|s| Keys::of(s).read(partition_spec))
+            .collect::<Parsed<Vec<_>>>()?;
+        let churn = Keys::opt(doc, "churn", |ch| {
+            ch.choice("model", None, "churn model", CHURN_MODELS)?(ch, &mut partitions)
+        })?;
 
-        let churn = match doc.section("churn") {
-            None => ChurnSpec::None,
-            Some(_) => {
-                let ch = Keys::over(doc, "churn")?;
-                let window = |ch: &Keys<'_>| -> Result<(f64, f64), ParseError> {
-                    let from = ch.opt_f64("from")?.unwrap_or(0.0);
-                    let until = ch.opt_f64("until")?.unwrap_or(1.0);
-                    if !(0.0..=1.0).contains(&from) || !(0.0..=1.0).contains(&until) || from > until
-                    {
-                        return Err(ch.err(
-                            "from",
-                            format!(
-                                "window [{from}, {until}] must satisfy 0 <= from <= until <= 1"
-                            ),
-                        ));
-                    }
-                    Ok((from, until))
-                };
-                let spec = match ch.require_str("model")?.as_str() {
-                    "none" => ChurnSpec::None,
-                    "uniform" => ChurnSpec::Uniform {
-                        fraction: fraction_key(&ch)?,
-                        window: window(&ch)?,
-                    },
-                    "flash-crowd" => ChurnSpec::FlashCrowd {
-                        fraction: fraction_key(&ch)?,
-                        window: window(&ch)?,
-                    },
-                    "correlated" => {
-                        let clusters = ch.require_usize("clusters")?;
-                        let cluster_size = ch.require_usize("cluster_size")?;
-                        if cluster_size == 0 {
-                            return Err(ch.err("cluster_size", "a cluster needs at least one host"));
-                        }
-                        ChurnSpec::Correlated {
-                            clusters,
-                            cluster_size,
-                            window: window(&ch)?,
-                        }
-                    }
-                    "oscillating" => {
-                        let period = ch.opt_f64("period")?.unwrap_or(0.5);
-                        let downtime = ch.opt_f64("downtime")?.unwrap_or(period / 2.0);
-                        if !(period > 0.0 && period <= 1.0) {
-                            return Err(ch.err("period", format!("period {period} outside (0, 1]")));
-                        }
-                        if !(downtime > 0.0 && downtime < period) {
-                            return Err(ch.err(
-                                "downtime",
-                                format!("downtime {downtime} must satisfy 0 < downtime < period"),
-                            ));
-                        }
-                        ChurnSpec::Oscillating {
-                            fraction: fraction_key(&ch)?,
-                            window: window(&ch)?,
-                            period,
-                            downtime,
-                        }
-                    }
-                    "partition" => {
-                        // Legacy spelling: `[churn] model = "partition"` is
-                        // sugar for a dedicated [partition] section.
-                        if !partitions.is_empty() {
-                            return Err(ch.err(
-                                "model",
-                                "churn model 'partition' conflicts with the [partition] \
-                                 section; put the cut in [partition] and pick a real churn model",
-                            ));
-                        }
-                        partitions.push(partition_spec(&ch)?);
-                        ChurnSpec::None
-                    }
-                    "adversarial-root" => ChurnSpec::AdversarialRoot {
-                        radius: ch.opt_u32("radius")?.unwrap_or(1),
-                        at: {
-                            let at = ch.opt_f64("at")?.unwrap_or(0.25);
-                            if !(0.0..=1.0).contains(&at) {
-                                return Err(ch.err("at", format!("at {at} outside [0, 1]")));
-                            }
-                            at
-                        },
-                    },
-                    other => {
-                        return Err(ch.err(
-                            "model",
-                            format!(
-                                "unknown churn model '{other}' \
-                                 (none|uniform|flash-crowd|correlated|oscillating|partition\
-                                 |adversarial-root)"
-                            ),
-                        ))
-                    }
-                };
-                ch.finish()?;
-                spec
-            }
-        };
-
-        // [phases] + [[phase]] tables own the whole membership regime —
-        // they lower through `PhaseSchedule` into generated churn and
-        // partition plans, so hand-written [churn] / [partition]
-        // sections would fight them for the same hosts.
-        let phases = match doc.section("phases") {
-            None => {
-                if let Some(first) = doc.sections_named("phase").next() {
-                    return Err(ParseError::at(
-                        first.line,
-                        "[[phase]] tables need a [phases] header section",
-                    ));
-                }
-                None
-            }
-            Some(section) => {
-                if doc.section("churn").is_some() {
-                    return Err(ParseError::at(
-                        section.line,
-                        "[phases] conflicts with [churn]: the phase schedule owns the \
-                         whole membership regime",
-                    ));
-                }
-                if doc.section("partition").is_some() {
-                    return Err(ParseError::at(
-                        section.line,
-                        "[phases] conflicts with [partition]: script the cut as a \
-                         [[phase]] of kind 'partition' instead",
-                    ));
-                }
-                let ph = Keys::over(doc, "phases")?;
-                let start_alive = ph.opt_f64("start_alive")?.unwrap_or(1.0);
-                if !(start_alive > 0.0 && start_alive <= 1.0) {
-                    return Err(ph.err(
-                        "start_alive",
-                        format!("start_alive {start_alive} outside (0, 1]"),
-                    ));
-                }
-                ph.finish()?;
-                let mut list: Vec<(PhaseKind, f64)> = Vec::new();
-                for table in doc.sections_named("phase") {
-                    let pk = Keys::for_section(table);
-                    let kind_name = pk.require_str("kind")?;
-                    let weight = pk.opt_f64("weight")?.unwrap_or(1.0);
-                    if weight <= 0.0 {
-                        return Err(pk.err("weight", format!("weight {weight} must be > 0")));
-                    }
-                    let kind = match kind_name.as_str() {
-                        "growth" => PhaseKind::Growth {
-                            fraction: phase_fraction(&pk)?,
-                        },
-                        "stable" => PhaseKind::Stable,
-                        "shrink" => PhaseKind::Shrink {
-                            fraction: phase_fraction(&pk)?,
-                        },
-                        "partition" => PhaseKind::Partition {
-                            fraction: phase_fraction(&pk)?,
-                        },
-                        "heal" => PhaseKind::Heal,
-                        other => {
-                            return Err(pk.err(
-                                "kind",
-                                format!(
-                                    "unknown phase kind '{other}' \
-                                     (growth|stable|shrink|partition|heal)"
-                                ),
-                            ))
-                        }
-                    };
-                    pk.finish()?;
-                    list.push((kind, weight));
-                }
-                if list.is_empty() {
-                    return Err(ParseError::at(
-                        section.line,
-                        "[phases] needs at least one [[phase]] table",
-                    ));
-                }
-                Some(PhasesSpec {
-                    start_alive,
-                    phases: list,
-                })
-            }
-        };
-
-        let adversary = match doc.section("adversary") {
-            None => None,
-            Some(section) => {
-                let ad = Keys::over(doc, "adversary")?;
-                match ad.require_str("target")?.as_str() {
-                    "fm_maxima" => {}
-                    other => {
-                        return Err(ad.err(
-                            "target",
-                            format!("unknown adversary target '{other}' (fm_maxima)"),
-                        ))
-                    }
-                }
-                let kills_per_wave = ad.opt_usize("kills_per_wave")?.unwrap_or(1);
-                if kills_per_wave == 0 {
-                    return Err(ad.err("kills_per_wave", "must be >= 1"));
-                }
-                let budget = ad.require_usize("budget")?;
-                if budget == 0 {
-                    return Err(ad.err("budget", "an adversary with no kills is [churn] none"));
-                }
-                let start = ad.opt_f64("start")?.unwrap_or(0.0);
-                let until = ad.opt_f64("until")?.unwrap_or(1.0);
-                if !(0.0..=1.0).contains(&start) || !(0.0..=1.0).contains(&until) || start > until {
-                    return Err(ad.err(
-                        "start",
-                        format!("window [{start}, {until}] must satisfy 0 <= start <= until <= 1"),
-                    ));
-                }
-                if doc.section("continuous").is_some() {
-                    return Err(ParseError::at(
-                        section.line,
-                        "[adversary] cannot be combined with [continuous]: a dynamic kill \
-                         schedule cannot be replayed into window-local churn plans",
-                    ));
-                }
-                ad.finish()?;
-                Some(AdversarySpec {
-                    kills_per_wave,
-                    budget,
-                    start,
-                    until,
-                })
-            }
-        };
-
-        let telemetry = match doc.section("telemetry") {
-            None => None,
-            Some(_) => {
-                let te = Keys::over(doc, "telemetry")?;
-                let defaults = TelemetrySpec::default();
-                let summary_every = te
-                    .opt_u64("summary_every")?
-                    .unwrap_or(defaults.summary_every);
-                if summary_every == 0 {
-                    return Err(te.err("summary_every", "sampling cadence must be >= 1 tick"));
-                }
-                let flight_window = te
-                    .opt_u64("flight_window")?
-                    .unwrap_or(defaults.flight_window);
-                if flight_window == 0 {
-                    return Err(te.err("flight_window", "flight recorder needs >= 1 tick of ring"));
-                }
-                te.finish()?;
-                Some(TelemetrySpec {
-                    summary_every,
-                    flight_window,
-                })
-            }
-        };
-
-        let overlay = match doc.section("overlay") {
-            None => None,
-            Some(_) => {
-                let ov = Keys::over(doc, "overlay")?;
-                let defaults = OverlayConfig::default();
-                let active_degree = ov
-                    .opt_usize("active_degree")?
-                    .unwrap_or(defaults.active_degree);
-                if active_degree == 0 {
-                    return Err(ov.err("active_degree", "active view needs >= 1 slot"));
-                }
-                let passive_degree = ov
-                    .opt_usize("passive_degree")?
-                    .unwrap_or(defaults.passive_degree);
-                let shuffle_every = ov
-                    .opt_u64("shuffle_every")?
-                    .unwrap_or(defaults.shuffle_every);
-                if shuffle_every == 0 {
-                    return Err(ov.err("shuffle_every", "shuffle cadence must be >= 1 tick"));
-                }
-                let probe_every = ov.opt_u64("probe_every")?.unwrap_or(defaults.probe_every);
-                if probe_every == 0 {
-                    return Err(ov.err("probe_every", "probe cadence must be >= 1 tick"));
-                }
-                let probe_timeout = ov
-                    .opt_u64("probe_timeout")?
-                    .unwrap_or(defaults.probe_timeout);
-                if probe_timeout == 0 {
-                    return Err(ov.err("probe_timeout", "probe timeout must be >= 1 tick"));
-                }
-                let indirect_probes = ov
-                    .opt_usize("indirect_probes")?
-                    .unwrap_or(defaults.indirect_probes);
-                let suspicion_timeout = ov
-                    .opt_u64("suspicion_timeout")?
-                    .unwrap_or(defaults.suspicion_timeout);
-                if suspicion_timeout == 0 {
-                    return Err(ov.err("suspicion_timeout", "suspicion timeout must be >= 1 tick"));
-                }
-                let false_positive = ov
-                    .opt_f64("false_positive")?
-                    .unwrap_or(defaults.false_positive);
-                if !(0.0..=1.0).contains(&false_positive) {
-                    return Err(ov.err(
-                        "false_positive",
-                        format!("false_positive {false_positive} outside [0, 1]"),
-                    ));
-                }
-                ov.finish()?;
-                Some(OverlaySpec {
-                    config: OverlayConfig {
-                        active_degree,
-                        passive_degree,
-                        shuffle_every,
-                        probe_every,
-                        probe_timeout,
-                        indirect_probes,
-                        suspicion_timeout,
-                        false_positive,
-                        seed: 0,
-                    },
-                })
-            }
-        };
-
-        let workload = match doc.section("workload") {
-            None => None,
-            Some(section) => {
-                if doc.section("continuous").is_some() {
-                    return Err(ParseError::at(
-                        section.line,
-                        "[workload] cannot be combined with [continuous]: a workload is \
-                         already many queries over one run",
-                    ));
-                }
-                if doc.section("adversary").is_some() {
-                    return Err(ParseError::at(
-                        section.line,
-                        "[workload] cannot be combined with [adversary]: a dynamic kill \
-                         schedule cannot be replayed into the workload's environment",
-                    ));
-                }
-                let wl = Keys::over(doc, "workload")?;
-                let queries = wl.require_usize("queries")?;
-                if queries == 0 {
-                    return Err(wl.err("queries", "a workload needs at least one query"));
-                }
-                let span = wl.opt_f64("span")?.unwrap_or(1.0);
-                if !(span > 0.0 && span <= 8.0) {
-                    return Err(wl.err("span", format!("arrival span {span} outside (0, 8]")));
-                }
-                let window = match wl.opt_f64("window")? {
-                    None => None,
-                    Some(w) => {
-                        if !(w > 0.0 && w <= 1.0) {
-                            return Err(wl.err("window", format!("window {w} outside (0, 1]")));
-                        }
-                        let slide = wl.require_f64("slide")?;
-                        if !(slide > 0.0 && slide < w) {
-                            return Err(wl.err(
-                                "slide",
-                                format!("slide {slide} must satisfy 0 < slide < window {w}"),
-                            ));
-                        }
-                        let instances = wl.opt_usize("instances")?.unwrap_or(2);
-                        if instances == 0 {
-                            return Err(wl.err("instances", "need at least one instance"));
-                        }
-                        Some((w, slide, instances))
-                    }
-                };
-                wl.finish()?;
-                Some(WorkloadSpec {
-                    queries,
-                    span,
-                    window,
-                })
-            }
-        };
-
-        let continuous = match doc.section("continuous") {
-            None => None,
-            Some(_) => {
-                let co = Keys::over(doc, "continuous")?;
-                let windows = co.require_usize("windows")?;
-                if windows == 0 {
-                    return Err(co.err("windows", "need at least one window"));
-                }
-                let window_factor = co.opt_f64("window_factor")?.unwrap_or(1.0);
-                if window_factor < 1.0 {
-                    return Err(co.err(
-                        "window_factor",
-                        format!(
-                            "window_factor {window_factor} < 1: a window must fit a \
-                             full query round (§4.2)"
-                        ),
-                    ));
-                }
-                co.finish()?;
-                Some(ContinuousSpec {
-                    windows,
-                    window_factor,
-                })
-            }
-        };
-
-        let run = Keys::over(doc, "run")?;
-        let seeds = run.require_u64_list("seeds")?;
+        let run = section("run");
+        let seeds = run.u64_list("seeds")?;
         if seeds.is_empty() {
             return Err(run.err("seeds", "need at least one seed"));
         }
-        let repetitions = run.opt_usize("repetitions")?.unwrap_or(1);
-        if repetitions == 0 {
-            return Err(run.err("repetitions", "repetitions must be >= 1"));
-        }
+        let repetitions = run.positive("repetitions", Some(1), "repetitions must be >= 1")?;
         run.finish()?;
 
         Ok(Scenario {
@@ -1011,225 +454,580 @@ impl Scenario {
             medium,
             delay,
             protocols,
-            churn,
+            churn: churn.unwrap_or(ChurnSpec::None),
             partitions,
-            phases,
-            adversary,
-            continuous,
-            telemetry,
-            overlay,
-            workload,
+            phases: Keys::opt(doc, "phases", |ph| phases(doc, ph))?,
+            adversary: Keys::opt(doc, "adversary", adversary)?,
+            continuous: Keys::opt(doc, "continuous", continuous)?,
+            telemetry: Keys::opt(doc, "telemetry", telemetry)?,
+            overlay: Keys::opt(doc, "overlay", overlay)?,
+            workload: Keys::opt(doc, "workload", workload)?,
             seeds,
             repetitions,
         })
     }
 }
 
-/// Read the `fraction` key of a growth/shrink/partition `[[phase]]`
-/// table and validate it lies in `(0, 1]` (the range
-/// [`pov_core::pov_sim::PhaseSchedule::then`] asserts).
-fn phase_fraction(keys: &Keys<'_>) -> Result<f64, ParseError> {
-    let f = keys.require_f64("fraction")?;
-    if !(f > 0.0 && f <= 1.0) {
-        return Err(keys.err("fraction", format!("fraction {f} outside (0, 1]")));
-    }
-    Ok(f)
+// Readers of the optional sections, which `Scenario::from_doc` runs
+// through `Keys::opt`.
+fn phases(doc: &Doc, ph: &Keys<'_>) -> Parsed<PhasesSpec> {
+    let phase = |pk: &Keys| {
+        let kind = pk.choice("kind", None, "phase kind", PHASE_KINDS)?(pk)?;
+        let weight = pk.real("weight", Some(1.0), (Excluded(0.0), Unbounded))?;
+        Ok((kind, weight))
+    };
+    Ok(PhasesSpec {
+        start_alive: ph.real("start_alive", Some(1.0), POSITIVE_FRACTION)?,
+        phases: doc
+            .sections_named("phase")
+            .map(|s| Keys::of(s).read(phase))
+            .collect::<Parsed<_>>()?,
+    })
 }
 
-/// Read a `fraction` key and validate it lies in `[0, 1]`.
-fn fraction_key(keys: &Keys<'_>) -> Result<f64, ParseError> {
-    let f = keys.require_f64("fraction")?;
-    if !(0.0..=1.0).contains(&f) {
-        return Err(keys.err("fraction", format!("fraction {f} outside [0, 1]")));
+fn adversary(ad: &Keys<'_>) -> Parsed<AdversarySpec> {
+    ad.choice("target", None, "adversary target", &[("fm_maxima", ())])?;
+    let (start, until) = ad.window("start", "until", false)?;
+    Ok(AdversarySpec {
+        kills_per_wave: ad.positive("kills_per_wave", Some(1), "must be >= 1")?,
+        budget: ad.positive("budget", None, "an adversary with no kills is [churn] none")?,
+        start,
+        until,
+    })
+}
+
+fn continuous(co: &Keys<'_>) -> Parsed<ContinuousSpec> {
+    Ok(ContinuousSpec {
+        windows: co.positive("windows", None, "need at least one window")?,
+        window_factor: co.real("window_factor", Some(1.0), (Included(1.0), Unbounded))?,
+    })
+}
+
+fn telemetry(te: &Keys<'_>) -> Parsed<TelemetrySpec> {
+    let d = TelemetrySpec::default();
+    let cadence = "sampling cadence must be >= 1 tick";
+    let ring = "flight recorder needs >= 1 tick of ring";
+    Ok(TelemetrySpec {
+        summary_every: te.positive("summary_every", Some(d.summary_every), cadence)?,
+        flight_window: te.positive("flight_window", Some(d.flight_window), ring)?,
+    })
+}
+
+fn overlay(ov: &Keys<'_>) -> Parsed<OverlayConfig> {
+    let d = OverlayConfig::default();
+    let tick = |key, default| ov.positive(key, Some(default), "must be >= 1 tick");
+    let slot = "active view needs >= 1 slot";
+    Ok(OverlayConfig {
+        active_degree: ov.positive("active_degree", Some(d.active_degree), slot)?,
+        passive_degree: ov.int("passive_degree", Some(d.passive_degree))?,
+        shuffle_every: tick("shuffle_every", d.shuffle_every)?,
+        probe_every: tick("probe_every", d.probe_every)?,
+        probe_timeout: tick("probe_timeout", d.probe_timeout)?,
+        indirect_probes: ov.int("indirect_probes", Some(d.indirect_probes))?,
+        suspicion_timeout: tick("suspicion_timeout", d.suspicion_timeout)?,
+        false_positive: ov.real("false_positive", Some(d.false_positive), FRACTION)?,
+        seed: 0,
+    })
+}
+
+fn workload(wl: &Keys<'_>) -> Parsed<WorkloadSpec> {
+    let queries = wl.positive("queries", None, "a workload needs at least one query")?;
+    let span = wl.real("span", Some(1.0), (Excluded(0.0), Included(8.0)))?;
+    let mut window = None;
+    if wl.has("window") {
+        let w = wl.real("window", None, POSITIVE_FRACTION)?;
+        let slide = wl.real("slide", None, (Unbounded, Unbounded))?;
+        if !(slide > 0.0 && slide < w) {
+            let msg = format!("{slide} must satisfy 0 < slide < window {w}");
+            return Err(wl.err("slide", msg));
+        }
+        let instances = wl.positive("instances", Some(2), "need at least one instance")?;
+        window = Some((w, slide, instances));
     }
-    Ok(f)
+    Ok(WorkloadSpec {
+        queries,
+        span,
+        window,
+    })
+}
+
+/// How a section may occur in a `.scn` file.
+enum Presence {
+    Required,
+    Optional,
+    /// Only together with the named section.
+    With(&'static str),
+}
+
+use Presence::{Optional, Required, With};
+
+/// One section of the `.scn` grammar.
+struct Rule {
+    name: &'static str,
+    presence: Presence,
+    /// Whether the `[[name]]` form may repeat it.
+    repeats: bool,
+    /// Every key some variant of the section reads, space-separated.
+    keys: &'static str,
+    /// Sections it cannot share a file with, each with the reason.
+    excludes: &'static [(&'static str, &'static str)],
+}
+
+impl Rule {
+    const fn new(name: &'static str, presence: Presence, keys: &'static str) -> Rule {
+        Rule {
+            name,
+            presence,
+            repeats: false,
+            keys,
+            excludes: &[],
+        }
+    }
+
+    const fn repeats(self) -> Rule {
+        Rule {
+            repeats: true,
+            ..self
+        }
+    }
+
+    const fn excludes(self, excludes: &'static [(&'static str, &'static str)]) -> Rule {
+        Rule { excludes, ..self }
+    }
+
+    fn has_key(&self, key: &str) -> bool {
+        self.keys.split(' ').any(|k| k == key)
+    }
+}
+
+/// The `.scn` grammar: which sections exist, which are required or
+/// repeat, the keys each may hold and the sections that exclude each
+/// other. [`check_grammar`] holds a document to it before any section
+/// reader runs; the readers in `Scenario::from_doc` own the values,
+/// their defaults and which keys each variant reads.
+const GRAMMAR: &[Rule] = &[
+    Rule::new("scenario", Required, "name description"),
+    Rule::new("topology", Required, "kind n seed"),
+    Rule::new("query", Required, "aggregate c hq d_hat_slack"),
+    Rule::new("medium", Optional, "kind delay ticks min max"),
+    Rule::new("protocol", Required, "kind k p rounds").repeats(),
+    Rule::new(
+        "churn",
+        Optional,
+        "model fraction from until clusters cluster_size period downtime heal radius at",
+    ),
+    Rule::new("partition", Optional, "fraction from heal").repeats(),
+    Rule::new("phases", With("phase"), "start_alive").excludes(&[
+        ("churn", "the phase schedule owns the whole regime"),
+        ("partition", "script the cut as a 'partition' [[phase]]"),
+    ]),
+    Rule::new("phase", With("phases"), "kind fraction weight").repeats(),
+    Rule::new(
+        "adversary",
+        Optional,
+        "target kills_per_wave budget start until",
+    )
+    .excludes(&[("continuous", "dynamic kills cannot be replayed per window")]),
+    Rule::new("continuous", Optional, "windows window_factor"),
+    Rule::new("telemetry", Optional, "summary_every flight_window"),
+    Rule::new(
+        "overlay",
+        Optional,
+        "active_degree passive_degree shuffle_every probe_every probe_timeout indirect_probes \
+         suspicion_timeout false_positive",
+    ),
+    Rule::new("workload", Optional, "queries span window slide instances").excludes(&[
+        ("continuous", "a workload is already many queries"),
+        ("adversary", "dynamic kills cannot be replayed per query"),
+    ]),
+    Rule::new("run", Required, "seeds repetitions"),
+];
+
+/// Hold `doc` to [`GRAMMAR`]: every section known, repeated only where
+/// its rule allows and holding only its rule's keys; every required
+/// section present and no excluded pair together.
+fn check_grammar(doc: &Doc) -> Parsed<()> {
+    let index = |name: &str| GRAMMAR.iter().position(|r| r.name == name);
+    // Bit `i` marks `GRAMMAR[i]` as present in `doc`.
+    let mut seen = 0u32;
+    for s in &doc.sections {
+        let Some(i) = index(&s.name) else {
+            let known: Vec<&str> = GRAMMAR.iter().map(|r| r.name).collect();
+            let known = known.join(", ");
+            let msg = format!("unknown section [{}] (expected one of: {known})", s.name);
+            return Err(ParseError::at(s.line, msg));
+        };
+        if s.array && !GRAMMAR[i].repeats {
+            let msg = format!("[[{0}]] is not repeatable (write [{0}] instead)", s.name);
+            return Err(ParseError::at(s.line, msg));
+        }
+        if let Some(e) = s.entries.iter().find(|e| !GRAMMAR[i].has_key(&e.key)) {
+            let msg = format!("unknown key '{}' in [{}]", e.key, s.name);
+            return Err(ParseError::at(e.line, msg));
+        }
+        seen |= 1 << i;
+    }
+    let present = |name: &str| index(name).is_some_and(|i| seen & 1 << i != 0);
+    for (i, r) in GRAMMAR.iter().enumerate() {
+        if seen & 1 << i == 0 {
+            if let Required = r.presence {
+                let msg = format!("missing required section [{}]", r.name);
+                return Err(ParseError::at(0, msg));
+            }
+            continue;
+        }
+        let msg = match r.presence {
+            With(other) if !present(other) => match index(other).map(|o| GRAMMAR[o].repeats) {
+                Some(true) => format!("needs at least one [[{other}]] table"),
+                _ => format!("needs a [{other}] header section"),
+            },
+            _ => match r.excludes.iter().find(|(other, _)| present(other)) {
+                Some((other, why)) => format!("conflicts with [{other}]: {why}"),
+                None => continue,
+            },
+        };
+        let line = doc.section(r.name).map_or(0, |s| s.line);
+        return Err(ParseError::at(line, format!("[{}] {msg}", r.name)));
+    }
+    Ok(())
+}
+
+type Parsed<T> = Result<T, ParseError>;
+
+/// Reads the keys one value of an enumerated key (a protocol kind, a
+/// phase kind, …) uses.
+type Variant<T> = fn(&Keys<'_>) -> Parsed<T>;
+
+const TOPOLOGIES: &[(&str, TopologyKind)] = &[
+    ("gnutella", TopologyKind::Gnutella),
+    ("random", TopologyKind::Random),
+    ("powerlaw", TopologyKind::PowerLaw),
+    ("power-law", TopologyKind::PowerLaw),
+    ("grid", TopologyKind::Grid),
+];
+
+const AGGREGATES: &[(&str, Aggregate)] = &[
+    ("count", Aggregate::Count),
+    ("sum", Aggregate::Sum),
+    ("min", Aggregate::Min),
+    ("max", Aggregate::Max),
+    ("avg", Aggregate::Average),
+    ("average", Aggregate::Average),
+];
+
+const MEDIA: &[(&str, Medium)] = &[
+    ("p2p", Medium::PointToPoint),
+    ("point-to-point", Medium::PointToPoint),
+    ("radio", Medium::Radio),
+];
+
+const TICK: &str = "a delay is at least 1 tick";
+
+const DELAYS: &[(&str, Variant<DelayModel>)] = &[
+    ("fixed", |m| {
+        m.positive::<u32>("ticks", Some(1), TICK)
+            .map(|t| DelayModel::Fixed(t.into()))
+    }),
+    ("uniform", |m| {
+        let min: u32 = m.positive("min", Some(1), TICK)?;
+        let max: u32 = m.int("max", None)?;
+        if max < min {
+            return Err(m.err("max", format!("delay max {max} < min {min}")));
+        }
+        let (min, max) = (min.into(), max.into());
+        Ok(DelayModel::Uniform { min, max })
+    }),
+];
+
+const PROTOCOLS: &[(&str, Variant<ProtocolSpec>)] = &[
+    ("wildfire", |_| Ok(ProtocolSpec::Wildfire)),
+    ("spanning-tree", |_| Ok(ProtocolSpec::SpanningTree)),
+    ("spanningtree", |_| Ok(ProtocolSpec::SpanningTree)),
+    ("dag", |p| {
+        let k = p.positive("k", Some(2), "a DAG host needs at least one parent slot")?;
+        Ok(ProtocolSpec::Dag { k })
+    }),
+    ("allreport", |_| Ok(ProtocolSpec::AllReport)),
+    ("randomized-report", |p| {
+        let p = p.real("p", None, FRACTION)?;
+        Ok(ProtocolSpec::RandomizedReport { p })
+    }),
+    ("gossip", |p| {
+        p.int("rounds", None)
+            .map(|rounds| ProtocolSpec::Gossip { rounds })
+    }),
+];
+
+/// The `[churn]` models. Legacy `model = "partition"` is sugar for one
+/// `[partition]` section, so a model may add to the file's cuts.
+type ChurnModel = fn(&Keys<'_>, &mut Vec<PartitionSpec>) -> Parsed<ChurnSpec>;
+
+const CHURN_MODELS: &[(&str, ChurnModel)] = &[
+    ("none", |_, _| Ok(ChurnSpec::None)),
+    ("uniform", |ch, _| {
+        let (fraction, window) = ch.spread()?;
+        Ok(ChurnSpec::Uniform { fraction, window })
+    }),
+    ("flash-crowd", |ch, _| {
+        let (fraction, window) = ch.spread()?;
+        Ok(ChurnSpec::FlashCrowd { fraction, window })
+    }),
+    ("correlated", |ch, _| {
+        Ok(ChurnSpec::Correlated {
+            clusters: ch.int("clusters", None)?,
+            cluster_size: ch.positive("cluster_size", None, "a cluster needs at least one host")?,
+            window: ch.window("from", "until", false)?,
+        })
+    }),
+    ("oscillating", |ch, _| {
+        let period = ch.real("period", Some(0.5), POSITIVE_FRACTION)?;
+        let below_period = (Excluded(0.0), Excluded(period));
+        let downtime = ch.real("downtime", Some(period / 2.0), below_period)?;
+        let (fraction, window) = ch.spread()?;
+        Ok(ChurnSpec::Oscillating {
+            fraction,
+            window,
+            period,
+            downtime,
+        })
+    }),
+    ("partition", |ch, cuts| {
+        if !cuts.is_empty() {
+            let msg = "churn model 'partition' conflicts with the [partition] section; put the \
+                       cut in [partition] and pick a real churn model";
+            return Err(ch.err("model", msg));
+        }
+        cuts.push(partition_spec(ch)?);
+        Ok(ChurnSpec::None)
+    }),
+    ("adversarial-root", |ch, _| {
+        let radius = ch.int("radius", Some(1))?;
+        let at = ch.real("at", Some(0.25), FRACTION)?;
+        Ok(ChurnSpec::AdversarialRoot { radius, at })
+    }),
+];
+
+/// `[[phase]]` kinds; a growth, shrink or partition `fraction` lies in
+/// `(0, 1]`, the range [`pov_core::pov_sim::PhaseSchedule::then`]
+/// asserts.
+const PHASE_KINDS: &[(&str, Variant<PhaseKind>)] = &[
+    ("growth", |k| Ok(PhaseKind::Growth { fraction: cut(k)? })),
+    ("stable", |_| Ok(PhaseKind::Stable)),
+    ("shrink", |k| Ok(PhaseKind::Shrink { fraction: cut(k)? })),
+    ("partition", |k| {
+        Ok(PhaseKind::Partition { fraction: cut(k)? })
+    }),
+    ("heal", |_| Ok(PhaseKind::Heal)),
+];
+
+/// The share of hosts a growth, shrink or partition phase moves.
+fn cut(phase: &Keys<'_>) -> Parsed<f64> {
+    phase.real("fraction", None, POSITIVE_FRACTION)
 }
 
 /// Read the cut keys (`fraction`, `from`, `heal`) of a `[partition]`
 /// section — or of the legacy `[churn] model = "partition"` spelling.
-fn partition_spec(keys: &Keys<'_>) -> Result<PartitionSpec, ParseError> {
-    let from = keys.opt_f64("from")?.unwrap_or(0.0);
-    let heal = keys.opt_f64("heal")?.unwrap_or(1.0);
-    if !(0.0..=1.0).contains(&from) || !(0.0..=1.0).contains(&heal) || from >= heal {
-        return Err(keys.err(
-            "from",
-            format!("partition [{from}, {heal}) must satisfy 0 <= from < heal <= 1"),
-        ));
-    }
+fn partition_spec(keys: &Keys<'_>) -> Parsed<PartitionSpec> {
+    let (from, heal) = keys.window("from", "heal", true)?;
+    let fraction = keys.real("fraction", None, FRACTION)?;
     Ok(PartitionSpec {
-        fraction: fraction_key(keys)?,
+        fraction,
         from,
         heal,
     })
 }
 
+/// Stands in for a section the file leaves out: its reader takes every
+/// default.
+static ABSENT: Section = Section {
+    name: String::new(),
+    line: 0,
+    array: false,
+    entries: Vec::new(),
+};
+
+/// The interval a real key must lie in.
+type Interval = (Bound<f64>, Bound<f64>);
+
+const FRACTION: Interval = (Included(0.0), Included(1.0));
+const POSITIVE_FRACTION: Interval = (Excluded(0.0), Included(1.0));
+
 /// Typed, consumption-tracked access to one section's keys: every key a
-/// reader touches is marked, and [`Keys::finish`] rejects leftovers so
-/// typos cannot silently fall back to defaults.
+/// reader touches is marked, and [`Keys::finish`] rejects leftovers so a
+/// key the chosen variant ignores cannot pass silently.
 struct Keys<'a> {
-    section: Option<&'a Section>,
-    name: &'a str,
-    line: usize,
-    used: std::cell::RefCell<Vec<&'a str>>,
+    section: &'a Section,
+    /// Bit `i` marks entry `i` as read; [`check_grammar`] bounds a
+    /// section's entries by its rule's key list, well below 64.
+    used: Cell<u64>,
 }
 
 impl<'a> Keys<'a> {
-    fn over(doc: &'a Doc, name: &'a str) -> Result<Keys<'a>, ParseError> {
-        let section = doc.section(name);
-        match (name, &section) {
-            // [medium], [churn], [partition], [adversary], [continuous],
-            // [telemetry], [overlay] and [workload] are optional; the
-            // rest must exist.
-            (
-                "medium" | "churn" | "partition" | "adversary" | "continuous" | "telemetry"
-                | "overlay" | "workload",
-                _,
-            )
-            | (_, Some(_)) => Ok(Keys {
-                line: section.map_or(0, |s| s.line),
-                section,
-                name,
-                used: std::cell::RefCell::new(Vec::new()),
-            }),
-            _ => Err(ParseError::at(
-                0,
-                format!("missing required section [{name}]"),
-            )),
-        }
+    fn of(section: &'a Section) -> Keys<'a> {
+        let used = Cell::new(0);
+        Keys { section, used }
     }
 
-    /// Typed access to one concrete section instance — used for the
-    /// repeated `[[protocol]]` tables, where `Doc::section` (first
-    /// match) is not enough.
-    fn for_section(section: &'a Section) -> Keys<'a> {
-        Keys {
-            line: section.line,
-            name: &section.name,
-            section: Some(section),
-            used: std::cell::RefCell::new(Vec::new()),
-        }
+    /// Read the optional section `name` with `f`, or `None` when the
+    /// file leaves it out.
+    fn opt<T>(doc: &'a Doc, name: &str, f: impl FnOnce(&Self) -> Parsed<T>) -> Parsed<Option<T>> {
+        doc.section(name).map(|s| Keys::of(s).read(f)).transpose()
     }
 
-    fn entry(&self, key: &'a str) -> Option<&'a Entry> {
-        let e = self.section.and_then(|s| s.get(key));
-        if e.is_some() {
-            self.used.borrow_mut().push(key);
-        }
-        e
+    /// Run `f` over the section, then [`Keys::finish`] it.
+    fn read<T>(self, f: impl FnOnce(&Self) -> Parsed<T>) -> Parsed<T> {
+        let value = f(&self)?;
+        self.finish()?;
+        Ok(value)
     }
 
+    fn has(&self, key: &str) -> bool {
+        self.section.get(key).is_some()
+    }
+
+    fn entry(&self, key: &str) -> Option<&'a Entry> {
+        let i = self.section.entries.iter().position(|e| e.key == key)?;
+        self.used.set(self.used.get() | 1 << i);
+        Some(&self.section.entries[i])
+    }
+
+    /// An error on `key`'s line (the header's when `key` is absent).
     fn err(&self, key: &str, msg: impl Into<String>) -> ParseError {
-        let line = self
-            .section
-            .and_then(|s| s.get(key))
-            .map_or(self.line, |e| e.line);
-        ParseError::at(line, format!("[{}] {}: {}", self.name, key, msg.into()))
-    }
-
-    fn require_str(&self, key: &'a str) -> Result<String, ParseError> {
-        self.opt_str(key)?
-            .ok_or_else(|| self.missing(key, "string"))
-    }
-
-    fn opt_str(&self, key: &'a str) -> Result<Option<String>, ParseError> {
-        match self.entry(key) {
-            None => Ok(None),
-            Some(e) => match &e.value {
-                Value::Str(s) => Ok(Some(s.clone())),
-                v => Err(self.err(key, format!("expected a string, got {}", v.type_name()))),
-            },
-        }
-    }
-
-    fn require_u64(&self, key: &'a str) -> Result<u64, ParseError> {
-        self.opt_u64(key)?
-            .ok_or_else(|| self.missing(key, "integer"))
-    }
-
-    fn opt_u64(&self, key: &'a str) -> Result<Option<u64>, ParseError> {
-        match self.entry(key) {
-            None => Ok(None),
-            Some(e) => match e.value {
-                Value::Int(i) if i >= 0 => Ok(Some(i as u64)),
-                Value::Int(i) => Err(self.err(key, format!("must be non-negative, got {i}"))),
-                ref v => Err(self.err(key, format!("expected an integer, got {}", v.type_name()))),
-            },
-        }
-    }
-
-    fn opt_u32(&self, key: &'a str) -> Result<Option<u32>, ParseError> {
-        self.opt_u64(key)?
-            .map(|v| u32::try_from(v).map_err(|_| self.err(key, format!("{v} exceeds u32::MAX"))))
-            .transpose()
-    }
-
-    fn require_usize(&self, key: &'a str) -> Result<usize, ParseError> {
-        Ok(self.require_u64(key)? as usize)
-    }
-
-    fn opt_usize(&self, key: &'a str) -> Result<Option<usize>, ParseError> {
-        Ok(self.opt_u64(key)?.map(|v| v as usize))
-    }
-
-    fn require_f64(&self, key: &'a str) -> Result<f64, ParseError> {
-        self.opt_f64(key)?
-            .ok_or_else(|| self.missing(key, "number"))
-    }
-
-    fn opt_f64(&self, key: &'a str) -> Result<Option<f64>, ParseError> {
-        match self.entry(key) {
-            None => Ok(None),
-            Some(e) => match e.value {
-                Value::Float(f) => Ok(Some(f)),
-                Value::Int(i) => Ok(Some(i as f64)),
-                ref v => Err(self.err(key, format!("expected a number, got {}", v.type_name()))),
-            },
-        }
-    }
-
-    fn require_u64_list(&self, key: &'a str) -> Result<Vec<u64>, ParseError> {
-        match self.entry(key) {
-            None => Err(self.missing(key, "list of integers")),
-            Some(e) => match &e.value {
-                Value::List(items) => items
-                    .iter()
-                    .map(|v| match v {
-                        Value::Int(i) if *i >= 0 => Ok(*i as u64),
-                        Value::Int(i) => {
-                            Err(self.err(key, format!("list elements must be >= 0, got {i}")))
-                        }
-                        v => Err(self.err(
-                            key,
-                            format!("expected integer elements, got {}", v.type_name()),
-                        )),
-                    })
-                    .collect(),
-                v => Err(self.err(key, format!("expected a list, got {}", v.type_name()))),
-            },
-        }
+        let line = self.section.get(key).map_or(self.section.line, |e| e.line);
+        let msg = format!("[{}] {key}: {}", self.section.name, msg.into());
+        ParseError::at(line, msg)
     }
 
     fn missing(&self, key: &str, what: &str) -> ParseError {
-        ParseError::at(
-            self.line,
-            format!("[{}] missing required key '{key}' ({what})", self.name),
-        )
+        self.err(key, format!("missing required key ({what})"))
     }
 
-    /// Reject keys nobody consumed.
-    fn finish(&self) -> Result<(), ParseError> {
-        if let Some(section) = self.section {
-            let used = self.used.borrow();
-            for e in &section.entries {
-                if !used.contains(&e.key.as_str()) {
-                    return Err(ParseError::at(
-                        e.line,
-                        format!("unknown key '{}' in [{}]", e.key, self.name),
-                    ));
-                }
-            }
+    /// A string key, or `default` when absent (`None`: required).
+    fn string(&self, key: &str, default: Option<&'a str>) -> Parsed<&'a str> {
+        match self.entry(key).map(|e| &e.value) {
+            None => default.ok_or_else(|| self.missing(key, "string")),
+            Some(Value::Str(s)) => Ok(s),
+            Some(v) => Err(self.err(key, format!("expected a string, got {}", v.type_name()))),
         }
-        Ok(())
+    }
+
+    /// An enumerated string key: the value paired with the name it
+    /// spells. `default` names the pair an absent key takes (`None`:
+    /// required); the names list the alternatives in the error.
+    fn choice<T: Copy>(
+        &self,
+        key: &str,
+        default: Option<&'a str>,
+        what: &str,
+        choices: &[(&'static str, T)],
+    ) -> Parsed<T> {
+        let name = self.string(key, default)?;
+        let Some(&(_, value)) = choices.iter().find(|(n, _)| *n == name) else {
+            let names: Vec<&str> = choices.iter().map(|(n, _)| *n).collect();
+            let msg = format!("unknown {what} '{name}' ({})", names.join("|"));
+            return Err(self.err(key, msg));
+        };
+        Ok(value)
+    }
+
+    /// `v`, the value of `key` or an element of its list, as a `u64`.
+    fn unsigned(&self, key: &str, v: &Value) -> Parsed<u64> {
+        match *v {
+            Value::Int(i) if i >= 0 => Ok(i as u64),
+            Value::Int(i) => Err(self.err(key, format!("must be non-negative, got {i}"))),
+            ref v => Err(self.err(key, format!("expected an integer, got {}", v.type_name()))),
+        }
+    }
+
+    /// An integer key as `T`, or `default` when absent (`None`: required).
+    fn int<T: TryFrom<u64>>(&self, key: &str, default: Option<T>) -> Parsed<T> {
+        let Some(e) = self.entry(key) else {
+            return default.ok_or_else(|| self.missing(key, "integer"));
+        };
+        let v = self.unsigned(key, &e.value)?;
+        let max = || format!("{v} exceeds {}::MAX", std::any::type_name::<T>());
+        T::try_from(v).map_err(|_| self.err(key, max()))
+    }
+
+    /// [`Keys::int`] for a count of at least 1; `why` explains a 0.
+    fn positive<T: TryFrom<u64>>(&self, key: &str, default: Option<T>, why: &str) -> Parsed<T> {
+        match self.entry(key) {
+            Some(e) if e.value == Value::Int(0) => Err(self.err(key, why)),
+            _ => self.int(key, default),
+        }
+    }
+
+    /// A real key in `range`, or `default` when absent (`None`: required).
+    fn real(&self, key: &str, default: Option<f64>, range: Interval) -> Parsed<f64> {
+        let v = match self.entry(key).map(|e| &e.value) {
+            None => default.ok_or_else(|| self.missing(key, "number")),
+            Some(&Value::Float(f)) => Ok(f),
+            Some(&Value::Int(i)) => Ok(i as f64),
+            Some(v) => Err(self.err(key, format!("expected a number, got {}", v.type_name()))),
+        }?;
+        if range.contains(&v) {
+            return Ok(v);
+        }
+        let closed = |b: &Bound<f64>| matches!(b, Included(_));
+        let num = |b: Bound<f64>| match b {
+            Included(x) | Excluded(x) => x,
+            Unbounded => f64::INFINITY,
+        };
+        let msg = match range {
+            (lo, Unbounded) if closed(&lo) => format!("{v} must be >= {}", num(lo)),
+            (lo, Unbounded) => format!("{v} must be > {}", num(lo)),
+            (lo, hi) => {
+                let open = if closed(&lo) { '[' } else { '(' };
+                let close = if closed(&hi) { ']' } else { ')' };
+                format!("{v} outside {open}{}, {}{close}", num(lo), num(hi))
+            }
+        };
+        Err(self.err(key, msg))
+    }
+
+    /// A `[lo_key, hi_key]` window of fractions, `[0, 1]` by default, with
+    /// `lo < hi` when `strict`; an inverted pair is blamed on `hi_key`.
+    fn window(&self, lo_key: &str, hi_key: &str, strict: bool) -> Parsed<(f64, f64)> {
+        let lo = self.real(lo_key, Some(0.0), FRACTION)?;
+        let hi = self.real(hi_key, Some(1.0), FRACTION)?;
+        if lo < hi || (lo == hi && !strict) {
+            return Ok((lo, hi));
+        }
+        let op = if strict { "<" } else { "<=" };
+        let msg = format!("window [{lo}, {hi}] must satisfy {lo_key} {op} {hi_key}");
+        Err(self.err(hi_key, msg))
+    }
+
+    /// The `fraction` and `[from, until]` a spread-out churn model reads.
+    fn spread(&self) -> Parsed<(f64, (f64, f64))> {
+        let fraction = self.real("fraction", None, FRACTION)?;
+        Ok((fraction, self.window("from", "until", false)?))
+    }
+
+    fn u64_list(&self, key: &str) -> Parsed<Vec<u64>> {
+        let items = match self.entry(key).map(|e| &e.value) {
+            None => return Err(self.missing(key, "list of integers")),
+            Some(Value::List(items)) => items,
+            Some(v) => return Err(self.err(key, format!("expected a list, got {}", v.type_name()))),
+        };
+        items.iter().map(|v| self.unsigned(key, v)).collect()
+    }
+
+    /// Reject keys the reader left unread. [`check_grammar`] has already
+    /// refused keys foreign to the section, so a leftover is one of its
+    /// keys that the chosen variant does not use.
+    fn finish(&self) -> Parsed<()> {
+        let used = self.used.get();
+        match self
+            .section
+            .entries
+            .iter()
+            .enumerate()
+            .find(|(i, _)| used & 1 << i == 0)
+        {
+            Some((_, e)) => Err(self.err(&e.key, "not used by the variant this section selects")),
+            None => Ok(()),
+        }
     }
 }
 
@@ -1584,12 +1382,17 @@ seeds = [1]
             .expect_err("missing fraction");
         assert!(err.msg.contains("fraction"), "{}", err.msg);
         // Stable phases take no fraction — the strict key reader
-        // rejects the leftover.
+        // rejects the leftover as a key this variant does not use.
         let err = Scenario::from_str(
             &PHASED.replace("kind = \"stable\"", "kind = \"stable\"\nfraction = 0.2"),
         )
         .expect_err("stable fraction");
-        assert!(err.msg.contains("unknown key 'fraction'"), "{}", err.msg);
+        assert!(
+            err.msg
+                .contains("[phase] fraction: not used by the variant"),
+            "{}",
+            err.msg
+        );
         // Zero weight and out-of-range start_alive.
         let err = Scenario::from_str(&PHASED.replace("weight = 3.0", "weight = 0.0"))
             .expect_err("zero weight");
@@ -1760,11 +1563,9 @@ seeds = [1]
         let s = Scenario::from_str(&format!("{GOOD}\n[overlay]")).expect("valid");
         assert_eq!(
             s.overlay,
-            Some(OverlaySpec {
-                config: OverlayConfig {
-                    seed: 0,
-                    ..OverlayConfig::default()
-                }
+            Some(OverlayConfig {
+                seed: 0,
+                ..OverlayConfig::default()
             })
         );
         // Explicit knobs.
@@ -1774,7 +1575,7 @@ seeds = [1]
              false_positive = 0.05"
         ))
         .expect("valid");
-        let cfg = s.overlay.unwrap().config;
+        let cfg = s.overlay.unwrap();
         assert_eq!(cfg.active_degree, 3);
         assert_eq!(cfg.passive_degree, 8);
         assert_eq!(cfg.shuffle_every, 6);
@@ -1895,8 +1696,9 @@ seeds = [1]
 
     /// Replace every line of GOOD whose key matches the mutation's first
     /// key — only inside `[section]` when the mutation starts with that
-    /// prefix — by the mutation's lines, and expect a parse error.
-    fn fails_with(mutation: &str, needle: &str) {
+    /// prefix — by the mutation's lines, and expect a parse error; return
+    /// the mutated text and the error.
+    fn fails_with(mutation: &str, needle: &str) -> (String, ParseError) {
         let (section, mutation) = match mutation.strip_prefix('[') {
             Some(rest) => {
                 let (name, m) = rest.split_once("] ").expect("`[section] key = value`");
@@ -1928,6 +1730,12 @@ seeds = [1]
             err.msg
         );
         assert!(err.line > 0, "error should carry a line number");
+        (text, err)
+    }
+
+    /// The 1-based number of the first line of `text` equal to `line`.
+    fn line_of(text: &str, line: &str) -> usize {
+        text.lines().position(|l| l == line).expect("line present") + 1
     }
 
     #[test]
@@ -1957,6 +1765,60 @@ seeds = [1]
     }
 
     #[test]
+    fn window_errors_blame_the_offending_key_on_its_own_line() {
+        // An out-of-range end names itself, not the window's first key
+        // or the section header.
+        let (text, err) = fails_with(
+            "[churn] model = \"uniform\"\nuntil = 1.5",
+            "[churn] until: 1.5 outside [0, 1]",
+        );
+        assert_eq!(err.line, line_of(&text, "until = 1.5"));
+        let (text, err) = fails_with("heal = 1.5", "[churn] heal: 1.5 outside [0, 1]");
+        assert_eq!(err.line, line_of(&text, "heal = 1.5"));
+        // An inverted pair is blamed on its second key.
+        let (text, err) = fails_with(
+            "from = 0.9",
+            "[churn] heal: window [0.9, 0.6] must satisfy from < heal",
+        );
+        assert_eq!(err.line, line_of(&text, "heal = 0.6"));
+        let text = format!(
+            "{GOOD}\n[adversary]\ntarget = \"fm_maxima\"\nbudget = 8\nstart = 0.9\nuntil = 0.2"
+        );
+        let err = Scenario::from_str(&text).expect_err("inverted adversary window");
+        assert!(
+            err.msg
+                .contains("[adversary] until: window [0.9, 0.2] must satisfy start <= until"),
+            "{}",
+            err.msg
+        );
+        assert_eq!(err.line, line_of(&text, "until = 0.2"));
+    }
+
+    #[test]
+    fn keys_the_chosen_variant_ignores_are_pointed_errors() {
+        // `slide` belongs to [workload], but only a windowed workload
+        // reads it; `ticks` belongs to [medium], but only a fixed delay
+        // reads it. Neither is an unknown key.
+        let text = format!("{GOOD}\n[workload]\nqueries = 2\nslide = 0.3");
+        let err = Scenario::from_str(&text).expect_err("slide without window");
+        assert!(
+            err.msg.contains("[workload] slide: not used"),
+            "{}",
+            err.msg
+        );
+        assert!(!err.msg.contains("unknown"), "{}", err.msg);
+        assert_eq!(err.line, line_of(&text, "slide = 0.3"));
+        let (text, err) = fails_with("[medium] max = 2\nticks = 3", "[medium] ticks: not used");
+        assert!(!err.msg.contains("unknown"), "{}", err.msg);
+        assert_eq!(err.line, line_of(&text, "ticks = 3"));
+        // A key no variant of the section reads stays unknown.
+        fails_with(
+            "[medium] max = 2\nradius = 3",
+            "unknown key 'radius' in [medium]",
+        );
+    }
+
+    #[test]
     fn u32_keys_reject_values_that_would_wrap() {
         // 2³² + 2 used to be cast `as u32` and run as 2.
         fails_with(
@@ -1972,6 +1834,16 @@ seeds = [1]
             "[churn] radius: 4294967298 exceeds u32::MAX",
         );
         fails_with("hq = 4294967298", "[query] hq: 4294967298 exceeds u32::MAX");
+        // A delay above u32 used to wrap D̂·δ at run time into a shorter
+        // deadline, i.e. a different query.
+        fails_with(
+            "[medium] delay = \"fixed\"\nticks = 5_000_000_000",
+            "[medium] ticks: 5000000000 exceeds u32::MAX",
+        );
+        fails_with(
+            "[medium] max = 5_000_000_000",
+            "[medium] max: 5000000000 exceeds u32::MAX",
+        );
     }
 
     #[test]
@@ -2032,6 +1904,55 @@ seeds = [1]
         assert!(err.msg.contains("unknown key 'bogus'"), "{}", err.msg);
         let err = Scenario::from_str(&format!("{GOOD}\n[extra]\nx = 1")).expect_err("section");
         assert!(err.msg.contains("unknown section [extra]"), "{}", err.msg);
+    }
+
+    /// The grammar docs cannot drift from [`GRAMMAR`]: every `key = …`
+    /// line a fenced `toml` or `ini` block puts under `[s]` or `[[s]]`
+    /// is a key of `s`, and every key of `s` appears in some block under
+    /// `[s]`, as a key line or as a word of a comment.
+    #[test]
+    fn documented_grammar_matches_table() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut documented: Vec<(String, String)> = Vec::new();
+        for doc in ["README.md", "docs/OVERLAY.md", "docs/OBSERVABILITY.md"] {
+            let text = std::fs::read_to_string(format!("{root}/{doc}")).expect(doc);
+            let (mut fenced, mut section) = (false, String::new());
+            for line in text.lines() {
+                if let Some(lang) = line.trim().strip_prefix("```") {
+                    fenced = !fenced && (lang == "toml" || lang == "ini");
+                    section.clear();
+                    continue;
+                }
+                if !fenced {
+                    continue;
+                }
+                let (code, comment) = line.split_once('#').unwrap_or((line, ""));
+                let code = code.trim();
+                if code.starts_with('[') {
+                    section = code.trim_matches(['[', ']']).to_string();
+                } else if let Some((key, _)) = code.split_once('=') {
+                    let key = key.trim();
+                    let rule = GRAMMAR.iter().find(|r| r.name == section);
+                    assert!(
+                        rule.is_some_and(|r| r.has_key(key)),
+                        "{doc}: `{key}` is not a key of [{section}]"
+                    );
+                    documented.push((section.clone(), key.to_string()));
+                }
+                for word in comment.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
+                    documented.push((section.clone(), word.to_string()));
+                }
+            }
+        }
+        for rule in GRAMMAR {
+            for key in rule.keys.split(' ') {
+                assert!(
+                    documented.contains(&(rule.name.to_string(), key.to_string())),
+                    "[{}] {key} appears in no documented block",
+                    rule.name
+                );
+            }
+        }
     }
 
     #[test]
