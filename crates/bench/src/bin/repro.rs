@@ -94,7 +94,7 @@ OPTIONS:
     --scale        `repro bench` only: run the host-count ladder (10⁴, 10⁵,
                    and — without '--quick' — 10⁶ hosts) instead of the fixed
                    workloads, and exit non-zero when a rung breaches the
-                   0.35 KiB/host RSS ceiling (see docs/SCALING.md)
+                   0.20 KiB/host RSS ceiling (see docs/SCALING.md)
     --out DIR      `repro trace` only: directory for trace files (default: .)
     --format F     `repro trace` only: emit one exporter's file — jsonl,
                    chrome (trace-event JSON; open in Perfetto), or summary
@@ -297,7 +297,7 @@ fn bench_main(args: &[String]) {
 }
 
 /// `repro bench --scale`: the host-count ladder. A rung breaching the
-/// 0.35 KiB/host RSS ceiling exits non-zero — the memory gate behind the
+/// 0.20 KiB/host RSS ceiling exits non-zero — the memory gate behind the
 /// million-host claim in docs/SCALING.md.
 fn scale_main(mode: BenchMode, opts: &Opts) {
     eprintln!(

@@ -290,17 +290,17 @@ pub fn scale_sizes(mode: BenchMode) -> Vec<(&'static str, usize)> {
 /// Per-host RSS budget for the scale ladder, in KiB: topology CSR,
 /// per-host protocol state, alive bookkeeping, and the in-flight event
 /// queue together may not average more than this over the rung's hosts.
-/// Measured at 0.27 kB/host on the 10⁶ rung once SPANNINGTREE's host
-/// record and messages became flat words (docs/SCALING.md); the margin
-/// above that is the ceiling.
-pub const SCALE_RSS_PER_HOST_KB: f64 = 0.35;
+/// Measured at 0.16 kB/host on the 10⁶ rung once a broadcast became one
+/// queue entry and each tick's bucket three unsorted lanes
+/// (docs/SCALING.md); the margin above that is the ceiling.
+pub const SCALE_RSS_PER_HOST_KB: f64 = 0.20;
 
 /// Fixed allowance on top of the per-host budget, in kB: the process
 /// baseline (binary, allocator arenas, and — `VmHWM` being monotone —
 /// the smaller rungs that ran earlier). Dominates only the small rungs,
 /// where per-host asymptotics are not yet the story; at 10⁶ hosts it is
-/// ~3% of the ceiling.
-pub const SCALE_RSS_ALLOWANCE_KB: u64 = 32 * 1024;
+/// ~4% of the ceiling.
+pub const SCALE_RSS_ALLOWANCE_KB: u64 = 8 * 1024;
 
 /// One rung of the ladder: a single-seed SPANNINGTREE flood +
 /// convergecast on a random topology — every host activates, classifies
@@ -526,8 +526,8 @@ mod tests {
             ticks_per_sec: 1e5,
             peak_rss_kb: rss,
         };
-        // Within budget: allowance + 0.35 KiB/host.
-        let ceiling = SCALE_RSS_ALLOWANCE_KB + 350_000;
+        // Within budget: allowance + 0.20 KiB/host.
+        let ceiling = SCALE_RSS_ALLOWANCE_KB + 200_000;
         assert!(scale_failures(&[rung(1_000_000, Some(ceiling))]).is_empty());
         let fails = scale_failures(&[rung(1_000_000, Some(ceiling + 1))]);
         assert_eq!(fails.len(), 1, "{fails:?}");

@@ -305,6 +305,9 @@ mod tests {
         assert!(record <= 48, "host record is {record} bytes");
         let msg = std::mem::size_of::<StMsg>();
         assert!(msg <= 24, "message is {msg} bytes");
+        // With at most 8-byte alignment the engine's `[u64; 3]` stand-in
+        // bounds a queued delivery or fanout of it at 40 bytes.
+        assert!(std::mem::align_of::<StMsg>() <= 8);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::delay::DelayModel;
 use crate::engine::Medium;
-use crate::event::{EventQueue, Payload};
+use crate::event::{EventQueue, Payload, NO_SKIP};
 use crate::metrics::Metrics;
 use crate::overlay::TopoRef;
 use crate::Time;
@@ -35,6 +35,16 @@ impl<M> EventSink<'_, M> {
             EventSink::Shard { buf, origin } => buf.push((*origin, at, payload)),
         }
     }
+
+    /// Queue a [`Payload::Fanout`] to `targets` hosts; see
+    /// `EventQueue::push_fanout`.
+    #[inline]
+    fn push_fanout(&mut self, at: Time, payload: Payload<M>, targets: usize) {
+        match self {
+            EventSink::Direct(q) => q.push_fanout(at, payload, targets),
+            EventSink::Shard { .. } => unreachable!("sharded delivery queues no fanouts"),
+        }
+    }
 }
 
 /// Where a `Ctx` records message costs. Handlers only ever record
@@ -59,6 +69,18 @@ impl CostSink<'_> {
             }
         }
     }
+
+    /// Record `n` sends at `at` in one step.
+    #[inline]
+    fn record_sends(&mut self, at: Time, n: u64) {
+        match self {
+            CostSink::Direct(m) => m.record_sends(at, n),
+            CostSink::Shard { sends } => {
+                let _ = at; // all batch sends share one instant
+                **sends += n;
+            }
+        }
+    }
 }
 
 /// Everything a host may do while handling an event: inspect its
@@ -79,6 +101,11 @@ pub struct Ctx<'a, M> {
     pub(crate) rng: &'a mut SmallRng,
     pub(crate) chain_depth: u32,
     pub(crate) in_timer: bool,
+    /// Whether a broadcast may queue as one [`Payload::Fanout`]: set by
+    /// the engine when every copy is certain to land at one instant on
+    /// a neighbour list that cannot change — a static CSR topology, a
+    /// fixed delay (which draws no randomness) and sequential delivery.
+    pub(crate) fanout: bool,
 }
 
 impl<'a, M: Clone> Ctx<'a, M> {
@@ -163,6 +190,10 @@ impl<'a, M: Clone> Ctx<'a, M> {
     /// [`Medium::Radio`] the excluded neighbour still receives the
     /// message, and the cost is one message either way.
     pub fn broadcast_except(&mut self, skip: Option<HostId>, msg: M) {
+        if self.fanout {
+            self.fan_out(skip, msg);
+            return;
+        }
         match self.medium {
             Medium::Radio => {
                 self.metrics.record_send(self.now);
@@ -198,6 +229,49 @@ impl<'a, M: Clone> Ctx<'a, M> {
                     );
                 }
             }
+        }
+    }
+
+    /// [`Ctx::broadcast_except`] as one queue entry for all its copies:
+    /// the same sends charged now, the same deliveries at the same
+    /// instant in the same CSR order, expanded when they fall due.
+    fn fan_out(&mut self, skip: Option<HostId>, msg: M) {
+        let neighbors = self.topo.neighbors(self.me);
+        let (skip, sends, targets) = match (self.medium, skip) {
+            (Medium::PointToPoint, Some(s)) if neighbors.contains(&s) => {
+                let k = neighbors.len() - 1;
+                (s, k as u64, k)
+            }
+            (Medium::PointToPoint, _) => (NO_SKIP, neighbors.len() as u64, neighbors.len()),
+            (Medium::Radio, _) => (NO_SKIP, 1, neighbors.len()),
+        };
+        self.metrics.record_sends(self.now, sends);
+        let at = self.now + self.delay.sample(self.rng);
+        let (from, depth) = (self.me, self.chain_depth + 1);
+        match targets {
+            0 => {}
+            1 => {
+                let to = *neighbors.iter().find(|&&n| n != skip).expect("one target");
+                self.queue.push(
+                    at,
+                    Payload::Deliver {
+                        to,
+                        from,
+                        msg,
+                        depth,
+                    },
+                );
+            }
+            _ => self.queue.push_fanout(
+                at,
+                Payload::Fanout {
+                    from,
+                    skip,
+                    msg,
+                    depth,
+                },
+                targets,
+            ),
         }
     }
 

@@ -198,6 +198,9 @@ impl<'g> SimBuilder<'g> {
                 edges_removed: 0,
             }
         });
+        // A broadcast's copies share one instant on a fixed neighbour
+        // list only over the static CSR with a fixed delay.
+        let fanout = overlay.is_none() && matches!(self.delay, DelayModel::Fixed(_));
         let logic: Vec<L> = (0..n as u32).map(|i| factory(HostId(i))).collect();
         // Summaries are read only through poll-time EngineViews, so only
         // a run with a churn source or overlay driver keeps them. Seeding
@@ -243,6 +246,7 @@ impl<'g> SimBuilder<'g> {
             seed: self.seed,
             shard: None,
             shard_batches: 0,
+            fanout,
             summaries,
             churn_buf: Vec::new(),
             now: Time::ZERO,
@@ -381,6 +385,11 @@ pub struct Simulation<'g, L: NodeLogic> {
     /// Delivery batches drained so far — the per-event RNG's batch
     /// ordinal, advanced identically for every thread count.
     shard_batches: u64,
+    /// Whether handlers may queue a broadcast as one
+    /// [`Payload::Fanout`] (see `Ctx::fanout`): a static topology, a
+    /// fixed delay, and no sharded delivery, which batches single
+    /// deliveries only.
+    fanout: bool,
     tele: Option<Telemetry<'g>>,
     /// Per-poll scratch: one summary slot per host, empty unless a
     /// churn source or overlay driver is installed. Seeded once at
@@ -436,6 +445,7 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
             threads: threads.max(1),
             drain: drain_deliver_batch::<L>,
         });
+        self.fanout = false;
     }
 
     /// Run until the event queue is exhausted or virtual time would
@@ -462,10 +472,11 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
     }
 
     /// Run until no events remain. Panics if more than `max_events`
-    /// events fire — a guard against protocol livelock.
+    /// events fire — a guard against protocol livelock. Events are
+    /// counted as dispatched: a broadcast's fanout counts one per target.
     pub fn run_to_quiescence(&mut self, max_events: u64) {
         self.start();
-        let mut n = 0u64;
+        let first = self.metrics.events_dispatched;
         while let Some(t) = self.queue.peek_time() {
             if self.tele.is_some() && t != self.now {
                 self.tele_flush_tick();
@@ -473,9 +484,8 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
             let (at, payload) = self.queue.pop().expect("peeked event exists");
             self.now = at;
             self.dispatch(payload);
-            n += 1;
             assert!(
-                n <= max_events,
+                self.metrics.events_dispatched - first <= max_events,
                 "protocol did not quiesce after {max_events} events"
             );
         }
@@ -580,36 +590,14 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
                     );
                     return;
                 }
-                // Delivery only to hosts alive *now*; messages to failed
-                // hosts vanish (the sender has already paid for them).
-                // Likewise messages crossing an active partition cut.
-                let severed = self
-                    .partition
-                    .as_ref()
-                    .is_some_and(|p| p.blocks(self.now, from, to));
-                let live = self.hosts.is_alive(to) && !severed;
-                if let Some(t) = self.tele.as_mut() {
-                    if live {
-                        t.counts.delivered += 1;
-                        // Frontier = distinct hosts reached this tick;
-                        // the stamp dedups repeat deliveries.
-                        debug_assert!(self.now.ticks() < u64::from(u32::MAX));
-                        let stamp = (self.now.ticks() + 1) as u32;
-                        let slot = &mut t.touched[to.index()];
-                        if *slot != stamp {
-                            *slot = stamp;
-                            t.counts.frontier += 1;
-                        }
-                    } else {
-                        t.counts.dropped += 1;
-                    }
-                }
-                if live {
-                    self.metrics.record_processed(to, depth);
-                    self.hosts.raise_depth(to, depth);
-                    self.activate(to, Activation::Message { from, msg, depth });
-                }
+                self.deliver(to, from, msg, depth);
             }
+            Payload::Fanout {
+                from,
+                skip,
+                msg,
+                depth,
+            } => self.fan_out(from, skip, msg, depth),
             Payload::Timer { host, key } => {
                 if self.hosts.is_alive(host) {
                     self.metrics.record_timer();
@@ -622,6 +610,60 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
             Payload::ChurnPoll => self.poll_churn_source(),
             Payload::OverlayPoll => self.poll_overlay_driver(),
         }
+    }
+
+    /// Deliver `msg` to `to`: only to a host alive *now*, and not across
+    /// an active partition cut. A lost message vanishes (the sender has
+    /// already paid for it).
+    #[inline]
+    fn deliver(&mut self, to: HostId, from: HostId, msg: L::Msg, depth: u32) {
+        let severed = self
+            .partition
+            .as_ref()
+            .is_some_and(|p| p.blocks(self.now, from, to));
+        let live = self.hosts.is_alive(to) && !severed;
+        if let Some(t) = self.tele.as_mut() {
+            if live {
+                t.counts.delivered += 1;
+                // Frontier = distinct hosts reached this tick;
+                // the stamp dedups repeat deliveries.
+                debug_assert!(self.now.ticks() < u64::from(u32::MAX));
+                let stamp = (self.now.ticks() + 1) as u32;
+                let slot = &mut t.touched[to.index()];
+                if *slot != stamp {
+                    *slot = stamp;
+                    t.counts.frontier += 1;
+                }
+            } else {
+                t.counts.dropped += 1;
+            }
+        }
+        if live {
+            self.metrics.record_processed(to, depth);
+            self.hosts.raise_depth(to, depth);
+            self.activate(to, Activation::Message { from, msg, depth });
+        }
+    }
+
+    /// Expand a [`Payload::Fanout`]: deliver to every CSR neighbour of
+    /// `from` but `skip`, in row order, through the same path a single
+    /// delivery takes. `dispatch` counted the entry as one event; each
+    /// further target counts one more.
+    fn fan_out(&mut self, from: HostId, skip: HostId, msg: L::Msg, depth: u32) {
+        let mut targets = 0usize;
+        for i in 0..self.graph.degree(from) {
+            let to = self.graph.neighbors(from)[i];
+            if to != skip {
+                targets += 1;
+                self.deliver(to, from, msg.clone(), depth);
+            }
+        }
+        let extra = targets as u64 - 1;
+        self.metrics.events_dispatched += extra;
+        if let Some(t) = self.tele.as_mut() {
+            t.counts.dispatched += extra;
+        }
+        self.queue.retire_fanout(targets);
     }
 
     /// Take `h` down — a planned failure or a churn source's, alike. A
@@ -800,6 +842,7 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
             rng: &mut self.rng,
             chain_depth,
             in_timer: matches!(activation, Activation::Timer { .. }),
+            fanout: self.fanout,
         };
         match activation {
             Activation::Start => logic.on_start(&mut ctx),
@@ -1188,6 +1231,7 @@ where
             rng: &mut rng,
             chain_depth: depth,
             in_timer: false,
+            fanout: false,
         };
         logic[li].on_message(&mut ctx, from, msg);
     }
@@ -2098,6 +2142,151 @@ mod tests {
         assert_eq!(sim.num_alive(), 1);
         assert!(!sim.is_alive(HostId(0)));
         assert!(sim.is_alive(HostId(2)));
+    }
+
+    /// The fanout equivalence bar's protocol: relays a token a few hops
+    /// with `broadcast_except(Some(from))`, folds deliveries into an
+    /// order-sensitive accumulator, and batches at tick end. Origins
+    /// broadcast at start; under point-to-point the isolated host 9
+    /// also reaches host 4 over the underlay, so 4's relay skips a
+    /// non-neighbour.
+    #[derive(Debug, PartialEq)]
+    struct Relay {
+        hops: u32,
+        acc: u64,
+    }
+
+    impl NodeLogic for Relay {
+        type Msg = u64;
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+            if [0, 6, 7, 9].contains(&ctx.me().0) {
+                ctx.broadcast(u64::from(ctx.me().0));
+            }
+            if ctx.me() == HostId(9) && ctx.medium() == Medium::PointToPoint {
+                ctx.send_direct(HostId(4), 99);
+            }
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, from: HostId, msg: u64) {
+            self.acc = self
+                .acc
+                .wrapping_mul(0x100000001b3)
+                .wrapping_add(msg ^ u64::from(from.0) << 8);
+            if self.hops < 3 {
+                self.hops += 1;
+                ctx.broadcast_except(Some(from), msg.wrapping_mul(3) + 1);
+                ctx.set_timer_at_tick_end(u64::from(self.hops));
+            }
+        }
+
+        fn on_timer(&mut self, _: &mut Ctx<'_, u64>, key: u64) {
+            self.acc = self.acc.rotate_left(5) ^ key;
+        }
+    }
+
+    /// A 6-cycle with the chord 0–3, a pendant 6 on host 2, a separate
+    /// edge 7–8, and an isolated host 9: degrees 0 through 4.
+    fn relay_graph() -> Graph {
+        let mut b = pov_topology::GraphBuilder::with_hosts(10);
+        for (a, c) in [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (5, 0),
+            (0, 3),
+            (2, 6),
+            (7, 8),
+        ] {
+            b.add_edge(HostId(a), HostId(c));
+        }
+        b.build()
+    }
+
+    #[test]
+    fn fanout_matches_per_target_copies() {
+        // One queued fanout per broadcast must be indistinguishable from
+        // one delivery per target: metrics, trace, per-host state and
+        // every tick sample (queue depth included), through churn and a
+        // partition, under both media.
+        let churn = ChurnPlan::none()
+            .with_failure(Time(2), HostId(4))
+            .with_join(Time(4), HostId(4))
+            .with_failure(Time(1), HostId(8));
+        let sides = (0..10).map(|i| u8::from(i >= 3)).collect();
+        let cut = PartitionPlan::new(sides).window(Time(2), Time(3));
+        for medium in [Medium::PointToPoint, Medium::Radio] {
+            let run = |fanout: bool| {
+                let mut rec = Recorder::default();
+                let mut sim = SimBuilder::new(relay_graph())
+                    .medium(medium)
+                    .churn(churn.clone())
+                    .partition(cut.clone())
+                    .telemetry(&mut rec)
+                    .build(|_| Relay { hops: 0, acc: 0 });
+                sim.fanout = fanout;
+                sim.start();
+                let pending = sim.pending_events();
+                // On a fanout run the start-up broadcasts of hosts 0 and
+                // 6–9 take fewer entries than they have targets.
+                assert_eq!(sim.queue.entries() < pending, fanout, "{medium:?}");
+                sim.run_to_quiescence(10_000);
+                let metrics = sim.metrics().clone();
+                let trace = sim.trace().events.clone();
+                let states: Vec<Relay> = (0..10)
+                    .map(|i| {
+                        let l = sim.logic(HostId(i));
+                        Relay {
+                            hops: l.hops,
+                            acc: l.acc,
+                        }
+                    })
+                    .collect();
+                drop(sim);
+                (metrics, trace, states, rec.ticks)
+            };
+            let (m, trace, states, ticks) = run(true);
+            let (m0, trace0, states0, ticks0) = run(false);
+            assert!(
+                ticks.iter().any(|s| s.dropped > 0),
+                "{medium:?}: the cut bit"
+            );
+            assert_eq!(m.messages_sent, m0.messages_sent, "{medium:?}");
+            assert_eq!(m.sent_per_tick, m0.sent_per_tick, "{medium:?}");
+            assert_eq!(m.processed_per_host, m0.processed_per_host, "{medium:?}");
+            assert_eq!(m.longest_chain, m0.longest_chain, "{medium:?}");
+            assert_eq!(m.timers_fired, m0.timers_fired, "{medium:?}");
+            assert_eq!(m.events_dispatched, m0.events_dispatched, "{medium:?}");
+            assert_eq!(trace, trace0, "{medium:?}");
+            assert_eq!(states, states0, "{medium:?}");
+            assert_eq!(ticks, ticks0, "{medium:?}");
+        }
+    }
+
+    /// The dispatched-event count of flooding a complete graph, where
+    /// every broadcast is a fanout.
+    fn complete_flood(max_events: u64) -> u64 {
+        let mut sim = flood_sim(special::complete(12), Medium::PointToPoint);
+        sim.run_to_quiescence(max_events);
+        sim.metrics().events_dispatched
+    }
+
+    #[test]
+    fn quiescence_budget_counts_every_fanout_target() {
+        let events = complete_flood(u64::MAX);
+        // h0's 11 copies, then 10 from each of the 11 others.
+        assert_eq!(events, 11 + 11 * 10);
+        assert_eq!(complete_flood(events), events);
+    }
+
+    #[test]
+    #[should_panic(expected = "did not quiesce")]
+    fn quiescence_budget_one_short_of_a_fanout_flood_panics() {
+        // The flood pops 12 queue entries; its last target is the
+        // 121st event.
+        complete_flood(11 + 11 * 10 - 1);
     }
 
     /// A deliberately awkward protocol for the sharding invariance bar:

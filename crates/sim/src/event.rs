@@ -6,19 +6,29 @@
 //! implementation is a **bucketed calendar queue** ([`BucketQueue`]):
 //! simulation events are overwhelmingly near-future (a send lands
 //! `1..=δ` ticks ahead, a timer at most a deadline ahead), so a ring of
-//! per-tick buckets — each a rank-sorted FIFO — turns every push and
-//! pop into `O(1)` bucket ops instead of a `BinaryHeap`'s `O(log n)`
-//! sift that repeatedly moves whole payloads. A bucket entry is the
-//! payload alone: its rank is a function of the variant
-//! ([`Payload::rank`]), so no rank byte is stored beside it, and a
-//! delivery of a 24-byte message takes 40 bytes in flight, not 48. The
+//! per-tick buckets turns every push and pop into `O(1)` bucket ops
+//! instead of a `BinaryHeap`'s `O(log n)` sift that repeatedly moves
+//! whole payloads.
+//!
+//! A bucket is two FIFO lanes drained in order — *wire* (deliveries and
+//! fanouts), then *timers* — after the tick's *control* events (fails,
+//! joins, polls), which wait in one small queue-wide heap. That is
+//! exactly `(rank, seq)` order, so a tick's wave is never sorted and
+//! never copied into sort scratch. A wire entry is the payload alone: a
+//! delivery of a 24-byte message takes 40 bytes in flight, and so does
+//! a [`Payload::Fanout`] carrying one broadcast to its whole neighbour
+//! list. A timer-lane entry is the `(host, key)` pair, 16 bytes. The
 //! original heap implementation survives as the `#[cfg(test)]` oracle
 //! ([`HeapQueue`]); property tests assert the two pop identical event
 //! sequences.
 
 use crate::Time;
 use pov_topology::HostId;
-use std::collections::VecDeque;
+use std::collections::{BinaryHeap, VecDeque};
+
+/// The `skip` of a [`Payload::Fanout`] that excludes nobody: no CSR row
+/// holds this id.
+pub(crate) const NO_SKIP: HostId = HostId(u32::MAX);
 
 /// What happens when an event fires.
 #[derive(Clone, Debug)]
@@ -34,6 +44,21 @@ pub(crate) enum Payload<M> {
         /// Sending host.
         from: HostId,
         /// Protocol payload.
+        msg: M,
+        /// Causal chain depth (time-cost accounting, §6.3).
+        depth: u32,
+    },
+    /// One broadcast arrives at every neighbour of `from` but `skip`, in
+    /// CSR row order: the queued form of a broadcast whose copies all
+    /// land at one instant on a neighbour list that cannot change.
+    /// Dispatch expands it into one delivery per target, and the queue's
+    /// [`EventQueue::len`] counts those targets, not the entry.
+    Fanout {
+        /// Sending host, whose CSR row lists the targets.
+        from: HostId,
+        /// The one neighbour not to deliver to, or [`NO_SKIP`].
+        skip: HostId,
+        /// Protocol payload, cloned per target at delivery.
         msg: M,
         /// Causal chain depth (time-cost accounting, §6.3).
         depth: u32,
@@ -71,7 +96,7 @@ impl<M> Payload<M> {
             Payload::Join(_) => 1,
             Payload::ChurnPoll => 2,
             Payload::OverlayPoll => 3,
-            Payload::Deliver { .. } => 4,
+            Payload::Deliver { .. } | Payload::Fanout { .. } => 4,
             Payload::Timer { .. } => 5,
         }
     }
@@ -81,7 +106,14 @@ impl<M> Payload<M> {
 /// order). Dispatches to the bucketed production implementation, or —
 /// in test builds only — to the heap oracle a simulation was explicitly
 /// built with (`SimBuilder::heap_queue_oracle`).
-pub(crate) enum EventQueue<M> {
+pub(crate) struct EventQueue<M> {
+    imp: Imp<M>,
+    /// Targets beyond the first of every fanout pushed and not yet
+    /// retired, so that [`EventQueue::len`] counts deliveries.
+    fanout_extra: usize,
+}
+
+enum Imp<M> {
     /// The bucketed calendar queue (always used outside tests).
     Bucket(BucketQueue<M>),
     /// The pre-refactor `BinaryHeap` implementation, kept as the
@@ -92,31 +124,53 @@ pub(crate) enum EventQueue<M> {
 
 impl<M> EventQueue<M> {
     pub fn new() -> Self {
-        EventQueue::Bucket(BucketQueue::new())
+        EventQueue {
+            imp: Imp::Bucket(BucketQueue::new()),
+            fanout_extra: 0,
+        }
     }
 
     /// A queue backed by the original `BinaryHeap` ordering — the
     /// oracle side of the equivalence property tests.
     #[cfg(test)]
     pub fn heap_oracle() -> Self {
-        EventQueue::Heap(HeapQueue::new())
-    }
-
-    #[inline]
-    pub fn push(&mut self, at: Time, payload: Payload<M>) {
-        match self {
-            EventQueue::Bucket(q) => q.push(at, payload),
-            #[cfg(test)]
-            EventQueue::Heap(q) => q.push(at, payload),
+        EventQueue {
+            imp: Imp::Heap(HeapQueue::new()),
+            fanout_extra: 0,
         }
     }
 
     #[inline]
-    pub fn pop(&mut self) -> Option<(Time, Payload<M>)> {
-        match self {
-            EventQueue::Bucket(q) => q.pop(),
+    pub fn push(&mut self, at: Time, payload: Payload<M>) {
+        match &mut self.imp {
+            Imp::Bucket(q) => q.push(at, payload),
             #[cfg(test)]
-            EventQueue::Heap(q) => q.pop(),
+            Imp::Heap(q) => q.push(at, payload),
+        }
+    }
+
+    /// Push a [`Payload::Fanout`] that will deliver to `targets ≥ 2`
+    /// hosts. Pair every pop of it with [`EventQueue::retire_fanout`].
+    #[inline]
+    pub fn push_fanout(&mut self, at: Time, payload: Payload<M>, targets: usize) {
+        debug_assert!(matches!(payload, Payload::Fanout { .. }) && targets >= 2);
+        self.fanout_extra += targets - 1;
+        self.push(at, payload);
+    }
+
+    /// A popped fanout has delivered to its `targets` hosts.
+    #[inline]
+    pub fn retire_fanout(&mut self, targets: usize) {
+        debug_assert!(targets >= 2 && self.fanout_extra >= targets - 1);
+        self.fanout_extra -= targets - 1;
+    }
+
+    #[inline]
+    pub fn pop(&mut self) -> Option<(Time, Payload<M>)> {
+        match &mut self.imp {
+            Imp::Bucket(q) => q.pop(),
+            #[cfg(test)]
+            Imp::Heap(q) => q.pop(),
         }
     }
 
@@ -125,10 +179,10 @@ impl<M> EventQueue<M> {
     /// amortized-O(1) part of the calendar-queue contract).
     #[inline]
     pub fn peek_time(&mut self) -> Option<Time> {
-        match self {
-            EventQueue::Bucket(q) => q.peek_time(),
+        match &mut self.imp {
+            Imp::Bucket(q) => q.peek_time(),
             #[cfg(test)]
-            EventQueue::Heap(q) => q.peek_time(),
+            Imp::Heap(q) => q.peek_time(),
         }
     }
 
@@ -137,12 +191,13 @@ impl<M> EventQueue<M> {
     /// Sound because the `at`-tick delivery run is *closed* once draining
     /// reaches rank 4: sends always land ≥ 1 tick ahead, so no handler
     /// can append another delivery to the current instant (only tick-end
-    /// timers, rank 5, which this refuses to pop).
+    /// timers, rank 5, which this refuses to pop). A fanout ends the
+    /// batch; sharded runs queue none.
     pub fn pop_deliver_at(&mut self, at: Time) -> Option<Payload<M>> {
-        match self {
-            EventQueue::Bucket(q) => q.pop_deliver_at(at),
+        match &mut self.imp {
+            Imp::Bucket(q) => q.pop_deliver_at(at),
             #[cfg(test)]
-            EventQueue::Heap(q) => q.pop_deliver_at(at),
+            Imp::Heap(q) => q.pop_deliver_at(at),
         }
     }
 
@@ -150,99 +205,165 @@ impl<M> EventQueue<M> {
         self.len() == 0
     }
 
-    pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Bucket(q) => q.len(),
+    /// Entries queued, a fanout counting one.
+    pub fn entries(&self) -> usize {
+        match &self.imp {
+            Imp::Bucket(q) => q.len(),
             #[cfg(test)]
-            EventQueue::Heap(q) => q.len(),
+            Imp::Heap(q) => q.len(),
         }
+    }
+
+    /// Events pending, a fanout counting one per target.
+    pub fn len(&self) -> usize {
+        self.entries() + self.fanout_extra
     }
 }
 
-/// How many ticks ahead of the ring base an event may land and still be
-/// bucketed; anything further goes to the `far` overflow heap until the
-/// ring catches up. Covers every per-hop delay and protocol timer the
-/// workloads use; only pre-materialized churn plans over long horizons
-/// routinely overflow.
+/// How many ticks ahead of the ring base a wire or timer event may land
+/// and still be bucketed; anything further goes to the `far` overflow
+/// heap until the ring catches up. Covers every per-hop delay and
+/// protocol timer the workloads use.
 const WINDOW: u64 = 1 << 12;
 
-/// One tick's events: pushed in seq order, rank-sorted once when the
-/// tick becomes current (by [`Payload::rank`], computed, not stored),
-/// then drained from the front.
-type Bucket<M> = VecDeque<Payload<M>>;
+/// One tick's wire and timer events in two FIFO lanes, drained wire
+/// first. Every event is appended to its lane in push (= `seq`) order.
+struct Bucket<M> {
+    /// Deliveries and fanouts (rank 4): the wave.
+    wire: VecDeque<Payload<M>>,
+    /// Timers (rank 5) as `(host, key)`.
+    timers: VecDeque<(HostId, u64)>,
+}
+
+impl<M> Bucket<M> {
+    fn new() -> Self {
+        Bucket {
+            wire: VecDeque::new(),
+            timers: VecDeque::new(),
+        }
+    }
+
+    /// Append a wire or timer event to its lane.
+    #[inline]
+    fn push(&mut self, payload: Payload<M>) {
+        match payload {
+            Payload::Timer { host, key } => self.timers.push_back((host, key)),
+            _ => self.wire.push_back(payload),
+        }
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<Payload<M>> {
+        if let Some(p) = self.wire.pop_front() {
+            return Some(p);
+        }
+        let (host, key) = self.timers.pop_front()?;
+        Some(Payload::Timer { host, key })
+    }
+
+    fn is_empty(&self) -> bool {
+        self.wire.is_empty() && self.timers.is_empty()
+    }
+}
 
 /// A storage recycled to the ring tail keeps its allocation only up to
 /// this many events; a larger one is freed. The tail is reached again
-/// only after a full ring's worth of ticks (often never: a pre-scheduled
-/// churn plan stretches the ring over the whole horizon), so holding
-/// wave-sized storage there would pin one peak per tick of the ring.
+/// only after a full ring's worth of ticks, so holding wave-sized
+/// storage there would pin one peak per tick of the ring.
 const TAIL_KEEP: usize = 16;
+
+/// Recycle one lane of a drained front bucket: if its storage is larger
+/// than `ahead`'s, it takes over `ahead`'s queued events in order and
+/// serves that tick instead; the smaller storage stays in `spare`,
+/// bound for the ring tail, and is freed if larger than [`TAIL_KEEP`].
+///
+/// Storage is emptied by draining, but `clear` also rewinds a ring
+/// buffer's head: the next tick then fills it from the start, so only
+/// the pages it needs are touched.
+fn recycle<T>(spare: &mut VecDeque<T>, ahead: &mut VecDeque<T>) {
+    spare.clear();
+    if spare.capacity() > ahead.capacity() {
+        spare.append(ahead);
+        std::mem::swap(spare, ahead);
+        spare.clear();
+    }
+    if spare.capacity() > TAIL_KEEP {
+        *spare = VecDeque::new();
+    }
+}
 
 /// The bucketed calendar queue.
 ///
 /// # Ordering invariants
 ///
-/// * `buckets[i]` holds the events of tick `base + i`. When the front
-///   tick drains, its storage (sized by that tick's wave) is handed to
-///   the bucket one tick ahead of the new front — where the next tick's
-///   sends land — taking over that bucket's already-queued events in
-///   order; whichever storage is smaller moves to the ring tail (freed
-///   if larger than [`TAIL_KEEP`]). A couple of wave-sized buffers
-///   circulate, and every other bucket holds capacity for what is in
-///   flight in it, so the queue's memory tracks the events in flight,
-///   not the horizon.
-/// * Within a bucket, events are appended in push order, which **is**
-///   `seq` order; a single *stable* sort by rank when the tick becomes
-///   current yields exactly the `(rank, seq)` order the heap produced.
-/// * After the current bucket is rank-sorted, the engine may still push
-///   into it — but only tick-end timers can target the current instant
-///   (sends have delay ≥ 1, `set_timer` clamps to ≥ 1, churn polls move
-///   strictly forward). A timer's rank (5) is the maximum, so appending
-///   keeps the bucket sorted; the debug assertion in `push` enforces
-///   this so any future same-tick event class fails loudly instead of
-///   silently reordering.
-/// * Events at or beyond `base + WINDOW` wait in the `far` min-heap,
-///   ordered by `(time, rank, seq)`, and migrate into the ring the
-///   moment the base advances to within `WINDOW` of them — i.e. before
-///   any ring push could target their tick, preserving FIFO.
+/// * Control events (fails, joins, polls: a handful per tick, and the
+///   only events a pre-scheduled churn plan spreads over the whole
+///   horizon) wait in one `control` min-heap ordered by
+///   `(time, rank, seq)`, whatever their distance. Wire and timer
+///   events go to the ring.
+/// * `buckets[i]` holds the wire and timer events of tick `base + i`.
+///   When the front tick drains, each lane's storage (sized by that
+///   tick's wave) is handed to the same lane of the bucket one tick
+///   ahead of the new front — where the next tick's sends land — taking
+///   over that lane's already-queued events in order; whichever storage
+///   is smaller moves to the ring tail (freed if larger than
+///   [`TAIL_KEEP`]). A couple of wave-sized buffers per lane circulate,
+///   and every other bucket holds capacity for what is in flight in
+///   it, so the queue's memory tracks the events in flight, not the
+///   horizon.
+/// * At tick `base` the control events due pop first, then the wire
+///   lane, then the timer lane: ranks ascending, and within a lane push
+///   (= `seq`) order. Each pop takes the least `(rank, seq)` left at the
+///   tick, so the order is exactly the heap oracle's without sorting
+///   anything — also for an event pushed into the tick being drained
+///   (in the engine, only tick-end timers are).
+/// * When the ring holds no events, the base jumps straight to the next
+///   control or far event instead of rotating through empty ticks.
+/// * Wire and timer events at or beyond `base + WINDOW` wait in the
+///   `far` min-heap, ordered by `(time, rank, seq)`, and migrate into
+///   the ring the moment the base advances to within `WINDOW` of them —
+///   i.e. before any ring push could target their tick, preserving
+///   FIFO.
 pub(crate) struct BucketQueue<M> {
     buckets: VecDeque<Bucket<M>>,
     /// Tick of `buckets[0]`.
     base: u64,
-    /// Whether `buckets[0]` has been rank-sorted for draining.
-    prepared: bool,
-    /// Events in `buckets`, excluding `far`.
+    /// Events in `buckets`, a fanout counting one.
     in_buckets: usize,
-    /// Far-future overflow, min-ordered by `(time, rank, seq)`.
-    far: std::collections::BinaryHeap<FarEvent<M>>,
-    /// Insertion counter for `far` ordering.
-    far_seq: u64,
+    /// Every pending control event, min-ordered by `(time, rank, seq)`.
+    control: BinaryHeap<Keyed<M>>,
+    /// Far-future wire and timer events, min-ordered by
+    /// `(time, rank, seq)`.
+    far: BinaryHeap<Keyed<M>>,
+    /// Insertion counter for the heaps' FIFO tie-break.
+    seq: u64,
 }
 
-struct FarEvent<M> {
+/// An event in one of the queue's min-heaps.
+struct Keyed<M> {
     at: u64,
     seq: u64,
     payload: Payload<M>,
 }
 
-impl<M> FarEvent<M> {
+impl<M> Keyed<M> {
     fn key(&self) -> (u64, u8, u64) {
         (self.at, self.payload.rank(), self.seq)
     }
 }
 
-impl<M> PartialEq for FarEvent<M> {
+impl<M> PartialEq for Keyed<M> {
     fn eq(&self, other: &Self) -> bool {
         self.key() == other.key()
     }
 }
-impl<M> Eq for FarEvent<M> {}
-impl<M> PartialOrd for FarEvent<M> {
+impl<M> Eq for Keyed<M> {}
+impl<M> PartialOrd for Keyed<M> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<M> Ord for FarEvent<M> {
+impl<M> Ord for Keyed<M> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // BinaryHeap is a max-heap; invert for earliest-first.
         other.key().cmp(&self.key())
@@ -254,112 +375,107 @@ impl<M> BucketQueue<M> {
         BucketQueue {
             buckets: VecDeque::new(),
             base: 0,
-            prepared: false,
             in_buckets: 0,
-            far: std::collections::BinaryHeap::new(),
-            far_seq: 0,
+            control: BinaryHeap::new(),
+            far: BinaryHeap::new(),
+            seq: 0,
         }
     }
 
+    /// Queue entries, a fanout counting one.
     pub fn len(&self) -> usize {
-        self.in_buckets + self.far.len()
+        self.in_buckets + self.control.len() + self.far.len()
     }
 
+    fn keyed(&mut self, at: u64, payload: Payload<M>) -> Keyed<M> {
+        self.seq += 1;
+        Keyed {
+            at,
+            seq: self.seq,
+            payload,
+        }
+    }
+
+    #[inline]
     pub fn push(&mut self, at: Time, payload: Payload<M>) {
         debug_assert!(at.0 >= self.base, "event scheduled in the past");
-        let offset = at.0 - self.base;
-        if offset >= WINDOW {
-            self.far.push(FarEvent {
-                at: at.0,
-                seq: self.far_seq,
-                payload,
-            });
-            self.far_seq += 1;
+        // Ranks 0–3: a fail, join or poll.
+        if payload.rank() < 4 {
+            let ev = self.keyed(at.0, payload);
+            self.control.push(ev);
             return;
         }
-        let idx = offset as usize;
-        if self.buckets.len() <= idx {
-            self.buckets.resize_with(idx + 1, VecDeque::new);
+        let offset = at.0 - self.base;
+        if offset >= WINDOW {
+            let ev = self.keyed(at.0, payload);
+            self.far.push(ev);
+            return;
         }
-        if idx == 0 && self.prepared {
-            // The current tick is mid-drain: appending is only correct
-            // if the new event sorts after everything still in the
-            // bucket (see the ordering invariants above).
-            debug_assert!(
-                self.buckets[0]
-                    .back()
-                    .is_none_or(|last| last.rank() <= payload.rank()),
-                "same-tick push would reorder the current bucket"
-            );
-        }
-        self.buckets[idx].push_back(payload);
+        self.bucket(offset as usize).push(payload);
         self.in_buckets += 1;
     }
 
-    /// Advance the ring so `buckets[0]` is the earliest non-empty tick
-    /// (rank-sorted, ready to drain), migrating far-future events as
-    /// the window slides over them.
+    /// The ring bucket `idx` ticks past the base, grown to reach it.
+    #[inline]
+    fn bucket(&mut self, idx: usize) -> &mut Bucket<M> {
+        if self.buckets.len() <= idx {
+            self.buckets.resize_with(idx + 1, Bucket::new);
+        }
+        &mut self.buckets[idx]
+    }
+
+    /// Whether a control event is due at the base tick.
+    #[inline]
+    fn control_due(&self) -> bool {
+        self.control.peek().is_some_and(|ev| ev.at == self.base)
+    }
+
+    /// Advance the base to the earliest tick with an event, migrating
+    /// far-future events as the window slides over them.
     fn settle(&mut self) {
         loop {
+            if self.control_due() || self.buckets.front().is_some_and(|b| !b.is_empty()) {
+                return;
+            }
             if self.in_buckets == 0 {
-                if self.far.is_empty() {
-                    return;
-                }
-                // Jump the base straight to the earliest far event — no
-                // point rotating through an empty window one tick at a
-                // time.
-                self.base = self.far.peek().expect("non-empty").at;
-                self.prepared = false;
+                // Nothing in the ring: jump the base straight to the
+                // next control or far event instead of rotating through
+                // empty ticks one at a time.
+                let next = [self.control.peek(), self.far.peek()]
+                    .into_iter()
+                    .flatten()
+                    .map(|ev| ev.at)
+                    .min();
+                let Some(next) = next else { return };
+                self.base = next;
                 self.migrate_far();
                 continue;
             }
-            if self.buckets.front().is_some_and(|b| !b.is_empty()) {
-                if !self.prepared {
-                    // Stable sort: equal ranks keep push (= seq) order.
-                    self.buckets[0].make_contiguous().sort_by_key(Payload::rank);
-                    self.prepared = true;
-                }
-                return;
-            }
-            // Recycle the drained front bucket's storage (see the
-            // invariants above): the larger of it and the storage one
-            // tick ahead of the new front serves that tick. In a ring
-            // of at most two ticks the tail *is* that tick.
-            //
-            // Storage is emptied by draining, but `clear` also rewinds a
-            // ring buffer's head: the next tick then fills it from the
-            // start, so the rank sort finds it contiguous and only the
-            // pages it needs are touched.
+            // Recycle the drained front bucket's storage lane by lane
+            // (see the invariants above). In a ring of at most two
+            // ticks the tail *is* the tick ahead, so the storage keeps
+            // its capacity.
             let mut spare = self.buckets.pop_front().expect("in_buckets > 0");
-            spare.clear();
             if let Some(ahead) = self.buckets.get_mut(1) {
-                if spare.capacity() > ahead.capacity() {
-                    spare.append(ahead);
-                    std::mem::swap(&mut spare, ahead);
-                    spare.clear();
-                }
-                if spare.capacity() > TAIL_KEEP {
-                    spare = VecDeque::new();
-                }
+                recycle(&mut spare.wire, &mut ahead.wire);
+                recycle(&mut spare.timers, &mut ahead.timers);
+            } else {
+                spare.wire.clear();
+                spare.timers.clear();
             }
             self.buckets.push_back(spare);
             self.base += 1;
-            self.prepared = false;
             self.migrate_far();
         }
     }
 
     /// Move every far event whose tick now falls inside the ring window
     /// into its bucket. Popped in `(time, rank, seq)` order, so same-
-    /// bucket appends preserve the global FIFO contract.
+    /// lane appends preserve the global FIFO contract.
     fn migrate_far(&mut self) {
-        while self.far.peek().is_some_and(|fe| fe.at < self.base + WINDOW) {
-            let fe = self.far.pop().expect("peeked");
-            let idx = (fe.at - self.base) as usize;
-            if self.buckets.len() <= idx {
-                self.buckets.resize_with(idx + 1, VecDeque::new);
-            }
-            self.buckets[idx].push_back(fe.payload);
+        while self.far.peek().is_some_and(|ev| ev.at < self.base + WINDOW) {
+            let ev = self.far.pop().expect("peeked");
+            self.bucket((ev.at - self.base) as usize).push(ev.payload);
             self.in_buckets += 1;
         }
     }
@@ -369,42 +485,54 @@ impl<M> BucketQueue<M> {
         (self.len() > 0).then_some(Time(self.base))
     }
 
-    /// Event slots allocated across the ring (the memory-bound tests).
-    #[cfg(test)]
-    fn capacity(&self) -> usize {
-        self.buckets.iter().map(VecDeque::capacity).sum()
-    }
-
+    #[inline]
     pub fn pop(&mut self) -> Option<(Time, Payload<M>)> {
         self.settle();
-        let payload = self.buckets.front_mut()?.pop_front()?;
+        if self.control_due() {
+            let ev = self.control.pop().expect("due");
+            return Some((Time(ev.at), ev.payload));
+        }
+        let payload = self.buckets.front_mut()?.pop()?;
         self.in_buckets -= 1;
         Some((Time(self.base), payload))
     }
 
-    /// See [`EventQueue::pop_deliver_at`]. The prepared bucket is rank-
-    /// sorted, so the remaining deliveries of the instant sit contiguous
-    /// at its front; pop while the head is rank 4. Deliberately does
-    /// *not* settle: the caller just popped an event at `at`, so the
-    /// ring base already sits on this tick, and settling after the
-    /// bucket empties would advance the base past `at` — making the
-    /// batch's post-merge pushes (tick-end timers at `at`, sends at
-    /// `at + d`) look scheduled in the past.
+    /// See [`EventQueue::pop_deliver_at`]. Deliveries drain after the
+    /// instant's control events, so once the caller has popped one at
+    /// `at` the rest of the instant's wire lane sits at the front; pop
+    /// while its head is a delivery. Deliberately does *not* settle:
+    /// the caller just popped an event at `at`, so the ring base already
+    /// sits on this tick, and settling after the bucket empties would
+    /// advance the base past `at` — making the batch's post-merge pushes
+    /// (tick-end timers at `at`, sends at `at + d`) look scheduled in
+    /// the past.
     pub fn pop_deliver_at(&mut self, at: Time) -> Option<Payload<M>> {
-        if self.base != at.0 {
+        if self.base != at.0 || self.control_due() {
             return None;
         }
         let front = self.buckets.front_mut()?;
         if front
+            .wire
             .front()
             .is_some_and(|p| matches!(p, Payload::Deliver { .. }))
         {
-            let payload = front.pop_front().expect("head checked");
+            let payload = front.wire.pop_front().expect("head checked");
             self.in_buckets -= 1;
             Some(payload)
         } else {
             None
         }
+    }
+
+    /// Event slots allocated for control, wire and timer events (the
+    /// memory-bound tests).
+    #[cfg(test)]
+    fn lane_capacity(&self) -> [usize; 3] {
+        self.buckets
+            .iter()
+            .fold([self.control.capacity(), 0, 0], |[c, w, t], b| {
+                [c, w + b.wire.capacity(), t + b.timers.capacity()]
+            })
     }
 }
 
@@ -480,7 +608,7 @@ impl<M> HeapQueue<M> {
 
     pub fn pop_deliver_at(&mut self, at: Time) -> Option<Payload<M>> {
         let head = self.heap.peek()?;
-        if head.at == at && head.payload.rank() == 4 {
+        if head.at == at && matches!(head.payload, Payload::Deliver { .. }) {
             Some(self.heap.pop().expect("peeked").payload)
         } else {
             None
@@ -638,11 +766,44 @@ mod tests {
 
     #[test]
     fn a_queue_entry_is_the_payload_alone() {
-        // Compiles only while a bucket holds bare payloads: no rank byte
-        // beside each, so a 24-byte message's delivery fits 40 bytes.
-        let bucket: Bucket<[u64; 3]> = VecDeque::new();
-        let _: Option<&Payload<[u64; 3]>> = bucket.front();
+        // Compiles only while the wire lane holds bare payloads and the
+        // timer lane bare `(host, key)` pairs: no rank byte beside
+        // either. `[u64; 3]` stands in for SPANNINGTREE's `StMsg` (24
+        // bytes, 8-aligned, pinned in `spanning_tree.rs`) with no niche
+        // to spare, so a delivery or a whole broadcast's fanout of it
+        // fits 40 bytes, and a timer 16.
+        let bucket: Bucket<[u64; 3]> = Bucket::new();
+        let _: Option<&Payload<[u64; 3]>> = bucket.wire.front();
+        let _: Option<&(HostId, u64)> = bucket.timers.front();
         assert!(std::mem::size_of::<Payload<[u64; 3]>>() <= 40);
+        assert_eq!(std::mem::size_of::<(HostId, u64)>(), 16);
+    }
+
+    #[test]
+    fn a_fanout_holds_one_slot_and_counts_its_targets() {
+        // A k-target broadcast is one wire entry, however large k is,
+        // while `len` counts the k deliveries it stands for.
+        const K: usize = 1_000;
+        let mut q: EventQueue<u8> = EventQueue::new();
+        let fanout = Payload::Fanout {
+            from: HostId(0),
+            skip: NO_SKIP,
+            msg: 7,
+            depth: 1,
+        };
+        q.push_fanout(Time(1), fanout, K);
+        q.push(Time(1), deliver(8));
+        assert_eq!(q.len(), K + 1);
+        let Imp::Bucket(b) = &q.imp else {
+            unreachable!("built bucketed")
+        };
+        assert_eq!(b.len(), 2, "two entries");
+        assert!(b.lane_capacity()[1] <= TAIL_KEEP);
+        assert!(matches!(q.pop(), Some((Time(1), Payload::Fanout { .. }))));
+        q.retire_fanout(K);
+        assert_eq!(q.len(), 1);
+        assert!(matches!(q.pop(), Some((Time(1), Payload::Deliver { .. }))));
+        assert!(q.is_empty());
     }
 
     fn deliver(msg: u8) -> Payload<u8> {
@@ -673,7 +834,7 @@ mod tests {
             Some((Time(2), Payload::Deliver { msg: 100, .. }))
         ));
         assert!(
-            q.buckets[1].capacity() >= 40,
+            q.buckets[1].wire.capacity() >= 40,
             "tick 3 should now own the wave's storage"
         );
         for want in [200, 201] {
@@ -687,47 +848,51 @@ mod tests {
 
     #[test]
     fn ring_capacity_tracks_events_in_flight_not_the_horizon() {
-        // K sends per tick over H ticks, landing `1..=spread` ticks
-        // ahead, behind one pre-scheduled event at the horizon (a churn
-        // plan does this) so the ring spans all H ticks. Rotating every
-        // drained bucket to the tail with its capacity would retain
-        // ~H·K slots; recycling keeps O(K).
+        // K events per tick over H ticks, landing `1..=spread` ticks
+        // ahead, behind one timer at the horizon (a deadline timer does
+        // this) so the ring spans all H ticks. Rotating every
+        // drained lane to the tail with its capacity would retain ~H·K
+        // slots; recycling keeps O(K) — for fails (the control heap),
+        // deliveries (the wire lane) and timers.
         const K: usize = 256;
         const H: u64 = 512;
-        for spread in [1u64, 3] {
-            let mut q: BucketQueue<u8> = BucketQueue::new();
-            q.push(Time(H + spread + 1), Payload::ChurnPoll);
-            let mut due = vec![0usize; (H + spread + 2) as usize];
-            for t in 0..=H {
-                for _ in 0..due[t as usize] {
-                    assert_eq!(q.pop().map(|(at, _)| at), Some(Time(t)));
+        for (lane, class) in [(0, 0u8), (1, 4), (2, 5)] {
+            for spread in [1u64, 3] {
+                let mut q: BucketQueue<u8> = BucketQueue::new();
+                q.push(Time(H + spread + 1), payload_of(5, 0));
+                let mut due = vec![0usize; (H + spread + 2) as usize];
+                for t in 0..=H {
+                    for _ in 0..due[t as usize] {
+                        assert_eq!(q.pop().map(|(at, _)| at), Some(Time(t)));
+                    }
+                    for i in 0..K {
+                        let at = t + 1 + i as u64 % spread;
+                        q.push(Time(at), payload_of(class, i as u8));
+                        due[at as usize] += 1;
+                    }
                 }
-                for i in 0..K {
-                    let at = t + 1 + i as u64 % spread;
-                    q.push(Time(at), deliver(i as u8));
-                    due[at as usize] += 1;
-                }
+                assert!(q.buckets.len() as u64 > H, "the ring spans the horizon");
+                let cap = q.lane_capacity();
+                assert!(
+                    cap[lane] <= 8 * K,
+                    "lane {lane}, spread {spread}: {cap:?} slots retained for {K} events per tick"
+                );
+                assert!(cap.iter().sum::<usize>() <= 8 * K + TAIL_KEEP, "{cap:?}");
             }
-            assert!(q.buckets.len() as u64 > H, "the ring spans the horizon");
-            let cap = q.capacity();
-            assert!(
-                cap <= 8 * K,
-                "spread {spread}: {cap} slots retained for {K} sends per tick"
-            );
         }
     }
 
     /// A compact encodable action stream for the equivalence property:
     /// interleaved pushes (time offset, payload class) and pops.
     fn arb_actions() -> impl Strategy<Value = Vec<(u16, u8, u8)>> {
-        prop::collection::vec((0u16..2_000, 0u8..6, 0u8..2), 1..400)
+        prop::collection::vec((0u16..2_000, 0u8..7, 0u8..2), 1..400)
     }
 
     /// Near-future bursts: each action pushes `copies` events `dt`
     /// ticks ahead, then pops up to `pops` — so drained waves recycle
     /// into a next-but-one bucket that already holds events.
     fn arb_bursts() -> impl Strategy<Value = Vec<(u16, u8, u8, u8)>> {
-        prop::collection::vec((0u16..4, 0u8..6, 1u8..24, 0u8..32), 1..120)
+        prop::collection::vec((0u16..4, 0u8..7, 1u8..24, 0u8..32), 1..120)
     }
 
     fn payload_of(class: u8, tag: u8) -> Payload<u8> {
@@ -742,11 +907,53 @@ mod tests {
                 msg: tag,
                 depth: 0,
             },
-            _ => Payload::Timer {
+            5 => Payload::Timer {
                 host: HostId(u32::from(tag)),
                 key: u64::from(tag),
             },
+            _ => Payload::Fanout {
+                from: HostId(u32::from(tag)),
+                skip: NO_SKIP,
+                msg: tag,
+                depth: fanout_targets(tag),
+            },
         }
+    }
+
+    /// The target count of the property tests' fanout with this tag,
+    /// carried in its `depth` so the popping side can retire it.
+    fn fanout_targets(tag: u8) -> u32 {
+        2 + u32::from(tag % 5)
+    }
+
+    /// Push `payload`, as the engine does: a fanout through
+    /// `push_fanout` with its target count. Returns the deliveries the
+    /// push adds to `len`.
+    fn push(q: &mut EventQueue<u8>, at: Time, payload: Payload<u8>) -> usize {
+        match payload {
+            Payload::Fanout { depth, .. } => {
+                q.push_fanout(at, payload, depth as usize);
+                depth as usize
+            }
+            _ => {
+                q.push(at, payload);
+                1
+            }
+        }
+    }
+
+    /// Pop as the engine does, retiring a popped fanout's targets.
+    /// Returns the event and the deliveries it takes off `len`.
+    fn pop(q: &mut EventQueue<u8>) -> Option<((Time, Payload<u8>), usize)> {
+        let (t, p) = q.pop()?;
+        let n = match p {
+            Payload::Fanout { depth, .. } => {
+                q.retire_fanout(depth as usize);
+                depth as usize
+            }
+            _ => 1,
+        };
+        Some(((t, p), n))
     }
 
     fn fingerprint(t: Time, p: &Payload<u8>) -> (u64, u8, u32, u8) {
@@ -754,51 +961,59 @@ mod tests {
             Payload::Fail(h) | Payload::Join(h) => (h.0, 0),
             Payload::ChurnPoll | Payload::OverlayPoll => (0, 0),
             Payload::Deliver { to, msg, .. } => (to.0, msg),
+            Payload::Fanout { from, msg, .. } => (from.0, msg),
             Payload::Timer { host, key } => (host.0, key as u8),
         };
         (t.0, p.rank(), host, msg)
     }
 
     /// Replay `(dt, class, copies, pops)` actions against the bucketed
-    /// queue and the heap oracle; both must emit the identical sequence.
+    /// queue and the heap oracle; both must emit the identical sequence,
+    /// and `len` must count deliveries — a fanout one per target.
     fn check_against_oracle(actions: impl IntoIterator<Item = (u16, u8, u8, u8)>) {
         let mut bucket: EventQueue<u8> = EventQueue::new();
         let mut heap: EventQueue<u8> = EventQueue::heap_oracle();
+        let mut pending = 0usize; // deliveries pushed and not yet popped
         let mut now = 0u64; // events may never be pushed in the past
         let mut tag = 0u8;
         for (dt, class, copies, pops) in actions {
-            // As in the engine, only tick-end timers (class 5) may target
-            // the instant being drained.
-            let dt = if class == 5 { dt } else { dt.max(1) };
+            // Any class may target the instant being drained (in the
+            // engine only tick-end timers do): each pop still takes the
+            // least `(rank, seq)` left at the tick.
             let at = Time(now + u64::from(dt));
             for _ in 0..copies {
                 tag = tag.wrapping_add(1);
-                bucket.push(at, payload_of(class, tag));
-                heap.push(at, payload_of(class, tag));
+                pending += push(&mut bucket, at, payload_of(class, tag));
+                push(&mut heap, at, payload_of(class, tag));
             }
-            assert_eq!(bucket.len(), heap.len());
+            assert_eq!(bucket.len(), pending);
+            assert_eq!(heap.len(), pending);
             for _ in 0..pops {
-                match (bucket.pop(), heap.pop()) {
-                    (Some((bt, bp)), Some((ht, hp))) => {
+                match (pop(&mut bucket), pop(&mut heap)) {
+                    (Some(((bt, bp), n)), Some(((ht, hp), _))) => {
                         assert_eq!(fingerprint(bt, &bp), fingerprint(ht, &hp));
                         now = bt.0;
+                        pending -= n;
                     }
                     (None, None) => {}
                     _ => panic!("one queue emptied before the other"),
                 }
+                assert_eq!(bucket.len(), pending);
+                assert_eq!(heap.len(), pending);
             }
         }
         // Drain both to the end.
         loop {
             assert_eq!(bucket.peek_time(), heap.peek_time());
-            match (bucket.pop(), heap.pop()) {
-                (Some((bt, bp)), Some((ht, hp))) => {
+            match (pop(&mut bucket), pop(&mut heap)) {
+                (Some(((bt, bp), _)), Some(((ht, hp), _))) => {
                     assert_eq!(fingerprint(bt, &bp), fingerprint(ht, &hp));
                 }
                 (None, None) => break,
                 _ => panic!("one queue emptied before the other"),
             }
         }
+        assert!(bucket.is_empty() && heap.is_empty());
     }
 
     proptest! {
