@@ -12,23 +12,21 @@
 //! repro scenario a.scn b.scn --threads 8         # parallel batch runner
 //! repro scenario a.scn --json report.json        # machine-readable report
 //!
-//! repro bench --quick --json bench.json          # engine smoke driver + counters
-//! repro bench --scale --quick                    # host-count ladder, RSS gate
-//! repro soak --quick                             # long-horizon endurance run
+//! repro bench --quick --json bench.json          # host-count ladder, RSS gate
 //!
 //! repro trace scenarios/smoke.scn                # deterministic telemetry traces
 //! repro trace a.scn --out traces --format chrome # Perfetto-loadable trace only
 //! ```
 
 use pov_bench::engine_bench::{self, BenchMode};
-use pov_bench::{flight, mux, soak, Scale};
+use pov_bench::{mux, Scale};
 use pov_core::experiments::{
     ablation, adversary, ext_accuracy, fig06, fig10, fig11, fig12, fig13, overlay, price, validity,
 };
 use pov_core::report::Table;
 use pov_scenario::{run_batch, table_to_json, trace_batch, Json, Scenario};
 use pov_telemetry::export;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 const ALL: &[&str] = &[
@@ -55,29 +53,28 @@ USAGE:
     repro [--paper] [--json PATH] [EXPERIMENT]...
     repro scenario FILE... [--threads N] [--json PATH]
     repro trace FILE... [--threads N] [--out DIR] [--format jsonl|chrome|summary]
-    repro bench [--quick] [--scale] [--json PATH]
+    repro bench [--quick] [--json PATH]
     repro mux [--quick] [--json PATH]
-    repro soak [--quick] [--json PATH]
 
 SUBCOMMANDS:
     (none)         run the paper's §6 experiments (EXPERIMENT subset, or all)
     list           print the experiment names
     scenario       run declarative .scn scenario batches and print reports
     trace          re-run scenario batches with deterministic telemetry traces
-    bench          engine smoke driver (deterministic event counts) and the
-                   scale ladder (RSS-per-host ceiling)
+    bench          host-count ladder: one SPANNINGTREE query at 10⁴, 10⁵ and —
+                   without '--quick' — 10⁶ hosts; exits non-zero when a rung
+                   breaches the 0.20 KiB/host RSS ceiling (see docs/SCALING.md)
     mux            multiplexed-query driver: one shared-substrate workload vs
                    the same queries run sequentially (answers must agree and
                    the shared run must send fewer messages)
-    soak           long-horizon endurance run with window-count and RSS limits
     overlay        one experiment by name: maintained-overlay vs frozen-graph
                    validity/cost comparison (`repro overlay`)
     adversary      one experiment by name: adaptive sketch-targeting attacker
                    vs oblivious churn at equal budget (`repro adversary`)
                    — any name from `repro list` runs the same way
 
-    bench, mux and soak print wall-clock figures for information only; they
-    exit non-zero on counts and RSS, never on time. Wall-clock claims go
+    bench and mux print wall-clock figures for information only; they exit
+    non-zero on counts and RSS, never on time. Wall-clock claims go
     through benchmark/run.sh (see docs/BENCHMARKING.md).
 
     Unknown subcommands are treated as experiment names and rejected with
@@ -88,19 +85,13 @@ OPTIONS:
     --threads N    worker threads for the scenario batch runner or the trace
                    runner (default: 1)
     --json PATH    write results as JSON to PATH (experiment rows, scenario reports,
-                   or this run's bench / mux / soak document; the bench document
-                   carries the deterministic per-workload `counters` block).
+                   or this run's bench / mux document).
                    Without it nothing is written, and no earlier file is ever read
-    --scale        `repro bench` only: run the host-count ladder (10⁴, 10⁵,
-                   and — without '--quick' — 10⁶ hosts) instead of the fixed
-                   workloads, and exit non-zero when a rung breaches the
-                   0.20 KiB/host RSS ceiling (see docs/SCALING.md)
     --out DIR      `repro trace` only: directory for trace files (default: .)
     --format F     `repro trace` only: emit one exporter's file — jsonl,
                    chrome (trace-event JSON; open in Perfetto), or summary
                    (default: all three)
-    --quick        run `repro bench` / `repro mux` / `repro soak` at CI scale
-                   instead of full
+    --quick        run `repro bench` / `repro mux` at CI scale instead of full
     -h, --help     print this help
 
 ARGUMENTS:
@@ -116,7 +107,6 @@ fn fail(msg: &str) -> ! {
 struct Opts {
     paper: bool,
     quick: bool,
-    scale: bool,
     threads: Option<usize>,
     json: Option<String>,
     out: Option<String>,
@@ -128,7 +118,6 @@ fn parse_opts(args: &[String]) -> Opts {
     let mut opts = Opts {
         paper: false,
         quick: false,
-        scale: false,
         threads: None,
         json: None,
         out: None,
@@ -140,7 +129,6 @@ fn parse_opts(args: &[String]) -> Opts {
         match arg.as_str() {
             "--paper" => opts.paper = true,
             "--quick" => opts.quick = true,
-            "--scale" => opts.scale = true,
             "--threads" => {
                 let v = it
                     .next()
@@ -211,7 +199,6 @@ fn main() {
         Some("trace") => trace_main(&args[1..]),
         Some("bench") => bench_main(&args[1..]),
         Some("mux") => mux_main(&args[1..]),
-        Some("soak") => soak_main(&args[1..]),
         _ => experiments_main(&args),
     }
 }
@@ -230,18 +217,9 @@ fn reject_trace_flags(opts: &Opts, subcommand: &str) {
     }
 }
 
-/// Reject the `repro bench`-only ladder flag elsewhere.
-fn reject_scale_flag(opts: &Opts, subcommand: &str) {
-    if opts.scale {
-        fail(&format!(
-            "'--scale' applies to `repro bench`, not `{subcommand}`"
-        ));
-    }
-}
-
-/// Parse the arguments of one of the smoke drivers (`bench`, `mux`,
-/// `soak`). They share one contract: `--quick` and `--json PATH`, no
-/// positional arguments, single-threaded — plus `--scale` on `bench`.
+/// Parse the arguments of one of the smoke drivers (`bench`, `mux`).
+/// They share one contract: `--quick` and `--json PATH`, no positional
+/// arguments, single-threaded.
 fn driver_opts(args: &[String], subcommand: &str) -> (Opts, BenchMode) {
     let opts = parse_opts(args);
     if opts.paper {
@@ -270,36 +248,11 @@ fn driver_opts(args: &[String], subcommand: &str) -> (Opts, BenchMode) {
 
 // -------------------------------------------------------------------- bench
 
-fn bench_main(args: &[String]) {
-    let (opts, mode) = driver_opts(args, "repro bench");
-    if opts.scale {
-        scale_main(mode, &opts);
-        return;
-    }
-    eprintln!("# engine bench ({} scale, single thread)", mode.label());
-    let results = engine_bench::run(mode);
-    println!(
-        "{:<22} {:>7} {:>6} {:>12} {:>10} {:>12} {:>12}",
-        "workload", "n", "runs", "events", "wall_ms", "events/s", "ticks/s"
-    );
-    for r in &results {
-        println!(
-            "{:<22} {:>7} {:>6} {:>12} {:>10.1} {:>12.0} {:>12.0}",
-            r.name, r.n, r.runs, r.events, r.wall_ms, r.events_per_sec, r.ticks_per_sec,
-        );
-    }
-    if let Some(path) = &opts.json {
-        eprintln!("# instrumented counter replay ({} scale)", mode.label());
-        let doc = engine_bench::to_json(mode.label(), &results)
-            .with("counters", engine_bench::counters_json(mode));
-        write_json(path, &doc);
-    }
-}
-
-/// `repro bench --scale`: the host-count ladder. A rung breaching the
+/// `repro bench`: the host-count ladder. A rung breaching the
 /// 0.20 KiB/host RSS ceiling exits non-zero — the memory gate behind the
 /// million-host claim in docs/SCALING.md.
-fn scale_main(mode: BenchMode, opts: &Opts) {
+fn bench_main(args: &[String]) {
+    let (opts, mode) = driver_opts(args, "repro bench");
     eprintln!(
         "# engine scale ladder ({} scale, single thread)",
         mode.label()
@@ -361,7 +314,6 @@ fn scale_main(mode: BenchMode, opts: &Opts) {
 /// wall-clock figures are information only.
 fn mux_main(args: &[String]) {
     let (opts, mode) = driver_opts(args, "repro mux");
-    reject_scale_flag(&opts, "repro mux");
     eprintln!("# multiplexed query bench ({} scale)", mode.label());
     let r = mux::run(mode);
     println!(
@@ -428,62 +380,6 @@ fn mux_main(args: &[String]) {
     );
 }
 
-// --------------------------------------------------------------------- soak
-
-fn soak_main(args: &[String]) {
-    let (opts, mode) = driver_opts(args, "repro soak");
-    reject_scale_flag(&opts, "repro soak");
-    eprintln!("# soak ({} scale)", mode.label());
-    let results = soak::run(mode);
-    println!(
-        "{:<28} {:>6} {:>8} {:>8} {:>12} {:>10} {:>12} {:>10} {:>9}",
-        "workload",
-        "n",
-        "horizon",
-        "windows",
-        "events",
-        "wall_ms",
-        "events/s",
-        "declared",
-        "rss_kb"
-    );
-    for r in &results {
-        println!(
-            "{:<28} {:>6} {:>8} {:>8} {:>12} {:>10.1} {:>12.0} {:>9.0}% {:>9}",
-            r.name,
-            r.n,
-            r.horizon_ticks,
-            r.windows,
-            r.events,
-            r.wall_ms,
-            r.events_per_sec,
-            r.declared_fraction * 100.0,
-            r.peak_rss_kb.map_or("-".to_string(), |k| k.to_string()),
-        );
-    }
-    if let Some(path) = &opts.json {
-        write_json(path, &soak::to_json(mode, &results));
-    }
-    let breaches = soak::assert_limits(&results, mode);
-    if breaches.is_empty() {
-        eprintln!(
-            "[soak passed: every window judged, RSS ceiling {} kB]",
-            soak::max_rss_kb(mode)
-        );
-    } else {
-        for (workload, reason) in &breaches {
-            eprintln!("SOAK FAILURE: {workload}: {reason}");
-        }
-        // Debuggability over speed on the failure path: replay each
-        // breaching workload with a flight recorder and keep its last
-        // ticks next to the failure.
-        for p in flight::write_soak_dumps(mode, &breaches, Path::new(".")) {
-            eprintln!("[flight recorder dump: {}]", p.display());
-        }
-        std::process::exit(1);
-    }
-}
-
 // ---------------------------------------------------------------- scenarios
 
 /// Read and parse one `.scn` file, exiting 1 on an I/O or parse error.
@@ -506,7 +402,6 @@ fn scenario_main(args: &[String]) {
         fail("'--quick' applies to `repro bench`; scenario scale lives in the .scn file");
     }
     reject_trace_flags(&opts, "repro scenario");
-    reject_scale_flag(&opts, "repro scenario");
     if opts.positional.is_empty() {
         fail("`repro scenario` needs at least one .scn file");
     }
@@ -553,7 +448,6 @@ fn trace_main(args: &[String]) {
     if opts.json.is_some() {
         fail("`repro trace` writes per-format files; use '--out DIR' and '--format'");
     }
-    reject_scale_flag(&opts, "repro trace");
     if opts.positional.is_empty() {
         fail("`repro trace` needs at least one .scn file");
     }
@@ -698,7 +592,6 @@ fn experiments_main(args: &[String]) {
         fail("'--quick' applies to `repro bench`; experiments default to quick scale already");
     }
     reject_trace_flags(&opts, "the experiments");
-    reject_scale_flag(&opts, "the experiments");
     let scale = if opts.paper {
         Scale::Paper
     } else {

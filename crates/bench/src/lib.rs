@@ -12,9 +12,7 @@
 #![warn(missing_docs)]
 
 pub mod engine_bench;
-pub mod flight;
 pub mod mux;
-pub mod soak;
 
 use pov_core::experiments::{
     ablation, adversary, fig06, fig10, fig11, fig12, fig13, overlay, price, validity,

@@ -1,5 +1,6 @@
 //! The `repro` flag contract, driven through the real binary: which
-//! options `repro bench` accepts, and what a run may leave on disk.
+//! options and subcommands exist, and what a `repro bench` run may
+//! leave on disk.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -27,6 +28,7 @@ fn bench_rejects_the_retired_flags() {
         (&["bench", "--check", "x"][..], "unknown option"),
         (&["bench", "--overhead"][..], "unknown option"),
         (&["bench", "--counters"][..], "unknown option"),
+        (&["bench", "--scale"][..], "unknown option"),
         (&["bench", "--threads", "2"][..], "does not apply"),
     ] {
         let out = repro(args, Path::new("."));
@@ -55,7 +57,7 @@ fn bench_writes_only_what_json_names() {
     assert!(out.status.success(), "{out:?}");
     assert_eq!(entries(&dir), ["out.json"]);
     let doc = std::fs::read_to_string(dir.join("out.json")).expect("document readable");
-    assert!(doc.contains("\"counters\""), "{doc}");
+    assert!(doc.contains("\"scale_10k\""), "{doc}");
     // This run only: no trajectory, no recorded baseline, no ratio to it.
     for retired in ["\"history\"", "\"baseline\"", "\"speedup", "\"sha\""] {
         assert!(!doc.contains(retired), "{retired} in:\n{doc}");
@@ -68,11 +70,24 @@ fn help_mentions_no_retired_flag() {
     let out = repro(&["--help"], Path::new("."));
     assert!(out.status.success());
     let help = String::from_utf8_lossy(&out.stdout);
-    for retired in ["--check", "--overhead", "--counters"] {
+    for retired in ["--check", "--overhead", "--counters", "--scale"] {
         assert!(!help.contains(retired), "{retired} still in --help");
     }
     assert!(
-        help.contains("\n    repro bench [--quick] [--scale] [--json PATH]\n"),
-        "bench usage line lists exactly its three flags:\n{help}"
+        help.contains("\n    repro bench [--quick] [--json PATH]\n"),
+        "bench usage line lists exactly its two flags:\n{help}"
+    );
+    assert!(!help.contains("repro soak"), "soak usage line in:\n{help}");
+}
+
+#[test]
+fn soak_is_no_longer_a_subcommand() {
+    let out = repro(&["soak"], Path::new("."));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let first = stderr.lines().next().unwrap_or_default();
+    assert!(
+        first.contains("unknown experiment 'soak'"),
+        "expected the unknown-experiment rejection, got: {first}"
     );
 }

@@ -187,7 +187,7 @@ pub fn judged_plan(graph: &Graph, values: &[u64], plan: &RunPlan) -> Vec<Protoco
 /// phase boundaries rarely align with window boundaries; callers pair
 /// these instants with `PhaseSchedule::label_at` to tag each judged
 /// window with the regime in force when it opened (the scenario
-/// runner's `phase` column, the soak harness's per-phase accounting).
+/// runner's `phase` column).
 /// Note the judged series itself may stop early if `hq` dies — align
 /// by each [`WindowJudged::start`], not by index alone.
 pub fn window_starts(plan: &RunPlan) -> Vec<Time> {

@@ -14,7 +14,7 @@
 //! [`Json::parse`] is the matching recursive-descent reader: the repo
 //! benchmark (`benchmark/`) reads its own per-workload result objects
 //! back to aggregate them, and tests check that exported documents
-//! (the Chrome trace, the bench and soak documents) are well-formed. It
+//! (the Chrome trace, the bench and mux documents) are well-formed. It
 //! accepts exactly the documents the writer produces (plus arbitrary
 //! whitespace); it is not a general validating JSON parser.
 

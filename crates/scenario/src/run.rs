@@ -1449,6 +1449,74 @@ mod tests {
     }
 
     #[test]
+    fn double_dip_arc_is_judged_in_every_window() {
+        use pov_core::pov_sim::PhaseKind;
+        // Shrink, partition and heal, then shrink and heal again: window
+        // slicing across two reversals of the membership's direction.
+        let mut scn = tiny(ChurnSpec::None);
+        scn.phases = Some(crate::spec::PhasesSpec {
+            start_alive: 0.8,
+            phases: vec![
+                (PhaseKind::Growth { fraction: 0.2 }, 2.0),
+                (PhaseKind::Stable, 2.0),
+                (PhaseKind::Shrink { fraction: 0.35 }, 2.0),
+                (PhaseKind::Partition { fraction: 0.25 }, 1.0),
+                (PhaseKind::Heal, 2.0),
+                (PhaseKind::Shrink { fraction: 0.25 }, 1.0),
+                (PhaseKind::Heal, 2.0),
+            ],
+        });
+        scn.seeds = vec![1];
+        scn.repetitions = 1;
+        scn.continuous = Some(ContinuousSpec {
+            windows: 24,
+            window_factor: 1.0,
+        });
+        let report = run_batch(&scn, 1);
+        // Every window judged: hq is spared, so the series never stops
+        // early, and it declares in each window.
+        let records = report.records();
+        let windows: Vec<usize> = records.iter().map(|r| r.window).collect();
+        assert_eq!(windows, (0..24).collect::<Vec<_>>());
+        assert!(records.iter().all(|r| r.value.is_some()));
+        // Weights 2:2:2:1:2:1:2 over 24 windows: two windows per unit.
+        let mut segments: Vec<(&str, Vec<usize>)> = Vec::new();
+        for r in records {
+            let label = r.phase.expect("phased runs label every window");
+            match segments.last_mut() {
+                Some((last, hus)) if *last == label => hus.push(r.hu),
+                _ => segments.push((label, vec![r.hu])),
+            }
+        }
+        let arc: Vec<(&str, usize)> = segments.iter().map(|(l, h)| (*l, h.len())).collect();
+        assert_eq!(
+            arc,
+            [
+                ("growth", 4),
+                ("stable", 4),
+                ("shrink", 4),
+                ("partition", 2),
+                ("heal", 4),
+                ("shrink", 2),
+                ("heal", 4)
+            ]
+        );
+        // `hu` falls across each shrink, and the heal after it revives
+        // every dead host, so the population ends each heal whole again.
+        for (label, hus) in &segments {
+            let (first, last) = (hus[0], hus[hus.len() - 1]);
+            match *label {
+                "shrink" => assert!(last < first, "shrink must thin hu: {hus:?}"),
+                "heal" => {
+                    assert!(last > first, "heal must grow hu: {hus:?}");
+                    assert_eq!(last, report.n, "heal must recover everyone: {hus:?}");
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
     fn overlay_scenario_runs_and_stays_deterministic() {
         let mut scn = tiny(ChurnSpec::Uniform {
             fraction: 0.15,

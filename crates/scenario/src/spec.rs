@@ -203,7 +203,7 @@ pub struct ContinuousSpec {
 /// ewok-style) scripted as weighted phases. Weights are *relative*
 /// spans: the executor scales them to the regime's tick span (the
 /// one-shot deadline, or the whole `windows × W` horizon under
-/// `[continuous]` — the soak-length case), then lowers through
+/// `[continuous]` — the long-horizon case), then lowers through
 /// [`pov_core::pov_sim::PhaseSchedule`] to ordinary churn/partition
 /// plans. Owns the whole membership regime.
 #[derive(Clone, Debug, PartialEq)]
@@ -226,16 +226,11 @@ pub struct TelemetrySpec {
     /// Emit a protocol-state summary sample (active hosts, sketch mass)
     /// every this many ticks.
     pub summary_every: u64,
-    /// Ring-buffer capacity of the flight recorder, in ticks.
-    pub flight_window: u64,
 }
 
 impl Default for TelemetrySpec {
     fn default() -> Self {
-        TelemetrySpec {
-            summary_every: 8,
-            flight_window: 256,
-        }
+        TelemetrySpec { summary_every: 8 }
     }
 }
 
@@ -506,10 +501,8 @@ fn continuous(co: &Keys<'_>) -> Parsed<ContinuousSpec> {
 fn telemetry(te: &Keys<'_>) -> Parsed<TelemetrySpec> {
     let d = TelemetrySpec::default();
     let cadence = "sampling cadence must be >= 1 tick";
-    let ring = "flight recorder needs >= 1 tick of ring";
     Ok(TelemetrySpec {
         summary_every: te.positive("summary_every", Some(d.summary_every), cadence)?,
-        flight_window: te.positive("flight_window", Some(d.flight_window), ring)?,
     })
 }
 
@@ -629,7 +622,7 @@ const GRAMMAR: &[Rule] = &[
     )
     .excludes(&[("continuous", "dynamic kills cannot be replayed per window")]),
     Rule::new("continuous", Optional, "windows window_factor"),
-    Rule::new("telemetry", Optional, "summary_every flight_window"),
+    Rule::new("telemetry", Optional, "summary_every"),
     Rule::new(
         "overlay",
         Optional,
@@ -1338,8 +1331,8 @@ seeds = [1]
         assert_eq!(s.churn, ChurnSpec::None);
         assert_eq!(s.partitions, vec![]);
         assert_eq!(s.regime(), "phased");
-        // [phases] composes with [continuous] — the soak harness runs
-        // long arcs as window streams.
+        // [phases] composes with [continuous] — long arcs run as
+        // window streams.
         assert_eq!(s.continuous.map(|c| c.windows), Some(4));
     }
 
@@ -1516,32 +1509,15 @@ seeds = [1]
         // Present but empty → the documented defaults.
         let s = Scenario::from_str(&format!("{GOOD}\n[telemetry]")).expect("valid");
         assert_eq!(s.telemetry, Some(TelemetrySpec::default()));
-        assert_eq!(
-            s.telemetry.unwrap(),
-            TelemetrySpec {
-                summary_every: 8,
-                flight_window: 256
-            }
-        );
+        assert_eq!(s.telemetry.unwrap(), TelemetrySpec { summary_every: 8 });
         // Explicit knobs.
-        let s = Scenario::from_str(&format!(
-            "{GOOD}\n[telemetry]\nsummary_every = 4\nflight_window = 64"
-        ))
-        .expect("valid");
-        assert_eq!(
-            s.telemetry,
-            Some(TelemetrySpec {
-                summary_every: 4,
-                flight_window: 64
-            })
-        );
+        let s =
+            Scenario::from_str(&format!("{GOOD}\n[telemetry]\nsummary_every = 4")).expect("valid");
+        assert_eq!(s.telemetry, Some(TelemetrySpec { summary_every: 4 }));
         // Zero cadences are rejected, typos too.
         let err = Scenario::from_str(&format!("{GOOD}\n[telemetry]\nsummary_every = 0"))
             .expect_err("zero cadence");
         assert!(err.msg.contains(">= 1 tick"), "{}", err.msg);
-        let err = Scenario::from_str(&format!("{GOOD}\n[telemetry]\nflight_window = 0"))
-            .expect_err("zero ring");
-        assert!(err.msg.contains("ring"), "{}", err.msg);
         let err = Scenario::from_str(&format!("{GOOD}\n[telemetry]\nsumary_every = 4"))
             .expect_err("typo");
         assert!(err.msg.contains("unknown key"), "{}", err.msg);

@@ -35,8 +35,7 @@
 //! * [`PhaseSchedule`] — long-horizon membership regimes (growth →
 //!   stable → shrink → partition → heal over 10⁴+ ticks) scripted as
 //!   phases and lowered to the `ChurnPlan`/`PartitionPlan` primitives
-//!   above; the soak harness and the scenario `[phases]` grammar both
-//!   compile through it.
+//!   above; the scenario `[phases]` grammar compiles through it.
 //! * [`Metrics`] — the §6.3 efficiency measures: communication cost,
 //!   per-host computation cost, time cost (longest causal message chain),
 //!   and per-tick message counts (Fig 13b).

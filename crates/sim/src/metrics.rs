@@ -33,8 +33,8 @@ pub struct Metrics {
     pub timers_fired: u64,
     /// Total events dispatched by the engine loop (fails, joins,
     /// deliveries, timers, churn polls). Not a paper metric — it is the
-    /// denominator-free throughput counter the `repro bench` harness
-    /// divides by wall time to get events/sec.
+    /// denominator-free throughput counter `repro bench`'s host-count
+    /// ladder divides by wall time to get events/sec.
     pub events_dispatched: u64,
 }
 

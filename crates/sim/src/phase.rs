@@ -16,8 +16,8 @@
 //!
 //! Lowering is a pure function of `(graph, spare, seed, schedule)`:
 //! the same inputs always produce byte-identical plans, which is what
-//! lets the soak harness and the scenario batch runner promise
-//! thread-count-independent reports over phased regimes.
+//! lets the scenario batch runner promise thread-count-independent
+//! reports over phased regimes.
 
 use crate::{ChurnPlan, PartitionPlan, Time};
 use pov_topology::{Graph, HostId};
@@ -295,8 +295,8 @@ impl PhaseSchedule {
         }
     }
 
-    /// The ewok-style default arc used by the soak harness and the
-    /// documentation examples: start at `start_alive = 0.7`, grow by
+    /// The ewok-style default arc used by the repo benchmark's
+    /// `continuous_lifecycle` workload and the documentation examples: start at `start_alive = 0.7`, grow by
     /// 25%, plateau, shed 30%, suffer a 30% cut, then heal — phase
     /// spans proportioned 2 : 3 : 2 : 2 : 1 over `horizon` ticks.
     ///

@@ -61,7 +61,7 @@ pub struct TraceDoc {
 /// `offset`. The overlay fields are appended only on ticks where the
 /// maintenance driver acted, so overlay-free recordings render
 /// byte-identically to schema v1 output.
-pub(crate) fn tick_line(out: &mut String, s: &TickSample, offset: u64) {
+fn tick_line(out: &mut String, s: &TickSample, offset: u64) {
     out.push_str(&format!(
         "{{\"t\": {}, \"alive\": {}, \"queue\": {}, \"dispatched\": {}, \"delivered\": {}, \
          \"dropped\": {}, \"sent\": {}, \"fails\": {}, \"joins\": {}, \"timers\": {}, \

@@ -11,9 +11,6 @@
 //!   sends, churn, timers and the wave frontier per active tick, plus
 //!   optional periodic protocol-state samples (active hosts, sketch
 //!   mass).
-//! * [`FlightRecorder`] — a bounded ring of the last N active ticks,
-//!   dumped by the soak/bench harnesses when an assertion or
-//!   regression gate trips ([`FLIGHT_SCHEMA`]).
 //! * [`export`] — pure renderers from a [`TraceDoc`]: deterministic
 //!   JSONL ([`TRACE_SCHEMA`]), Chrome trace-event JSON (loads in
 //!   Perfetto / `chrome://tracing`), and a plain-text per-phase
@@ -28,20 +25,15 @@
 #![deny(missing_docs)]
 
 pub mod export;
-mod flight;
 pub mod fmt;
 mod record;
 
 pub use export::{CellTrace, PhaseSpan, TraceDoc};
-pub use flight::FlightRecorder;
 pub use record::{SummarySample, TickRecorder, TickSeries};
 
 /// Schema tag stamped on every trace export (JSONL header, Chrome
 /// document, summary table).
 pub const TRACE_SCHEMA: &str = "pov_trace/v1";
-
-/// Schema tag stamped on flight-recorder dumps.
-pub const FLIGHT_SCHEMA: &str = "flight_recorder/v1";
 
 #[cfg(test)]
 mod smoke {

@@ -36,8 +36,8 @@ fn every_shipped_scenario_parses() {
     }
     // The library: paper baseline + the regime files (including the
     // composed churn+partition and oscillating+continuous regimes the
-    // RunPlan redesign opened, the [phases] lifecycle arc the soak
-    // harness mirrors, the maintained-overlay twin of the oscillating
+    // RunPlan redesign opened, the [phases] lifecycle arc, the
+    // maintained-overlay twin of the oscillating
     // regime, and the multiplexed [workload] file) + the CI smoke file.
     names.sort();
     assert_eq!(
@@ -58,6 +58,31 @@ fn every_shipped_scenario_parses() {
             "soak-lifecycle",
         ]
     );
+}
+
+/// The lifecycle arc is judged in every window: each protocol yields
+/// exactly one record per (seed, window), and `hq`, which the arc never
+/// kills, declares in most of them.
+#[test]
+fn soak_lifecycle_judges_every_window() {
+    let scn = load("soak_lifecycle.scn");
+    let report = run_batch(&scn, 2);
+    assert_eq!(report.windows, 10);
+    assert_eq!(report.protocols.len(), 2);
+    let expected: Vec<(u64, usize)> = [1, 2, 3]
+        .into_iter()
+        .flat_map(|seed| (0..10).map(move |window| (seed, window)))
+        .collect();
+    for section in &report.protocols {
+        let cells: Vec<(u64, usize)> = section.records.iter().map(|r| (r.seed, r.window)).collect();
+        assert_eq!(cells, expected, "{}", section.protocol);
+        assert!(
+            section.declared_fraction > 0.5,
+            "{}: declared {:.2}",
+            section.protocol,
+            section.declared_fraction
+        );
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! perturbs a scenario report.
 
 use pov_scenario::{run_batch, trace_batch, Json, Scenario};
-use pov_telemetry::{export, FLIGHT_SCHEMA, TRACE_SCHEMA};
+use pov_telemetry::{export, TRACE_SCHEMA};
 use std::path::PathBuf;
 
 fn scn(name: &str) -> Scenario {
@@ -77,8 +77,6 @@ fn jsonl_header_is_schema_stamped() {
     assert!(header.contains("\"name\": "), "{header}");
     // A phased scenario's spans ride in the header.
     assert!(header.contains("\"phases\": [{"), "{header}");
-    // Schema constants stay distinct — a flight dump is not a trace.
-    assert_ne!(TRACE_SCHEMA, FLIGHT_SCHEMA);
 }
 
 /// The tentpole's hard bar: telemetry configuration must never touch a
@@ -90,10 +88,9 @@ fn telemetry_section_never_perturbs_the_report() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("scenarios/smoke.scn");
     let text = std::fs::read_to_string(path).expect("smoke.scn");
     let plain: Scenario = text.parse().expect("valid scenario");
-    let with_telemetry: Scenario =
-        format!("{text}\n[telemetry]\nsummary_every = 2\nflight_window = 64\n")
-            .parse()
-            .expect("valid scenario with [telemetry]");
+    let with_telemetry: Scenario = format!("{text}\n[telemetry]\nsummary_every = 2\n")
+        .parse()
+        .expect("valid scenario with [telemetry]");
     assert!(plain.telemetry.is_none());
     assert!(with_telemetry.telemetry.is_some());
     assert_eq!(

@@ -15,14 +15,17 @@
 //! became a sorted `Vec` (SPANNINGTREE's later a count). Their six radio
 //! rows were re-captured once, when the radio rule stopped a host from
 //! taking its own child's onward flood for a classification: each now
-//! equals its point-to-point twin in value and declare tick.
+//! equals its point-to-point twin in value and declare tick. The four
+//! `adversary` rows (an FM-maxima attacker, the regime `repro bench`'s
+//! retired `adversarial_sketch` workload ran) were captured before that
+//! workload was deleted.
 //!
 //! To re-capture after an *intended* behaviour change, empty the table,
 //! run the test, and paste the rows the failure message prints.
 
 use pov_core::pov_protocols::runner::{run, run_wildfire_operator};
 use pov_core::pov_protocols::wildfire::WildfireOpts;
-use pov_core::pov_protocols::{Operator, OverlayConfig};
+use pov_core::pov_protocols::{AdversarySpec, Operator, OverlayConfig};
 use pov_core::pov_sim::{Metrics, PartitionPlan};
 use pov_core::prelude::*;
 
@@ -44,9 +47,11 @@ fn row(value: Option<f64>, declared_at: Option<Time>, metrics: &Metrics) -> Row 
     )
 }
 
-/// The three environments, by name: static; 10 % uniform failures plus a
+/// The four environments, by name: static; 10 % uniform failures plus a
 /// BFS cut around the far end of the id space; maintained overlay under
-/// oscillating churn.
+/// oscillating churn; an adversary killing the hosts that hold FM
+/// sketch maxima, four per wave, over the first three quarters of the
+/// deadline.
 fn environments(graph: &Graph) -> Vec<(&'static str, RunPlan)> {
     let base = || RunPlan::query(Aggregate::Count).d_hat(D_HAT).seed(SEED);
     let deadline = Time(2 * u64::from(D_HAT));
@@ -88,6 +93,15 @@ fn environments(graph: &Graph) -> Vec<(&'static str, RunPlan)> {
                     ..OverlayConfig::default()
                 }),
         ),
+        (
+            "adversary",
+            base().adversary(AdversarySpec::fm_maxima(
+                4,
+                N / 20,
+                Time(1),
+                Time(deadline.ticks() * 3 / 4),
+            )),
+        ),
     ]
 }
 
@@ -96,7 +110,7 @@ fn actual() -> Vec<(String, Row)> {
     let values = workload::paper_values(N, SEED);
     let mut rows = Vec::new();
     let environments = environments(&graph);
-    for (env, plan) in &environments {
+    for (env, plan) in &environments[..3] {
         for aggregate in [
             Aggregate::Count,
             Aggregate::Sum,
@@ -158,7 +172,7 @@ fn actual() -> Vec<(String, Row)> {
             row(out.value, out.declared_at, &out.metrics),
         ));
     }
-    for (env, plan) in &environments {
+    for (env, plan) in &environments[..3] {
         for (name, kind) in [
             ("spanning-tree", ProtocolKind::SpanningTree),
             ("dag k=2", ProtocolKind::Dag { k: 2 }),
@@ -170,6 +184,19 @@ fn actual() -> Vec<(String, Row)> {
                     row(out.value, out.declared_at, &out.metrics),
                 ));
             }
+        }
+    }
+    let (env, adversary) = &environments[3];
+    for aggregate in [Aggregate::Count, Aggregate::Sum] {
+        for medium in [Medium::PointToPoint, Medium::Radio] {
+            let mut plan = adversary.clone().medium(medium);
+            plan.aggregate = aggregate;
+            let kind = ProtocolKind::Wildfire(WildfireOpts::default());
+            let out = run(kind, &graph, &values, &plan);
+            rows.push((
+                format!("{env} {} {medium:?}", aggregate.name()),
+                row(out.value, out.declared_at, &out.metrics),
+            ));
         }
     }
     rows
@@ -268,6 +295,10 @@ const GOLDEN: &[(&str, Row)] = &[
     ("overlay+osc spanning-tree Radio", (4639165013028765696, 24, 978, 4267, 20)),
     ("overlay+osc dag k=2 PointToPoint", (4643562822322885001, 24, 3408, 4206, 17)),
     ("overlay+osc dag k=2 Radio", (4643562822322885001, 24, 1083, 4696, 24)),
+    ("adversary count PointToPoint", (4648505855648819575, 24, 17031, 20820, 80)),
+    ("adversary count Radio", (4648505855648819575, 24, 3447, 22444, 95)),
+    ("adversary sum PointToPoint", (4671503059631949876, 24, 15780, 19354, 77)),
+    ("adversary sum Radio", (4671503059631949876, 24, 3232, 21065, 82)),
 ];
 
 #[test]
