@@ -63,7 +63,7 @@ SUBCOMMANDS:
     trace          re-run scenario batches with deterministic telemetry traces
     bench          host-count ladder: one SPANNINGTREE query at 10⁴, 10⁵ and —
                    without '--quick' — 10⁶ hosts; exits non-zero when a rung
-                   breaches the 0.20 KiB/host RSS ceiling (see docs/SCALING.md)
+                   breaches the 0.14 KiB/host RSS ceiling (see docs/SCALING.md)
     mux            multiplexed-query driver: one shared-substrate workload vs
                    the same queries run sequentially (answers must agree and
                    the shared run must send fewer messages)
@@ -249,7 +249,7 @@ fn driver_opts(args: &[String], subcommand: &str) -> (Opts, BenchMode) {
 // -------------------------------------------------------------------- bench
 
 /// `repro bench`: the host-count ladder. A rung breaching the
-/// 0.20 KiB/host RSS ceiling exits non-zero — the memory gate behind the
+/// 0.14 KiB/host RSS ceiling exits non-zero — the memory gate behind the
 /// million-host claim in docs/SCALING.md.
 fn bench_main(args: &[String]) {
     let (opts, mode) = driver_opts(args, "repro bench");

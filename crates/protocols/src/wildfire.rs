@@ -356,18 +356,21 @@ impl WildfireNode {
                 active.record(n);
             }
         } else {
-            for &n in neighbors {
-                if active.synced(n) {
-                    continue;
-                }
-                ctx.send(
-                    n,
-                    WfMsg::Converge {
-                        partial: active.snapshot(),
-                    },
-                );
-                active.record(n);
-            }
+            // One update round to every neighbour that lags, queued as
+            // one entry where the engine can.
+            let msg = WfMsg::Converge {
+                partial: active.snapshot(),
+            };
+            ctx.multicast_where(
+                |n| {
+                    let lags = !active.synced(n);
+                    if lags {
+                        active.record(n);
+                    }
+                    lags
+                },
+                msg,
+            );
         }
     }
 }
@@ -533,9 +536,12 @@ mod tests {
     /// Sizes measured before the knowledge table went by-value; neither
     /// may grow. Inline FM registers (`[u64; 8]` + heap fallback) were
     /// tried and bought ~4 % on `wildfire_static`, but took `Partial` to
-    /// 136 bytes — and SPANNINGTREE carries `Partial` by value in every
-    /// message and host, so `scale_tree` peak RSS went 338 → 579 MB
-    /// (docs/BENCHMARKING.md, "WILDFIRE hot path"). Don't re-try it.
+    /// 136 bytes — and SPANNINGTREE then carried `Partial` by value in
+    /// every message and host, so `scale_tree` peak RSS went 338 → 579 MB
+    /// (docs/BENCHMARKING.md, "WILDFIRE hot path"). SPANNINGTREE has
+    /// carried the 16-byte `ExactPartial` since; the `Partial` pin now
+    /// guards DAG's `DagMsg::Report` and `DagNode::partial`, which hold
+    /// it by value, and the snapshot every `WfMsg` shares. Keep it.
     /// Nor row-form wire messages (`Rc<[u64]>` instead of `Rc<Partial>`):
     /// no gain, and `WfMsg` grows to 40 bytes ("round two").
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::delay::DelayModel;
 use crate::engine::Medium;
-use crate::event::{EventQueue, Payload, NO_SKIP};
+use crate::event::{EventQueue, Payload, MASK_SLOTS, NO_SKIP};
 use crate::metrics::Metrics;
 use crate::overlay::TopoRef;
 use crate::Time;
@@ -36,12 +36,12 @@ impl<M> EventSink<'_, M> {
         }
     }
 
-    /// Queue a [`Payload::Fanout`] to `targets` hosts; see
+    /// Queue a [`Payload::Fanout`] to `count` hosts; see
     /// `EventQueue::push_fanout`.
     #[inline]
-    fn push_fanout(&mut self, at: Time, payload: Payload<M>, targets: usize) {
+    fn push_fanout(&mut self, at: Time, payload: Payload<M>, count: usize) {
         match self {
-            EventSink::Direct(q) => q.push_fanout(at, payload, targets),
+            EventSink::Direct(q) => q.push_fanout(at, payload, count),
             EventSink::Shard { .. } => unreachable!("sharded delivery queues no fanouts"),
         }
     }
@@ -101,10 +101,11 @@ pub struct Ctx<'a, M> {
     pub(crate) rng: &'a mut SmallRng,
     pub(crate) chain_depth: u32,
     pub(crate) in_timer: bool,
-    /// Whether a broadcast may queue as one [`Payload::Fanout`]: set by
-    /// the engine when every copy is certain to land at one instant on
-    /// a neighbour list that cannot change — a static CSR topology, a
-    /// fixed delay (which draws no randomness) and sequential delivery.
+    /// Whether a broadcast or a [`Ctx::multicast_where`] may queue as
+    /// one [`Payload::Fanout`]: set by the engine when every copy is
+    /// certain to land at one instant on a neighbour list that cannot
+    /// change — a static CSR topology, a fixed delay (which draws no
+    /// randomness) and sequential delivery.
     pub(crate) fanout: bool,
 }
 
@@ -237,21 +238,35 @@ impl<'a, M: Clone> Ctx<'a, M> {
     /// instant in the same CSR order, expanded when they fall due.
     fn fan_out(&mut self, skip: Option<HostId>, msg: M) {
         let neighbors = self.topo.neighbors(self.me);
-        let (skip, sends, targets) = match (self.medium, skip) {
-            (Medium::PointToPoint, Some(s)) if neighbors.contains(&s) => {
-                let k = neighbors.len() - 1;
-                (s, k as u64, k)
+        let skip = skip.filter(|_| self.medium == Medium::PointToPoint);
+        let (targets, count) = if neighbors.len() <= MASK_SLOTS {
+            let mask = slot_mask(neighbors, |n| Some(n) != skip);
+            (mask, mask.count_ones() as usize)
+        } else {
+            match skip {
+                Some(s) if neighbors.contains(&s) => (s.0, neighbors.len() - 1),
+                _ => (NO_SKIP, neighbors.len()),
             }
-            (Medium::PointToPoint, _) => (NO_SKIP, neighbors.len() as u64, neighbors.len()),
-            (Medium::Radio, _) => (NO_SKIP, 1, neighbors.len()),
         };
+        let sends = match self.medium {
+            Medium::PointToPoint => count as u64,
+            Medium::Radio => 1,
+        };
+        self.queue_fanout(targets, count, sends, msg);
+    }
+
+    /// Charge `sends`, then queue `msg` to the `count` neighbours that
+    /// `targets` selects (see [`Payload::Fanout`]): nothing for none, a
+    /// plain delivery for one, one fanout entry for more.
+    fn queue_fanout(&mut self, targets: u32, count: usize, sends: u64, msg: M) {
         self.metrics.record_sends(self.now, sends);
         let at = self.now + self.delay.sample(self.rng);
         let (from, depth) = (self.me, self.chain_depth + 1);
-        match targets {
+        match count {
             0 => {}
             1 => {
-                let to = *neighbors.iter().find(|&&n| n != skip).expect("one target");
+                // A row longer than `MASK_SLOTS` has more than one target.
+                let to = self.topo.neighbors(self.me)[targets.trailing_zeros() as usize];
                 self.queue.push(
                     at,
                     Payload::Deliver {
@@ -266,11 +281,11 @@ impl<'a, M: Clone> Ctx<'a, M> {
                 at,
                 Payload::Fanout {
                     from,
-                    skip,
+                    targets,
                     msg,
                     depth,
                 },
-                targets,
+                count,
             ),
         }
     }
@@ -314,6 +329,42 @@ impl<'a, M: Clone> Ctx<'a, M> {
                 for &to in targets {
                     self.send(to, msg.clone());
                 }
+            }
+        }
+    }
+
+    /// [`Ctx::multicast`] to the neighbours `pick` selects: `pick` sees
+    /// every neighbour once, in [`Ctx::neighbors`] order, and the copies
+    /// are delivered in that order. Costs what `multicast` to the picked
+    /// neighbours costs. This is how a WILDFIRE host sends one update
+    /// round to every neighbour not yet known to hold its partial
+    /// (Example 5.1).
+    ///
+    /// Over a static topology with a fixed delay, a host of at most 32
+    /// neighbours queues the whole round as one event-queue entry.
+    pub fn multicast_where(&mut self, mut pick: impl FnMut(HostId) -> bool, msg: M) {
+        let neighbors = self.topo.neighbors(self.me);
+        if self.fanout && neighbors.len() <= MASK_SLOTS {
+            let targets = slot_mask(neighbors, pick);
+            let count = targets.count_ones() as usize;
+            let sends = match self.medium {
+                Medium::PointToPoint => count as u64,
+                Medium::Radio => u64::from(count > 0),
+            };
+            self.queue_fanout(targets, count, sends, msg);
+            return;
+        }
+        match self.medium {
+            Medium::PointToPoint => {
+                for &to in neighbors {
+                    if pick(to) {
+                        self.send(to, msg.clone());
+                    }
+                }
+            }
+            Medium::Radio => {
+                let targets: Vec<HostId> = neighbors.iter().copied().filter(|&n| pick(n)).collect();
+                self.multicast(&targets, msg);
             }
         }
     }
@@ -384,4 +435,17 @@ impl<'a, M: Clone> Ctx<'a, M> {
     pub fn rng(&mut self) -> &mut SmallRng {
         self.rng
     }
+}
+
+/// The mask of the slots of `row` (at most [`MASK_SLOTS`] long) whose
+/// neighbour `pick` selects, asked in row order.
+fn slot_mask(row: &[HostId], mut pick: impl FnMut(HostId) -> bool) -> u32 {
+    debug_assert!(row.len() <= MASK_SLOTS);
+    let mut mask = 0;
+    for (i, &n) in row.iter().enumerate() {
+        if pick(n) {
+            mask |= 1 << i;
+        }
+    }
+    mask
 }

@@ -5,7 +5,7 @@ use crate::churn::ChurnPlan;
 use crate::ctx::{CostSink, Ctx, EventSink};
 use crate::delay::{DelayModel, PartitionPlan};
 use crate::dynamic::{ChurnEvent, ChurnSource, EngineView, StateSummary};
-use crate::event::{EventQueue, Payload};
+use crate::event::{EventQueue, Payload, MASK_SLOTS};
 use crate::metrics::Metrics;
 use crate::node::NodeLogic;
 use crate::overlay::{compact_threshold, OverlayDriver, OverlayEvent, OverlayStats, TopoRef};
@@ -385,7 +385,7 @@ pub struct Simulation<'g, L: NodeLogic> {
     /// Delivery batches drained so far — the per-event RNG's batch
     /// ordinal, advanced identically for every thread count.
     shard_batches: u64,
-    /// Whether handlers may queue a broadcast as one
+    /// Whether handlers may queue a broadcast or an update round as one
     /// [`Payload::Fanout`] (see `Ctx::fanout`): a static topology, a
     /// fixed delay, and no sharded delivery, which batches single
     /// deliveries only.
@@ -473,7 +473,7 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
 
     /// Run until no events remain. Panics if more than `max_events`
     /// events fire — a guard against protocol livelock. Events are
-    /// counted as dispatched: a broadcast's fanout counts one per target.
+    /// counted as dispatched: a fanout counts one per target.
     pub fn run_to_quiescence(&mut self, max_events: u64) {
         self.start();
         let first = self.metrics.events_dispatched;
@@ -594,10 +594,10 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
             }
             Payload::Fanout {
                 from,
-                skip,
+                targets,
                 msg,
                 depth,
-            } => self.fan_out(from, skip, msg, depth),
+            } => self.fan_out(from, targets, msg, depth),
             Payload::Timer { host, key } => {
                 if self.hosts.is_alive(host) {
                     self.metrics.record_timer();
@@ -645,25 +645,36 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
         }
     }
 
-    /// Expand a [`Payload::Fanout`]: deliver to every CSR neighbour of
-    /// `from` but `skip`, in row order, through the same path a single
-    /// delivery takes. `dispatch` counted the entry as one event; each
-    /// further target counts one more.
-    fn fan_out(&mut self, from: HostId, skip: HostId, msg: L::Msg, depth: u32) {
-        let mut targets = 0usize;
-        for i in 0..self.graph.degree(from) {
-            let to = self.graph.neighbors(from)[i];
-            if to != skip {
-                targets += 1;
+    /// Expand a [`Payload::Fanout`]: deliver to the CSR neighbours of
+    /// `from` that `targets` selects, in row order, through the same
+    /// path a single delivery takes. `dispatch` counted the entry as one
+    /// event; each further target counts one more.
+    fn fan_out(&mut self, from: HostId, targets: u32, msg: L::Msg, depth: u32) {
+        let degree = self.graph.degree(from);
+        let mut count = 0usize;
+        if degree <= MASK_SLOTS {
+            let mut mask = targets;
+            while mask != 0 {
+                let to = self.graph.neighbors(from)[mask.trailing_zeros() as usize];
+                mask &= mask - 1;
+                count += 1;
                 self.deliver(to, from, msg.clone(), depth);
             }
+        } else {
+            for i in 0..degree {
+                let to = self.graph.neighbors(from)[i];
+                if to.0 != targets {
+                    count += 1;
+                    self.deliver(to, from, msg.clone(), depth);
+                }
+            }
         }
-        let extra = targets as u64 - 1;
+        let extra = count as u64 - 1;
         self.metrics.events_dispatched += extra;
         if let Some(t) = self.tele.as_mut() {
             t.counts.dispatched += extra;
         }
-        self.queue.retire_fanout(targets);
+        self.queue.retire_fanout(count);
     }
 
     /// Take `h` down — a planned failure or a churn source's, alike. A
@@ -2150,7 +2161,7 @@ mod tests {
     /// broadcast at start; under point-to-point the isolated host 9
     /// also reaches host 4 over the underlay, so 4's relay skips a
     /// non-neighbour.
-    #[derive(Debug, PartialEq)]
+    #[derive(Clone, Debug, PartialEq)]
     struct Relay {
         hops: u32,
         acc: u64,
@@ -2186,9 +2197,12 @@ mod tests {
     }
 
     /// A 6-cycle with the chord 0–3, a pendant 6 on host 2, a separate
-    /// edge 7–8, and an isolated host 9: degrees 0 through 4.
-    fn relay_graph() -> Graph {
-        let mut b = pov_topology::GraphBuilder::with_hosts(10);
+    /// edge 7–8, and an isolated host 9: degrees 0 through 4. With
+    /// `hub`, host 10 also links host 1 and the 34 leaves 11–44: a row
+    /// too long for a slot mask.
+    fn relay_graph(hub: bool) -> Graph {
+        let n = if hub { 45 } else { 10 };
+        let mut b = pov_topology::GraphBuilder::with_hosts(n);
         for (a, c) in [
             (0, 1),
             (1, 2),
@@ -2202,47 +2216,47 @@ mod tests {
         ] {
             b.add_edge(HostId(a), HostId(c));
         }
+        if hub {
+            for leaf in std::iter::once(1).chain(11..45) {
+                b.add_edge(HostId(10), HostId(leaf));
+            }
+        }
         b.build()
     }
 
-    #[test]
-    fn fanout_matches_per_target_copies() {
-        // One queued fanout per broadcast must be indistinguishable from
-        // one delivery per target: metrics, trace, per-host state and
-        // every tick sample (queue depth included), through churn and a
-        // partition, under both media.
-        let churn = ChurnPlan::none()
-            .with_failure(Time(2), HostId(4))
-            .with_join(Time(4), HostId(4))
-            .with_failure(Time(1), HostId(8));
-        let sides = (0..10).map(|i| u8::from(i >= 3)).collect();
-        let cut = PartitionPlan::new(sides).window(Time(2), Time(3));
+    /// Run `make`'s logic on `graph` under both media, through `churn`
+    /// and `cut`, once with fanouts and once with one delivery per
+    /// target, and assert the two runs indistinguishable: metrics,
+    /// trace, per-host state and every tick sample (queue depth
+    /// included).
+    fn assert_fanouts_invisible<L>(
+        graph: &Graph,
+        churn: &ChurnPlan,
+        cut: &PartitionPlan,
+        make: impl Fn(HostId) -> L,
+    ) where
+        L: NodeLogic + Clone + PartialEq + std::fmt::Debug,
+    {
         for medium in [Medium::PointToPoint, Medium::Radio] {
             let run = |fanout: bool| {
                 let mut rec = Recorder::default();
-                let mut sim = SimBuilder::new(relay_graph())
+                let mut sim = SimBuilder::over(graph)
                     .medium(medium)
                     .churn(churn.clone())
                     .partition(cut.clone())
                     .telemetry(&mut rec)
-                    .build(|_| Relay { hops: 0, acc: 0 });
+                    .build(&make);
                 sim.fanout = fanout;
                 sim.start();
                 let pending = sim.pending_events();
-                // On a fanout run the start-up broadcasts of hosts 0 and
-                // 6–9 take fewer entries than they have targets.
+                // On a fanout run some start-up send takes fewer
+                // entries than it has targets.
                 assert_eq!(sim.queue.entries() < pending, fanout, "{medium:?}");
                 sim.run_to_quiescence(10_000);
                 let metrics = sim.metrics().clone();
                 let trace = sim.trace().events.clone();
-                let states: Vec<Relay> = (0..10)
-                    .map(|i| {
-                        let l = sim.logic(HostId(i));
-                        Relay {
-                            hops: l.hops,
-                            acc: l.acc,
-                        }
-                    })
+                let states: Vec<L> = (0..graph.num_hosts() as u32)
+                    .map(|i| sim.logic(HostId(i)).clone())
                     .collect();
                 drop(sim);
                 (metrics, trace, states, rec.ticks)
@@ -2265,10 +2279,143 @@ mod tests {
         }
     }
 
+    #[test]
+    fn fanout_matches_per_target_copies() {
+        // One queued fanout per broadcast must be indistinguishable from
+        // one delivery per target.
+        let churn = ChurnPlan::none()
+            .with_failure(Time(2), HostId(4))
+            .with_join(Time(4), HostId(4))
+            .with_failure(Time(1), HostId(8));
+        let sides = (0..10).map(|i| u8::from(i >= 3)).collect();
+        let cut = PartitionPlan::new(sides).window(Time(2), Time(3));
+        assert_fanouts_invisible(&relay_graph(false), &churn, &cut, |_| Relay {
+            hops: 0,
+            acc: 0,
+        });
+    }
+
+    /// The subset-fanout bar's protocol: every send is a
+    /// `multicast_where` to the subset of the row its message names —
+    /// nobody, one neighbour, all but that one, or all — and `pick`
+    /// folds every neighbour it is asked about into an order-sensitive
+    /// accumulator. Hosts 0, 2, 7, 9 and the hub 10 start one round each,
+    /// one per subset kind; every receipt starts another for a few hops
+    /// and batches at tick end.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Subsets {
+        hops: u32,
+        acc: u64,
+    }
+
+    impl Subsets {
+        fn round(&mut self, ctx: &mut Ctx<'_, u64>, msg: u64) {
+            let row = ctx.neighbors();
+            let one = row.get(msg as usize % row.len().max(1)).copied();
+            let acc = &mut self.acc;
+            ctx.multicast_where(
+                |n| {
+                    *acc = acc.rotate_left(7) ^ u64::from(n.0);
+                    match msg % 4 {
+                        0 => false,
+                        1 => Some(n) == one,
+                        2 => Some(n) != one,
+                        _ => true,
+                    }
+                },
+                msg,
+            );
+        }
+    }
+
+    impl NodeLogic for Subsets {
+        type Msg = u64;
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+            // Msg ≡ kind (mod 4): 0 → all but one of 3, 2 → all 3,
+            // 7 → its one, 9 → nobody, the hub → all but one of 35.
+            let kind = match ctx.me().0 {
+                0 => 2,
+                2 => 3,
+                7 => 1,
+                9 => 0,
+                10 => 6,
+                _ => return,
+            };
+            self.round(ctx, kind);
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, from: HostId, msg: u64) {
+            self.acc = self
+                .acc
+                .wrapping_mul(0x100000001b3)
+                .wrapping_add(msg ^ u64::from(from.0) << 8);
+            if self.hops < 3 {
+                self.hops += 1;
+                self.round(ctx, msg.wrapping_mul(3) + u64::from(self.hops));
+                ctx.set_timer_at_tick_end(u64::from(self.hops));
+            }
+        }
+
+        fn on_timer(&mut self, _: &mut Ctx<'_, u64>, key: u64) {
+            self.acc = self.acc.rotate_left(5) ^ key;
+        }
+    }
+
+    #[test]
+    fn subset_fanout_matches_per_target_copies() {
+        // One queued fanout per `multicast_where` round must be
+        // indistinguishable from one delivery per target, for every
+        // subset kind, and the hub's row of 35 takes the per-target
+        // path on both runs.
+        let churn = ChurnPlan::none()
+            .with_failure(Time(2), HostId(4))
+            .with_join(Time(4), HostId(4))
+            .with_failure(Time(1), HostId(8))
+            .with_failure(Time(1), HostId(12));
+        let sides = (0..45).map(|i| u8::from(i >= 3)).collect();
+        let cut = PartitionPlan::new(sides).window(Time(2), Time(3));
+        let graph = relay_graph(true);
+        assert!(graph.degree(HostId(10)) > MASK_SLOTS);
+        assert_fanouts_invisible(&graph, &churn, &cut, |_| Subsets { hops: 0, acc: 0 });
+    }
+
     /// The dispatched-event count of flooding a complete graph, where
     /// every broadcast is a fanout.
     fn complete_flood(max_events: u64) -> u64 {
         let mut sim = flood_sim(special::complete(12), Medium::PointToPoint);
+        sim.run_to_quiescence(max_events);
+        sim.metrics().events_dispatched
+    }
+
+    /// Forwards its first token to the neighbours with higher ids only:
+    /// every forward is a subset fanout.
+    struct Upward {
+        seen: bool,
+    }
+
+    impl NodeLogic for Upward {
+        type Msg = ();
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+            if ctx.me() == HostId(0) {
+                self.seen = true;
+                ctx.multicast_where(|_| true, ());
+            }
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_, ()>, _: HostId, _: ()) {
+            if !self.seen {
+                self.seen = true;
+                let me = ctx.me();
+                ctx.multicast_where(|n| n > me, ());
+            }
+        }
+    }
+
+    /// The dispatched-event count of [`Upward`] on a complete graph.
+    fn complete_upward(max_events: u64) -> u64 {
+        let mut sim = SimBuilder::new(special::complete(12)).build(|_| Upward { seen: false });
         sim.run_to_quiescence(max_events);
         sim.metrics().events_dispatched
     }
@@ -2279,6 +2426,11 @@ mod tests {
         // h0's 11 copies, then 10 from each of the 11 others.
         assert_eq!(events, 11 + 11 * 10);
         assert_eq!(complete_flood(events), events);
+        // Subset fanouts: h0's 11 copies, then 11 − i from each h_i.
+        let events = complete_upward(u64::MAX);
+        assert_eq!(events, 11 + 55);
+        assert_eq!(complete_upward(events), events);
+        assert!(std::panic::catch_unwind(|| complete_upward(events - 1)).is_err());
     }
 
     #[test]

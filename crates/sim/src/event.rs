@@ -16,19 +16,32 @@
 //! exactly `(rank, seq)` order, so a tick's wave is never sorted and
 //! never copied into sort scratch. A wire entry is the payload alone: a
 //! delivery of a 24-byte message takes 40 bytes in flight, and so does
-//! a [`Payload::Fanout`] carrying one broadcast to its whole neighbour
-//! list. A timer-lane entry is the `(host, key)` pair, 16 bytes. The
-//! original heap implementation survives as the `#[cfg(test)]` oracle
-//! ([`HeapQueue`]); property tests assert the two pop identical event
-//! sequences.
+//! a [`Payload::Fanout`] carrying one broadcast, or one update round to
+//! a subset of the sender's neighbours, to all its targets. A
+//! timer-lane entry is the `(host, key)` pair, 16 bytes.
+//!
+//! A lane is a FIFO of fixed-capacity chunks ([`Lane`]). A chunk the
+//! drain empties goes to a per-queue spare list, and the next push that
+//! needs a chunk takes it from there, so a wave flows chunk by chunk
+//! from the tick being drained to the ticks ahead: nothing is ever
+//! reallocated or copied, and the queue holds what is in flight plus
+//! at most one partly filled chunk per non-empty lane.
+//!
+//! The original heap implementation survives as the `#[cfg(test)]`
+//! oracle ([`HeapQueue`]); property tests assert the two pop identical
+//! event sequences.
 
 use crate::Time;
 use pov_topology::HostId;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// The `skip` of a [`Payload::Fanout`] that excludes nobody: no CSR row
-/// holds this id.
-pub(crate) const NO_SKIP: HostId = HostId(u32::MAX);
+/// The longest CSR row whose [`Payload::Fanout`] selects its targets by
+/// a mask of row slots; a longer row's fanout names one neighbour to skip.
+pub(crate) const MASK_SLOTS: usize = 32;
+
+/// The `targets` of a fanout from a row longer than [`MASK_SLOTS`] that
+/// skips nobody: no CSR row holds this id.
+pub(crate) const NO_SKIP: u32 = u32::MAX;
 
 /// What happens when an event fires.
 #[derive(Clone, Debug)]
@@ -48,16 +61,19 @@ pub(crate) enum Payload<M> {
         /// Causal chain depth (time-cost accounting, §6.3).
         depth: u32,
     },
-    /// One broadcast arrives at every neighbour of `from` but `skip`, in
-    /// CSR row order: the queued form of a broadcast whose copies all
-    /// land at one instant on a neighbour list that cannot change.
-    /// Dispatch expands it into one delivery per target, and the queue's
-    /// [`EventQueue::len`] counts those targets, not the entry.
+    /// One message arrives at several neighbours of `from`, in CSR row
+    /// order: the queued form of a broadcast or an update round whose
+    /// copies all land at one instant on a neighbour list that cannot
+    /// change. Dispatch expands it into one delivery per target, and the
+    /// queue's [`EventQueue::len`] counts those targets, not the entry.
     Fanout {
         /// Sending host, whose CSR row lists the targets.
         from: HostId,
-        /// The one neighbour not to deliver to, or [`NO_SKIP`].
-        skip: HostId,
+        /// Which of the row's neighbours receive it. A row of at most
+        /// [`MASK_SLOTS`] neighbours: a mask of their slots, bit `i` for
+        /// the `i`-th. A longer row: the id of the one neighbour to
+        /// skip, or [`NO_SKIP`].
+        targets: u32,
         /// Protocol payload, cloned per target at delivery.
         msg: M,
         /// Causal chain depth (time-cost accounting, §6.3).
@@ -149,20 +165,20 @@ impl<M> EventQueue<M> {
         }
     }
 
-    /// Push a [`Payload::Fanout`] that will deliver to `targets ≥ 2`
+    /// Push a [`Payload::Fanout`] that will deliver to `count ≥ 2`
     /// hosts. Pair every pop of it with [`EventQueue::retire_fanout`].
     #[inline]
-    pub fn push_fanout(&mut self, at: Time, payload: Payload<M>, targets: usize) {
-        debug_assert!(matches!(payload, Payload::Fanout { .. }) && targets >= 2);
-        self.fanout_extra += targets - 1;
+    pub fn push_fanout(&mut self, at: Time, payload: Payload<M>, count: usize) {
+        debug_assert!(matches!(payload, Payload::Fanout { .. }) && count >= 2);
+        self.fanout_extra += count - 1;
         self.push(at, payload);
     }
 
-    /// A popped fanout has delivered to its `targets` hosts.
+    /// A popped fanout has delivered to its `count` hosts.
     #[inline]
-    pub fn retire_fanout(&mut self, targets: usize) {
-        debug_assert!(targets >= 2 && self.fanout_extra >= targets - 1);
-        self.fanout_extra -= targets - 1;
+    pub fn retire_fanout(&mut self, count: usize) {
+        debug_assert!(count >= 2 && self.fanout_extra >= count - 1);
+        self.fanout_extra -= count - 1;
     }
 
     #[inline]
@@ -226,69 +242,132 @@ impl<M> EventQueue<M> {
 /// protocol timer the workloads use.
 const WINDOW: u64 = 1 << 12;
 
+/// The byte size of one lane chunk: 16 KiB less the allocator's header,
+/// far under glibc's 128 KiB mmap threshold, so chunks come from the
+/// heap. A lane holding a few events touches one page of its chunk.
+/// Against 4, 8, 48 and 120 KiB (docs/BENCHMARKING.md), 48 and 120 KiB
+/// held more memory where many small runs follow each other, and 4 and
+/// 8 KiB left more runs in the high mode of a bimodal peak RSS.
+const CHUNK_BYTES: usize = (16 << 10) - 16;
+
+/// A FIFO of `T` in fixed-capacity chunks of [`CHUNK_BYTES`]: a push
+/// that finds the last chunk full appends a chunk taken from `spare`
+/// (or a fresh one), and a pop that empties the front chunk hands it
+/// back to `spare`. Storage is never reallocated or copied, and every
+/// chunk in the lane holds at least one event.
+struct Lane<T> {
+    chunks: VecDeque<VecDeque<T>>,
+}
+
+impl<T> Lane<T> {
+    /// Events per chunk.
+    const CHUNK: usize = {
+        assert!(
+            std::mem::size_of::<T>() <= CHUNK_BYTES,
+            "an event outgrows a chunk"
+        );
+        CHUNK_BYTES / std::mem::size_of::<T>()
+    };
+
+    fn new() -> Self {
+        Lane {
+            chunks: VecDeque::new(),
+        }
+    }
+
+    #[inline]
+    fn push_back(&mut self, item: T, spare: &mut Vec<VecDeque<T>>) {
+        match self.chunks.back_mut() {
+            Some(last) if last.len() < Self::CHUNK => last.push_back(item),
+            _ => {
+                let mut chunk = spare
+                    .pop()
+                    .unwrap_or_else(|| VecDeque::with_capacity(Self::CHUNK));
+                chunk.push_back(item);
+                self.chunks.push_back(chunk);
+            }
+        }
+    }
+
+    #[inline]
+    fn pop_front(&mut self, spare: &mut Vec<VecDeque<T>>) -> Option<T> {
+        let front = self.chunks.front_mut()?;
+        let item = front.pop_front();
+        if front.is_empty() {
+            let mut chunk = self.chunks.pop_front().expect("front exists");
+            // Rewind the ring head, so the chunk's next user fills it
+            // from the start and touches only the pages it needs.
+            chunk.clear();
+            spare.push(chunk);
+        }
+        item
+    }
+
+    fn front(&self) -> Option<&T> {
+        self.chunks.front().and_then(VecDeque::front)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.chunks.is_empty()
+    }
+
+    /// Event slots this lane holds (the memory-bound tests).
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        self.chunks.iter().map(VecDeque::capacity).sum()
+    }
+
+    /// Events queued in this lane.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.chunks.iter().map(VecDeque::len).sum()
+    }
+}
+
 /// One tick's wire and timer events in two FIFO lanes, drained wire
 /// first. Every event is appended to its lane in push (= `seq`) order.
 struct Bucket<M> {
     /// Deliveries and fanouts (rank 4): the wave.
-    wire: VecDeque<Payload<M>>,
+    wire: Lane<Payload<M>>,
     /// Timers (rank 5) as `(host, key)`.
-    timers: VecDeque<(HostId, u64)>,
+    timers: Lane<(HostId, u64)>,
+}
+
+/// The queue's drained chunks, one list per lane kind, reused by the
+/// next push that needs a chunk before anything new is allocated.
+struct Spares<M> {
+    wire: Vec<VecDeque<Payload<M>>>,
+    timers: Vec<VecDeque<(HostId, u64)>>,
 }
 
 impl<M> Bucket<M> {
     fn new() -> Self {
         Bucket {
-            wire: VecDeque::new(),
-            timers: VecDeque::new(),
+            wire: Lane::new(),
+            timers: Lane::new(),
         }
     }
 
     /// Append a wire or timer event to its lane.
     #[inline]
-    fn push(&mut self, payload: Payload<M>) {
+    fn push(&mut self, payload: Payload<M>, spare: &mut Spares<M>) {
         match payload {
-            Payload::Timer { host, key } => self.timers.push_back((host, key)),
-            _ => self.wire.push_back(payload),
+            Payload::Timer { host, key } => self.timers.push_back((host, key), &mut spare.timers),
+            _ => self.wire.push_back(payload, &mut spare.wire),
         }
     }
 
     #[inline]
-    fn pop(&mut self) -> Option<Payload<M>> {
-        if let Some(p) = self.wire.pop_front() {
+    fn pop(&mut self, spare: &mut Spares<M>) -> Option<Payload<M>> {
+        if let Some(p) = self.wire.pop_front(&mut spare.wire) {
             return Some(p);
         }
-        let (host, key) = self.timers.pop_front()?;
+        let (host, key) = self.timers.pop_front(&mut spare.timers)?;
         Some(Payload::Timer { host, key })
     }
 
     fn is_empty(&self) -> bool {
         self.wire.is_empty() && self.timers.is_empty()
-    }
-}
-
-/// A storage recycled to the ring tail keeps its allocation only up to
-/// this many events; a larger one is freed. The tail is reached again
-/// only after a full ring's worth of ticks, so holding wave-sized
-/// storage there would pin one peak per tick of the ring.
-const TAIL_KEEP: usize = 16;
-
-/// Recycle one lane of a drained front bucket: if its storage is larger
-/// than `ahead`'s, it takes over `ahead`'s queued events in order and
-/// serves that tick instead; the smaller storage stays in `spare`,
-/// bound for the ring tail, and is freed if larger than [`TAIL_KEEP`].
-///
-/// Storage is emptied by draining, but `clear` also rewinds a ring
-/// buffer's head: the next tick then fills it from the start, so only
-/// the pages it needs are touched.
-fn recycle<T>(spare: &mut VecDeque<T>, ahead: &mut VecDeque<T>) {
-    spare.clear();
-    if spare.capacity() > ahead.capacity() {
-        spare.append(ahead);
-        std::mem::swap(spare, ahead);
-        spare.clear();
-    }
-    if spare.capacity() > TAIL_KEEP {
-        *spare = VecDeque::new();
     }
 }
 
@@ -301,16 +380,15 @@ fn recycle<T>(spare: &mut VecDeque<T>, ahead: &mut VecDeque<T>) {
 ///   horizon) wait in one `control` min-heap ordered by
 ///   `(time, rank, seq)`, whatever their distance. Wire and timer
 ///   events go to the ring.
-/// * `buckets[i]` holds the wire and timer events of tick `base + i`.
-///   When the front tick drains, each lane's storage (sized by that
-///   tick's wave) is handed to the same lane of the bucket one tick
-///   ahead of the new front — where the next tick's sends land — taking
-///   over that lane's already-queued events in order; whichever storage
-///   is smaller moves to the ring tail (freed if larger than
-///   [`TAIL_KEEP`]). A couple of wave-sized buffers per lane circulate,
-///   and every other bucket holds capacity for what is in flight in
-///   it, so the queue's memory tracks the events in flight, not the
-///   horizon.
+/// * `buckets[i]` holds the wire and timer events of tick `base + i`,
+///   each lane in [`Lane`] chunks. A chunk drained at the front tick
+///   goes to the queue's [`Spares`], and the next tick's sends fill it
+///   again, so a wave flows chunk by chunk from the tick being drained
+///   to the ticks ahead. A lane holds its events plus at most one
+///   partly filled chunk (and, at the front, one partly drained one),
+///   so the queue's memory tracks the events in flight, not the
+///   horizon, and a drained bucket rotates to the ring tail holding
+///   nothing.
 /// * At tick `base` the control events due pop first, then the wire
 ///   lane, then the timer lane: ranks ascending, and within a lane push
 ///   (= `seq`) order. Each pop takes the least `(rank, seq)` left at the
@@ -337,6 +415,8 @@ pub(crate) struct BucketQueue<M> {
     far: BinaryHeap<Keyed<M>>,
     /// Insertion counter for the heaps' FIFO tie-break.
     seq: u64,
+    /// Drained lane chunks awaiting reuse.
+    spare: Spares<M>,
 }
 
 /// An event in one of the queue's min-heaps.
@@ -379,6 +459,10 @@ impl<M> BucketQueue<M> {
             control: BinaryHeap::new(),
             far: BinaryHeap::new(),
             seq: 0,
+            spare: Spares {
+                wire: Vec::new(),
+                timers: Vec::new(),
+            },
         }
     }
 
@@ -411,17 +495,18 @@ impl<M> BucketQueue<M> {
             self.far.push(ev);
             return;
         }
-        self.bucket(offset as usize).push(payload);
-        self.in_buckets += 1;
+        self.push_ring(offset as usize, payload);
     }
 
-    /// The ring bucket `idx` ticks past the base, grown to reach it.
+    /// Append a wire or timer event to the ring bucket `idx` ticks past
+    /// the base, growing the ring to reach it.
     #[inline]
-    fn bucket(&mut self, idx: usize) -> &mut Bucket<M> {
+    fn push_ring(&mut self, idx: usize, payload: Payload<M>) {
         if self.buckets.len() <= idx {
             self.buckets.resize_with(idx + 1, Bucket::new);
         }
-        &mut self.buckets[idx]
+        self.buckets[idx].push(payload, &mut self.spare);
+        self.in_buckets += 1;
     }
 
     /// Whether a control event is due at the base tick.
@@ -451,19 +536,10 @@ impl<M> BucketQueue<M> {
                 self.migrate_far();
                 continue;
             }
-            // Recycle the drained front bucket's storage lane by lane
-            // (see the invariants above). In a ring of at most two
-            // ticks the tail *is* the tick ahead, so the storage keeps
-            // its capacity.
-            let mut spare = self.buckets.pop_front().expect("in_buckets > 0");
-            if let Some(ahead) = self.buckets.get_mut(1) {
-                recycle(&mut spare.wire, &mut ahead.wire);
-                recycle(&mut spare.timers, &mut ahead.timers);
-            } else {
-                spare.wire.clear();
-                spare.timers.clear();
-            }
-            self.buckets.push_back(spare);
+            // The drained front bucket's chunks are already spares:
+            // it rotates to the tail empty.
+            let drained = self.buckets.pop_front().expect("in_buckets > 0");
+            self.buckets.push_back(drained);
             self.base += 1;
             self.migrate_far();
         }
@@ -475,8 +551,7 @@ impl<M> BucketQueue<M> {
     fn migrate_far(&mut self) {
         while self.far.peek().is_some_and(|ev| ev.at < self.base + WINDOW) {
             let ev = self.far.pop().expect("peeked");
-            self.bucket((ev.at - self.base) as usize).push(ev.payload);
-            self.in_buckets += 1;
+            self.push_ring((ev.at - self.base) as usize, ev.payload);
         }
     }
 
@@ -492,7 +567,7 @@ impl<M> BucketQueue<M> {
             let ev = self.control.pop().expect("due");
             return Some((Time(ev.at), ev.payload));
         }
-        let payload = self.buckets.front_mut()?.pop()?;
+        let payload = self.buckets.front_mut()?.pop(&mut self.spare)?;
         self.in_buckets -= 1;
         Some((Time(self.base), payload))
     }
@@ -510,13 +585,12 @@ impl<M> BucketQueue<M> {
         if self.base != at.0 || self.control_due() {
             return None;
         }
-        let front = self.buckets.front_mut()?;
-        if front
-            .wire
+        let wire = &mut self.buckets.front_mut()?.wire;
+        if wire
             .front()
             .is_some_and(|p| matches!(p, Payload::Deliver { .. }))
         {
-            let payload = front.wire.pop_front().expect("head checked");
+            let payload = wire.pop_front(&mut self.spare.wire).expect("head checked");
             self.in_buckets -= 1;
             Some(payload)
         } else {
@@ -524,15 +598,18 @@ impl<M> BucketQueue<M> {
         }
     }
 
-    /// Event slots allocated for control, wire and timer events (the
-    /// memory-bound tests).
+    /// Event slots allocated for control, wire and timer events, lane
+    /// chunks and spare chunks alike (the memory-bound tests).
     #[cfg(test)]
     fn lane_capacity(&self) -> [usize; 3] {
-        self.buckets
-            .iter()
-            .fold([self.control.capacity(), 0, 0], |[c, w, t], b| {
-                [c, w + b.wire.capacity(), t + b.timers.capacity()]
-            })
+        let spare = [
+            self.control.capacity(),
+            self.spare.wire.len() * Lane::<Payload<M>>::CHUNK,
+            self.spare.timers.len() * Lane::<(HostId, u64)>::CHUNK,
+        ];
+        self.buckets.iter().fold(spare, |[c, w, t], b| {
+            [c, w + b.wire.capacity(), t + b.timers.capacity()]
+        })
     }
 }
 
@@ -787,7 +864,7 @@ mod tests {
         let mut q: EventQueue<u8> = EventQueue::new();
         let fanout = Payload::Fanout {
             from: HostId(0),
-            skip: NO_SKIP,
+            targets: NO_SKIP,
             msg: 7,
             depth: 1,
         };
@@ -798,7 +875,7 @@ mod tests {
             unreachable!("built bucketed")
         };
         assert_eq!(b.len(), 2, "two entries");
-        assert!(b.lane_capacity()[1] <= TAIL_KEEP);
+        assert_eq!(b.lane_capacity()[1], WIRE_CHUNK, "one chunk");
         assert!(matches!(q.pop(), Some((Time(1), Payload::Fanout { .. }))));
         q.retire_fanout(K);
         assert_eq!(q.len(), 1);
@@ -815,45 +892,93 @@ mod tests {
         }
     }
 
+    /// Wire events per chunk of the property tests' queue.
+    const WIRE_CHUNK: usize = Lane::<Payload<u8>>::CHUNK;
+
+    /// Wire chunks in the queue's lanes and spare list: a fresh
+    /// allocation adds one, a reuse does not, and none is ever freed
+    /// while the queue lives.
+    fn wire_chunks(q: &BucketQueue<u8>) -> usize {
+        q.spare.wire.len() + q.buckets.iter().map(|b| b.wire.chunks.len()).sum::<usize>()
+    }
+
     #[test]
-    fn drained_storage_moves_one_tick_ahead_of_the_new_front() {
-        // Tick 1 is a wave, tick 3 already holds two events when tick 1
-        // drains: the wave's storage takes them over, in order.
+    fn a_wave_never_grows_a_chunk() {
+        // 10⁵ deliveries at one tick fill whole chunks of the fixed
+        // capacity, then drain in push order into the spare list.
+        const W: usize = 100_000;
         let mut q: BucketQueue<u8> = BucketQueue::new();
-        for i in 0..40 {
-            q.push(Time(1), deliver(i));
+        for i in 0..W {
+            q.push(Time(1), deliver(i as u8));
         }
-        q.push(Time(2), deliver(100));
-        q.push(Time(3), deliver(200));
-        q.push(Time(3), deliver(201));
-        for _ in 0..40 {
-            assert_eq!(q.pop().map(|(t, _)| t), Some(Time(1)));
-        }
-        assert!(matches!(
-            q.pop(),
-            Some((Time(2), Payload::Deliver { msg: 100, .. }))
-        ));
-        assert!(
-            q.buckets[1].wire.capacity() >= 40,
-            "tick 3 should now own the wave's storage"
-        );
-        for want in [200, 201] {
+        let lane = &q.buckets[1].wire;
+        assert_eq!(lane.chunks.len(), W.div_ceil(WIRE_CHUNK));
+        assert!(lane.chunks.iter().all(|c| c.capacity() == WIRE_CHUNK));
+        assert!(WIRE_CHUNK * std::mem::size_of::<Payload<u8>>() <= CHUNK_BYTES);
+        for i in 0..W {
             assert!(matches!(
                 q.pop(),
-                Some((Time(3), Payload::Deliver { msg, .. })) if msg == want
+                Some((Time(1), Payload::Deliver { msg, .. })) if msg == i as u8
             ));
         }
-        assert_eq!(q.len(), 0);
+        assert!(q.buckets.iter().all(Bucket::is_empty));
+        assert_eq!(q.spare.wire.len(), W.div_ceil(WIRE_CHUNK));
+        assert!(q.spare.wire.iter().all(|c| c.capacity() == WIRE_CHUNK));
+    }
+
+    #[test]
+    fn drained_chunks_are_reused_before_a_fresh_allocation() {
+        // Tick 1 holds three chunks' worth. Draining it while the next
+        // tick's sends land (one send per pop, as in a flood) reuses
+        // each drained chunk: the queue never holds more chunks than
+        // the two ticks have in flight, plus one being filled.
+        let wave = 3 * WIRE_CHUNK;
+        let mut q: BucketQueue<u8> = BucketQueue::new();
+        for i in 0..wave {
+            q.push(Time(1), deliver(i as u8));
+        }
+        assert_eq!(wire_chunks(&q), 3);
+        for i in 0..wave {
+            assert_eq!(q.pop().map(|(t, _)| t), Some(Time(1)));
+            q.push(Time(2), deliver(i as u8));
+            assert!(wire_chunks(&q) <= 4, "after {i} pops: {}", wire_chunks(&q));
+        }
+        // A whole tick drained into the spares, then refilled from them.
+        for _ in 0..wave {
+            assert_eq!(q.pop().map(|(t, _)| t), Some(Time(2)));
+        }
+        let chunks = wire_chunks(&q);
+        assert_eq!(q.spare.wire.len(), chunks);
+        for i in 0..wave {
+            q.push(Time(3), deliver(i as u8));
+        }
+        assert_eq!(wire_chunks(&q), chunks, "no fresh chunk");
+        assert_eq!(q.spare.wire.len(), chunks - 3);
+    }
+
+    #[test]
+    fn chunk_boundaries_keep_the_oracle_order() {
+        // Runs of 60 bursts of 255 deliveries, fanouts and timers into
+        // the next tick, each run closed by 255 pops, fill one tick's
+        // wire lane past a chunk while earlier ticks drain into the
+        // spares, and still pop exactly as the heap oracle does.
+        const RUN: u16 = 60;
+        assert!(usize::from(RUN) * 255 * 2 / 3 > WIRE_CHUNK);
+        check_against_oracle((0..4 * RUN).map(|i| {
+            let pops = if i % RUN == RUN - 1 { 255 } else { 0 };
+            (1, [4, 5, 6][usize::from(i % 3)], 255, pops)
+        }));
     }
 
     #[test]
     fn ring_capacity_tracks_events_in_flight_not_the_horizon() {
         // K events per tick over H ticks, landing `1..=spread` ticks
         // ahead, behind one timer at the horizon (a deadline timer does
-        // this) so the ring spans all H ticks. Rotating every
-        // drained lane to the tail with its capacity would retain ~H·K
-        // slots; recycling keeps O(K) — for fails (the control heap),
-        // deliveries (the wire lane) and timers.
+        // this) so the ring spans all H ticks. Keeping every drained
+        // tick's storage would retain ~H·K slots. The control heap
+        // keeps O(K); the wire and timer lanes keep their events in
+        // flight plus at most one chunk per non-empty lane, spare
+        // chunks included.
         const K: usize = 256;
         const H: u64 = 512;
         for (lane, class) in [(0, 0u8), (1, 4), (2, 5)] {
@@ -870,14 +995,21 @@ mod tests {
                         q.push(Time(at), payload_of(class, i as u8));
                         due[at as usize] += 1;
                     }
+                    let cap = q.lane_capacity();
+                    assert!(cap[0] <= 8 * K, "spread {spread}: {cap:?}");
+                    let bound = q.buckets.iter().fold([0, 0], |[w, t], b| {
+                        let held = |len: usize, chunk: usize| len + chunk * usize::from(len > 0);
+                        [
+                            w + held(b.wire.len(), WIRE_CHUNK),
+                            t + held(b.timers.len(), Lane::<(HostId, u64)>::CHUNK),
+                        ]
+                    });
+                    assert!(
+                        cap[1] <= bound[0] && cap[2] <= bound[1],
+                        "lane {lane}, spread {spread}, tick {t}: {cap:?} slots retained, bound {bound:?}"
+                    );
                 }
                 assert!(q.buckets.len() as u64 > H, "the ring spans the horizon");
-                let cap = q.lane_capacity();
-                assert!(
-                    cap[lane] <= 8 * K,
-                    "lane {lane}, spread {spread}: {cap:?} slots retained for {K} events per tick"
-                );
-                assert!(cap.iter().sum::<usize>() <= 8 * K + TAIL_KEEP, "{cap:?}");
             }
         }
     }
@@ -889,8 +1021,8 @@ mod tests {
     }
 
     /// Near-future bursts: each action pushes `copies` events `dt`
-    /// ticks ahead, then pops up to `pops` — so drained waves recycle
-    /// into a next-but-one bucket that already holds events.
+    /// ticks ahead, then pops up to `pops` — so a tick drains while the
+    /// buckets ahead of it already hold events.
     fn arb_bursts() -> impl Strategy<Value = Vec<(u16, u8, u8, u8)>> {
         prop::collection::vec((0u16..4, 0u8..7, 1u8..24, 0u8..32), 1..120)
     }
@@ -913,7 +1045,7 @@ mod tests {
             },
             _ => Payload::Fanout {
                 from: HostId(u32::from(tag)),
-                skip: NO_SKIP,
+                targets: NO_SKIP,
                 msg: tag,
                 depth: fanout_targets(tag),
             },
@@ -1028,9 +1160,9 @@ mod tests {
             );
         }
 
-        /// The same bar where storage recycling does its work: dense
-        /// near-future bursts, so a drained wave's storage routinely
-        /// takes over a bucket that already holds events.
+        /// The same bar under dense near-future bursts, so a tick's
+        /// drained chunks routinely go to ticks that already hold
+        /// events.
         #[test]
         fn bucket_queue_matches_heap_oracle_under_recycling(actions in arb_bursts()) {
             check_against_oracle(actions);
