@@ -131,14 +131,14 @@ impl MuxBenchResult {
 }
 
 /// Per-(host × query) RSS budget of `repro mux`, in bytes. A host holds
-/// a 40-byte state only for the queries open at it, and the run one
-/// retired bit per pair: the full preset reads ~18 B per pair above the
-/// base allowance, the quick one less than nothing. A table sized
-/// hosts × queries (the dense per-host query slots this engine used to
-/// keep, ~240 B per pair at the quick preset) breaches it, and so does
-/// the slab of 72-byte states it kept after that (~34 B per pair at the
-/// full preset).
-pub const MUX_RSS_PER_PAIR_B: u64 = 24;
+/// 36 bytes — a 4-byte rank and a 32-byte state — only for the queries
+/// open at it, and the run one retired bit per pair: the full preset
+/// reads ~15 B per pair above the base allowance, the quick one less
+/// than nothing. A table sized hosts × queries (the dense per-host
+/// query slots this engine used to keep, ~240 B per pair at the quick
+/// preset) breaches it, and so does the slab of 72-byte states it kept
+/// after that (~34 B per pair at the full preset).
+pub const MUX_RSS_PER_PAIR_B: u64 = 18;
 
 /// Fixed allowance on top of the per-pair budget, in kB: the process
 /// baseline plus the traffic in flight, which scales with the graph's
@@ -354,8 +354,8 @@ mod tests {
             peak_rss_kb: None,
             mismatches: Vec::new(),
         };
-        // Within budget: allowance + 24 B per host × query.
-        let ceiling = MUX_RSS_ALLOWANCE_KB + 24 * 4_000 * 200 / 1024;
+        // Within budget: allowance + 18 B per host × query.
+        let ceiling = MUX_RSS_ALLOWANCE_KB + (18 * 4_000 * 200_u64).div_ceil(1024);
         assert_eq!(r.rss_ceiling_kb(), ceiling);
         r.peak_rss_kb = Some(ceiling);
         assert_eq!(rss_failure(&r), None);
@@ -367,8 +367,10 @@ mod tests {
         r.peak_rss_kb = Some(240 * 4_000 * 200 / 1024);
         assert!(rss_failure(&r).is_some());
         // So does the slab engine's full-preset reading (n = 6000, 500
-        // queries), where the flat layout reads 84 196 kB.
+        // queries), where the flat layout read 84 196 kB and the
+        // columns read 75 720–75 784 kB.
         (r.n, r.queries) = (6_000, 500);
+        assert_eq!(r.rss_ceiling_kb(), 85_503);
         r.peak_rss_kb = Some(84_196);
         assert_eq!(rss_failure(&r), None);
         r.peak_rss_kb = Some(118_452);

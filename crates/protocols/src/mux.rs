@@ -42,8 +42,13 @@
 //! **Flat words the run owns.** What is per query — aggregate,
 //! deadline, payload ledger, declared result — sits in run-wide tables
 //! indexed by rank, and so do the per-host *retired* bits. A host keeps
-//! one table of the queries open there, sorted by rank, each a few
-//! words inline. A message is a slice of the run's wire arena: items
+//! the queries open there in two columns, sorted by rank: the packed
+//! ranks (4 bytes each), which every lookup searches, and beside them
+//! the 32-byte states, the parent held as its neighbour slot. That is
+//! 36 bytes per open query. A timer that removes states compacts both
+//! columns together, copying nothing before the first removal, and a
+//! host's fallback fire ticks stay sorted, so arming one is a search
+//! and an insert. A message is a slice of the run's wire arena: items
 //! shipped at tick `t` sit in segment `t mod 2`, which the first ship at
 //! `t + 2` clears. That is sound because the engine runs over the
 //! unit-delay medium, so every message is read (folded) the tick after
@@ -61,7 +66,6 @@
 
 use crate::common::{Aggregate, ExactPartial};
 use crate::observer::ProtocolObserver;
-use crate::spanning_tree::NO_PARENT;
 use pov_sim::{
     ChurnPlan, Ctx, DelayModel, Medium, Metrics, NodeLogic, PartitionPlan, SimBuilder, Simulation,
     StateSummary, Time, Trace,
@@ -169,8 +173,10 @@ const KEY_CLASS: u64 = !0u64 << 32;
 
 /// Tree state of one query at one host while the query is *open* there
 /// — from first hearing (or launch, at the root) until the host reports
-/// upward (or declares). The SPANNINGTREE fields in flat words, minus
-/// what retirement makes moot: a retired query needs no state at all.
+/// upward (or declares). The SPANNINGTREE fields in four flat words,
+/// minus what retirement makes moot: a retired query needs no state at
+/// all. The query's rank is not here but in the host's rank column,
+/// at the same index.
 ///
 /// A query first heard during the current tick is *fresh*: the
 /// tick-end flush adopts it, and the minimum `(hops, sender)` candidate
@@ -178,14 +184,10 @@ const KEY_CLASS: u64 = !0u64 << 32;
 /// whole tick makes.
 #[derive(Clone, Copy, Debug)]
 struct Open {
-    /// The query's rank.
-    rank: u32,
-    /// Tree parent (while fresh: the best candidate so far);
-    /// [`NO_PARENT`] at the query's root.
-    parent: HostId,
-    /// This host's subtree aggregate so far, as the words of an
-    /// [`ExactPartial`] of the query's aggregate.
-    acc: u64,
+    /// The tree parent's slot in this host's neighbour list (while
+    /// fresh: the best candidate's); [`ROOT`] at the query's root.
+    /// Neighbour lists are sorted by id, so slots order as ids do.
+    parent: u32,
     /// The partial's AVG host count.
     hosts: u32,
     /// Hops from the root.
@@ -193,21 +195,35 @@ struct Open {
     /// Neighbours classified so far: flooded past us or reported as
     /// child (while fresh: every query sender, the parent-to-be too).
     heard: u32,
-    /// First heard this tick, not yet adopted.
-    fresh: bool,
-    /// The flush must act on it: adopt it (fresh) or report it (every
-    /// non-parent neighbour classified).
-    due: bool,
+    /// This host's subtree aggregate so far, as the words of an
+    /// [`ExactPartial`] of the query's aggregate.
+    acc: u64,
     /// Tick the forced report fires at: `deadline − depth`, clamped to
     /// the tick after adoption or launch (the timer's own fire tick).
-    /// Unset while fresh.
+    /// [`FRESH`] until adopted.
     fallback_at: u64,
 }
 
+/// [`Open::parent`] of the state at the query's root.
+const ROOT: u32 = u32::MAX;
+/// [`Open::fallback_at`] of a state first heard this tick: no fallback
+/// is armed yet, and none ever forces it.
+const FRESH: u64 = u64::MAX;
+
 impl Open {
+    fn is_fresh(&self) -> bool {
+        self.fallback_at == FRESH
+    }
+
     /// Neighbours this state waits on: every one but the parent.
     fn expected(&self, degree: usize) -> u32 {
-        (degree - usize::from(self.parent != NO_PARENT)) as u32
+        (degree - usize::from(self.parent != ROOT)) as u32
+    }
+
+    /// The flush must act on it: adopt it (fresh) or report it (every
+    /// non-parent neighbour classified).
+    fn is_due(&self, degree: usize) -> bool {
+        self.is_fresh() || self.heard >= self.expected(degree)
     }
 }
 
@@ -227,6 +243,10 @@ struct MuxRun {
     /// Every query's `(arrival, rank)`, grouped by root host in
     /// ascending host order, each group ascending.
     rooted: Box<[(u64, u32)]>,
+    /// Host `h`'s group is `rooted[rooted_at[h]..rooted_at[h + 1]]`.
+    rooted_at: Box<[u32]>,
+    /// Each host's attribute value.
+    values: Box<[u64]>,
     /// Retired words per host: `⌈queries / 64⌉`.
     words: usize,
     /// Payload items sent per rank.
@@ -252,6 +272,11 @@ struct MuxRun {
 }
 
 impl MuxRun {
+    /// Indices into `rooted` of the queries rooted at `h`.
+    fn rooted_at(&self, h: HostId) -> Range<usize> {
+        self.rooted_at[h.index()] as usize..self.rooted_at[h.index() + 1] as usize
+    }
+
     fn is_retired(&self, row: usize, rank: u32) -> bool {
         self.retired[row + rank as usize / 64] >> (rank % 64) & 1 == 1
     }
@@ -263,74 +288,79 @@ impl MuxRun {
 
 /// Per-host logic of the multiplexed engine.
 ///
-/// A host keeps per-query state only while the query is open here: the
-/// `open` table, in ascending rank order. Once the host reports, the
-/// state goes and the host's retired bit in the run's table remains,
-/// enough to drop late traffic exactly as SPANNINGTREE does. A host's
-/// memory follows its open queries, not the number of queries it ever
-/// heard.
+/// A host keeps per-query state only while the query is open here, in
+/// two columns: the ranks of its open queries, ascending, and their
+/// states, index for index. Every lookup searches the packed rank
+/// column. Once the host reports, the state goes and the host's retired
+/// bit in the run's table remains, enough to drop late traffic exactly
+/// as SPANNINGTREE does. A host's memory follows its open queries, not
+/// the number of queries it ever heard.
 #[derive(Debug)]
 struct MuxNode {
-    /// Open queries at this host, ascending rank.
+    /// Ranks of the queries open at this host, ascending.
+    ranks: Vec<u32>,
+    /// Their states: `open[i]` is the state of `ranks[i]`.
     open: Vec<Open>,
     /// This tick's deliveries, folded by the host's first timer.
     inbox: Vec<(HostId, MuxMsg)>,
-    /// Fire ticks of the [`KEY_FALLBACK`] timers in flight, so
-    /// co-resident queries sharing a fire tick share one timer.
+    /// Fire ticks of the [`KEY_FALLBACK`] timers in flight, ascending,
+    /// so co-resident queries sharing a fire tick share one timer.
     fallback_armed: Vec<u64>,
     /// The run's shared tables.
     run: Rc<RefCell<MuxRun>>,
-    value: u64,
-    /// Tick the flush timer was last armed at (a stamp, not a flag: a
-    /// bool would wedge if this host died between arming and firing).
-    flush_armed_at: Option<u64>,
-    /// This host's queries: a range of `run.rooted`.
-    rooted: Range<u32>,
+    /// Tick the flush timer was last armed at, [`NEVER`] before the
+    /// first delivery (a stamp, not a flag: a bool would wedge if this
+    /// host died between arming and firing).
+    flush_armed_at: u64,
     /// Guards against `on_start` re-firing on rejoin.
     started: bool,
 }
+
+/// [`MuxNode::flush_armed_at`] of a host that never had a delivery.
+const NEVER: u64 = u64::MAX;
 
 impl MuxNode {
     /// Whether the query of `rank` rooted here was launched or joined a
     /// live wave already.
     fn launched(&self, run: &MuxRun, row: usize, rank: u32) -> bool {
         run.is_retired(row, rank)
-            || self.open.binary_search_by_key(&rank, |s| s.rank).is_ok()
+            || self.ranks.binary_search(&rank).is_ok()
             || run.joined[rank as usize].is_some()
     }
 
-    /// Arm the forced report due at tick `fallback_at` (clamped to the
-    /// next tick if already past), sharing one engine timer among every
-    /// query due at the same fire tick. Returns the fire tick, which is
-    /// what the query is filed under: a firing reports every open query
-    /// whose fire tick has come.
-    fn arm_fallback(&mut self, ctx: &mut Ctx<'_, MuxMsg>, fallback_at: u64) -> u64 {
-        let now = ctx.now().ticks();
-        let fire_at = fallback_at.max(now + 1);
-        self.fallback_armed.retain(|&t| t > now);
-        if !self.fallback_armed.contains(&fire_at) {
-            self.fallback_armed.push(fire_at);
-            ctx.set_timer(fire_at - now, KEY_FALLBACK);
-        }
-        fire_at
+    /// The rank column mirrors the states: one rank per state, strictly
+    /// ascending, none of them retired at this host.
+    fn check_columns(&self, run: &MuxRun, row: usize) {
+        debug_assert_eq!(self.ranks.len(), self.open.len(), "rank column out of step");
+        debug_assert!(
+            self.ranks.windows(2).all(|w| w[0] < w[1]),
+            "rank column out of order: {:?}",
+            self.ranks
+        );
+        debug_assert!(
+            self.ranks.iter().all(|&r| !run.is_retired(row, r)),
+            "a retired query is still open"
+        );
     }
 
     /// Fold this tick's inbox into the open table: child partials
-    /// combine, classified neighbours are counted, a first hearing opens
-    /// a fresh state, and an echo-complete state is marked due.
+    /// combine, classified neighbours are counted, and a first hearing
+    /// opens a fresh state.
     fn fold(&mut self, ctx: &Ctx<'_, MuxMsg>, run: &MuxRun) {
         if self.inbox.is_empty() {
             return;
         }
         let now = ctx.now().ticks();
         debug_assert_eq!(
-            self.flush_armed_at,
-            Some(now),
+            self.flush_armed_at, now,
             "an inbox outlived the tick that filled it"
         );
-        let degree = ctx.degree();
         let row = ctx.me().index() * run.words;
-        for &(from, msg) in &self.inbox {
+        let value = run.values[ctx.me().index()];
+        let MuxNode {
+            ranks, open, inbox, ..
+        } = self;
+        for &(from, msg) in inbox.iter() {
             debug_assert_eq!(
                 run.filled_at[msg.segment as usize] + 1,
                 now,
@@ -338,13 +368,16 @@ impl MuxNode {
             );
             let start = msg.start as usize;
             let items = &run.wire[msg.segment as usize][start..start + msg.len as usize];
+            // The sender's slot, searched for once a query copy needs it.
+            let mut slot = None;
+            let mut sender = || *slot.get_or_insert_with(|| neighbor_slot(ctx, from));
             // Items arrive in ascending rank order: each search resumes
             // where the previous item's left off.
             let mut pos = 0;
             for &item in items {
                 let rank = item.rank();
-                pos += self.open[pos..].partition_point(|s| s.rank < rank);
-                let Some(s) = self.open.get_mut(pos).filter(|s| s.rank == rank) else {
+                pos += ranks[pos..].partition_point(|&r| r < rank);
+                if ranks.get(pos) != Some(&rank) {
                     // Late traffic after we reported upward is lost
                     // (best-effort semantics, exactly as SPANNINGTREE),
                     // and only a query copy opens a query: no child
@@ -353,42 +386,42 @@ impl MuxNode {
                         continue;
                     }
                     let aggregate = run.queries[rank as usize].aggregate;
-                    let (acc, hosts) = ExactPartial::init(aggregate, self.value).words();
-                    let state = Open {
-                        rank,
-                        parent: from,
-                        acc,
-                        hosts,
-                        depth: item.small + 1,
-                        heard: 1,
-                        fresh: true,
-                        due: true,
-                        fallback_at: 0,
-                    };
-                    self.open.insert(pos, state);
+                    let (acc, hosts) = ExactPartial::init(aggregate, value).words();
+                    ranks.insert(pos, rank);
+                    open.insert(
+                        pos,
+                        Open {
+                            parent: sender(),
+                            hosts,
+                            depth: item.small + 1,
+                            heard: 1,
+                            acc,
+                            fallback_at: FRESH,
+                        },
+                    );
                     continue;
-                };
+                }
+                let s = &mut open[pos];
                 if item.is_child() {
                     let aggregate = run.queries[rank as usize].aggregate;
                     let mut partial = ExactPartial::from_words(aggregate, s.acc, s.hosts);
                     partial.combine(ExactPartial::from_words(aggregate, item.word, item.small));
                     (s.acc, s.hosts) = partial.words();
-                } else if s.fresh && (item.small + 1, from) < (s.depth, s.parent) {
+                } else if s.is_fresh() && item.small < s.depth {
                     // Parent = minimum `(hops, sender)` among the tick's
                     // query copies — independent of delivery order.
-                    s.depth = item.small + 1;
-                    s.parent = from;
+                    let from = sender();
+                    if (item.small + 1, from) < (s.depth, s.parent) {
+                        s.depth = item.small + 1;
+                        s.parent = from;
+                    }
                 }
+                // Echo completion — every non-parent neighbour
+                // classified — makes the state due for the flush.
                 s.heard += 1;
-                // Echo completion: the flush reports once every
-                // non-parent neighbour is classified (a fresh query is
-                // checked on adoption).
-                if !s.fresh && s.heard == s.expected(degree) {
-                    s.due = true;
-                }
             }
         }
-        self.inbox.clear();
+        inbox.clear();
     }
 
     /// Handle every rooted query due by now: join a live matching wave
@@ -396,8 +429,8 @@ impl MuxNode {
     fn arrivals(&mut self, ctx: &mut Ctx<'_, MuxMsg>, run: &mut MuxRun) {
         let now = ctx.now().ticks();
         let row = ctx.me().index() * run.words;
-        for i in self.rooted.clone() {
-            let (arrival, rank) = run.rooted[i as usize];
+        for i in run.rooted_at(ctx.me()) {
+            let (arrival, rank) = run.rooted[i];
             if arrival > now || self.launched(run, row, rank) {
                 continue;
             }
@@ -408,18 +441,18 @@ impl MuxNode {
             // Partial cache: a live (unreported) wave rooted here with
             // the same aggregate computes the same answer — join the
             // lowest-ranked one.
-            let target = self.open.iter().find(|s| {
-                s.parent == NO_PARENT && run.queries[s.rank as usize].aggregate == aggregate
+            let target = self.ranks.iter().zip(&self.open).find(|&(&r, s)| {
+                s.parent == ROOT && run.queries[r as usize].aggregate == aggregate
             });
-            if let Some(target) = target {
-                run.joined[rank as usize] = Some(target.rank);
+            if let Some((&target, _)) = target {
+                run.joined[rank as usize] = Some(target);
                 continue;
             }
-            let fallback_at = self.arm_fallback(ctx, deadline);
+            let fallback_at = arm_fallback(&mut self.fallback_armed, ctx, deadline);
             for buf in &mut run.out[..ctx.degree()] {
                 buf.push(MuxItem::query(rank, 0));
             }
-            let partial = ExactPartial::init(aggregate, self.value);
+            let partial = ExactPartial::init(aggregate, run.values[ctx.me().index()]);
             if ctx.degree() == 0 {
                 // Isolated root: nothing to wait for.
                 run.retire(row, rank);
@@ -427,19 +460,19 @@ impl MuxNode {
                 continue;
             }
             let (acc, hosts) = partial.words();
-            let pos = self.open.partition_point(|s| s.rank < rank);
-            let state = Open {
-                rank,
-                parent: NO_PARENT,
-                acc,
-                hosts,
-                depth: 0,
-                heard: 0,
-                fresh: false,
-                due: false,
-                fallback_at,
-            };
-            self.open.insert(pos, state);
+            let pos = self.ranks.partition_point(|&r| r < rank);
+            self.ranks.insert(pos, rank);
+            self.open.insert(
+                pos,
+                Open {
+                    parent: ROOT,
+                    hosts,
+                    depth: 0,
+                    heard: 0,
+                    acc,
+                    fallback_at,
+                },
+            );
         }
         // A firing that catches up on arrivals of several ticks pushed
         // them in arrival order; a message carries ascending ranks.
@@ -448,34 +481,39 @@ impl MuxNode {
         }
     }
 
-    /// Adopt the fresh state `s`: fix its parent, arm its fallback and
-    /// flood it onward. Every same-tick co-sender is someone else's
-    /// child, so only the parent's copy stops counting.
-    fn adopt(&mut self, ctx: &mut Ctx<'_, MuxMsg>, run: &mut MuxRun, s: &mut Open) {
-        s.fresh = false;
+    /// Adopt the fresh state `s` of `rank`: fix its parent, arm its
+    /// fallback and flood it onward. Every same-tick co-sender is
+    /// someone else's child, so only the parent's copy stops counting.
+    fn adopt(
+        armed: &mut Vec<u64>,
+        ctx: &mut Ctx<'_, MuxMsg>,
+        run: &mut MuxRun,
+        rank: u32,
+        s: &mut Open,
+    ) {
         s.heard -= 1;
         // Fallback at (deadline − depth)·δ so partial subtrees still
         // drain upward before the root declares.
-        let deadline = run.queries[s.rank as usize].deadline;
-        s.fallback_at = self.arm_fallback(ctx, deadline.saturating_sub(u64::from(s.depth)));
-        let parent = neighbor_index(ctx, s.parent);
+        let deadline = run.queries[rank as usize].deadline;
+        s.fallback_at = arm_fallback(armed, ctx, deadline.saturating_sub(u64::from(s.depth)));
+        let parent = s.parent as usize;
         for (i, buf) in run.out[..ctx.degree()].iter_mut().enumerate() {
             if i != parent {
-                buf.push(MuxItem::query(s.rank, s.depth));
+                buf.push(MuxItem::query(rank, s.depth));
             }
         }
     }
 
-    /// Report `s` upward (or declare, at the root) and retire it here.
-    fn report(ctx: &Ctx<'_, MuxMsg>, run: &mut MuxRun, s: &Open) {
-        run.retire(ctx.me().index() * run.words, s.rank);
+    /// Report `s` of `rank` upward (or declare, at the root) and retire
+    /// it here.
+    fn report(ctx: &Ctx<'_, MuxMsg>, run: &mut MuxRun, rank: u32, s: &Open) {
+        run.retire(ctx.me().index() * run.words, rank);
         let partial =
-            ExactPartial::from_words(run.queries[s.rank as usize].aggregate, s.acc, s.hosts);
-        if s.parent == NO_PARENT {
-            run.results[s.rank as usize] = Some((partial.value(), ctx.now()));
+            ExactPartial::from_words(run.queries[rank as usize].aggregate, s.acc, s.hosts);
+        if s.parent == ROOT {
+            run.results[rank as usize] = Some((partial.value(), ctx.now()));
         } else {
-            let parent = neighbor_index(ctx, s.parent);
-            run.out[parent].push(MuxItem::child(s.rank, partial));
+            run.out[s.parent as usize].push(MuxItem::child(rank, partial));
         }
     }
 
@@ -484,50 +522,89 @@ impl MuxNode {
     /// ones, in ascending rank order.
     fn flush(&mut self, ctx: &mut Ctx<'_, MuxMsg>, run: &mut MuxRun) {
         let degree = ctx.degree();
-        let mut kept = 0;
-        for i in 0..self.open.len() {
-            let mut s = self.open[i];
-            if s.due {
-                s.due = false;
+        let armed = &mut self.fallback_armed;
+        retain_open(&mut self.ranks, &mut self.open, |rank, s| {
+            if !s.is_due(degree) {
+                return true;
+            }
+            if s.is_fresh() {
+                Self::adopt(armed, ctx, run, rank, s);
                 // Adoption reports at once if every other neighbour
                 // already sent a copy.
-                let fresh = s.fresh;
-                if fresh {
-                    self.adopt(ctx, run, &mut s);
-                }
-                if !fresh || s.heard >= s.expected(degree) {
-                    Self::report(ctx, run, &s);
-                    continue;
+                if s.heard < s.expected(degree) {
+                    return true;
                 }
             }
-            self.open[kept] = s;
-            kept += 1;
-        }
-        self.open.truncate(kept);
+            Self::report(ctx, run, rank, s);
+            false
+        });
     }
 
     /// The fallback orders after this tick's deliveries (already folded
     /// in, so same-tick child reports still count) but before the
     /// flush: force the report of every open query whose fire tick has
-    /// come. One firing reports every due query, so their reports ship
-    /// batched.
+    /// come (never a fresh one). One firing reports every due query, so
+    /// their reports ship batched.
     fn fallbacks(&mut self, ctx: &Ctx<'_, MuxMsg>, run: &mut MuxRun) {
         let now = ctx.now().ticks();
-        self.open.retain(|s| {
-            let force = !s.fresh && s.fallback_at <= now;
+        retain_open(&mut self.ranks, &mut self.open, |rank, s| {
+            let force = s.fallback_at <= now;
             if force {
-                Self::report(ctx, run, s);
+                Self::report(ctx, run, rank, s);
             }
             !force
         });
     }
 }
 
+/// Keep the open states `keep` accepts — it may update them in place —
+/// in order, moving each rank with its state. Nothing is copied before
+/// the first state that goes.
+fn retain_open(
+    ranks: &mut Vec<u32>,
+    open: &mut Vec<Open>,
+    mut keep: impl FnMut(u32, &mut Open) -> bool,
+) {
+    let len = open.len();
+    let mut kept = 0;
+    while kept < len && keep(ranks[kept], &mut open[kept]) {
+        kept += 1;
+    }
+    for i in kept + 1..len {
+        if keep(ranks[i], &mut open[i]) {
+            ranks[kept] = ranks[i];
+            open[kept] = open[i];
+            kept += 1;
+        }
+    }
+    ranks.truncate(kept);
+    open.truncate(kept);
+}
+
+/// Arm the forced report due at tick `fallback_at` (clamped to the next
+/// tick if already past), sharing one engine timer among every query
+/// due at the same fire tick. `armed` holds the fire ticks in flight,
+/// ascending: the ones already past are dropped from its front, and a
+/// new one is inserted in place. Returns the fire tick, which is what
+/// the query is filed under: a firing reports every open query whose
+/// fire tick has come.
+fn arm_fallback(armed: &mut Vec<u64>, ctx: &mut Ctx<'_, MuxMsg>, fallback_at: u64) -> u64 {
+    let now = ctx.now().ticks();
+    let fire_at = fallback_at.max(now + 1);
+    let expired = armed.iter().take_while(|&&t| t <= now).count();
+    armed.drain(..expired);
+    if let Err(pos) = armed.binary_search(&fire_at) {
+        armed.insert(pos, fire_at);
+        ctx.set_timer(fire_at - now, KEY_FALLBACK);
+    }
+    fire_at
+}
+
 /// Slot of neighbour `h` in the host's sorted neighbour list.
-fn neighbor_index(ctx: &Ctx<'_, MuxMsg>, h: HostId) -> usize {
+fn neighbor_slot(ctx: &Ctx<'_, MuxMsg>, h: HostId) -> u32 {
     ctx.neighbors()
         .binary_search(&h)
-        .expect("a parent is a neighbor")
+        .expect("a sender is a neighbor") as u32
 }
 
 /// Ship this firing's outgoing items: one engine message per neighbour
@@ -594,7 +671,7 @@ impl NodeLogic for MuxNode {
         let now = ctx.now().ticks();
         let run = self.run.borrow();
         let mut last = None;
-        for &(arrival, _) in &run.rooted[self.rooted.start as usize..self.rooted.end as usize] {
+        for &(arrival, _) in &run.rooted[run.rooted_at(ctx.me())] {
             let delay = arrival.saturating_sub(now).max(1);
             if last != Some(delay) {
                 last = Some(delay);
@@ -607,12 +684,12 @@ impl NodeLogic for MuxNode {
         // The fold, adoption and reports run at the host's timers, after
         // every delivery of this instant — the synchronous round.
         let now = ctx.now().ticks();
-        if self.flush_armed_at != Some(now) {
+        if self.flush_armed_at != now {
             debug_assert!(
                 self.inbox.is_empty(),
                 "an inbox outlived the tick that filled it"
             );
-            self.flush_armed_at = Some(now);
+            self.flush_armed_at = now;
             ctx.set_timer_at_tick_end(KEY_FLUSH);
         }
         self.inbox.push((from, msg));
@@ -621,7 +698,9 @@ impl NodeLogic for MuxNode {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, MuxMsg>, key: u64) {
         let shared = Rc::clone(&self.run);
         let mut run = shared.borrow_mut();
+        let row = ctx.me().index() * run.words;
         self.fold(ctx, &run);
+        self.check_columns(&run, row);
         let degree = ctx.degree();
         if run.out.len() < degree {
             run.out.resize_with(degree, Vec::new);
@@ -632,6 +711,7 @@ impl NodeLogic for MuxNode {
             KEY_FALLBACK => self.fallbacks(ctx, &mut run),
             _ => unreachable!("unknown timer key {key:#x}"),
         }
+        self.check_columns(&run, row);
         ship(ctx, &mut run);
         debug_assert!(run.out.iter().all(Vec::is_empty), "unshipped mux items");
     }
@@ -770,6 +850,13 @@ fn simulate<'g>(
         rooted.push((q.root.0, q.arrival, rank));
     }
     rooted.sort_unstable();
+    let mut rooted_at = vec![0; n + 1];
+    for &(root, ..) in &rooted {
+        rooted_at[root as usize + 1] += 1;
+    }
+    for h in 0..n {
+        rooted_at[h + 1] += rooted_at[h];
+    }
     let words = ids.len().div_ceil(64);
     let run = Rc::new(RefCell::new(MuxRun {
         queries: info.into(),
@@ -777,6 +864,8 @@ fn simulate<'g>(
             .iter()
             .map(|&(_, arrival, rank)| (arrival, rank))
             .collect(),
+        rooted_at: rooted_at.into(),
+        values: values[..n].into(),
         words,
         payload: vec![0; ids.len()],
         results: vec![None; ids.len()],
@@ -797,19 +886,14 @@ fn simulate<'g>(
     if let Some(p) = &plan.partition {
         builder = builder.partition(p.clone());
     }
-    let mut sim = builder.build(|h| {
-        let first = rooted.partition_point(|&(root, ..)| root < h.0) as u32;
-        let end = rooted.partition_point(|&(root, ..)| root <= h.0) as u32;
-        MuxNode {
-            open: Vec::new(),
-            inbox: Vec::new(),
-            fallback_armed: Vec::new(),
-            run: Rc::clone(&run),
-            value: values[h.index()],
-            flush_armed_at: None,
-            rooted: first..end,
-            started: false,
-        }
+    let mut sim = builder.build(|_| MuxNode {
+        ranks: Vec::new(),
+        open: Vec::new(),
+        inbox: Vec::new(),
+        fallback_armed: Vec::new(),
+        run: Rc::clone(&run),
+        flush_armed_at: NEVER,
+        started: false,
     });
     sim.run_until(horizon);
     (sim, horizon, run, ids)
@@ -1050,7 +1134,8 @@ mod tests {
     }
 
     /// The flat layout's budget: a wire item is two words, a message a
-    /// slice of the arena, an open state at most five words.
+    /// slice of the arena, an open query a 4-byte rank beside a 32-byte
+    /// state, and a host's record four column headers and three words.
     #[test]
     fn item_message_and_state_layout_do_not_grow() {
         let item = std::mem::size_of::<MuxItem>();
@@ -1058,7 +1143,60 @@ mod tests {
         let msg = std::mem::size_of::<MuxMsg>();
         assert!(msg <= 16, "message is {msg} bytes");
         let state = std::mem::size_of::<Open>();
-        assert!(state <= 40, "open state is {state} bytes");
+        assert!(state <= 32, "open state is {state} bytes");
+        let per_open = state + std::mem::size_of::<u32>();
+        assert!(per_open <= 36, "an open query costs {per_open} bytes");
+        assert_eq!(std::mem::size_of::<MuxNode>(), 120);
+    }
+
+    #[test]
+    fn fallback_fire_ticks_arm_one_timer_each() {
+        // A star: hub 0, leaves 1..=3. Five queries rooted at the hub
+        // (one per aggregate, so none joins another's wave) and two at
+        // leaf 1. Leaves 2 and 3 hear the hub's at depth 1 and leaf 1's
+        // at depth 2, and report at once. A fire tick is
+        // `deadline − depth`, clamped to the tick after adoption:
+        //
+        //   id  aggregate root  arrival  D̂  leaves 2, 3 adopt  fire tick
+        //   0   COUNT     0     2        3   3                  7
+        //   1   SUM       0     2        2   3                  5
+        //   2   MIN       0     2        1   3                  4 (clamped)
+        //   3   COUNT     1     1        2   3                  4 (clamped)
+        //   4   SUM       1     1        3   3                  5
+        //   5   MAX       0     1        2   2                  4
+        //   6   AVG       0     3        1   4                  5 (clamped)
+        //
+        // So leaves 2 and 3 arm 4 at tick 2, ask for 7, 5, 4, 4, 5 in
+        // rank order at tick 3 and for 5 again at tick 4: ticks {4, 5,
+        // 7}, three timers each. A list kept in arrival order, [4, 7,
+        // 5], would miss the second 5 in a binary search. Leaf 1 arms
+        // its launches' deadlines {5, 7}, then 4, 7, 5, 4 and 5 for the
+        // hub's queries: three. The hub arms 5, then 8, 6, 4 for its
+        // launches and 4, 6 for leaf 1's queries, then 5: four.
+        let g = special::star(4);
+        let queries = [
+            q(0, Aggregate::Count, 0, 2, 3),
+            q(1, Aggregate::Sum, 0, 2, 2),
+            q(2, Aggregate::Min, 0, 2, 1),
+            q(3, Aggregate::Count, 1, 1, 2),
+            q(4, Aggregate::Sum, 1, 1, 3),
+            q(5, Aggregate::Max, 0, 1, 2),
+            q(6, Aggregate::Average, 0, 3, 1),
+        ];
+        let out = run_mux(&g, &[3, 1, 4, 1], &queries, &MuxPlan::default());
+        assert_eq!(out.cache_joins, 0);
+        let want = [4.0, 9.0, 1.0, 4.0, 9.0, 4.0, 2.25];
+        for (id, w) in want.iter().enumerate() {
+            assert_eq!(out.results[&(id as u32)].0, *w, "query {id}");
+        }
+        // Arrival timers: the hub's three arrival ticks and leaf 1's
+        // one. Flush timers, one per tick with deliveries: leaf 1 hears
+        // at 2, 3, 4 and 5, leaves 2 and 3 at 2, 3 and 4, the hub at 2,
+        // 3, 4 and 5.
+        let arrivals = 3 + 1;
+        let flushes = 4 + 2 * 3 + 4;
+        let fallbacks = 4 + 3 + 2 * 3;
+        assert_eq!(out.metrics.timers_fired, arrivals + flushes + fallbacks);
     }
 
     #[test]

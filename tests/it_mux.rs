@@ -7,9 +7,9 @@
 //! happens to be faster.
 
 use pov_core::mux::{judged_mux, solo_twin, WindowSpec, WorkloadSpec};
-use pov_core::pov_protocols::MuxPlan;
+use pov_core::pov_protocols::{run_mux, runner, MuxPlan, ProtocolKind, RunPlan};
 use pov_core::pov_sim::{ChurnPlan, Time};
-use pov_core::pov_topology::generators::TopologyKind;
+use pov_core::pov_topology::generators::{special, TopologyKind};
 use pov_core::pov_topology::{analysis, Graph, HostId};
 use pov_core::workload::paper_values;
 
@@ -164,4 +164,56 @@ fn multiplexed_run_is_deterministic() {
     }
     assert_eq!(out_a.raw_messages, out_b.raw_messages);
     assert_eq!(out_a.results, out_b.results);
+}
+
+/// The mux engine against the single-query engine it multiplexes:
+/// without failures, every query that launched its own wave declares
+/// the very f64 SPANNINGTREE declares from the same root with the same
+/// D̂ — on a chain, a cycle and a random graph, for all five
+/// aggregates, roots and arrivals drawn by the workload generator.
+#[test]
+fn every_launched_query_declares_what_spanning_tree_declares() {
+    let random = TopologyKind::Random.build(200, 5);
+    let graphs = [
+        ("chain", special::chain(40)),
+        ("cycle", special::cycle(45)),
+        ("random", random),
+    ];
+    let mut checked = 0;
+    let mut aggregates = Vec::new();
+    for (seed, (name, graph)) in graphs.iter().enumerate() {
+        let n = graph.num_hosts();
+        let values = paper_values(n, seed as u64 ^ 0x5eed);
+        let diameter = analysis::diameter_exact(graph);
+        for d_hat in [diameter, diameter + 3] {
+            let spec = WorkloadSpec {
+                queries: 25,
+                span: 2 * u64::from(d_hat),
+                d_hat,
+                window: None,
+                seed: seed as u64 * 31 + u64::from(d_hat),
+            };
+            let queries = spec.generate(n);
+            let out = run_mux(graph, &values, &queries, &MuxPlan::default());
+            for q in queries.iter().filter(|q| !out.aliased.contains(&q.id.0)) {
+                let plan = RunPlan::query(q.aggregate).d_hat(d_hat).from_host(q.root);
+                let tree = runner::run(ProtocolKind::SpanningTree, graph, &values, &plan);
+                let mux = out.results.get(&q.id.0).map(|&(v, _)| v.to_bits());
+                assert_eq!(
+                    mux,
+                    tree.value.map(f64::to_bits),
+                    "{name}, D̂ = {d_hat}: query {:?} ({:?} from {:?})",
+                    q.id,
+                    q.aggregate,
+                    q.root
+                );
+                checked += 1;
+                if !aggregates.contains(&q.aggregate) {
+                    aggregates.push(q.aggregate);
+                }
+            }
+        }
+    }
+    assert!(checked >= 120, "only {checked} queries compared");
+    assert_eq!(aggregates.len(), 5, "compared only {aggregates:?}");
 }
