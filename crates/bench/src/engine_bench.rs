@@ -89,11 +89,11 @@ pub fn scale_sizes(mode: BenchMode) -> Vec<(&'static str, usize)> {
 /// Per-host RSS budget for the ladder, in KiB: topology CSR,
 /// per-host protocol state, alive bookkeeping, and the in-flight event
 /// queue together may not average more than this over the rung's hosts.
-/// Measured at 0.13 kB/host on the 10⁶ rung once the queue's lanes
-/// became chunks and a WILDFIRE update round one queue entry
+/// Measured at 0.10 kB/host on the 10⁶ rung once SPANNINGTREE's record,
+/// message and timers shrank and the run record stopped being cloned
 /// (docs/SCALING.md); the ceiling is the smallest 0.01 step that keeps
 /// 10 % above that reading.
-pub const SCALE_RSS_PER_HOST_KB: f64 = 0.14;
+pub const SCALE_RSS_PER_HOST_KB: f64 = 0.11;
 
 /// Fixed allowance on top of the per-host budget, in kB: the process
 /// baseline (binary, allocator arenas, and — `VmHWM` being monotone —
@@ -280,8 +280,8 @@ mod tests {
             ticks_per_sec: 1e5,
             peak_rss_kb: rss,
         };
-        // Within budget: allowance + 0.14 KiB/host.
-        let ceiling = SCALE_RSS_ALLOWANCE_KB + 140_000;
+        // Within budget: allowance + 0.11 KiB/host.
+        let ceiling = SCALE_RSS_ALLOWANCE_KB + 110_000;
         assert!(scale_failures(&[rung(1_000_000, Some(ceiling))]).is_empty());
         let fails = scale_failures(&[rung(1_000_000, Some(ceiling + 1))]);
         assert_eq!(fails.len(), 1, "{fails:?}");

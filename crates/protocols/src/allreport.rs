@@ -24,7 +24,7 @@ use pov_topology::HostId;
 use rand::Rng;
 
 /// Timer key for the declaration deadline at `hq`.
-const TIMER_DECLARE: u64 = 0;
+const TIMER_DECLARE: u32 = 0;
 
 /// How value reports travel back to `hq`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -195,7 +195,7 @@ impl NodeLogic for AllReportNode {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, ArMsg>, key: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, ArMsg>, key: u32) {
         if key != TIMER_DECLARE || !self.is_query_host || self.result.is_some() {
             return;
         }

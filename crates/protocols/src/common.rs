@@ -100,7 +100,8 @@ pub struct ExactPartial {
     a: u64,
     /// Contributing-host count (AVG only; unused elsewhere). A host
     /// count fits a `u32`, as a `HostId` does, which keeps the whole
-    /// partial at 16 bytes and SPANNINGTREE's host record at 48.
+    /// partial at 16 bytes and SPANNINGTREE's host record, which holds
+    /// the two words beside its aggregate, at 32.
     b: u32,
 }
 

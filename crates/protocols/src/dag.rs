@@ -43,9 +43,9 @@ use pov_sim::{Ctx, NodeLogic, StateSummary, Time};
 use pov_topology::HostId;
 
 /// Timer key for the per-host fallback deadline.
-const TIMER_FALLBACK: u64 = 1;
+const TIMER_FALLBACK: u32 = 1;
 /// Timer key for the end-of-tick coalesced late update.
-const TIMER_LATE_FLUSH: u64 = 2;
+const TIMER_LATE_FLUSH: u32 = 2;
 /// Late updates each host may send after its completion report.
 const LATE_UPDATE_BUDGET: u32 = 1;
 
@@ -293,7 +293,7 @@ impl NodeLogic for DagNode {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, DagMsg>, key: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, DagMsg>, key: u32) {
         match key {
             TIMER_FALLBACK => self.report(ctx),
             TIMER_LATE_FLUSH => {

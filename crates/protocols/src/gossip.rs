@@ -18,7 +18,7 @@ use pov_topology::HostId;
 use rand::Rng;
 
 /// Timer key for the per-round tick.
-const TIMER_ROUND: u64 = 2;
+const TIMER_ROUND: u32 = 2;
 
 /// Gossip messages.
 #[derive(Clone, Debug)]
@@ -126,7 +126,7 @@ impl NodeLogic for GossipNode {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, GossipMsg>, key: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, GossipMsg>, key: u32) {
         if key != TIMER_ROUND {
             return;
         }

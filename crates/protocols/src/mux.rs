@@ -161,15 +161,16 @@ struct MuxMsg {
 
 /// Timer key: the tick-end flush (adopt this tick's first hearings,
 /// report the echo-complete).
-const KEY_FLUSH: u64 = 0;
+const KEY_FLUSH: u32 = 0;
 /// Timer key class: query arrivals at this root (one timer per distinct
 /// arrival tick serves every query due then).
-const KEY_ARRIVAL: u64 = 1 << 32;
+const KEY_ARRIVAL: u32 = 1 << 30;
 /// Timer key class: fallback deadlines. One firing serves *every* query
 /// whose fallback tick has passed, so co-resident queries hitting their
 /// deadline on the same tick batch their reports into shared messages.
-const KEY_FALLBACK: u64 = 2 << 32;
-const KEY_CLASS: u64 = !0u64 << 32;
+const KEY_FALLBACK: u32 = 2 << 30;
+/// The class bits of a timer key: its top two.
+const KEY_CLASS: u32 = !0u32 << 30;
 
 /// Tree state of one query at one host while the query is *open* there
 /// — from first hearing (or launch, at the root) until the host reports
@@ -695,7 +696,7 @@ impl NodeLogic for MuxNode {
         self.inbox.push((from, msg));
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, MuxMsg>, key: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, MuxMsg>, key: u32) {
         let shared = Rc::clone(&self.run);
         let mut run = shared.borrow_mut();
         let row = ctx.me().index() * run.words;
@@ -784,15 +785,16 @@ pub fn run_mux(graph: &Graph, values: &[u64], queries: &[MuxQuery], plan: &MuxPl
         .map(|(id, &sent)| (id.0, sent))
         .collect();
     let payload_items = per_query_payload.values().sum();
+    let (metrics, trace, _) = sim.into_record();
     MuxOutcome {
         results,
         per_query_payload,
-        raw_messages: sim.metrics().messages_sent,
+        raw_messages: metrics.messages_sent,
         payload_items,
         cache_joins: aliased.len() as u64,
         aliased,
-        metrics: sim.metrics().clone(),
-        trace: sim.trace().clone(),
+        metrics,
+        trace,
         horizon,
     }
 }
@@ -1197,6 +1199,44 @@ mod tests {
         let flushes = 4 + 2 * 3 + 4;
         let fallbacks = 4 + 3 + 2 * 3;
         assert_eq!(out.metrics.timers_fired, arrivals + flushes + fallbacks);
+    }
+
+    #[test]
+    fn same_tick_arrival_fallback_and_flush_reach_their_own_handlers() {
+        // Hosts 0–1–2 in a chain and a spur 0–3 whose end is down from
+        // the start, so host 0 never hears from every neighbour. At tick
+        // 5 host 0 fires three timers, in the order they were armed:
+        //
+        // * B's arrival (armed at start): only the arrival handler
+        //   launches B, which then counts 0, 1 and 2 at its fallback.
+        // * A's root fallback (armed at A's launch, tick 1): A waits on
+        //   the dead spur, so only the fallback handler declares it —
+        //   with 1's report, which arrives at tick 5, folded in.
+        // * the flush of that delivery, whose wave message also carries
+        //   C's first copy from root 1: only the flush adopts C, and
+        //   only an adopted host 0 reports its value, C's maximum, at
+        //   its own fallback.
+        let mut b = pov_topology::GraphBuilder::with_hosts(4);
+        for (x, y) in [(0, 1), (1, 2), (0, 3)] {
+            b.add_edge(HostId(x), HostId(y));
+        }
+        let plan = MuxPlan {
+            churn: ChurnPlan::none().with_failure(Time(0), HostId(3)),
+            ..MuxPlan::default()
+        };
+        let queries = [
+            q(0, Aggregate::Sum, 0, 1, 2),
+            q(1, Aggregate::Count, 0, 5, 3),
+            q(2, Aggregate::Max, 1, 4, 3),
+        ];
+        let out = run_mux(&b.build(), &[9, 2, 5, 1], &queries, &plan);
+        assert_eq!(out.results[&0], (16.0, Time(5)), "A, by the fallback");
+        assert_eq!(
+            out.results[&1],
+            (3.0, Time(11)),
+            "B, launched by the arrival"
+        );
+        assert_eq!(out.results[&2], (9.0, Time(10)), "C, adopted by the flush");
     }
 
     #[test]

@@ -401,16 +401,15 @@ fn finish<L: NodeLogic>(
 ) -> Outcome {
     sim.run_until(horizon);
     let result = read_result(sim.logic(hq));
-    let alive_at_end = (0..sim.graph().num_hosts() as u32)
-        .map(|h| sim.is_alive(HostId(h)))
-        .collect();
+    let overlay = sim.overlay_stats();
+    let (metrics, trace, alive_at_end) = sim.into_record();
     Outcome {
         value: result.map(|(v, _)| v),
         declared_at: result.map(|(_, t)| t),
-        metrics: sim.metrics().clone(),
-        trace: sim.trace().clone(),
+        metrics,
+        trace,
         alive_at_end,
-        overlay: sim.overlay_stats(),
+        overlay,
     }
 }
 

@@ -37,7 +37,7 @@ use pov_sim::{Ctx, NodeLogic, StateSummary, Time};
 use pov_topology::HostId;
 
 /// Timer key for the per-host fallback deadline.
-const TIMER_FALLBACK: u64 = 1;
+const TIMER_FALLBACK: u32 = 1;
 
 /// The parent a host without one names: the root's query copies carry
 /// it, and a host's record holds it until the query arrives.
@@ -58,31 +58,37 @@ pub enum StMsg {
         /// The sender's parent ([`NO_PARENT`] from the root).
         parent: HostId,
     },
-    /// A child's subtree aggregate.
+    /// A child's subtree aggregate, as the words of its partial. The
+    /// parent already knows the aggregate: its own query copy named it.
     Child {
-        /// The child's combined partial aggregate.
-        partial: ExactPartial,
+        /// The partial's accumulator.
+        acc: u64,
+        /// The partial's AVG host count.
+        hosts: u32,
     },
 }
 
 /// Per-host SPANNINGTREE state.
 #[derive(Debug)]
 pub struct SpanningTreeNode {
-    /// This host's subtree aggregate so far. Until the query reaches a
-    /// host it is the host's own value, [`ExactPartial::unnamed`]; the
-    /// root's is named from the start.
-    partial: ExactPartial,
-    /// Tick the root declared at, once it has reported.
-    declared_at: Time,
+    /// This host's subtree aggregate so far, as the words of an
+    /// [`ExactPartial`] of `aggregate`. Until the query reaches a host
+    /// they are the host's own value, [`ExactPartial::unnamed`]; the
+    /// root's partial is named from the start.
+    acc: u64,
+    /// The root's word, unused elsewhere: its `D̂` until it floods,
+    /// then the tick it declared at. The flood is the only reader of
+    /// the first and comes before the second is written; one word keeps
+    /// a declaration past tick 2³² exact.
+    root_word: u64,
+    /// The partial's AVG host count.
+    hosts: u32,
     /// Tree parent; [`NO_PARENT`] at the root and before activation.
     parent: HostId,
-    /// Hops from the root.
-    depth: u32,
-    /// The root's `D̂` (any other host reads it off the query).
-    d_hat: u32,
     /// Neighbours classified so far: flooded past us or reported as
     /// child. A count is exact (see the module docs).
     heard: u32,
+    aggregate: Aggregate,
     is_query_host: bool,
     activated: bool,
     reported: bool,
@@ -91,26 +97,27 @@ pub struct SpanningTreeNode {
 impl SpanningTreeNode {
     /// A passive host.
     pub fn host(value: u64) -> Self {
-        SpanningTreeNode {
-            partial: ExactPartial::unnamed(value),
-            declared_at: Time::ZERO,
-            parent: NO_PARENT,
-            depth: 0,
-            d_hat: 0,
-            heard: 0,
-            is_query_host: false,
-            activated: false,
-            reported: false,
-        }
+        Self::holding(ExactPartial::unnamed(value), 0, false)
     }
 
     /// The querying host (tree root).
     pub fn query_host(value: u64, spec: QuerySpec) -> Self {
+        let partial = ExactPartial::init(spec.aggregate, value);
+        Self::holding(partial, u64::from(spec.d_hat), true)
+    }
+
+    fn holding(partial: ExactPartial, root_word: u64, is_query_host: bool) -> Self {
+        let (acc, hosts) = partial.words();
         SpanningTreeNode {
-            partial: ExactPartial::init(spec.aggregate, value),
-            d_hat: spec.d_hat,
-            is_query_host: true,
-            ..Self::host(value)
+            acc,
+            root_word,
+            hosts,
+            parent: NO_PARENT,
+            heard: 0,
+            aggregate: partial.aggregate(),
+            is_query_host,
+            activated: false,
+            reported: false,
         }
     }
 
@@ -118,7 +125,8 @@ impl SpanningTreeNode {
     pub fn result(&self) -> Option<(f64, Time)> {
         // A root that has reported drops every later child report, so
         // its partial is the declared one.
-        (self.is_query_host && self.reported).then(|| (self.partial.value(), self.declared_at))
+        (self.is_query_host && self.reported)
+            .then(|| (self.partial().value(), Time(self.root_word)))
     }
 
     /// This host's parent in the tree (diagnostics).
@@ -128,6 +136,15 @@ impl SpanningTreeNode {
 }
 
 impl SpanningTreeNode {
+    fn partial(&self) -> ExactPartial {
+        ExactPartial::from_words(self.aggregate, self.acc, self.hosts)
+    }
+
+    fn store(&mut self, partial: ExactPartial) {
+        self.aggregate = partial.aggregate();
+        (self.acc, self.hosts) = partial.words();
+    }
+
     fn expected(&self, ctx: &Ctx<'_, StMsg>) -> usize {
         ctx.degree() - usize::from(self.parent != NO_PARENT)
     }
@@ -147,12 +164,13 @@ impl SpanningTreeNode {
         }
         self.reported = true;
         if self.is_query_host {
-            self.declared_at = ctx.now();
+            self.root_word = ctx.now().ticks();
         } else {
             ctx.send(
                 self.parent,
                 StMsg::Child {
-                    partial: self.partial,
+                    acc: self.acc,
+                    hosts: self.hosts,
                 },
             );
         }
@@ -161,7 +179,7 @@ impl SpanningTreeNode {
 
 impl ProtocolObserver for SpanningTreeNode {
     fn state_summary(&self) -> StateSummary {
-        summary_of(self.activated.then(|| self.partial.sketch_weight()))
+        summary_of(self.activated.then(|| self.partial().sketch_weight()))
     }
 }
 
@@ -178,10 +196,11 @@ impl NodeLogic for SpanningTreeNode {
             return;
         }
         self.activated = true;
-        ctx.set_timer(deadline(self.d_hat), TIMER_FALLBACK);
+        let d_hat = u32::try_from(self.root_word).expect("the root holds D̂ until it floods");
+        ctx.set_timer(deadline(d_hat), TIMER_FALLBACK);
         ctx.broadcast(StMsg::Query {
-            aggregate: self.partial.aggregate(),
-            d_hat: self.d_hat,
+            aggregate: self.aggregate,
+            d_hat,
             hops: 0,
             parent: NO_PARENT,
         });
@@ -200,11 +219,11 @@ impl NodeLogic for SpanningTreeNode {
                     // First copy: `from` becomes our parent.
                     self.activated = true;
                     self.parent = from;
-                    self.depth = hops + 1;
-                    self.partial = self.partial.named(aggregate);
+                    let depth = hops + 1;
+                    self.store(self.partial().named(aggregate));
                     // Fallback at (2D̂ − depth)δ so partial subtrees still
                     // drain upward before the root declares.
-                    let fallback_at = deadline(d_hat).saturating_sub(u64::from(self.depth));
+                    let fallback_at = deadline(d_hat).saturating_sub(u64::from(depth));
                     let delay = fallback_at.saturating_sub(ctx.now().ticks()).max(1);
                     ctx.set_timer(delay, TIMER_FALLBACK);
                     ctx.broadcast_except(
@@ -212,7 +231,7 @@ impl NodeLogic for SpanningTreeNode {
                         StMsg::Query {
                             aggregate,
                             d_hat,
-                            hops: self.depth,
+                            hops: depth,
                             parent: from,
                         },
                     );
@@ -224,21 +243,23 @@ impl NodeLogic for SpanningTreeNode {
                     self.check_completion(ctx);
                 }
             }
-            StMsg::Child { partial } => {
+            StMsg::Child { acc, hosts } => {
                 if self.reported {
                     // Arrived after we reported upward — contribution lost
                     // (best-effort semantics).
                     return;
                 }
                 debug_assert!(self.activated, "a child adopted us from our own copy");
-                self.partial.combine(partial);
+                let mut partial = self.partial();
+                partial.combine(ExactPartial::from_words(self.aggregate, acc, hosts));
+                self.store(partial);
                 self.heard += 1;
                 self.check_completion(ctx);
             }
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, StMsg>, key: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, StMsg>, key: u32) {
         if key == TIMER_FALLBACK {
             self.report(ctx);
         }
@@ -294,20 +315,23 @@ mod tests {
     /// The record and the message are flat words: 4·10⁵ hosts and every
     /// delivery in flight carry them on `scale_tree`, where the record
     /// was 144 bytes with a heap-allocated neighbour set and the message
-    /// 56. Both must stay `Send`, so the engine's parallel delivery can
-    /// hand them to worker threads.
+    /// 56, then 48 and 24 with the aggregate in every child report. Both
+    /// must stay `Send`, so the engine's parallel delivery can hand them
+    /// to worker threads.
     #[test]
     fn record_and_message_layout_do_not_grow() {
         fn send<T: Send>() {}
         send::<SpanningTreeNode>();
         send::<StMsg>();
         let record = std::mem::size_of::<SpanningTreeNode>();
-        assert!(record <= 48, "host record is {record} bytes");
+        assert!(record <= 32, "host record is {record} bytes");
         let msg = std::mem::size_of::<StMsg>();
-        assert!(msg <= 24, "message is {msg} bytes");
-        // With at most 8-byte alignment the engine's `[u64; 3]` stand-in
-        // bounds a queued delivery or fanout of it at 40 bytes.
-        assert!(std::mem::align_of::<StMsg>() <= 8);
+        assert!(msg <= 16, "message is {msg} bytes");
+        let queued = pov_sim::wire_entry_bytes::<StMsg>();
+        assert!(
+            queued <= 32,
+            "a queued delivery or fanout is {queued} bytes"
+        );
     }
 
     #[test]

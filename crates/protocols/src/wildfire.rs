@@ -45,9 +45,9 @@ use pov_topology::HostId;
 use std::rc::Rc;
 
 /// Timer key for the declaration deadline at `hq`.
-const TIMER_DECLARE: u64 = 0;
+const TIMER_DECLARE: u32 = 0;
 /// Timer key for the end-of-tick flush.
-const TIMER_FLUSH: u64 = 1;
+const TIMER_FLUSH: u32 = 1;
 
 /// Toggleable §5.3 optimizations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -475,7 +475,7 @@ impl NodeLogic for WildfireNode {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, WfMsg>, key: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, WfMsg>, key: u32) {
         match key {
             TIMER_FLUSH => self.flush(ctx),
             TIMER_DECLARE if self.is_query_host => {

@@ -398,7 +398,7 @@ impl<'a, M: Clone> Ctx<'a, M> {
 
     /// Schedule `on_timer(key)` to fire on this host after `delay` ticks
     /// (minimum 1: zero-delay wake-ups would allow Zeno loops).
-    pub fn set_timer(&mut self, delay: u64, key: u64) {
+    pub fn set_timer(&mut self, delay: u64, key: u32) {
         self.queue.push(
             self.now + delay.max(1),
             Payload::Timer { host: self.me, key },
@@ -415,7 +415,7 @@ impl<'a, M: Clone> Ctx<'a, M> {
     ///
     /// May only be called while handling a message (calling it from
     /// `on_timer` could loop forever within one instant — debug-asserted).
-    pub fn set_timer_at_tick_end(&mut self, key: u64) {
+    pub fn set_timer_at_tick_end(&mut self, key: u32) {
         debug_assert!(
             !self.in_timer,
             "set_timer_at_tick_end called from on_timer would Zeno-loop"

@@ -927,6 +927,20 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
         &self.trace
     }
 
+    /// Move the run record out of a finished simulation: the metrics,
+    /// the membership trace and every host's alive flag, by host index —
+    /// what [`Simulation::metrics`], [`Simulation::trace`] and
+    /// [`Simulation::is_alive`] report. The rest of the simulation is
+    /// dropped, so the record is never held twice. A record can outlive
+    /// its run by far (a continuous query keeps one per window), so the
+    /// two lists that grew by doubling are trimmed to their length.
+    pub fn into_record(self) -> (Metrics, Trace, Vec<bool>) {
+        let (mut metrics, mut trace) = (self.metrics, self.trace);
+        metrics.sent_per_tick.shrink_to_fit();
+        trace.events.shrink_to_fit();
+        (metrics, trace, self.hosts.alive)
+    }
+
     /// Number of pending events (diagnostics).
     pub fn pending_events(&self) -> usize {
         self.queue.len()
@@ -941,7 +955,7 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
 enum Activation<M> {
     Start,
     Message { from: HostId, msg: M, depth: u32 },
-    Timer { key: u64 },
+    Timer { key: u32 },
 }
 
 // ------------------------------------------------- sharded delivery
@@ -1374,7 +1388,7 @@ mod tests {
     fn timers_fire_in_order() {
         #[derive(Debug)]
         struct Timers {
-            fired: Vec<u64>,
+            fired: Vec<u32>,
         }
         impl NodeLogic for Timers {
             type Msg = ();
@@ -1384,7 +1398,7 @@ mod tests {
                 ctx.set_timer(3, 3);
             }
             fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: HostId, _: ()) {}
-            fn on_timer(&mut self, _: &mut Ctx<'_, ()>, key: u64) {
+            fn on_timer(&mut self, _: &mut Ctx<'_, ()>, key: u32) {
                 self.fired.push(key);
             }
         }
@@ -1408,7 +1422,7 @@ mod tests {
                 }
             }
             fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: HostId, _: ()) {}
-            fn on_timer(&mut self, _: &mut Ctx<'_, ()>, _: u64) {
+            fn on_timer(&mut self, _: &mut Ctx<'_, ()>, _: u32) {
                 self.fired = true;
             }
         }
@@ -1518,7 +1532,7 @@ mod tests {
                 }
                 self.received += 1;
             }
-            fn on_timer(&mut self, _: &mut Ctx<'_, ()>, key: u64) {
+            fn on_timer(&mut self, _: &mut Ctx<'_, ()>, key: u32) {
                 assert_eq!(key, 9);
                 self.flushed_with = Some(self.received);
             }
@@ -1569,7 +1583,7 @@ mod tests {
                     self.got = Some(ctx.now());
                 }
             }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _: u64) {
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _: u32) {
                 ctx.send(HostId(1), ());
                 ctx.set_timer(2, 0);
             }
@@ -1850,7 +1864,7 @@ mod tests {
                 }
             }
             fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: HostId, _: ()) {}
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _: u64) {
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _: u32) {
                 if ctx.now() < Time(10) {
                     ctx.set_timer(1, 0);
                 }
@@ -2004,7 +2018,7 @@ mod tests {
             fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: HostId, _: ()) {
                 self.got = true;
             }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _: u64) {
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _: u32) {
                 ctx.send(HostId(1), ());
             }
         }
@@ -2155,6 +2169,63 @@ mod tests {
         assert!(sim.is_alive(HostId(2)));
     }
 
+    #[test]
+    fn into_record_moves_out_what_the_accessors_report() {
+        // A flood whose hosts show their id as sketch weight once they
+        // hear it, so the adversary's kills depend on the run.
+        #[derive(Debug)]
+        struct Marked(Flood, HostId);
+        impl NodeLogic for Marked {
+            type Msg = ();
+            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+                self.0.on_start(ctx);
+            }
+            fn on_message(&mut self, ctx: &mut Ctx<'_, ()>, from: HostId, msg: ()) {
+                self.0.on_message(ctx, from, msg);
+            }
+            fn summary(&self) -> crate::dynamic::StateSummary {
+                crate::dynamic::StateSummary {
+                    active: self.0.seen_at.is_some(),
+                    sketch_weight: self.0.seen_at.map(|_| f64::from(self.1 .0)),
+                }
+            }
+        }
+        let n = 12u32;
+        let churn = ChurnPlan::none()
+            .with_failure(Time(2), HostId(3))
+            .with_failure(Time(4), HostId(8))
+            .with_join(Time(6), HostId(3));
+        let sides = (0..n).map(|i| u8::from(i >= n / 2)).collect();
+        let mut sim = SimBuilder::new(special::cycle(n as usize))
+            .churn(churn)
+            .partition(PartitionPlan::new(sides).window(Time(1), Time(5)))
+            .dynamic_churn(crate::SketchAdversary::new(
+                1,
+                2,
+                Time(2),
+                Time(4),
+                HostId(0),
+            ))
+            .build(|h| {
+                let flood = Flood {
+                    origin: h == HostId(0),
+                    seen_at: None,
+                };
+                Marked(flood, h)
+            });
+        sim.run_until(Time(30));
+        let metrics = format!("{:?}", sim.metrics());
+        let trace = format!("{:?}", sim.trace());
+        let alive: Vec<bool> = (0..n).map(|h| sim.is_alive(HostId(h))).collect();
+        // Scripted and dynamic membership changes both reached the trace.
+        assert!(sim.trace().events.len() > 3, "{trace}");
+        assert!(alive.contains(&false) && alive.contains(&true));
+        let (moved_metrics, moved_trace, moved_alive) = sim.into_record();
+        assert_eq!(format!("{moved_metrics:?}"), metrics);
+        assert_eq!(format!("{moved_trace:?}"), trace);
+        assert_eq!(moved_alive, alive);
+    }
+
     /// The fanout equivalence bar's protocol: relays a token a few hops
     /// with `broadcast_except(Some(from))`, folds deliveries into an
     /// order-sensitive accumulator, and batches at tick end. Origins
@@ -2187,12 +2258,12 @@ mod tests {
             if self.hops < 3 {
                 self.hops += 1;
                 ctx.broadcast_except(Some(from), msg.wrapping_mul(3) + 1);
-                ctx.set_timer_at_tick_end(u64::from(self.hops));
+                ctx.set_timer_at_tick_end(self.hops);
             }
         }
 
-        fn on_timer(&mut self, _: &mut Ctx<'_, u64>, key: u64) {
-            self.acc = self.acc.rotate_left(5) ^ key;
+        fn on_timer(&mut self, _: &mut Ctx<'_, u64>, key: u32) {
+            self.acc = self.acc.rotate_left(5) ^ u64::from(key);
         }
     }
 
@@ -2353,12 +2424,12 @@ mod tests {
             if self.hops < 3 {
                 self.hops += 1;
                 self.round(ctx, msg.wrapping_mul(3) + u64::from(self.hops));
-                ctx.set_timer_at_tick_end(u64::from(self.hops));
+                ctx.set_timer_at_tick_end(self.hops);
             }
         }
 
-        fn on_timer(&mut self, _: &mut Ctx<'_, u64>, key: u64) {
-            self.acc = self.acc.rotate_left(5) ^ key;
+        fn on_timer(&mut self, _: &mut Ctx<'_, u64>, key: u32) {
+            self.acc = self.acc.rotate_left(5) ^ u64::from(key);
         }
     }
 
@@ -2472,12 +2543,12 @@ mod tests {
                 use rand::Rng;
                 let jitter = ctx.rng().gen_range(0..4u64);
                 ctx.broadcast_except(Some(from), msg.wrapping_add(jitter));
-                ctx.set_timer_at_tick_end(u64::from(self.hops));
+                ctx.set_timer_at_tick_end(self.hops);
             }
         }
 
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, key: u64) {
-            self.acc = self.acc.rotate_left(7) ^ key;
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, key: u32) {
+            self.acc = self.acc.rotate_left(7) ^ u64::from(key);
             if key == 1 {
                 ctx.set_timer(2, 99);
             }

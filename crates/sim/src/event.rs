@@ -15,10 +15,10 @@
 //! joins, polls), which wait in one small queue-wide heap. That is
 //! exactly `(rank, seq)` order, so a tick's wave is never sorted and
 //! never copied into sort scratch. A wire entry is the payload alone: a
-//! delivery of a 24-byte message takes 40 bytes in flight, and so does
+//! delivery of a 16-byte message takes 32 bytes in flight, and so does
 //! a [`Payload::Fanout`] carrying one broadcast, or one update round to
 //! a subset of the sender's neighbours, to all its targets. A
-//! timer-lane entry is the `(host, key)` pair, 16 bytes.
+//! timer-lane entry is the `(host, key)` pair, 8 bytes.
 //!
 //! A lane is a FIFO of fixed-capacity chunks ([`Lane`]). A chunk the
 //! drain empties goes to a per-queue spare list, and the next push that
@@ -42,6 +42,12 @@ pub(crate) const MASK_SLOTS: usize = 32;
 /// The `targets` of a fanout from a row longer than [`MASK_SLOTS`] that
 /// skips nobody: no CSR row holds this id.
 pub(crate) const NO_SKIP: u32 = u32::MAX;
+
+/// The bytes one queued delivery or fanout of a message `M` takes in a
+/// wire lane: the in-flight cost of a protocol's message layout.
+pub const fn wire_entry_bytes<M>() -> usize {
+    std::mem::size_of::<Payload<M>>()
+}
 
 /// What happens when an event fires.
 #[derive(Clone, Debug)]
@@ -84,7 +90,7 @@ pub(crate) enum Payload<M> {
         /// Host whose timer fires.
         host: HostId,
         /// Protocol-chosen timer key.
-        key: u64,
+        key: u32,
     },
     /// Poll the installed dynamic churn source
     /// (`SimBuilder::dynamic_churn`).
@@ -330,14 +336,14 @@ struct Bucket<M> {
     /// Deliveries and fanouts (rank 4): the wave.
     wire: Lane<Payload<M>>,
     /// Timers (rank 5) as `(host, key)`.
-    timers: Lane<(HostId, u64)>,
+    timers: Lane<(HostId, u32)>,
 }
 
 /// The queue's drained chunks, one list per lane kind, reused by the
 /// next push that needs a chunk before anything new is allocated.
 struct Spares<M> {
     wire: Vec<VecDeque<Payload<M>>>,
-    timers: Vec<VecDeque<(HostId, u64)>>,
+    timers: Vec<VecDeque<(HostId, u32)>>,
 }
 
 impl<M> Bucket<M> {
@@ -605,7 +611,7 @@ impl<M> BucketQueue<M> {
         let spare = [
             self.control.capacity(),
             self.spare.wire.len() * Lane::<Payload<M>>::CHUNK,
-            self.spare.timers.len() * Lane::<(HostId, u64)>::CHUNK,
+            self.spare.timers.len() * Lane::<(HostId, u32)>::CHUNK,
         ];
         self.buckets.iter().fold(spare, |[c, w, t], b| {
             [c, w + b.wire.capacity(), t + b.timers.capacity()]
@@ -845,15 +851,15 @@ mod tests {
     fn a_queue_entry_is_the_payload_alone() {
         // Compiles only while the wire lane holds bare payloads and the
         // timer lane bare `(host, key)` pairs: no rank byte beside
-        // either. `[u64; 3]` stands in for SPANNINGTREE's `StMsg` (24
+        // either. `[u64; 2]` stands in for SPANNINGTREE's `StMsg` (16
         // bytes, 8-aligned, pinned in `spanning_tree.rs`) with no niche
         // to spare, so a delivery or a whole broadcast's fanout of it
-        // fits 40 bytes, and a timer 16.
-        let bucket: Bucket<[u64; 3]> = Bucket::new();
-        let _: Option<&Payload<[u64; 3]>> = bucket.wire.front();
-        let _: Option<&(HostId, u64)> = bucket.timers.front();
-        assert!(std::mem::size_of::<Payload<[u64; 3]>>() <= 40);
-        assert_eq!(std::mem::size_of::<(HostId, u64)>(), 16);
+        // fits 32 bytes, and a timer with its 32-bit key 8.
+        let bucket: Bucket<[u64; 2]> = Bucket::new();
+        let _: Option<&Payload<[u64; 2]>> = bucket.wire.front();
+        let _: Option<&(HostId, u32)> = bucket.timers.front();
+        assert!(std::mem::size_of::<Payload<[u64; 2]>>() <= 32);
+        assert_eq!(std::mem::size_of::<(HostId, u32)>(), 8);
     }
 
     #[test]
@@ -1001,7 +1007,7 @@ mod tests {
                         let held = |len: usize, chunk: usize| len + chunk * usize::from(len > 0);
                         [
                             w + held(b.wire.len(), WIRE_CHUNK),
-                            t + held(b.timers.len(), Lane::<(HostId, u64)>::CHUNK),
+                            t + held(b.timers.len(), Lane::<(HostId, u32)>::CHUNK),
                         ]
                     });
                     assert!(
@@ -1041,7 +1047,7 @@ mod tests {
             },
             5 => Payload::Timer {
                 host: HostId(u32::from(tag)),
-                key: u64::from(tag),
+                key: u32::from(tag),
             },
             _ => Payload::Fanout {
                 from: HostId(u32::from(tag)),

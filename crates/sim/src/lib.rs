@@ -76,6 +76,7 @@ pub use ctx::Ctx;
 pub use delay::{DelayModel, PartitionPlan};
 pub use dynamic::{ChurnEvent, ChurnSource, EngineView, SketchAdversary, StateSummary};
 pub use engine::{Medium, SimBuilder, Simulation};
+pub use event::wire_entry_bytes;
 pub use metrics::Metrics;
 pub use node::NodeLogic;
 pub use overlay::{OverlayDriver, OverlayEvent, OverlayStats};

@@ -23,7 +23,7 @@ pub trait NodeLogic: Sized {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Self::Msg>, from: HostId, msg: Self::Msg);
 
     /// Called when a timer previously set with [`Ctx::set_timer`] fires.
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Self::Msg>, key: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Self::Msg>, key: u32) {
         let _ = (ctx, key);
     }
 
