@@ -1,5 +1,6 @@
 //! Shared query/aggregate machinery.
 
+use pov_sim::StateSummary;
 use pov_sketch::{Buckets, FmSketch, HistogramSketch, KmvSketch};
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
@@ -84,6 +85,20 @@ impl QuerySpec {
 /// overestimate `d_hat`.
 pub(crate) fn deadline(d_hat: u32) -> u64 {
     2 * u64::from(d_hat)
+}
+
+/// The [`NodeLogic::summary`](pov_sim::NodeLogic::summary) every
+/// partial-carrying node reports: an activated host whose partial has
+/// sketch weight `w` is active with weight `w`; a host the query has
+/// not reached (`None`) is opaque. The summary is a scalar, not the
+/// partial: an adaptive adversary of the §3.2 model sees membership and
+/// coarse protocol activity, and the sketch-maxima attack only needs to
+/// order hosts by how much of the answer they carry.
+pub(crate) fn summary_of(weight: Option<f64>) -> StateSummary {
+    StateSummary {
+        active: weight.is_some(),
+        sketch_weight: weight,
+    }
 }
 
 /// An exact partial aggregate: the conventional combine (+ / min / max)
@@ -548,6 +563,20 @@ mod tests {
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(7)
+    }
+
+    #[test]
+    fn inactive_hosts_are_opaque() {
+        assert_eq!(summary_of(None), StateSummary::default());
+    }
+
+    #[test]
+    fn active_hosts_expose_their_sketch_weight() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let p = Partial::init_sketched(Aggregate::Count, 1, 8, &mut rng);
+        let s = summary_of(Some(p.sketch_weight()));
+        assert!(s.active);
+        assert_eq!(s.sketch_weight, Some(p.sketch_weight()));
     }
 
     #[test]

@@ -36,8 +36,7 @@
 //! point-to-point — the child's query copy (sent before the adoption)
 //! and then its report.
 
-use crate::common::{Partial, QuerySpec};
-use crate::observer::{summary_of, ProtocolObserver};
+use crate::common::{summary_of, Partial, QuerySpec};
 use crate::spanning_tree::NO_PARENT;
 use pov_sim::{Ctx, NodeLogic, StateSummary, Time};
 use pov_topology::HostId;
@@ -184,17 +183,11 @@ impl DagNode {
     }
 }
 
-impl ProtocolObserver for DagNode {
-    fn state_summary(&self) -> StateSummary {
-        summary_of(self.partial.as_ref().map(Partial::sketch_weight))
-    }
-}
-
 impl NodeLogic for DagNode {
     type Msg = DagMsg;
 
     fn summary(&self) -> StateSummary {
-        self.state_summary()
+        summary_of(self.partial.as_ref().map(Partial::sketch_weight))
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, DagMsg>) {

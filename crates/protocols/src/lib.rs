@@ -24,14 +24,12 @@ mod common;
 pub mod dag;
 pub mod gossip;
 pub mod mux;
-pub mod observer;
 pub mod runner;
 pub mod spanning_tree;
 pub mod wildfire;
 
 pub use common::{Aggregate, ExactPartial, Operator, Partial, QuerySpec};
 pub use mux::{run_mux, MuxOutcome, MuxPlan, MuxQuery, QueryId};
-pub use observer::ProtocolObserver;
 pub use pov_overlay::OverlayConfig;
 pub use runner::{AdversarySpec, ContinuousSpec, Outcome, ProtocolKind, RunPlan};
 

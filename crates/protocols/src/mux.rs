@@ -65,7 +65,6 @@
 //! neighbours have classified a query, not which, as SPANNINGTREE does.
 
 use crate::common::{Aggregate, ExactPartial};
-use crate::observer::ProtocolObserver;
 use pov_sim::{
     ChurnPlan, Ctx, DelayModel, Medium, Metrics, NodeLogic, PartitionPlan, SimBuilder, Simulation,
     StateSummary, Time, Trace,
@@ -647,20 +646,14 @@ fn ship(ctx: &mut Ctx<'_, MuxMsg>, run: &mut MuxRun) {
     }
 }
 
-impl ProtocolObserver for MuxNode {
-    fn state_summary(&self) -> StateSummary {
-        StateSummary {
-            active: !self.open.is_empty(),
-            sketch_weight: None,
-        }
-    }
-}
-
 impl NodeLogic for MuxNode {
     type Msg = MuxMsg;
 
     fn summary(&self) -> StateSummary {
-        self.state_summary()
+        StateSummary {
+            active: !self.open.is_empty(),
+            sketch_weight: None,
+        }
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, MuxMsg>) {

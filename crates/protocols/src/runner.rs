@@ -592,13 +592,14 @@ pub fn run_wildfire_operator(
     });
     sim.run_until(Time(spec.deadline() + 2));
     let logic = sim.logic(hq);
-    let result = logic.result();
+    let (result, partial) = (logic.result(), logic.partial());
+    let (metrics, trace, _) = sim.into_record();
     OperatorOutcome {
         value: result.map(|(v, _)| v),
-        partial: logic.partial(),
+        partial,
         declared_at: result.map(|(_, t)| t),
-        metrics: sim.metrics().clone(),
-        trace: sim.trace().clone(),
+        metrics,
+        trace,
     }
 }
 

@@ -31,8 +31,7 @@
 //! has heard from, not which, and its whole record is a few words with
 //! no heap allocation.
 
-use crate::common::{deadline, Aggregate, ExactPartial, QuerySpec};
-use crate::observer::{summary_of, ProtocolObserver};
+use crate::common::{deadline, summary_of, Aggregate, ExactPartial, QuerySpec};
 use pov_sim::{Ctx, NodeLogic, StateSummary, Time};
 use pov_topology::HostId;
 
@@ -177,17 +176,11 @@ impl SpanningTreeNode {
     }
 }
 
-impl ProtocolObserver for SpanningTreeNode {
-    fn state_summary(&self) -> StateSummary {
-        summary_of(self.activated.then(|| self.partial().sketch_weight()))
-    }
-}
-
 impl NodeLogic for SpanningTreeNode {
     type Msg = StMsg;
 
     fn summary(&self) -> StateSummary {
-        self.state_summary()
+        summary_of(self.activated.then(|| self.partial().sketch_weight()))
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, StMsg>) {

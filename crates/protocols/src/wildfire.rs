@@ -38,8 +38,7 @@
 //! * **piggyback** — the first convergecast message rides on the
 //!   broadcast message a host forwards.
 
-use crate::common::{Operator, Partial, QuerySpec};
-use crate::observer::{summary_of, ProtocolObserver};
+use crate::common::{summary_of, Operator, Partial, QuerySpec};
 use pov_sim::{Ctx, Medium, NodeLogic, StateSummary, Time};
 use pov_topology::HostId;
 use std::rc::Rc;
@@ -375,17 +374,11 @@ impl WildfireNode {
     }
 }
 
-impl ProtocolObserver for WildfireNode {
-    fn state_summary(&self) -> StateSummary {
-        summary_of(self.partial().as_ref().map(Partial::sketch_weight))
-    }
-}
-
 impl NodeLogic for WildfireNode {
     type Msg = WfMsg;
 
     fn summary(&self) -> StateSummary {
-        self.state_summary()
+        summary_of(self.partial().as_ref().map(Partial::sketch_weight))
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, WfMsg>) {

@@ -10,6 +10,7 @@ use pov_topology::{analysis, Graph, HostId};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 
 /// A schedule of host failures (and optionally joins).
 #[derive(Clone, Debug, Default)]
@@ -288,28 +289,33 @@ impl ChurnPlan {
         self
     }
 
-    /// Hosts that start dead: those explicitly marked via
-    /// [`ChurnPlan::with_initially_dead`], plus hosts whose *first*
-    /// scheduled event is a join — they appear later. A host that fails
-    /// first and rejoins afterwards (fail-then-rejoin) starts alive
-    /// like everyone else; "first" follows the engine's same-tick
-    /// tie-break (failures apply before joins at equal instants), so a
-    /// host with both events at one tick starts alive, blips dead, and
-    /// ends the tick alive.
-    pub fn initially_dead(&self) -> impl Iterator<Item = HostId> + '_ {
-        self.dead_from_start
-            .iter()
-            .copied()
-            .chain(self.joins.iter().filter_map(move |&(jt, h)| {
-                // Hosts already pinned dead are not re-yielded here, so
-                // the iterator stays duplicate-free for count-based
-                // consumers even when a pinned host also rejoins.
-                if self.dead_from_start.contains(&h) {
-                    return None;
-                }
-                let fails_earlier = self.failures.iter().any(|&(ft, fh)| fh == h && ft <= jt);
-                (!fails_earlier).then_some(h)
-            }))
+    /// Hosts that start dead, each once, in ascending id order: those
+    /// explicitly marked via [`ChurnPlan::with_initially_dead`], plus
+    /// hosts whose *first* scheduled event is a join — they appear
+    /// later. A host that fails first and rejoins afterwards
+    /// (fail-then-rejoin) starts alive like everyone else; "first"
+    /// follows the engine's same-tick tie-break (failures apply before
+    /// joins at equal instants), so a host with both events at one tick
+    /// starts alive, blips dead, and ends the tick alive.
+    ///
+    /// One ordered-map pass over the scheduled events.
+    pub fn initially_dead(&self) -> impl Iterator<Item = HostId> {
+        // Each host's first event as (instant, is_join): a failure
+        // (`false`) wins a tie with a join. A pinned host counts as
+        // joining first, whatever its events.
+        let mut first: BTreeMap<u32, (Time, bool)> = BTreeMap::new();
+        let fails = self.failures.iter().map(|&(t, h)| (h, (t, false)));
+        for (h, event) in fails.chain(self.joins.iter().map(|&(t, h)| (h, (t, true)))) {
+            let slot = first.entry(h.0).or_insert(event);
+            *slot = (*slot).min(event);
+        }
+        for h in &self.dead_from_start {
+            first.insert(h.0, (Time::ZERO, true));
+        }
+        first
+            .into_iter()
+            .filter(|&(_, (_, is_join))| is_join)
+            .map(|(h, _)| HostId(h))
     }
 
     /// Number of scheduled failures.
@@ -360,6 +366,49 @@ mod tests {
         assert_eq!(a.failures, b.failures);
         let c = ChurnPlan::uniform_failures(100, 8, Time(0), Time(20), HostId(0), 6);
         assert_ne!(a.failures, c.failures);
+    }
+
+    /// The per-join scan `initially_dead` replaced, kept as the
+    /// reference. It yields a host once per qualifying join.
+    fn initially_dead_by_scan(plan: &ChurnPlan) -> Vec<HostId> {
+        let pinned = &plan.dead_from_start;
+        let joins = plan.joins.iter().filter(|&&(jt, h)| {
+            !pinned.contains(&h) && !plan.failures.iter().any(|&(ft, fh)| fh == h && ft <= jt)
+        });
+        pinned
+            .iter()
+            .copied()
+            .chain(joins.map(|&(_, h)| h))
+            .collect()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn initially_dead_matches_the_per_join_scan(
+            fails in prop::collection::vec((0u64..12, 0u32..10), 0..16),
+            joins in prop::collection::vec((0u64..12, 0u32..10), 0..16),
+            pinned in prop::collection::vec(0u32..10, 0..4),
+        ) {
+            let mut plan = ChurnPlan::none();
+            plan.failures = fails.into_iter().map(|(t, h)| (Time(t), HostId(h))).collect();
+            plan.joins = joins.into_iter().map(|(t, h)| (Time(t), HostId(h))).collect();
+            plan.dead_from_start = pinned.into_iter().map(HostId).collect();
+            let mut want = initially_dead_by_scan(&plan);
+            want.sort_unstable_by_key(|h| h.0);
+            want.dedup();
+            prop_assert_eq!(plan.initially_dead().collect::<Vec<_>>(), want);
+        }
+    }
+
+    #[test]
+    fn a_host_joining_twice_is_dead_once() {
+        let plan = ChurnPlan::none()
+            .with_join(Time(5), HostId(3))
+            .merge(ChurnPlan::none().with_join(Time(9), HostId(3)));
+        assert_eq!(initially_dead_by_scan(&plan), vec![HostId(3); 2]);
+        assert_eq!(plan.initially_dead().collect::<Vec<_>>(), vec![HostId(3)]);
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! §6.2 oblivious-adversary model — and exactly what an *adaptive*
 //! adversary is not. The [`ChurnSource`] trait inverts the flow: the
 //! event loop polls the source at instants of its choosing, handing it
-//! an [`EngineView`] of the live run (alive set, per-host protocol
-//! state summaries), and the source answers with the membership changes
-//! to apply *now*. Casteigts' taxonomy of dynamic-network classes puts
-//! worst-case adaptive schedules strictly above random churn; this is
-//! the hook that makes them expressible.
+//! an [`EngineView`] of the live run (alive flags, each host's protocol
+//! state summary on request), and the source answers with the
+//! membership changes to apply *now*. Casteigts' taxonomy of
+//! dynamic-network classes puts worst-case adaptive schedules strictly
+//! above random churn; this is the hook that makes them expressible.
 //!
 //! A [`ChurnPlan`](crate::ChurnPlan) is not a source:
 //! `SimBuilder::churn` pre-pushes its events into the queue before the
@@ -50,9 +50,11 @@ pub enum ChurnEvent {
     Join(HostId),
 }
 
-/// The engine state a [`ChurnSource`] may inspect when polled. This is
-/// the adaptive adversary's entire sensorium: topology, the omniscient
-/// alive set, and whatever each host's protocol chose to expose.
+/// The engine state a [`ChurnSource`] (or an
+/// [`OverlayDriver`](crate::OverlayDriver)) may inspect when polled.
+/// This is the adaptive adversary's entire sensorium: topology, the
+/// omniscient alive flags, and whatever each host's protocol chose to
+/// expose through [`EngineView::summary`].
 pub struct EngineView<'a> {
     /// Current virtual time.
     pub now: Time,
@@ -66,19 +68,20 @@ pub struct EngineView<'a> {
     pub overlay: Option<&'a OverlayView>,
     /// Omniscient alive flags, indexed by host.
     pub alive: &'a [bool],
-    /// Number of `true` flags in [`EngineView::alive`], maintained
-    /// incrementally by the engine — sources can read the population
-    /// without an `O(hosts)` scan.
-    pub alive_count: u32,
-    /// Per-host protocol state summaries, indexed by host. Failed hosts
-    /// retain their last summary.
-    pub summaries: &'a [StateSummary],
+    /// Reads a host's summary from its logic at call time.
+    pub(crate) read_summary: &'a dyn Fn(HostId) -> StateSummary,
 }
 
 impl<'a> EngineView<'a> {
-    /// Number of currently alive hosts. O(1).
-    pub fn num_alive(&self) -> usize {
-        self.alive_count as usize
+    /// `h`'s protocol state summary
+    /// ([`NodeLogic::summary`](crate::NodeLogic::summary)), read from
+    /// its logic when asked. A failed host's logic no longer runs, so it
+    /// reports the state it failed in; a host dead from the start
+    /// reports its state before the run began. The cost is whatever the
+    /// protocol's `summary` costs (WILDFIRE decodes a partial), so read
+    /// each host at most once per poll.
+    pub fn summary(&self, h: HostId) -> StateSummary {
+        (self.read_summary)(h)
     }
 
     /// `h`'s current neighbours: the overlay's merged adjacency when an
@@ -143,7 +146,8 @@ pub trait ChurnSource {
 /// — the hosts currently holding the FM sketch maxima — never touching
 /// `spare` (the querying host, which must survive to declare) and never
 /// exceeding `budget` kills in total. Hosts that expose no weight (not
-/// yet activated, or a protocol without an observer) are only struck
+/// yet activated, or a protocol that keeps the default
+/// [`NodeLogic::summary`](crate::NodeLogic::summary)) are only struck
 /// once no weighted target remains, so the budget is spent on the hosts
 /// that actually carry the answer.
 ///
@@ -231,25 +235,29 @@ impl ChurnSource for SketchAdversary {
         }
         // Rank alive, non-spare hosts: weighted targets first (highest
         // sketch weight wins), then active-but-weightless, then the
-        // rest; ties by ascending host id for determinism.
-        let mut targets: Vec<HostId> = (0..view.alive.len() as u32)
+        // rest; ties by ascending host id for determinism. Each
+        // candidate's summary is read once, before the sort.
+        let mut targets: Vec<(f64, bool, HostId)> = (0..view.alive.len() as u32)
             .map(HostId)
             .filter(|&h| h != self.spare && view.alive[h.index()])
+            .map(|h| {
+                let s = view.summary(h);
+                (s.sketch_weight.unwrap_or(f64::NEG_INFINITY), s.active, h)
+            })
             .collect();
-        targets.sort_by(|&a, &b| {
-            let key = |h: HostId| {
-                let s = &view.summaries[h.index()];
-                (s.sketch_weight.unwrap_or(f64::NEG_INFINITY), s.active)
-            };
-            let (wa, aa) = key(a);
-            let (wb, ab) = key(b);
+        targets.sort_by(|&(wa, aa, a), &(wb, ab, b)| {
             wb.partial_cmp(&wa)
                 .expect("sketch weights are never NaN")
                 .then(ab.cmp(&aa))
                 .then(a.0.cmp(&b.0))
         });
         let before = out.len();
-        out.extend(targets.into_iter().take(quota).map(ChurnEvent::Fail));
+        out.extend(
+            targets
+                .into_iter()
+                .take(quota)
+                .map(|(_, _, h)| ChurnEvent::Fail(h)),
+        );
         self.killed += out.len() - before;
     }
 
@@ -270,7 +278,7 @@ mod tests {
     fn view_of<'a>(
         graph: &'a Graph,
         alive: &'a [bool],
-        summaries: &'a [StateSummary],
+        read_summary: &'a dyn Fn(HostId) -> StateSummary,
         now: Time,
     ) -> EngineView<'a> {
         EngineView {
@@ -278,8 +286,7 @@ mod tests {
             graph,
             overlay: None,
             alive,
-            alive_count: alive.iter().filter(|&&a| a).count() as u32,
-            summaries,
+            read_summary,
         }
     }
 
@@ -304,15 +311,16 @@ mod tests {
     fn adversary_targets_highest_weight_and_spares_hq() {
         let g = special::cycle(6);
         let alive = vec![true; 6];
-        let mut summaries = vec![StateSummary::default(); 6];
+        let mut summaries = [StateSummary::default(); 6];
         for (h, w) in [(0, 50.0), (2, 9.0), (3, 30.0), (4, 30.0)] {
             summaries[h] = StateSummary {
                 active: true,
                 sketch_weight: Some(w),
             };
         }
+        let read = |h: HostId| summaries[h.index()];
         let mut adv = SketchAdversary::new(2, 2, Time(0), Time(10), HostId(0));
-        let view = view_of(&g, &alive, &summaries, Time(0));
+        let view = view_of(&g, &alive, &read, Time(0));
         // hq (weight 50) is spared; the two weight-30 hosts die, the
         // tie broken by ascending id.
         assert_eq!(
@@ -334,11 +342,12 @@ mod tests {
                 sketch_weight: Some(i as f64),
             })
             .collect();
+        let read = |h: HostId| summaries[h.index()];
         let mut adv = SketchAdversary::new(2, 6, Time(0), Time(12), HostId(0));
         let mut killed = Vec::new();
         let mut t = Time(0);
         loop {
-            let view = view_of(&g, &alive, &summaries, t);
+            let view = view_of(&g, &alive, &read, t);
             killed.extend(events_of(&mut adv, t, &view));
             match adv.next_poll(t) {
                 Some(next) => t = next,
@@ -356,14 +365,14 @@ mod tests {
     fn budget_survives_wave_quantization() {
         let g = special::cycle(20);
         let alive = vec![true; 20];
-        let summaries = vec![StateSummary::default(); 20];
+        let read = |_: HostId| StateSummary::default();
         // 10 one-kill waves over a 5-tick window quantize to 5 instants;
         // their quotas merge, so the full budget still lands.
         let mut adv = SketchAdversary::new(1, 10, Time(0), Time(5), HostId(0));
         let mut killed = 0;
         let mut t = Time(0);
         loop {
-            let view = view_of(&g, &alive, &summaries, t);
+            let view = view_of(&g, &alive, &read, t);
             killed += events_of(&mut adv, t, &view).len();
             match adv.next_poll(t) {
                 Some(next) => t = next,
@@ -375,7 +384,7 @@ mod tests {
         // The degenerate window start == until collapses to one
         // all-budget wave.
         let mut adv = SketchAdversary::new(3, 7, Time(4), Time(4), HostId(0));
-        let view = view_of(&g, &alive, &summaries, Time(4));
+        let view = view_of(&g, &alive, &read, Time(4));
         assert_eq!(events_of(&mut adv, Time(4), &view).len(), 7);
         assert_eq!(adv.next_poll(Time(4)), None);
     }
@@ -384,9 +393,9 @@ mod tests {
     fn adversary_ignores_off_wave_polls() {
         let g = special::cycle(4);
         let alive = vec![true; 4];
-        let summaries = vec![StateSummary::default(); 4];
+        let read = |_: HostId| StateSummary::default();
         let mut adv = SketchAdversary::new(1, 2, Time(4), Time(8), HostId(0));
-        let view = view_of(&g, &alive, &summaries, Time(0));
+        let view = view_of(&g, &alive, &read, Time(0));
         assert!(events_of(&mut adv, Time(0), &view).is_empty());
         assert_eq!(adv.next_poll(Time(0)), Some(Time(4)));
     }

@@ -1,10 +1,9 @@
 //! The simulation engine: deterministic event loop over a dynamic network.
 
-use crate::alive::AliveSet;
 use crate::churn::ChurnPlan;
 use crate::ctx::{CostSink, Ctx, EventSink};
 use crate::delay::{DelayModel, PartitionPlan};
-use crate::dynamic::{ChurnEvent, ChurnSource, EngineView, StateSummary};
+use crate::dynamic::{ChurnEvent, ChurnSource, EngineView};
 use crate::event::{EventQueue, Payload, MASK_SLOTS};
 use crate::metrics::Metrics;
 use crate::node::NodeLogic;
@@ -166,7 +165,7 @@ impl<'g> SimBuilder<'g> {
         for h in self.churn.initially_dead() {
             alive[h.index()] = false;
         }
-        let alive_set = AliveSet::from_flags(&alive);
+        let num_alive = alive.iter().filter(|&&a| a).count() as u32;
         #[cfg(test)]
         let mut queue = if self.heap_queue_oracle {
             EventQueue::heap_oracle()
@@ -202,24 +201,11 @@ impl<'g> SimBuilder<'g> {
         // list only over the static CSR with a fixed delay.
         let fanout = overlay.is_none() && matches!(self.delay, DelayModel::Fixed(_));
         let logic: Vec<L> = (0..n as u32).map(|i| factory(HostId(i))).collect();
-        // Summaries are read only through poll-time EngineViews, so only
-        // a run with a churn source or overlay driver keeps them. Seeding
-        // every slot once here (pre-`on_start`, same state the old
-        // refresh-everyone poll loop would observe for never-activated
-        // hosts) lets each poll refresh *alive* hosts only: a dead
-        // host's logic never activates, so its seeded (or fail-time
-        // captured) summary stays exact.
-        let summaries = if self.dynamic.is_some() || overlay.is_some() {
-            logic.iter().map(L::summary).collect()
-        } else {
-            Vec::new()
-        };
         let tele = self.tele.map(|sink| {
             sink.on_run_start(n);
             Telemetry {
                 next_summary: sink.summary_every().map(|_| 0),
                 sink,
-                alive: alive_set.count() as u32,
                 touched: vec![0; n],
                 counts: TickCounts::default(),
                 flushed_through: 0,
@@ -232,7 +218,7 @@ impl<'g> SimBuilder<'g> {
             hosts: Hosts {
                 logic,
                 alive,
-                alive_set,
+                num_alive,
                 last_depth: vec![0; n],
             },
             queue,
@@ -247,7 +233,6 @@ impl<'g> SimBuilder<'g> {
             shard: None,
             shard_batches: 0,
             fanout,
-            summaries,
             churn_buf: Vec::new(),
             now: Time::ZERO,
             started: false,
@@ -262,11 +247,8 @@ impl<'g> SimBuilder<'g> {
 struct Hosts<L> {
     logic: Vec<L>,
     alive: Vec<bool>,
-    /// Bitset mirror of `alive` with an O(1) count and O(active)
-    /// ascending iteration — the index behind every per-poll loop that
-    /// must not scan the full host range (see `crate::alive`). The flat
-    /// `Vec<bool>` stays for O(1) reads and the `EngineView` slice.
-    alive_set: AliveSet,
+    /// Number of `true` flags in `alive`, kept by `set_alive`.
+    num_alive: u32,
     /// Deepest causal chain seen by each host; timers continue the
     /// chain from here.
     last_depth: Vec<u32>,
@@ -285,8 +267,13 @@ impl<L> Hosts<L> {
 
     #[inline]
     fn set_alive(&mut self, h: HostId, alive: bool) {
+        debug_assert_ne!(self.alive[h.index()], alive, "a toggle changes the flag");
         self.alive[h.index()] = alive;
-        self.alive_set.set(h.index(), alive);
+        if alive {
+            self.num_alive += 1;
+        } else {
+            self.num_alive -= 1;
+        }
     }
 
     #[inline]
@@ -305,8 +292,14 @@ impl<L> Hosts<L> {
         *slot = (*slot).max(depth);
     }
 
-    fn num_alive(&self) -> usize {
-        self.alive_set.count()
+    /// Debug-only audit of the liveness bookkeeping: the counter
+    /// matches a recount of the flags.
+    fn audit_alive(&self) {
+        debug_assert_eq!(
+            self.alive.iter().filter(|&&a| a).count(),
+            self.num_alive as usize,
+            "alive count drifted from the flags"
+        );
     }
 }
 
@@ -345,9 +338,6 @@ struct OverlayState {
 /// or touches any of this.
 struct Telemetry<'s> {
     sink: &'s mut (dyn TelemetrySink + 'static),
-    /// Incrementally maintained alive count (avoids an `O(hosts)` scan
-    /// per flushed tick).
-    alive: u32,
     /// Per-host stamp (`tick + 1`) marking wave-frontier membership.
     /// `u32` halves the buffer (4 MiB saved at n = 10⁶); runs are
     /// bounded well under 2³² ticks (debug-asserted at the stamp site).
@@ -391,12 +381,6 @@ pub struct Simulation<'g, L: NodeLogic> {
     /// deliveries only.
     fanout: bool,
     tele: Option<Telemetry<'g>>,
-    /// Per-poll scratch: one summary slot per host, empty unless a
-    /// churn source or overlay driver is installed. Seeded once at
-    /// build, refreshed for *alive* hosts at each poll, captured at
-    /// fail sites — dead hosts' logic never changes, so the invariant
-    /// "slot == current summary" holds without full-range scans.
-    summaries: Vec<StateSummary>,
     /// Reused per-poll scratch: the churn source's event wave.
     churn_buf: Vec<ChurnEvent>,
     now: Time,
@@ -507,12 +491,13 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
             .copied()
             .unwrap_or(0);
         let queue_depth = self.queue.len() as u64;
+        let alive = self.hosts.num_alive;
         let Some(t) = self.tele.as_mut() else { return };
         if (t.counts.dispatched != 0 || sent != 0) && t.flushed_through <= tick {
             t.flushed_through = tick + 1;
             let sample = TickSample {
                 tick,
-                alive: t.alive,
+                alive,
                 queue_depth,
                 dispatched: t.counts.dispatched,
                 delivered: t.counts.delivered,
@@ -534,15 +519,13 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
             t.next_summary = Some(tick + every);
             // Mass still present in the network: alive hosts only
             // (failed hosts retain a summary, but their partials are
-            // gone with them). The alive-set iterates in ascending host
-            // order, keeping the f64 sum deterministic, and touches
-            // O(active) hosts rather than the full range.
+            // gone with them), summed in ascending host order so the
+            // f64 sum is deterministic.
             let mut active = 0u32;
             let mut mass = 0.0f64;
-            let mut visited = 0usize;
-            for i in self.hosts.alive_set.iter() {
-                visited += 1;
-                let s = self.hosts.logic[i].summary();
+            let hosts = &self.hosts;
+            for (logic, _) in hosts.logic.iter().zip(&hosts.alive).filter(|(_, &a)| a) {
+                let s = logic.summary();
                 if s.active {
                     active += 1;
                 }
@@ -550,11 +533,6 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
                     mass += w;
                 }
             }
-            debug_assert!(
-                visited <= 2 * self.hosts.alive_set.count().max(1),
-                "summary sample scanned {visited} hosts for {} active",
-                self.hosts.alive_set.count()
-            );
             t.sink.on_summary(Time(tick), active, mass);
         }
     }
@@ -687,13 +665,6 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
         self.trace.record(TraceEvent::Fail(self.now, h));
         if let Some(t) = self.tele.as_mut() {
             t.counts.fails += 1;
-            t.alive -= 1;
-        }
-        // Capture the host's final summary when summaries are kept: its
-        // slot is no longer refreshed by the alive-only poll loops, and
-        // dead logic never changes.
-        if let Some(slot) = self.summaries.get_mut(h.index()) {
-            *slot = self.hosts.logic(h).summary();
         }
     }
 
@@ -707,51 +678,28 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
         self.trace.record(TraceEvent::Join(self.now, h));
         if let Some(t) = self.tele.as_mut() {
             t.counts.joins += 1;
-            t.alive += 1;
         }
         self.activate(h, Activation::Start);
     }
 
-    /// Bring the summary scratch up to date for the next
-    /// [`EngineView`]: refresh *alive* hosts only. Dead hosts keep the
-    /// summary captured when they failed (or the build-time seed if
-    /// they never lived) — their logic cannot have changed since. The
-    /// debug assertion is the scan-audit bar: per-poll work must track
-    /// the active population, not the host range.
-    fn refresh_alive_summaries(&mut self) {
-        let mut visited = 0usize;
-        for i in self.hosts.alive_set.iter() {
-            visited += 1;
-            self.summaries[i] = self.hosts.logic[i].summary();
-        }
-        debug_assert!(
-            visited <= 2 * self.hosts.alive_set.count().max(1),
-            "summary refresh scanned {visited} hosts for {} alive",
-            self.hosts.alive_set.count()
-        );
-        #[cfg(debug_assertions)]
-        self.hosts.alive_set.verify();
-    }
-
-    /// Poll the dynamic churn source: summarize the *alive* hosts'
-    /// protocol state, hand the source an [`EngineView`], apply the events it
-    /// writes into the (reused) wave buffer through the same `fail` /
-    /// `join` as statically scheduled ones, and schedule the next poll
-    /// it asks for.
+    /// Poll the dynamic churn source: hand it an [`EngineView`], apply
+    /// the events it writes into the (reused) wave buffer through the
+    /// same `fail` / `join` as statically scheduled ones, and schedule
+    /// the next poll it asks for.
     fn poll_churn_source(&mut self) {
         let Some(mut source) = self.dynamic.take() else {
             return;
         };
-        self.refresh_alive_summaries();
+        self.hosts.audit_alive();
         let mut wave = std::mem::take(&mut self.churn_buf);
         wave.clear();
+        let logic = &self.hosts.logic;
         let view = EngineView {
             now: self.now,
             graph: &self.graph,
             overlay: self.overlay.as_ref().map(|st| &st.view),
             alive: &self.hosts.alive,
-            alive_count: self.hosts.alive_set.count() as u32,
-            summaries: &self.summaries,
+            read_summary: &|h: HostId| logic[h.index()].summary(),
         };
         source.next_events(self.now, &view, &mut wave);
         for &ev in &wave {
@@ -768,18 +716,17 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
         self.dynamic = Some(source);
     }
 
-    /// Poll the overlay-maintenance driver: summarize the *alive*
-    /// hosts' protocol state, hand the driver an [`EngineView`] with the
-    /// overlay's current merged adjacency, apply the edge mutations it
-    /// writes into the (reused) wave buffer, fold the delta back into a
-    /// fresh CSR when it has grown past the compaction threshold, and
-    /// schedule the next poll it asks for.
+    /// Poll the overlay-maintenance driver: hand it an [`EngineView`]
+    /// with the overlay's current merged adjacency, apply the edge
+    /// mutations it writes into the (reused) wave buffer, fold the delta
+    /// back into a fresh CSR when it has grown past the compaction
+    /// threshold, and schedule the next poll it asks for.
     fn poll_overlay_driver(&mut self) {
-        self.refresh_alive_summaries();
         let Some(st) = self.overlay.as_mut() else {
             return;
         };
-        let alive_count = self.hosts.alive_set.count() as u32;
+        self.hosts.audit_alive();
+        let logic = &self.hosts.logic;
         let OverlayState {
             view,
             driver,
@@ -794,8 +741,7 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
             graph: &self.graph,
             overlay: Some(&*view),
             alive: &self.hosts.alive,
-            alive_count,
-            summaries: &self.summaries,
+            read_summary: &|h: HostId| logic[h.index()].summary(),
         };
         driver.next_events(self.now, &engine_view, buf);
         let mut added = 0u64;
@@ -869,22 +815,14 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
     }
 
     /// Whether `h` is currently alive. This is the omniscient view used
-    /// by oracles and by out-of-band probing (the §5.4 capture–recapture
-    /// estimator models probes as ping/ack pairs; account for their cost
-    /// with [`Simulation::charge_messages`]).
+    /// by oracles and by out-of-band probing.
     pub fn is_alive(&self, h: HostId) -> bool {
         self.hosts.is_alive(h)
     }
 
     /// Number of currently alive hosts.
     pub fn num_alive(&self) -> usize {
-        self.hosts.num_alive()
-    }
-
-    /// Account for `n` out-of-band messages (e.g. probe traffic of
-    /// estimators implemented outside the event loop).
-    pub fn charge_messages(&mut self, n: u64) {
-        self.metrics.record_sends(self.now, n);
+        self.hosts.num_alive as usize
     }
 
     /// Current virtual time.
@@ -944,11 +882,6 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
     /// Number of pending events (diagnostics).
     pub fn pending_events(&self) -> usize {
         self.queue.len()
-    }
-
-    /// True when no events remain.
-    pub fn is_quiescent(&self) -> bool {
-        self.queue.is_empty()
     }
 }
 
@@ -1628,6 +1561,102 @@ mod tests {
             vec![true, true, true, true, false, false, false, false]
         );
         assert_eq!(sim.trace().events.len(), 4);
+    }
+
+    /// Once started, counts the one-tick timers it has fired, so its
+    /// summary changes every tick; host h counts from 10·h.
+    #[derive(Debug)]
+    struct Ticking(bool, u32);
+    impl NodeLogic for Ticking {
+        type Msg = ();
+        fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+            self.0 = true;
+            ctx.set_timer(1, 0);
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: HostId, _: ()) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _: u32) {
+            self.1 += 1;
+            ctx.set_timer(1, 0);
+        }
+        fn summary(&self) -> crate::StateSummary {
+            crate::StateSummary {
+                active: self.0,
+                sketch_weight: Some(f64::from(self.1)),
+            }
+        }
+    }
+
+    /// Records every host's summary at each poll, t = 0..=8, polled as
+    /// a churn source or as an overlay driver.
+    struct SummaryLog(std::rc::Rc<std::cell::RefCell<Vec<Vec<crate::StateSummary>>>>);
+    impl SummaryLog {
+        fn record(&self, view: &EngineView<'_>) {
+            let all = (0..view.alive.len() as u32).map(|h| view.summary(HostId(h)));
+            self.0.borrow_mut().push(all.collect());
+        }
+    }
+    impl ChurnSource for SummaryLog {
+        fn next_events(&mut self, _: Time, view: &EngineView<'_>, _: &mut Vec<ChurnEvent>) {
+            self.record(view);
+        }
+        fn next_poll(&self, now: Time) -> Option<Time> {
+            (now < Time(8)).then(|| now + 1)
+        }
+    }
+    impl OverlayDriver for SummaryLog {
+        fn next_events(&mut self, _: Time, view: &EngineView<'_>, _: &mut Vec<OverlayEvent>) {
+            self.record(view);
+        }
+        fn next_poll(&self, now: Time) -> Option<Time> {
+            (now < Time(8)).then(|| now + 1)
+        }
+    }
+
+    /// The summaries a [`SummaryLog`] records over five `Ticking` hosts
+    /// where h2 fails at t = 4 and h3 is dead from the start.
+    fn summary_log(as_overlay: bool) -> Vec<Vec<crate::StateSummary>> {
+        let log = std::rc::Rc::default();
+        let churn = ChurnPlan::none()
+            .with_failure(Time(4), HostId(2))
+            .with_initially_dead(HostId(3));
+        let builder = SimBuilder::new(special::cycle(5)).churn(churn);
+        let source = SummaryLog(std::rc::Rc::clone(&log));
+        let builder = if as_overlay {
+            builder.overlay(source)
+        } else {
+            builder.dynamic_churn(source)
+        };
+        builder
+            .build(|h| Ticking(false, 10 * h.0))
+            .run_until(Time(10));
+        log.take()
+    }
+
+    #[test]
+    fn dead_hosts_report_the_summary_they_died_with() {
+        let log = summary_log(false);
+        assert_eq!(log.len(), 9);
+        let summary = |active, w| crate::StateSummary {
+            active,
+            sketch_weight: Some(w),
+        };
+        // A poll at t runs before that tick's timers: by then a live host
+        // has fired t − 1 of them.
+        assert_eq!(log[8][0], summary(true, 7.0));
+        assert_eq!(log[3][2], summary(true, 22.0));
+        // h2 fails at t = 4 before its timer, at 23, and shows that at
+        // every later poll; h3 never starts and shows its initial state.
+        for (t, all) in log.iter().enumerate() {
+            if t >= 4 {
+                assert_eq!(all[2], summary(true, 23.0), "t = {t}");
+            }
+            assert_eq!(all[3], summary(false, 30.0), "t = {t}");
+        }
+    }
+
+    #[test]
+    fn overlay_drivers_read_the_summaries_churn_sources_do() {
+        assert_eq!(summary_log(true), summary_log(false));
     }
 
     #[test]

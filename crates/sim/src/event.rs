@@ -223,6 +223,7 @@ impl<M> EventQueue<M> {
         }
     }
 
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }

@@ -19,10 +19,11 @@
 //!   correlated cluster failures, adversarial root-neighbourhood kills.
 //! * [`ChurnSource`] — *dynamic* churn decided during the run: the
 //!   event loop polls the source each announced instant with an
-//!   [`EngineView`] (alive set, per-host protocol state summaries via
-//!   [`NodeLogic::summary`]), which is what adaptive adversaries such
-//!   as the sketch-targeting [`SketchAdversary`] need. A
-//!   [`ChurnPlan`] is not a source: the builder pre-pushes its events.
+//!   [`EngineView`] (alive flags, and each host's protocol state summary
+//!   read from its [`NodeLogic::summary`] on request), which is what
+//!   adaptive adversaries such as the sketch-targeting
+//!   [`SketchAdversary`] need. A [`ChurnPlan`] is not a source: the
+//!   builder pre-pushes its events.
 //! * [`OverlayDriver`] — overlay *maintenance* decided during the run:
 //!   the event loop polls the installed driver like a churn source and
 //!   applies the edge mutations it answers with to a mutable
@@ -56,7 +57,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod alive;
 mod churn;
 mod ctx;
 mod delay;

@@ -31,8 +31,9 @@ pub trait NodeLogic: Sized {
     /// ([`ChurnSource`](crate::ChurnSource)): a protocol-state-aware
     /// adversary sees exactly what this returns, nothing more. The
     /// default exposes nothing (inactive, no sketch weight), which
-    /// keeps oblivious sources oblivious; protocol crates override it
-    /// through their observer hooks.
+    /// keeps oblivious sources oblivious; protocol nodes override it.
+    /// The engine calls it when a source asks (and for telemetry
+    /// samples), also on failed hosts, so it must be side-effect free.
     fn summary(&self) -> StateSummary {
         StateSummary::default()
     }
