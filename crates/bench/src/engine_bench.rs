@@ -267,6 +267,27 @@ mod tests {
     }
 
     #[test]
+    fn quick_ladder_counts_are_pinned() {
+        // The quick rungs' runs, ticks, events and messages, exactly:
+        // they move only if engine or protocol semantics do, and an
+        // event-loop change must not.
+        let counts = scale_sizes(BenchMode::Quick)
+            .into_iter()
+            .map(|(name, n)| {
+                let r = run_workload(name, n);
+                (r.name, r.n, r.runs, r.ticks, r.events, r.messages)
+            })
+            .collect::<Vec<_>>();
+        assert_eq!(
+            counts,
+            [
+                ("scale_10k", 10_000, 1, 30, 59_934, 49_934),
+                ("scale_100k", 100_000, 1, 36, 601_058, 501_058),
+            ]
+        );
+    }
+
+    #[test]
     fn scale_gate_fires_only_past_the_per_host_ceiling() {
         let rung = |n: usize, rss: Option<u64>| BenchResult {
             name: "scale_test",

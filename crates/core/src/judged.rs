@@ -243,9 +243,11 @@ fn window_plans(graph: &Graph, plan: &RunPlan, cs: ContinuousSpec) -> Vec<(Time,
         "window must fit a full query round (W >= 2·D̂·δ)"
     );
     let mut locals = Vec::with_capacity(cs.windows);
+    let mut replay = ChurnReplay::new(&plan.churn, graph.num_hosts());
     for w in 0..cs.windows {
         let start = Time(w as u64 * cs.window);
-        let Some(local_churn) = slice_churn(&plan.churn, graph.num_hosts(), start, plan.hq) else {
+        let state = replay.advance_to(start);
+        let Some(local_churn) = local_churn(&plan.churn, state, start, plan.hq) else {
             break; // hq is dead at this window's start
         };
         let local = RunPlan {
@@ -266,46 +268,70 @@ fn window_plans(graph: &Graph, plan: &RunPlan, cs: ContinuousSpec) -> Vec<(Time,
     locals
 }
 
-/// Re-express the absolute-time `churn` in a window's local time:
-/// events before `start` collapse into the alive/dead state they leave
-/// each host in, events at or after `start` shift left by `start`. A
-/// host dead at `start` is encoded through the engine's initially-dead
-/// convention: if it rejoins later the shifted join does the job; if it
-/// never does, it is pinned down for the whole window with the explicit
-/// [`ChurnPlan::with_initially_dead`] marker (a sentinel join at
-/// `Time(u64::MAX)` would keep it down too, but any later shift or
-/// merge arithmetic over such a plan could wrap). Returns `None` if
-/// `hq` itself is dead at `start`.
-fn slice_churn(churn: &ChurnPlan, num_hosts: usize, start: Time, hq: HostId) -> Option<ChurnPlan> {
-    // Replay merged history to the window start. At equal instants a
-    // join applies after a failure (the host ends the tick alive),
-    // matching `ChurnPlan::initially_dead`'s first-event convention.
-    #[derive(Clone, Copy, PartialEq)]
-    enum State {
-        Alive,
-        Dead,
+/// A host's membership at a window start.
+#[derive(Clone, Copy, PartialEq)]
+enum State {
+    Alive,
+    Dead,
+}
+
+/// The plan's membership history, replayed forward once across all
+/// windows: each window start applies only the events since the
+/// previous one. At equal instants a join applies after a failure (the
+/// host ends the tick alive), matching `ChurnPlan::initially_dead`'s
+/// first-event convention.
+struct ChurnReplay {
+    /// Every host's state after the events applied so far.
+    state: Vec<State>,
+    /// Every failure and join as `(time, host, is_join)`, sorted.
+    history: Vec<(Time, u32, bool)>,
+    /// How many of `history` are applied.
+    applied: usize,
+}
+
+impl ChurnReplay {
+    fn new(churn: &ChurnPlan, num_hosts: usize) -> Self {
+        let mut state = vec![State::Alive; num_hosts];
+        for h in churn.initially_dead() {
+            state[h.index()] = State::Dead;
+        }
+        let fails = churn.failures.iter().map(|&(t, h)| (t, h.0, false));
+        let joins = churn.joins.iter().map(|&(t, h)| (t, h.0, true));
+        let mut history: Vec<(Time, u32, bool)> = fails.chain(joins).collect();
+        history.sort_unstable();
+        ChurnReplay {
+            state,
+            history,
+            applied: 0,
+        }
     }
-    let mut state = vec![State::Alive; num_hosts];
-    for h in churn.initially_dead() {
-        state[h.index()] = State::Dead;
+
+    /// Every host's state at `start`: the events before it applied.
+    /// Window starts must not decrease from call to call.
+    fn advance_to(&mut self, start: Time) -> &[State] {
+        for &(_, h, is_join) in self.history[self.applied..]
+            .iter()
+            .take_while(|&&(t, _, _)| t < start)
+        {
+            self.state[h as usize] = if is_join { State::Alive } else { State::Dead };
+            self.applied += 1;
+        }
+        &self.state
     }
-    let mut history: Vec<(Time, u32, bool)> = churn
-        .failures
-        .iter()
-        .filter(|&&(t, _)| t < start)
-        .map(|&(t, h)| (t, h.0, false))
-        .chain(
-            churn
-                .joins
-                .iter()
-                .filter(|&&(t, _)| t < start)
-                .map(|&(t, h)| (t, h.0, true)),
-        )
-        .collect();
-    history.sort_unstable_by_key(|&(t, h, is_join)| (t, h, is_join));
-    for (_, h, is_join) in history {
-        state[h as usize] = if is_join { State::Alive } else { State::Dead };
-    }
+}
+
+/// Re-express the absolute-time `churn` in a window's local time, given
+/// every host's `state` at the window `start`: the events before
+/// `start` collapse into that state, events at or after `start` shift
+/// left by `start`. A host dead at `start` is encoded through the
+/// engine's initially-dead convention: if it rejoins later the shifted
+/// join does the job; if it never does, it is pinned down for the whole
+/// window with the explicit [`ChurnPlan::with_initially_dead`] marker (a
+/// sentinel join at `Time(u64::MAX)` would keep it down too, but any
+/// later shift or merge arithmetic over such a plan could wrap).
+/// Returns `None` if `hq` itself is dead at `start`.
+fn local_churn(churn: &ChurnPlan, state: &[State], start: Time, hq: HostId) -> Option<ChurnPlan> {
+    let num_hosts = state.len();
     if state[hq.index()] == State::Dead {
         return None;
     }
@@ -352,6 +378,35 @@ fn slice_churn(churn: &ChurnPlan, num_hosts: usize, start: Time, hq: HostId) -> 
         }
     }
     Some(local)
+}
+
+/// The slicer before [`ChurnReplay`]: replays the whole history up to
+/// `start` from time 0 for every window. The reference the one-pass
+/// replay is property-tested against.
+#[cfg(test)]
+fn slice_churn(churn: &ChurnPlan, num_hosts: usize, start: Time, hq: HostId) -> Option<ChurnPlan> {
+    let mut state = vec![State::Alive; num_hosts];
+    for h in churn.initially_dead() {
+        state[h.index()] = State::Dead;
+    }
+    let mut history: Vec<(Time, u32, bool)> = churn
+        .failures
+        .iter()
+        .filter(|&&(t, _)| t < start)
+        .map(|&(t, h)| (t, h.0, false))
+        .chain(
+            churn
+                .joins
+                .iter()
+                .filter(|&&(t, _)| t < start)
+                .map(|&(t, h)| (t, h.0, true)),
+        )
+        .collect();
+    history.sort_unstable_by_key(|&(t, h, is_join)| (t, h, is_join));
+    for (_, h, is_join) in history {
+        state[h as usize] = if is_join { State::Alive } else { State::Dead };
+    }
+    local_churn(churn, &state, start, hq)
 }
 
 /// Shift a partition plan's active windows into a window's local time,
@@ -867,6 +922,52 @@ mod tests {
         // The rejoin survives in local time; the no-op fail does not.
         assert!(local.joins.contains(&(Time(10), h)));
         assert!(!local.failures.contains(&(Time(10), h)));
+    }
+
+    /// A sliced plan's three lists, for comparing two slicers.
+    type Parts = (Vec<(Time, HostId)>, Vec<(Time, HostId)>, Vec<HostId>);
+
+    fn parts(local: Option<ChurnPlan>) -> Option<Parts> {
+        local.map(|c| (c.failures, c.joins, c.dead_from_start))
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The one-pass replay `window_plans` carries from window to
+        /// window slices every window exactly as the replay from time 0
+        /// did: over stacked regimes (uniform failures, oscillation and
+        /// a flash crowd merged, plus raw events that may repeat a
+        /// host's state), a same-tick fail+join, pinned-dead hosts, and
+        /// windows at which `hq` is dead.
+        #[test]
+        fn one_pass_replay_slices_like_the_replay_from_zero(
+            seed in 0u64..1_000,
+            fails in prop::collection::vec((0u64..70, 0u32..24), 0..20),
+            joins in prop::collection::vec((0u64..70, 0u32..24), 0..20),
+            pinned in prop::collection::vec(0u32..24, 0..4),
+            window in 1u64..16,
+        ) {
+            let n = 24usize;
+            let flicker = HostId(1 + (seed % 23) as u32);
+            let mut plan = ChurnPlan::uniform_failures(n, 6, Time(0), Time(50), HostId(0), seed)
+                .merge(ChurnPlan::oscillating(n, 4, Time(0), Time(60), 9, 4, HostId(0), seed ^ 0xff))
+                .merge(ChurnPlan::flash_crowd(n, 3, Time(10), Time(40), HostId(0), seed.wrapping_mul(31)))
+                .with_failure(Time(20), flicker)
+                .with_join(Time(20), flicker);
+            plan.failures.extend(fails.into_iter().map(|(t, h)| (Time(t), HostId(h))));
+            plan.joins.extend(joins.into_iter().map(|(t, h)| (Time(t), HostId(h))));
+            plan.dead_from_start.extend(pinned.into_iter().map(HostId));
+            let hq = HostId(0);
+            let mut replay = ChurnReplay::new(&plan, n);
+            for w in 0..=80 / window {
+                let start = Time(w * window);
+                let one_pass = local_churn(&plan, replay.advance_to(start), start, hq);
+                prop_assert_eq!(parts(one_pass), parts(slice_churn(&plan, n, start, hq)));
+            }
+        }
     }
 
     #[test]

@@ -118,11 +118,6 @@ impl AllReportNode {
     pub fn result(&self) -> Option<(f64, Time)> {
         self.result
     }
-
-    /// Number of reports gathered so far (diagnostics; `hq` only).
-    pub fn reports_received(&self) -> usize {
-        self.collected.len()
-    }
 }
 
 impl AllReportNode {

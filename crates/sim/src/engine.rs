@@ -1,13 +1,28 @@
 //! The simulation engine: deterministic event loop over a dynamic network.
+//!
+//! At 10⁵ hosts and more the loop waits on memory: the state an event
+//! touches (its host's logic record, alive flag, chain depth and
+//! processed counter, or a fanout sender's CSR row) is rarely cached,
+//! and the events come one after another. So the loop pipelines its
+//! misses. Before it dispatches an event it prefetches what the event
+//! [`LOOKAHEAD`] pops ahead touches first (the queue names it without
+//! popping, `EventQueue::ahead`). A fanout prefetches every target's
+//! state and row bounds before its first delivery, and each next
+//! target's neighbour list while the current one is delivered. The
+//! hints (`prefetch.rs`, the crate's one `unsafe`) change no dispatch
+//! order, handler call, count or output. A run decides once, at build,
+//! whether to use them: only when its per-host state outgrows
+//! [`PREFETCH_MIN_BYTES`].
 
 use crate::churn::ChurnPlan;
 use crate::ctx::{CostSink, Ctx, EventSink};
 use crate::delay::{DelayModel, PartitionPlan};
 use crate::dynamic::{ChurnEvent, ChurnSource, EngineView};
-use crate::event::{EventQueue, Payload, MASK_SLOTS};
+use crate::event::{EventQueue, Payload, Touch, MASK_SLOTS};
 use crate::metrics::Metrics;
 use crate::node::NodeLogic;
 use crate::overlay::{compact_threshold, OverlayDriver, OverlayEvent, OverlayStats, TopoRef};
+use crate::prefetch::prefetch;
 use crate::sink::{TelemetrySink, TickSample};
 use crate::time::Time;
 use crate::trace::{Trace, TraceEvent};
@@ -15,6 +30,21 @@ use pov_topology::{Graph, HostId, OverlayView};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::borrow::Cow;
+
+/// How many pops ahead of the event being dispatched
+/// [`Simulation::prefetch_ahead`] reaches: far enough that a miss
+/// lands before its event dispatches, near enough that the line is
+/// still cached when it does (docs/BENCHMARKING.md, "Prefetching the
+/// next events' hosts").
+const LOOKAHEAD: usize = 6;
+
+/// The per-host engine state, in bytes, from which a simulation
+/// prefetches: `n` logic records plus 9 bytes per host of alive flag,
+/// chain depth and processed counter. Below it (one core's 2 MiB L2)
+/// the state stays cached, and the hints would only cost their
+/// instructions: every repo workload but `scale_tree` is under 1.1 MB,
+/// the 10⁵-host ladder rung is over 4 MB.
+const PREFETCH_MIN_BYTES: usize = 2 << 20;
 
 /// The physical communication medium (§3.1 examples).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -233,6 +263,7 @@ impl<'g> SimBuilder<'g> {
             shard: None,
             shard_batches: 0,
             fanout,
+            prefetch: n * (std::mem::size_of::<L>() + 9) >= PREFETCH_MIN_BYTES,
             churn_buf: Vec::new(),
             now: Time::ZERO,
             started: false,
@@ -380,6 +411,9 @@ pub struct Simulation<'g, L: NodeLogic> {
     /// fixed delay, and no sharded delivery, which batches single
     /// deliveries only.
     fanout: bool,
+    /// Whether the loop prefetches the state of the events ahead: the
+    /// per-host state reaches [`PREFETCH_MIN_BYTES`].
+    prefetch: bool,
     tele: Option<Telemetry<'g>>,
     /// Reused per-poll scratch: the churn source's event wave.
     churn_buf: Vec<ChurnEvent>,
@@ -445,6 +479,9 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
             }
             let (at, payload) = self.queue.pop().expect("peeked event exists");
             self.now = at;
+            if self.prefetch {
+                self.prefetch_ahead();
+            }
             self.dispatch(payload);
         }
         if self.tele.is_some() {
@@ -467,6 +504,9 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
             }
             let (at, payload) = self.queue.pop().expect("peeked event exists");
             self.now = at;
+            if self.prefetch {
+                self.prefetch_ahead();
+            }
             self.dispatch(payload);
             assert!(
                 self.metrics.events_dispatched - first <= max_events,
@@ -535,6 +575,37 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
             }
             t.sink.on_summary(Time(tick), active, mass);
         }
+    }
+
+    /// Start loading the state that the event [`LOOKAHEAD`] pops ahead
+    /// touches first, so that its misses overlap the dispatches in
+    /// between instead of stalling its own. A hint only: no order,
+    /// count or output can change.
+    #[inline]
+    fn prefetch_ahead(&self) {
+        match self.queue.ahead(LOOKAHEAD) {
+            Some(Touch::Host(h)) => self.prefetch_host(h),
+            Some(Touch::Row(h)) => self.prefetch_row(h),
+            None => {}
+        }
+    }
+
+    /// Prefetch what a delivery to `h` or a timer of `h` reads of it:
+    /// its logic record, alive flag, chain depth and processed counter.
+    #[inline]
+    fn prefetch_host(&self, h: HostId) {
+        let i = h.index();
+        prefetch(self.hosts.logic.as_ptr().wrapping_add(i));
+        prefetch(self.hosts.alive.as_ptr().wrapping_add(i));
+        prefetch(self.hosts.last_depth.as_ptr().wrapping_add(i));
+        prefetch(self.metrics.processed_per_host.as_ptr().wrapping_add(i));
+    }
+
+    /// Prefetch the bounds of `h`'s CSR row: the word a fanout from `h`,
+    /// or a send of `h`'s, reads before its neighbour list.
+    #[inline]
+    fn prefetch_row(&self, h: HostId) {
+        prefetch(self.graph.offsets().as_ptr().wrapping_add(h.index()));
     }
 
     fn dispatch(&mut self, payload: Payload<L::Msg>) {
@@ -631,10 +702,28 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
         let degree = self.graph.degree(from);
         let mut count = 0usize;
         if degree <= MASK_SLOTS {
+            if self.prefetch {
+                // One pass ahead of the deliveries: every target's
+                // misses are in flight before the first handler runs.
+                let mut mask = targets;
+                while mask != 0 {
+                    let to = self.graph.neighbors(from)[mask.trailing_zeros() as usize];
+                    mask &= mask - 1;
+                    self.prefetch_host(to);
+                    self.prefetch_row(to);
+                }
+            }
             let mut mask = targets;
             while mask != 0 {
                 let to = self.graph.neighbors(from)[mask.trailing_zeros() as usize];
                 mask &= mask - 1;
+                if self.prefetch && mask != 0 {
+                    // The pass above prefetched the next target's row
+                    // bounds: start on the row itself, which that
+                    // target reads if it broadcasts.
+                    let next = self.graph.neighbors(from)[mask.trailing_zeros() as usize];
+                    prefetch(self.graph.neighbors(next).as_ptr());
+                }
                 count += 1;
                 self.deliver(to, from, msg.clone(), depth);
             }
@@ -879,8 +968,9 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
         (metrics, trace, self.hosts.alive)
     }
 
-    /// Number of pending events (diagnostics).
-    pub fn pending_events(&self) -> usize {
+    /// Number of pending events, a fanout counting one per target.
+    #[cfg(test)]
+    pub(crate) fn pending_events(&self) -> usize {
         self.queue.len()
     }
 }
@@ -2325,10 +2415,10 @@ mod tests {
     }
 
     /// Run `make`'s logic on `graph` under both media, through `churn`
-    /// and `cut`, once with fanouts and once with one delivery per
-    /// target, and assert the two runs indistinguishable: metrics,
-    /// trace, per-host state and every tick sample (queue depth
-    /// included).
+    /// and `cut`, once with fanouts, once with one delivery per target
+    /// and once with fanouts and prefetching, and assert the three runs
+    /// indistinguishable: metrics, trace, per-host state and every tick
+    /// sample (queue depth included).
     fn assert_fanouts_invisible<L>(
         graph: &Graph,
         churn: &ChurnPlan,
@@ -2338,7 +2428,7 @@ mod tests {
         L: NodeLogic + Clone + PartialEq + std::fmt::Debug,
     {
         for medium in [Medium::PointToPoint, Medium::Radio] {
-            let run = |fanout: bool| {
+            let run = |fanout: bool, prefetch: bool| {
                 let mut rec = Recorder::default();
                 let mut sim = SimBuilder::over(graph)
                     .medium(medium)
@@ -2347,6 +2437,7 @@ mod tests {
                     .telemetry(&mut rec)
                     .build(&make);
                 sim.fanout = fanout;
+                sim.prefetch = prefetch;
                 sim.start();
                 let pending = sim.pending_events();
                 // On a fanout run some start-up send takes fewer
@@ -2361,21 +2452,24 @@ mod tests {
                 drop(sim);
                 (metrics, trace, states, rec.ticks)
             };
-            let (m, trace, states, ticks) = run(true);
-            let (m0, trace0, states0, ticks0) = run(false);
+            let (m, trace, states, ticks) = run(true, false);
             assert!(
                 ticks.iter().any(|s| s.dropped > 0),
                 "{medium:?}: the cut bit"
             );
-            assert_eq!(m.messages_sent, m0.messages_sent, "{medium:?}");
-            assert_eq!(m.sent_per_tick, m0.sent_per_tick, "{medium:?}");
-            assert_eq!(m.processed_per_host, m0.processed_per_host, "{medium:?}");
-            assert_eq!(m.longest_chain, m0.longest_chain, "{medium:?}");
-            assert_eq!(m.timers_fired, m0.timers_fired, "{medium:?}");
-            assert_eq!(m.events_dispatched, m0.events_dispatched, "{medium:?}");
-            assert_eq!(trace, trace0, "{medium:?}");
-            assert_eq!(states, states0, "{medium:?}");
-            assert_eq!(ticks, ticks0, "{medium:?}");
+            // One delivery per target, and fanouts with the prefetches
+            // forced on (a run this small skips them): neither differs.
+            for (m0, trace0, states0, ticks0) in [run(false, false), run(true, true)] {
+                assert_eq!(m.messages_sent, m0.messages_sent, "{medium:?}");
+                assert_eq!(m.sent_per_tick, m0.sent_per_tick, "{medium:?}");
+                assert_eq!(m.processed_per_host, m0.processed_per_host, "{medium:?}");
+                assert_eq!(m.longest_chain, m0.longest_chain, "{medium:?}");
+                assert_eq!(m.timers_fired, m0.timers_fired, "{medium:?}");
+                assert_eq!(m.events_dispatched, m0.events_dispatched, "{medium:?}");
+                assert_eq!(trace, trace0, "{medium:?}");
+                assert_eq!(states, states0, "{medium:?}");
+                assert_eq!(ticks, ticks0, "{medium:?}");
+            }
         }
     }
 

@@ -27,6 +27,14 @@
 //! reallocated or copied, and the queue holds what is in flight plus
 //! at most one partly filled chunk per non-empty lane.
 //!
+//! The engine reads ahead of the drain: [`EventQueue::ahead`] names
+//! what the `k`-th next pop of the front tick touches first (a
+//! delivery's target, a fanout's sender, a timer's host) by indexing
+//! the front bucket's wire lane and then its timer lane, popping
+//! nothing. The engine prefetches that host's state. A wrong answer
+//! would change no pop, so a property test checks `ahead` against the
+//! pops that follow.
+//!
 //! The original heap implementation survives as the `#[cfg(test)]`
 //! oracle ([`HeapQueue`]); property tests assert the two pop identical
 //! event sequences.
@@ -47,6 +55,17 @@ pub(crate) const NO_SKIP: u32 = u32::MAX;
 /// wire lane: the in-flight cost of a protocol's message layout.
 pub const fn wire_entry_bytes<M>() -> usize {
     std::mem::size_of::<Payload<M>>()
+}
+
+/// What a queued wire or timer event touches first when it fires, as
+/// [`EventQueue::ahead`] names it: the engine prefetches that state a
+/// few events before it dispatches the event.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Touch {
+    /// A delivery's target or a timer's host: that host's state.
+    Host(HostId),
+    /// A fanout's sender: the bounds of its CSR row.
+    Row(HostId),
 }
 
 /// What happens when an event fires.
@@ -223,6 +242,20 @@ impl<M> EventQueue<M> {
         }
     }
 
+    /// What the `k`-th next pop (`k ≥ 1`) touches first, without
+    /// popping anything: `None` when that pop is past the front tick's
+    /// last event, while one of the tick's control events is due, or on
+    /// the heap oracle. Reads the front bucket's wire lane, then its
+    /// timer lane.
+    #[inline]
+    pub fn ahead(&self, k: usize) -> Option<Touch> {
+        match &self.imp {
+            Imp::Bucket(q) => q.ahead(k),
+            #[cfg(test)]
+            Imp::Heap(_) => None,
+        }
+    }
+
     #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -312,6 +345,20 @@ impl<T> Lane<T> {
 
     fn front(&self) -> Option<&T> {
         self.chunks.front().and_then(VecDeque::front)
+    }
+
+    /// The `k`-th event from the front, or `Err` with what is left of
+    /// `k` past this lane's last event. Every chunk holds an event, so
+    /// this visits at most `k + 1` chunks.
+    #[inline]
+    fn get(&self, mut k: usize) -> Result<&T, usize> {
+        for chunk in &self.chunks {
+            match chunk.get(k) {
+                Some(item) => return Ok(item),
+                None => k -= chunk.len(),
+            }
+        }
+        Err(k)
     }
 
     fn is_empty(&self) -> bool {
@@ -559,6 +606,27 @@ impl<M> BucketQueue<M> {
         while self.far.peek().is_some_and(|ev| ev.at < self.base + WINDOW) {
             let ev = self.far.pop().expect("peeked");
             self.push_ring((ev.at - self.base) as usize, ev.payload);
+        }
+    }
+
+    /// See [`EventQueue::ahead`]. Does not settle: right after a pop
+    /// the front bucket is the popped event's tick.
+    #[inline]
+    pub fn ahead(&self, k: usize) -> Option<Touch> {
+        debug_assert!(k >= 1, "the first next pop is ahead(1)");
+        if self.control_due() {
+            return None;
+        }
+        let bucket = self.buckets.front()?;
+        match bucket.wire.get(k - 1) {
+            Ok(&Payload::Deliver { to, .. }) => Some(Touch::Host(to)),
+            Ok(&Payload::Fanout { from, .. }) => Some(Touch::Row(from)),
+            Ok(_) => unreachable!("the wire lane holds deliveries and fanouts"),
+            Err(k) => bucket
+                .timers
+                .get(k)
+                .ok()
+                .map(|&(host, _)| Touch::Host(host)),
         }
     }
 
@@ -1153,6 +1221,116 @@ mod tests {
             }
         }
         assert!(bucket.is_empty() && heap.is_empty());
+    }
+
+    /// What the first touch of a popped event is, as `ahead` names it;
+    /// `None` for a control event, which `ahead` never names.
+    fn touch_of(p: &Payload<u8>) -> Option<Touch> {
+        match *p {
+            Payload::Deliver { to, .. } => Some(Touch::Host(to)),
+            Payload::Fanout { from, .. } => Some(Touch::Row(from)),
+            Payload::Timer { host, .. } => Some(Touch::Host(host)),
+            _ => None,
+        }
+    }
+
+    /// How far past the next pop the lookahead property checks `ahead`:
+    /// beyond the engine's distance, and far enough that a draining
+    /// front chunk and the wire lane's end are crossed every few pops.
+    const AHEAD_SPAN: usize = 24;
+
+    /// Replay `(dt, class, copies, pops)` actions, every push at least
+    /// one tick past the last pop (as the engine's sends are), after a
+    /// prefix that fills tick 1's wire lane past two chunks and puts
+    /// timers behind it. Returns every pop, and checks after each that
+    /// `ahead(k)` names what the `k`-th next pop of the same tick
+    /// touches first, using `expected`: the pop sequence of an earlier
+    /// replay (empty on the first replay, which checks nothing).
+    fn replay_ahead(
+        actions: &[(u16, u8, u8, u8)],
+        expected: &[(Time, Option<Touch>)],
+    ) -> Vec<(Time, Option<Touch>)> {
+        let mut q: EventQueue<u8> = EventQueue::new();
+        let mut popped: Vec<(Time, Option<Touch>)> = Vec::new();
+        let mut tag = 0u8;
+        // Deliveries with every seventh a fanout, nine timers, and two
+        // fails that pop first.
+        let wire = (0..2 * WIRE_CHUNK + 5).map(|i| if i % 7 == 0 { 6 } else { 4 });
+        for class in wire.chain([5; 9]).chain([0; 2]) {
+            tag = tag.wrapping_add(1);
+            push(&mut q, Time(1), payload_of(class, tag));
+        }
+        let mut now = 1u64;
+        let mut pop_and_check = |q: &mut EventQueue<u8>, now: &mut u64| {
+            let Some(((t, p), _)) = pop(q) else { return };
+            *now = t.0;
+            popped.push((t, touch_of(&p)));
+            let i = popped.len() - 1;
+            if expected.is_empty() {
+                return;
+            }
+            let rest = &expected[i + 1..];
+            let control_next = rest
+                .first()
+                .is_some_and(|&(at, touch)| at == t && touch.is_none());
+            for k in 1..=AHEAD_SPAN {
+                let want = match rest.get(k - 1) {
+                    Some(&(at, touch)) if at == t && !control_next => touch,
+                    _ => None,
+                };
+                assert_eq!(q.ahead(k), want, "pop {i} at {t:?}, k {k}");
+            }
+        };
+        for &(dt, class, copies, pops) in actions {
+            let at = Time(now + 1 + u64::from(dt));
+            for _ in 0..copies {
+                tag = tag.wrapping_add(1);
+                push(&mut q, at, payload_of(class, tag));
+            }
+            for _ in 0..pops {
+                pop_and_check(&mut q, &mut now);
+            }
+        }
+        while !q.is_empty() {
+            pop_and_check(&mut q, &mut now);
+        }
+        popped
+    }
+
+    #[test]
+    fn ahead_reads_the_timer_lane_behind_the_wire_lane() {
+        // Two deliveries, then two timers, at one tick: after the first
+        // pop, the third next pop is the second timer, at index 1 of
+        // the timer lane.
+        let mut q: EventQueue<u8> = EventQueue::new();
+        q.push(Time(1), payload_of(4, 1));
+        q.push(Time(1), payload_of(4, 2));
+        q.push(Time(1), payload_of(5, 3));
+        q.push(Time(1), payload_of(5, 4));
+        q.pop();
+        assert_eq!(q.ahead(1), Some(Touch::Host(HostId(2))));
+        assert_eq!(q.ahead(2), Some(Touch::Host(HostId(3))));
+        assert_eq!(q.ahead(3), Some(Touch::Host(HostId(4))));
+        assert_eq!(q.ahead(4), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The lookahead the engine prefetches by: for any interleaving
+        /// of pushes into the ticks ahead and pops, `ahead(k)` names the
+        /// host the `k`-th next pop of the front tick touches first —
+        /// across the wire lane's chunks, into the timer lane behind
+        /// it, `None` past the tick's end and while a control event is
+        /// due. A wrong answer changes no pop, so nothing else sees it.
+        #[test]
+        fn ahead_names_what_the_next_pops_touch(
+            actions in prop::collection::vec((0u16..3, 0u8..7, 1u8..=255, 0u8..=255), 1..40),
+        ) {
+            let pops = replay_ahead(&actions, &[]);
+            let again = replay_ahead(&actions, &pops);
+            prop_assert_eq!(pops, again);
+        }
     }
 
     proptest! {

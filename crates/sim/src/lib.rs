@@ -54,7 +54,8 @@
 //! uses — host-indexed vectors, queue storage, scratch — is owned by its
 //! [`Simulation`] and freed with it.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![deny(missing_docs)]
 
 mod churn;
@@ -67,6 +68,7 @@ mod metrics;
 mod node;
 mod overlay;
 pub mod phase;
+mod prefetch;
 mod sink;
 mod time;
 mod trace;

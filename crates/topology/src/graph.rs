@@ -105,6 +105,15 @@ impl Graph {
         (self.offsets[h.index() + 1] - self.offsets[h.index()]) as usize
     }
 
+    /// The CSR row bounds, `n + 1` words: host `h`'s neighbours are
+    /// slots `offsets[h]..offsets[h + 1]` of the arena. Read-only, for a
+    /// caller that wants the address of a row's bounds before it reads
+    /// the row (the engine prefetches them a few events ahead).
+    #[inline]
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
     /// Whether `(a, b)` is an edge. `O(log deg(a))`.
     pub fn has_edge(&self, a: HostId, b: HostId) -> bool {
         self.neighbors(a).binary_search(&b).is_ok()
