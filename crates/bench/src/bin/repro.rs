@@ -4,7 +4,7 @@
 //! ```sh
 //! repro                      # all experiments at quick scale
 //! repro --paper              # all experiments at the paper's full sizes
-//! repro fig6 fig13b          # a subset
+//! repro EXPERIMENT...        # a subset, by the names `repro list` prints
 //! repro --json out.json      # also emit every experiment's rows as JSON
 //! repro list                 # what exists
 //!
@@ -19,32 +19,13 @@
 //! ```
 
 use pov_bench::engine_bench::{self, BenchMode};
-use pov_bench::{mux, Scale};
-use pov_core::experiments::{
-    ablation, adversary, ext_accuracy, fig06, fig10, fig11, fig12, fig13, overlay, price, validity,
-};
+use pov_bench::mux;
+use pov_core::experiments::{Scale, REGISTRY};
 use pov_core::report::Table;
 use pov_scenario::{run_batch, table_to_json, trace_batch, Json, Scenario};
 use pov_telemetry::export;
 use std::path::PathBuf;
 use std::time::Instant;
-
-const ALL: &[&str] = &[
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13a",
-    "fig13b",
-    "price",
-    "ablation",
-    "ext",
-    "adversary",
-    "overlay",
-];
 
 const USAGE: &str = "\
 repro — regenerate the tables and figures of the paper's §6
@@ -597,28 +578,33 @@ fn experiments_main(args: &[String]) {
     } else {
         Scale::Quick
     };
-    let mut wanted: Vec<&str> = opts.positional.iter().map(String::as_str).collect();
-    if wanted.contains(&"list") {
-        println!("experiments: {}", ALL.join(" "));
+    if opts.positional.iter().any(|w| w == "list") {
+        let names: Vec<&str> = REGISTRY.iter().map(|&(name, _)| name).collect();
+        println!("experiments: {}", names.join(" "));
         return;
     }
     // Reject typos before any experiment spends work.
-    if let Some(bad) = wanted.iter().find(|w| !ALL.contains(w)) {
-        fail(&format!("unknown experiment '{bad}' (try: repro list)"));
+    let mut wanted = Vec::new();
+    for w in &opts.positional {
+        match REGISTRY.iter().find(|&&(name, _)| name == w) {
+            Some(row) => wanted.push(*row),
+            None => fail(&format!("unknown experiment '{w}' (try: repro list)")),
+        }
     }
     if wanted.is_empty() {
-        wanted = ALL.to_vec();
+        wanted = REGISTRY.to_vec();
     }
 
     println!(
         "# The Price of Validity — reproduction harness ({:?} scale)\n",
         scale
     );
-    let mut emitted: Vec<(String, Vec<Table>)> = Vec::new();
-    for name in wanted {
+    let mut emitted = Vec::new();
+    for (name, experiment) in wanted {
         let start = Instant::now();
-        let tables = run_experiment(name, scale);
-        emitted.push((name.to_string(), tables));
+        let out = experiment(scale);
+        print!("{out}");
+        emitted.push((name, out));
         eprintln!("[{name} done in {:.1?}]\n", start.elapsed());
     }
     if let Some(path) = &opts.json {
@@ -627,10 +613,10 @@ fn experiments_main(args: &[String]) {
             Json::Arr(
                 emitted
                     .iter()
-                    .map(|(name, tables)| {
-                        Json::obj().with("experiment", name.as_str()).with(
+                    .map(|(name, out)| {
+                        Json::obj().with("experiment", *name).with(
                             "tables",
-                            Json::Arr(tables.iter().map(table_to_json).collect()),
+                            Json::Arr(out.tables.iter().map(table_to_json).collect()),
                         )
                     })
                     .collect(),
@@ -638,127 +624,4 @@ fn experiments_main(args: &[String]) {
         );
         write_json(path, &doc);
     }
-}
-
-/// Run one experiment: print its tables (then any supplementary lines,
-/// matching the original report order) and return the tables for `--json`.
-fn run_experiment(name: &str, scale: Scale) -> Vec<Table> {
-    let tables = match name {
-        "fig6" => {
-            let cfg = scale.fig06();
-            vec![fig06::table(&fig06::run(&cfg))]
-        }
-        "fig7" => {
-            let cfg = scale.fig07();
-            vec![validity::table(&cfg, &validity::run(&cfg))]
-        }
-        "fig8" => {
-            let cfg = scale.fig08();
-            vec![validity::table(&cfg, &validity::run(&cfg))]
-        }
-        "fig9" => {
-            let cfg = scale.fig09();
-            vec![validity::table(&cfg, &validity::run(&cfg))]
-        }
-        "fig10" => {
-            let cfg = scale.fig10();
-            let rows = fig10::run(&cfg);
-            let t = fig10::table(&rows);
-            println!("{t}");
-            println!("WILDFIRE/SPANNINGTREE message ratios:");
-            for (topo, n, ratio) in fig10::price_ratios(&rows) {
-                println!("  {topo:<10} |H|={n:<6} {ratio:.2}x");
-            }
-            println!();
-            return vec![t];
-        }
-        "fig11" => {
-            let cfg = scale.fig11();
-            vec![fig11::table(&fig11::run(&cfg))]
-        }
-        "fig12" => {
-            let cfg = scale.fig12();
-            let rows = fig12::run(&cfg);
-            let t = fig12::table(&rows);
-            println!("{t}");
-            println!("max computation-cost ratios (WILDFIRE/SPANNINGTREE):");
-            for (topo, ratio) in fig12::max_ratios(&rows) {
-                println!("  {topo:<10} {ratio:.1}x");
-            }
-            println!();
-            return vec![t];
-        }
-        "fig13a" => {
-            let cfg = scale.fig13();
-            vec![fig13::time_table(&fig13::run_time_cost(&cfg))]
-        }
-        "fig13b" => {
-            let cfg = scale.fig13();
-            let profiles = fig13::run_profile(&cfg);
-            let t = fig13::profile_table(&profiles);
-            println!("{t}");
-            for p in &profiles {
-                let series: Vec<String> = p.sent_per_tick.iter().map(|c| c.to_string()).collect();
-                println!("  {} per-tick: [{}]", p.topology, series.join(", "));
-            }
-            println!();
-            return vec![t];
-        }
-        "price" => {
-            let cfg = scale.price();
-            vec![price::table(&price::run(&cfg))]
-        }
-        "ablation" => {
-            let cfg = scale.ablation();
-            vec![ablation::table(&ablation::run(&cfg))]
-        }
-        "adversary" => {
-            let cfg = scale.adversary();
-            let rows = adversary::run(&cfg);
-            let t = adversary::table(&rows);
-            println!("{t}");
-            // Machine-checkable headline for the CI gate: > 1 means the
-            // adaptive adversary beats oblivious churn at every budget.
-            println!(
-                "targeted/uniform interval deviation min ratio: {:.3}",
-                adversary::min_interval_ratio(&rows)
-            );
-            println!();
-            return vec![t];
-        }
-        "overlay" => {
-            let cfg = scale.overlay();
-            let rows = overlay::run(&cfg);
-            let t = overlay::table(&rows);
-            println!("{t}");
-            // Machine-checkable headline for the CI gate: the validity
-            // side must not dip below ~1 (maintenance never loses
-            // ground), and the cost side reports what that costs.
-            println!(
-                "maintained/static value min gain: {:.3}",
-                overlay::min_value_gain(&rows)
-            );
-            println!(
-                "maintained/static message max ratio: {:.3}",
-                overlay::max_cost_ratio(&rows)
-            );
-            println!();
-            return vec![t];
-        }
-        "ext" => {
-            let cfg = match scale {
-                Scale::Paper => ext_accuracy::Config::paper(),
-                Scale::Quick => ext_accuracy::Config {
-                    n: 20_000,
-                    ..ext_accuracy::Config::paper()
-                },
-            };
-            vec![ext_accuracy::table(&cfg, &ext_accuracy::run(&cfg))]
-        }
-        other => fail(&format!("unknown experiment '{other}' (try: repro list)")),
-    };
-    for t in &tables {
-        println!("{t}");
-    }
-    tables
 }

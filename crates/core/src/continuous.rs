@@ -6,95 +6,18 @@
 //! the whole registration interval `[0, t]` degenerates as `HC → ∅` in
 //! any dynamic network (the paper's naive-adaptation remark).
 //!
-//! The driver here realizes the obvious algorithm the definition
-//! suggests: re-issue a WILDFIRE one-shot every `W` ticks against the
-//! evolving membership, and judge each report over its own window. `W`
-//! must be at least `2·D̂·δ` so a window fits one full query round
-//! (§4.2's `W < max D_i δ` impossibility). Since the `RunPlan`
-//! redesign the window slicing lives in [`crate::judged::judged_plan`]
-//! (any plan with a `.continuous(..)` spec runs this way, for any
-//! protocol list); [`run_continuous`] remains as the WILDFIRE-shaped
-//! convenience wrapper.
+//! The obvious algorithm the definition suggests re-issues a one-shot
+//! every `W` ticks against the evolving membership and judges each
+//! report over its own window. `W` must be at least `2·D̂·δ` so a window
+//! fits one full query round (§4.2's `W < max D_i δ` impossibility).
+//! [`crate::judged::judged_plan`] runs it: any plan with a
+//! `.continuous(window, windows)` spec is sliced into windows this way,
+//! for any protocol list. This module keeps [`hc_decay`], the measure of
+//! why the window is needed.
 
-use crate::judged::judged_plan;
-use pov_oracle::{host_sets, Verdict};
-use pov_protocols::wildfire::WildfireOpts;
-use pov_protocols::{Aggregate, ProtocolKind, RunPlan};
+use pov_oracle::host_sets;
 use pov_sim::{ChurnPlan, Ctx, NodeLogic, SimBuilder, Time};
 use pov_topology::{Graph, HostId};
-
-/// Configuration of a continuous run.
-#[derive(Clone, Debug)]
-pub struct ContinuousConfig {
-    /// The aggregate to maintain.
-    pub aggregate: Aggregate,
-    /// Window length `W` in ticks; must be ≥ `2·d_hat`.
-    pub window: u64,
-    /// Number of windows to run.
-    pub windows: usize,
-    /// Stable-diameter overestimate.
-    pub d_hat: u32,
-    /// FM repetitions.
-    pub c: usize,
-    /// Querying host.
-    pub hq: HostId,
-    /// Root seed.
-    pub seed: u64,
-}
-
-/// One window's report.
-#[derive(Clone, Debug)]
-pub struct WindowReport {
-    /// Absolute start of the window.
-    pub start: Time,
-    /// The value reported at the end of the query round.
-    pub value: Option<f64>,
-    /// Oracle judgement over this window.
-    pub verdict: Verdict,
-    /// `|HC|` over this window.
-    pub hc_size: usize,
-    /// `|HU|` over this window.
-    pub hu_size: usize,
-    /// Messages spent in this window.
-    pub messages: u64,
-}
-
-/// Run a continuous query over a network whose membership evolves under
-/// `churn` (an absolute-time plan spanning all windows). Hosts that have
-/// failed stay failed; the driver re-issues a WILDFIRE one-shot at the
-/// start of each window.
-pub fn run_continuous(
-    graph: &Graph,
-    values: &[u64],
-    churn: &ChurnPlan,
-    cfg: &ContinuousConfig,
-) -> Vec<WindowReport> {
-    assert!(
-        cfg.window >= 2 * cfg.d_hat as u64,
-        "window must fit a full query round (W >= 2*D̂)"
-    );
-    let plan = RunPlan::query(cfg.aggregate)
-        .d_hat(cfg.d_hat)
-        .repetitions(cfg.c)
-        .from_host(cfg.hq)
-        .seed(cfg.seed)
-        .churn(churn.clone())
-        .continuous(cfg.window, cfg.windows)
-        .protocol(ProtocolKind::Wildfire(WildfireOpts::default()));
-    judged_plan(graph, values, &plan)
-        .remove(0)
-        .windows
-        .into_iter()
-        .map(|w| WindowReport {
-            start: w.start,
-            value: w.judged.value,
-            verdict: w.judged.verdict,
-            hc_size: w.judged.hc_size,
-            hu_size: w.judged.hu_size,
-            messages: w.judged.metrics.messages_sent,
-        })
-        .collect()
-}
 
 /// The §4.2 degeneracy argument, quantified: per-window `|HC|` vs the
 /// `|HC|` of the *naive* adaptation that judges every report over the
@@ -136,30 +59,40 @@ pub fn hc_decay(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::judged::{judged_plan, WindowJudged};
+    use pov_protocols::wildfire::WildfireOpts;
+    use pov_protocols::{Aggregate, ProtocolKind, RunPlan};
     use pov_topology::generators::random_average_degree;
 
-    fn cfg(window: u64, windows: usize) -> ContinuousConfig {
-        ContinuousConfig {
-            aggregate: Aggregate::Max,
-            window,
-            windows,
-            d_hat: 8,
-            c: 8,
-            hq: HostId(0),
-            seed: 42,
-        }
+    /// A WILDFIRE continuous query from host 0 (`D̂ = 8`, seed 42) over
+    /// `windows` windows of `window` ticks, judged per window.
+    fn run_windows(
+        graph: &Graph,
+        values: &[u64],
+        churn: ChurnPlan,
+        aggregate: Aggregate,
+        window: u64,
+        windows: usize,
+    ) -> Vec<WindowJudged> {
+        let plan = RunPlan::query(aggregate)
+            .d_hat(8)
+            .seed(42)
+            .churn(churn)
+            .continuous(window, windows)
+            .protocol(ProtocolKind::Wildfire(WildfireOpts::default()));
+        judged_plan(graph, values, &plan).remove(0).windows
     }
 
     #[test]
     fn stable_network_reports_every_window() {
         let g = random_average_degree(200, 5.0, 1);
         let values: Vec<u64> = (0..200).map(|i| 10 + i % 90).collect();
-        let reports = run_continuous(&g, &values, &ChurnPlan::none(), &cfg(20, 4));
+        let reports = run_windows(&g, &values, ChurnPlan::none(), Aggregate::Max, 20, 4);
         assert_eq!(reports.len(), 4);
         for r in &reports {
-            assert!(r.verdict.is_valid(), "window at {:?}", r.start);
-            assert_eq!(r.value, Some(99.0));
-            assert_eq!(r.hc_size, 200);
+            assert!(r.judged.verdict.is_valid(), "window at {:?}", r.start);
+            assert_eq!(r.judged.value, Some(99.0));
+            assert_eq!(r.judged.hc_size, 200);
         }
     }
 
@@ -169,14 +102,12 @@ mod tests {
         let values = vec![1u64; 200];
         // 100 failures spread over 4 windows of 25 ticks each.
         let churn = ChurnPlan::uniform_failures(200, 100, Time(0), Time(100), HostId(0), 7);
-        let mut c = cfg(25, 4);
-        c.aggregate = Aggregate::Count;
-        let reports = run_continuous(&g, &values, &churn, &c);
+        let reports = run_windows(&g, &values, churn, Aggregate::Count, 25, 4);
         assert_eq!(reports.len(), 4);
         // HU shrinks monotonically across windows as hosts die for good.
         for pair in reports.windows(2) {
             assert!(
-                pair[1].hu_size <= pair[0].hu_size,
+                pair[1].judged.hu_size <= pair[0].judged.hu_size,
                 "membership must only decay"
             );
         }
@@ -185,29 +116,16 @@ mod tests {
         // WILDFIRE count is Approximate SSV (Thm 5.3), so allow the FM
         // estimation envelope.
         for r in &reports {
+            let verdict = &r.judged.verdict;
             assert!(
-                r.verdict.is_approx_valid(1.5),
+                verdict.is_approx_valid(1.5),
                 "window {:?}: {:?} vs {:?} (factor {:?})",
                 r.start,
-                r.value,
-                r.verdict.bounds,
-                r.verdict.approx_factor
+                r.judged.value,
+                verdict.bounds,
+                verdict.approx_factor
             );
         }
-    }
-
-    #[test]
-    fn driver_stops_if_hq_dies() {
-        let g = random_average_degree(50, 4.0, 3);
-        let values = vec![1u64; 50];
-        let churn = ChurnPlan::none().with_failure(Time(30), HostId(0));
-        let mut c = cfg(25, 4);
-        c.aggregate = Aggregate::Count;
-        let reports = run_continuous(&g, &values, &churn, &c);
-        // Window 0 (t=0..25) fine; window 1 contains hq's death at t=30?
-        // No: t=30 is in window 1 (25..50), so window 1 runs (hq dies
-        // mid-window), and window 2 cannot start.
-        assert!(reports.len() <= 2, "got {} reports", reports.len());
     }
 
     #[test]
@@ -260,12 +178,5 @@ mod tests {
             last_windowed > 30 * last_cumulative.max(1),
             "windowed {last_windowed} should dwarf cumulative {last_cumulative}: {pairs:?}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "full query round")]
-    fn rejects_too_small_window() {
-        let g = random_average_degree(20, 4.0, 3);
-        run_continuous(&g, &[1; 20], &ChurnPlan::none(), &cfg(10, 2));
     }
 }

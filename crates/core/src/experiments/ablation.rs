@@ -4,6 +4,7 @@
 //! The paper asserts both engineering optimizations without isolating
 //! them; these drivers quantify each one.
 
+use super::{Output, Scale};
 use crate::report::Table;
 use crate::workload;
 use pov_protocols::wildfire::WildfireOpts;
@@ -35,6 +36,17 @@ impl Config {
             aggregate: Aggregate::Count,
             c: 8,
             seed: 99,
+        }
+    }
+
+    /// The sizes `repro` runs at `scale`.
+    pub fn at(scale: Scale) -> Self {
+        match scale {
+            Scale::Paper => Self::paper(),
+            Scale::Quick => Config {
+                n: 4_000,
+                ..Self::paper()
+            },
         }
     }
 
@@ -93,6 +105,11 @@ pub fn run(cfg: &Config) -> Vec<Row> {
             }
         })
         .collect()
+}
+
+/// `repro ablation`: the ablation at `scale`, as one table.
+pub fn experiment(scale: Scale) -> Output {
+    table(&run(&Config::at(scale))).into()
 }
 
 /// Render the ablation.

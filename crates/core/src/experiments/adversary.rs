@@ -31,12 +31,14 @@
 //! price of validity under worst-case dynamics (Casteigts' framing in
 //! PAPERS.md: adversarial schedules, not random churn, set the price).
 
+use super::{Output, Scale};
 use crate::report::Table;
 use crate::workload;
 use pov_oracle::interval_bounds;
 use pov_protocols::wildfire::WildfireOpts;
 use pov_protocols::{runner, AdversarySpec, Aggregate, ProtocolKind, RunPlan};
 use pov_sim::{ChurnPlan, Time, Trace};
+use pov_sketch::stats::mean;
 use pov_topology::generators::TopologyKind;
 use pov_topology::{Graph, HostId};
 
@@ -70,6 +72,15 @@ impl Config {
             trials: 5,
             c: 16,
             seed: 23,
+        }
+    }
+
+    /// The sizes `repro` runs at `scale`: the quick run is
+    /// [`Config::smoke`].
+    pub fn at(scale: Scale) -> Self {
+        match scale {
+            Scale::Paper => Self::paper(),
+            Scale::Quick => Self::smoke(),
         }
     }
 
@@ -193,7 +204,6 @@ pub fn run(cfg: &Config) -> Vec<Row> {
                 out[3].push(interval);
             }
         }
-        let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len().max(1) as f64;
         rows.push(Row {
             topology: cfg.topology.name().to_string(),
             budget,
@@ -208,6 +218,20 @@ pub fn run(cfg: &Config) -> Vec<Row> {
         });
     }
     rows
+}
+
+/// `repro adversary`: the comparison at `scale`, as one table, then
+/// [`min_interval_ratio`] on a fixed-key line for the CI gate (> 1
+/// means the adaptive adversary beats oblivious churn at every budget).
+pub fn experiment(scale: Scale) -> Output {
+    let rows = run(&Config::at(scale));
+    Output {
+        tables: vec![table(&rows)],
+        notes: vec![format!(
+            "targeted/uniform interval deviation min ratio: {:.3}",
+            min_interval_ratio(&rows)
+        )],
+    }
 }
 
 /// Render the comparison.

@@ -5,6 +5,7 @@
 //! on the same axis — bytes a convergecast message spends on the sketch —
 //! and measures the mean relative error of each at equal budgets.
 
+use super::{Output, Scale};
 use crate::report::Table;
 use pov_sketch::{stats, FmSketch, KmvSketch};
 use rand::rngs::SmallRng;
@@ -32,6 +33,17 @@ impl Config {
             budgets: vec![64, 128, 256, 512, 1024],
             trials: 20,
             seed: 70,
+        }
+    }
+
+    /// The sizes `repro` runs at `scale`.
+    pub fn at(scale: Scale) -> Self {
+        match scale {
+            Scale::Paper => Self::paper(),
+            Scale::Quick => Config {
+                n: 20_000,
+                ..Self::paper()
+            },
         }
     }
 
@@ -99,6 +111,12 @@ pub fn run(cfg: &Config) -> Vec<Row> {
         });
     }
     rows
+}
+
+/// `repro ext`: the sweep at `scale`, as one table.
+pub fn experiment(scale: Scale) -> Output {
+    let cfg = Config::at(scale);
+    table(&cfg, &run(&cfg)).into()
 }
 
 /// Render the sweep.

@@ -6,6 +6,7 @@
 //! total (sum); plot the ratio `m̂/m` against the repetition count `c`.
 //! The paper observes the ratio converging to 1 by `c ≈ 8`.
 
+use super::{Output, Scale};
 use crate::report::Table;
 use crate::workload::Zipf;
 use pov_sketch::{stats, FmSketch};
@@ -33,6 +34,19 @@ impl Config {
             c_values: (1..=16).collect(),
             trials: 10,
             seed: 2004,
+        }
+    }
+
+    /// The sizes `repro` runs at `scale`.
+    pub fn at(scale: Scale) -> Self {
+        match scale {
+            Scale::Paper => Self::paper(),
+            Scale::Quick => Config {
+                set_sizes: vec![1 << 10, 1 << 12],
+                c_values: vec![1, 2, 4, 8, 12, 16],
+                trials: 10,
+                seed: 2004,
+            },
         }
     }
 
@@ -114,6 +128,11 @@ pub fn run(cfg: &Config) -> Vec<Row> {
         }
     }
     rows
+}
+
+/// `repro fig6`: the sweep at `scale`, as one table.
+pub fn experiment(scale: Scale) -> Output {
+    table(&run(&Config::at(scale))).into()
 }
 
 /// Render as the paper's series.

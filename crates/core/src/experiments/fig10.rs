@@ -7,6 +7,7 @@
 //! (overlapping SPANNINGTREE) and SPANNINGTREE. The paper reads off a
 //! 4× WILDFIRE/SPANNINGTREE ratio on Random and on Gnutella.
 
+use super::{Output, Scale};
 use crate::report::Table;
 use crate::workload;
 use pov_protocols::wildfire::WildfireOpts;
@@ -38,6 +39,20 @@ impl Config {
             gnutella_n: Some(39_046),
             c: 8,
             seed: 10,
+        }
+    }
+
+    /// The sizes `repro` runs at `scale`.
+    pub fn at(scale: Scale) -> Self {
+        match scale {
+            Scale::Paper => Self::paper(),
+            Scale::Quick => Config {
+                sizes: vec![1_000, 2_000, 4_000],
+                d_hat_multipliers: vec![1, 2, 4],
+                gnutella_n: Some(4_000),
+                c: 8,
+                seed: 10,
+            },
         }
     }
 
@@ -130,6 +145,20 @@ pub fn run(cfg: &Config) -> Vec<Row> {
         measure_topology("Gnutella", &graph, cfg.seed);
     }
     rows
+}
+
+/// `repro fig10`: the sweep at `scale`, as one table, then the
+/// WILDFIRE/SPANNINGTREE message ratio per (topology, n).
+pub fn experiment(scale: Scale) -> Output {
+    let rows = run(&Config::at(scale));
+    let mut notes = vec!["WILDFIRE/SPANNINGTREE message ratios:".to_string()];
+    for (topo, n, ratio) in price_ratios(&rows) {
+        notes.push(format!("  {topo:<10} |H|={n:<6} {ratio:.2}x"));
+    }
+    Output {
+        tables: vec![table(&rows)],
+        notes,
+    }
 }
 
 /// WILDFIRE-to-SPANNINGTREE message ratio per (topology, n).

@@ -8,6 +8,7 @@
 //! SPANNINGTREE thanks to early aggregation: a host whose value is
 //! already dominated never sends it.
 
+use super::{Output, Scale};
 use crate::report::Table;
 use crate::workload;
 use pov_protocols::wildfire::WildfireOpts;
@@ -34,6 +35,18 @@ impl Config {
             sides: vec![50, 70, 85, 100],
             c: 8,
             seed: 11,
+        }
+    }
+
+    /// The sizes `repro` runs at `scale`.
+    pub fn at(scale: Scale) -> Self {
+        match scale {
+            Scale::Paper => Self::paper(),
+            Scale::Quick => Config {
+                sides: vec![30, 40, 50],
+                c: 8,
+                seed: 11,
+            },
         }
     }
 
@@ -94,6 +107,11 @@ pub fn run(cfg: &Config) -> Vec<Row> {
         );
     }
     rows
+}
+
+/// `repro fig11`: the sweep at `scale`, as one table.
+pub fn experiment(scale: Scale) -> Output {
+    table(&run(&Config::at(scale))).into()
 }
 
 /// Render as the paper's figure series.

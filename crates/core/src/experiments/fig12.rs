@@ -6,6 +6,7 @@
 //! on Power-Law, ~4× on Random, and a dramatic ~44× on Grid (8
 //! neighbours hear every radio transmission × ~5× more transmissions).
 
+use super::{Output, Scale};
 use crate::report::Table;
 use crate::workload;
 use pov_protocols::wildfire::WildfireOpts;
@@ -35,6 +36,18 @@ impl Config {
             ],
             c: 8,
             seed: 12,
+        }
+    }
+
+    /// The sizes `repro` runs at `scale`.
+    pub fn at(scale: Scale) -> Self {
+        match scale {
+            Scale::Paper => Self::paper(),
+            Scale::Quick => Config {
+                topologies: vec![(TopologyKind::PowerLaw, 4_000), (TopologyKind::Grid, 2_500)],
+                c: 8,
+                seed: 12,
+            },
         }
     }
 
@@ -115,6 +128,20 @@ pub fn run(cfg: &Config) -> Vec<Row> {
         }
     }
     rows
+}
+
+/// `repro fig12`: the measurement at `scale`, as one table, then the
+/// WILDFIRE/SPANNINGTREE max-computation-cost ratio per topology.
+pub fn experiment(scale: Scale) -> Output {
+    let rows = run(&Config::at(scale));
+    let mut notes = vec!["max computation-cost ratios (WILDFIRE/SPANNINGTREE):".to_string()];
+    for (topo, ratio) in max_ratios(&rows) {
+        notes.push(format!("  {topo:<10} {ratio:.1}x"));
+    }
+    Output {
+        tables: vec![table(&rows)],
+        notes,
+    }
 }
 
 /// Max-computation-cost ratio WILDFIRE / SPANNINGTREE per topology.

@@ -8,6 +8,7 @@
 //! quiescing by `2·D·δ` regardless of `D̂`, which is why communication
 //! cost stays flat.
 
+use super::{Output, Scale};
 use crate::report::Table;
 use crate::workload;
 use pov_protocols::wildfire::WildfireOpts;
@@ -44,6 +45,25 @@ impl Config {
             ],
             c: 8,
             seed: 13,
+        }
+    }
+
+    /// The sizes `repro` runs at `scale`.
+    pub fn at(scale: Scale) -> Self {
+        match scale {
+            Scale::Paper => Self::paper(),
+            Scale::Quick => Config {
+                sizes: vec![1_000, 2_000, 4_000],
+                d_hat_multipliers: vec![1, 2, 4],
+                profile_topologies: vec![
+                    (TopologyKind::Gnutella, 4_000),
+                    (TopologyKind::Random, 4_000),
+                    (TopologyKind::PowerLaw, 4_000),
+                    (TopologyKind::Grid, 2_500),
+                ],
+                c: 8,
+                seed: 13,
+            },
         }
     }
 
@@ -157,6 +177,28 @@ pub fn run_profile(cfg: &Config) -> Vec<ProfileRow> {
         });
     }
     rows
+}
+
+/// `repro fig13a`: part (a) at `scale`, as one table.
+pub fn fig13a(scale: Scale) -> Output {
+    time_table(&run_time_cost(&Config::at(scale))).into()
+}
+
+/// `repro fig13b`: part (b) at `scale`, as one table, then each
+/// topology's per-tick series.
+pub fn fig13b(scale: Scale) -> Output {
+    let profiles = run_profile(&Config::at(scale));
+    let notes = profiles
+        .iter()
+        .map(|p| {
+            let series: Vec<String> = p.sent_per_tick.iter().map(|c| c.to_string()).collect();
+            format!("  {} per-tick: [{}]", p.topology, series.join(", "))
+        })
+        .collect();
+    Output {
+        tables: vec![profile_table(&profiles)],
+        notes,
+    }
 }
 
 /// Render part (a).

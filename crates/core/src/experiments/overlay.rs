@@ -30,12 +30,14 @@
 //!
 //! [`OverlayView`]: pov_topology::OverlayView
 
+use super::{Output, Scale};
 use crate::report::Table;
 use crate::workload;
 use pov_overlay::{OverlayConfig, OverlayMaintenance};
 use pov_protocols::wildfire::WildfireOpts;
 use pov_protocols::{runner, Aggregate, ProtocolKind, RunPlan};
 use pov_sim::{ChurnPlan, Ctx, NodeLogic, OverlayStats, SimBuilder, Time};
+use pov_sketch::stats::mean;
 use pov_topology::analysis::{overlay_connectivity, overlay_degree_summary};
 use pov_topology::generators::TopologyKind;
 use pov_topology::HostId;
@@ -86,6 +88,15 @@ impl Config {
             c: 16,
             overlay: query_scale_overlay(),
             seed: 47,
+        }
+    }
+
+    /// The sizes `repro` runs at `scale`: the quick run is
+    /// [`Config::smoke`].
+    pub fn at(scale: Scale) -> Self {
+        match scale {
+            Scale::Paper => Self::paper(),
+            Scale::Quick => Self::smoke(),
         }
     }
 
@@ -165,11 +176,6 @@ struct Idle;
 impl NodeLogic for Idle {
     type Msg = ();
     fn on_message(&mut self, _ctx: &mut Ctx<'_, ()>, _from: HostId, _msg: ()) {}
-}
-
-/// Mean of a slice (0 when empty).
-fn mean(xs: &[f64]) -> f64 {
-    xs.iter().sum::<f64>() / xs.len().max(1) as f64
 }
 
 /// Field-wise sum of two stats records.
@@ -308,6 +314,28 @@ pub fn run(cfg: &Config) -> Vec<Row> {
         });
     }
     rows
+}
+
+/// `repro overlay`: the comparison at `scale`, as one table, then the
+/// two headlines on fixed-key lines for the CI gate: the validity side
+/// ([`min_value_gain`]) must not dip below ~1 (maintenance never loses
+/// ground), and the cost side ([`max_cost_ratio`]) reports what that
+/// costs.
+pub fn experiment(scale: Scale) -> Output {
+    let rows = run(&Config::at(scale));
+    Output {
+        tables: vec![table(&rows)],
+        notes: vec![
+            format!(
+                "maintained/static value min gain: {:.3}",
+                min_value_gain(&rows)
+            ),
+            format!(
+                "maintained/static message max ratio: {:.3}",
+                max_cost_ratio(&rows)
+            ),
+        ],
+    }
 }
 
 /// Render the comparison.

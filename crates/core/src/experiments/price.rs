@@ -7,12 +7,14 @@
 //! for each aggregate, plus the validity rates both achieve under heavy
 //! churn — cost is only half the story.
 
+use super::{Output, Scale};
 use crate::report::Table;
 use crate::workload;
 use pov_oracle::{aggregate_bounds, host_sets};
 use pov_protocols::wildfire::WildfireOpts;
 use pov_protocols::{runner, Aggregate, ProtocolKind, RunPlan};
 use pov_sim::{ChurnPlan, Medium, Time};
+use pov_sketch::stats;
 use pov_topology::generators::TopologyKind;
 use pov_topology::{analysis, HostId};
 
@@ -48,6 +50,26 @@ impl Config {
             trials: 5,
             c: 8,
             seed: 77,
+        }
+    }
+
+    /// The sizes `repro` runs at `scale`.
+    pub fn at(scale: Scale) -> Self {
+        match scale {
+            Scale::Paper => Self::paper(),
+            Scale::Quick => Config {
+                topologies: vec![
+                    (TopologyKind::Gnutella, 4_000),
+                    (TopologyKind::Random, 4_000),
+                    (TopologyKind::PowerLaw, 4_000),
+                    (TopologyKind::Grid, 2_500),
+                ],
+                aggregates: vec![Aggregate::Count, Aggregate::Sum, Aggregate::Min],
+                churn_fraction: 0.10,
+                trials: 5,
+                c: 8,
+                seed: 77,
+            },
         }
     }
 
@@ -132,17 +154,21 @@ pub fn run(cfg: &Config) -> Vec<Row> {
                     st_devs.push(dev(st_out.value));
                 }
             }
-            let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len().max(1) as f64;
             rows.push(Row {
                 topology: kind.name().to_string(),
                 aggregate: aggregate.name(),
                 message_ratio: ratio,
-                wildfire_deviation: mean(&wf_devs),
-                spanning_tree_deviation: mean(&st_devs),
+                wildfire_deviation: stats::mean(&wf_devs),
+                spanning_tree_deviation: stats::mean(&st_devs),
             });
         }
     }
     rows
+}
+
+/// `repro price`: the summary at `scale`, as one table.
+pub fn experiment(scale: Scale) -> Output {
+    table(&run(&Config::at(scale))).into()
 }
 
 /// Render the summary.

@@ -7,6 +7,7 @@
 //! the valid range: WILDFIRE stays inside across all `R`, SPANNINGTREE
 //! and DIRECTEDACYCLICGRAPH fall below as dynamism grows.
 
+use super::{Output, Scale};
 use crate::report::{fmt_mean_ci, Table};
 use crate::workload;
 use pov_oracle::{aggregate_bounds, host_sets};
@@ -66,6 +67,41 @@ impl Config {
             n: 10_000,
             seed: 9,
             ..Self::paper_fig07()
+        }
+    }
+
+    /// Fig 7 at `scale`.
+    pub fn fig07(scale: Scale) -> Self {
+        match scale {
+            Scale::Paper => Self::paper_fig07(),
+            Scale::Quick => Config {
+                trials: 5,
+                ..Self::smoke(TopologyKind::Gnutella, Aggregate::Count, 4_000)
+            },
+        }
+    }
+
+    /// Fig 8 at `scale`.
+    pub fn fig08(scale: Scale) -> Self {
+        match scale {
+            Scale::Paper => Self::paper_fig08(),
+            Scale::Quick => Config {
+                trials: 5,
+                seed: 8,
+                ..Self::smoke(TopologyKind::Gnutella, Aggregate::Sum, 4_000)
+            },
+        }
+    }
+
+    /// Fig 9 at `scale`.
+    pub fn fig09(scale: Scale) -> Self {
+        match scale {
+            Scale::Paper => Self::paper_fig09(),
+            Scale::Quick => Config {
+                trials: 5,
+                seed: 9,
+                ..Self::smoke(TopologyKind::Grid, Aggregate::Count, 2_500)
+            },
         }
     }
 
@@ -230,6 +266,25 @@ pub fn run(cfg: &Config) -> Vec<RowR> {
         });
     }
     rows
+}
+
+/// `repro fig7`: count on Gnutella at `scale`, as one table.
+pub fn fig7(scale: Scale) -> Output {
+    experiment(&Config::fig07(scale))
+}
+
+/// `repro fig8`: sum on Gnutella at `scale`, as one table.
+pub fn fig8(scale: Scale) -> Output {
+    experiment(&Config::fig08(scale))
+}
+
+/// `repro fig9`: count on Grid at `scale`, as one table.
+pub fn fig9(scale: Scale) -> Output {
+    experiment(&Config::fig09(scale))
+}
+
+fn experiment(cfg: &Config) -> Output {
+    table(cfg, &run(cfg)).into()
 }
 
 /// Render as the paper's figure series.

@@ -28,9 +28,9 @@
 //!
 //! * [`Network`] / [`QueryBuilder`] — the high-level façade used above;
 //! * [`workload`] — Zipf attribute values on `[10, 500]` (§6.1);
-//! * [`experiments`] — one driver per figure of §6 (its module docs
-//!   carry the per-experiment index; `docs/ARCHITECTURE.md` maps the
-//!   crates underneath);
+//! * [`experiments`] — one driver per figure of §6, and the registry
+//!   `repro` runs them from (its module docs carry the per-experiment
+//!   index; `docs/ARCHITECTURE.md` maps the crates underneath);
 //! * [`judged`] — the shared execution layer: run one protocol and
 //!   judge it, or execute a whole `RunPlan` (N protocols × continuous
 //!   windows, one churn realization) for the façade and the

@@ -378,8 +378,6 @@ pub struct Outcome {
     pub metrics: Metrics,
     /// Ground-truth membership trace (for the oracle).
     pub trace: Trace,
-    /// Hosts alive when the run ended.
-    pub alive_at_end: Vec<bool>,
     /// Overlay maintenance counters, when the plan maintained one
     /// ([`RunPlan::overlay`]).
     pub overlay: Option<OverlayStats>,
@@ -402,13 +400,12 @@ fn finish<L: NodeLogic>(
     sim.run_until(horizon);
     let result = read_result(sim.logic(hq));
     let overlay = sim.overlay_stats();
-    let (metrics, trace, alive_at_end) = sim.into_record();
+    let (metrics, trace) = sim.into_record();
     Outcome {
         value: result.map(|(v, _)| v),
         declared_at: result.map(|(_, t)| t),
         metrics,
         trace,
-        alive_at_end,
         overlay,
     }
 }
@@ -593,7 +590,7 @@ pub fn run_wildfire_operator(
     sim.run_until(Time(spec.deadline() + 2));
     let logic = sim.logic(hq);
     let (result, partial) = (logic.result(), logic.partial());
-    let (metrics, trace, _) = sim.into_record();
+    let (metrics, trace) = sim.into_record();
     OperatorOutcome {
         value: result.map(|(v, _)| v),
         partial,
@@ -732,7 +729,8 @@ mod tests {
         let out = run(ProtocolKind::SpanningTree, &g, &[1; 5], &cfg);
         assert!(out.metrics.messages_sent > 0);
         assert_eq!(out.trace.events.len(), 1);
-        assert_eq!(out.alive_at_end.iter().filter(|&&a| a).count(), 4);
+        let alive_at_end = out.trace.alive_at(Time(u64::MAX));
+        assert_eq!(alive_at_end.iter().filter(|&&a| a).count(), 4);
         assert!(out.time_cost().is_some());
     }
 
@@ -861,8 +859,9 @@ mod tests {
         // Exactly `budget` kills land in the trace — the comparability
         // contract with uniform_failures at r = 7.
         assert_eq!(out.trace.events.len(), 7);
-        assert_eq!(out.alive_at_end.iter().filter(|&&a| !a).count(), 7);
-        assert!(out.alive_at_end[0], "hq is spared");
+        let alive_at_end = out.trace.alive_at(Time(u64::MAX));
+        assert_eq!(alive_at_end.iter().filter(|&&a| !a).count(), 7);
+        assert!(alive_at_end[0], "hq is spared");
         assert!(out.value.is_some(), "hq declares");
     }
 

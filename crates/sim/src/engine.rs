@@ -954,18 +954,18 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
         &self.trace
     }
 
-    /// Move the run record out of a finished simulation: the metrics,
-    /// the membership trace and every host's alive flag, by host index —
-    /// what [`Simulation::metrics`], [`Simulation::trace`] and
-    /// [`Simulation::is_alive`] report. The rest of the simulation is
+    /// Move the run record out of a finished simulation: the metrics
+    /// and the membership trace — what [`Simulation::metrics`] and
+    /// [`Simulation::trace`] report (the trace's end state is every
+    /// host's [`Simulation::is_alive`]). The rest of the simulation is
     /// dropped, so the record is never held twice. A record can outlive
     /// its run by far (a continuous query keeps one per window), so the
     /// two lists that grew by doubling are trimmed to their length.
-    pub fn into_record(self) -> (Metrics, Trace, Vec<bool>) {
+    pub fn into_record(self) -> (Metrics, Trace) {
         let (mut metrics, mut trace) = (self.metrics, self.trace);
         metrics.sent_per_tick.shrink_to_fit();
         trace.events.shrink_to_fit();
-        (metrics, trace, self.hosts.alive)
+        (metrics, trace)
     }
 
     /// Number of pending events, a fanout counting one per target.
@@ -2339,10 +2339,10 @@ mod tests {
         // Scripted and dynamic membership changes both reached the trace.
         assert!(sim.trace().events.len() > 3, "{trace}");
         assert!(alive.contains(&false) && alive.contains(&true));
-        let (moved_metrics, moved_trace, moved_alive) = sim.into_record();
+        let (moved_metrics, moved_trace) = sim.into_record();
         assert_eq!(format!("{moved_metrics:?}"), metrics);
         assert_eq!(format!("{moved_trace:?}"), trace);
-        assert_eq!(moved_alive, alive);
+        assert_eq!(moved_trace.alive_at(Time(30)), alive);
     }
 
     /// The fanout equivalence bar's protocol: relays a token a few hops

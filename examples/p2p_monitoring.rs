@@ -11,7 +11,8 @@
 //! ```
 
 use pov_core::capture_recapture::{JollySeber, PopulationModel};
-use pov_core::continuous::{hc_decay, run_continuous, ContinuousConfig};
+use pov_core::continuous::hc_decay;
+use pov_core::pov_protocols::wildfire::WildfireOpts;
 use pov_core::prelude::*;
 
 fn main() {
@@ -32,25 +33,23 @@ fn main() {
     );
 
     println!("== continuous avg-load query (window = {window} ticks) ==");
-    let cfg = ContinuousConfig {
-        aggregate: Aggregate::Average,
-        window,
-        windows,
-        d_hat,
-        c: 16,
-        hq: HostId(0),
-        seed: 3,
-    };
-    let reports = run_continuous(net.graph(), net.values(), &churn, &cfg);
-    for r in &reports {
+    let plan = RunPlan::query(Aggregate::Average)
+        .d_hat(d_hat)
+        .repetitions(16)
+        .seed(3)
+        .churn(churn)
+        .continuous(window, windows)
+        .protocol(ProtocolKind::Wildfire(WildfireOpts::default()));
+    for w in &judged_plan(net.graph(), net.values(), &plan)[0].windows {
+        let r = &w.judged;
         println!(
             "t={:<5} avg ≈ {:>7.2}   window HC = {:<5} HU = {:<5} factor {:>5.2}   msgs {}",
-            r.start,
+            w.start,
             r.value.unwrap_or(f64::NAN),
             r.hc_size,
             r.hu_size,
             r.verdict.approx_factor.unwrap_or(f64::INFINITY),
-            r.messages,
+            r.metrics.messages_sent,
         );
     }
 

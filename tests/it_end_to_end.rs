@@ -2,8 +2,8 @@
 //! continuous-query and size-estimation machinery.
 
 use pov_core::capture_recapture::{JollySeber, PopulationModel};
-use pov_core::continuous::{run_continuous, ContinuousConfig};
 use pov_core::experiments::{ablation, fig06, fig10, fig11, fig12, fig13, price, validity};
+use pov_core::pov_protocols::wildfire::WildfireOpts;
 use pov_core::prelude::*;
 use pov_core::ring_estimator::RingEstimator;
 
@@ -75,23 +75,20 @@ fn continuous_query_over_long_churn() {
     let d_hat = net.d_hat();
     let window = 2 * d_hat as u64 + 4;
     let churn = ChurnPlan::uniform_failures(250, 50, Time(0), Time(window * 4), HostId(0), 9);
-    let cfg = ContinuousConfig {
-        aggregate: Aggregate::Max,
-        window,
-        windows: 4,
-        d_hat,
-        c: 8,
-        hq: HostId(0),
-        seed: 1,
-    };
-    let reports = run_continuous(net.graph(), net.values(), &churn, &cfg);
-    assert_eq!(reports.len(), 4);
-    for r in &reports {
+    let plan = RunPlan::query(Aggregate::Max)
+        .d_hat(d_hat)
+        .seed(1)
+        .churn(churn)
+        .continuous(window, 4)
+        .protocol(ProtocolKind::Wildfire(WildfireOpts::default()));
+    let windows = &judged_plan(net.graph(), net.values(), &plan)[0].windows;
+    assert_eq!(windows.len(), 4);
+    for w in windows {
         assert!(
-            r.verdict.is_valid(),
+            w.judged.verdict.is_valid(),
             "window {:?}: max must stay valid, got {:?}",
-            r.start,
-            r.verdict
+            w.start,
+            w.judged.verdict
         );
     }
 }

@@ -9,6 +9,11 @@
 //! fingerprint uses (FNV-1a over the artefact's bytes). To re-capture
 //! after an *intended* output change, run this test with `POV_BLESS=1`
 //! and commit the rewritten file with the change that moved it.
+//!
+//! The `repro/` lines pin the quick `repro` experiments' stdout and
+//! `--json` document. Running those takes a release build, so
+//! `crates/bench/tests/repro_digests.rs` checks and re-captures them;
+//! this test leaves them alone.
 
 use pov_scenario::{run_batch, trace_batch, Scenario};
 use pov_telemetry::export;
@@ -17,6 +22,9 @@ use std::path::{Path, PathBuf};
 /// The scenarios whose traces are pinned: the CI smoke file and the
 /// phased lifecycle arc (per-window records with phase labels).
 const TRACED: [&str; 2] = ["smoke.scn", "soak_lifecycle.scn"];
+
+/// The prefix of the lines `crates/bench/tests/repro_digests.rs` owns.
+const REPRO_PREFIX: &str = "repro/";
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -86,22 +94,26 @@ fn every_pinned_artefact_is_byte_identical() {
         .iter()
         .map(|(name, bytes)| line(name, bytes))
         .collect();
+    let golden = std::fs::read_to_string(golden_path()).expect("tests/golden/outputs.txt exists");
     if std::env::var_os("POV_BLESS").is_some_and(|v| v == "1") {
         let mut text = String::from(
             "# name byte-length fnv1a64 — see tests/it_output_digests.rs; \
              re-capture only with POV_BLESS=1\n",
         );
-        for l in &lines {
+        for l in lines
+            .iter()
+            .map(String::as_str)
+            .chain(golden.lines().filter(|l| l.starts_with(REPRO_PREFIX)))
+        {
             text.push_str(l);
             text.push('\n');
         }
         std::fs::write(golden_path(), text).expect("write the golden file");
         return;
     }
-    let golden = std::fs::read_to_string(golden_path()).expect("tests/golden/outputs.txt exists");
     let pinned: Vec<&str> = golden
         .lines()
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .filter(|l| !l.is_empty() && !l.starts_with('#') && !l.starts_with(REPRO_PREFIX))
         .collect();
     let name_of = |l: &str| l.split(' ').next().unwrap_or_default().to_string();
     let mut moved = Vec::new();
