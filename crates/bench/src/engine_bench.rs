@@ -23,8 +23,8 @@
 
 use pov_core::pov_protocols::{runner, Aggregate, ProtocolKind, RunPlan};
 use pov_core::pov_topology::generators::TopologyKind;
-use pov_core::pov_topology::{analysis, HostId};
-use pov_core::workload;
+use pov_core::pov_topology::HostId;
+use pov_core::Network;
 use pov_scenario::Json;
 use std::time::Instant;
 
@@ -111,16 +111,14 @@ fn run_workload(name: &'static str, n: usize) -> BenchResult {
     // Setup (topology, values, diameter probe) happens outside the
     // timed region: the ladder measures the event loop, not graph
     // construction.
-    let graph = TopologyKind::Random.build(n, 1);
-    let n = graph.num_hosts();
-    let values = workload::paper_values(n, 0x5eed_0001);
-    let d_hat = analysis::diameter_estimate(&graph, 4, 1) + 2;
+    let net = Network::from_graph(TopologyKind::Random.build(n, 1), 0, 2);
+    let n = net.graph().num_hosts();
     let plan = RunPlan::query(Aggregate::Count)
-        .d_hat(d_hat)
+        .d_hat(net.d_hat())
         .from_host(HostId(0))
         .seed(0);
     let start = Instant::now();
-    let out = runner::run(ProtocolKind::SpanningTree, &graph, &values, &plan);
+    let out = runner::run(ProtocolKind::SpanningTree, net.graph(), net.values(), &plan);
     let wall_s = start.elapsed().as_secs_f64().max(1e-9);
     let events = out.metrics.events_dispatched;
     let ticks = plan.deadline() + 2;

@@ -20,8 +20,8 @@ use pov_core::mux::{judged_mux, solo_twin, MuxJudged, WorkloadSpec};
 use pov_core::pov_protocols::MuxPlan;
 use pov_core::pov_sim::{ChurnPlan, Time};
 use pov_core::pov_topology::generators::TopologyKind;
-use pov_core::pov_topology::{analysis, HostId};
-use pov_core::workload;
+use pov_core::pov_topology::HostId;
+use pov_core::Network;
 use pov_scenario::Json;
 use std::time::Instant;
 
@@ -168,10 +168,9 @@ pub fn run(mode: BenchMode) -> MuxBenchResult {
 
 /// Execute one multiplexed workload and its sequential baseline.
 pub fn run_config(cfg: &MuxBenchConfig) -> MuxBenchResult {
-    let graph = TopologyKind::Random.build(cfg.n, cfg.seed);
+    let net = Network::build(TopologyKind::Random, cfg.n, cfg.seed);
+    let (graph, values, d_hat) = (net.graph(), net.values(), net.d_hat());
     let n = graph.num_hosts();
-    let values = workload::paper_values(n, cfg.seed ^ 0x5eed_0001);
-    let d_hat = analysis::diameter_estimate(&graph, 4, cfg.seed | 1) + 2;
     let spec = WorkloadSpec {
         queries: cfg.queries,
         span: 2 * d_hat as u64,
@@ -204,7 +203,7 @@ pub fn run_config(cfg: &MuxBenchConfig) -> MuxBenchResult {
     let mut best: Option<(Vec<MuxJudged>, _)> = None;
     for _ in 0..TIMING_REPS {
         let start = Instant::now();
-        let (judged, out) = judged_mux(&graph, &values, &queries, &plan);
+        let (judged, out) = judged_mux(graph, values, &queries, &plan);
         mux_wall_ms = mux_wall_ms.min(start.elapsed().as_secs_f64() * 1_000.0);
         if let Some((prev, _)) = &best {
             assert_eq!(
@@ -231,11 +230,11 @@ pub fn run_config(cfg: &MuxBenchConfig) -> MuxBenchResult {
         let start = Instant::now();
         twins = queries
             .iter()
-            .map(|q| solo_twin(&graph, &values, q, &plan))
+            .map(|q| solo_twin(graph, values, q, &plan))
             .collect();
         sequential_wall_ms = sequential_wall_ms.min(start.elapsed().as_secs_f64() * 1_000.0);
     }
-    let sequential_raw_messages = sequential_raw(&graph, &values, &queries, &plan);
+    let sequential_raw_messages = sequential_raw(graph, values, &queries, &plan);
 
     // Equivalence first, throughput second: a non-joined query's
     // multiplexed trajectory is independent of its co-residents, so its

@@ -4,11 +4,10 @@
 
 use crate::judged::{judged_plan, JudgedOutcome};
 use crate::workload;
-use pov_oracle::Verdict;
 use pov_protocols::allreport::ReportRouting;
 use pov_protocols::wildfire::WildfireOpts;
 use pov_protocols::{Aggregate, ProtocolKind, RunPlan};
-use pov_sim::{ChurnPlan, DelayModel, Medium, Metrics, Time};
+use pov_sim::{ChurnPlan, DelayModel, Medium, Time};
 use pov_topology::generators::TopologyKind;
 use pov_topology::{analysis, Graph, HostId};
 
@@ -38,15 +37,9 @@ impl Protocol {
         }
     }
 
-    /// Paper name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Protocol::AllReport => "ALLREPORT",
-            Protocol::SpanningTree => "SPANNINGTREE",
-            Protocol::Dag2 => "DAG(k=2)",
-            Protocol::Dag3 => "DAG(k=3)",
-            Protocol::Wildfire => "WILDFIRE",
-        }
+    /// Paper name, with the DAG's parent count ([`ProtocolKind::label`]).
+    pub fn name(self) -> String {
+        self.kind().label()
     }
 }
 
@@ -62,22 +55,25 @@ pub struct Network {
 
 impl Network {
     /// Build one of the §6.1 topologies with `n` hosts and paper-Zipf
-    /// attribute values. `D̂` is set to the measured diameter plus a
-    /// small slack, mirroring the paper's "overestimate by a reasonably
-    /// small constant" (§4.1).
+    /// attribute values. `D̂` is the measured diameter plus a slack of
+    /// 2, mirroring the paper's "overestimate by a reasonably small
+    /// constant" (§4.1).
     pub fn build(kind: TopologyKind, n: usize, seed: u64) -> Self {
         let graph = kind.build(n, seed);
-        Self::from_graph(graph, seed)
+        Self::from_graph(graph, seed, 2)
     }
 
-    /// Wrap an existing graph, assigning paper-Zipf values.
-    pub fn from_graph(graph: Graph, seed: u64) -> Self {
+    /// Wrap an existing graph: paper-Zipf values drawn from `seed`, and
+    /// `D̂` = the graph's estimated diameter + `d_hat_slack`. Every
+    /// network the façade, the scenario runner and the benches build
+    /// from a seed goes through here, so they agree on values and `D̂`.
+    pub fn from_graph(graph: Graph, seed: u64, d_hat_slack: u32) -> Self {
         let values = workload::paper_values(graph.num_hosts(), seed ^ 0x5eed_0001);
         let d = analysis::diameter_estimate(&graph, 4, seed | 1);
         Network {
             graph,
             values,
-            d_hat: d + 2,
+            d_hat: d + d_hat_slack,
             seed,
         }
     }
@@ -181,28 +177,27 @@ impl<'a> QueryBuilder<'a> {
     /// The [`RunPlan`] this builder describes, with `kinds` as the
     /// execution list.
     fn plan(&self, kinds: impl IntoIterator<Item = ProtocolKind>) -> RunPlan {
-        let deadline = 2 * self.net.d_hat as u64 * self.delay.bound();
-        let churn = ChurnPlan::uniform_failures(
-            self.net.graph.num_hosts(),
-            self.failures,
-            Time::ZERO,
-            Time(deadline),
-            self.hq,
-            self.seed ^ 0xdead,
-        );
-        RunPlan::query(self.aggregate)
+        let plan = RunPlan::query(self.aggregate)
             .d_hat(self.net.d_hat)
             .repetitions(self.c)
             .medium(self.medium)
             .delay(self.delay)
-            .churn(churn)
             .seed(self.seed)
             .from_host(self.hq)
-            .protocols(kinds)
+            .protocols(kinds);
+        let churn = ChurnPlan::uniform_failures(
+            self.net.graph.num_hosts(),
+            self.failures,
+            Time::ZERO,
+            Time(plan.deadline()),
+            self.hq,
+            self.seed ^ 0xdead,
+        );
+        plan.churn(churn)
     }
 
     /// Run the query under `protocol` and judge the outcome.
-    pub fn run(&self, protocol: Protocol) -> Answer {
+    pub fn run(&self, protocol: Protocol) -> JudgedOutcome {
         self.compare(&[protocol]).remove(0)
     }
 
@@ -211,47 +206,12 @@ impl<'a> QueryBuilder<'a> {
     /// argument order. Because the failure draw is fixed by the plan,
     /// the answers form a paired comparison: any verdict/cost gap is
     /// the protocols' doing, not the dynamism's.
-    pub fn compare(&self, protocols: &[Protocol]) -> Vec<Answer> {
+    pub fn compare(&self, protocols: &[Protocol]) -> Vec<JudgedOutcome> {
         let plan = self.plan(protocols.iter().map(|p| p.kind()));
         judged_plan(&self.net.graph, &self.net.values, &plan)
             .into_iter()
-            .zip(protocols)
-            .map(|(mut judged, &p)| Answer::from_judged(p, judged.windows.remove(0).judged))
+            .map(|mut judged| judged.windows.remove(0).judged)
             .collect()
-    }
-}
-
-/// A declared value together with the oracle's judgement and the run's
-/// cost metrics.
-#[derive(Clone, Debug)]
-pub struct Answer {
-    /// The protocol that produced this answer (paper name).
-    pub protocol: &'static str,
-    /// The value `hq` declared (None if `hq` died first).
-    pub value: Option<f64>,
-    /// When it was declared.
-    pub declared_at: Option<Time>,
-    /// The oracle's Single-Site-Validity judgement.
-    pub verdict: Verdict,
-    /// `|HC|` over the query interval.
-    pub hc_size: usize,
-    /// `|HU|` over the query interval.
-    pub hu_size: usize,
-    /// §6.3 cost metrics.
-    pub metrics: Metrics,
-}
-
-impl Answer {
-    fn from_judged(protocol: Protocol, out: JudgedOutcome) -> Answer {
-        Answer {
-            protocol: protocol.name(),
-            value: out.value,
-            declared_at: out.declared_at,
-            verdict: out.verdict,
-            hc_size: out.hc_size,
-            hu_size: out.hu_size,
-            metrics: out.metrics,
-        }
     }
 }
 
@@ -326,24 +286,33 @@ mod tests {
     fn compare_pairs_protocols_on_one_realization() {
         // WILDFIRE vs SPANNINGTREE under the same 60-failure draw: the
         // paired answers expose the validity gap without churn-sampling
-        // noise, and each answer knows which protocol produced it.
+        // noise, and come back in argument order.
         let net = Network::build(TopologyKind::Random, 300, 17);
         let answers = net
             .query(Aggregate::Count)
             .churn(60)
             .compare(&[Protocol::Wildfire, Protocol::SpanningTree]);
         assert_eq!(answers.len(), 2);
-        assert_eq!(answers[0].protocol, "WILDFIRE");
-        assert_eq!(answers[1].protocol, "SPANNINGTREE");
         // Shared realization: identical oracle population set.
         assert_eq!(answers[0].hu_size, answers[1].hu_size);
         // And identical to what a solo run of each protocol sees.
-        let solo = net
-            .query(Aggregate::Count)
-            .churn(60)
-            .run(Protocol::Wildfire);
-        assert_eq!(solo.value, answers[0].value);
-        assert_eq!(solo.metrics.messages_sent, answers[0].metrics.messages_sent);
+        for (p, answer) in [Protocol::Wildfire, Protocol::SpanningTree]
+            .into_iter()
+            .zip(&answers)
+        {
+            let solo = net.query(Aggregate::Count).churn(60).run(p);
+            assert_eq!(solo.value, answer.value, "{}", p.name());
+            assert_eq!(
+                solo.metrics.messages_sent,
+                answer.metrics.messages_sent,
+                "{}",
+                p.name()
+            );
+        }
+        assert_ne!(
+            answers[0].metrics.messages_sent, answers[1].metrics.messages_sent,
+            "the two protocols' costs tell the answers apart"
+        );
     }
 
     #[test]

@@ -132,39 +132,24 @@ pub fn judged_run(
 /// and seed realization. For one-shot plans each protocol yields a
 /// single window at `start = 0`; for continuous plans (§4.2) the
 /// absolute-time churn/partition schedule is sliced into per-window
-/// local plans, so "protocol A vs protocol B across windows" is a
-/// paired comparison on identical dynamism.
+/// local plans ([`window_local_plans`]), so "protocol A vs protocol B
+/// across windows" is a paired comparison on identical dynamism.
 ///
 /// # Panics
-/// Panics if `plan.protocols` is empty, or a continuous window is
-/// shorter than the one-shot deadline `2·D̂·δ` (a window must fit a
-/// full query round, §4.2).
+/// Panics if `plan.protocols` is empty, or on any plan
+/// [`window_local_plans`] rejects: a continuous window shorter than the
+/// one-shot deadline `2·D̂·δ` (a window must fit a full query round,
+/// §4.2), or a dynamic adversary with continuous windows.
 pub fn judged_plan(graph: &Graph, values: &[u64], plan: &RunPlan) -> Vec<ProtocolJudged> {
     assert!(
         !plan.protocols.is_empty(),
         "RunPlan has no protocols to execute; add one with .protocol(..)"
     );
-    // Continuous windows re-express the *pre-materialized* plan in each
-    // window's local time by replaying its history; a dynamic adversary
-    // decides its kills during the run, so its schedule cannot be
-    // replayed into later windows' start states. Reject the combination
-    // rather than judging window 1+ against the wrong membership.
-    assert!(
-        plan.adversary.is_none() || plan.continuous.is_none(),
-        "a dynamic adversary cannot be combined with continuous windows \
-         (its kills are not replayable into window-local churn plans)"
-    );
-    // Slice the continuous windows ONCE, then feed every protocol the
-    // same local plans: the shared-realization guarantee is structural,
-    // and the O(hosts + events) history replays run per window, not per
-    // protocol per window. A one-shot plan is the single window `plan`.
-    let locals: Vec<(Time, std::borrow::Cow<'_, RunPlan>)> = match plan.continuous {
-        None => vec![(Time::ZERO, std::borrow::Cow::Borrowed(plan))],
-        Some(cs) => window_plans(graph, plan, cs)
-            .into_iter()
-            .map(|(start, local)| (start, std::borrow::Cow::Owned(local)))
-            .collect(),
-    };
+    // Slice the windows ONCE, then feed every protocol the same local
+    // plans: the shared-realization guarantee is structural, and the
+    // O(hosts + events) history replays run per window, not per
+    // protocol per window.
+    let locals = window_local_plans(graph, plan);
     plan.protocols
         .iter()
         .map(|&kind| ProtocolJudged {
@@ -212,10 +197,14 @@ pub fn window_starts(plan: &RunPlan) -> Vec<Time> {
 /// only — their `protocols` lists are empty.
 ///
 /// # Panics
-/// Same conditions as [`judged_plan`]: a continuous window shorter than
-/// the one-shot deadline, or a dynamic adversary combined with
-/// continuous windows.
+/// Panics if a continuous window is shorter than the one-shot deadline,
+/// or a dynamic adversary is combined with continuous windows.
 pub fn window_local_plans(graph: &Graph, plan: &RunPlan) -> Vec<(Time, RunPlan)> {
+    // Continuous windows re-express the *pre-materialized* plan in each
+    // window's local time by replaying its history; a dynamic adversary
+    // decides its kills during the run, so its schedule cannot be
+    // replayed into later windows' start states. Reject the combination
+    // rather than judging window 1+ against the wrong membership.
     assert!(
         plan.adversary.is_none() || plan.continuous.is_none(),
         "a dynamic adversary cannot be combined with continuous windows \

@@ -56,7 +56,7 @@ pub mod report;
 pub mod ring_estimator;
 pub mod workload;
 
-pub use facade::{Answer, Network, Protocol, QueryBuilder};
+pub use facade::{Network, Protocol, QueryBuilder};
 
 // Substrate re-exports so downstream users need only one dependency.
 pub use pov_oracle;
@@ -67,7 +67,7 @@ pub use pov_topology;
 
 /// One-line imports for examples and tests.
 pub mod prelude {
-    pub use crate::facade::{Answer, Network, Protocol, QueryBuilder};
+    pub use crate::facade::{Network, Protocol, QueryBuilder};
     pub use crate::judged::{judged_plan, judged_run, JudgedOutcome, ProtocolJudged, WindowJudged};
     pub use crate::workload;
     pub use pov_oracle::{host_sets, Verdict};

@@ -274,30 +274,11 @@ impl Partial {
         }
     }
 
-    /// The query-dependent combine function (§5.1). Panics on mismatched
-    /// variants: partials from different queries must never meet.
-    pub fn combine(&mut self, other: &Partial) {
-        match (self, other) {
-            (Partial::Min(a), Partial::Min(b)) => *a = (*a).min(*b),
-            (Partial::Max(a), Partial::Max(b)) => *a = (*a).max(*b),
-            (Partial::SketchCount(a), Partial::SketchCount(b)) => a.merge(b),
-            (Partial::SketchSum(a), Partial::SketchSum(b)) => a.merge(b),
-            (
-                Partial::SketchAvg { sum: s1, count: c1 },
-                Partial::SketchAvg { sum: s2, count: c2 },
-            ) => {
-                s1.merge(s2);
-                c1.merge(c2);
-            }
-            (Partial::KmvCount(a), Partial::KmvCount(b)) => a.merge(b),
-            (Partial::Histogram(a), Partial::Histogram(b)) => a.merge(b),
-            (me, other) => panic!("combined mismatched partials: {me:?} vs {other:?}"),
-        }
-    }
-
-    /// Combine and report whether `self` changed. This is WILDFIRE's
-    /// per-message hot path (Fig 4 resends only on change), so it avoids
-    /// the clone-and-compare a naive implementation would need.
+    /// The query-dependent combine function (§5.1), reporting whether
+    /// `self` changed. This is WILDFIRE's per-message hot path (Fig 4
+    /// resends only on change), so it avoids the clone-and-compare a
+    /// naive implementation would need. Panics on mismatched variants:
+    /// partials from different queries must never meet.
     pub fn combine_check(&mut self, other: &Partial) -> bool {
         match (self, other) {
             (Partial::Min(a), Partial::Min(b)) => {
@@ -644,10 +625,13 @@ mod tests {
         let mut r = rng();
         let other = Partial::init_sketched(Aggregate::Count, 1, 8, &mut r);
         let mut p = Partial::init_sketched(Aggregate::Count, 1, 8, &mut r);
-        p.combine(&other);
+        p.combine_check(&other);
         let once = p.value();
-        p.combine(&other);
-        p.combine(&other);
+        assert!(
+            !p.combine_check(&other),
+            "a repeated contribution changes nothing"
+        );
+        assert!(!p.combine_check(&other));
         assert_eq!(p.value(), once);
     }
 
@@ -665,7 +649,7 @@ mod tests {
         let mut r = rng();
         let mut agg = Partial::init_sketched(Aggregate::Sum, 100, 32, &mut r);
         for _ in 0..9 {
-            agg.combine(&Partial::init_sketched(Aggregate::Sum, 100, 32, &mut r));
+            agg.combine_check(&Partial::init_sketched(Aggregate::Sum, 100, 32, &mut r));
         }
         let est = agg.value();
         assert!((300.0..4_000.0).contains(&est), "estimate {est} for 1000");
@@ -676,7 +660,7 @@ mod tests {
         let mut r = rng();
         let mut agg = Partial::init_sketched(Aggregate::Average, 50, 32, &mut r);
         for _ in 0..31 {
-            agg.combine(&Partial::init_sketched(Aggregate::Average, 50, 32, &mut r));
+            agg.combine_check(&Partial::init_sketched(Aggregate::Average, 50, 32, &mut r));
         }
         let est = agg.value();
         // True average is 50; FM error on both sketches compounds, so be
@@ -748,7 +732,7 @@ mod tests {
     #[should_panic(expected = "mismatched partials")]
     fn combine_rejects_mismatch() {
         let mut p = Partial::Min(1);
-        p.combine(&Partial::Max(2));
+        p.combine_check(&Partial::Max(2));
     }
 
     #[test]

@@ -56,6 +56,29 @@ impl ProtocolKind {
             ProtocolKind::Gossip { .. } => "GOSSIP",
         }
     }
+
+    /// Unambiguous display label: the paper name plus the parameters a
+    /// run varies (`DAG(k=2)`, `RANDOMIZEDREPORT(p=0.5)`,
+    /// `GOSSIP(rounds=40)`), so two contenders that differ only in `k`,
+    /// `p` or `rounds` get distinct report sections.
+    pub fn label(&self) -> String {
+        match self {
+            ProtocolKind::Dag { k } => format!("DAG(k={k})"),
+            ProtocolKind::RandomizedReport { p } => format!("RANDOMIZEDREPORT(p={p})"),
+            ProtocolKind::Gossip { rounds } => format!("GOSSIP(rounds={rounds})"),
+            other => other.name().to_string(),
+        }
+    }
+
+    /// Whether the protocol sends reports straight to `hq` over the
+    /// underlay ([`ReportRouting::Direct`]), which only a point-to-point
+    /// medium carries.
+    pub fn reports_direct(&self) -> bool {
+        matches!(
+            self,
+            ProtocolKind::AllReport(ReportRouting::Direct) | ProtocolKind::RandomizedReport { .. }
+        )
+    }
 }
 
 /// Declarative description of a protocol-state-aware adversary attached
@@ -148,9 +171,8 @@ pub struct ContinuousSpec {
 ///
 /// The single-protocol primitives ([`run`], [`run_wildfire_operator`])
 /// read only the *environment* half of the plan (query + conditions);
-/// the `protocols` list and `continuous` spec drive the multi-run
-/// executors layered on top ([`run_all`] here, `judged_plan` in the
-/// core crate).
+/// the `protocols` list and `continuous` spec drive the plan executor
+/// layered on top (`judged_plan` in the core crate).
 #[derive(Clone, Debug)]
 pub struct RunPlan {
     /// The aggregate to compute.
@@ -190,8 +212,8 @@ pub struct RunPlan {
     pub seed: u64,
     /// The querying host.
     pub hq: HostId,
-    /// The protocols to execute under this plan (multi-run executors
-    /// produce one outcome per entry; the single-run primitives take
+    /// The protocols to execute under this plan (the plan executor
+    /// produces one outcome per entry; the single-run primitives take
     /// their protocol explicitly instead).
     pub protocols: Vec<ProtocolKind>,
     /// When set, the plan describes a §4.2 continuous query instead of
@@ -413,12 +435,13 @@ fn finish<L: NodeLogic>(
 /// Run `kind` over `graph` where host `h` holds `values[h]`, under the
 /// *environment* half of `plan` (query, medium, delay, churn, partition,
 /// seed, `hq`). This is the single-run primitive: `plan.protocols` and
-/// `plan.continuous` are the multi-run executors' concern and are not
-/// read here.
+/// `plan.continuous` are the plan executor's concern and are not read
+/// here.
 ///
 /// # Panics
-/// Panics if `values.len() != graph.num_hosts()` or the querying host is
-/// out of range.
+/// Panics if `values.len() != graph.num_hosts()`, the querying host is
+/// out of range, or `kind` reports over the underlay
+/// ([`ProtocolKind::reports_direct`]) on a radio medium.
 pub fn run(kind: ProtocolKind, graph: &Graph, values: &[u64], plan: &RunPlan) -> Outcome {
     run_with(kind, graph, values, plan, None)
 }
@@ -445,6 +468,14 @@ pub fn run_with(
         "one attribute value per host"
     );
     assert!(cfg.hq.index() < graph.num_hosts(), "querying host exists");
+    // The engine checks underlay sends only in debug builds; a release
+    // run would deliver them over radio and judge a query the medium
+    // cannot carry.
+    assert!(
+        !(kind.reports_direct() && cfg.medium == Medium::Radio),
+        "{} reports over the underlay, which a radio medium does not carry",
+        kind.label()
+    );
     let spec = cfg.spec();
     let horizon = Time(spec.deadline() + 2);
     let hq = cfg.hq;
@@ -523,27 +554,6 @@ pub fn run_with(
     }
 }
 
-/// Run every protocol in `plan.protocols` over the same graph, values
-/// and — crucially — the same churn/partition/seed realization, and
-/// return one [`Outcome`] per protocol in list order. Because the churn
-/// plan is materialized once in the plan and every simulation starts
-/// from the same root seed, the outcomes form a *paired* comparison:
-/// protocol differences are not confounded by different failure draws.
-///
-/// # Panics
-/// Panics if `plan.protocols` is empty (a plan that executes nothing is
-/// a bug at the call site), plus everything [`run`] panics on.
-pub fn run_all(graph: &Graph, values: &[u64], plan: &RunPlan) -> Vec<(ProtocolKind, Outcome)> {
-    assert!(
-        !plan.protocols.is_empty(),
-        "RunPlan has no protocols to execute; add one with .protocol(..)"
-    );
-    plan.protocols
-        .iter()
-        .map(|&kind| (kind, run(kind, graph, values, plan)))
-        .collect()
-}
-
 /// What a WILDFIRE run with an extension operator (§7) produced: the
 /// scalar estimate plus the full merged partial (e.g. a histogram the
 /// caller can query for buckets and quantiles).
@@ -605,6 +615,49 @@ mod tests {
     use super::*;
     use pov_topology::generators::special;
 
+    /// Every protocol of `plan` run under it, in list order.
+    fn run_each(g: &Graph, values: &[u64], plan: &RunPlan) -> Vec<Outcome> {
+        plan.protocols
+            .iter()
+            .map(|&kind| run(kind, g, values, plan))
+            .collect()
+    }
+
+    #[test]
+    fn labels_carry_the_parameters_a_run_varies() {
+        assert_eq!(ProtocolKind::Dag { k: 2 }.label(), "DAG(k=2)");
+        assert_eq!(
+            ProtocolKind::RandomizedReport { p: 0.5 }.label(),
+            "RANDOMIZEDREPORT(p=0.5)"
+        );
+        assert_eq!(
+            ProtocolKind::Gossip { rounds: 40 }.label(),
+            "GOSSIP(rounds=40)"
+        );
+        assert_eq!(ProtocolKind::SpanningTree.label(), "SPANNINGTREE");
+        let wildfire = ProtocolKind::Wildfire(WildfireOpts::default());
+        assert_eq!(wildfire.label(), "WILDFIRE");
+        assert!(ProtocolKind::AllReport(ReportRouting::Direct).reports_direct());
+        assert!(ProtocolKind::RandomizedReport { p: 0.5 }.reports_direct());
+        assert!(!ProtocolKind::AllReport(ReportRouting::ReverseTree).reports_direct());
+        assert!(!wildfire.reports_direct());
+    }
+
+    #[test]
+    #[should_panic(expected = "RANDOMIZEDREPORT(p=0.5) reports over the underlay")]
+    fn direct_reports_over_radio_are_rejected() {
+        let g = special::cycle(6);
+        let plan = RunPlan::query(Aggregate::Count)
+            .d_hat(4)
+            .medium(Medium::Radio);
+        run(
+            ProtocolKind::RandomizedReport { p: 0.5 },
+            &g,
+            &[1; 6],
+            &plan,
+        );
+    }
+
     #[test]
     fn all_protocols_agree_on_max_failure_free() {
         let g = special::cycle(12);
@@ -615,7 +668,8 @@ mod tests {
             ProtocolKind::Dag { k: 2 },
             ProtocolKind::Wildfire(WildfireOpts::default()),
         ]);
-        for (kind, out) in run_all(&g, &values, &plan) {
+        for &kind in &plan.protocols {
+            let out = run(kind, &g, &values, &plan);
             assert_eq!(out.value, Some(87.0), "{}", kind.name());
         }
     }
@@ -646,7 +700,7 @@ mod tests {
                 ..OverlayConfig::default()
             })
             .protocols([ProtocolKind::Wildfire(WildfireOpts::default())]);
-        let out = &run_all(&g, &values, &plan)[0].1;
+        let out = run(plan.protocols[0], &g, &values, &plan);
         assert_eq!(out.value, Some(87.0));
         let stats = out
             .overlay
@@ -683,13 +737,13 @@ mod tests {
                 ProtocolKind::Wildfire(WildfireOpts::default()),
                 ProtocolKind::SpanningTree,
             ]);
-        let outs = run_all(&g, &[1; 16], &plan);
-        assert_eq!(outs[0].1.trace.events, outs[1].1.trace.events);
-        assert_eq!(outs[0].1.overlay, outs[1].1.overlay);
+        let outs = run_each(&g, &[1; 16], &plan);
+        assert_eq!(outs[0].trace.events, outs[1].trace.events);
+        assert_eq!(outs[0].overlay, outs[1].overlay);
     }
 
     #[test]
-    fn run_all_pairs_protocols_on_one_realization() {
+    fn protocols_under_one_plan_share_one_realization() {
         // Two protocols under one plan: same churn plan, same seed.
         let g = special::cycle(16);
         let plan = RunPlan::query(Aggregate::Count)
@@ -706,18 +760,11 @@ mod tests {
                 ProtocolKind::Wildfire(WildfireOpts::default()),
                 ProtocolKind::SpanningTree,
             ]);
-        let outs = run_all(&g, &[1; 16], &plan);
+        let outs = run_each(&g, &[1; 16], &plan);
         assert_eq!(outs.len(), 2);
         // Both runs observed the identical membership trace — the
         // defining property of a paired comparison.
-        assert_eq!(outs[0].1.trace.events, outs[1].1.trace.events);
-    }
-
-    #[test]
-    #[should_panic(expected = "no protocols to execute")]
-    fn run_all_rejects_empty_protocol_list() {
-        let g = special::chain(3);
-        run_all(&g, &[1; 3], &RunPlan::query(Aggregate::Count).d_hat(2));
+        assert_eq!(outs[0].trace.events, outs[1].trace.events);
     }
 
     #[test]

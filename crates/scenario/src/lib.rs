@@ -53,8 +53,8 @@ pub use run::{
     WorkloadCellStats, WorkloadRecord, WorkloadSection,
 };
 pub use spec::{
-    AdversarySpec, ChurnSpec, ContinuousSpec, PartitionSpec, PhasesSpec, ProtocolSpec, Scenario,
-    TelemetrySpec, WorkloadSpec,
+    AdversarySpec, ChurnSpec, ContinuousSpec, PartitionSpec, PhasesSpec, Scenario, TelemetrySpec,
+    WorkloadSpec,
 };
 pub use trace::trace_batch;
 

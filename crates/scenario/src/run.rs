@@ -22,8 +22,8 @@ use pov_core::pov_protocols::{
     AdversarySpec as PlanAdversarySpec, MuxPlan, OverlayConfig, RunPlan,
 };
 use pov_core::pov_sim::{ChurnPlan, PartitionPlan, PhaseSchedule, Time};
-use pov_core::pov_topology::{analysis, Graph, HostId};
-use pov_core::workload;
+use pov_core::pov_topology::{Graph, HostId};
+use pov_core::Network;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -412,26 +412,6 @@ impl Report {
     }
 }
 
-/// The scenario's graph, values and derived deadline, built once and
-/// shared (read-only) by every worker thread (the batch runner's and
-/// the trace runner's alike).
-pub(crate) struct Prepared {
-    pub(crate) graph: Graph,
-    pub(crate) values: Vec<u64>,
-    pub(crate) d_hat: u32,
-}
-
-pub(crate) fn prepare(scn: &Scenario) -> Prepared {
-    let graph = scn.topology.build(scn.n, scn.topology_seed);
-    let values = workload::paper_values(graph.num_hosts(), scn.topology_seed ^ 0x5eed_0001);
-    let d = analysis::diameter_estimate(&graph, 4, scn.topology_seed | 1);
-    Prepared {
-        graph,
-        values,
-        d_hat: d + scn.d_hat_slack,
-    }
-}
-
 /// The tick count the scenario's window fractions scale to: the
 /// one-shot deadline `2·D̂·δ`, or the whole `windows × W` horizon for
 /// continuous scenarios (so a regime can span the registration).
@@ -591,7 +571,7 @@ pub(crate) struct CellPlan {
 /// Lower one `(seed, rep)` cell to its [`RunPlan`]. This is *the* cell
 /// seed derivation: the batch runner and the trace runner both call it,
 /// so a trace records exactly the runs the report aggregates.
-pub(crate) fn cell_plan(scn: &Scenario, prep: &Prepared, seed: u64, rep: usize) -> CellPlan {
+pub(crate) fn cell_plan(scn: &Scenario, net: &Network, seed: u64, rep: usize) -> CellPlan {
     // Per-cell RNG stream: a function of (seed, rep) only.
     let mut stream = SmallRng::seed_from_u64(
         seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -607,31 +587,31 @@ pub(crate) fn cell_plan(scn: &Scenario, prep: &Prepared, seed: u64, rep: usize) 
     let workload_seed: Option<u64> = scn.workload.map(|_| stream.gen());
     // Churn/partition windows are fractions of the regime span in
     // *ticks*: the `2·D̂·δ` deadline, or the full multi-window horizon.
-    let deadline = 2 * prep.d_hat as u64 * scn.delay.bound();
+    let deadline = 2 * net.d_hat() as u64 * scn.delay.bound();
     let span = regime_span(scn, deadline);
     // A [phases] schedule owns the whole membership regime: its lowered
     // churn/partition plans replace the hand-written sections (which
     // the parser rejects alongside it anyway).
     let (phase_schedule, churn, partition) = match materialize_phases(scn, span) {
         Some(schedule) => {
-            let lowered = schedule.lower(&prep.graph, HostId(scn.hq), churn_seed);
+            let lowered = schedule.lower(net.graph(), HostId(scn.hq), churn_seed);
             (Some(schedule), lowered.churn, lowered.partition)
         }
         None => (
             None,
-            materialize_churn(scn, &prep.graph, span, churn_seed),
-            materialize_partition(scn, &prep.graph, span, churn_seed),
+            materialize_churn(scn, net.graph(), span, churn_seed),
+            materialize_partition(scn, net.graph(), span, churn_seed),
         ),
     };
     let mut plan = RunPlan::query(scn.aggregate)
-        .d_hat(prep.d_hat)
+        .d_hat(net.d_hat())
         .repetitions(scn.c)
         .medium(scn.medium)
         .delay(scn.delay)
         .churn(churn)
         .seed(sim_seed)
         .from_host(HostId(scn.hq))
-        .protocols(scn.protocols.iter().map(|p| p.kind()));
+        .protocols(scn.protocols.iter().copied());
     if let Some(partition) = partition {
         plan = plan.partition(partition);
     }
@@ -660,11 +640,12 @@ pub(crate) fn cell_plan(scn: &Scenario, prep: &Prepared, seed: u64, rep: usize) 
     }
 }
 
-/// Prepare `scn` once, run `cell` for every `(seed, rep)` on `threads`
-/// scoped workers, and regroup the cell-major output protocol-major.
-/// `cell` returns one stream per protocol plus an extra value. Returns
-/// the prepared graph, one stream per protocol in deterministic
-/// `(seed, rep, window)` order, and the extras in the same cell order.
+/// Build `scn`'s [`Network`] once, run `cell` for every `(seed, rep)`
+/// on `threads` scoped workers sharing it read-only, and regroup the
+/// cell-major output protocol-major. `cell` returns one stream per
+/// protocol plus an extra value. Returns the network, one stream per
+/// protocol in deterministic `(seed, rep, window)` order, and the
+/// extras in the same cell order.
 /// Cells land in slot-indexed positions, so the result is the same for
 /// any `threads`. The batch runner and the trace runner share this.
 ///
@@ -676,11 +657,11 @@ pub(crate) fn run_cells<R, X, F>(
     scn: &Scenario,
     threads: usize,
     cell: F,
-) -> (Prepared, Vec<Vec<R>>, Vec<X>)
+) -> (Network, Vec<Vec<R>>, Vec<X>)
 where
     R: Send,
     X: Send,
-    F: Fn(&Prepared, u64, usize) -> (Vec<Vec<R>>, X) + Sync,
+    F: Fn(&Network, u64, usize) -> (Vec<Vec<R>>, X) + Sync,
 {
     assert!(threads >= 1, "need at least one worker thread");
     assert!(
@@ -688,12 +669,13 @@ where
         "scenario '{}' has no protocols",
         scn.name
     );
-    let prep = prepare(scn);
+    let graph = scn.topology.build(scn.n, scn.topology_seed);
+    let net = Network::from_graph(graph, scn.topology_seed, scn.d_hat_slack);
     assert!(
-        (scn.hq as usize) < prep.graph.num_hosts(),
+        (scn.hq as usize) < net.graph().num_hosts(),
         "querying host {} out of range: topology produced {} hosts",
         scn.hq,
-        prep.graph.num_hosts()
+        net.graph().num_hosts()
     );
     let jobs: Vec<(u64, usize)> = scn
         .seeds
@@ -711,11 +693,11 @@ where
     slots.resize_with(jobs.len(), || None);
     let chunk = jobs.len().div_ceil(threads);
     std::thread::scope(|scope| {
-        let (prep, cell) = (&prep, &cell);
+        let (net, cell) = (&net, &cell);
         for (job_chunk, slot_chunk) in jobs.chunks(chunk).zip(slots.chunks_mut(chunk)) {
             scope.spawn(move || {
                 for (&(seed, rep), slot) in job_chunk.iter().zip(slot_chunk) {
-                    *slot = Some(cell(prep, seed, rep));
+                    *slot = Some(cell(net, seed, rep));
                 }
             });
         }
@@ -730,7 +712,7 @@ where
         }
         extras.push(extra);
     }
-    (prep, per_protocol, extras)
+    (net, per_protocol, extras)
 }
 
 /// One cell's multiplexed workload: its records and sharing stats.
@@ -742,7 +724,7 @@ type WorkloadCell = (Vec<WorkloadRecord>, WorkloadCellStats);
 /// the *same* churn/partition realization the protocol contenders saw.
 fn run_cell_workload(
     scn: &Scenario,
-    prep: &Prepared,
+    net: &Network,
     plan: &RunPlan,
     workload_seed: u64,
     seed: u64,
@@ -751,12 +733,12 @@ fn run_cell_workload(
     let wl = scn.workload.expect("caller checked [workload] presence");
     // The multiplexed engine always runs on the unit-delay point-to-point
     // substrate, so its deadline base is 2·D̂ hops = ticks.
-    let base = 2 * prep.d_hat as u64;
+    let base = 2 * net.d_hat() as u64;
     let frac = |f: f64| (f * base as f64).round() as u64;
     let spec = MuxWorkloadSpec {
         queries: wl.queries,
         span: frac(wl.span).max(1),
-        d_hat: prep.d_hat,
+        d_hat: net.d_hat(),
         window: wl.window.map(|(window, slide, instances)| {
             let window = frac(window).max(2);
             WindowSpec {
@@ -767,13 +749,13 @@ fn run_cell_workload(
         }),
         seed: workload_seed,
     };
-    let queries = spec.generate(prep.graph.num_hosts());
+    let queries = spec.generate(net.graph().num_hosts());
     let mux_plan = MuxPlan {
         churn: plan.churn.clone(),
         partition: plan.partition.clone(),
         seed: plan.seed,
     };
-    let (judged, out) = judged_mux(&prep.graph, &prep.values, &queries, &mux_plan);
+    let (judged, out) = judged_mux(net.graph(), net.values(), &queries, &mux_plan);
     let records = judged
         .iter()
         .map(|j| WorkloadRecord {
@@ -807,7 +789,7 @@ fn run_cell_workload(
 /// `[workload]`.
 fn run_cell(
     scn: &Scenario,
-    prep: &Prepared,
+    net: &Network,
     seed: u64,
     rep: usize,
 ) -> (Vec<Vec<RunRecord>>, Option<WorkloadCell>) {
@@ -815,9 +797,9 @@ fn run_cell(
         plan,
         phases: phase_schedule,
         workload_seed,
-    } = cell_plan(scn, prep, seed, rep);
-    let workload = workload_seed.map(|ws| run_cell_workload(scn, prep, &plan, ws, seed, rep));
-    let protocols = judged_plan(&prep.graph, &prep.values, &plan)
+    } = cell_plan(scn, net, seed, rep);
+    let workload = workload_seed.map(|ws| run_cell_workload(scn, net, &plan, ws, seed, rep));
+    let protocols = judged_plan(net.graph(), net.values(), &plan)
         .into_iter()
         .map(|protocol| {
             protocol
@@ -851,9 +833,8 @@ fn run_cell(
 /// exceeds the host count the topology actually produced (grids round
 /// down to squares).
 pub fn run_batch(scn: &Scenario, threads: usize) -> Report {
-    let (prep, per_protocol, extras) = run_cells(scn, threads, |prep, seed, rep| {
-        run_cell(scn, prep, seed, rep)
-    });
+    let (net, per_protocol, extras) =
+        run_cells(scn, threads, |net, seed, rep| run_cell(scn, net, seed, rep));
     // The workload streams concatenate in the same cell order.
     let runs = extras.len();
     let mut workload_records: Vec<WorkloadRecord> = Vec::new();
@@ -865,7 +846,7 @@ pub fn run_batch(scn: &Scenario, threads: usize) -> Report {
     let workload = scn
         .workload
         .map(|_| workload_section(workload_records, workload_stats));
-    aggregate(scn, &prep, runs, per_protocol, workload)
+    aggregate(scn, &net, runs, per_protocol, workload)
 }
 
 /// Aggregate the concatenated workload record stream into its report
@@ -894,7 +875,7 @@ fn workload_section(records: Vec<WorkloadRecord>, stats: WorkloadCellStats) -> W
 
 fn aggregate(
     scn: &Scenario,
-    prep: &Prepared,
+    net: &Network,
     runs: usize,
     per_protocol: Vec<Vec<RunRecord>>,
     workload: Option<WorkloadSection>,
@@ -903,7 +884,7 @@ fn aggregate(
         .protocols
         .iter()
         .zip(per_protocol)
-        .map(|(spec, records)| {
+        .map(|(kind, records)| {
             let total = records.len().max(1);
             let declared = records.iter().filter(|r| r.value.is_some()).count();
             let valid = records.iter().filter(|r| r.valid).count();
@@ -920,7 +901,7 @@ fn aggregate(
                 ("hu", of(&|r| Some(r.hu as f64))),
             ];
             ProtocolSection {
-                protocol: spec.label(),
+                protocol: kind.label(),
                 declared_fraction: declared as f64 / total as f64,
                 valid_fraction: valid as f64 / total as f64,
                 metrics,
@@ -951,8 +932,8 @@ fn aggregate(
         scenario: scn.name.clone(),
         topology: scn.topology.name().to_string(),
         churn_model: scn.regime(),
-        n: prep.graph.num_hosts(),
-        d_hat: prep.d_hat,
+        n: net.graph().num_hosts(),
+        d_hat: net.d_hat(),
         runs,
         windows: scn.continuous.map_or(1, |c| c.windows),
         declared_fraction: declared as f64 / all.max(1) as f64,
@@ -1002,8 +983,9 @@ fn paired_section(baseline: &ProtocolSection, section: &ProtocolSection) -> Pair
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{ContinuousSpec, PartitionSpec, ProtocolSpec};
-    use pov_core::pov_protocols::Aggregate;
+    use crate::spec::{ContinuousSpec, PartitionSpec};
+    use pov_core::pov_protocols::wildfire::WildfireOpts;
+    use pov_core::pov_protocols::{Aggregate, ProtocolKind};
     use pov_core::pov_sim::{DelayModel, Medium};
     use pov_core::pov_topology::generators::TopologyKind;
 
@@ -1020,7 +1002,7 @@ mod tests {
             d_hat_slack: 2,
             medium: Medium::PointToPoint,
             delay: DelayModel::Fixed(1),
-            protocols: vec![ProtocolSpec::Wildfire],
+            protocols: vec![ProtocolKind::Wildfire(WildfireOpts::default())],
             churn,
             partitions: vec![],
             phases: None,
@@ -1280,7 +1262,10 @@ mod tests {
             fraction: 0.15,
             window: (0.0, 1.0),
         });
-        scn.protocols = vec![ProtocolSpec::Wildfire, ProtocolSpec::SpanningTree];
+        scn.protocols = vec![
+            ProtocolKind::Wildfire(WildfireOpts::default()),
+            ProtocolKind::SpanningTree,
+        ];
         let report = run_batch(&scn, 2);
         assert_eq!(report.protocols.len(), 2);
         let wf = report.section("WILDFIRE").expect("section");
@@ -1296,7 +1281,7 @@ mod tests {
         // And each section equals the single-protocol run of the same
         // scenario — protocol order cannot perturb the realization.
         let mut solo = scn.clone();
-        solo.protocols = vec![ProtocolSpec::SpanningTree];
+        solo.protocols = vec![ProtocolKind::SpanningTree];
         let solo_report = run_batch(&solo, 2);
         assert_eq!(st.records, solo_report.records());
     }
@@ -1307,7 +1292,10 @@ mod tests {
             fraction: 0.15,
             window: (0.0, 1.0),
         });
-        scn.protocols = vec![ProtocolSpec::SpanningTree, ProtocolSpec::Wildfire];
+        scn.protocols = vec![
+            ProtocolKind::SpanningTree,
+            ProtocolKind::Wildfire(WildfireOpts::default()),
+        ];
         let report = run_batch(&scn, 2);
         // One paired section per non-baseline contender.
         assert_eq!(report.paired.len(), 1);
@@ -1545,7 +1533,10 @@ mod tests {
             window: (0.0, 1.0),
         });
         scn.overlay = Some(OverlayConfig::default());
-        scn.protocols = vec![ProtocolSpec::Wildfire, ProtocolSpec::SpanningTree];
+        scn.protocols = vec![
+            ProtocolKind::Wildfire(WildfireOpts::default()),
+            ProtocolKind::SpanningTree,
+        ];
         let report = run_batch(&scn, 2);
         let wf = report.section("WILDFIRE").expect("section");
         let st = report.section("SPANNINGTREE").expect("section");

@@ -20,64 +20,6 @@ use std::cell::Cell;
 use std::ops::Bound::{self, Excluded, Included, Unbounded};
 use std::ops::RangeBounds;
 
-/// Which protocol a scenario runs (name-addressable mirror of
-/// [`ProtocolKind`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ProtocolSpec {
-    /// WILDFIRE with both §5.3 optimizations.
-    Wildfire,
-    /// SPANNINGTREE.
-    SpanningTree,
-    /// DIRECTEDACYCLICGRAPH with `k` parents.
-    Dag {
-        /// Maximum parents per host.
-        k: usize,
-    },
-    /// ALLREPORT with direct report delivery.
-    AllReport,
-    /// RANDOMIZEDREPORT with report probability `p`.
-    RandomizedReport {
-        /// Per-host report probability.
-        p: f64,
-    },
-    /// Push-sum gossip for `rounds` rounds.
-    Gossip {
-        /// Number of gossip rounds.
-        rounds: u32,
-    },
-}
-
-impl ProtocolSpec {
-    /// The runnable [`ProtocolKind`].
-    pub fn kind(self) -> ProtocolKind {
-        match self {
-            ProtocolSpec::Wildfire => ProtocolKind::Wildfire(WildfireOpts::default()),
-            ProtocolSpec::SpanningTree => ProtocolKind::SpanningTree,
-            ProtocolSpec::Dag { k } => ProtocolKind::Dag { k },
-            ProtocolSpec::AllReport => ProtocolKind::AllReport(ReportRouting::Direct),
-            ProtocolSpec::RandomizedReport { p } => ProtocolKind::RandomizedReport { p },
-            ProtocolSpec::Gossip { rounds } => ProtocolKind::Gossip { rounds },
-        }
-    }
-
-    /// Display name matching the paper.
-    pub fn name(self) -> &'static str {
-        self.kind().name()
-    }
-
-    /// Unambiguous display label: the paper name plus any parameters, so
-    /// two `[[protocol]]` tables that differ only in `k` or `p` get
-    /// distinct report sections.
-    pub fn label(self) -> String {
-        match self {
-            ProtocolSpec::Dag { k } => format!("DAG(k={k})"),
-            ProtocolSpec::RandomizedReport { p } => format!("RANDOMIZEDREPORT(p={p})"),
-            ProtocolSpec::Gossip { rounds } => format!("GOSSIP(rounds={rounds})"),
-            other => other.name().to_string(),
-        }
-    }
-}
-
 /// The dynamism regime of a scenario. Window positions are expressed as
 /// fractions of the query deadline `2·D̂·δ`, so the same scenario file is
 /// meaningful across topologies whose diameters differ.
@@ -283,7 +225,7 @@ pub struct Scenario {
     /// Protocols under test — every run executes *all* of them against
     /// the same churn/partition realization (one `[[protocol]]` table
     /// each, or a single `[protocol]` section).
-    pub protocols: Vec<ProtocolSpec>,
+    pub protocols: Vec<ProtocolKind>,
     /// Dynamism regime.
     pub churn: ChurnSpec,
     /// Partitions layered over the churn regime — one cut per
@@ -407,13 +349,26 @@ impl Scenario {
 
         let mut protocols = Vec::new();
         for s in doc.sections_named("protocol") {
-            let read = |p: &Keys| p.choice("kind", None, "protocol", PROTOCOLS)?(p);
-            let spec = Keys::of(s).read(read)?;
-            if protocols.contains(&spec) {
-                let msg = format!("duplicate [[protocol]] table for {}", spec.label());
+            let read = |p: &Keys| {
+                let kind = p.choice("kind", None, "protocol", PROTOCOLS)?(p)?;
+                if kind.reports_direct() && medium == Medium::Radio {
+                    let medium = doc.section("medium").and_then(|m| m.get("kind"));
+                    let line = medium.map_or(0, |e| e.line);
+                    let msg = format!(
+                        "{} reports straight to hq over the underlay, which needs a \
+                         point-to-point medium, but [medium] kind = \"radio\" (line {line})",
+                        kind.label()
+                    );
+                    return Err(p.err("kind", msg));
+                }
+                Ok(kind)
+            };
+            let kind = Keys::of(s).read(read)?;
+            if protocols.contains(&kind) {
+                let msg = format!("duplicate [[protocol]] table for {}", kind.label());
                 return Err(ParseError::at(s.line, msg));
             }
-            protocols.push(spec);
+            protocols.push(kind);
         }
 
         // [partition] may stand alone or co-occur with any [churn]
@@ -732,22 +687,26 @@ const DELAYS: &[(&str, Variant<DelayModel>)] = &[
     }),
 ];
 
-const PROTOCOLS: &[(&str, Variant<ProtocolSpec>)] = &[
-    ("wildfire", |_| Ok(ProtocolSpec::Wildfire)),
-    ("spanning-tree", |_| Ok(ProtocolSpec::SpanningTree)),
-    ("spanningtree", |_| Ok(ProtocolSpec::SpanningTree)),
+const PROTOCOLS: &[(&str, Variant<ProtocolKind>)] = &[
+    ("wildfire", |_| {
+        Ok(ProtocolKind::Wildfire(WildfireOpts::default()))
+    }),
+    ("spanning-tree", |_| Ok(ProtocolKind::SpanningTree)),
+    ("spanningtree", |_| Ok(ProtocolKind::SpanningTree)),
     ("dag", |p| {
         let k = p.positive("k", Some(2), "a DAG host needs at least one parent slot")?;
-        Ok(ProtocolSpec::Dag { k })
+        Ok(ProtocolKind::Dag { k })
     }),
-    ("allreport", |_| Ok(ProtocolSpec::AllReport)),
+    ("allreport", |_| {
+        Ok(ProtocolKind::AllReport(ReportRouting::Direct))
+    }),
     ("randomized-report", |p| {
         let p = p.real("p", None, FRACTION)?;
-        Ok(ProtocolSpec::RandomizedReport { p })
+        Ok(ProtocolKind::RandomizedReport { p })
     }),
     ("gossip", |p| {
         p.int("rounds", None)
-            .map(|rounds| ProtocolSpec::Gossip { rounds })
+            .map(|rounds| ProtocolKind::Gossip { rounds })
     }),
 ];
 
@@ -1075,7 +1034,10 @@ repetitions = 2
         assert_eq!(s.c, 16);
         assert_eq!(s.medium, Medium::Radio);
         assert_eq!(s.delay, DelayModel::Uniform { min: 1, max: 2 });
-        assert_eq!(s.protocols, vec![ProtocolSpec::Wildfire]);
+        assert_eq!(
+            s.protocols,
+            vec![ProtocolKind::Wildfire(WildfireOpts::default())]
+        );
         // The legacy `model = "partition"` spelling lowers to a
         // [partition] spec with no additional churn.
         assert_eq!(s.churn, ChurnSpec::None);
@@ -1150,9 +1112,9 @@ seeds = [1]
         assert_eq!(
             s.protocols,
             vec![
-                ProtocolSpec::Wildfire,
-                ProtocolSpec::SpanningTree,
-                ProtocolSpec::Dag { k: 3 },
+                ProtocolKind::Wildfire(WildfireOpts::default()),
+                ProtocolKind::SpanningTree,
+                ProtocolKind::Dag { k: 3 },
             ]
         );
         assert_eq!(s.protocols[2].label(), "DAG(k=3)");
@@ -1938,15 +1900,40 @@ seeds = [1]
     }
 
     #[test]
+    fn radio_rejects_protocols_that_report_over_the_underlay() {
+        // GOOD runs on a radio medium; a direct-report protocol there
+        // used to parse and then send underlay reports the medium
+        // cannot carry.
+        for (kind, extra, label) in [
+            ("allreport", "", "ALLREPORT"),
+            ("randomized-report", "\np = 0.5", "RANDOMIZEDREPORT(p=0.5)"),
+        ] {
+            let (text, err) = fails_with(
+                &format!("[protocol] kind = \"{kind}\"{extra}"),
+                &format!(
+                    "[protocol] kind: {label} reports straight to hq over the underlay, \
+                     which needs a point-to-point medium, but [medium] kind = \"radio\" \
+                     (line {})",
+                    line_of(GOOD, "kind = \"radio\"")
+                ),
+            );
+            assert_eq!(err.line, line_of(&text, &format!("kind = \"{kind}\"")));
+            // Over point-to-point, the same protocol parses.
+            let p2p = text.replace("kind = \"radio\"", "kind = \"p2p\"");
+            assert!(Scenario::from_str(&p2p).is_ok(), "{kind}");
+        }
+    }
+
+    #[test]
     fn protocol_parameters() {
         for (kind, extra, want) in [
-            ("dag", "k = 3", ProtocolSpec::Dag { k: 3 }),
+            ("dag", "k = 3", ProtocolKind::Dag { k: 3 }),
             (
                 "randomized-report",
                 "p = 0.5",
-                ProtocolSpec::RandomizedReport { p: 0.5 },
+                ProtocolKind::RandomizedReport { p: 0.5 },
             ),
-            ("gossip", "rounds = 40", ProtocolSpec::Gossip { rounds: 40 }),
+            ("gossip", "rounds = 40", ProtocolKind::Gossip { rounds: 40 }),
         ] {
             let s = Scenario::from_str(&format!(
                 "[scenario]\nname = \"p\"\n[topology]\nkind = \"random\"\nn = 50\n\

@@ -12,11 +12,12 @@
 //! slot-indexed positions, so the document (and every exporter's
 //! rendering of it) is byte-identical for any `--threads` value.
 
-use crate::run::{self, Prepared};
+use crate::run;
 use crate::spec::Scenario;
 use pov_core::judged::window_local_plans;
 use pov_core::pov_protocols::runner;
 use pov_core::pov_sim::PhaseSchedule;
+use pov_core::Network;
 use pov_telemetry::{CellTrace, PhaseSpan, TickRecorder, TraceDoc};
 
 /// The phase spans of a schedule, as absolute-tick `[start, end)` rows
@@ -41,30 +42,25 @@ fn phase_spans(schedule: &PhaseSchedule) -> Vec<PhaseSpan> {
 /// recordings, mirroring the batch runner's section order.
 fn trace_cell(
     scn: &Scenario,
-    prep: &Prepared,
+    net: &Network,
     seed: u64,
     rep: usize,
     summary_every: u64,
 ) -> Vec<Vec<CellTrace>> {
-    let plan = run::cell_plan(scn, prep, seed, rep).plan;
-    let windows = window_local_plans(&prep.graph, &plan);
+    let plan = run::cell_plan(scn, net, seed, rep).plan;
+    let windows = window_local_plans(net.graph(), &plan);
     scn.protocols
         .iter()
-        .map(|spec| {
+        .map(|&kind| {
             windows
                 .iter()
                 .enumerate()
                 .map(|(w, (start, local))| {
                     let mut rec = TickRecorder::with_summary_every(summary_every);
-                    let _ = runner::run_with(
-                        spec.kind(),
-                        &prep.graph,
-                        &prep.values,
-                        local,
-                        Some(&mut rec),
-                    );
+                    let _ =
+                        runner::run_with(kind, net.graph(), net.values(), local, Some(&mut rec));
                     CellTrace {
-                        protocol: spec.label(),
+                        protocol: kind.label(),
                         seed,
                         rep: rep as u64,
                         window: w as u64,
@@ -87,10 +83,10 @@ fn trace_cell(
 /// exceeds the host count the topology actually produced.
 pub fn trace_batch(scn: &Scenario, threads: usize) -> TraceDoc {
     let summary_every = scn.telemetry.unwrap_or_default().summary_every;
-    let (prep, per_protocol, _) = run::run_cells(scn, threads, |prep, seed, rep| {
-        (trace_cell(scn, prep, seed, rep, summary_every), ())
+    let (net, per_protocol, _) = run::run_cells(scn, threads, |net, seed, rep| {
+        (trace_cell(scn, net, seed, rep, summary_every), ())
     });
-    let deadline = 2 * prep.d_hat as u64 * scn.delay.bound();
+    let deadline = 2 * net.d_hat() as u64 * scn.delay.bound();
     let span = run::regime_span(scn, deadline);
     let phases = run::materialize_phases(scn, span)
         .map(|s| phase_spans(&s))

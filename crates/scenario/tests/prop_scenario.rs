@@ -4,12 +4,12 @@
 //! thread count, the parallel report, down to its JSON bytes, equals
 //! the sequential one.
 
-use pov_core::pov_protocols::Aggregate;
+use pov_core::pov_protocols::wildfire::WildfireOpts;
+use pov_core::pov_protocols::{Aggregate, ProtocolKind};
 use pov_core::pov_sim::{DelayModel, Medium, PhaseKind};
 use pov_core::pov_topology::generators::TopologyKind;
 use pov_scenario::{
-    run_batch, AdversarySpec, ChurnSpec, ContinuousSpec, PartitionSpec, PhasesSpec, ProtocolSpec,
-    Scenario,
+    run_batch, AdversarySpec, ChurnSpec, ContinuousSpec, PartitionSpec, PhasesSpec, Scenario,
 };
 use proptest::prelude::*;
 
@@ -68,10 +68,13 @@ fn scenario(topology_seed: u64, base_seed: u64, churn_pick: u8, proto_pick: u8) 
         },
     ));
     let protocols = match proto_pick % 4 {
-        0 => vec![ProtocolSpec::Wildfire],
-        1 => vec![ProtocolSpec::SpanningTree],
-        2 => vec![ProtocolSpec::Dag { k: 2 }],
-        _ => vec![ProtocolSpec::Wildfire, ProtocolSpec::SpanningTree],
+        0 => vec![ProtocolKind::Wildfire(WildfireOpts::default())],
+        1 => vec![ProtocolKind::SpanningTree],
+        2 => vec![ProtocolKind::Dag { k: 2 }],
+        _ => vec![
+            ProtocolKind::Wildfire(WildfireOpts::default()),
+            ProtocolKind::SpanningTree,
+        ],
     };
     // One pick in four runs as a short continuous registration — unless
     // the dynamic adversary is in play (the executor rejects replaying

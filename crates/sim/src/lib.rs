@@ -83,7 +83,7 @@ pub use metrics::Metrics;
 pub use node::NodeLogic;
 pub use overlay::{OverlayDriver, OverlayEvent, OverlayStats};
 pub use phase::{LoweredSchedule, Phase, PhaseKind, PhaseSchedule};
-pub use sink::{NullSink, TelemetrySink, TickSample};
+pub use sink::{TelemetrySink, TickSample};
 pub use time::Time;
 pub use trace::{Trace, TraceEvent};
 

@@ -97,16 +97,6 @@ pub trait TelemetrySink {
     }
 }
 
-/// A sink that discards everything. Useful for measuring the overhead
-/// of the *enabled* telemetry path itself (hooks firing, samples
-/// aggregated) with no recording cost on top.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl TelemetrySink for NullSink {
-    fn on_tick(&mut self, _sample: &TickSample) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,14 +118,5 @@ mod tests {
             ..TickSample::default()
         });
         assert_eq!(m.0, 4);
-    }
-
-    #[test]
-    fn null_sink_accepts_everything() {
-        let mut s = NullSink;
-        s.on_run_start(5);
-        s.on_tick(&TickSample::default());
-        s.on_summary(Time(1), 0, 0.0);
-        assert_eq!(s.summary_every(), None);
     }
 }

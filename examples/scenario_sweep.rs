@@ -13,13 +13,18 @@
 //! cargo run --release --example scenario_sweep
 //! ```
 
-use pov_scenario::{run_batch, ChurnSpec, ProtocolSpec, Scenario};
+use pov_core::pov_protocols::wildfire::WildfireOpts;
+use pov_core::pov_protocols::ProtocolKind;
+use pov_scenario::{run_batch, ChurnSpec, Scenario};
 
 fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/paper_baseline.scn");
     let text = std::fs::read_to_string(path).expect("scenario file present");
     let mut base: Scenario = text.parse().expect("scenario parses");
-    base.protocols = vec![ProtocolSpec::Wildfire, ProtocolSpec::SpanningTree];
+    base.protocols = vec![
+        ProtocolKind::Wildfire(WildfireOpts::default()),
+        ProtocolKind::SpanningTree,
+    ];
     base.seeds = vec![1, 2, 3];
     base.repetitions = 1;
     println!(

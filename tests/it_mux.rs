@@ -10,20 +10,12 @@ use pov_core::mux::{judged_mux, solo_twin, WindowSpec, WorkloadSpec};
 use pov_core::pov_protocols::{run_mux, runner, MuxPlan, ProtocolKind, RunPlan};
 use pov_core::pov_sim::{ChurnPlan, Time};
 use pov_core::pov_topology::generators::{special, TopologyKind};
-use pov_core::pov_topology::{analysis, Graph, HostId};
+use pov_core::pov_topology::{analysis, HostId};
 use pov_core::workload::paper_values;
+use pov_core::Network;
 
-/// A random-overlay environment with uniform churn across the whole
-/// workload horizon — the same construction `repro mux` benches, at
-/// test scale.
-fn environment(n: usize, seed: u64) -> (Graph, Vec<u64>, u32) {
-    let graph = TopologyKind::Random.build(n, seed);
-    let n = graph.num_hosts();
-    let values = paper_values(n, seed ^ 0x5eed_0001);
-    let d_hat = analysis::diameter_estimate(&graph, 4, seed | 1) + 2;
-    (graph, values, d_hat)
-}
-
+/// Uniform churn across the whole workload horizon: the plan `repro mux`
+/// benches, at test scale.
 fn churned_plan(n: usize, failures: usize, horizon: u64, seed: u64) -> MuxPlan {
     MuxPlan {
         churn: ChurnPlan::uniform_failures(
@@ -44,7 +36,9 @@ fn churned_plan(n: usize, failures: usize, horizon: u64, seed: u64) -> MuxPlan {
 /// the identical realization.
 #[test]
 fn every_query_matches_its_solo_twin_under_churn() {
-    let (graph, values, d_hat) = environment(250, 42);
+    // The network `repro mux` benches, at test scale.
+    let net = Network::build(TopologyKind::Random, 250, 42);
+    let (graph, values, d_hat) = (net.graph(), net.values(), net.d_hat());
     let n = graph.num_hosts();
     let spec = WorkloadSpec {
         queries: 30,
@@ -56,7 +50,7 @@ fn every_query_matches_its_solo_twin_under_churn() {
     let queries = spec.generate(n);
     let horizon = queries.iter().map(|q| q.deadline()).max().unwrap() + 2;
     let plan = churned_plan(n, n / 10, horizon, 42);
-    let (judged, _) = judged_mux(&graph, &values, &queries, &plan);
+    let (judged, _) = judged_mux(graph, values, &queries, &plan);
     assert_eq!(judged.len(), queries.len());
 
     // The churn window spans the whole horizon and arrivals are spread
@@ -76,7 +70,7 @@ fn every_query_matches_its_solo_twin_under_churn() {
 
     let mut checked = 0;
     for j in judged.iter().filter(|j| !j.joined) {
-        let twin = solo_twin(&graph, &values, &j.query, &plan);
+        let twin = solo_twin(graph, values, &j.query, &plan);
         assert_eq!(
             (j.value, j.declared_at),
             (twin.value, twin.declared_at),
@@ -103,7 +97,8 @@ fn every_query_matches_its_solo_twin_under_churn() {
 /// twin's verdict over its own `[end − W, end]` slice.
 #[test]
 fn windowed_instances_match_their_solo_twins() {
-    let (graph, values, d_hat) = environment(150, 9);
+    let net = Network::build(TopologyKind::Random, 150, 9);
+    let (graph, values, d_hat) = (net.graph(), net.values(), net.d_hat());
     let n = graph.num_hosts();
     let deadline = 2 * d_hat as u64;
     let spec = WorkloadSpec {
@@ -121,9 +116,9 @@ fn windowed_instances_match_their_solo_twins() {
     assert_eq!(queries.len(), 24, "8 base queries × 3 instances");
     let horizon = queries.iter().map(|q| q.deadline()).max().unwrap() + 2;
     let plan = churned_plan(n, n / 8, horizon, 9);
-    let (judged, _) = judged_mux(&graph, &values, &queries, &plan);
+    let (judged, _) = judged_mux(graph, values, &queries, &plan);
     for j in judged.iter().filter(|j| !j.joined) {
-        let twin = solo_twin(&graph, &values, &j.query, &plan);
+        let twin = solo_twin(graph, values, &j.query, &plan);
         assert_eq!(
             (j.value, j.declared_at),
             (twin.value, twin.declared_at),
@@ -144,7 +139,8 @@ fn windowed_instances_match_their_solo_twins() {
 /// second execution reproduces every declaration bit for bit.
 #[test]
 fn multiplexed_run_is_deterministic() {
-    let (graph, values, d_hat) = environment(200, 7);
+    let net = Network::build(TopologyKind::Random, 200, 7);
+    let (graph, values, d_hat) = (net.graph(), net.values(), net.d_hat());
     let n = graph.num_hosts();
     let spec = WorkloadSpec {
         queries: 20,
@@ -156,8 +152,8 @@ fn multiplexed_run_is_deterministic() {
     let queries = spec.generate(n);
     let horizon = queries.iter().map(|q| q.deadline()).max().unwrap() + 2;
     let plan = churned_plan(n, n / 10, horizon, 7);
-    let (a, out_a) = judged_mux(&graph, &values, &queries, &plan);
-    let (b, out_b) = judged_mux(&graph, &values, &queries, &plan);
+    let (a, out_a) = judged_mux(graph, values, &queries, &plan);
+    let (b, out_b) = judged_mux(graph, values, &queries, &plan);
     for (x, y) in a.iter().zip(&b) {
         assert_eq!((x.value, x.declared_at), (y.value, y.declared_at));
         assert_eq!(x.payload_msgs, y.payload_msgs);

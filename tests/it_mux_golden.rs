@@ -22,7 +22,7 @@ use pov_core::mux::{judged_mux, WindowSpec, WorkloadSpec};
 use pov_core::pov_protocols::{MuxPlan, MuxQuery, QueryId};
 use pov_core::pov_sim::PartitionPlan;
 use pov_core::pov_topology::generators::special;
-use pov_core::pov_topology::{analysis, GraphBuilder};
+use pov_core::pov_topology::GraphBuilder;
 use pov_core::prelude::*;
 
 /// Per query: `(value.to_bits(), declared_at, payload_msgs, valid)`,
@@ -86,13 +86,6 @@ fn query(id: u32, aggregate: Aggregate, root: u32, arrival: u64, d_hat: u32) -> 
     }
 }
 
-fn random(n: usize, seed: u64) -> (Graph, Vec<u64>, u32) {
-    let graph = TopologyKind::Random.build(n, seed);
-    let values = workload::paper_values(graph.num_hosts(), seed ^ 0x5eed_0001);
-    let d_hat = analysis::diameter_estimate(&graph, 4, seed | 1) + 2;
-    (graph, values, d_hat)
-}
-
 fn actual() -> Vec<(String, Row)> {
     let mut rows = Vec::new();
 
@@ -120,7 +113,8 @@ fn actual() -> Vec<(String, Row)> {
 
     // A random graph under uniform churn, a few hosts failing and
     // rejoining mid-run.
-    let (graph, values, d_hat) = random(250, 42);
+    let net = Network::build(TopologyKind::Random, 250, 42);
+    let (graph, values, d_hat) = (net.graph(), net.values(), net.d_hat());
     let n = graph.num_hosts();
     let queries = workload(20, 2 * u64::from(d_hat), d_hat, 42, n);
     let horizon = queries.iter().map(MuxQuery::deadline).max().unwrap() + 2;
@@ -135,20 +129,21 @@ fn actual() -> Vec<(String, Row)> {
         partition: None,
         seed: 42 ^ 0x51b,
     };
-    rows.extend(rows_of("churn", &graph, &values, &queries, &plan));
+    rows.extend(rows_of("churn", graph, values, &queries, &plan));
 
     // A BFS cut around the far end of the id space, open mid-run.
     let plan = MuxPlan {
         partition: Some(
-            PartitionPlan::split_bfs(&graph, HostId(n as u32 - 1), 0.3).window(Time(3), Time(9)),
+            PartitionPlan::split_bfs(graph, HostId(n as u32 - 1), 0.3).window(Time(3), Time(9)),
         ),
         seed: 5,
         ..MuxPlan::default()
     };
-    rows.extend(rows_of("partition", &graph, &values, &queries, &plan));
+    rows.extend(rows_of("partition", graph, values, &queries, &plan));
 
     // Sliding windows: later instances join the live wave.
-    let (graph, values, d_hat) = random(150, 9);
+    let net = Network::build(TopologyKind::Random, 150, 9);
+    let (graph, values, d_hat) = (net.graph(), net.values(), net.d_hat());
     let n = graph.num_hosts();
     let deadline = 2 * u64::from(d_hat);
     let queries = WorkloadSpec {
@@ -169,11 +164,12 @@ fn actual() -> Vec<(String, Row)> {
         partition: None,
         seed: 9 ^ 0x51b,
     };
-    rows.extend(rows_of("windows", &graph, &values, &queries, &plan));
+    rows.extend(rows_of("windows", graph, values, &queries, &plan));
 
     // D̂ far below the diameter: deep hosts hear a query after their
     // fallback tick, so their forced reports fire past due.
-    let (graph, values, _) = random(250, 31);
+    let net = Network::build(TopologyKind::Random, 250, 31);
+    let (graph, values) = (net.graph(), net.values());
     let n = graph.num_hosts();
     let queries = workload(15, 6, 2, 31, n);
     let plan = MuxPlan {
@@ -181,7 +177,7 @@ fn actual() -> Vec<(String, Row)> {
         partition: None,
         seed: 31,
     };
-    rows.extend(rows_of("past-due", &graph, &values, &queries, &plan));
+    rows.extend(rows_of("past-due", graph, values, &queries, &plan));
 
     // An isolated root beside a chain, with sparse query ids.
     let mut b = GraphBuilder::with_hosts(11);

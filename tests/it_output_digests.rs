@@ -11,33 +11,29 @@
 //! and commit the rewritten file with the change that moved it.
 //!
 //! The `repro/` lines pin the quick `repro` experiments' stdout and
-//! `--json` document. Running those takes a release build, so
-//! `crates/bench/tests/repro_digests.rs` checks and re-captures them;
-//! this test leaves them alone.
+//! `--json` document, the `examples/` lines the six examples' stdout.
+//! Running those takes a release build, so
+//! `crates/bench/tests/repro_digests.rs` and `tests/it_example_digests.rs`
+//! check and re-capture them; this test leaves them alone.
 
+use pov_integration_tests::{digest_line, fnv1a, golden_path};
 use pov_scenario::{run_batch, trace_batch, Scenario};
 use pov_telemetry::export;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// The scenarios whose traces are pinned: the CI smoke file and the
 /// phased lifecycle arc (per-window records with phase labels).
 const TRACED: [&str; 2] = ["smoke.scn", "soak_lifecycle.scn"];
 
-/// The prefix of the lines `crates/bench/tests/repro_digests.rs` owns.
-const REPRO_PREFIX: &str = "repro/";
+/// The prefixes of the lines that release-only tests own.
+const RELEASE_PREFIXES: [&str; 2] = ["repro/", "examples/"];
+
+fn release_only(line: &str) -> bool {
+    RELEASE_PREFIXES.iter().any(|p| line.starts_with(p))
+}
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
-}
-
-fn golden_path() -> PathBuf {
-    root().join("tests/golden/outputs.txt")
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
-        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 fn load(file: &str) -> Scenario {
@@ -77,10 +73,6 @@ fn artefacts() -> Vec<(String, String)> {
     out
 }
 
-fn line(name: &str, bytes: &str) -> String {
-    format!("{name} {} {:016x}", bytes.len(), fnv1a(bytes.as_bytes()))
-}
-
 #[test]
 fn fnv1a_matches_the_reference_vectors() {
     assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
@@ -92,7 +84,7 @@ fn fnv1a_matches_the_reference_vectors() {
 fn every_pinned_artefact_is_byte_identical() {
     let lines: Vec<String> = artefacts()
         .iter()
-        .map(|(name, bytes)| line(name, bytes))
+        .map(|(name, bytes)| digest_line(name, bytes.as_bytes()))
         .collect();
     let golden = std::fs::read_to_string(golden_path()).expect("tests/golden/outputs.txt exists");
     if std::env::var_os("POV_BLESS").is_some_and(|v| v == "1") {
@@ -103,7 +95,7 @@ fn every_pinned_artefact_is_byte_identical() {
         for l in lines
             .iter()
             .map(String::as_str)
-            .chain(golden.lines().filter(|l| l.starts_with(REPRO_PREFIX)))
+            .chain(golden.lines().filter(|l| release_only(l)))
         {
             text.push_str(l);
             text.push('\n');
@@ -113,7 +105,7 @@ fn every_pinned_artefact_is_byte_identical() {
     }
     let pinned: Vec<&str> = golden
         .lines()
-        .filter(|l| !l.is_empty() && !l.starts_with('#') && !l.starts_with(REPRO_PREFIX))
+        .filter(|l| !l.is_empty() && !l.starts_with('#') && !release_only(l))
         .collect();
     let name_of = |l: &str| l.split(' ').next().unwrap_or_default().to_string();
     let mut moved = Vec::new();

@@ -23,3 +23,21 @@ pub fn example_5_1_values() -> Vec<u64> {
 pub fn example_1_1_graph() -> Graph {
     pov_core::pov_topology::generators::grid_square(4)
 }
+
+/// FNV-1a 64 over `bytes`: the hash of every line of
+/// `tests/golden/outputs.txt` (and of the benchmark's fingerprint).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One line of `tests/golden/outputs.txt`: `name length fnv1a64`.
+pub fn digest_line(name: &str, bytes: &[u8]) -> String {
+    format!("{name} {} {:016x}", bytes.len(), fnv1a(bytes))
+}
+
+/// The path of `tests/golden/outputs.txt`.
+pub fn golden_path() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/outputs.txt")
+}
