@@ -34,7 +34,7 @@
 use super::{Output, Scale};
 use crate::report::Table;
 use crate::workload;
-use pov_oracle::interval_bounds;
+use pov_oracle::{interval_bounds, ssv_deviation};
 use pov_protocols::wildfire::WildfireOpts;
 use pov_protocols::{runner, AdversarySpec, Aggregate, ProtocolKind, RunPlan};
 use pov_sim::{ChurnPlan, Time, Trace};
@@ -131,9 +131,10 @@ impl Row {
     }
 }
 
-/// Multiplicative deviation of `v` from an envelope `[lo, hi]`.
+/// Multiplicative deviation of `v` from an envelope `[lo, hi]`, with
+/// `v` floored at `1e-12` so a non-positive value reads as far outside.
 fn envelope_deviation(v: f64, lo: f64, hi: f64) -> f64 {
-    (lo / v.max(1e-12)).max(v / hi.max(1e-12)).max(1.0)
+    ssv_deviation(v.max(1e-12), lo, hi).expect("a floored value is positive")
 }
 
 /// Judge one outcome against both envelopes; returns

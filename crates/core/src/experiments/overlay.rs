@@ -164,9 +164,10 @@ impl Row {
     }
 }
 
-/// Multiplicative deviation of `v` from an envelope `[lo, hi]`.
+/// Multiplicative deviation of `v` from an envelope `[lo, hi]`, with
+/// `v` floored at `1e-12` so a non-positive value reads as far outside.
 fn envelope_deviation(v: f64, lo: f64, hi: f64) -> f64 {
-    (lo / v.max(1e-12)).max(v / hi.max(1e-12)).max(1.0)
+    pov_oracle::ssv_deviation(v.max(1e-12), lo, hi).expect("a floored value is positive")
 }
 
 /// A host that does nothing — the protocol-free drive that snapshots

@@ -10,7 +10,7 @@
 use super::{Output, Scale};
 use crate::report::Table;
 use crate::workload;
-use pov_oracle::{aggregate_bounds, host_sets};
+use pov_oracle::{aggregate_bounds, host_sets, ssv_deviation};
 use pov_protocols::wildfire::WildfireOpts;
 use pov_protocols::{runner, Aggregate, ProtocolKind, RunPlan};
 use pov_sim::{ChurnPlan, Medium, Time};
@@ -146,9 +146,9 @@ pub fn run(cfg: &Config) -> Vec<Row> {
                 let st_out = runner::run(ProtocolKind::SpanningTree, &graph, &values, &run_cfg);
                 let sets = host_sets(&graph, &wf_out.trace, HostId(0), Time::ZERO, Time(deadline));
                 if let Some((lo, hi)) = aggregate_bounds(aggregate, &sets, &values) {
-                    let dev = |v: Option<f64>| match v {
-                        Some(v) if v > 0.0 => (lo / v).max(v / hi.max(1e-12)).max(1.0),
-                        _ => f64::INFINITY,
+                    let dev = |v: Option<f64>| {
+                        v.and_then(|v| ssv_deviation(v, lo, hi))
+                            .unwrap_or(f64::INFINITY)
                     };
                     wf_devs.push(dev(wf_out.value));
                     st_devs.push(dev(st_out.value));

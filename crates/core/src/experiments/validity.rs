@@ -10,7 +10,7 @@
 use super::{Output, Scale};
 use crate::report::{fmt_mean_ci, Table};
 use crate::workload;
-use pov_oracle::{aggregate_bounds, host_sets};
+use pov_oracle::{aggregate_bounds, host_sets, ssv_deviation};
 use pov_protocols::wildfire::WildfireOpts;
 use pov_protocols::{runner, Aggregate, ProtocolKind, RunPlan};
 use pov_sim::{ChurnPlan, Time};
@@ -235,12 +235,9 @@ pub fn run(cfg: &Config) -> Vec<RowR> {
                     if v >= lo - 1e-9 && v <= hi + 1e-9 {
                         per_proto[i].strictly_valid += 1;
                     }
-                    let deviation = if v <= 0.0 {
-                        f64::INFINITY
-                    } else {
-                        (lo / v).max(v / hi.max(1e-12)).max(1.0)
-                    };
-                    per_proto[i].deviations.push(deviation);
+                    per_proto[i]
+                        .deviations
+                        .push(ssv_deviation(v, lo, hi).unwrap_or(f64::INFINITY));
                 }
                 per_proto[i]
                     .messages

@@ -14,7 +14,7 @@
 //!   churn/partition/seed realization (paired comparison), with
 //!   continuous windows sliced from one absolute-time plan.
 
-use pov_oracle::{aggregate_bounds, host_sets, Verdict};
+use pov_oracle::{aggregate_bounds, host_sets, ssv_deviation, Verdict};
 use pov_protocols::{runner, ContinuousSpec, ProtocolKind, RunPlan};
 use pov_sim::{ChurnPlan, Metrics, PartitionPlan, Time};
 use pov_topology::{Graph, HostId};
@@ -56,11 +56,7 @@ impl JudgedOutcome {
     /// or `v <= 0`.
     pub fn deviation(&self) -> Option<f64> {
         let (lo, hi) = self.bounds?;
-        let v = self.value?;
-        if v <= 0.0 {
-            return None;
-        }
-        Some((lo / v).max(v / hi.max(1e-12)).max(1.0))
+        ssv_deviation(self.value?, lo, hi)
     }
 }
 
@@ -406,8 +402,7 @@ fn slice_churn(churn: &ChurnPlan, num_hosts: usize, start: Time, hq: HostId) -> 
 /// skipped so a dead cut never masquerades as an active partition
 /// downstream; cuts left without windows are dropped entirely.
 fn slice_partition(plan: &PartitionPlan, start: Time) -> Option<PartitionPlan> {
-    let mut sliced: Option<PartitionPlan> = None;
-    for (sides, windows) in plan.cuts() {
+    PartitionPlan::stack_all(plan.cuts().filter_map(|(sides, windows)| {
         let mut local = PartitionPlan::new(sides.to_vec());
         let mut any = false;
         for &(from, until) in windows {
@@ -425,14 +420,8 @@ fn slice_partition(plan: &PartitionPlan, start: Time) -> Option<PartitionPlan> {
             local = local.window(Time(f), Time(u));
             any = true;
         }
-        if any {
-            sliced = Some(match sliced {
-                None => local,
-                Some(acc) => acc.stack(local),
-            });
-        }
-    }
-    sliced
+        any.then_some(local)
+    }))
 }
 
 #[cfg(test)]

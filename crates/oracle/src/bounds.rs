@@ -21,11 +21,6 @@ impl HostSets {
         collect(&self.hc)
     }
 
-    /// Hosts in `HU`, ascending.
-    pub fn hu_hosts(&self) -> Vec<HostId> {
-        collect(&self.hu)
-    }
-
     /// `|HC|`.
     pub fn hc_len(&self) -> usize {
         self.hc.iter().filter(|&&b| b).count()

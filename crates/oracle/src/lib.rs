@@ -25,7 +25,7 @@ mod verdict;
 
 pub use bounds::{host_sets, HostSets};
 pub use semantics::{interval_bounds, interval_sets, interval_valid, snapshot_valid};
-pub use verdict::{aggregate_bounds, Verdict};
+pub use verdict::{aggregate_bounds, ssv_deviation, Verdict};
 
 #[cfg(test)]
 mod smoke {

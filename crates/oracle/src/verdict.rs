@@ -101,6 +101,19 @@ fn extremal_average(base: &[u64], optional: &[u64], maximize: bool) -> f64 {
     }
 }
 
+/// Multiplicative deviation of a declared value `v` from the valid
+/// envelope `[lo, hi]`: `max(lo/v, v/hi, 1)` with `hi` floored at
+/// `1e-12`. `1.0` means `v` sat inside the envelope; WILDFIRE's
+/// Approximate SSV (Thm 5.3) keeps it within FM noise while best-effort
+/// protocols blow up. `None` when `v <= 0`, where no finite factor
+/// exists.
+pub fn ssv_deviation(v: f64, lo: f64, hi: f64) -> Option<f64> {
+    if v <= 0.0 {
+        return None;
+    }
+    Some((lo / v).max(v / hi.max(1e-12)).max(1.0))
+}
+
 /// The oracle's judgement of a declared value.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Verdict {
@@ -290,6 +303,10 @@ mod tests {
         // In-bounds values need factor 1.
         let v = Verdict::judge(Aggregate::Count, &s, &values, 5.0);
         assert_eq!(v.approx_factor, Some(1.0));
+        // The SSV deviation reads the same factors off the envelope.
+        assert_eq!(ssv_deviation(12.0, 4.0, 6.0), Some(2.0));
+        assert_eq!(ssv_deviation(1.0, 4.0, 6.0), Some(4.0));
+        assert_eq!(ssv_deviation(5.0, 4.0, 6.0), Some(1.0));
     }
 
     #[test]
@@ -298,5 +315,7 @@ mod tests {
         let v = Verdict::judge(Aggregate::Count, &s, &[1; 4], 0.0);
         assert!(!v.within_bounds);
         assert_eq!(v.approx_factor, None);
+        assert_eq!(ssv_deviation(0.0, 2.0, 3.0), None);
+        assert_eq!(ssv_deviation(-1.0, 0.0, 3.0), None);
     }
 }

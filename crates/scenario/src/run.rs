@@ -412,6 +412,16 @@ impl Report {
     }
 }
 
+/// The one-shot deadline `2·D̂·δ` of `scn` over `net`, in ticks.
+pub(crate) fn deadline(scn: &Scenario, net: &Network) -> u64 {
+    2 * net.d_hat() as u64 * scn.delay.bound()
+}
+
+/// The instant a fraction `frac` of the regime `span` falls on.
+fn tick(frac: f64, span: u64) -> Time {
+    Time((frac * span as f64).round() as u64)
+}
+
 /// The tick count the scenario's window fractions scale to: the
 /// one-shot deadline `2·D̂·δ`, or the whole `windows × W` horizon for
 /// continuous scenarios (so a regime can span the registration).
@@ -430,22 +440,21 @@ fn window_ticks(c: &crate::spec::ContinuousSpec, deadline: u64) -> u64 {
 fn materialize_churn(scn: &Scenario, graph: &Graph, span: u64, churn_seed: u64) -> ChurnPlan {
     let hq = HostId(scn.hq);
     let n = graph.num_hosts();
-    let tick = |frac: f64| Time((frac * span as f64).round() as u64);
     match &scn.churn {
         ChurnSpec::None => ChurnPlan::none(),
         ChurnSpec::Uniform { fraction, window } => ChurnPlan::uniform_failures(
             n,
             (fraction * n as f64).round() as usize,
-            tick(window.0),
-            tick(window.1),
+            tick(window.0, span),
+            tick(window.1, span),
             hq,
             churn_seed,
         ),
         ChurnSpec::FlashCrowd { fraction, window } => ChurnPlan::flash_crowd(
             n,
             (fraction * n as f64).round() as usize,
-            tick(window.0),
-            tick(window.1),
+            tick(window.0, span),
+            tick(window.1, span),
             hq,
             churn_seed,
         ),
@@ -457,8 +466,8 @@ fn materialize_churn(scn: &Scenario, graph: &Graph, span: u64, churn_seed: u64) 
             graph,
             *clusters,
             *cluster_size,
-            tick(window.0),
-            tick(window.1),
+            tick(window.0, span),
+            tick(window.1, span),
             hq,
             churn_seed,
         ),
@@ -470,14 +479,13 @@ fn materialize_churn(scn: &Scenario, graph: &Graph, span: u64, churn_seed: u64) 
         } => {
             // Fractional period/downtime lower to ticks of the span; both
             // clamp to ≥ 1 tick with downtime < period kept invariant.
-            let period_ticks = ((period * span as f64).round() as u64).max(2);
-            let downtime_ticks =
-                ((downtime * span as f64).round() as u64).clamp(1, period_ticks - 1);
+            let period_ticks = tick(*period, span).ticks().max(2);
+            let downtime_ticks = tick(*downtime, span).ticks().clamp(1, period_ticks - 1);
             ChurnPlan::oscillating(
                 n,
                 (fraction * n as f64).round() as usize,
-                tick(window.0),
-                tick(window.1),
+                tick(window.0, span),
+                tick(window.1, span),
                 period_ticks,
                 downtime_ticks,
                 hq,
@@ -485,7 +493,7 @@ fn materialize_churn(scn: &Scenario, graph: &Graph, span: u64, churn_seed: u64) 
             )
         }
         ChurnSpec::AdversarialRoot { radius, at } => {
-            ChurnPlan::root_neighbourhood_failures(graph, hq, *radius, tick(*at))
+            ChurnPlan::root_neighbourhood_failures(graph, hq, *radius, tick(*at, span))
         }
     }
 }
@@ -501,37 +509,14 @@ fn materialize_partition(
     span: u64,
     churn_seed: u64,
 ) -> Option<PartitionPlan> {
-    let hq = HostId(scn.hq);
-    let n = graph.num_hosts();
-    let tick = |frac: f64| Time((frac * span as f64).round() as u64);
-    // Pivot each cut away from hq so the querying side is the majority;
-    // a random non-hq pivot keeps per-seed variety. The partition draws
-    // use their own stream off `churn_seed` so stacking a churn model
-    // on top does not shift the cuts.
+    // The partition draws use their own stream off `churn_seed` so
+    // stacking a churn model on top does not shift the cuts.
     let mut rng = SmallRng::seed_from_u64(churn_seed ^ 0x51de_c0de);
-    let mut stacked: Option<PartitionPlan> = None;
-    for spec in &scn.partitions {
-        let pivot = loop {
-            let h = HostId(rng.gen_range(0..n as u32));
-            if h != hq {
-                break h;
-            }
-        };
-        let mut plan = PartitionPlan::split_bfs(graph, pivot, spec.fraction);
-        // If hq landed on the severed side, flip the cut's meaning by
-        // re-splitting from hq itself — the minority must be remote.
-        if plan.sides()[hq.index()] == 1 {
-            plan = PartitionPlan::split_bfs(graph, hq, 1.0 - spec.fraction);
-            let flipped: Vec<u8> = plan.sides().iter().map(|&s| 1 - s).collect();
-            plan = PartitionPlan::new(flipped);
-        }
-        let plan = plan.window(tick(spec.from), tick(spec.heal).max(tick(spec.from) + 1));
-        stacked = Some(match stacked {
-            None => plan,
-            Some(acc) => acc.stack(plan),
-        });
-    }
-    stacked
+    PartitionPlan::stack_all(scn.partitions.iter().map(|spec| {
+        let (from, heal) = (tick(spec.from, span), tick(spec.heal, span));
+        PartitionPlan::split_sparing(graph, HostId(scn.hq), spec.fraction, &mut rng)
+            .window(from, heal.max(from + 1))
+    }))
 }
 
 /// Build the cell's [`PhaseSchedule`] from the scenario's `[phases]`
@@ -547,7 +532,7 @@ pub(crate) fn materialize_phases(scn: &Scenario, span: u64) -> Option<PhaseSched
     let mut last = 0u64;
     for &(kind, weight) in &spec.phases {
         cum += weight;
-        let boundary = ((cum / total) * span as f64).round() as u64;
+        let boundary = tick(cum / total, span).ticks();
         let ticks = boundary.saturating_sub(last).max(1);
         last += ticks;
         schedule = schedule.then(kind, ticks);
@@ -587,7 +572,7 @@ pub(crate) fn cell_plan(scn: &Scenario, net: &Network, seed: u64, rep: usize) ->
     let workload_seed: Option<u64> = scn.workload.map(|_| stream.gen());
     // Churn/partition windows are fractions of the regime span in
     // *ticks*: the `2·D̂·δ` deadline, or the full multi-window horizon.
-    let deadline = 2 * net.d_hat() as u64 * scn.delay.bound();
+    let deadline = deadline(scn, net);
     let span = regime_span(scn, deadline);
     // A [phases] schedule owns the whole membership regime: its lowered
     // churn/partition plans replace the hand-written sections (which
@@ -616,12 +601,11 @@ pub(crate) fn cell_plan(scn: &Scenario, net: &Network, seed: u64, rep: usize) ->
         plan = plan.partition(partition);
     }
     if let Some(a) = &scn.adversary {
-        let tick = |frac: f64| Time((frac * span as f64).round() as u64);
         plan = plan.adversary(PlanAdversarySpec::fm_maxima(
             a.kills_per_wave,
             a.budget,
-            tick(a.start),
-            tick(a.until),
+            tick(a.start, span),
+            tick(a.until, span),
         ));
     }
     if let Some(ov) = &scn.overlay {

@@ -86,8 +86,7 @@ pub fn trace_batch(scn: &Scenario, threads: usize) -> TraceDoc {
     let (net, per_protocol, _) = run::run_cells(scn, threads, |net, seed, rep| {
         (trace_cell(scn, net, seed, rep, summary_every), ())
     });
-    let deadline = 2 * net.d_hat() as u64 * scn.delay.bound();
-    let span = run::regime_span(scn, deadline);
+    let span = run::regime_span(scn, run::deadline(scn, &net));
     let phases = run::materialize_phases(scn, span)
         .map(|s| phase_spans(&s))
         .unwrap_or_default();

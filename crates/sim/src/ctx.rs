@@ -59,17 +59,6 @@ pub(crate) enum CostSink<'a> {
 }
 
 impl CostSink<'_> {
-    #[inline]
-    pub(crate) fn record_send(&mut self, at: Time) {
-        match self {
-            CostSink::Direct(m) => m.record_send(at),
-            CostSink::Shard { sends } => {
-                let _ = at; // all batch sends share one instant
-                **sends += 1;
-            }
-        }
-    }
-
     /// Record `n` sends at `at` in one step.
     #[inline]
     fn record_sends(&mut self, at: Time, n: u64) {
@@ -150,29 +139,8 @@ impl<'a, M: Clone> Ctx<'a, M> {
     /// non-neighbour target is a protocol bug and asserts in debug
     /// builds.
     pub fn send(&mut self, to: HostId, msg: M) {
-        if let TopoRef::Overlay(view) = self.topo {
-            if !view.has_edge(self.me, to) {
-                self.metrics.record_send(self.now);
-                return;
-            }
-        }
-        debug_assert!(
-            self.topo.has_edge(self.me, to),
-            "{:?} tried to send to non-neighbor {:?}",
-            self.me,
-            to
-        );
-        self.metrics.record_send(self.now);
-        let d = self.delay.sample(self.rng);
-        self.queue.push(
-            self.now + d,
-            Payload::Deliver {
-                to,
-                from: self.me,
-                msg,
-                depth: self.chain_depth + 1,
-            },
-        );
+        let lands = self.in_range(to);
+        self.unicast(to, msg, lands);
     }
 
     /// Send `msg` to every neighbour. Under [`Medium::Radio`] this is a
@@ -195,39 +163,14 @@ impl<'a, M: Clone> Ctx<'a, M> {
             self.fan_out(skip, msg);
             return;
         }
+        let neighbors = self.topo.neighbors(self.me);
         match self.medium {
-            Medium::Radio => {
-                self.metrics.record_send(self.now);
-                let d = self.delay.sample(self.rng);
-                for &n in self.topo.neighbors(self.me) {
-                    self.queue.push(
-                        self.now + d,
-                        Payload::Deliver {
-                            to: n,
-                            from: self.me,
-                            msg: msg.clone(),
-                            depth: self.chain_depth + 1,
-                        },
-                    );
-                }
-            }
+            Medium::Radio => self.transmit(neighbors, msg),
             Medium::PointToPoint => {
-                let neighbors = self.topo.neighbors(self.me);
                 for &n in neighbors {
-                    if Some(n) == skip {
-                        continue;
+                    if Some(n) != skip {
+                        self.send(n, msg.clone());
                     }
-                    self.metrics.record_send(self.now);
-                    let d = self.delay.sample(self.rng);
-                    self.queue.push(
-                        self.now + d,
-                        Payload::Deliver {
-                            to: n,
-                            from: self.me,
-                            msg: msg.clone(),
-                            depth: self.chain_depth + 1,
-                        },
-                    );
                 }
             }
         }
@@ -261,29 +204,20 @@ impl<'a, M: Clone> Ctx<'a, M> {
     fn queue_fanout(&mut self, targets: u32, count: usize, sends: u64, msg: M) {
         self.metrics.record_sends(self.now, sends);
         let at = self.now + self.delay.sample(self.rng);
-        let (from, depth) = (self.me, self.chain_depth + 1);
         match count {
             0 => {}
             1 => {
                 // A row longer than `MASK_SLOTS` has more than one target.
                 let to = self.topo.neighbors(self.me)[targets.trailing_zeros() as usize];
-                self.queue.push(
-                    at,
-                    Payload::Deliver {
-                        to,
-                        from,
-                        msg,
-                        depth,
-                    },
-                );
+                self.deliver(at, to, msg);
             }
             _ => self.queue.push_fanout(
                 at,
                 Payload::Fanout {
-                    from,
+                    from: self.me,
                     targets,
                     msg,
-                    depth,
+                    depth: self.chain_depth + 1,
                 },
                 count,
             ),
@@ -302,29 +236,7 @@ impl<'a, M: Clone> Ctx<'a, M> {
             return;
         }
         match self.medium {
-            Medium::Radio => {
-                self.metrics.record_send(self.now);
-                let d = self.delay.sample(self.rng);
-                for &to in targets {
-                    // Same stale-contact rule as `send`: a target the
-                    // overlay has unlinked is simply out of radio range.
-                    if let TopoRef::Overlay(view) = self.topo {
-                        if !view.has_edge(self.me, to) {
-                            continue;
-                        }
-                    }
-                    debug_assert!(self.topo.has_edge(self.me, to));
-                    self.queue.push(
-                        self.now + d,
-                        Payload::Deliver {
-                            to,
-                            from: self.me,
-                            msg: msg.clone(),
-                            depth: self.chain_depth + 1,
-                        },
-                    );
-                }
-            }
+            Medium::Radio => self.transmit(targets, msg),
             Medium::PointToPoint => {
                 for &to in targets {
                     self.send(to, msg.clone());
@@ -383,10 +295,57 @@ impl<'a, M: Clone> Ctx<'a, M> {
             self.medium == Medium::PointToPoint,
             "direct underlay sends require a point-to-point medium"
         );
-        self.metrics.record_send(self.now);
-        let d = self.delay.sample(self.rng);
+        self.unicast(to, msg, true);
+    }
+
+    /// Whether a copy for `to` still reaches it: a neighbour the
+    /// overlay has unlinked (a stale contact) is out of range, and is
+    /// lost with the sender's cost paid. On a static topology a
+    /// non-neighbour target is a protocol bug (debug-asserted).
+    fn in_range(&self, to: HostId) -> bool {
+        if let TopoRef::Overlay(view) = self.topo {
+            if !view.has_edge(self.me, to) {
+                return false;
+            }
+        }
+        debug_assert!(
+            self.topo.has_edge(self.me, to),
+            "{:?} tried to send to non-neighbor {:?}",
+            self.me,
+            to
+        );
+        true
+    }
+
+    /// One point-to-point copy: one message of cost, then, if it
+    /// `lands`, its own `δ` and its delivery.
+    fn unicast(&mut self, to: HostId, msg: M, lands: bool) {
+        self.metrics.record_sends(self.now, 1);
+        if lands {
+            let at = self.now + self.delay.sample(self.rng);
+            self.deliver(at, to, msg);
+        }
+    }
+
+    /// One radio transmission: one message of cost and one `δ`, however
+    /// many of `targets` hear it; a target out of range (see
+    /// `in_range`) hears nothing.
+    fn transmit(&mut self, targets: &[HostId], msg: M) {
+        self.metrics.record_sends(self.now, 1);
+        let at = self.now + self.delay.sample(self.rng);
+        for &to in targets {
+            if self.in_range(to) {
+                self.deliver(at, to, msg.clone());
+            }
+        }
+    }
+
+    /// Queue `msg` from this host to `to`, arriving at `at`, one hop
+    /// deeper in the causal chain than the event being handled.
+    #[inline]
+    fn deliver(&mut self, at: Time, to: HostId, msg: M) {
         self.queue.push(
-            self.now + d,
+            at,
             Payload::Deliver {
                 to,
                 from: self.me,

@@ -128,6 +128,28 @@ impl PartitionPlan {
         PartitionPlan::new(sides)
     }
 
+    /// A BFS cut (see [`PartitionPlan::split_bfs`]) that severs about
+    /// `fraction` of `graph` and keeps `spare` (the querying host) on
+    /// the majority side. The pivot is a random host other than
+    /// `spare`, drawn from `rng`, which keeps per-seed variety; when
+    /// `spare` lands on the severed side, the cut is re-split from
+    /// `spare` itself and flipped, so the minority is always remote.
+    pub fn split_sparing(graph: &Graph, spare: HostId, fraction: f64, rng: &mut SmallRng) -> Self {
+        let n = graph.num_hosts() as u32;
+        let pivot = loop {
+            let h = HostId(rng.gen_range(0..n));
+            if h != spare {
+                break h;
+            }
+        };
+        let cut = PartitionPlan::split_bfs(graph, pivot, fraction);
+        if cut.sides()[spare.index()] == 0 {
+            return cut;
+        }
+        let from_spare = PartitionPlan::split_bfs(graph, spare, 1.0 - fraction);
+        PartitionPlan::new(from_spare.sides().iter().map(|&s| 1 - s).collect())
+    }
+
     /// Add an active window `[from, until)` to the most recently added
     /// cut. A zero-length window (`from == until`) is accepted but
     /// inert — it never activates the cut; window slicers clamp
@@ -160,6 +182,12 @@ impl PartitionPlan {
         self
     }
 
+    /// Stack `plans` in order (see [`PartitionPlan::stack`]); `None`
+    /// when there are none.
+    pub fn stack_all(plans: impl IntoIterator<Item = PartitionPlan>) -> Option<Self> {
+        plans.into_iter().reduce(PartitionPlan::stack)
+    }
+
     /// Number of hosts every cut's side map covers (0 for a cut-less
     /// plan).
     pub fn num_hosts(&self) -> usize {
@@ -179,7 +207,7 @@ impl PartitionPlan {
 
     /// Side assignment of the *primary* (first) cut — the whole story
     /// for single-cut plans, which every constructor produces.
-    pub fn sides(&self) -> &[u8] {
+    fn sides(&self) -> &[u8] {
         self.cuts.first().map_or(&[], |c| &c.sides)
     }
 
@@ -196,11 +224,6 @@ impl PartitionPlan {
         self.cuts
             .iter()
             .map(|c| (c.sides.as_slice(), c.windows.as_slice()))
-    }
-
-    /// Number of hosts on side 1 of the primary cut.
-    pub fn minority_len(&self) -> usize {
-        self.sides().iter().filter(|&&s| s == 1).count()
     }
 }
 
@@ -278,7 +301,21 @@ mod tests {
         let plan = PartitionPlan::split_bfs(&g, HostId(0), 0.4);
         // The 4 hosts nearest h0 on a chain are h0..h3.
         assert_eq!(plan.sides(), &[1, 1, 1, 1, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(plan.minority_len(), 4);
+    }
+
+    #[test]
+    fn split_sparing_keeps_the_spare_on_the_majority_side() {
+        use pov_topology::generators::special;
+        let g = special::chain(10);
+        let spare = HostId(0);
+        let mut rng = SmallRng::seed_from_u64(3);
+        // Twenty pivots reach both branches: a pivot beside the spare
+        // sweeps it into the severed side and forces the re-split.
+        for _ in 0..20 {
+            let plan = PartitionPlan::split_sparing(&g, spare, 0.3, &mut rng);
+            assert_eq!(plan.sides()[spare.index()], 0);
+            assert_eq!(plan.sides().iter().filter(|&&s| s == 1).count(), 3);
+        }
     }
 
     #[test]
@@ -326,7 +363,6 @@ mod tests {
         // The primary-cut accessors still describe cut A.
         assert_eq!(plan.sides(), &[0, 0, 1, 1]);
         assert_eq!(plan.windows(), &[(Time(0), Time(10))]);
-        assert_eq!(plan.minority_len(), 2);
     }
 
     #[test]

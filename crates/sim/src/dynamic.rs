@@ -21,8 +21,9 @@
 //! [`ChurnPlan::uniform_failures`](crate::ChurnPlan::uniform_failures)
 //! at equal cost.
 
+use crate::overlay::TopoRef;
 use crate::time::Time;
-use pov_topology::{Graph, HostId, OverlayView};
+use pov_topology::{Graph, HostId};
 
 /// A host's observable protocol state, as exposed to [`ChurnSource`]s
 /// through [`EngineView`]. Protocol crates fill it in via
@@ -59,15 +60,14 @@ pub struct EngineView<'a> {
     /// Current virtual time.
     pub now: Time,
     /// The *base* topology (the CSR the simulation was built over).
+    /// Prefer the accessor methods ([`EngineView::neighbors`] and
+    /// friends), which serve a maintained overlay's current merged
+    /// adjacency when there is one.
     pub graph: &'a Graph,
-    /// The maintained overlay, when an
-    /// [`OverlayDriver`](crate::OverlayDriver) is installed. Prefer the
-    /// accessor methods ([`EngineView::neighbors`] and friends), which
-    /// serve the overlay's current merged adjacency when present and
-    /// fall back to the base CSR otherwise.
-    pub overlay: Option<&'a OverlayView>,
     /// Omniscient alive flags, indexed by host.
     pub alive: &'a [bool],
+    /// The neighbour source protocols read: the overlay or the base CSR.
+    pub(crate) topo: TopoRef<'a>,
     /// Reads a host's summary from its logic at call time.
     pub(crate) read_summary: &'a dyn Fn(HostId) -> StateSummary,
 }
@@ -89,28 +89,19 @@ impl<'a> EngineView<'a> {
     /// react to the topology must read through this (not
     /// [`EngineView::graph`]) or they will act on stale edges.
     pub fn neighbors(&self, h: HostId) -> &'a [HostId] {
-        match self.overlay {
-            Some(v) => v.neighbors(h),
-            None => self.graph.neighbors(h),
-        }
+        self.topo.neighbors(h)
     }
 
     /// `h`'s current degree (overlay-aware, like
     /// [`EngineView::neighbors`]).
     pub fn degree(&self, h: HostId) -> usize {
-        match self.overlay {
-            Some(v) => v.degree(h),
-            None => self.graph.degree(h),
-        }
+        self.topo.degree(h)
     }
 
     /// Whether the undirected edge `(a, b)` currently exists
     /// (overlay-aware, like [`EngineView::neighbors`]).
     pub fn has_edge(&self, a: HostId, b: HostId) -> bool {
-        match self.overlay {
-            Some(v) => v.has_edge(a, b),
-            None => self.graph.has_edge(a, b),
-        }
+        self.topo.has_edge(a, b)
     }
 }
 
@@ -284,8 +275,8 @@ mod tests {
         EngineView {
             now,
             graph,
-            overlay: None,
             alive,
+            topo: TopoRef::Static(graph),
             read_summary,
         }
     }

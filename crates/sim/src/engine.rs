@@ -214,14 +214,13 @@ impl<'g> SimBuilder<'g> {
             // First poll at time 0; each poll schedules the next.
             queue.push(Time::ZERO, Payload::ChurnPoll);
         }
-        let overlay = self.overlay.map(|driver| {
+        let overlay = self.overlay.as_ref().map(|_| {
             // The overlay owns a mutable copy of the base CSR; batch
             // cells that share a borrowed graph still get independent
             // edge evolution.
             queue.push(Time::ZERO, Payload::OverlayPoll);
             OverlayState {
                 view: OverlayView::new(Graph::clone(&self.graph)),
-                driver,
                 buf: Vec::new(),
                 edges_added: 0,
                 edges_removed: 0,
@@ -256,6 +255,7 @@ impl<'g> SimBuilder<'g> {
             medium: self.medium,
             delay: self.delay,
             dynamic: self.dynamic,
+            overlay_driver: self.overlay,
             overlay,
             partition: self.partition,
             rng: SmallRng::seed_from_u64(self.seed),
@@ -351,10 +351,9 @@ struct TickCounts {
 }
 
 /// Engine-side state of a maintained overlay: the mutable view layered
-/// over the base CSR, the installed driver, and reused poll scratch.
+/// over the base CSR, reused poll scratch and the applied-edge counts.
 struct OverlayState {
     view: OverlayView,
-    driver: Box<dyn OverlayDriver>,
     /// Reused per-poll scratch: the driver's mutation wave.
     buf: Vec<OverlayEvent>,
     /// Engine-applied undirected edge additions (idempotent no-ops
@@ -362,6 +361,15 @@ struct OverlayState {
     edges_added: u64,
     /// Engine-applied undirected edge removals.
     edges_removed: u64,
+}
+
+/// The neighbour source of a run: the maintained overlay's merged view
+/// when there is one, the base CSR otherwise.
+fn topo_ref<'a>(graph: &'a Graph, overlay: &'a Option<OverlayState>) -> TopoRef<'a> {
+    match overlay {
+        Some(st) => TopoRef::Overlay(&st.view),
+        None => TopoRef::Static(graph),
+    }
 }
 
 /// Telemetry state carried by a simulation with a sink attached. Lives
@@ -394,6 +402,9 @@ pub struct Simulation<'g, L: NodeLogic> {
     medium: Medium,
     delay: DelayModel,
     dynamic: Option<Box<dyn ChurnSource>>,
+    /// The overlay-maintenance driver; installed exactly when `overlay`
+    /// is, and taken out while it is polled.
+    overlay_driver: Option<Box<dyn OverlayDriver>>,
     overlay: Option<OverlayState>,
     partition: Option<PartitionPlan>,
     rng: SmallRng,
@@ -469,24 +480,7 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
     /// Run until the event queue is exhausted or virtual time would
     /// exceed `horizon`. Events exactly at `horizon` are processed.
     pub fn run_until(&mut self, horizon: Time) {
-        self.start();
-        while let Some(t) = self.queue.peek_time() {
-            if t > horizon {
-                break;
-            }
-            if self.tele.is_some() && t != self.now {
-                self.tele_flush_tick();
-            }
-            let (at, payload) = self.queue.pop().expect("peeked event exists");
-            self.now = at;
-            if self.prefetch {
-                self.prefetch_ahead();
-            }
-            self.dispatch(payload);
-        }
-        if self.tele.is_some() {
-            self.tele_flush_tick();
-        }
+        self.run_loop(horizon, u64::MAX);
         // Advance the clock to the horizon so callers polling `now()` see
         // time progress even across event-free stretches.
         self.now = self.now.max(horizon);
@@ -496,9 +490,19 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
     /// events fire — a guard against protocol livelock. Events are
     /// counted as dispatched: a fanout counts one per target.
     pub fn run_to_quiescence(&mut self, max_events: u64) {
+        self.run_loop(Time(u64::MAX), max_events);
+    }
+
+    /// The event loop: pop and dispatch every event due at or before
+    /// `horizon`, panicking once more than `max_events` have been
+    /// dispatched in this call.
+    fn run_loop(&mut self, horizon: Time, max_events: u64) {
         self.start();
         let first = self.metrics.events_dispatched;
         while let Some(t) = self.queue.peek_time() {
+            if t > horizon {
+                break;
+            }
             if self.tele.is_some() && t != self.now {
                 self.tele_flush_tick();
             }
@@ -771,6 +775,19 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
         self.activate(h, Activation::Start);
     }
 
+    /// Hand `f` the [`EngineView`] of the run as it stands: the one view
+    /// every churn source and overlay driver polls through.
+    fn with_view<R>(&self, f: impl FnOnce(&EngineView<'_>) -> R) -> R {
+        let logic = &self.hosts.logic;
+        f(&EngineView {
+            now: self.now,
+            graph: &self.graph,
+            topo: topo_ref(&self.graph, &self.overlay),
+            alive: &self.hosts.alive,
+            read_summary: &|h: HostId| logic[h.index()].summary(),
+        })
+    }
+
     /// Poll the dynamic churn source: hand it an [`EngineView`], apply
     /// the events it writes into the (reused) wave buffer through the
     /// same `fail` / `join` as statically scheduled ones, and schedule
@@ -782,15 +799,7 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
         self.hosts.audit_alive();
         let mut wave = std::mem::take(&mut self.churn_buf);
         wave.clear();
-        let logic = &self.hosts.logic;
-        let view = EngineView {
-            now: self.now,
-            graph: &self.graph,
-            overlay: self.overlay.as_ref().map(|st| &st.view),
-            alive: &self.hosts.alive,
-            read_summary: &|h: HostId| logic[h.index()].summary(),
-        };
-        source.next_events(self.now, &view, &mut wave);
+        self.with_view(|view| source.next_events(self.now, view, &mut wave));
         for &ev in &wave {
             match ev {
                 ChurnEvent::Fail(h) => self.fail(h),
@@ -811,31 +820,20 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
     /// back into a fresh CSR when it has grown past the compaction
     /// threshold, and schedule the next poll it asks for.
     fn poll_overlay_driver(&mut self) {
-        let Some(st) = self.overlay.as_mut() else {
+        let Some(mut driver) = self.overlay_driver.take() else {
             return;
         };
         self.hosts.audit_alive();
-        let logic = &self.hosts.logic;
-        let OverlayState {
-            view,
-            driver,
-            buf,
-            edges_added,
-            edges_removed,
-        } = st;
+        let st = self.overlay.as_mut().expect("a driver maintains a view");
+        let mut buf = std::mem::take(&mut st.buf);
         buf.clear();
         let suspicions_before = driver.stats().suspicions;
-        let engine_view = EngineView {
-            now: self.now,
-            graph: &self.graph,
-            overlay: Some(&*view),
-            alive: &self.hosts.alive,
-            read_summary: &|h: HostId| logic[h.index()].summary(),
-        };
-        driver.next_events(self.now, &engine_view, buf);
+        self.with_view(|view| driver.next_events(self.now, view, &mut buf));
+        let st = self.overlay.as_mut().expect("a driver maintains a view");
+        let view = &mut st.view;
         let mut added = 0u64;
         let mut removed = 0u64;
-        for &ev in buf.iter() {
+        for &ev in &buf {
             match ev {
                 OverlayEvent::AddEdge(a, b) => {
                     if view.add_edge(a, b) {
@@ -852,13 +850,15 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
         if view.delta_len() >= compact_threshold(view.num_hosts()) {
             view.compact();
         }
-        *edges_added += added;
-        *edges_removed += removed;
+        st.buf = buf;
+        st.edges_added += added;
+        st.edges_removed += removed;
         let suspicions_now = driver.stats().suspicions;
         if let Some(at) = driver.next_poll(self.now) {
             assert!(at > self.now, "overlay driver must poll strictly forward");
             self.queue.push(at, Payload::OverlayPoll);
         }
+        self.overlay_driver = Some(driver);
         if let Some(t) = self.tele.as_mut() {
             t.counts.overlay_added += added;
             t.counts.overlay_removed += removed;
@@ -877,10 +877,7 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
         let mut ctx = Ctx {
             now: self.now,
             me: h,
-            topo: match &self.overlay {
-                Some(st) => TopoRef::Overlay(&st.view),
-                None => TopoRef::Static(&self.graph),
-            },
+            topo: topo_ref(&self.graph, &self.overlay),
             queue: EventSink::Direct(&mut self.queue),
             metrics: CostSink::Direct(&mut self.metrics),
             medium: self.medium,
@@ -936,8 +933,9 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
     /// with the engine-applied edge mutation counts merged in. `None`
     /// when no driver is installed.
     pub fn overlay_stats(&self) -> Option<OverlayStats> {
+        let driver = self.overlay_driver.as_ref()?;
         self.overlay.as_ref().map(|st| {
-            let mut s = st.driver.stats();
+            let mut s = driver.stats();
             s.edges_added = st.edges_added;
             s.edges_removed = st.edges_removed;
             s
@@ -1115,10 +1113,7 @@ where
     }
 
     let shared = ShardShared {
-        topo: match &sim.overlay {
-            Some(st) => TopoRef::Overlay(&st.view),
-            None => TopoRef::Static(&sim.graph),
-        },
+        topo: topo_ref(&sim.graph, &sim.overlay),
         alive: &sim.hosts.alive,
         partition: sim.partition.as_ref(),
         medium: sim.medium,

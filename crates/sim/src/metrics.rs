@@ -51,11 +51,6 @@ impl Metrics {
         self.events_dispatched += 1;
     }
 
-    #[inline]
-    pub(crate) fn record_send(&mut self, at: Time) {
-        self.record_sends(at, 1);
-    }
-
     /// Account for `n` messages sent at `at` in O(1). `n == 0` leaves
     /// the counters — including the length of `sent_per_tick` — alone.
     #[inline]
@@ -121,9 +116,9 @@ mod tests {
     #[test]
     fn send_accounting() {
         let mut m = Metrics::with_hosts(3);
-        m.record_send(Time(0));
-        m.record_send(Time(2));
-        m.record_send(Time(2));
+        m.record_sends(Time(0), 1);
+        m.record_sends(Time(2), 1);
+        m.record_sends(Time(2), 1);
         assert_eq!(m.messages_sent, 3);
         assert_eq!(m.sent_per_tick, vec![1, 0, 2]);
         assert_eq!(m.last_active_tick(), Some(2));
@@ -136,11 +131,11 @@ mod tests {
             let mut looped = Metrics::with_hosts(1);
             // Shared history, so the bulk call lands on a non-empty table.
             for m in [&mut bulk, &mut looped] {
-                m.record_send(Time(2));
+                m.record_sends(Time(2), 1);
             }
             bulk.record_sends(Time(tick), n);
             for _ in 0..n {
-                looped.record_send(Time(tick));
+                looped.record_sends(Time(tick), 1);
             }
             assert_eq!(bulk.messages_sent, looped.messages_sent);
             assert_eq!(

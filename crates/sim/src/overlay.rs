@@ -100,9 +100,10 @@ pub trait OverlayDriver {
 }
 
 /// The neighbour source handed to protocol [`Ctx`](crate::Ctx)
-/// callbacks: the frozen CSR when no overlay is maintained, the merged
-/// overlay view when one is. One discriminant test per read — the
-/// static arm is exactly the pre-overlay hot path.
+/// callbacks and polled [`EngineView`]s: the frozen CSR when no overlay
+/// is maintained, the merged overlay view when one is. One
+/// discriminant test per read — the static arm is exactly the
+/// pre-overlay hot path.
 #[derive(Clone, Copy)]
 pub(crate) enum TopoRef<'a> {
     /// No overlay installed: read the CSR arena directly.

@@ -23,7 +23,7 @@ use crate::{ChurnPlan, PartitionPlan, Time};
 use pov_topology::{Graph, HostId};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// What happens to the membership during one phase.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -213,7 +213,7 @@ impl PhaseSchedule {
             plan = plan.with_initially_dead(h);
         }
 
-        let mut partition: Option<PartitionPlan> = None;
+        let mut cuts: Vec<PartitionPlan> = Vec::new();
         let mut t = 0u64;
         for phase in &self.phases {
             let span = phase.ticks;
@@ -261,28 +261,8 @@ impl PhaseSchedule {
                     }
                 }
                 PhaseKind::Partition { fraction } => {
-                    // Same pivot discipline as the scenario runner: a
-                    // random non-spare pivot seeds the BFS cut, and if
-                    // the spare lands on the severed side the cut is
-                    // re-split from the spare and flipped so the
-                    // querying side is always the majority.
-                    let pivot = loop {
-                        let h = HostId(rng.gen_range(0..n as u32));
-                        if h != spare {
-                            break h;
-                        }
-                    };
-                    let mut cut = PartitionPlan::split_bfs(graph, pivot, fraction);
-                    if cut.sides()[spare.index()] == 1 {
-                        cut = PartitionPlan::split_bfs(graph, spare, 1.0 - fraction);
-                        let flipped: Vec<u8> = cut.sides().iter().map(|&s| 1 - s).collect();
-                        cut = PartitionPlan::new(flipped);
-                    }
-                    let cut = cut.window(Time(t), Time(t + span));
-                    partition = Some(match partition {
-                        None => cut,
-                        Some(acc) => acc.stack(cut),
-                    });
+                    let cut = PartitionPlan::split_sparing(graph, spare, fraction, &mut rng);
+                    cuts.push(cut.window(Time(t), Time(t + span)));
                 }
             }
             t += span;
@@ -291,7 +271,7 @@ impl PhaseSchedule {
             // merge(none) canonicalizes: both event streams sorted by
             // (time, host) and deduplicated.
             churn: plan.merge(ChurnPlan::none()),
-            partition,
+            partition: PartitionPlan::stack_all(cuts),
         }
     }
 

@@ -136,16 +136,6 @@ impl Graph {
         })
     }
 
-    /// Degree histogram: `hist[d]` = number of hosts with degree `d`.
-    pub fn degree_histogram(&self) -> Vec<usize> {
-        let max_deg = self.hosts().map(|h| self.degree(h)).max().unwrap_or(0);
-        let mut hist = vec![0usize; max_deg + 1];
-        for h in self.hosts() {
-            hist[self.degree(h)] += 1;
-        }
-        hist
-    }
-
     /// Assemble a graph directly from CSR parts. The caller guarantees the
     /// invariants: `offsets` has length `n + 1`, is non-decreasing, starts
     /// at 0; each host's `targets` slice is sorted, deduplicated and
@@ -219,12 +209,6 @@ impl GraphBuilder {
         }
         self.adjacency[a.index()].push(b);
         self.adjacency[b.index()].push(a);
-    }
-
-    /// Current degree of `h` counting duplicates (an upper bound on the
-    /// final degree).
-    pub fn raw_degree(&self, h: HostId) -> usize {
-        self.adjacency[h.index()].len()
     }
 
     /// Finalize: sort adjacency lists, drop duplicate edges, and pack
@@ -457,6 +441,7 @@ mod tests {
         assert_eq!(g.num_hosts(), 3);
         assert_eq!(g.num_edges(), 3);
         assert!((g.average_degree() - 2.0).abs() < 1e-12);
+        assert!(g.hosts().all(|h| g.degree(h) == 2));
     }
 
     #[test]
@@ -499,14 +484,6 @@ mod tests {
         for (a, b) in edges {
             assert!(a < b);
         }
-    }
-
-    #[test]
-    fn degree_histogram_sums_to_host_count() {
-        let g = triangle();
-        let hist = g.degree_histogram();
-        assert_eq!(hist.iter().sum::<usize>(), g.num_hosts());
-        assert_eq!(hist[2], 3);
     }
 
     #[test]

@@ -134,29 +134,6 @@ impl OverlayView {
             .sum()
     }
 
-    /// Edges added relative to base, each once with `a < b`, ascending.
-    pub fn added_edges(&self) -> Vec<(HostId, HostId)> {
-        let mut out = Vec::new();
-        for (i, d) in self.delta.iter().enumerate() {
-            let Some(d) = d else { continue };
-            let a = HostId(i as u32);
-            out.extend(d.added.iter().copied().filter(|&b| a < b).map(|b| (a, b)));
-        }
-        out
-    }
-
-    /// Base edges removed from the overlay, each once with `a < b`,
-    /// ascending.
-    pub fn removed_edges(&self) -> Vec<(HostId, HostId)> {
-        let mut out = Vec::new();
-        for (i, d) in self.delta.iter().enumerate() {
-            let Some(d) = d else { continue };
-            let a = HostId(i as u32);
-            out.extend(d.removed.iter().copied().filter(|&b| a < b).map(|b| (a, b)));
-        }
-        out
-    }
-
     /// Add the undirected edge `(a, b)`. Returns `true` if the overlay
     /// changed (the edge was absent). Self-loops are rejected.
     pub fn add_edge(&mut self, a: HostId, b: HostId) -> bool {
@@ -335,7 +312,8 @@ mod tests {
     fn readding_removed_base_edge_shrinks_delta() {
         let mut v = OverlayView::new(path(3));
         v.remove_edge(HostId(0), HostId(1));
-        assert_eq!(v.removed_edges(), vec![(HostId(0), HostId(1))]);
+        assert_eq!(v.edges().collect::<Vec<_>>(), vec![(HostId(1), HostId(2))]);
+        assert_eq!(v.delta_len(), 2, "one removed edge, two half-edges");
         v.add_edge(HostId(0), HostId(1));
         assert_eq!(v.delta_len(), 0, "delta collapses when back at base");
         assert_eq!(v.delta_hosts(), 0);
@@ -347,8 +325,15 @@ mod tests {
         let mut v = OverlayView::new(path(4));
         v.add_edge(HostId(0), HostId(3));
         v.remove_edge(HostId(1), HostId(2));
-        assert_eq!(v.added_edges(), vec![(HostId(0), HostId(3))]);
-        assert_eq!(v.removed_edges(), vec![(HostId(1), HostId(2))]);
+        // Base edges 0-1, 1-2, 2-3: 0-3 added, 1-2 removed.
+        assert_eq!(
+            v.edges().collect::<Vec<_>>(),
+            vec![
+                (HostId(0), HostId(1)),
+                (HostId(0), HostId(3)),
+                (HostId(2), HostId(3))
+            ]
+        );
         assert_eq!(v.delta_hosts(), 4);
         assert_eq!(v.delta_len(), 4);
     }

@@ -6,7 +6,8 @@
 //! The test runs the example binaries that `cargo test` builds beside
 //! its own, in `target/<profile>/examples/`; a run that selects only
 //! this test (`--test it_example_digests`) must build them first
-//! (`cargo build --release --examples`). The six take seconds on a
+//! (`cargo build --release --examples`), and fails on a binary older
+//! than a source it was built from. The six take seconds on a
 //! debug build, so the test runs only in release:
 //! `cargo test --release --test it_example_digests`. To re-capture
 //! after an *intended* output change, run it with `POV_BLESS=1`; that
@@ -41,6 +42,25 @@ fn example_dir() -> PathBuf {
         .join("examples")
 }
 
+/// Panic when `bin` is older than any source it was built from, as
+/// listed in the dep-info file cargo writes beside it (`<bin>.d`): a
+/// bare `--test` run rebuilds this test after a library edit but not the
+/// examples, and would otherwise digest the old code's output.
+fn assert_fresh(bin: &Path) {
+    let modified = |p: &Path| std::fs::metadata(p).and_then(|m| m.modified()).ok();
+    let built = modified(bin);
+    let dep_info = std::fs::read_to_string(bin.with_extension("d")).unwrap_or_default();
+    let (_, sources) = dep_info.split_once(": ").unwrap_or_default();
+    for source in sources.split_whitespace() {
+        let fresh = matches!((modified(Path::new(source)), built), (Some(s), Some(b)) if s <= b);
+        assert!(
+            fresh,
+            "stale example binary: run `cargo build --release --examples` ({} predates {source})",
+            bin.display()
+        );
+    }
+}
+
 /// Run every example and digest what it prints.
 fn example_lines() -> Vec<String> {
     let dir = example_dir();
@@ -48,6 +68,7 @@ fn example_lines() -> Vec<String> {
         .iter()
         .map(|name| {
             let bin = dir.join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
+            assert_fresh(&bin);
             let out = Command::new(&bin).output().unwrap_or_else(|e| {
                 panic!(
                     "cannot run {}: {e} (build the examples first: \
