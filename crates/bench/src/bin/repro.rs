@@ -345,7 +345,8 @@ fn mux_main(args: &[String]) {
         eprintln!("MUX FAILURE: {f}");
         std::process::exit(1);
     }
-    // Fixed-key lines for the CI grep: printed only once the gates hold.
+    // Fixed-key lines, printed only once the gates hold: CI greps
+    // `mux_rss_kb:`, and the mux_quick test pins the message counts.
     println!(
         "shared_messages: {} < {}",
         r.raw_messages, r.sequential_raw_messages

@@ -31,10 +31,10 @@
 //! price of validity under worst-case dynamics (Casteigts' framing in
 //! PAPERS.md: adversarial schedules, not random churn, set the price).
 
-use super::{Output, Scale};
+use super::{envelope_deviation, Output, Scale};
 use crate::report::Table;
 use crate::workload;
-use pov_oracle::{interval_bounds, ssv_deviation};
+use pov_oracle::interval_bounds;
 use pov_protocols::wildfire::WildfireOpts;
 use pov_protocols::{runner, AdversarySpec, Aggregate, ProtocolKind, RunPlan};
 use pov_sim::{ChurnPlan, Time, Trace};
@@ -129,12 +129,6 @@ impl Row {
     pub fn interval_ratio(&self) -> f64 {
         self.targeted_interval_dev / self.uniform_interval_dev.max(1e-12)
     }
-}
-
-/// Multiplicative deviation of `v` from an envelope `[lo, hi]`, with
-/// `v` floored at `1e-12` so a non-positive value reads as far outside.
-fn envelope_deviation(v: f64, lo: f64, hi: f64) -> f64 {
-    ssv_deviation(v.max(1e-12), lo, hi).expect("a floored value is positive")
 }
 
 /// Judge one outcome against both envelopes; returns

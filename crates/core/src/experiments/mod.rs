@@ -108,6 +108,12 @@ impl fmt::Display for Output {
     }
 }
 
+/// Multiplicative deviation of `v` from an envelope `[lo, hi]`, with
+/// `v` floored at `1e-12` so a non-positive value reads as far outside.
+fn envelope_deviation(v: f64, lo: f64, hi: f64) -> f64 {
+    pov_oracle::ssv_deviation(v.max(1e-12), lo, hi).expect("a floored value is positive")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,7 +30,8 @@
 //!
 //! [`OverlayView`]: pov_topology::OverlayView
 
-use super::{Output, Scale};
+use super::{envelope_deviation, Output, Scale};
+use crate::judged::judged_run;
 use crate::report::Table;
 use crate::workload;
 use pov_overlay::{OverlayConfig, OverlayMaintenance};
@@ -164,12 +165,6 @@ impl Row {
     }
 }
 
-/// Multiplicative deviation of `v` from an envelope `[lo, hi]`, with
-/// `v` floored at `1e-12` so a non-positive value reads as far outside.
-fn envelope_deviation(v: f64, lo: f64, hi: f64) -> f64 {
-    pov_oracle::ssv_deviation(v.max(1e-12), lo, hi).expect("a floored value is positive")
-}
-
 /// A host that does nothing — the protocol-free drive that snapshots
 /// the maintained overlay's final shape.
 struct Idle;
@@ -251,17 +246,13 @@ pub fn run(cfg: &Config) -> Vec<Row> {
             let maintained_plan = base.clone().overlay(overlay);
             let horizon = deadline + 2;
 
-            let s = runner::run(kind, &graph, &values, &base);
+            // Both arms share one churn realization, so the §4.2
+            // envelope is judged once, on the static arm.
+            let s = judged_run(kind, &graph, &values, &base);
+            let (lo, hi) = s.bounds.expect("count is bounded");
             let m = runner::run(kind, &graph, &values, &maintained_plan);
             let m_stats = m.overlay.expect("maintained arm reports overlay stats");
             stats_add(&mut stats_sum, &m_stats);
-
-            // Both arms share one churn realization, so the §4.2
-            // envelope is judged once, from the static arm's trace.
-            let end = s.declared_at.unwrap_or(deadline);
-            let sets = pov_oracle::host_sets(&graph, &s.trace, HostId(0), Time::ZERO, end);
-            let (lo, hi) = pov_oracle::aggregate_bounds(Aggregate::Count, &sets, &values)
-                .expect("count is bounded");
             let sv = s.value.unwrap_or(0.0);
             let mv = m.value.unwrap_or(0.0);
 
@@ -279,8 +270,8 @@ pub fn run(cfg: &Config) -> Vec<Row> {
             let conn = overlay_connectivity(view);
 
             for (slot, v) in acc.iter_mut().zip([
-                sets.hc_len() as f64,
-                sets.hu_len() as f64,
+                s.hc_size as f64,
+                s.hu_size as f64,
                 sv,
                 mv,
                 envelope_deviation(sv, lo, hi),

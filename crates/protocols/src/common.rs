@@ -87,6 +87,14 @@ pub(crate) fn deadline(d_hat: u32) -> u64 {
     2 * u64::from(d_hat)
 }
 
+/// The §4.4 fallback tick of a host `depth` hops below the root of a
+/// query due at tick `deadline`: `deadline − depth`, so partial
+/// subtrees still drain upward before the root declares, and never
+/// before the tick after `now`.
+pub(crate) fn fallback_at(deadline: u64, depth: u32, now: u64) -> u64 {
+    deadline.saturating_sub(u64::from(depth)).max(now + 1)
+}
+
 /// The [`NodeLogic::summary`](pov_sim::NodeLogic::summary) every
 /// partial-carrying node reports: an activated host whose partial has
 /// sketch weight `w` is active with weight `w`; a host the query has

@@ -36,7 +36,7 @@
 //! point-to-point — the child's query copy (sent before the adoption)
 //! and then its report.
 
-use crate::common::{summary_of, Partial, QuerySpec};
+use crate::common::{fallback_at, summary_of, Partial, QuerySpec};
 use crate::spanning_tree::NO_PARENT;
 use pov_sim::{Ctx, NodeLogic, StateSummary, Time};
 use pov_topology::HostId;
@@ -226,9 +226,9 @@ impl NodeLogic for DagNode {
                         spec.c,
                         ctx.rng(),
                     ));
-                    let fallback_at = spec.deadline().saturating_sub(self.depth as u64);
-                    let delay = fallback_at.saturating_sub(ctx.now().ticks()).max(1);
-                    ctx.set_timer(delay, TIMER_FALLBACK);
+                    let now = ctx.now().ticks();
+                    let fire_at = fallback_at(spec.deadline(), self.depth, now);
+                    ctx.set_timer(fire_at - now, TIMER_FALLBACK);
                     ctx.broadcast_except(
                         Some(from),
                         DagMsg::Query {

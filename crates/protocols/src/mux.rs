@@ -64,7 +64,7 @@
 //! launch, and an alias never floods. So a host keeps *how many*
 //! neighbours have classified a query, not which, as SPANNINGTREE does.
 
-use crate::common::{Aggregate, ExactPartial};
+use crate::common::{fallback_at, Aggregate, ExactPartial};
 use pov_sim::{
     ChurnPlan, Ctx, DelayModel, Medium, Metrics, NodeLogic, PartitionPlan, SimBuilder, Simulation,
     StateSummary, Time, Trace,
@@ -448,7 +448,7 @@ impl MuxNode {
                 run.joined[rank as usize] = Some(target);
                 continue;
             }
-            let fallback_at = arm_fallback(&mut self.fallback_armed, ctx, deadline);
+            let fallback_at = arm_fallback(&mut self.fallback_armed, ctx, deadline, 0);
             for buf in &mut run.out[..ctx.degree()] {
                 buf.push(MuxItem::query(rank, 0));
             }
@@ -492,10 +492,8 @@ impl MuxNode {
         s: &mut Open,
     ) {
         s.heard -= 1;
-        // Fallback at (deadline − depth)·δ so partial subtrees still
-        // drain upward before the root declares.
         let deadline = run.queries[rank as usize].deadline;
-        s.fallback_at = arm_fallback(armed, ctx, deadline.saturating_sub(u64::from(s.depth)));
+        s.fallback_at = arm_fallback(armed, ctx, deadline, s.depth);
         let parent = s.parent as usize;
         for (i, buf) in run.out[..ctx.degree()].iter_mut().enumerate() {
             if i != parent {
@@ -581,16 +579,16 @@ fn retain_open(
     open.truncate(kept);
 }
 
-/// Arm the forced report due at tick `fallback_at` (clamped to the next
-/// tick if already past), sharing one engine timer among every query
-/// due at the same fire tick. `armed` holds the fire ticks in flight,
-/// ascending: the ones already past are dropped from its front, and a
-/// new one is inserted in place. Returns the fire tick, which is what
-/// the query is filed under: a firing reports every open query whose
-/// fire tick has come.
-fn arm_fallback(armed: &mut Vec<u64>, ctx: &mut Ctx<'_, MuxMsg>, fallback_at: u64) -> u64 {
+/// Arm the forced report of a state `depth` hops below the root of a
+/// query due at `deadline`, at its [`fallback_at`] tick, sharing one
+/// engine timer among every query due at the same fire tick. `armed`
+/// holds the fire ticks in flight, ascending: the ones already past
+/// are dropped from its front, and a new one is inserted in place.
+/// Returns the fire tick, which is what the query is filed under: a
+/// firing reports every open query whose fire tick has come.
+fn arm_fallback(armed: &mut Vec<u64>, ctx: &mut Ctx<'_, MuxMsg>, deadline: u64, depth: u32) -> u64 {
     let now = ctx.now().ticks();
-    let fire_at = fallback_at.max(now + 1);
+    let fire_at = fallback_at(deadline, depth, now);
     let expired = armed.iter().take_while(|&&t| t <= now).count();
     armed.drain(..expired);
     if let Err(pos) = armed.binary_search(&fire_at) {

@@ -14,7 +14,7 @@ use crate::wildfire::{WildfireNode, WildfireOpts};
 use pov_overlay::{OverlayConfig, OverlayMaintenance};
 use pov_sim::{
     ChurnPlan, DelayModel, Medium, Metrics, NodeLogic, OverlayStats, PartitionPlan, SimBuilder,
-    Simulation, SketchAdversary, TelemetrySink, Time, Trace,
+    SketchAdversary, TelemetrySink, Time, Trace,
 };
 use pov_topology::{Graph, HostId};
 
@@ -413,14 +413,34 @@ impl Outcome {
     }
 }
 
-fn finish<L: NodeLogic>(
-    mut sim: Simulation<'_, L>,
+/// Build `plan`'s simulation over `graph`, host `h` made by
+/// `node(values[h], h == hq)`, run it to `horizon` and read hq's node
+/// with `read`: the one path every protocol's run takes.
+fn simulate<L: NodeLogic>(
+    plan: &RunPlan,
+    graph: &Graph,
+    values: &[u64],
+    sink: Option<&mut (dyn TelemetrySink + 'static)>,
     horizon: Time,
-    read_result: impl Fn(&L) -> Option<(f64, Time)>,
-    hq: HostId,
+    node: impl Fn(u64, bool) -> L,
+    read: impl FnOnce(&L) -> Option<(f64, Time)>,
 ) -> Outcome {
+    assert_eq!(
+        values.len(),
+        graph.num_hosts(),
+        "one attribute value per host"
+    );
+    assert!(plan.hq.index() < graph.num_hosts(), "querying host exists");
+    let mut b = plan.sim_builder(graph);
+    if let Some(sink) = sink {
+        b = b.telemetry(sink);
+    }
+    // The factory borrows the caller's value slice: per-run clones of
+    // the whole attribute table were pure allocation churn in batch
+    // sweeps.
+    let mut sim = b.build(|h| node(values[h.index()], h == plan.hq));
     sim.run_until(horizon);
-    let result = read_result(sim.logic(hq));
+    let result = read(sim.logic(plan.hq));
     let overlay = sim.overlay_stats();
     let (metrics, trace) = sim.into_record();
     Outcome {
@@ -461,159 +481,129 @@ pub fn run_with(
     plan: &RunPlan,
     sink: Option<&mut (dyn TelemetrySink + 'static)>,
 ) -> Outcome {
-    let cfg = plan;
-    assert_eq!(
-        values.len(),
-        graph.num_hosts(),
-        "one attribute value per host"
-    );
-    assert!(cfg.hq.index() < graph.num_hosts(), "querying host exists");
     // The engine checks underlay sends only in debug builds; a release
     // run would deliver them over radio and judge a query the medium
     // cannot carry.
     assert!(
-        !(kind.reports_direct() && cfg.medium == Medium::Radio),
+        !(kind.reports_direct() && plan.medium == Medium::Radio),
         "{} reports over the underlay, which a radio medium does not carry",
         kind.label()
     );
-    let spec = cfg.spec();
+    let spec = plan.spec();
     let horizon = Time(spec.deadline() + 2);
-    let hq = cfg.hq;
-    // Factories borrow the caller's value slice: per-run clones of the
-    // whole attribute table were pure allocation churn in batch sweeps.
-    let vals = values;
-    // Each match arm calls `builder()` exactly once; `take` moves the
-    // sink borrow into whichever simulation actually gets built.
-    let mut sink = sink;
-    let mut builder = move || {
-        let b = cfg.sim_builder(graph);
-        match sink.take() {
-            Some(s) => b.telemetry(s),
-            None => b,
-        }
-    };
     match kind {
-        ProtocolKind::AllReport(routing) => {
-            let sim = builder().build(move |h| {
-                if h == hq {
-                    AllReportNode::query_host(vals[h.index()], spec, routing)
-                } else {
-                    AllReportNode::host(vals[h.index()], routing)
-                }
-            });
-            finish(sim, horizon, AllReportNode::result, hq)
-        }
-        ProtocolKind::RandomizedReport { p } => {
-            let routing = ReportRouting::Direct;
-            let sim = builder().build(move |h| {
-                if h == hq {
-                    AllReportNode::randomized_query_host(vals[h.index()], spec, p, routing)
-                } else {
-                    AllReportNode::host(vals[h.index()], routing)
-                }
-            });
-            finish(sim, horizon, AllReportNode::result, hq)
-        }
-        ProtocolKind::SpanningTree => {
-            let sim = builder().build(move |h| {
-                if h == hq {
-                    SpanningTreeNode::query_host(vals[h.index()], spec)
-                } else {
-                    SpanningTreeNode::host(vals[h.index()])
-                }
-            });
-            finish(sim, horizon, SpanningTreeNode::result, hq)
-        }
-        ProtocolKind::Dag { k } => {
-            let sim = builder().build(move |h| {
-                if h == hq {
-                    DagNode::query_host(vals[h.index()], k, spec)
-                } else {
-                    DagNode::host(vals[h.index()], k)
-                }
-            });
-            finish(sim, horizon, DagNode::result, hq)
-        }
-        ProtocolKind::Wildfire(opts) => {
-            let sim = builder().build(move |h| {
-                if h == hq {
-                    WildfireNode::query_host(vals[h.index()], spec, opts)
-                } else {
-                    WildfireNode::host(vals[h.index()], opts)
-                }
-            });
-            finish(sim, horizon, WildfireNode::result, hq)
-        }
-        ProtocolKind::Gossip { rounds } => {
-            let aggregate = cfg.aggregate;
-            let sim = builder()
-                .build(move |h| GossipNode::new(vals[h.index()], aggregate, rounds, h == hq));
-            let horizon = Time(rounds as u64 * cfg.delay.bound() + 2);
-            finish(sim, horizon, GossipNode::result, hq)
-        }
+        ProtocolKind::AllReport(routing) => simulate(
+            plan,
+            graph,
+            values,
+            sink,
+            horizon,
+            |v, is_hq| match is_hq {
+                true => AllReportNode::query_host(v, spec, routing),
+                false => AllReportNode::host(v, routing),
+            },
+            AllReportNode::result,
+        ),
+        ProtocolKind::RandomizedReport { p } => simulate(
+            plan,
+            graph,
+            values,
+            sink,
+            horizon,
+            |v, is_hq| match is_hq {
+                true => AllReportNode::randomized_query_host(v, spec, p, ReportRouting::Direct),
+                false => AllReportNode::host(v, ReportRouting::Direct),
+            },
+            AllReportNode::result,
+        ),
+        ProtocolKind::SpanningTree => simulate(
+            plan,
+            graph,
+            values,
+            sink,
+            horizon,
+            |v, is_hq| match is_hq {
+                true => SpanningTreeNode::query_host(v, spec),
+                false => SpanningTreeNode::host(v),
+            },
+            SpanningTreeNode::result,
+        ),
+        ProtocolKind::Dag { k } => simulate(
+            plan,
+            graph,
+            values,
+            sink,
+            horizon,
+            |v, is_hq| match is_hq {
+                true => DagNode::query_host(v, k, spec),
+                false => DagNode::host(v, k),
+            },
+            DagNode::result,
+        ),
+        ProtocolKind::Wildfire(opts) => simulate(
+            plan,
+            graph,
+            values,
+            sink,
+            horizon,
+            |v, is_hq| match is_hq {
+                true => WildfireNode::query_host(v, spec, opts),
+                false => WildfireNode::host(v, opts),
+            },
+            WildfireNode::result,
+        ),
+        ProtocolKind::Gossip { rounds } => simulate(
+            plan,
+            graph,
+            values,
+            sink,
+            Time(rounds as u64 * plan.delay.bound() + 2),
+            |v, is_hq| GossipNode::new(v, plan.aggregate, rounds, is_hq),
+            GossipNode::result,
+        ),
     }
 }
 
-/// What a WILDFIRE run with an extension operator (§7) produced: the
-/// scalar estimate plus the full merged partial (e.g. a histogram the
-/// caller can query for buckets and quantiles).
-#[derive(Clone, Debug)]
-pub struct OperatorOutcome {
-    /// The scalar reading of the merged partial (count estimate /
-    /// histogram total).
-    pub value: Option<f64>,
-    /// The querying host's merged partial at declaration time.
-    pub partial: Option<Partial>,
-    /// When the result was declared.
-    pub declared_at: Option<Time>,
-    /// §6.3 cost metrics.
-    pub metrics: Metrics,
-    /// Ground-truth membership trace.
-    pub trace: Trace,
-}
-
-/// Run WILDFIRE with an extension [`Operator`] and return the merged
-/// partial alongside the scalar estimate.
+/// Run WILDFIRE with an extension [`Operator`] (§7) and return the
+/// merged partial alongside the outcome: hq's partial at declaration
+/// time (e.g. a histogram the caller can query for buckets and
+/// quantiles), whose scalar reading (count estimate / histogram total)
+/// is the outcome's value.
 pub fn run_wildfire_operator(
     operator: Operator,
     opts: WildfireOpts,
     graph: &Graph,
     values: &[u64],
     plan: &RunPlan,
-) -> OperatorOutcome {
-    let cfg = plan;
-    assert_eq!(
-        values.len(),
-        graph.num_hosts(),
-        "one attribute value per host"
+) -> (Outcome, Option<Partial>) {
+    let spec = plan.spec();
+    let mut partial = None;
+    let outcome = simulate(
+        plan,
+        graph,
+        values,
+        None,
+        Time(spec.deadline() + 2),
+        |v, is_hq| match is_hq {
+            true => WildfireNode::query_host_with_operator(v, spec, opts, operator),
+            false => WildfireNode::host_with_operator(v, opts, operator),
+        },
+        |hq: &WildfireNode| {
+            partial = hq.partial();
+            hq.result()
+        },
     );
-    let spec = cfg.spec();
-    let hq = cfg.hq;
-    let vals = values;
-    let mut sim = cfg.sim_builder(graph).build(move |h| {
-        if h == hq {
-            WildfireNode::query_host_with_operator(vals[h.index()], spec, opts, operator)
-        } else {
-            WildfireNode::host_with_operator(vals[h.index()], opts, operator)
-        }
-    });
-    sim.run_until(Time(spec.deadline() + 2));
-    let logic = sim.logic(hq);
-    let (result, partial) = (logic.result(), logic.partial());
-    let (metrics, trace) = sim.into_record();
-    OperatorOutcome {
-        value: result.map(|(v, _)| v),
-        partial,
-        declared_at: result.map(|(_, t)| t),
-        metrics,
-        trace,
-    }
+    (outcome, partial)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pov_topology::generators::special;
+
+    fn wildfire() -> ProtocolKind {
+        ProtocolKind::Wildfire(WildfireOpts::default())
+    }
 
     /// Every protocol of `plan` run under it, in list order.
     fn run_each(g: &Graph, values: &[u64], plan: &RunPlan) -> Vec<Outcome> {
@@ -635,7 +625,7 @@ mod tests {
             "GOSSIP(rounds=40)"
         );
         assert_eq!(ProtocolKind::SpanningTree.label(), "SPANNINGTREE");
-        let wildfire = ProtocolKind::Wildfire(WildfireOpts::default());
+        let wildfire = wildfire();
         assert_eq!(wildfire.label(), "WILDFIRE");
         assert!(ProtocolKind::AllReport(ReportRouting::Direct).reports_direct());
         assert!(ProtocolKind::RandomizedReport { p: 0.5 }.reports_direct());
@@ -666,7 +656,7 @@ mod tests {
             ProtocolKind::AllReport(ReportRouting::Direct),
             ProtocolKind::SpanningTree,
             ProtocolKind::Dag { k: 2 },
-            ProtocolKind::Wildfire(WildfireOpts::default()),
+            wildfire(),
         ]);
         for &kind in &plan.protocols {
             let out = run(kind, &g, &values, &plan);
@@ -699,7 +689,7 @@ mod tests {
                 shuffle_every: 4,
                 ..OverlayConfig::default()
             })
-            .protocols([ProtocolKind::Wildfire(WildfireOpts::default())]);
+            .protocols([wildfire()]);
         let out = run(plan.protocols[0], &g, &values, &plan);
         assert_eq!(out.value, Some(87.0));
         let stats = out
@@ -733,10 +723,7 @@ mod tests {
                 7,
             ))
             .overlay(OverlayConfig::default())
-            .protocols([
-                ProtocolKind::Wildfire(WildfireOpts::default()),
-                ProtocolKind::SpanningTree,
-            ]);
+            .protocols([wildfire(), ProtocolKind::SpanningTree]);
         let outs = run_each(&g, &[1; 16], &plan);
         assert_eq!(outs[0].trace.events, outs[1].trace.events);
         assert_eq!(outs[0].overlay, outs[1].overlay);
@@ -756,10 +743,7 @@ mod tests {
                 HostId(0),
                 11,
             ))
-            .protocols([
-                ProtocolKind::Wildfire(WildfireOpts::default()),
-                ProtocolKind::SpanningTree,
-            ]);
+            .protocols([wildfire(), ProtocolKind::SpanningTree]);
         let outs = run_each(&g, &[1; 16], &plan);
         assert_eq!(outs.len(), 2);
         // Both runs observed the identical membership trace — the
@@ -785,7 +769,7 @@ mod tests {
     fn kmv_count_through_operator_runner() {
         let g = special::cycle(64);
         let cfg = RunPlan::query(Aggregate::Count).d_hat(34);
-        let out = run_wildfire_operator(
+        let (out, partial) = run_wildfire_operator(
             Operator::KmvCount { k: 32 },
             WildfireOpts::default(),
             &g,
@@ -796,7 +780,7 @@ mod tests {
         // KMV with k = 32 on 64 hosts: exact-ish (k/2 < n < exact regime
         // boundary); allow sketch noise.
         assert!((40.0..110.0).contains(&v), "KMV count {v}");
-        assert!(matches!(out.partial, Some(Partial::KmvCount(_))));
+        assert!(matches!(partial, Some(Partial::KmvCount(_))));
     }
 
     #[test]
@@ -805,7 +789,7 @@ mod tests {
         let g = special::cycle(100);
         let values: Vec<u64> = (0..100).map(|i| if i % 2 == 0 { 10 } else { 90 }).collect();
         let cfg = RunPlan::query(Aggregate::Count).d_hat(52).repetitions(16);
-        let out = run_wildfire_operator(
+        let (_, partial) = run_wildfire_operator(
             Operator::ValueHistogram {
                 min: 0,
                 max: 99,
@@ -816,7 +800,7 @@ mod tests {
             &values,
             &cfg,
         );
-        let partial = out.partial.expect("present");
+        let partial = partial.expect("present");
         let hist = partial.as_histogram().expect("histogram partial");
         let est = hist.bucket_estimates();
         // Mass concentrates in buckets 1 (values 10..19) and 9 (90..99).
@@ -851,12 +835,7 @@ mod tests {
     }
 
     fn runner_declares(g: &Graph, values: &[u64], cfg: &RunPlan) -> (Option<f64>, u64) {
-        let out = run(
-            ProtocolKind::Wildfire(WildfireOpts::default()),
-            g,
-            values,
-            cfg,
-        );
+        let out = run(wildfire(), g, values, cfg);
         (out.value, out.time_cost().expect("declared"))
     }
 
@@ -897,12 +876,7 @@ mod tests {
         let plan = RunPlan::query(Aggregate::Count)
             .d_hat(11)
             .adversary(AdversarySpec::fm_maxima(3, 7, Time(1), Time(15)));
-        let out = run(
-            ProtocolKind::Wildfire(WildfireOpts::default()),
-            &g,
-            &[1; 20],
-            &plan,
-        );
+        let out = run(wildfire(), &g, &[1; 20], &plan);
         // Exactly `budget` kills land in the trace — the comparability
         // contract with uniform_failures at r = 7.
         assert_eq!(out.trace.events.len(), 7);
@@ -931,18 +905,8 @@ mod tests {
             .d_hat(13)
             .seed(9)
             .adversary(AdversarySpec::fm_maxima(2, 6, Time(0), Time(20)));
-        let a = run(
-            ProtocolKind::Wildfire(WildfireOpts::default()),
-            &g,
-            &[1; 24],
-            &plan,
-        );
-        let b = run(
-            ProtocolKind::Wildfire(WildfireOpts::default()),
-            &g,
-            &[1; 24],
-            &plan,
-        );
+        let a = run(wildfire(), &g, &[1; 24], &plan);
+        let b = run(wildfire(), &g, &[1; 24], &plan);
         assert_eq!(a.trace.events, b.trace.events);
         assert_eq!(a.value, b.value);
         assert_eq!(a.metrics.messages_sent, b.metrics.messages_sent);
@@ -977,7 +941,7 @@ mod tests {
                     HostId(0),
                     11,
                 ));
-        let kind = ProtocolKind::Wildfire(WildfireOpts::default());
+        let kind = wildfire();
         let plain = run(kind, &g, &[1; 16], &plan);
         let mut sink = Counting::default();
         let tapped = run_with(kind, &g, &[1; 16], &plan, Some(&mut sink));

@@ -31,7 +31,7 @@
 //! has heard from, not which, and its whole record is a few words with
 //! no heap allocation.
 
-use crate::common::{deadline, summary_of, Aggregate, ExactPartial, QuerySpec};
+use crate::common::{deadline, fallback_at, summary_of, Aggregate, ExactPartial, QuerySpec};
 use pov_sim::{Ctx, NodeLogic, StateSummary, Time};
 use pov_topology::HostId;
 
@@ -214,11 +214,9 @@ impl NodeLogic for SpanningTreeNode {
                     self.parent = from;
                     let depth = hops + 1;
                     self.store(self.partial().named(aggregate));
-                    // Fallback at (2D̂ − depth)δ so partial subtrees still
-                    // drain upward before the root declares.
-                    let fallback_at = deadline(d_hat).saturating_sub(u64::from(depth));
-                    let delay = fallback_at.saturating_sub(ctx.now().ticks()).max(1);
-                    ctx.set_timer(delay, TIMER_FALLBACK);
+                    let now = ctx.now().ticks();
+                    let fire_at = fallback_at(deadline(d_hat), depth, now);
+                    ctx.set_timer(fire_at - now, TIMER_FALLBACK);
                     ctx.broadcast_except(
                         Some(from),
                         StMsg::Query {

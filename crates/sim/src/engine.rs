@@ -237,6 +237,7 @@ impl<'g> SimBuilder<'g> {
                 sink,
                 touched: vec![0; n],
                 counts: TickCounts::default(),
+                last: RecordCounts::default(),
                 flushed_through: 0,
             }
         });
@@ -334,20 +335,24 @@ impl<L> Hosts<L> {
     }
 }
 
-/// Per-tick counters aggregated for the telemetry sink. Reset when the
-/// tick's sample is flushed.
+/// Per-tick counts of what no run record holds, aggregated for the
+/// telemetry sink at delivery. Reset when the tick's sample is flushed.
 #[derive(Default)]
 struct TickCounts {
-    dispatched: u64,
     delivered: u64,
     dropped: u64,
-    fails: u64,
-    joins: u64,
-    timers: u64,
     frontier: u32,
-    overlay_added: u64,
-    overlay_removed: u64,
-    overlay_suspicions: u64,
+}
+
+/// The cumulative counts a tick sample reads from the run record: the
+/// [`Metrics`] counters, the [`Trace`] length and the overlay's own
+/// counters. A sample is the difference of two of these.
+#[derive(Clone, Copy, Default)]
+struct RecordCounts {
+    dispatched: u64,
+    timers: u64,
+    trace_len: usize,
+    overlay: OverlayStats,
 }
 
 /// Engine-side state of a maintained overlay: the mutable view layered
@@ -382,6 +387,8 @@ struct Telemetry<'s> {
     /// bounded well under 2³² ticks (debug-asserted at the stamp site).
     touched: Vec<u32>,
     counts: TickCounts,
+    /// The record's counts when the last sample was emitted.
+    last: RecordCounts,
     /// Next tick at or after which to take a protocol-state sample.
     next_summary: Option<u64>,
     /// Ticks `< flushed_through` have already emitted their sample —
@@ -536,27 +543,40 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
             .unwrap_or(0);
         let queue_depth = self.queue.len() as u64;
         let alive = self.hosts.num_alive;
+        let now = RecordCounts {
+            dispatched: self.metrics.events_dispatched,
+            timers: self.metrics.timers_fired,
+            trace_len: self.trace.events.len(),
+            overlay: self.overlay_stats().unwrap_or_default(),
+        };
         let Some(t) = self.tele.as_mut() else { return };
-        if (t.counts.dispatched != 0 || sent != 0) && t.flushed_through <= tick {
+        let last = t.last;
+        if (now.dispatched != last.dispatched || sent != 0) && t.flushed_through <= tick {
             t.flushed_through = tick + 1;
+            let changes = &self.trace.events[last.trace_len..];
+            let fails = changes
+                .iter()
+                .filter(|ev| matches!(ev, TraceEvent::Fail(..)))
+                .count() as u64;
             let sample = TickSample {
                 tick,
                 alive,
                 queue_depth,
-                dispatched: t.counts.dispatched,
+                dispatched: now.dispatched - last.dispatched,
                 delivered: t.counts.delivered,
                 dropped: t.counts.dropped,
                 sent,
-                fails: t.counts.fails,
-                joins: t.counts.joins,
-                timers: t.counts.timers,
+                fails,
+                joins: changes.len() as u64 - fails,
+                timers: now.timers - last.timers,
                 frontier: t.counts.frontier,
-                overlay_added: t.counts.overlay_added,
-                overlay_removed: t.counts.overlay_removed,
-                overlay_suspicions: t.counts.overlay_suspicions,
+                overlay_added: now.overlay.edges_added - last.overlay.edges_added,
+                overlay_removed: now.overlay.edges_removed - last.overlay.edges_removed,
+                overlay_suspicions: now.overlay.suspicions - last.overlay.suspicions,
             };
             t.sink.on_tick(&sample);
             t.counts = TickCounts::default();
+            t.last = now;
         }
         if t.next_summary.is_some_and(|next| tick >= next) {
             let every = t.sink.summary_every().unwrap_or(1).max(1);
@@ -614,9 +634,6 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
 
     fn dispatch(&mut self, payload: Payload<L::Msg>) {
         self.metrics.record_dispatch();
-        if let Some(t) = self.tele.as_mut() {
-            t.counts.dispatched += 1;
-        }
         match payload {
             Payload::Fail(h) => self.fail(h),
             Payload::Join(h) => self.join(h),
@@ -654,9 +671,6 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
             Payload::Timer { host, key } => {
                 if self.hosts.is_alive(host) {
                     self.metrics.record_timer();
-                    if let Some(t) = self.tele.as_mut() {
-                        t.counts.timers += 1;
-                    }
                     self.activate(host, Activation::Timer { key });
                 }
             }
@@ -742,9 +756,6 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
         }
         let extra = count as u64 - 1;
         self.metrics.events_dispatched += extra;
-        if let Some(t) = self.tele.as_mut() {
-            t.counts.dispatched += extra;
-        }
         self.queue.retire_fanout(count);
     }
 
@@ -756,9 +767,6 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
         }
         self.hosts.set_alive(h, false);
         self.trace.record(TraceEvent::Fail(self.now, h));
-        if let Some(t) = self.tele.as_mut() {
-            t.counts.fails += 1;
-        }
     }
 
     /// Bring `h` back and fire its `on_start` — a planned join or a
@@ -769,9 +777,6 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
         }
         self.hosts.set_alive(h, true);
         self.trace.record(TraceEvent::Join(self.now, h));
-        if let Some(t) = self.tele.as_mut() {
-            t.counts.joins += 1;
-        }
         self.activate(h, Activation::Start);
     }
 
@@ -827,7 +832,6 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
         let st = self.overlay.as_mut().expect("a driver maintains a view");
         let mut buf = std::mem::take(&mut st.buf);
         buf.clear();
-        let suspicions_before = driver.stats().suspicions;
         self.with_view(|view| driver.next_events(self.now, view, &mut buf));
         let st = self.overlay.as_mut().expect("a driver maintains a view");
         let view = &mut st.view;
@@ -853,17 +857,11 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
         st.buf = buf;
         st.edges_added += added;
         st.edges_removed += removed;
-        let suspicions_now = driver.stats().suspicions;
         if let Some(at) = driver.next_poll(self.now) {
             assert!(at > self.now, "overlay driver must poll strictly forward");
             self.queue.push(at, Payload::OverlayPoll);
         }
         self.overlay_driver = Some(driver);
-        if let Some(t) = self.tele.as_mut() {
-            t.counts.overlay_added += added;
-            t.counts.overlay_removed += removed;
-            t.counts.overlay_suspicions += suspicions_now - suspicions_before;
-        }
     }
 
     fn activate(&mut self, h: HostId, activation: Activation<L::Msg>) {
@@ -1092,9 +1090,6 @@ where
     // account for the rest of the batch.
     let extra = (batch.len() - 1) as u64;
     sim.metrics.events_dispatched += extra;
-    if let Some(t) = sim.tele.as_mut() {
-        t.counts.dispatched += extra;
-    }
     let batch_no = sim.shard_batches;
     sim.shard_batches += 1;
 
@@ -1294,6 +1289,16 @@ mod tests {
         seen_at: Option<Time>,
     }
 
+    impl Flood {
+        /// Host `h` of a flood that h0 starts.
+        fn from_h0(h: HostId) -> Self {
+            Flood {
+                origin: h == HostId(0),
+                seen_at: None,
+            }
+        }
+    }
+
     impl NodeLogic for Flood {
         type Msg = ();
 
@@ -1313,10 +1318,7 @@ mod tests {
     }
 
     fn flood_sim(graph: Graph, medium: Medium) -> Simulation<'static, Flood> {
-        SimBuilder::new(graph).medium(medium).build(|h| Flood {
-            origin: h == HostId(0),
-            seen_at: None,
-        })
+        SimBuilder::new(graph).medium(medium).build(Flood::from_h0)
     }
 
     #[test]
@@ -1367,10 +1369,7 @@ mod tests {
         let churn = ChurnPlan::none().with_failure(Time(1), HostId(2));
         let mut sim = SimBuilder::new(special::chain(5))
             .churn(churn)
-            .build(|h| Flood {
-                origin: h == HostId(0),
-                seen_at: None,
-            });
+            .build(Flood::from_h0);
         sim.run_to_quiescence(1_000);
         // h2 fails at t=1, before the flood (sent at t=1 by h1) arrives at
         // t=2; h3, h4 never hear it.
@@ -1567,10 +1566,7 @@ mod tests {
         let cut = PartitionPlan::new(vec![1, 1, 1, 0, 0, 0]).window(Time(0), Time(10));
         let mut sim = SimBuilder::new(special::chain(6))
             .partition(cut)
-            .build(|h| Flood {
-                origin: h == HostId(0),
-                seen_at: None,
-            });
+            .build(Flood::from_h0);
         sim.run_until(Time(9));
         assert_eq!(sim.logic(HostId(2)).seen_at, Some(Time(2)));
         assert_eq!(sim.logic(HostId(3)).seen_at, None, "cut still active");
@@ -1768,10 +1764,7 @@ mod tests {
         // t=1 by h1) would arrive at t=2.
         let mut sim = SimBuilder::new(special::chain(5))
             .dynamic_churn(KillAt(Time(2), HostId(2)))
-            .build(|h| Flood {
-                origin: h == HostId(0),
-                seen_at: None,
-            });
+            .build(Flood::from_h0);
         sim.run_until(Time(30));
         assert_eq!(sim.logic(HostId(1)).seen_at, Some(Time(1)));
         assert_eq!(sim.logic(HostId(2)).seen_at, None);
@@ -1827,10 +1820,7 @@ mod tests {
             if heap {
                 b = b.heap_queue_oracle();
             }
-            let mut sim = b.build(|h| Flood {
-                origin: h == HostId(0),
-                seen_at: None,
-            });
+            let mut sim = b.build(Flood::from_h0);
             sim.run_until(Time(60));
             Fingerprint {
                 trace: sim.trace().events.clone(),
@@ -1899,10 +1889,7 @@ mod tests {
                 .churn(churn.clone())
                 .seed(11);
             let b = if attach { b.telemetry(&mut rec) } else { b };
-            let mut sim = b.build(|h| Flood {
-                origin: h == HostId(0),
-                seen_at: None,
-            });
+            let mut sim = b.build(Flood::from_h0);
             sim.run_until(Time(40));
             (
                 sim.trace().events.clone(),
@@ -1917,24 +1904,44 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
+    /// Build `b` with a [`Recorder`] attached, run it through one
+    /// `run_until` per horizon in `legs`, and return the tick samples
+    /// with the run's metrics, trace and overlay stats.
+    fn run_in_legs<L: NodeLogic>(
+        b: SimBuilder<'_>,
+        node: impl FnMut(HostId) -> L,
+        legs: &[Time],
+    ) -> (Recorder, Metrics, Trace, Option<OverlayStats>) {
+        let mut rec = Recorder::default();
+        let mut sim = b.telemetry(&mut rec).build(node);
+        for &horizon in legs {
+            sim.run_until(horizon);
+        }
+        let overlay = sim.overlay_stats();
+        let (metrics, trace) = sim.into_record();
+        (rec, metrics, trace, overlay)
+    }
+
     #[test]
     fn telemetry_samples_account_for_every_event() {
         let churn = ChurnPlan::none()
             .with_failure(Time(2), HostId(3))
             .with_join(Time(6), HostId(3));
-        let mut rec = Recorder::default();
-        let mut sim = SimBuilder::new(special::cycle(8))
-            .churn(churn)
-            .telemetry(&mut rec)
-            .build(|h| Flood {
-                origin: h == HostId(0),
-                seen_at: None,
-            });
-        sim.run_until(Time(40));
-        let dispatched = sim.metrics().events_dispatched;
-        let sent = sim.metrics().messages_sent;
-        let processed = sim.metrics().total_processed();
-        drop(sim);
+        let run = |legs: &[Time]| {
+            let b = SimBuilder::new(special::cycle(8)).churn(churn.clone());
+            run_in_legs(b, Flood::from_h0, legs)
+        };
+        let (rec, metrics, ..) = run(&[Time(40)]);
+        // Resuming after a flushed tick re-emits nothing and loses no
+        // count: split at the failure's tick (which also sends) or at
+        // the join's, the samples are the same.
+        for at in [2, 6] {
+            let (split, ..) = run(&[Time(at), Time(40)]);
+            assert_eq!(split.ticks, rec.ticks, "split at {at}");
+        }
+        let dispatched = metrics.events_dispatched;
+        let sent = metrics.messages_sent;
+        let processed = metrics.total_processed();
         assert_eq!(rec.started, Some(8));
         // Every dispatched event, sent message and processed delivery
         // lands in exactly one tick sample.
@@ -2065,10 +2072,7 @@ mod tests {
                 .churn(churn.clone())
                 .seed(5);
             let b = if attach { b.overlay(Idle) } else { b };
-            let mut sim = b.build(|h| Flood {
-                origin: h == HostId(0),
-                seen_at: None,
-            });
+            let mut sim = b.build(Flood::from_h0);
             sim.run_until(Time(40));
             (
                 sim.trace().events.clone(),
@@ -2095,10 +2099,7 @@ mod tests {
         ];
         let mut sim = SimBuilder::new(special::chain(4))
             .overlay(Scripted { script })
-            .build(|h| Flood {
-                origin: h == HostId(0),
-                seen_at: None,
-            });
+            .build(Flood::from_h0);
         sim.run_to_quiescence(1_000);
         assert_eq!(sim.logic(HostId(2)).seen_at, Some(Time(2)));
         assert_eq!(sim.logic(HostId(3)).seen_at, Some(Time(2)), "via (1,3)");
@@ -2161,10 +2162,7 @@ mod tests {
         }
         let mut sim = SimBuilder::new(special::cycle(n as usize))
             .overlay(Scripted { script })
-            .build(|h| Flood {
-                origin: h == HostId(0),
-                seen_at: None,
-            });
+            .build(Flood::from_h0);
         sim.run_until(Time(n as u64 + 2));
         let v = sim.overlay_view().unwrap();
         assert_eq!(v.num_edges(), (n as usize) * (n as usize - 1) / 2);
@@ -2252,18 +2250,74 @@ mod tests {
             (1, OverlayEvent::AddEdge(HostId(0), HostId(2))), // dup: no-op
             (3, OverlayEvent::RemoveEdge(HostId(0), HostId(1))),
         ];
-        let mut rec = Recorder::default();
-        let mut sim = SimBuilder::new(special::chain(3))
-            .overlay(Scripted { script })
-            .telemetry(&mut rec)
-            .build(|h| Flood {
-                origin: h == HostId(0),
-                seen_at: None,
-            });
-        sim.run_until(Time(10));
-        drop(sim);
+        let b = SimBuilder::new(special::chain(3)).overlay(Scripted { script });
+        let (rec, ..) = run_in_legs(b, Flood::from_h0, &[Time(10)]);
         assert_eq!(rec.ticks.iter().map(|s| s.overlay_added).sum::<u64>(), 1);
         assert_eq!(rec.ticks.iter().map(|s| s.overlay_removed).sum::<u64>(), 1);
+    }
+
+    #[test]
+    fn telemetry_samples_sum_to_the_trace_and_overlay_stats() {
+        // Polled at t = 0..=8 as a churn source and as an overlay
+        // driver. The source fails h(t) twice at odd t (the repeat is a
+        // no-op) and brings it back at t + 1. The driver adds the chord
+        // (0, t + 1), a no-op where the cycle has that edge, removes
+        // (0, t) at t ≡ 2 mod 3, and raises a suspicion at even t.
+        #[derive(Default)]
+        struct Flicker(u64);
+        impl ChurnSource for Flicker {
+            fn next_events(&mut self, now: Time, _: &EngineView<'_>, out: &mut Vec<ChurnEvent>) {
+                let t = now.ticks() as u32;
+                if t % 2 == 1 {
+                    out.extend([ChurnEvent::Fail(HostId(t)); 2]);
+                } else if t > 0 {
+                    out.push(ChurnEvent::Join(HostId(t - 1)));
+                }
+            }
+            fn next_poll(&self, now: Time) -> Option<Time> {
+                (now < Time(8)).then(|| now + 1)
+            }
+        }
+        impl OverlayDriver for Flicker {
+            fn next_events(&mut self, now: Time, _: &EngineView<'_>, out: &mut Vec<OverlayEvent>) {
+                let t = now.ticks() as u32;
+                out.push(OverlayEvent::AddEdge(HostId(0), HostId(t + 1)));
+                if t % 3 == 2 {
+                    out.push(OverlayEvent::RemoveEdge(HostId(0), HostId(t)));
+                }
+                self.0 += u64::from(t.is_multiple_of(2));
+            }
+            fn next_poll(&self, now: Time) -> Option<Time> {
+                (now < Time(8)).then(|| now + 1)
+            }
+            fn stats(&self) -> OverlayStats {
+                OverlayStats {
+                    suspicions: self.0,
+                    ..OverlayStats::default()
+                }
+            }
+        }
+        let run = |legs: &[Time]| {
+            let b = SimBuilder::new(special::cycle(10))
+                .dynamic_churn(Flicker::default())
+                .overlay(Flicker::default());
+            run_in_legs(b, |h| Ticking(false, h.0), legs)
+        };
+        let (rec, _, trace, overlay) = run(&[Time(12)]);
+        let is_fail = |ev: &&TraceEvent| matches!(ev, TraceEvent::Fail(..));
+        let fails = trace.events.iter().filter(is_fail).count();
+        assert_eq!((fails, trace.events.len()), (4, 8));
+        let overlay = overlay.expect("a driver is installed");
+        let stats = (overlay.edges_added, overlay.edges_removed);
+        assert_eq!((stats, overlay.suspicions), ((7, 3), 5));
+        let sum = |f: fn(&TickSample) -> u64| rec.ticks.iter().map(f).sum::<u64>();
+        assert_eq!((sum(|s| s.fails), sum(|s| s.joins)), (4, 4));
+        let added = (sum(|s| s.overlay_added), sum(|s| s.overlay_removed));
+        assert_eq!((added, sum(|s| s.overlay_suspicions)), ((7, 3), 5));
+        for at in [3, 6] {
+            let (split, ..) = run(&[Time(at), Time(12)]);
+            assert_eq!(split.ticks, rec.ticks, "split at {at}");
+        }
     }
 
     #[test]
@@ -2741,10 +2795,7 @@ mod tests {
             let mut sim = SimBuilder::new(special::cycle(16))
                 .churn(churn)
                 .medium(Medium::Radio)
-                .build(|h| Flood {
-                    origin: h == HostId(0),
-                    seen_at: None,
-                });
+                .build(Flood::from_h0);
             if let Some(t) = shard {
                 sim.enable_sharded_delivery(t);
             }
@@ -2779,10 +2830,7 @@ mod tests {
             let mut sim = SimBuilder::new(special::cycle(8))
                 .partition(plan.clone())
                 .telemetry(&mut rec)
-                .build(|h| Flood {
-                    origin: h == HostId(0),
-                    seen_at: None,
-                });
+                .build(Flood::from_h0);
             sim.enable_sharded_delivery(threads);
             sim.run_to_quiescence(10_000);
             drop(sim);

@@ -50,20 +50,6 @@ impl TickSeries {
         self.ticks.iter().map(|s| s.frontier).max().unwrap_or(0)
     }
 
-    /// Total overlay edge churn (adds + removals) across the recording.
-    /// Zero for runs without a maintained overlay.
-    pub fn overlay_churn(&self) -> u64 {
-        self.ticks
-            .iter()
-            .map(|s| s.overlay_added + s.overlay_removed)
-            .sum()
-    }
-
-    /// Total failure-detector suspicions across the recording.
-    pub fn overlay_suspicions(&self) -> u64 {
-        self.ticks.iter().map(|s| s.overlay_suspicions).sum()
-    }
-
     /// Last active tick of the recording (`None` when nothing happened).
     pub fn last_tick(&self) -> Option<u64> {
         self.ticks.last().map(|s| s.tick)

@@ -39,7 +39,7 @@ fn main() {
         .seed(9);
 
     println!("\n== value histogram over WILDFIRE (10% churn) ==");
-    let out = run_wildfire_operator(
+    let (out, partial) = run_wildfire_operator(
         Operator::ValueHistogram {
             min: workload::PAPER_MIN,
             max: workload::PAPER_MAX,
@@ -50,7 +50,7 @@ fn main() {
         net.values(),
         &cfg,
     );
-    let partial = out.partial.expect("hq survived");
+    let partial = partial.expect("hq survived");
     let hist = partial.as_histogram().expect("histogram partial");
     for (i, est) in hist.bucket_estimates().iter().enumerate() {
         let (lo, hi) = hist.buckets().range_of(i);
@@ -69,14 +69,14 @@ fn main() {
     );
 
     println!("\n== KMV distinct count vs FM count (same churn) ==");
-    let kmv = run_wildfire_operator(
+    let (kmv, _) = run_wildfire_operator(
         Operator::KmvCount { k: 128 },
         WildfireOpts::default(),
         net.graph(),
         net.values(),
         &cfg,
     );
-    let fm = run_wildfire_operator(
+    let (fm, _) = run_wildfire_operator(
         Operator::Standard,
         WildfireOpts::default(),
         net.graph(),

@@ -165,7 +165,7 @@ fn actual() -> Vec<(String, Row)> {
             },
         ),
     ] {
-        let out =
+        let (out, _) =
             run_wildfire_operator(operator, WildfireOpts::default(), &graph, &values, churned);
         rows.push((
             format!("operator {name}"),
