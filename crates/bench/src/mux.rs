@@ -18,7 +18,7 @@
 use crate::engine_bench::{peak_rss_kb, BenchMode};
 use pov_core::mux::{judged_mux, solo_twin, MuxJudged, WorkloadSpec};
 use pov_core::pov_protocols::MuxPlan;
-use pov_core::pov_sim::{ChurnPlan, Time};
+use pov_core::pov_sim::{share, ChurnPlan, Time};
 use pov_core::pov_topology::generators::TopologyKind;
 use pov_core::pov_topology::HostId;
 use pov_core::Network;
@@ -183,7 +183,7 @@ pub fn run_config(cfg: &MuxBenchConfig) -> MuxBenchResult {
     let plan = MuxPlan {
         churn: ChurnPlan::uniform_failures(
             n,
-            (cfg.churn_fraction * n as f64).round() as usize,
+            share(cfg.churn_fraction, n),
             Time(1),
             Time(horizon),
             HostId(0),

@@ -37,7 +37,7 @@ use crate::workload;
 use pov_oracle::interval_bounds;
 use pov_protocols::wildfire::WildfireOpts;
 use pov_protocols::{runner, AdversarySpec, Aggregate, ProtocolKind, RunPlan};
-use pov_sim::{ChurnPlan, Time, Trace};
+use pov_sim::{share, ChurnPlan, Time, Trace};
 use pov_sketch::stats::mean;
 use pov_topology::generators::TopologyKind;
 use pov_topology::{Graph, HostId};
@@ -163,7 +163,7 @@ pub fn run(cfg: &Config) -> Vec<Row> {
     let kind = ProtocolKind::Wildfire(WildfireOpts::default());
     let mut rows = Vec::new();
     for &fraction in &cfg.budget_fractions {
-        let budget = ((n as f64) * fraction).round() as usize;
+        let budget = share(fraction, n);
         let mut acc = [Vec::new(), Vec::new(), Vec::new(), Vec::new()]; // t_val, t_hc, t_ssv, t_int
         let mut ucc = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
         for trial in 0..cfg.trials {

@@ -22,22 +22,18 @@
 //!   (probes, indirect probes, shuffles) and in a denser overlay for
 //!   the flood itself ([`Row::cost_ratio`]).
 //!
-//! The overlay's evolution is protocol-independent (the driver reads
-//! only alive flags and its own RNG), so a third, protocol-free drive
-//! of the same configuration snapshots the final [`OverlayView`] shape
-//! — the degree/connectivity summaries of
-//! [`pov_topology::analysis`] — without disturbing the paired runs.
-//!
-//! [`OverlayView`]: pov_topology::OverlayView
+//! The maintained arm's final overlay view also gives the shape of the
+//! maintained overlay at the horizon: the degree and connectivity
+//! summaries of [`pov_topology::analysis`].
 
 use super::{envelope_deviation, Output, Scale};
 use crate::judged::judged_run;
 use crate::report::Table;
 use crate::workload;
-use pov_overlay::{OverlayConfig, OverlayMaintenance};
+use pov_overlay::OverlayConfig;
 use pov_protocols::wildfire::WildfireOpts;
 use pov_protocols::{runner, Aggregate, ProtocolKind, RunPlan};
-use pov_sim::{ChurnPlan, Ctx, NodeLogic, OverlayStats, SimBuilder, Time};
+use pov_sim::{share, ChurnPlan, OverlayStats, Time};
 use pov_sketch::stats::mean;
 use pov_topology::analysis::{overlay_connectivity, overlay_degree_summary};
 use pov_topology::generators::TopologyKind;
@@ -165,15 +161,6 @@ impl Row {
     }
 }
 
-/// A host that does nothing — the protocol-free drive that snapshots
-/// the maintained overlay's final shape.
-struct Idle;
-
-impl NodeLogic for Idle {
-    type Msg = ();
-    fn on_message(&mut self, _ctx: &mut Ctx<'_, ()>, _from: HostId, _msg: ()) {}
-}
-
 /// Field-wise sum of two stats records.
 fn stats_add(a: &mut OverlayStats, b: &OverlayStats) {
     a.edges_added += b.edges_added;
@@ -217,7 +204,7 @@ pub fn run(cfg: &Config) -> Vec<Row> {
     let kind = ProtocolKind::Wildfire(WildfireOpts::default());
     let mut rows = Vec::new();
     for &fraction in &cfg.churn_fractions {
-        let k = ((n as f64) * fraction).round() as usize;
+        let k = share(fraction, n);
         // per-trial accumulators: hc, hu, s_val, m_val, s_dev, m_dev,
         // s_msg, m_msg, degree, isolated, components, largest
         let mut acc: [Vec<f64>; 12] = Default::default();
@@ -242,9 +229,8 @@ pub fn run(cfg: &Config) -> Vec<Row> {
                 .d_hat(d_hat)
                 .repetitions(cfg.c)
                 .seed(seed)
-                .churn(churn.clone());
+                .churn(churn);
             let maintained_plan = base.clone().overlay(overlay);
-            let horizon = deadline + 2;
 
             // Both arms share one churn realization, so the §4.2
             // envelope is judged once, on the static arm.
@@ -255,19 +241,9 @@ pub fn run(cfg: &Config) -> Vec<Row> {
             stats_add(&mut stats_sum, &m_stats);
             let sv = s.value.unwrap_or(0.0);
             let mv = m.value.unwrap_or(0.0);
-
-            // Protocol-free drive of the identical overlay
-            // configuration: snapshot the final view's shape.
-            let mut sim = SimBuilder::over(&graph)
-                .churn(churn)
-                .seed(seed)
-                .overlay(OverlayMaintenance::new(overlay, horizon))
-                .build(|_| Idle);
-            sim.start();
-            sim.run_until(horizon);
-            let view = sim.overlay_view().expect("overlay drive exposes its view");
-            let deg = overlay_degree_summary(view);
-            let conn = overlay_connectivity(view);
+            let view = m.overlay_view.expect("maintained arm returns its view");
+            let deg = overlay_degree_summary(&view);
+            let conn = overlay_connectivity(&view);
 
             for (slot, v) in acc.iter_mut().zip([
                 s.hc_size as f64,

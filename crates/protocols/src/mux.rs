@@ -776,7 +776,7 @@ pub fn run_mux(graph: &Graph, values: &[u64], queries: &[MuxQuery], plan: &MuxPl
         .map(|(id, &sent)| (id.0, sent))
         .collect();
     let payload_items = per_query_payload.values().sum();
-    let (metrics, trace) = sim.into_record();
+    let (metrics, trace, _) = sim.into_record();
     MuxOutcome {
         results,
         per_query_payload,

@@ -16,7 +16,7 @@ use pov_sim::{
     ChurnPlan, DelayModel, Medium, Metrics, NodeLogic, OverlayStats, PartitionPlan, SimBuilder,
     SketchAdversary, TelemetrySink, Time, Trace,
 };
-use pov_topology::{Graph, HostId};
+use pov_topology::{Graph, HostId, OverlayView};
 
 /// Which protocol to run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -403,6 +403,9 @@ pub struct Outcome {
     /// Overlay maintenance counters, when the plan maintained one
     /// ([`RunPlan::overlay`]).
     pub overlay: Option<OverlayStats>,
+    /// The maintained overlay's view at the horizon, when the plan
+    /// maintained one.
+    pub overlay_view: Option<OverlayView>,
 }
 
 impl Outcome {
@@ -442,13 +445,14 @@ fn simulate<L: NodeLogic>(
     sim.run_until(horizon);
     let result = read(sim.logic(plan.hq));
     let overlay = sim.overlay_stats();
-    let (metrics, trace) = sim.into_record();
+    let (metrics, trace, overlay_view) = sim.into_record();
     Outcome {
         value: result.map(|(v, _)| v),
         declared_at: result.map(|(_, t)| t),
         metrics,
         trace,
         overlay,
+        overlay_view,
     }
 }
 
@@ -696,6 +700,8 @@ mod tests {
             .overlay
             .expect("overlay stats present when plan has overlay");
         assert!(stats.probes > 0, "driver probed during the run");
+        let view = out.overlay_view.expect("the maintained view moves out");
+        assert_eq!(view.num_hosts(), 12);
         // A plan without an overlay reports none.
         let bare = run(
             ProtocolKind::SpanningTree,
@@ -703,7 +709,7 @@ mod tests {
             &values,
             &RunPlan::query(Aggregate::Max).d_hat(6),
         );
-        assert!(bare.overlay.is_none());
+        assert!(bare.overlay.is_none() && bare.overlay_view.is_none());
     }
 
     #[test]

@@ -21,7 +21,7 @@ use pov_core::mux::{judged_mux, WindowSpec, WorkloadSpec as MuxWorkloadSpec};
 use pov_core::pov_protocols::{
     AdversarySpec as PlanAdversarySpec, MuxPlan, OverlayConfig, RunPlan,
 };
-use pov_core::pov_sim::{ChurnPlan, PartitionPlan, PhaseSchedule, Time};
+use pov_core::pov_sim::{share, ChurnPlan, PartitionPlan, PhaseSchedule, Time};
 use pov_core::pov_topology::{Graph, HostId};
 use pov_core::Network;
 use rand::rngs::SmallRng;
@@ -444,7 +444,7 @@ fn materialize_churn(scn: &Scenario, graph: &Graph, span: u64, churn_seed: u64) 
         ChurnSpec::None => ChurnPlan::none(),
         ChurnSpec::Uniform { fraction, window } => ChurnPlan::uniform_failures(
             n,
-            (fraction * n as f64).round() as usize,
+            share(*fraction, n),
             tick(window.0, span),
             tick(window.1, span),
             hq,
@@ -452,7 +452,7 @@ fn materialize_churn(scn: &Scenario, graph: &Graph, span: u64, churn_seed: u64) 
         ),
         ChurnSpec::FlashCrowd { fraction, window } => ChurnPlan::flash_crowd(
             n,
-            (fraction * n as f64).round() as usize,
+            share(*fraction, n),
             tick(window.0, span),
             tick(window.1, span),
             hq,
@@ -483,7 +483,7 @@ fn materialize_churn(scn: &Scenario, graph: &Graph, span: u64, churn_seed: u64) 
             let downtime_ticks = tick(*downtime, span).ticks().clamp(1, period_ticks - 1);
             ChurnPlan::oscillating(
                 n,
-                (fraction * n as f64).round() as usize,
+                share(*fraction, n),
                 tick(window.0, span),
                 tick(window.1, span),
                 period_ticks,

@@ -736,6 +736,17 @@ const CHURN_MODELS: &[(&str, ChurnModel)] = &[
         let below_period = (Excluded(0.0), Excluded(period));
         let downtime = ch.real("downtime", Some(period / 2.0), below_period)?;
         let (fraction, window) = ch.spread()?;
+        // Phases are paced over one period from `from`: a longer period
+        // puts the later hosts' first outage past `until`, and they
+        // would never leave.
+        if period > window.1 - window.0 {
+            let msg = format!(
+                "{period} exceeds the window [{}, {}]: hosts phased past `until` would never \
+                 oscillate",
+                window.0, window.1
+            );
+            return Err(ch.err("period", msg));
+        }
         Ok(ChurnSpec::Oscillating {
             fraction,
             window,
@@ -1690,6 +1701,15 @@ seeds = [1]
             "[churn] model = \"correlated\"\nclusters = 2\ncluster_size = 0",
             "[churn] cluster_size: a cluster needs at least one host",
         );
+        // A period longer than the window would leave the hosts phased
+        // past `until` up for good: fewer than `fraction` oscillate.
+        let text = GOOD
+            .replace("model = \"partition\"", "model = \"oscillating\"")
+            .replace("heal = 0.6", "until = 0.3\nperiod = 0.5");
+        let err = Scenario::from_str(&text).expect_err("period longer than the window");
+        let want = "[churn] period: 0.5 exceeds the window [0.1, 0.3]";
+        assert!(err.msg.contains(want), "{}", err.msg);
+        assert_eq!(err.line, line_of(&text, "period = 0.5"));
         // The engine would clamp a 0-tick delay to 1 and run a
         // different medium than the file describes.
         fails_with(

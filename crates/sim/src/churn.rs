@@ -45,26 +45,8 @@ impl ChurnPlan {
         spare: HostId,
         seed: u64,
     ) -> Self {
-        assert!(window_end >= window_start, "empty failure window");
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut candidates: Vec<HostId> = (0..num_hosts as u32)
-            .map(HostId)
-            .filter(|&h| h != spare)
-            .collect();
-        candidates.shuffle(&mut rng);
-        let r = r.min(candidates.len());
-        let span = (window_end - window_start).max(1);
-        let failures = candidates[..r]
-            .iter()
-            .enumerate()
-            .map(|(i, &h)| {
-                // Evenly spaced instants across the window: uniform *rate*.
-                let t = window_start + (i as u64 * span) / r.max(1) as u64;
-                (t, h)
-            })
-            .collect();
         ChurnPlan {
-            failures,
+            failures: wave(num_hosts, r, window_start, window_end, spare, seed),
             ..ChurnPlan::default()
         }
     }
@@ -82,22 +64,8 @@ impl ChurnPlan {
         spare: HostId,
         seed: u64,
     ) -> Self {
-        assert!(window_end >= window_start, "empty join window");
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut candidates: Vec<HostId> = (0..num_hosts as u32)
-            .map(HostId)
-            .filter(|&h| h != spare)
-            .collect();
-        candidates.shuffle(&mut rng);
-        let j = j.min(candidates.len());
-        let span = (window_end - window_start).max(1);
-        let joins = candidates[..j]
-            .iter()
-            .enumerate()
-            .map(|(i, &h)| (window_start + (i as u64 * span) / j.max(1) as u64, h))
-            .collect();
         ChurnPlan {
-            joins,
+            joins: wave(num_hosts, j, window_start, window_end, spare, seed),
             ..ChurnPlan::default()
         }
     }
@@ -117,20 +85,14 @@ impl ChurnPlan {
         spare: HostId,
         seed: u64,
     ) -> Self {
-        assert!(window_end >= window_start, "empty failure window");
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut centres: Vec<HostId> = (0..graph.num_hosts() as u32)
-            .map(HostId)
-            .filter(|&h| h != spare)
-            .collect();
-        centres.shuffle(&mut rng);
+        let span = window_span(window_start, window_end);
+        let centres = shuffled_hosts(graph.num_hosts(), spare, &mut SmallRng::seed_from_u64(seed));
         let clusters = clusters.min(centres.len());
-        let span = (window_end - window_start).max(1);
         let mut failed = vec![false; graph.num_hosts()];
         failed[spare.index()] = true; // never select the spare
         let mut failures: Vec<(Time, HostId)> = Vec::new();
         for (i, &centre) in centres[..clusters].iter().enumerate() {
-            let at = window_start + (i as u64 * span) / clusters.max(1) as u64;
+            let at = pace(window_start, span, i, clusters);
             // BFS outward from the centre, taking fresh hosts only.
             let mut frontier = std::collections::VecDeque::from([centre]);
             let mut seen = vec![false; graph.num_hosts()];
@@ -185,6 +147,12 @@ impl ChurnPlan {
     /// and repeats every `period` ticks until the window closes. A host
     /// whose rejoin would land past `window_end` stays down.
     ///
+    /// The phases are the `k` instants paced over one `period` from
+    /// `window_start`, so all `k` hosts oscillate only when
+    /// `period <= window_end - window_start`: a host whose phase lands
+    /// at or past `window_end` never fails. The `.scn` parser rejects
+    /// such a period.
+    ///
     /// The signature mirrors the other generators (population, count,
     /// window, spare, seed) plus the two cycle parameters — clippy's
     /// argument budget loses to consistency here.
@@ -205,19 +173,13 @@ impl ChurnPlan {
             downtime >= 1 && downtime < period,
             "downtime must satisfy 1 <= downtime < period"
         );
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut candidates: Vec<HostId> = (0..num_hosts as u32)
-            .map(HostId)
-            .filter(|&h| h != spare)
-            .collect();
-        candidates.shuffle(&mut rng);
+        let candidates = shuffled_hosts(num_hosts, spare, &mut SmallRng::seed_from_u64(seed));
         let k = k.min(candidates.len());
         let mut plan = ChurnPlan::default();
         for (i, &h) in candidates[..k].iter().enumerate() {
             // Stagger first outages across one period so the population
             // dips smoothly instead of k hosts blinking in lock-step.
-            let phase = window_start.ticks() + (i as u64 * period) / k.max(1) as u64;
-            let mut t = phase;
+            let mut t = pace(window_start, period, i, k).ticks();
             while t < window_end.ticks() {
                 plan.failures.push((Time(t), h));
                 let up = t + downtime;
@@ -322,6 +284,57 @@ impl ChurnPlan {
     pub fn num_failures(&self) -> usize {
         self.failures.len()
     }
+}
+
+/// The number of hosts a `fraction` of a population of `n` stands
+/// for: `(fraction · n)` rounded to the nearest host.
+pub fn share(fraction: f64, n: usize) -> usize {
+    (fraction * n as f64).round() as usize
+}
+
+/// Every host of `0..num_hosts` except `spare`, shuffled by `rng`: the
+/// one draw of "randomly selected hosts" behind every generator here
+/// and the phase lowering.
+pub(crate) fn shuffled_hosts(num_hosts: usize, spare: HostId, rng: &mut SmallRng) -> Vec<HostId> {
+    let mut hosts: Vec<HostId> = (0..num_hosts as u32)
+        .map(HostId)
+        .filter(|&h| h != spare)
+        .collect();
+    hosts.shuffle(rng);
+    hosts
+}
+
+/// The `i`-th of `k` evenly spaced instants over `span` ticks from
+/// `start`, `start + i·span / max(k, 1)`: events at a uniform *rate*.
+pub(crate) fn pace(start: Time, span: u64, i: usize, k: usize) -> Time {
+    start + (i as u64 * span) / k.max(1) as u64
+}
+
+/// The tick span events are paced over in `[start, end]` (at least 1).
+fn window_span(start: Time, end: Time) -> u64 {
+    assert!(end >= start, "churn window ends before it starts");
+    (end - start).max(1)
+}
+
+/// `count` hosts drawn from all but `spare` by `seed`, each with its
+/// instant, at a uniform rate over `[start, end]`: the events of
+/// [`ChurnPlan::uniform_failures`] and [`ChurnPlan::flash_crowd`].
+fn wave(
+    num_hosts: usize,
+    count: usize,
+    start: Time,
+    end: Time,
+    spare: HostId,
+    seed: u64,
+) -> Vec<(Time, HostId)> {
+    let span = window_span(start, end);
+    let hosts = shuffled_hosts(num_hosts, spare, &mut SmallRng::seed_from_u64(seed));
+    let count = count.min(hosts.len());
+    hosts[..count]
+        .iter()
+        .enumerate()
+        .map(|(i, &h)| (pace(start, span, i, count), h))
+        .collect()
 }
 
 #[cfg(test)]

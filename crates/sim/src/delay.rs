@@ -120,7 +120,7 @@ impl PartitionPlan {
         let dist = analysis::bfs_distances(graph, pivot);
         let mut order: Vec<u32> = (0..n as u32).collect();
         order.sort_by_key(|&h| (dist[h as usize], h));
-        let take = ((n as f64) * fraction).round() as usize;
+        let take = crate::share(fraction, n);
         let mut sides = vec![0u8; n];
         for &h in order.iter().take(take) {
             sides[h as usize] = 1;

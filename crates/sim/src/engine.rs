@@ -950,18 +950,20 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
         &self.trace
     }
 
-    /// Move the run record out of a finished simulation: the metrics
-    /// and the membership trace — what [`Simulation::metrics`] and
-    /// [`Simulation::trace`] report (the trace's end state is every
-    /// host's [`Simulation::is_alive`]). The rest of the simulation is
-    /// dropped, so the record is never held twice. A record can outlive
-    /// its run by far (a continuous query keeps one per window), so the
-    /// two lists that grew by doubling are trimmed to their length.
-    pub fn into_record(self) -> (Metrics, Trace) {
+    /// Move the run record out of a finished simulation: the metrics,
+    /// the membership trace and the maintained overlay's final view —
+    /// what [`Simulation::metrics`], [`Simulation::trace`] and
+    /// [`Simulation::overlay_view`] report (the trace's end state is
+    /// every host's [`Simulation::is_alive`]). The rest of the
+    /// simulation is dropped, so the record is never held twice. A
+    /// record can outlive its run by far (a continuous query keeps one
+    /// per window), so the two lists that grew by doubling are trimmed
+    /// to their length.
+    pub fn into_record(self) -> (Metrics, Trace, Option<OverlayView>) {
         let (mut metrics, mut trace) = (self.metrics, self.trace);
         metrics.sent_per_tick.shrink_to_fit();
         trace.events.shrink_to_fit();
-        (metrics, trace)
+        (metrics, trace, self.overlay.map(|st| st.view))
     }
 
     /// Number of pending events, a fanout counting one per target.
@@ -1918,7 +1920,7 @@ mod tests {
             sim.run_until(horizon);
         }
         let overlay = sim.overlay_stats();
-        let (metrics, trace) = sim.into_record();
+        let (metrics, trace, _) = sim.into_record();
         (rec, metrics, trace, overlay)
     }
 
@@ -2388,7 +2390,8 @@ mod tests {
         // Scripted and dynamic membership changes both reached the trace.
         assert!(sim.trace().events.len() > 3, "{trace}");
         assert!(alive.contains(&false) && alive.contains(&true));
-        let (moved_metrics, moved_trace) = sim.into_record();
+        let (moved_metrics, moved_trace, moved_view) = sim.into_record();
+        assert!(moved_view.is_none(), "no overlay was maintained");
         assert_eq!(format!("{moved_metrics:?}"), metrics);
         assert_eq!(format!("{moved_trace:?}"), trace);
         assert_eq!(moved_trace.alive_at(Time(30)), alive);

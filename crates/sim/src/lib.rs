@@ -73,7 +73,7 @@ mod sink;
 mod time;
 mod trace;
 
-pub use churn::ChurnPlan;
+pub use churn::{share, ChurnPlan};
 pub use ctx::Ctx;
 pub use delay::{DelayModel, PartitionPlan};
 pub use dynamic::{ChurnEvent, ChurnSource, EngineView, SketchAdversary, StateSummary};

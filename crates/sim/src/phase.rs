@@ -19,6 +19,7 @@
 //! lets the scenario batch runner promise thread-count-independent
 //! reports over phased regimes.
 
+use crate::churn::{pace, share, shuffled_hosts};
 use crate::{ChurnPlan, PartitionPlan, Time};
 use pov_topology::{Graph, HostId};
 use rand::rngs::SmallRng;
@@ -192,17 +193,13 @@ impl PhaseSchedule {
         assert!(!self.phases.is_empty(), "lowering an empty schedule");
         let n = graph.num_hosts();
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut candidates: Vec<HostId> =
-            (0..n as u32).map(HostId).filter(|&h| h != spare).collect();
-        candidates.shuffle(&mut rng);
+        let mut candidates = shuffled_hosts(n, spare, &mut rng);
 
         // Alive tracking: the spare plus the first `start_alive` slice
         // of the shuffled candidates; everyone else is pinned dead from
         // tick 0 (they come back only when a growth/heal phase schedules
         // their join).
-        let alive_quota = ((self.start_alive * n as f64).round() as usize)
-            .clamp(1, n)
-            .saturating_sub(1); // the spare fills one alive slot
+        let alive_quota = share(self.start_alive, n).clamp(1, n).saturating_sub(1); // the spare fills one alive slot
         let mut alive = vec![false; n];
         alive[spare.index()] = true;
         for &h in candidates.iter().take(alive_quota) {
@@ -214,58 +211,41 @@ impl PhaseSchedule {
         }
 
         let mut cuts: Vec<PartitionPlan> = Vec::new();
-        let mut t = 0u64;
+        let mut t = Time::ZERO;
         for phase in &self.phases {
-            let span = phase.ticks;
-            match phase.kind {
-                PhaseKind::Stable => {}
-                PhaseKind::Growth { fraction } => {
-                    // Fresh shuffle per phase so consecutive growth/shrink
-                    // phases do not keep recycling the same victims.
-                    candidates.shuffle(&mut rng);
-                    let dead: Vec<HostId> = candidates
-                        .iter()
-                        .copied()
-                        .filter(|h| !alive[h.index()])
-                        .collect();
-                    let k = ((fraction * n as f64).round() as usize).min(dead.len());
-                    for (i, &h) in dead[..k].iter().enumerate() {
-                        plan = plan.with_join(Time(t + (i as u64 * span) / k.max(1) as u64), h);
-                        alive[h.index()] = true;
-                    }
-                }
-                PhaseKind::Shrink { fraction } => {
-                    candidates.shuffle(&mut rng);
-                    let up: Vec<HostId> = candidates
-                        .iter()
-                        .copied()
-                        .filter(|h| alive[h.index()])
-                        .collect();
-                    let k = ((fraction * n as f64).round() as usize).min(up.len());
-                    for (i, &h) in up[..k].iter().enumerate() {
-                        plan = plan.with_failure(Time(t + (i as u64 * span) / k.max(1) as u64), h);
-                        alive[h.index()] = false;
-                    }
-                }
-                PhaseKind::Heal => {
-                    candidates.shuffle(&mut rng);
-                    let dead: Vec<HostId> = candidates
-                        .iter()
-                        .copied()
-                        .filter(|h| !alive[h.index()])
-                        .collect();
-                    let k = dead.len();
-                    for (i, &h) in dead.iter().enumerate() {
-                        plan = plan.with_join(Time(t + (i as u64 * span) / k.max(1) as u64), h);
-                        alive[h.index()] = true;
-                    }
-                }
+            let (start, span) = (t, phase.ticks);
+            t += span;
+            // Growth, shrink and heal are one wave: it flips up to
+            // `quota` hosts to alive (`up`) or to dead.
+            let (up, quota) = match phase.kind {
+                PhaseKind::Growth { fraction } => (true, share(fraction, n)),
+                PhaseKind::Shrink { fraction } => (false, share(fraction, n)),
+                PhaseKind::Heal => (true, usize::MAX), // every dead host
+                PhaseKind::Stable => continue,
                 PhaseKind::Partition { fraction } => {
                     let cut = PartitionPlan::split_sparing(graph, spare, fraction, &mut rng);
-                    cuts.push(cut.window(Time(t), Time(t + span)));
+                    cuts.push(cut.window(start, t));
+                    continue;
                 }
+            };
+            // Fresh shuffle per wave so consecutive growth/shrink phases
+            // do not keep recycling the same victims.
+            candidates.shuffle(&mut rng);
+            let flippable: Vec<HostId> = candidates
+                .iter()
+                .copied()
+                .filter(|h| alive[h.index()] != up)
+                .collect();
+            let k = quota.min(flippable.len());
+            let events = if up {
+                &mut plan.joins
+            } else {
+                &mut plan.failures
+            };
+            for (i, &h) in flippable[..k].iter().enumerate() {
+                events.push((pace(start, span, i, k), h));
+                alive[h.index()] = up;
             }
-            t += span;
         }
         LoweredSchedule {
             // merge(none) canonicalizes: both event streams sorted by

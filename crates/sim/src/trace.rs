@@ -55,37 +55,40 @@ impl Trace {
         self.events.push(ev);
     }
 
+    /// The initial flags with the time-ordered prefix of events applied,
+    /// up to the first event at which `stop` holds, and that event's
+    /// index: the one replay behind every alive-set query, which resumes
+    /// from there.
+    fn replay(&self, stop: impl Fn(Time) -> bool) -> (Vec<bool>, usize) {
+        let mut alive = self.initially_alive.clone();
+        let mut applied = 0;
+        for ev in self.events.iter().take_while(|ev| !stop(ev.time())) {
+            alive[ev.host().index()] = matches!(ev, TraceEvent::Join(..));
+            applied += 1;
+        }
+        (alive, applied)
+    }
+
+    /// The events from index `from` up to and including instant `end`.
+    fn until(&self, from: usize, end: Time) -> impl Iterator<Item = &TraceEvent> {
+        self.events[from..]
+            .iter()
+            .take_while(move |ev| ev.time() <= end)
+    }
+
     /// Alive flags at time `t` (inclusive of events at `t`).
     pub fn alive_at(&self, t: Time) -> Vec<bool> {
-        let mut alive = self.initially_alive.clone();
-        for ev in &self.events {
-            if ev.time() > t {
-                break;
-            }
-            match *ev {
-                TraceEvent::Fail(_, h) => alive[h.index()] = false,
-                TraceEvent::Join(_, h) => alive[h.index()] = true,
-            }
-        }
-        alive
+        self.replay(|time| time > t).0
     }
 
     /// Hosts alive at *every* instant of `[start, end]` — the building
     /// block of `HI` and of stable-path computations.
     pub fn alive_throughout(&self, start: Time, end: Time) -> Vec<bool> {
-        let mut alive = self.alive_at(start);
-        for ev in &self.events {
-            if ev.time() <= start {
-                continue;
-            }
-            if ev.time() > end {
-                break;
-            }
-            match *ev {
-                TraceEvent::Fail(_, h) => alive[h.index()] = false,
-                // A host that joined mid-interval was not alive throughout.
-                TraceEvent::Join(_, h) => alive[h.index()] = false,
-            }
+        let (mut alive, rest) = self.replay(|time| time > start);
+        // A host that failed, or joined, mid-interval was not alive
+        // throughout.
+        for ev in self.until(rest, end) {
+            alive[ev.host().index()] = false;
         }
         alive
     }
@@ -95,27 +98,12 @@ impl Trace {
     /// A host that fails exactly at `start` *was* alive at that instant,
     /// so the baseline applies only events strictly before `start`.
     pub fn alive_sometime(&self, start: Time, end: Time) -> Vec<bool> {
-        let mut alive = self.initially_alive.clone();
-        for ev in &self.events {
-            if ev.time() >= start {
-                break;
-            }
-            match *ev {
-                TraceEvent::Fail(_, h) => alive[h.index()] = false,
-                TraceEvent::Join(_, h) => alive[h.index()] = true,
-            }
-        }
-        for ev in &self.events {
-            if ev.time() < start {
-                continue;
-            }
-            if ev.time() > end {
-                break;
-            }
+        let (mut alive, rest) = self.replay(|time| time >= start);
+        // Failures do not clear the flag: the host *was* alive.
+        for ev in self.until(rest, end) {
             if let TraceEvent::Join(_, h) = *ev {
                 alive[h.index()] = true;
             }
-            // Failures do not clear the flag: the host *was* alive.
         }
         alive
     }

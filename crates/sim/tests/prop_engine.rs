@@ -1,7 +1,7 @@
 //! Property-based tests for the simulator: the relaxed-asynchronous-model
 //! guarantees of §3.1 hold for arbitrary topologies and churn.
 
-use pov_sim::{ChurnPlan, Ctx, DelayModel, Medium, NodeLogic, SimBuilder, Time};
+use pov_sim::{ChurnPlan, Ctx, DelayModel, Medium, NodeLogic, SimBuilder, Time, Trace, TraceEvent};
 use pov_topology::{analysis, GraphBuilder, HostId};
 use proptest::prelude::*;
 
@@ -184,6 +184,90 @@ proptest! {
         let sometime = trace.alive_sometime(Time(0), Time(10));
         for i in 0..n as usize {
             prop_assert!(!throughout[i] || sometime[i], "nesting violated at {i}");
+        }
+    }
+}
+
+/// A membership trace the engine could record: `n` hosts with random
+/// initial states, then steps that each flip one host at a
+/// non-decreasing instant. A zero gap puts several changes at one
+/// instant, a host's fail+join blip included.
+fn arb_trace() -> impl Strategy<Value = Trace> {
+    (1u32..7)
+        .prop_flat_map(|n| {
+            (
+                prop::collection::vec(0u8..2, n as usize),
+                prop::collection::vec((0u64..3, 0..n), 0..24),
+            )
+        })
+        .prop_map(|(init, steps)| {
+            let mut alive: Vec<bool> = init.iter().map(|&b| b == 1).collect();
+            let initially_alive = alive.clone();
+            let mut t = 0;
+            let events = steps
+                .into_iter()
+                .map(|(gap, h)| {
+                    t += gap;
+                    let h = HostId(h);
+                    alive[h.index()] = !alive[h.index()];
+                    match alive[h.index()] {
+                        true => TraceEvent::Join(Time(t), h),
+                        false => TraceEvent::Fail(Time(t), h),
+                    }
+                })
+                .collect();
+            Trace {
+                initially_alive,
+                events,
+            }
+        })
+}
+
+/// `states[k]` is the membership after the first `k` events of
+/// `trace`, walked one event at a time.
+fn states_by_walk(trace: &Trace) -> Vec<Vec<bool>> {
+    let mut states = vec![trace.initially_alive.clone()];
+    for ev in &trace.events {
+        let mut next = states.last().expect("initial state").clone();
+        next[ev.host().index()] = matches!(ev, TraceEvent::Join(..));
+        states.push(next);
+    }
+    states
+}
+
+/// Per host, `op` folded over its flag in every state of `states`.
+fn fold_hosts(states: &[Vec<bool>], op: fn(bool, bool) -> bool) -> Vec<bool> {
+    (0..states[0].len())
+        .map(|h| {
+            states[1..]
+                .iter()
+                .fold(states[0][h], |acc, st| op(acc, st[h]))
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `alive_at(t)` is the state after every event up to `t`. Over
+    /// `[s, e]`, `HI` intersects the states from instant `s` (after its
+    /// events) through `e`, and `HU` unites them from just before `s`'s
+    /// events through `e`.
+    #[test]
+    fn trace_alive_sets_match_an_event_walk(trace in arb_trace()) {
+        let states = states_by_walk(&trace);
+        let events_before = |t: u64| trace.events.iter().filter(|ev| ev.time().ticks() < t).count();
+        let last = trace.events.last().map_or(0, |ev| ev.time().ticks()) + 1;
+        for s in 0..=last {
+            let at_s = events_before(s + 1);
+            prop_assert_eq!(trace.alive_at(Time(s)), states[at_s].clone(), "alive_at({})", s);
+            for e in s..=last {
+                let at_e = events_before(e + 1);
+                let hi = fold_hosts(&states[at_s..=at_e], |a, b| a && b);
+                let hu = fold_hosts(&states[events_before(s)..=at_e], |a, b| a || b);
+                prop_assert_eq!(trace.alive_throughout(Time(s), Time(e)), hi, "HI [{}, {}]", s, e);
+                prop_assert_eq!(trace.alive_sometime(Time(s), Time(e)), hu, "HU [{}, {}]", s, e);
+            }
         }
     }
 }
