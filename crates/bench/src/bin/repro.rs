@@ -176,6 +176,7 @@ fn main() {
         return;
     }
     match args.first().map(String::as_str) {
+        Some("list") => list_main(&args[1..]),
         Some("scenario") => scenario_main(&args[1..]),
         Some("trace") => trace_main(&args[1..]),
         Some("bench") => bench_main(&args[1..]),
@@ -381,7 +382,10 @@ fn scenario_main(args: &[String]) {
         fail("'--paper' applies to the figure experiments, not `repro scenario`");
     }
     if opts.quick {
-        fail("'--quick' applies to `repro bench`; scenario scale lives in the .scn file");
+        fail(
+            "'--quick' applies to `repro bench` and `repro mux`; scenario scale lives in the \
+             .scn file",
+        );
     }
     reject_trace_flags(&opts, "repro scenario");
     if opts.positional.is_empty() {
@@ -417,15 +421,18 @@ fn scenario_main(args: &[String]) {
 /// `repro trace FILE...` — re-execute each scenario's batch matrix with
 /// a telemetry recorder attached to every cell and write the exporters'
 /// files. The trace never touches the scenario's *report*: `repro
-/// scenario` output stays byte-identical whether or not a `[telemetry]`
-/// section exists or a trace was ever taken.
+/// scenario` output stays byte-identical whether or not a trace was
+/// ever taken.
 fn trace_main(args: &[String]) {
     let opts = parse_opts(args);
     if opts.paper {
         fail("'--paper' applies to the figure experiments, not `repro trace`");
     }
     if opts.quick {
-        fail("'--quick' applies to `repro bench`; trace scale lives in the .scn file");
+        fail(
+            "'--quick' applies to `repro bench` and `repro mux`; trace scale lives in the \
+             .scn file",
+        );
     }
     if opts.json.is_some() {
         fail("`repro trace` writes per-format files; use '--out DIR' and '--format'");
@@ -565,28 +572,43 @@ fn summary_tables(report: &pov_scenario::Report) -> Vec<Table> {
 
 // -------------------------------------------------------------- experiments
 
+/// `repro list`: print the experiment names.
+fn list_main(args: &[String]) {
+    if let Some(arg) = args.first() {
+        fail(&format!(
+            "`repro list` stands alone: it takes no flags and no experiment names (got '{arg}')"
+        ));
+    }
+    let names: Vec<&str> = REGISTRY.iter().map(|&(name, _)| name).collect();
+    println!("experiments: {}", names.join(" "));
+}
+
 fn experiments_main(args: &[String]) {
     let opts = parse_opts(args);
     if opts.threads.is_some() {
         fail("'--threads' only applies to `repro scenario` (experiments run one trial at a time)");
     }
     if opts.quick {
-        fail("'--quick' applies to `repro bench`; experiments default to quick scale already");
+        fail(
+            "'--quick' applies to `repro bench` and `repro mux`; experiments default to quick \
+             scale already",
+        );
     }
-    reject_trace_flags(&opts, "the experiments");
+    reject_trace_flags(&opts, "repro");
     let scale = if opts.paper {
         Scale::Paper
     } else {
         Scale::Quick
     };
-    if opts.positional.iter().any(|w| w == "list") {
-        let names: Vec<&str> = REGISTRY.iter().map(|&(name, _)| name).collect();
-        println!("experiments: {}", names.join(" "));
-        return;
-    }
-    // Reject typos before any experiment spends work.
+    // Reject typos and repeats before any experiment spends work.
     let mut wanted = Vec::new();
-    for w in &opts.positional {
+    for (i, w) in opts.positional.iter().enumerate() {
+        if w == "list" {
+            fail("`repro list` stands alone: it takes no flags and no experiment names");
+        }
+        if opts.positional[..i].contains(w) {
+            fail(&format!("experiment '{w}' is named twice"));
+        }
         match REGISTRY.iter().find(|&&(name, _)| name == w) {
             Some(row) => wanted.push(*row),
             None => fail(&format!("unknown experiment '{w}' (try: repro list)")),

@@ -111,7 +111,7 @@ fn run_workload(name: &'static str, n: usize) -> BenchResult {
     // Setup (topology, values, diameter probe) happens outside the
     // timed region: the ladder measures the event loop, not graph
     // construction.
-    let net = Network::from_graph(TopologyKind::Random.build(n, 1), 0, 2);
+    let net = Network::from_graph(TopologyKind::Random.build(n, 1), 0);
     let n = net.graph().num_hosts();
     let plan = RunPlan::query(Aggregate::Count)
         .d_hat(net.d_hat())

@@ -91,3 +91,65 @@ fn soak_is_no_longer_a_subcommand() {
         "expected the unknown-experiment rejection, got: {first}"
     );
 }
+
+/// Run `args` in a fresh directory and expect exit 2 with `complaint`
+/// on the first stderr line and nothing written.
+fn rejected(args: &[&str], complaint: &str) {
+    let dir = std::env::temp_dir().join(format!(
+        "pov_cli_rejected_{}_{}",
+        std::process::id(),
+        args.join("_").replace(['/', '.'], "")
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = repro(args, &dir);
+    let written = entries(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    let first = stderr.lines().next().unwrap_or_default();
+    assert!(
+        first.contains(complaint),
+        "{args:?}: expected '{complaint}', got: {first}"
+    );
+    assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+    assert!(written.is_empty(), "{args:?} wrote {written:?}");
+}
+
+#[test]
+fn list_stands_alone() {
+    let out = repro(&["list"], Path::new("."));
+    assert!(out.status.success(), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("experiments: fig6 "));
+    for args in [
+        &["fig6", "list"][..],
+        &["list", "extra"][..],
+        &["list", "--paper"][..],
+        &["list", "--json", "out.json"][..],
+    ] {
+        rejected(args, "`repro list` stands alone");
+    }
+}
+
+#[test]
+fn an_experiment_named_twice_is_rejected() {
+    rejected(
+        &["--json", "d.json", "fig6", "fig6"],
+        "'fig6' is named twice",
+    );
+}
+
+#[test]
+fn flag_rejections_name_the_right_subcommands() {
+    rejected(&["--out", "traces", "fig6"], "not `repro`");
+    for sub in ["scenario", "trace"] {
+        rejected(
+            &[sub, "scenarios/smoke.scn", "--quick"],
+            "'--quick' applies to `repro bench` and `repro mux`",
+        );
+    }
+    rejected(
+        &["--quick"],
+        "'--quick' applies to `repro bench` and `repro mux`",
+    );
+}

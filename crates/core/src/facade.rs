@@ -4,7 +4,6 @@
 
 use crate::judged::{judged_plan, JudgedOutcome};
 use crate::workload;
-use pov_protocols::allreport::ReportRouting;
 use pov_protocols::wildfire::WildfireOpts;
 use pov_protocols::{Aggregate, ProtocolKind, RunPlan};
 use pov_sim::{ChurnPlan, DelayModel, Medium, Time};
@@ -14,7 +13,7 @@ use pov_topology::{analysis, Graph, HostId};
 /// The protocols exposed through the façade.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Protocol {
-    /// ALLREPORT with direct (underlay) report delivery.
+    /// ALLREPORT: every host reports straight to `hq`.
     AllReport,
     /// SPANNINGTREE (TAG-style tree convergecast).
     SpanningTree,
@@ -29,7 +28,7 @@ pub enum Protocol {
 impl Protocol {
     fn kind(self) -> ProtocolKind {
         match self {
-            Protocol::AllReport => ProtocolKind::AllReport(ReportRouting::Direct),
+            Protocol::AllReport => ProtocolKind::AllReport,
             Protocol::SpanningTree => ProtocolKind::SpanningTree,
             Protocol::Dag2 => ProtocolKind::Dag { k: 2 },
             Protocol::Dag3 => ProtocolKind::Dag { k: 3 },
@@ -43,6 +42,10 @@ impl Protocol {
     }
 }
 
+/// How far `D̂` overestimates the measured diameter: the paper's
+/// "reasonably small constant" (§4.1).
+const D_HAT_SLACK: u32 = 2;
+
 /// A topology with per-host attribute values and a calibrated
 /// stable-diameter overestimate `D̂`.
 #[derive(Clone, Debug)]
@@ -55,25 +58,22 @@ pub struct Network {
 
 impl Network {
     /// Build one of the §6.1 topologies with `n` hosts and paper-Zipf
-    /// attribute values. `D̂` is the measured diameter plus a slack of
-    /// 2, mirroring the paper's "overestimate by a reasonably small
-    /// constant" (§4.1).
+    /// attribute values ([`Network::from_graph`]).
     pub fn build(kind: TopologyKind, n: usize, seed: u64) -> Self {
-        let graph = kind.build(n, seed);
-        Self::from_graph(graph, seed, 2)
+        Self::from_graph(kind.build(n, seed), seed)
     }
 
     /// Wrap an existing graph: paper-Zipf values drawn from `seed`, and
-    /// `D̂` = the graph's estimated diameter + `d_hat_slack`. Every
-    /// network the façade, the scenario runner and the benches build
-    /// from a seed goes through here, so they agree on values and `D̂`.
-    pub fn from_graph(graph: Graph, seed: u64, d_hat_slack: u32) -> Self {
+    /// `D̂` = the graph's estimated diameter + 2. Every network the
+    /// façade, the scenario runner and the benches build from a seed
+    /// goes through here, so they agree on values and `D̂`.
+    pub fn from_graph(graph: Graph, seed: u64) -> Self {
         let values = workload::paper_values(graph.num_hosts(), seed ^ 0x5eed_0001);
         let d = analysis::diameter_estimate(&graph, 4, seed | 1);
         Network {
             graph,
             values,
-            d_hat: d + d_hat_slack,
+            d_hat: d + D_HAT_SLACK,
             seed,
         }
     }

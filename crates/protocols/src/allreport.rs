@@ -5,14 +5,9 @@
 //! `hq` aggregates whatever arrived by `2·D̂·δ`. It performs the least
 //! possible in-network processing and — studied as *Direct Delivery* by
 //! Yao & Gehrke — pays a high price in messages and in load around `hq`.
-//!
-//! Two delivery modes:
-//!
-//! * [`ReportRouting::Direct`] — reports use the IP underlay (P2P
-//!   setting, one message per report);
-//! * [`ReportRouting::ReverseTree`] — reports are relayed hop-by-hop
-//!   along the reverse broadcast path (sensor setting, one message per
-//!   hop; this is the load Yao & Gehrke measured).
+//! A report travels over the IP underlay, one message per report (the
+//! P2P setting of §3.1 Ex. 3.1), so only a point-to-point medium
+//! carries it.
 //!
 //! RANDOMIZEDREPORT answers `count` with Approximate Single-Site
 //! Validity: each host reports with probability `p` and `hq` declares
@@ -25,16 +20,6 @@ use rand::Rng;
 
 /// Timer key for the declaration deadline at `hq`.
 const TIMER_DECLARE: u32 = 0;
-
-/// How value reports travel back to `hq`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ReportRouting {
-    /// One underlay message per report (P2P overlays, §3.1 Ex. 3.1).
-    #[default]
-    Direct,
-    /// Hop-by-hop along the reverse broadcast path (sensor networks).
-    ReverseTree,
-}
 
 /// ALLREPORT messages.
 #[derive(Clone, Debug)]
@@ -60,9 +45,6 @@ pub enum ArMsg {
 #[derive(Debug)]
 pub struct AllReportNode {
     value: u64,
-    routing: ReportRouting,
-    /// Reverse-path parent (sender of the first Query we saw).
-    parent: Option<HostId>,
     seen_query: bool,
     /// `hq`-only: collected values `M` (own value included, Fig 2).
     collected: Vec<u64>,
@@ -74,11 +56,9 @@ pub struct AllReportNode {
 
 impl AllReportNode {
     /// A passive host.
-    pub fn host(value: u64, routing: ReportRouting) -> Self {
+    pub fn host(value: u64) -> Self {
         AllReportNode {
             value,
-            routing,
-            parent: None,
             seen_query: false,
             collected: Vec::new(),
             query: None,
@@ -89,8 +69,8 @@ impl AllReportNode {
     }
 
     /// The querying host for plain ALLREPORT.
-    pub fn query_host(value: u64, spec: QuerySpec, routing: ReportRouting) -> Self {
-        let mut n = Self::host(value, routing);
+    pub fn query_host(value: u64, spec: QuerySpec) -> Self {
+        let mut n = Self::host(value);
         n.is_query_host = true;
         n.query = Some(spec);
         n
@@ -98,18 +78,13 @@ impl AllReportNode {
 
     /// The querying host for RANDOMIZEDREPORT with sampling probability
     /// `p` (§4.3; count queries only).
-    pub fn randomized_query_host(
-        value: u64,
-        spec: QuerySpec,
-        p: f64,
-        routing: ReportRouting,
-    ) -> Self {
+    pub fn randomized_query_host(value: u64, spec: QuerySpec, p: f64) -> Self {
         assert!(
             spec.aggregate == Aggregate::Count,
             "RANDOMIZEDREPORT estimates count only"
         );
         assert!((0.0..=1.0).contains(&p), "probability out of range");
-        let mut n = Self::query_host(value, spec, routing);
+        let mut n = Self::query_host(value, spec);
         n.sample = Some(p);
         n
     }
@@ -121,7 +96,7 @@ impl AllReportNode {
 }
 
 impl AllReportNode {
-    fn maybe_report(&mut self, ctx: &mut Ctx<'_, ArMsg>, hq: HostId, from: HostId) {
+    fn maybe_report(&mut self, ctx: &mut Ctx<'_, ArMsg>, hq: HostId) {
         let report = match self.sample {
             Some(p) => ctx.rng().gen_bool(p),
             None => true,
@@ -129,11 +104,7 @@ impl AllReportNode {
         if !report {
             return;
         }
-        let msg = ArMsg::Report { value: self.value };
-        match self.routing {
-            ReportRouting::Direct => ctx.send_direct(hq, msg),
-            ReportRouting::ReverseTree => ctx.send(from, msg),
-        }
+        ctx.send_direct(hq, ArMsg::Report { value: self.value });
     }
 }
 
@@ -170,22 +141,16 @@ impl NodeLogic for AllReportNode {
                 }
                 self.seen_query = true;
                 self.query = Some(spec);
-                self.parent = Some(from);
                 self.sample = sample;
                 ctx.broadcast_except(Some(from), ArMsg::Query { spec, hq, sample });
-                self.maybe_report(ctx, hq, from);
+                self.maybe_report(ctx, hq);
             }
             ArMsg::Report { value } => {
-                if self.is_query_host {
-                    if self.result.is_none() {
-                        self.collected.push(value);
-                    }
-                } else if let Some(parent) = self.parent {
-                    // Relay toward hq along the reverse broadcast path.
-                    ctx.send(parent, ArMsg::Report { value });
+                // Reports are addressed to hq alone; one arriving after
+                // the declaration is too late.
+                if self.result.is_none() {
+                    self.collected.push(value);
                 }
-                // A relay host that never saw the query drops the report:
-                // it has no route to hq.
             }
         }
     }
@@ -215,7 +180,6 @@ mod tests {
         values: &[u64],
         aggregate: Aggregate,
         d_hat: u32,
-        routing: ReportRouting,
         churn: ChurnPlan,
     ) -> Simulation<'static, AllReportNode> {
         let spec = QuerySpec {
@@ -226,9 +190,9 @@ mod tests {
         let values = values.to_vec();
         let mut sim = SimBuilder::new(graph).churn(churn).seed(5).build(move |h| {
             if h == HostId(0) {
-                AllReportNode::query_host(values[h.index()], spec, routing)
+                AllReportNode::query_host(values[h.index()], spec)
             } else {
-                AllReportNode::host(values[h.index()], routing)
+                AllReportNode::host(values[h.index()])
             }
         });
         sim.run_until(Time(spec.deadline() + 1));
@@ -237,19 +201,16 @@ mod tests {
 
     #[test]
     fn exact_count_failure_free() {
-        for routing in [ReportRouting::Direct, ReportRouting::ReverseTree] {
-            let sim = run(
-                special::cycle(12),
-                &[1; 12],
-                Aggregate::Count,
-                6,
-                routing,
-                ChurnPlan::none(),
-            );
-            let (v, at) = sim.logic(HostId(0)).result().expect("declared");
-            assert_eq!(v, 12.0, "{routing:?}");
-            assert_eq!(at, Time(12));
-        }
+        let sim = run(
+            special::cycle(12),
+            &[1; 12],
+            Aggregate::Count,
+            6,
+            ChurnPlan::none(),
+        );
+        let (v, at) = sim.logic(HostId(0)).result().expect("declared");
+        assert_eq!(v, 12.0);
+        assert_eq!(at, Time(12));
     }
 
     #[test]
@@ -260,7 +221,6 @@ mod tests {
             &values,
             Aggregate::Sum,
             4,
-            ReportRouting::Direct,
             ChurnPlan::none(),
         );
         assert_eq!(sim.logic(HostId(0)).result().unwrap().0, 150.0);
@@ -269,7 +229,6 @@ mod tests {
             &values,
             Aggregate::Average,
             4,
-            ReportRouting::Direct,
             ChurnPlan::none(),
         );
         assert_eq!(sim.logic(HostId(0)).result().unwrap().0, 30.0);
@@ -285,58 +244,16 @@ mod tests {
             &vec![1; n],
             Aggregate::Count,
             (n - 1) as u32,
-            ReportRouting::Direct,
             ChurnPlan::none(),
         );
         assert_eq!(sim.metrics().messages_sent as usize, 2 * (n - 1));
     }
 
     #[test]
-    fn reverse_tree_cost_is_sum_of_depths() {
-        // Chain of n: host at depth d pays d relay messages. Flood = n-1.
-        let n = 6;
-        let sim = run(
-            special::chain(n),
-            &vec![1; n],
-            Aggregate::Count,
-            (n - 1) as u32,
-            ReportRouting::ReverseTree,
-            ChurnPlan::none(),
-        );
-        let relay: usize = (1..n).sum();
-        assert_eq!(sim.metrics().messages_sent as usize, (n - 1) + relay);
-    }
-
-    #[test]
-    fn hq_hotspot_in_reverse_tree() {
-        // §4.4: bandwidth around hq is the bottleneck — hq's neighbour on
-        // a chain relays every downstream report.
-        let n = 10;
-        let sim = run(
-            special::chain(n),
-            &vec![1; n],
-            Aggregate::Count,
-            (n - 1) as u32,
-            ReportRouting::ReverseTree,
-            ChurnPlan::none(),
-        );
-        let processed = &sim.metrics().processed_per_host;
-        // Host 1 handles the query + 8 relayed reports.
-        assert!(processed[1] >= 8, "host1 processed {}", processed[1]);
-    }
-
-    #[test]
     fn failure_loses_unreachable_values_only() {
         // Chain 0-1-2-3-4; host 1 fails at t=0 ⇒ HC = {0}; count = 1.
         let churn = ChurnPlan::none().with_failure(Time(0), HostId(1));
-        let sim = run(
-            special::chain(5),
-            &[1; 5],
-            Aggregate::Count,
-            4,
-            ReportRouting::Direct,
-            churn,
-        );
+        let sim = run(special::chain(5), &[1; 5], Aggregate::Count, 4, churn);
         assert_eq!(sim.logic(HostId(0)).result().unwrap().0, 1.0);
     }
 
@@ -351,9 +268,9 @@ mod tests {
         let g = special::star(n);
         let mut sim = SimBuilder::new(g).seed(11).build(move |h| {
             if h == HostId(0) {
-                AllReportNode::randomized_query_host(1, spec, 0.5, ReportRouting::Direct)
+                AllReportNode::randomized_query_host(1, spec, 0.5)
             } else {
-                AllReportNode::host(1, ReportRouting::Direct)
+                AllReportNode::host(1)
             }
         });
         sim.run_until(Time(spec.deadline() + 1));
@@ -378,7 +295,7 @@ mod tests {
             d_hat: 4,
             c: 8,
         };
-        AllReportNode::randomized_query_host(1, spec, 0.5, ReportRouting::Direct);
+        AllReportNode::randomized_query_host(1, spec, 0.5);
     }
 
     #[test]
@@ -391,7 +308,6 @@ mod tests {
             &vec![1; n],
             Aggregate::Count,
             n as u32,
-            ReportRouting::Direct,
             ChurnPlan::none(),
         );
         assert_eq!(sim.logic(HostId(0)).result().unwrap().0, n as f64);

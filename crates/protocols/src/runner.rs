@@ -5,7 +5,7 @@
 //! metrics. This module is that loop, shared by the experiment drivers,
 //! benches and examples.
 
-use crate::allreport::{AllReportNode, ReportRouting};
+use crate::allreport::AllReportNode;
 use crate::common::{Aggregate, Operator, Partial, QuerySpec};
 use crate::dag::DagNode;
 use crate::gossip::GossipNode;
@@ -21,8 +21,8 @@ use pov_topology::{Graph, HostId, OverlayView};
 /// Which protocol to run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ProtocolKind {
-    /// ALLREPORT (Fig 2) with the given report routing.
-    AllReport(ReportRouting),
+    /// ALLREPORT (Fig 2): every host reports straight to `hq`.
+    AllReport,
     /// RANDOMIZEDREPORT (§4.3) with report probability `p`.
     RandomizedReport {
         /// Per-host report probability.
@@ -48,7 +48,7 @@ impl ProtocolKind {
     /// Display name matching the paper.
     pub fn name(&self) -> &'static str {
         match self {
-            ProtocolKind::AllReport(_) => "ALLREPORT",
+            ProtocolKind::AllReport => "ALLREPORT",
             ProtocolKind::RandomizedReport { .. } => "RANDOMIZEDREPORT",
             ProtocolKind::SpanningTree => "SPANNINGTREE",
             ProtocolKind::Dag { .. } => "DAG",
@@ -71,12 +71,11 @@ impl ProtocolKind {
     }
 
     /// Whether the protocol sends reports straight to `hq` over the
-    /// underlay ([`ReportRouting::Direct`]), which only a point-to-point
-    /// medium carries.
+    /// underlay, which only a point-to-point medium carries.
     pub fn reports_direct(&self) -> bool {
         matches!(
             self,
-            ProtocolKind::AllReport(ReportRouting::Direct) | ProtocolKind::RandomizedReport { .. }
+            ProtocolKind::AllReport | ProtocolKind::RandomizedReport { .. }
         )
     }
 }
@@ -496,15 +495,15 @@ pub fn run_with(
     let spec = plan.spec();
     let horizon = Time(spec.deadline() + 2);
     match kind {
-        ProtocolKind::AllReport(routing) => simulate(
+        ProtocolKind::AllReport => simulate(
             plan,
             graph,
             values,
             sink,
             horizon,
             |v, is_hq| match is_hq {
-                true => AllReportNode::query_host(v, spec, routing),
-                false => AllReportNode::host(v, routing),
+                true => AllReportNode::query_host(v, spec),
+                false => AllReportNode::host(v),
             },
             AllReportNode::result,
         ),
@@ -515,8 +514,8 @@ pub fn run_with(
             sink,
             horizon,
             |v, is_hq| match is_hq {
-                true => AllReportNode::randomized_query_host(v, spec, p, ReportRouting::Direct),
-                false => AllReportNode::host(v, ReportRouting::Direct),
+                true => AllReportNode::randomized_query_host(v, spec, p),
+                false => AllReportNode::host(v),
             },
             AllReportNode::result,
         ),
@@ -631,9 +630,8 @@ mod tests {
         assert_eq!(ProtocolKind::SpanningTree.label(), "SPANNINGTREE");
         let wildfire = wildfire();
         assert_eq!(wildfire.label(), "WILDFIRE");
-        assert!(ProtocolKind::AllReport(ReportRouting::Direct).reports_direct());
+        assert!(ProtocolKind::AllReport.reports_direct());
         assert!(ProtocolKind::RandomizedReport { p: 0.5 }.reports_direct());
-        assert!(!ProtocolKind::AllReport(ReportRouting::ReverseTree).reports_direct());
         assert!(!wildfire.reports_direct());
     }
 
@@ -657,7 +655,7 @@ mod tests {
         let g = special::cycle(12);
         let values: Vec<u64> = (0..12).map(|i| 10 + i * 7).collect();
         let plan = RunPlan::query(Aggregate::Max).d_hat(6).protocols([
-            ProtocolKind::AllReport(ReportRouting::Direct),
+            ProtocolKind::AllReport,
             ProtocolKind::SpanningTree,
             ProtocolKind::Dag { k: 2 },
             wildfire(),
@@ -673,10 +671,7 @@ mod tests {
         let g = special::cycle(10);
         let values = vec![1u64; 10];
         let cfg = RunPlan::query(Aggregate::Count).d_hat(5);
-        for kind in [
-            ProtocolKind::AllReport(ReportRouting::Direct),
-            ProtocolKind::SpanningTree,
-        ] {
+        for kind in [ProtocolKind::AllReport, ProtocolKind::SpanningTree] {
             let out = run(kind, &g, &values, &cfg);
             assert_eq!(out.value, Some(10.0), "{}", kind.name());
         }

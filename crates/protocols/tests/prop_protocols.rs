@@ -2,7 +2,6 @@
 //! Theorem 5.1 invariant: WILDFIRE min/max satisfies Single-Site
 //! Validity on *arbitrary* connected topologies under *arbitrary* churn.
 
-use pov_protocols::allreport::ReportRouting;
 use pov_protocols::wildfire::WildfireOpts;
 use pov_protocols::{runner, Aggregate, ProtocolKind, RunPlan};
 use pov_sim::{ChurnPlan, DelayModel, Medium, Time};
@@ -135,7 +134,7 @@ proptest! {
         // ALLREPORT (direct) achieves SSV for min/max too.
         for aggregate in [Aggregate::Min, Aggregate::Max] {
             let out = runner::run(
-                ProtocolKind::AllReport(ReportRouting::Direct),
+                ProtocolKind::AllReport,
                 &sc.graph,
                 &sc.values,
                 &config(&sc, aggregate, seed),
@@ -155,7 +154,7 @@ proptest! {
         for aggregate in [Aggregate::Count, Aggregate::Sum, Aggregate::Min, Aggregate::Max] {
             let truth = aggregate.ground_truth(&sc.values).unwrap();
             for kind in [
-                ProtocolKind::AllReport(ReportRouting::Direct),
+                ProtocolKind::AllReport,
                 ProtocolKind::SpanningTree,
             ] {
                 let out = runner::run(kind, &sc.graph, &sc.values, &config(&sc, aggregate, seed));

@@ -2,7 +2,6 @@
 //! delay jitter (the relaxed asynchronous model allows any per-hop delay
 //! up to δ, §3.1) and the radio medium.
 
-use pov_protocols::allreport::{AllReportNode, ReportRouting};
 use pov_protocols::spanning_tree::SpanningTreeNode;
 use pov_protocols::wildfire::{WildfireNode, WildfireOpts};
 use pov_protocols::{Aggregate, QuerySpec};
@@ -99,31 +98,6 @@ fn spanning_tree_exact_under_jitter() {
     sim.run_until(Time(spec.deadline() + 2));
     let (v, _) = sim.logic(HostId(0)).result().expect("declared");
     assert_eq!(v, values.len() as f64);
-}
-
-#[test]
-fn allreport_reverse_tree_on_radio_grid() {
-    // Sensor configuration: unicast (MAC-addressed) relays over radio.
-    let g = grid_square(12);
-    let n = g.num_hosts();
-    let spec = QuerySpec {
-        aggregate: Aggregate::Count,
-        d_hat: 14,
-        c: 8,
-    };
-    let mut sim = SimBuilder::new(g)
-        .medium(Medium::Radio)
-        .seed(2)
-        .build(move |h| {
-            if h == HostId(0) {
-                AllReportNode::query_host(1, spec, ReportRouting::ReverseTree)
-            } else {
-                AllReportNode::host(1, ReportRouting::ReverseTree)
-            }
-        });
-    sim.run_until(Time(spec.deadline() + 1));
-    let (v, _) = sim.logic(HostId(0)).result().expect("declared");
-    assert_eq!(v, n as f64);
 }
 
 #[test]

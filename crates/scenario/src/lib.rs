@@ -34,8 +34,8 @@
 //!   attached to every cell and assembles a
 //!   [`pov_telemetry::TraceDoc`] for the JSONL / Chrome / summary
 //!   exporters, with the same byte-identical-across-threads guarantee
-//!   as the reports. The opt-in `[telemetry]` section
-//!   ([`TelemetrySpec`]) tunes it without touching reports.
+//!   as the reports. Every recording samples protocol state at a fixed
+//!   cadence; nothing in a `.scn` file tunes it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,8 +53,7 @@ pub use run::{
     WorkloadCellStats, WorkloadRecord, WorkloadSection,
 };
 pub use spec::{
-    AdversarySpec, ChurnSpec, ContinuousSpec, PartitionSpec, PhasesSpec, Scenario, TelemetrySpec,
-    WorkloadSpec,
+    AdversarySpec, ChurnSpec, ContinuousSpec, PartitionSpec, PhasesSpec, Scenario, WorkloadSpec,
 };
 pub use trace::trace_batch;
 

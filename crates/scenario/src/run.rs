@@ -424,16 +424,13 @@ fn tick(frac: f64, span: u64) -> Time {
 
 /// The tick count the scenario's window fractions scale to: the
 /// one-shot deadline `2·D̂·δ`, or the whole `windows × W` horizon for
-/// continuous scenarios (so a regime can span the registration).
+/// continuous scenarios (so a regime can span the registration), where
+/// a window `W` is one query round, the deadline itself.
 pub(crate) fn regime_span(scn: &Scenario, deadline: u64) -> u64 {
     match &scn.continuous {
         None => deadline,
-        Some(c) => c.windows as u64 * window_ticks(c, deadline),
+        Some(c) => c.windows as u64 * deadline,
     }
-}
-
-fn window_ticks(c: &crate::spec::ContinuousSpec, deadline: u64) -> u64 {
-    (c.window_factor * deadline as f64).round() as u64
 }
 
 /// Derive the churn plan for one cell from the scenario's regime.
@@ -615,7 +612,7 @@ pub(crate) fn cell_plan(scn: &Scenario, net: &Network, seed: u64, rep: usize) ->
         });
     }
     if let Some(c) = &scn.continuous {
-        plan = plan.continuous(window_ticks(c, deadline), c.windows);
+        plan = plan.continuous(deadline, c.windows);
     }
     CellPlan {
         plan,
@@ -654,7 +651,7 @@ where
         scn.name
     );
     let graph = scn.topology.build(scn.n, scn.topology_seed);
-    let net = Network::from_graph(graph, scn.topology_seed, scn.d_hat_slack);
+    let net = Network::from_graph(graph, scn.topology_seed);
     assert!(
         (scn.hq as usize) < net.graph().num_hosts(),
         "querying host {} out of range: topology produced {} hosts",
@@ -983,7 +980,6 @@ mod tests {
             aggregate: Aggregate::Count,
             c: 8,
             hq: 0,
-            d_hat_slack: 2,
             medium: Medium::PointToPoint,
             delay: DelayModel::Fixed(1),
             protocols: vec![ProtocolKind::Wildfire(WildfireOpts::default())],
@@ -992,7 +988,6 @@ mod tests {
             phases: None,
             adversary: None,
             continuous: None,
-            telemetry: None,
             overlay: None,
             workload: None,
             seeds: vec![1, 2, 3],
@@ -1326,10 +1321,7 @@ mod tests {
         });
         scn.seeds = vec![1, 2];
         scn.repetitions = 1;
-        scn.continuous = Some(ContinuousSpec {
-            windows: 3,
-            window_factor: 1.0,
-        });
+        scn.continuous = Some(ContinuousSpec { windows: 3 });
         let report = run_batch(&scn, 2);
         assert_eq!(report.runs, 2);
         assert_eq!(report.windows, 3);
@@ -1372,10 +1364,7 @@ mod tests {
         });
         scn.seeds = vec![1, 2];
         scn.repetitions = 1;
-        scn.continuous = Some(ContinuousSpec {
-            windows: 8,
-            window_factor: 1.0,
-        });
+        scn.continuous = Some(ContinuousSpec { windows: 8 });
         let report = run_batch(&scn, 2);
         assert_eq!(report.churn_model, "phased");
         assert_eq!(report.windows, 8);
@@ -1440,10 +1429,7 @@ mod tests {
         });
         scn.seeds = vec![1];
         scn.repetitions = 1;
-        scn.continuous = Some(ContinuousSpec {
-            windows: 24,
-            window_factor: 1.0,
-        });
+        scn.continuous = Some(ContinuousSpec { windows: 24 });
         let report = run_batch(&scn, 1);
         // Every window judged: hq is spared, so the series never stops
         // early, and it declares in each window.

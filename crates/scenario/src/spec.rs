@@ -11,7 +11,6 @@
 //! the classic way benchmark configs rot.
 
 use crate::parse::{Doc, Entry, ParseError, Section, Value};
-use pov_core::pov_protocols::allreport::ReportRouting;
 use pov_core::pov_protocols::wildfire::WildfireOpts;
 use pov_core::pov_protocols::{Aggregate, OverlayConfig, ProtocolKind};
 use pov_core::pov_sim::{DelayModel, Medium, PhaseKind};
@@ -128,16 +127,14 @@ pub struct AdversarySpec {
 }
 
 /// A `[continuous]` section: run the query as §4.2 continuous windows
-/// instead of a one-shot. Each window is `window_factor` times the
-/// one-shot deadline `2·D̂·δ` long (the minimum that fits a query
-/// round), and churn/partition window fractions scale to the *whole
-/// horizon* `windows × W` so a regime can span the registration.
+/// instead of a one-shot. Each window is one query round, the one-shot
+/// deadline `W = 2·D̂·δ` long, and churn/partition window fractions
+/// scale to the *whole horizon* `windows × W` so a regime can span the
+/// registration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ContinuousSpec {
     /// Number of consecutive windows.
     pub windows: usize,
-    /// Window length as a multiple of the one-shot deadline (≥ 1).
-    pub window_factor: f64,
 }
 
 /// A `[phases]` section plus its `[[phase]]` tables: a long-horizon
@@ -156,24 +153,6 @@ pub struct PhasesSpec {
     /// `(kind, weight)` per `[[phase]]` table, in file order; weights
     /// are relative phase lengths (> 0).
     pub phases: Vec<(PhaseKind, f64)>,
-}
-
-/// A `[telemetry]` section: opt-in knobs for the trace runner
-/// (`repro trace`). Parsing the section never changes what a scenario
-/// *reports* — `run_batch` ignores it entirely, so adding `[telemetry]`
-/// to a `.scn` file keeps its JSON report byte-identical. The knobs
-/// only shape the recordings `trace_batch` produces.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TelemetrySpec {
-    /// Emit a protocol-state summary sample (active hosts, sketch mass)
-    /// every this many ticks.
-    pub summary_every: u64,
-}
-
-impl Default for TelemetrySpec {
-    fn default() -> Self {
-        TelemetrySpec { summary_every: 8 }
-    }
 }
 
 /// A `[workload]` section: a deterministic multiplexed query workload
@@ -216,8 +195,6 @@ pub struct Scenario {
     pub c: usize,
     /// The querying host.
     pub hq: u32,
-    /// Slack added to the measured diameter to form `D̂`.
-    pub d_hat_slack: u32,
     /// Communication medium.
     pub medium: Medium,
     /// Per-hop delay model.
@@ -240,16 +217,13 @@ pub struct Scenario {
     pub adversary: Option<AdversarySpec>,
     /// Optional §4.2 continuous-window execution.
     pub continuous: Option<ContinuousSpec>,
-    /// Optional `[telemetry]` knobs for the trace runner (never affects
-    /// reports).
-    pub telemetry: Option<TelemetrySpec>,
     /// Optional `[overlay]` maintenance layered over the base topology
     /// (HyParView-style partial views + SWIM-style failure detection,
-    /// see `pov_overlay::OverlayMaintenance`). Unlike `[telemetry]`, it
-    /// changes what a scenario reports: protocols route over the
-    /// evolving overlay. `seed` is always 0 here: the batch runner
-    /// draws one per cell from the cell's root seed, so repetitions
-    /// explore independent overlay evolutions.
+    /// see `pov_overlay::OverlayMaintenance`). It changes what a
+    /// scenario reports: protocols route over the evolving overlay.
+    /// `seed` is always 0 here: the batch runner draws one per cell
+    /// from the cell's root seed, so repetitions explore independent
+    /// overlay evolutions.
     pub overlay: Option<OverlayConfig>,
     /// Optional `[workload]` multiplexed query workload run per cell
     /// alongside the protocol contenders.
@@ -339,7 +313,6 @@ impl Scenario {
                 ),
             ));
         }
-        let d_hat_slack = query.int("d_hat_slack", Some(2))?;
         query.finish()?;
 
         let med = section("medium");
@@ -400,7 +373,6 @@ impl Scenario {
             aggregate,
             c,
             hq,
-            d_hat_slack,
             medium,
             delay,
             protocols,
@@ -409,7 +381,6 @@ impl Scenario {
             phases: Keys::opt(doc, "phases", |ph| phases(doc, ph))?,
             adversary: Keys::opt(doc, "adversary", adversary)?,
             continuous: Keys::opt(doc, "continuous", continuous)?,
-            telemetry: Keys::opt(doc, "telemetry", telemetry)?,
             overlay: Keys::opt(doc, "overlay", overlay)?,
             workload: Keys::opt(doc, "workload", workload)?,
             seeds,
@@ -449,15 +420,6 @@ fn adversary(ad: &Keys<'_>) -> Parsed<AdversarySpec> {
 fn continuous(co: &Keys<'_>) -> Parsed<ContinuousSpec> {
     Ok(ContinuousSpec {
         windows: co.positive("windows", None, "need at least one window")?,
-        window_factor: co.real("window_factor", Some(1.0), (Included(1.0), Unbounded))?,
-    })
-}
-
-fn telemetry(te: &Keys<'_>) -> Parsed<TelemetrySpec> {
-    let d = TelemetrySpec::default();
-    let cadence = "sampling cadence must be >= 1 tick";
-    Ok(TelemetrySpec {
-        summary_every: te.positive("summary_every", Some(d.summary_every), cadence)?,
     })
 }
 
@@ -556,7 +518,7 @@ impl Rule {
 const GRAMMAR: &[Rule] = &[
     Rule::new("scenario", Required, "name description"),
     Rule::new("topology", Required, "kind n seed"),
-    Rule::new("query", Required, "aggregate c hq d_hat_slack"),
+    Rule::new("query", Required, "aggregate c hq"),
     Rule::new("medium", Optional, "kind delay ticks min max"),
     Rule::new("protocol", Required, "kind k p rounds").repeats(),
     Rule::new(
@@ -576,8 +538,7 @@ const GRAMMAR: &[Rule] = &[
         "target kills_per_wave budget start until",
     )
     .excludes(&[("continuous", "dynamic kills cannot be replayed per window")]),
-    Rule::new("continuous", Optional, "windows window_factor"),
-    Rule::new("telemetry", Optional, "summary_every"),
+    Rule::new("continuous", Optional, "windows"),
     Rule::new(
         "overlay",
         Optional,
@@ -697,9 +658,7 @@ const PROTOCOLS: &[(&str, Variant<ProtocolKind>)] = &[
         let k = p.positive("k", Some(2), "a DAG host needs at least one parent slot")?;
         Ok(ProtocolKind::Dag { k })
     }),
-    ("allreport", |_| {
-        Ok(ProtocolKind::AllReport(ReportRouting::Direct))
-    }),
+    ("allreport", |_| Ok(ProtocolKind::AllReport)),
     ("randomized-report", |p| {
         let p = p.real("p", None, FRACTION)?;
         Ok(ProtocolKind::RandomizedReport { p })
@@ -937,7 +896,6 @@ impl<'a> Keys<'a> {
             Unbounded => f64::INFINITY,
         };
         let msg = match range {
-            (lo, Unbounded) if closed(&lo) => format!("{v} must be >= {}", num(lo)),
             (lo, Unbounded) => format!("{v} must be > {}", num(lo)),
             (lo, hi) => {
                 let open = if closed(&lo) { '[' } else { '(' };
@@ -1086,7 +1044,6 @@ seeds = [9]
         .expect("valid");
         assert_eq!(s.c, 8);
         assert_eq!(s.hq, 0);
-        assert_eq!(s.d_hat_slack, 2);
         assert_eq!(s.medium, Medium::PointToPoint);
         assert_eq!(s.delay, DelayModel::Fixed(1));
         assert_eq!(s.churn, ChurnSpec::None);
@@ -1475,32 +1432,6 @@ seeds = [1]
     }
 
     #[test]
-    fn telemetry_section_parses_and_validates() {
-        // Absent section → no spec (trace runner falls back to defaults).
-        let s = Scenario::from_str(GOOD).expect("valid");
-        assert_eq!(s.telemetry, None);
-        // Present but empty → the documented defaults.
-        let s = Scenario::from_str(&format!("{GOOD}\n[telemetry]")).expect("valid");
-        assert_eq!(s.telemetry, Some(TelemetrySpec::default()));
-        assert_eq!(s.telemetry.unwrap(), TelemetrySpec { summary_every: 8 });
-        // Explicit knobs.
-        let s =
-            Scenario::from_str(&format!("{GOOD}\n[telemetry]\nsummary_every = 4")).expect("valid");
-        assert_eq!(s.telemetry, Some(TelemetrySpec { summary_every: 4 }));
-        // Zero cadences are rejected, typos too.
-        let err = Scenario::from_str(&format!("{GOOD}\n[telemetry]\nsummary_every = 0"))
-            .expect_err("zero cadence");
-        assert!(err.msg.contains(">= 1 tick"), "{}", err.msg);
-        let err = Scenario::from_str(&format!("{GOOD}\n[telemetry]\nsumary_every = 4"))
-            .expect_err("typo");
-        assert!(err.msg.contains("unknown key"), "{}", err.msg);
-        // Not repeatable, like every other single-reader section.
-        let err = Scenario::from_str(&format!("{GOOD}\n[[telemetry]]\nsummary_every = 4"))
-            .expect_err("array form");
-        assert!(err.msg.contains("not repeatable"), "{}", err.msg);
-    }
-
-    #[test]
     fn overlay_section_parses_and_validates() {
         // Absent section → no overlay (reports are byte-identical to
         // the pre-overlay grammar).
@@ -1622,25 +1553,11 @@ seeds = [1]
 
     #[test]
     fn continuous_section_parses_and_validates() {
-        let s = Scenario::from_str(&format!(
-            "{GOOD}\n[continuous]\nwindows = 4\nwindow_factor = 1.5"
-        ))
-        .expect("valid");
-        assert_eq!(
-            s.continuous,
-            Some(ContinuousSpec {
-                windows: 4,
-                window_factor: 1.5
-            })
-        );
+        let s = Scenario::from_str(&format!("{GOOD}\n[continuous]\nwindows = 4")).expect("valid");
+        assert_eq!(s.continuous, Some(ContinuousSpec { windows: 4 }));
         let err = Scenario::from_str(&format!("{GOOD}\n[continuous]\nwindows = 0"))
             .expect_err("zero windows");
         assert!(err.msg.contains("at least one window"), "{}", err.msg);
-        let err = Scenario::from_str(&format!(
-            "{GOOD}\n[continuous]\nwindows = 2\nwindow_factor = 0.5"
-        ))
-        .expect_err("factor < 1");
-        assert!(err.msg.contains("window_factor"), "{}", err.msg);
     }
 
     /// Replace every line of GOOD whose key matches the mutation's first
@@ -1780,10 +1697,6 @@ seeds = [1]
     fn u32_keys_reject_values_that_would_wrap() {
         // 2³² + 2 used to be cast `as u32` and run as 2.
         fails_with(
-            "[query] c = 16\nd_hat_slack = 4294967298",
-            "[query] d_hat_slack: 4294967298 exceeds u32::MAX",
-        );
-        fails_with(
             "[protocol] kind = \"gossip\"\nrounds = 4294967298",
             "[protocol] rounds: 4294967298 exceeds u32::MAX",
         );
@@ -1862,6 +1775,30 @@ seeds = [1]
         assert!(err.msg.contains("unknown key 'bogus'"), "{}", err.msg);
         let err = Scenario::from_str(&format!("{GOOD}\n[extra]\nx = 1")).expect_err("section");
         assert!(err.msg.contains("unknown section [extra]"), "{}", err.msg);
+        // D̂'s slack, the window length and the trace cadence are
+        // constants: a file that still sets one is told so on its line.
+        let (text, err) = fails_with(
+            "[query] c = 16\nd_hat_slack = 2",
+            "unknown key 'd_hat_slack'",
+        );
+        assert_eq!(err.line, line_of(&text, "d_hat_slack = 2"));
+        let text = format!("{GOOD}\n[continuous]\nwindows = 2\nwindow_factor = 1.0");
+        let err = Scenario::from_str(&text).expect_err("window_factor");
+        assert!(
+            err.msg
+                .contains("unknown key 'window_factor' in [continuous]"),
+            "{}",
+            err.msg
+        );
+        assert_eq!(err.line, line_of(&text, "window_factor = 1.0"));
+        let text = format!("{GOOD}\n[telemetry]\nsummary_every = 8");
+        let err = Scenario::from_str(&text).expect_err("telemetry");
+        assert!(
+            err.msg.contains("unknown section [telemetry]"),
+            "{}",
+            err.msg
+        );
+        assert_eq!(err.line, line_of(&text, "[telemetry]"));
     }
 
     /// The grammar docs cannot drift from [`GRAMMAR`]: every `key = …`

@@ -20,6 +20,10 @@ use pov_core::pov_sim::PhaseSchedule;
 use pov_core::Network;
 use pov_telemetry::{CellTrace, PhaseSpan, TickRecorder, TraceDoc};
 
+/// Every recording samples protocol state (active hosts, sketch mass)
+/// every this many ticks.
+const SUMMARY_EVERY: u64 = 8;
+
 /// The phase spans of a schedule, as absolute-tick `[start, end)` rows
 /// for the summary exporter (keyed by the same labels
 /// [`PhaseSchedule::label_at`] reports).
@@ -40,13 +44,7 @@ fn phase_spans(schedule: &PhaseSchedule) -> Vec<PhaseSpan> {
 /// Record one `(seed, rep)` cell: every protocol runs every window of
 /// the cell's plan with a fresh recorder. Returns protocol-major
 /// recordings, mirroring the batch runner's section order.
-fn trace_cell(
-    scn: &Scenario,
-    net: &Network,
-    seed: u64,
-    rep: usize,
-    summary_every: u64,
-) -> Vec<Vec<CellTrace>> {
+fn trace_cell(scn: &Scenario, net: &Network, seed: u64, rep: usize) -> Vec<Vec<CellTrace>> {
     let plan = run::cell_plan(scn, net, seed, rep).plan;
     let windows = window_local_plans(net.graph(), &plan);
     scn.protocols
@@ -56,7 +54,7 @@ fn trace_cell(
                 .iter()
                 .enumerate()
                 .map(|(w, (start, local))| {
-                    let mut rec = TickRecorder::with_summary_every(summary_every);
+                    let mut rec = TickRecorder::with_summary_every(SUMMARY_EVERY);
                     let _ =
                         runner::run_with(kind, net.graph(), net.values(), local, Some(&mut rec));
                     CellTrace {
@@ -82,9 +80,8 @@ fn trace_cell(
 /// Panics if `threads == 0`, the scenario has no protocols, or its `hq`
 /// exceeds the host count the topology actually produced.
 pub fn trace_batch(scn: &Scenario, threads: usize) -> TraceDoc {
-    let summary_every = scn.telemetry.unwrap_or_default().summary_every;
     let (net, per_protocol, _) = run::run_cells(scn, threads, |net, seed, rep| {
-        (trace_cell(scn, net, seed, rep, summary_every), ())
+        (trace_cell(scn, net, seed, rep), ())
     });
     let span = run::regime_span(scn, run::deadline(scn, &net));
     let phases = run::materialize_phases(scn, span)
@@ -129,8 +126,6 @@ kind = "shrink"
 fraction = 0.3
 [continuous]
 windows = 3
-[telemetry]
-summary_every = 4
 [run]
 seeds = [1, 2]
 repetitions = 1
@@ -180,6 +175,11 @@ repetitions = 1
                 c.protocol
             );
             assert!(c.series.sent() > 0);
+            let summaries = &c.series.summaries;
+            assert!(!summaries.is_empty(), "{} took no summary", c.protocol);
+            for pair in summaries.windows(2) {
+                assert!(pair[1].tick >= pair[0].tick + SUMMARY_EVERY);
+            }
         }
         // The phased scenario's spans tile the horizon contiguously.
         assert_eq!(

@@ -79,10 +79,8 @@ fn scenario(topology_seed: u64, base_seed: u64, churn_pick: u8, proto_pick: u8) 
     // One pick in four runs as a short continuous registration — unless
     // the dynamic adversary is in play (the executor rejects replaying
     // a dynamic kill schedule into window-local plans).
-    let continuous = (proto_pick % 4 == 3 && adversary.is_none()).then_some(ContinuousSpec {
-        windows: 2,
-        window_factor: 1.0,
-    });
+    let continuous =
+        (proto_pick % 4 == 3 && adversary.is_none()).then_some(ContinuousSpec { windows: 2 });
     Scenario {
         name: "prop".into(),
         description: String::new(),
@@ -92,7 +90,6 @@ fn scenario(topology_seed: u64, base_seed: u64, churn_pick: u8, proto_pick: u8) 
         aggregate: Aggregate::Count,
         c: 8,
         hq: 0,
-        d_hat_slack: 2,
         medium: Medium::PointToPoint,
         delay: DelayModel::Fixed(1),
         protocols,
@@ -101,7 +98,6 @@ fn scenario(topology_seed: u64, base_seed: u64, churn_pick: u8, proto_pick: u8) 
         phases,
         adversary,
         continuous,
-        telemetry: None,
         overlay: None,
         workload: None,
         seeds: vec![base_seed, base_seed ^ 0xabcd, base_seed.wrapping_add(7)],

@@ -2,7 +2,6 @@
 //! end-to-end across crates.
 
 use pov_core::pov_oracle::{host_sets, Verdict};
-use pov_core::pov_protocols::allreport::ReportRouting;
 use pov_core::pov_protocols::wildfire::WildfireOpts;
 use pov_core::pov_protocols::{runner, Aggregate, ProtocolKind, RunPlan};
 use pov_core::pov_sim::{ChurnPlan, Time};
@@ -143,7 +142,7 @@ fn theorem_4_1_chain_join_mechanism() {
         .with_join(Time(5), HostId(5))
         .with_join(Time(5), HostId(6));
     let out = runner::run(
-        ProtocolKind::AllReport(ReportRouting::Direct),
+        ProtocolKind::AllReport,
         &g,
         &values,
         &cfg(Aggregate::Count, k as u32, churn),
@@ -225,14 +224,14 @@ fn theorem_4_4_spanning_tree_arbitrarily_bad() {
     );
 }
 
-/// §4.1's ALLREPORT validity argument, on a topology where reports
-/// require multiple hops (sensor-style reverse-tree routing).
+/// §4.1's ALLREPORT validity argument on Example 1.1's grid, where
+/// most hosts lie several hops from `hq` on the broadcast tree.
 #[test]
 fn allreport_reverse_tree_on_grid() {
     let g = example_1_1_graph();
     let values = vec![1u64; 16];
     let out = runner::run(
-        ProtocolKind::AllReport(ReportRouting::ReverseTree),
+        ProtocolKind::AllReport,
         &g,
         &values,
         &cfg(Aggregate::Count, 5, ChurnPlan::none()),

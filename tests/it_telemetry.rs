@@ -1,7 +1,7 @@
 //! Cross-crate integration tests for the telemetry layer: the trace
 //! runner against the real `.scn` files CI traces, the determinism
-//! contract across thread counts, and the hard bar that telemetry never
-//! perturbs a scenario report.
+//! contract across thread counts, the shape of every JSONL line, and
+//! the hard bar that tracing never perturbs a scenario report.
 
 use pov_scenario::{run_batch, trace_batch, Json, Scenario};
 use pov_telemetry::{export, TRACE_SCHEMA};
@@ -79,25 +79,116 @@ fn jsonl_header_is_schema_stamped() {
     assert!(header.contains("\"phases\": [{"), "{header}");
 }
 
-/// The tentpole's hard bar: telemetry configuration must never touch a
-/// report. Adding a `[telemetry]` section to a scenario leaves
-/// `run_batch`'s JSON byte-identical — the section only feeds
-/// `trace_batch`.
+/// The keys of a JSONL tick record, in order; the overlay counters
+/// follow only on ticks where the overlay changed.
+const TICK_KEYS: [&str; 11] = [
+    "t",
+    "alive",
+    "queue",
+    "dispatched",
+    "delivered",
+    "dropped",
+    "sent",
+    "fails",
+    "joins",
+    "timers",
+    "frontier",
+];
+const OVERLAY_KEYS: [&str; 3] = ["ov_added", "ov_removed", "ov_suspicions"];
+
+/// The keys of a JSON object, in order.
+fn keys(obj: &Json) -> Vec<&str> {
+    match obj {
+        Json::Obj(pairs) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("not an object: {other:?}"),
+    }
+}
+
+/// Every value under `keys` in `obj` is a non-negative integer.
+fn counts(obj: &Json, keys: &[&str]) -> bool {
+    keys.iter()
+        .all(|k| obj.get(k).and_then(Json::as_i64).is_some_and(|v| v >= 0))
+}
+
+/// Every JSONL line is one JSON object of a known shape: the header
+/// first, then per cell a `cell` line, its tick records and its
+/// `summary` samples — as many of each as the cell says it holds.
 #[test]
-fn telemetry_section_never_perturbs_the_report() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("scenarios/smoke.scn");
-    let text = std::fs::read_to_string(path).expect("smoke.scn");
-    let plain: Scenario = text.parse().expect("valid scenario");
-    let with_telemetry: Scenario = format!("{text}\n[telemetry]\nsummary_every = 2\n")
-        .parse()
-        .expect("valid scenario with [telemetry]");
-    assert!(plain.telemetry.is_none());
-    assert!(with_telemetry.telemetry.is_some());
-    assert_eq!(
-        run_batch(&plain, 2).to_json().render(),
-        run_batch(&with_telemetry, 2).to_json().render(),
-        "[telemetry] leaked into the report"
-    );
+fn jsonl_lines_are_known_objects() {
+    for name in ["smoke.scn", "soak_lifecycle.scn"] {
+        let doc = trace_batch(&scn(name), 2);
+        let out = export::jsonl(&doc);
+        let mut lines = out
+            .lines()
+            .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("{name}: {e} in line {l}")));
+
+        let header = lines.next().expect("header line");
+        assert_eq!(
+            keys(&header),
+            ["schema", "name", "cells", "phases"],
+            "{name}"
+        );
+        assert_eq!(
+            header.get("schema").and_then(Json::as_str),
+            Some(TRACE_SCHEMA)
+        );
+        assert_eq!(
+            header.get("name").and_then(Json::as_str),
+            Some(doc.name.as_str())
+        );
+        let cells = header.get("cells").and_then(Json::as_i64);
+        assert_eq!(cells, Some(doc.cells.len() as i64), "{name}");
+        let phases = header.get("phases").and_then(Json::as_arr).expect("phases");
+        assert_eq!(phases.len(), doc.phases.len(), "{name}");
+        for p in phases {
+            assert_eq!(keys(p), ["label", "start", "end"], "{name}");
+            assert!(p.get("label").and_then(Json::as_str).is_some());
+            assert!(counts(p, &["start", "end"]), "{name}: {p:?}");
+        }
+
+        // Per cell: (tick records announced, seen; summaries seen).
+        let mut seen: Vec<(i64, i64, usize)> = Vec::new();
+        for line in lines {
+            let k = keys(&line);
+            if k == ["cell"] {
+                let cell = line.get("cell").expect("cell");
+                let fields = ["seed", "rep", "window", "offset", "num_hosts", "ticks"];
+                assert_eq!(keys(cell)[0], "protocol", "{name}");
+                assert_eq!(keys(cell)[1..], fields, "{name}");
+                assert!(cell.get("protocol").and_then(Json::as_str).is_some());
+                assert!(counts(cell, &fields), "{name}: {cell:?}");
+                let ticks = cell.get("ticks").and_then(Json::as_i64).unwrap();
+                seen.push((ticks, 0, 0));
+                continue;
+            }
+            let (_, ticks, summaries) = seen.last_mut().expect("a cell line comes first");
+            if k == ["summary"] {
+                let s = line.get("summary").expect("summary");
+                assert_eq!(keys(s), ["t", "active", "mass"], "{name}");
+                assert!(counts(s, &["t", "active"]), "{name}: {s:?}");
+                assert!(s.get("mass").and_then(Json::as_f64).is_some(), "{name}");
+                *summaries += 1;
+            } else {
+                assert_eq!(*summaries, 0, "{name}: tick record after a summary");
+                let overlay = k.len() > TICK_KEYS.len();
+                assert_eq!(k[..TICK_KEYS.len()], TICK_KEYS, "{name}");
+                if overlay {
+                    assert_eq!(k[TICK_KEYS.len()..], OVERLAY_KEYS, "{name}");
+                }
+                assert!(counts(&line, &k), "{name}: {line:?}");
+                *ticks += 1;
+            }
+        }
+        assert_eq!(
+            seen.len(),
+            doc.cells.len(),
+            "{name}: one cell line per cell"
+        );
+        for ((announced, ticks, summaries), cell) in seen.iter().zip(&doc.cells) {
+            assert_eq!(announced, ticks, "{name}");
+            assert_eq!(*summaries, cell.series.summaries.len(), "{name}");
+        }
+    }
 }
 
 /// Tracing a scenario and *then* running its batch (or vice versa)

@@ -149,7 +149,7 @@ fn oracle_bounds_track_churn_level() {
 fn randomized_report_cheaper_and_approximately_valid() {
     let net = Network::build(TopologyKind::Random, 500, 77);
     let full = runner::run(
-        ProtocolKind::AllReport(pov_core::pov_protocols::allreport::ReportRouting::Direct),
+        ProtocolKind::AllReport,
         net.graph(),
         net.values(),
         &RunPlan::query(Aggregate::Count).d_hat(net.d_hat()).seed(1),
