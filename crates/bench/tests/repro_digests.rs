@@ -11,24 +11,14 @@
 //! `POV_BLESS=1`; that rewrites the `repro/` lines and leaves every
 //! other line of the file as it is.
 
-use std::path::{Path, PathBuf};
+use pov_integration_tests::{check_golden_lines, digest_line};
 use std::process::Command;
 
 /// The prefix of the lines this test owns in the golden file.
 const PREFIX: &str = "repro/";
 
-fn golden_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/outputs.txt")
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
-        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 fn line(name: &str, bytes: &[u8]) -> String {
-    format!("{PREFIX}{name} {} {:016x}", bytes.len(), fnv1a(bytes))
+    digest_line(&format!("{PREFIX}{name}"), bytes)
 }
 
 /// Run every experiment at quick scale and digest what it prints and
@@ -54,24 +44,5 @@ fn quick_run_lines() -> Vec<String> {
     ignore = "runs every quick experiment: release builds only"
 )]
 fn quick_repro_output_is_byte_identical() {
-    let lines = quick_run_lines();
-    let golden = std::fs::read_to_string(golden_path()).expect("tests/golden/outputs.txt exists");
-    if std::env::var_os("POV_BLESS").is_some_and(|v| v == "1") {
-        let mut text: String = golden
-            .lines()
-            .filter(|l| !l.starts_with(PREFIX))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        for l in &lines {
-            text.push_str(l);
-            text.push('\n');
-        }
-        std::fs::write(golden_path(), text).expect("write the golden file");
-        return;
-    }
-    let pinned: Vec<&str> = golden.lines().filter(|l| l.starts_with(PREFIX)).collect();
-    assert_eq!(
-        pinned, lines,
-        "the quick `repro` output moved (pinned left, now right)"
-    );
+    check_golden_lines(PREFIX, &quick_run_lines(), "the quick `repro` output moved");
 }

@@ -139,8 +139,6 @@ pub struct Row {
     pub stats: OverlayStats,
     /// Mean overlay degree at the horizon (maintained arm).
     pub final_mean_degree: f64,
-    /// Isolated hosts at the horizon (maintained arm).
-    pub final_isolated: f64,
     /// Connected components at the horizon (maintained arm).
     pub final_components: f64,
     /// Largest component at the horizon (maintained arm).
@@ -206,8 +204,8 @@ pub fn run(cfg: &Config) -> Vec<Row> {
     for &fraction in &cfg.churn_fractions {
         let k = share(fraction, n);
         // per-trial accumulators: hc, hu, s_val, m_val, s_dev, m_dev,
-        // s_msg, m_msg, degree, isolated, components, largest
-        let mut acc: [Vec<f64>; 12] = Default::default();
+        // s_msg, m_msg, degree, components, largest
+        let mut acc: [Vec<f64>; 11] = Default::default();
         let mut stats_sum = OverlayStats::default();
         for trial in 0..cfg.trials {
             let seed = cfg.seed.wrapping_add(1 + trial as u64);
@@ -255,7 +253,6 @@ pub fn run(cfg: &Config) -> Vec<Row> {
                 s.metrics.messages_sent as f64,
                 m.metrics.messages_sent as f64,
                 deg.mean,
-                deg.isolated as f64,
                 conn.components as f64,
                 conn.largest_component as f64,
             ]) {
@@ -276,9 +273,8 @@ pub fn run(cfg: &Config) -> Vec<Row> {
             maintained_msgs: mean(&acc[7]),
             stats: stats_div(stats_sum, t),
             final_mean_degree: mean(&acc[8]),
-            final_isolated: mean(&acc[9]),
-            final_components: mean(&acc[10]),
-            final_largest: mean(&acc[11]),
+            final_components: mean(&acc[9]),
+            final_largest: mean(&acc[10]),
         });
     }
     rows

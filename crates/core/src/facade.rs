@@ -4,43 +4,10 @@
 
 use crate::judged::{judged_plan, JudgedOutcome};
 use crate::workload;
-use pov_protocols::wildfire::WildfireOpts;
 use pov_protocols::{Aggregate, ProtocolKind, RunPlan};
 use pov_sim::{ChurnPlan, DelayModel, Medium, Time};
 use pov_topology::generators::TopologyKind;
 use pov_topology::{analysis, Graph, HostId};
-
-/// The protocols exposed through the façade.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Protocol {
-    /// ALLREPORT: every host reports straight to `hq`.
-    AllReport,
-    /// SPANNINGTREE (TAG-style tree convergecast).
-    SpanningTree,
-    /// DIRECTEDACYCLICGRAPH with 2 parents.
-    Dag2,
-    /// DIRECTEDACYCLICGRAPH with 3 parents.
-    Dag3,
-    /// WILDFIRE with both §5.3 optimizations.
-    Wildfire,
-}
-
-impl Protocol {
-    fn kind(self) -> ProtocolKind {
-        match self {
-            Protocol::AllReport => ProtocolKind::AllReport,
-            Protocol::SpanningTree => ProtocolKind::SpanningTree,
-            Protocol::Dag2 => ProtocolKind::Dag { k: 2 },
-            Protocol::Dag3 => ProtocolKind::Dag { k: 3 },
-            Protocol::Wildfire => ProtocolKind::Wildfire(WildfireOpts::default()),
-        }
-    }
-
-    /// Paper name, with the DAG's parent count ([`ProtocolKind::label`]).
-    pub fn name(self) -> String {
-        self.kind().label()
-    }
-}
 
 /// How far `D̂` overestimates the measured diameter: the paper's
 /// "reasonably small constant" (§4.1).
@@ -197,7 +164,12 @@ impl<'a> QueryBuilder<'a> {
     }
 
     /// Run the query under `protocol` and judge the outcome.
-    pub fn run(&self, protocol: Protocol) -> JudgedOutcome {
+    ///
+    /// # Panics
+    /// Panics if `protocol` cannot answer the query: RANDOMIZEDREPORT
+    /// estimates count only, and it and ALLREPORT report over the
+    /// underlay, which a radio medium does not carry.
+    pub fn run(&self, protocol: ProtocolKind) -> JudgedOutcome {
         self.compare(&[protocol]).remove(0)
     }
 
@@ -206,8 +178,8 @@ impl<'a> QueryBuilder<'a> {
     /// argument order. Because the failure draw is fixed by the plan,
     /// the answers form a paired comparison: any verdict/cost gap is
     /// the protocols' doing, not the dynamism's.
-    pub fn compare(&self, protocols: &[Protocol]) -> Vec<JudgedOutcome> {
-        let plan = self.plan(protocols.iter().map(|p| p.kind()));
+    pub fn compare(&self, protocols: &[ProtocolKind]) -> Vec<JudgedOutcome> {
+        let plan = self.plan(protocols.iter().copied());
         judged_plan(&self.net.graph, &self.net.values, &plan)
             .into_iter()
             .map(|mut judged| judged.windows.remove(0).judged)
@@ -218,11 +190,16 @@ impl<'a> QueryBuilder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pov_protocols::wildfire::WildfireOpts;
+
+    fn wildfire() -> ProtocolKind {
+        ProtocolKind::Wildfire(WildfireOpts::default())
+    }
 
     #[test]
     fn quickstart_flow() {
         let net = Network::build(TopologyKind::Random, 300, 11);
-        let answer = net.query(Aggregate::Max).run(Protocol::Wildfire);
+        let answer = net.query(Aggregate::Max).run(wildfire());
         assert!(answer.verdict.is_valid());
         let truth = *net.values().iter().max().unwrap() as f64;
         assert_eq!(answer.value, Some(truth));
@@ -236,7 +213,7 @@ mod tests {
                 .query(Aggregate::Min)
                 .churn(40)
                 .seed(seed)
-                .run(Protocol::Wildfire);
+                .run(wildfire());
             assert!(
                 answer.verdict.is_valid(),
                 "seed {seed}: {:?}",
@@ -248,7 +225,7 @@ mod tests {
     #[test]
     fn spanning_tree_exact_without_churn() {
         let net = Network::build(TopologyKind::Random, 250, 3);
-        let answer = net.query(Aggregate::Sum).run(Protocol::SpanningTree);
+        let answer = net.query(Aggregate::Sum).run(ProtocolKind::SpanningTree);
         let truth: u64 = net.values().iter().sum();
         assert_eq!(answer.value, Some(truth as f64));
         assert!(answer.verdict.within_bounds);
@@ -262,7 +239,7 @@ mod tests {
         let answer = net
             .query(Aggregate::Count)
             .churn(60)
-            .run(Protocol::SpanningTree);
+            .run(ProtocolKind::SpanningTree);
         assert!(answer.hc_size < 300 - 59, "hc = {}", answer.hc_size);
         assert_eq!(answer.hu_size, 300);
     }
@@ -271,14 +248,27 @@ mod tests {
     fn all_facade_protocols_run() {
         let net = Network::build(TopologyKind::Grid, 100, 2);
         for p in [
-            Protocol::AllReport,
-            Protocol::SpanningTree,
-            Protocol::Dag2,
-            Protocol::Dag3,
-            Protocol::Wildfire,
+            ProtocolKind::AllReport,
+            ProtocolKind::SpanningTree,
+            ProtocolKind::Dag { k: 2 },
+            ProtocolKind::Dag { k: 3 },
+            wildfire(),
         ] {
             let answer = net.query(Aggregate::Max).run(p);
-            assert!(answer.value.is_some(), "{}", p.name());
+            assert!(answer.value.is_some(), "{}", p.label());
+        }
+    }
+
+    #[test]
+    fn facade_reaches_randomized_report_and_gossip() {
+        // RANDOMIZEDREPORT estimates count only.
+        let net = Network::build(TopologyKind::Random, 200, 4);
+        for p in [
+            ProtocolKind::RandomizedReport { p: 0.5 },
+            ProtocolKind::Gossip { rounds: 40 },
+        ] {
+            let answer = net.query(Aggregate::Count).run(p);
+            assert!(answer.value.is_some(), "{}", p.label());
         }
     }
 
@@ -291,22 +281,22 @@ mod tests {
         let answers = net
             .query(Aggregate::Count)
             .churn(60)
-            .compare(&[Protocol::Wildfire, Protocol::SpanningTree]);
+            .compare(&[wildfire(), ProtocolKind::SpanningTree]);
         assert_eq!(answers.len(), 2);
         // Shared realization: identical oracle population set.
         assert_eq!(answers[0].hu_size, answers[1].hu_size);
         // And identical to what a solo run of each protocol sees.
-        for (p, answer) in [Protocol::Wildfire, Protocol::SpanningTree]
+        for (p, answer) in [wildfire(), ProtocolKind::SpanningTree]
             .into_iter()
             .zip(&answers)
         {
             let solo = net.query(Aggregate::Count).churn(60).run(p);
-            assert_eq!(solo.value, answer.value, "{}", p.name());
+            assert_eq!(solo.value, answer.value, "{}", p.label());
             assert_eq!(
                 solo.metrics.messages_sent,
                 answer.metrics.messages_sent,
                 "{}",
-                p.name()
+                p.label()
             );
         }
         assert_ne!(
@@ -322,11 +312,11 @@ mod tests {
         // through scenario files.
         let g = pov_topology::generators::special::cycle(8);
         let net = Network::with_values(g, vec![5; 8], 6, 3);
-        let fast = net.query(Aggregate::Max).run(Protocol::Wildfire);
+        let fast = net.query(Aggregate::Max).run(wildfire());
         let slow = net
             .query(Aggregate::Max)
             .delay(DelayModel::Fixed(2))
-            .run(Protocol::Wildfire);
+            .run(wildfire());
         assert_eq!(fast.declared_at, Some(Time(12)));
         assert_eq!(slow.declared_at, Some(Time(24)));
         assert_eq!(slow.value, fast.value);
@@ -349,7 +339,7 @@ mod tests {
         let answer = net
             .query(Aggregate::Max)
             .from_host(HostId(4))
-            .run(Protocol::Wildfire);
+            .run(wildfire());
         assert_eq!(answer.value, Some(18.0));
         assert!(answer.verdict.is_valid());
         assert_eq!(answer.hc_size, 9);
@@ -360,7 +350,7 @@ mod tests {
         let answer = net
             .query(Aggregate::Count)
             .from_host(HostId(4))
-            .run(Protocol::SpanningTree);
+            .run(ProtocolKind::SpanningTree);
         assert_eq!(answer.value, Some(9.0));
     }
 
@@ -369,7 +359,7 @@ mod tests {
         let g = pov_topology::generators::special::cycle(8);
         let net = Network::with_values(g, vec![5; 8], 6, 3);
         assert_eq!(net.d_hat(), 6);
-        let answer = net.query(Aggregate::Max).run(Protocol::Wildfire);
+        let answer = net.query(Aggregate::Max).run(wildfire());
         // WILDFIRE declares at exactly 2·D̂.
         assert_eq!(answer.declared_at, Some(Time(12)));
     }

@@ -17,7 +17,7 @@
 //! let answer = net
 //!     .query(Aggregate::Max)
 //!     .churn(40)
-//!     .run(Protocol::Wildfire);
+//!     .run(ProtocolKind::Wildfire(WildfireOpts::default()));
 //!
 //! // The oracle judges the declared value against the Single-Site-
 //! // Validity bounds (Theorem 5.1: WILDFIRE max is exactly valid).
@@ -56,7 +56,7 @@ pub mod report;
 pub mod ring_estimator;
 pub mod workload;
 
-pub use facade::{Network, Protocol, QueryBuilder};
+pub use facade::{Network, QueryBuilder};
 
 // Substrate re-exports so downstream users need only one dependency.
 pub use pov_oracle;
@@ -67,10 +67,11 @@ pub use pov_topology;
 
 /// One-line imports for examples and tests.
 pub mod prelude {
-    pub use crate::facade::{Network, Protocol, QueryBuilder};
+    pub use crate::facade::{Network, QueryBuilder};
     pub use crate::judged::{judged_plan, judged_run, JudgedOutcome, ProtocolJudged, WindowJudged};
     pub use crate::workload;
     pub use pov_oracle::{host_sets, Verdict};
+    pub use pov_protocols::wildfire::WildfireOpts;
     pub use pov_protocols::{Aggregate, ContinuousSpec, ProtocolKind, RunPlan};
     pub use pov_sim::{ChurnPlan, DelayModel, Medium, Time};
     pub use pov_topology::generators::TopologyKind;
@@ -86,7 +87,10 @@ mod smoke {
         // The crate-level quick start at reduced scale: 100-host overlay,
         // 10 failures mid-query, WILDFIRE max stays exactly valid.
         let net = Network::build(TopologyKind::Random, 100, 42);
-        let answer = net.query(Aggregate::Max).churn(10).run(Protocol::Wildfire);
+        let answer = net
+            .query(Aggregate::Max)
+            .churn(10)
+            .run(ProtocolKind::Wildfire(WildfireOpts::default()));
         assert!(answer.verdict.is_valid());
     }
 }

@@ -86,15 +86,6 @@ pub fn fmt_mean_ci(stat: (f64, f64)) -> String {
     format!("{:.1} ±{:.1}", stat.0, stat.1)
 }
 
-/// Format a float compactly (integers without decimals).
-pub fn fmt_num(v: f64) -> String {
-    if v.fract().abs() < 1e-9 && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v:.2}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,8 +107,6 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(fmt_num(42.0), "42");
-        assert_eq!(fmt_num(41.987), "41.99");
         assert_eq!(fmt_mean_ci((12.34, 0.5)), "12.3 ±0.5");
     }
 

@@ -12,14 +12,13 @@
 //!   whole query interval) and `HU` (hosts alive at some instant of it);
 //! * [`Verdict`] — whether a declared value `v` equals `q(H)` for some
 //!   `HC ⊆ H ⊆ HU` (§4.1), with interval bounds per aggregate;
-//! * [`metrics`] — the §2.4 post-hoc validity metrics (Completeness,
-//!   Relative Error).
+//! * [`semantics`] — the §4 hierarchy as checkable predicates
+//!   (Snapshot, Interval and Single-Site Validity).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bounds;
-pub mod metrics;
 pub mod semantics;
 mod verdict;
 

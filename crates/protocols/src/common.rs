@@ -22,13 +22,6 @@ pub enum Aggregate {
 }
 
 impl Aggregate {
-    /// Whether the conventional combine operator is already
-    /// duplicate-insensitive (§5.1: min/max) — such queries need no
-    /// sketch even under WILDFIRE.
-    pub fn is_duplicate_insensitive(self) -> bool {
-        matches!(self, Aggregate::Min | Aggregate::Max)
-    }
-
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -751,14 +744,5 @@ mod tests {
             c: 8,
         };
         assert_eq!(spec.deadline(), 24);
-    }
-
-    #[test]
-    fn duplicate_insensitive_flags() {
-        assert!(Aggregate::Min.is_duplicate_insensitive());
-        assert!(Aggregate::Max.is_duplicate_insensitive());
-        assert!(!Aggregate::Count.is_duplicate_insensitive());
-        assert!(!Aggregate::Sum.is_duplicate_insensitive());
-        assert!(!Aggregate::Average.is_duplicate_insensitive());
     }
 }

@@ -742,8 +742,6 @@ pub struct MuxOutcome {
     pub metrics: Metrics,
     /// Ground-truth membership trace (for per-query judging).
     pub trace: Trace,
-    /// The tick the run was driven to.
-    pub horizon: Time,
 }
 
 /// Execute `queries` co-resident over one simulation of `graph`.
@@ -752,7 +750,7 @@ pub struct MuxOutcome {
 /// Panics if a query's `arrival` is 0, its root is out of range, or two
 /// queries share a `QueryId`.
 pub fn run_mux(graph: &Graph, values: &[u64], queries: &[MuxQuery], plan: &MuxPlan) -> MuxOutcome {
-    let (sim, horizon, run, ids) = simulate(graph, values, queries, plan);
+    let (sim, run, ids) = simulate(graph, values, queries, plan);
     let run = run.borrow();
     let mut results = BTreeMap::new();
     let mut aliased = Vec::new();
@@ -786,25 +784,18 @@ pub fn run_mux(graph: &Graph, values: &[u64], queries: &[MuxQuery], plan: &MuxPl
         aliased,
         metrics,
         trace,
-        horizon,
     }
 }
 
 /// Build the multiplexed simulation of `queries` and drive it to its
 /// horizon (`max deadline + 2`). Returns the finished simulation, the
-/// horizon, the tables its hosts shared and the workload's ids in rank
-/// order.
+/// tables its hosts shared and the workload's ids in rank order.
 fn simulate<'g>(
     graph: &'g Graph,
     values: &[u64],
     queries: &[MuxQuery],
     plan: &MuxPlan,
-) -> (
-    Simulation<'g, MuxNode>,
-    Time,
-    Rc<RefCell<MuxRun>>,
-    Vec<QueryId>,
-) {
+) -> (Simulation<'g, MuxNode>, Rc<RefCell<MuxRun>>, Vec<QueryId>) {
     let n = graph.num_hosts();
     let mut horizon = 0u64;
     for q in queries {
@@ -889,7 +880,7 @@ fn simulate<'g>(
         started: false,
     });
     sim.run_until(horizon);
-    (sim, horizon, run, ids)
+    (sim, run, ids)
 }
 
 #[cfg(test)]
@@ -1062,7 +1053,7 @@ mod tests {
                 q(i, agg, (i * 7) % n as u32, 1 + u64::from(i % 9), 16)
             })
             .collect();
-        let (sim, _, run, _) = simulate(&g, &vec![1; n], &queries, &MuxPlan::default());
+        let (sim, run, _) = simulate(&g, &vec![1; n], &queries, &MuxPlan::default());
         let st = run.borrow();
         for h in 0..n {
             let node = sim.logic(HostId(h as u32));
@@ -1093,7 +1084,7 @@ mod tests {
         }
         let g = b.build();
         let queries = [q(0, Aggregate::Count, 0, 1, 2)];
-        let (sim, _, run, _) = simulate(&g, &[1; 5], &queries, &MuxPlan::default());
+        let (sim, run, _) = simulate(&g, &[1; 5], &queries, &MuxPlan::default());
         let st = run.borrow();
         assert!(st.is_retired(3 * st.words, 0) && sim.logic(HostId(3)).open.is_empty());
         // 1 (root) + 3 (host 1) + 2 each for hosts 2, 3 and 4. Had host
@@ -1120,7 +1111,7 @@ mod tests {
             out.per_query_payload.keys().copied().collect::<Vec<_>>(),
             [3, u32::MAX]
         );
-        let (_, _, run, ids) = simulate(&g, &[1; 6], &queries, &MuxPlan::default());
+        let (_, run, ids) = simulate(&g, &[1; 6], &queries, &MuxPlan::default());
         assert_eq!(ids, [QueryId(3), QueryId(u32::MAX)]);
         let run = run.borrow();
         assert_eq!((run.words, run.retired.len()), (1, 6));

@@ -318,6 +318,20 @@ impl Scenario {
         let med = section("medium");
         let medium = med.choice("kind", Some("p2p"), "medium", MEDIA)?;
         let delay = med.choice("delay", Some("fixed"), "delay model", DELAYS)?(&med)?;
+        // The protocols time a query in u32 ticks of D̂·δ, and D̂ (the
+        // estimated diameter + 2) is at most hosts + 1.
+        let delta = delay.bound();
+        if delta.saturating_mul(effective_n as u64 + 1) > u32::MAX.into() {
+            let key = match delay {
+                DelayModel::Fixed(_) => "ticks",
+                DelayModel::Uniform { .. } => "max",
+            };
+            let msg = format!(
+                "delay bound {delta} times D̂ (up to hosts + 1 = {}) exceeds u32::MAX",
+                effective_n + 1
+            );
+            return Err(med.err(key, msg));
+        }
         med.finish()?;
 
         let mut protocols = Vec::new();
@@ -611,7 +625,6 @@ const TOPOLOGIES: &[(&str, TopologyKind)] = &[
     ("gnutella", TopologyKind::Gnutella),
     ("random", TopologyKind::Random),
     ("powerlaw", TopologyKind::PowerLaw),
-    ("power-law", TopologyKind::PowerLaw),
     ("grid", TopologyKind::Grid),
 ];
 
@@ -621,14 +634,9 @@ const AGGREGATES: &[(&str, Aggregate)] = &[
     ("min", Aggregate::Min),
     ("max", Aggregate::Max),
     ("avg", Aggregate::Average),
-    ("average", Aggregate::Average),
 ];
 
-const MEDIA: &[(&str, Medium)] = &[
-    ("p2p", Medium::PointToPoint),
-    ("point-to-point", Medium::PointToPoint),
-    ("radio", Medium::Radio),
-];
+const MEDIA: &[(&str, Medium)] = &[("p2p", Medium::PointToPoint), ("radio", Medium::Radio)];
 
 const TICK: &str = "a delay is at least 1 tick";
 
@@ -653,7 +661,6 @@ const PROTOCOLS: &[(&str, Variant<ProtocolKind>)] = &[
         Ok(ProtocolKind::Wildfire(WildfireOpts::default()))
     }),
     ("spanning-tree", |_| Ok(ProtocolKind::SpanningTree)),
-    ("spanningtree", |_| Ok(ProtocolKind::SpanningTree)),
     ("dag", |p| {
         let k = p.positive("k", Some(2), "a DAG host needs at least one parent slot")?;
         Ok(ProtocolKind::Dag { k })
@@ -1608,6 +1615,24 @@ seeds = [1]
     fn rejects_bad_values_with_context() {
         fails_with("kind = \"torus\"", "unknown");
         fails_with("aggregate = \"median\"", "unknown aggregate");
+        // Each choice has one spelling, and the error lists them.
+        fails_with(
+            "[topology] kind = \"power-law\"",
+            "[topology] kind: unknown topology 'power-law' (gnutella|random|powerlaw|grid)",
+        );
+        fails_with(
+            "[protocol] kind = \"spanningtree\"",
+            "[protocol] kind: unknown protocol 'spanningtree' \
+             (wildfire|spanning-tree|dag|allreport|randomized-report|gossip)",
+        );
+        fails_with(
+            "aggregate = \"average\"",
+            "[query] aggregate: unknown aggregate 'average' (count|sum|min|max|avg)",
+        );
+        fails_with(
+            "[medium] kind = \"point-to-point\"",
+            "[medium] kind: unknown medium 'point-to-point' (p2p|radio)",
+        );
         fails_with("hq = 400", "out of range");
         fails_with("fraction = 1.5", "outside [0, 1]");
         fails_with("from = 0.9", "from < heal");
@@ -1715,6 +1740,22 @@ seeds = [1]
             "[medium] max = 5_000_000_000",
             "[medium] max: 5000000000 exceeds u32::MAX",
         );
+    }
+
+    #[test]
+    fn delay_whose_deadline_would_overflow_is_a_line_numbered_error() {
+        // GOOD builds 400 hosts, so D̂·δ fits u32 up to δ = ⌊u32::MAX / 401⌋.
+        let fits = u32::MAX / 401;
+        let text = GOOD.replace("max = 2\n", &format!("max = {fits}\n"));
+        assert!(Scenario::from_str(&text).is_ok());
+        let over = format!("max = {}", fits + 1);
+        let (text, err) = fails_with(&format!("[medium] {over}"), "[medium] max: delay bound");
+        assert_eq!(err.line, line_of(&text, &over));
+        let (text, err) = fails_with(
+            "[medium] delay = \"fixed\"\nticks = 4000000000",
+            "[medium] ticks: delay bound 4000000000 times D̂ (up to hosts + 1 = 401) exceeds u32::MAX",
+        );
+        assert_eq!(err.line, line_of(&text, "ticks = 4000000000"));
     }
 
     #[test]

@@ -279,11 +279,6 @@ impl ChurnPlan {
             .filter(|&(_, (_, is_join))| is_join)
             .map(|(h, _)| HostId(h))
     }
-
-    /// Number of scheduled failures.
-    pub fn num_failures(&self) -> usize {
-        self.failures.len()
-    }
 }
 
 /// The number of hosts a `fraction` of a population of `n` stands
@@ -344,7 +339,7 @@ mod tests {
     #[test]
     fn uniform_failures_basic() {
         let plan = ChurnPlan::uniform_failures(100, 10, Time(0), Time(50), HostId(0), 7);
-        assert_eq!(plan.num_failures(), 10);
+        assert_eq!(plan.failures.len(), 10);
         // Spare host is never selected.
         assert!(plan.failures.iter().all(|&(_, h)| h != HostId(0)));
         // Distinct victims.
@@ -369,7 +364,7 @@ mod tests {
     #[test]
     fn r_capped_at_population() {
         let plan = ChurnPlan::uniform_failures(5, 50, Time(0), Time(10), HostId(2), 3);
-        assert_eq!(plan.num_failures(), 4); // everyone but the spare
+        assert_eq!(plan.failures.len(), 4); // everyone but the spare
     }
 
     #[test]
@@ -436,7 +431,7 @@ mod tests {
     #[test]
     fn zero_failures() {
         let plan = ChurnPlan::uniform_failures(10, 0, Time(0), Time(10), HostId(0), 1);
-        assert_eq!(plan.num_failures(), 0);
+        assert_eq!(plan.failures.len(), 0);
     }
 
     #[test]
@@ -457,7 +452,7 @@ mod tests {
     fn correlated_failures_form_clusters() {
         let g = pov_topology::generators::grid_square(10);
         let plan = ChurnPlan::correlated_failures(&g, 3, 8, Time(0), Time(30), HostId(0), 11);
-        assert_eq!(plan.num_failures(), 24);
+        assert_eq!(plan.failures.len(), 24);
         assert!(plan.failures.iter().all(|&(_, h)| h != HostId(0)));
         // Distinct victims.
         let mut hosts: Vec<u32> = plan.failures.iter().map(|&(_, h)| h.0).collect();
@@ -483,11 +478,11 @@ mod tests {
         let plan =
             |size| ChurnPlan::correlated_failures(&g, 3, size, Time(0), Time(30), HostId(0), 11);
         // Size 0 takes nobody — not every host reachable from a centre.
-        assert_eq!(plan(0).num_failures(), 0);
+        assert_eq!(plan(0).failures.len(), 0);
         // Size 1 takes exactly the three centres, one per instant.
         let times: Vec<u64> = plan(1).failures.iter().map(|&(t, _)| t.0).collect();
         assert_eq!(times, vec![0, 10, 20]);
-        assert_eq!(plan(2).num_failures(), 6);
+        assert_eq!(plan(2).failures.len(), 6);
     }
 
     #[test]

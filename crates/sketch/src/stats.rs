@@ -1,7 +1,6 @@
-//! Small statistics helpers shared by experiments: mean, confidence
-//! intervals (the §6.5 plots show 95% CIs over 10 trials) and the
-//! Chernoff sample-size bound used by RANDOMIZEDREPORT (§4.3) and the
-//! capture–recapture estimator (§5.4).
+//! Small statistics helpers shared by experiments: mean, standard
+//! deviation and confidence intervals (the §6.5 plots show 95% CIs over
+//! 10 trials).
 
 /// Sample mean. Empty input yields 0.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -35,17 +34,6 @@ pub fn mean_ci95(xs: &[f64]) -> (f64, f64) {
     (mean(xs), ci95_half_width(xs))
 }
 
-/// The Chernoff-bound sample size of §4.3/§5.4: to estimate a proportion
-/// `rho` within relative error `eps` with probability `1 − zeta`, take at
-/// least `4 / (eps² · rho) · ln(2 / zeta)` samples.
-pub fn chernoff_sample_size(eps: f64, zeta: f64, rho: f64) -> usize {
-    assert!(eps > 0.0 && eps < 1.0, "eps must be in (0,1)");
-    assert!(zeta > 0.0 && zeta < 1.0, "zeta must be in (0,1)");
-    assert!(rho > 0.0 && rho <= 1.0, "rho must be in (0,1]");
-    let n = 4.0 / (eps * eps * rho) * (2.0 / zeta).ln();
-    n.ceil() as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,23 +57,5 @@ mod tests {
         let few = [1.0, 2.0, 3.0, 4.0];
         let many: Vec<f64> = few.iter().cycle().take(64).copied().collect();
         assert!(ci95_half_width(&many) < ci95_half_width(&few));
-    }
-
-    #[test]
-    fn chernoff_matches_paper_form() {
-        // eps = 0.1, zeta = 0.05, rho = 1: 4/0.01 * ln(40) ≈ 1476.
-        let n = chernoff_sample_size(0.1, 0.05, 1.0);
-        assert!((1_400..1_600).contains(&n), "n = {n}");
-        // Smaller marked fraction needs proportionally more samples
-        // (up to ceil rounding).
-        let fine = chernoff_sample_size(0.1, 0.05, 0.1) as f64;
-        let coarse = chernoff_sample_size(0.1, 0.05, 1.0) as f64;
-        assert!((fine / coarse - 10.0).abs() < 0.01, "{fine} vs {coarse}");
-    }
-
-    #[test]
-    #[should_panic(expected = "eps")]
-    fn chernoff_rejects_bad_eps() {
-        chernoff_sample_size(0.0, 0.1, 0.5);
     }
 }

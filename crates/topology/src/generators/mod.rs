@@ -73,15 +73,6 @@ impl TopologyKind {
         }
     }
 
-    /// Host count used in the paper's experiments for this topology.
-    pub fn paper_size(self) -> usize {
-        match self {
-            TopologyKind::Gnutella => 39_046,
-            TopologyKind::Random | TopologyKind::PowerLaw => 40_000,
-            TopologyKind::Grid => 10_000,
-        }
-    }
-
     /// Display name matching the paper.
     pub fn name(self) -> &'static str {
         match self {
@@ -117,14 +108,6 @@ mod tests {
             );
             assert!(g.num_hosts() >= 396, "{}", kind.name());
         }
-    }
-
-    #[test]
-    fn paper_sizes_match_section_6_1() {
-        assert_eq!(TopologyKind::Gnutella.paper_size(), 39_046);
-        assert_eq!(TopologyKind::Random.paper_size(), 40_000);
-        assert_eq!(TopologyKind::PowerLaw.paper_size(), 40_000);
-        assert_eq!(TopologyKind::Grid.paper_size(), 10_000);
     }
 
     #[test]

@@ -17,8 +17,13 @@ fn main() {
         net.d_hat()
     );
 
+    let wildfire = ProtocolKind::Wildfire(WildfireOpts::default());
     // 200 hosts (10%) will fail while the query runs.
-    for protocol in [Protocol::SpanningTree, Protocol::Dag2, Protocol::Wildfire] {
+    for protocol in [
+        ProtocolKind::SpanningTree,
+        ProtocolKind::Dag { k: 2 },
+        wildfire,
+    ] {
         let answer = net
             .query(Aggregate::Count)
             .churn(200)
@@ -28,7 +33,7 @@ fn main() {
         let (lo, hi) = answer.verdict.bounds.expect("count always bounded");
         println!(
             "{:<14} count = {:>7.1}   valid range [{:.0}, {:.0}]   within: {:<5}   messages: {}",
-            protocol.name(),
+            protocol.label(),
             v,
             lo,
             hi,
@@ -38,7 +43,7 @@ fn main() {
     }
 
     // Min/max are exactly Single-Site Valid under WILDFIRE (Thm 5.1).
-    let answer = net.query(Aggregate::Max).churn(200).run(Protocol::Wildfire);
+    let answer = net.query(Aggregate::Max).churn(200).run(wildfire);
     println!(
         "WILDFIRE max = {:?}, strictly valid: {}",
         answer.value,

@@ -20,10 +20,15 @@ fn main() {
         net.graph().num_hosts()
     );
 
+    let wildfire = ProtocolKind::Wildfire(WildfireOpts::default());
     println!("-- count query --");
     let mut wf_msgs = 0;
     let mut st_msgs = 0;
-    for protocol in [Protocol::SpanningTree, Protocol::Dag2, Protocol::Wildfire] {
+    for protocol in [
+        ProtocolKind::SpanningTree,
+        ProtocolKind::Dag { k: 2 },
+        wildfire,
+    ] {
         let answer = net
             .query(Aggregate::Count)
             .medium(Medium::Radio)
@@ -33,7 +38,7 @@ fn main() {
         let (lo, hi) = answer.verdict.bounds.expect("bounded");
         println!(
             "{:<14} v = {:>8.1}   oracle [{:>6.0}, {:>6.0}]   within: {:<5}   radio msgs: {}",
-            protocol.name(),
+            protocol.label(),
             answer.value.unwrap(),
             lo,
             hi,
@@ -41,8 +46,8 @@ fn main() {
             answer.metrics.messages_sent,
         );
         match protocol {
-            Protocol::Wildfire => wf_msgs = answer.metrics.messages_sent,
-            Protocol::SpanningTree => st_msgs = answer.metrics.messages_sent,
+            ProtocolKind::Wildfire(_) => wf_msgs = answer.metrics.messages_sent,
+            ProtocolKind::SpanningTree => st_msgs = answer.metrics.messages_sent,
             _ => {}
         }
     }
@@ -56,12 +61,12 @@ fn main() {
         .query(Aggregate::Min)
         .medium(Medium::Radio)
         .churn(failures)
-        .run(Protocol::Wildfire);
+        .run(wildfire);
     let st_min = net
         .query(Aggregate::Min)
         .medium(Medium::Radio)
         .churn(failures)
-        .run(Protocol::SpanningTree);
+        .run(ProtocolKind::SpanningTree);
     println!(
         "WILDFIRE min = {:?} valid={} ({} msgs); SPANNINGTREE min = {:?} ({} msgs)",
         wf_min.value,

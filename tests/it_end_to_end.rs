@@ -3,7 +3,6 @@
 
 use pov_core::capture_recapture::{JollySeber, PopulationModel};
 use pov_core::experiments::{ablation, fig06, fig10, fig11, fig12, fig13, price, validity};
-use pov_core::pov_protocols::wildfire::WildfireOpts;
 use pov_core::prelude::*;
 use pov_core::ring_estimator::RingEstimator;
 
@@ -142,7 +141,10 @@ fn facade_round_trip_all_aggregates() {
         Aggregate::Sum,
         Aggregate::Average,
     ] {
-        let answer = net.query(aggregate).repetitions(16).run(Protocol::Wildfire);
+        let answer = net
+            .query(aggregate)
+            .repetitions(16)
+            .run(ProtocolKind::Wildfire(WildfireOpts::default()));
         let v = answer.value.expect("declared");
         assert!(v.is_finite() && v >= 0.0, "{}: {v}", aggregate.name());
         assert!(answer.metrics.messages_sent > 0);
@@ -152,11 +154,13 @@ fn facade_round_trip_all_aggregates() {
 #[test]
 fn radio_medium_through_facade() {
     let net = Network::build(TopologyKind::Grid, 225, 8);
-    let p2p = net.query(Aggregate::Count).run(Protocol::Wildfire);
+    let p2p = net
+        .query(Aggregate::Count)
+        .run(ProtocolKind::Wildfire(WildfireOpts::default()));
     let radio = net
         .query(Aggregate::Count)
         .medium(Medium::Radio)
-        .run(Protocol::Wildfire);
+        .run(ProtocolKind::Wildfire(WildfireOpts::default()));
     assert!(
         radio.metrics.messages_sent < p2p.metrics.messages_sent,
         "radio broadcast must be cheaper: {} vs {}",

@@ -13,7 +13,7 @@
 //! after an *intended* output change, run it with `POV_BLESS=1`; that
 //! rewrites the `examples/` lines and leaves every other line as it is.
 
-use pov_integration_tests::{digest_line, golden_path};
+use pov_integration_tests::{check_golden_lines, digest_line};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -88,24 +88,5 @@ fn example_lines() -> Vec<String> {
     ignore = "runs all six examples: release builds only"
 )]
 fn every_example_prints_what_it_printed() {
-    let lines = example_lines();
-    let golden = std::fs::read_to_string(golden_path()).expect("tests/golden/outputs.txt exists");
-    if std::env::var_os("POV_BLESS").is_some_and(|v| v == "1") {
-        let mut text: String = golden
-            .lines()
-            .filter(|l| !l.starts_with(PREFIX))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        for l in &lines {
-            text.push_str(l);
-            text.push('\n');
-        }
-        std::fs::write(golden_path(), text).expect("write the golden file");
-        return;
-    }
-    let pinned: Vec<&str> = golden.lines().filter(|l| l.starts_with(PREFIX)).collect();
-    assert_eq!(
-        pinned, lines,
-        "an example's stdout moved (pinned left, now right)"
-    );
+    check_golden_lines(PREFIX, &example_lines(), "an example's stdout moved");
 }

@@ -22,7 +22,10 @@ fn wildfire_min_max_valid_across_topologies() {
             (Aggregate::Min, 30),
             (Aggregate::Max, 60),
         ] {
-            let answer = net.query(aggregate).churn(churn).run(Protocol::Wildfire);
+            let answer = net
+                .query(aggregate)
+                .churn(churn)
+                .run(ProtocolKind::Wildfire(WildfireOpts::default()));
             assert!(
                 answer.verdict.is_valid(),
                 "{} {} churn={churn}: {:?}",
@@ -45,7 +48,7 @@ fn wildfire_count_sum_approximately_valid() {
                 .query(aggregate)
                 .churn(churn)
                 .repetitions(16)
-                .run(Protocol::Wildfire);
+                .run(ProtocolKind::Wildfire(WildfireOpts::default()));
             assert!(
                 answer.verdict.is_approx_valid(3.0),
                 "{} churn={churn}: factor {:?}",
@@ -69,13 +72,13 @@ fn best_effort_loses_validity_where_wildfire_keeps_it() {
             .query(Aggregate::Count)
             .churn(churn)
             .seed(seed)
-            .run(Protocol::SpanningTree);
+            .run(ProtocolKind::SpanningTree);
         let wf = net
             .query(Aggregate::Count)
             .churn(churn)
             .seed(seed)
             .repetitions(16)
-            .run(Protocol::Wildfire);
+            .run(ProtocolKind::Wildfire(WildfireOpts::default()));
         st_deviations.push(st.verdict.approx_factor.unwrap_or(f64::INFINITY));
         wf_deviations.push(wf.verdict.approx_factor.unwrap_or(f64::INFINITY));
     }
@@ -102,13 +105,13 @@ fn dag_improves_over_tree_under_churn() {
             .query(Aggregate::Count)
             .churn(churn)
             .seed(seed)
-            .run(Protocol::SpanningTree);
+            .run(ProtocolKind::SpanningTree);
         let dag = net
             .query(Aggregate::Count)
             .churn(churn)
             .seed(seed)
             .repetitions(16)
-            .run(Protocol::Dag3);
+            .run(ProtocolKind::Dag { k: 3 });
         st_count += st.value.unwrap();
         dag_count += dag.value.unwrap();
     }
@@ -131,7 +134,7 @@ fn oracle_bounds_track_churn_level() {
         let answer = net
             .query(Aggregate::Count)
             .churn(churn)
-            .run(Protocol::SpanningTree);
+            .run(ProtocolKind::SpanningTree);
         assert_eq!(answer.hu_size, 400, "no joins: HU = everyone");
         assert!(
             answer.hc_size <= last_hc,

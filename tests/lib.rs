@@ -41,3 +41,26 @@ pub fn digest_line(name: &str, bytes: &[u8]) -> String {
 pub fn golden_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/outputs.txt")
 }
+
+/// Check the lines of `tests/golden/outputs.txt` that start with
+/// `prefix` against `lines`, failing with `moved` when they differ. With
+/// `POV_BLESS=1` set, rewrite those lines to `lines` instead and leave
+/// every other line of the file as it is.
+pub fn check_golden_lines(prefix: &str, lines: &[String], moved: &str) {
+    let golden = std::fs::read_to_string(golden_path()).expect("tests/golden/outputs.txt exists");
+    if std::env::var_os("POV_BLESS").is_some_and(|v| v == "1") {
+        let mut text: String = golden
+            .lines()
+            .filter(|l| !l.starts_with(prefix))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        for l in lines {
+            text.push_str(l);
+            text.push('\n');
+        }
+        std::fs::write(golden_path(), text).expect("write the golden file");
+        return;
+    }
+    let pinned: Vec<&str> = golden.lines().filter(|l| l.starts_with(prefix)).collect();
+    assert_eq!(pinned, lines, "{moved} (pinned left, now right)");
+}
