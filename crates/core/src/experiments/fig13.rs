@@ -13,6 +13,7 @@ use crate::report::Table;
 use crate::workload;
 use pov_protocols::wildfire::WildfireOpts;
 use pov_protocols::{runner, Aggregate, ProtocolKind, RunPlan};
+use pov_sim::{TelemetrySink, TickSample};
 use pov_topology::analysis;
 use pov_topology::generators::TopologyKind;
 
@@ -164,19 +165,36 @@ pub fn run_profile(cfg: &Config) -> Vec<ProfileRow> {
             .d_hat(2 * d) // a deliberate overestimate, as in Fig 13(b)
             .repetitions(cfg.c)
             .seed(cfg.seed);
-        let out = runner::run(
+        let mut sent = SentPerTick::default();
+        runner::run_with(
             ProtocolKind::Wildfire(WildfireOpts::default()),
             &graph,
             &values,
             &run_cfg,
+            Some(&mut sent),
         );
         rows.push(ProfileRow {
             topology: kind.name().to_string(),
             diameter: d,
-            sent_per_tick: out.metrics.sent_per_tick.clone(),
+            sent_per_tick: sent.0,
         });
     }
     rows
+}
+
+/// Messages sent at each tick of a run, through the last tick that
+/// sends, with zeros for the ticks between samples that send nothing.
+#[derive(Default)]
+struct SentPerTick(Vec<u64>);
+
+impl TelemetrySink for SentPerTick {
+    fn on_tick(&mut self, sample: &TickSample) {
+        if sample.sent > 0 {
+            // Samples arrive in increasing tick order.
+            self.0.resize(sample.tick as usize + 1, 0);
+            self.0[sample.tick as usize] = sample.sent;
+        }
+    }
 }
 
 /// `repro fig13a`: part (a) at `scale`, as one table.

@@ -486,6 +486,7 @@ mod tests {
     use super::*;
     use crate::common::Aggregate;
     use pov_sim::{ChurnPlan, SimBuilder, Simulation};
+    use pov_telemetry::{TickRecorder, TickSeries};
     use pov_topology::generators::special;
     use pov_topology::Graph;
 
@@ -506,22 +507,35 @@ mod tests {
         d_hat: u32,
         churn: ChurnPlan,
     ) -> Simulation<'static, WildfireNode> {
+        run_on(
+            SimBuilder::new(graph).churn(churn),
+            values,
+            aggregate,
+            d_hat,
+        )
+    }
+
+    /// Run a query from host 0 over `b`, host `h` holding `values[h]`,
+    /// through one tick past its deadline.
+    fn run_on<'g>(
+        b: SimBuilder<'g>,
+        values: &[u64],
+        aggregate: Aggregate,
+        d_hat: u32,
+    ) -> Simulation<'g, WildfireNode> {
         let spec = QuerySpec {
             aggregate,
             d_hat,
             c: 16,
         };
         let values = values.to_vec();
-        let mut sim = SimBuilder::new(graph)
-            .churn(churn)
-            .seed(99)
-            .build(move |h| {
-                if h == HostId(0) {
-                    WildfireNode::query_host(values[h.index()], spec, WildfireOpts::default())
-                } else {
-                    WildfireNode::host(values[h.index()], WildfireOpts::default())
-                }
-            });
+        let mut sim = b.seed(99).build(move |h| {
+            if h == HostId(0) {
+                WildfireNode::query_host(values[h.index()], spec, WildfireOpts::default())
+            } else {
+                WildfireNode::host(values[h.index()], WildfireOpts::default())
+            }
+        });
         sim.run_until(Time(spec.deadline() + 1));
         sim
     }
@@ -562,15 +576,22 @@ mod tests {
         // The walk-through sends exactly: t0: w→x, w→y (broadcast with
         // piggyback); t1: x→z, x→w, y→z; t2: z→x, z→y, w→y; t3: x→w,
         // y→w. Total 10 messages, none after t=3.
-        let sim = run(
-            diamond(),
-            &[5, 15, 1, 25],
-            Aggregate::Max,
-            3,
-            ChurnPlan::none(),
-        );
+        let mut rec = TickRecorder::new();
+        let b = SimBuilder::new(diamond()).telemetry(&mut rec);
+        let sim = run_on(b, &[5, 15, 1, 25], Aggregate::Max, 3);
         assert_eq!(sim.metrics().messages_sent, 10);
-        assert_eq!(sim.metrics().last_active_tick(), Some(3));
+        drop(sim);
+        assert_eq!(last_send_tick(rec.series()), Some(3));
+    }
+
+    /// The last tick whose sample records a send.
+    fn last_send_tick(series: &TickSeries) -> Option<u64> {
+        series
+            .ticks
+            .iter()
+            .rev()
+            .find(|s| s.sent > 0)
+            .map(|s| s.tick)
     }
 
     #[test]
@@ -631,7 +652,9 @@ mod tests {
             d_hat: 40,
             c: 8,
         };
-        let mut sim = SimBuilder::new(g).seed(1).build(move |h| {
+        let mut rec = TickRecorder::new();
+        let b = SimBuilder::new(g).seed(1).telemetry(&mut rec);
+        let mut sim = b.build(move |h| {
             if h == HostId(0) {
                 WildfireNode::query_host(7, spec, WildfireOpts::default())
             } else {
@@ -639,7 +662,8 @@ mod tests {
             }
         });
         sim.run_until(Time(spec.deadline() + 1));
-        let last = sim.metrics().last_active_tick().unwrap();
+        drop(sim);
+        let last = last_send_tick(rec.series()).unwrap();
         assert!(last <= 8, "still sending at tick {last}");
     }
 

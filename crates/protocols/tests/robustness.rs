@@ -6,6 +6,7 @@ use pov_protocols::spanning_tree::SpanningTreeNode;
 use pov_protocols::wildfire::{WildfireNode, WildfireOpts};
 use pov_protocols::{Aggregate, QuerySpec};
 use pov_sim::{ChurnPlan, DelayModel, Medium, SimBuilder, Time};
+use pov_telemetry::TickRecorder;
 use pov_topology::generators::{grid_square, random_average_degree};
 use pov_topology::{analysis, HostId};
 
@@ -139,9 +140,11 @@ fn wildfire_quiesces_under_jitter() {
     // Quiescence holds under jitter too, just stretched by δ.
     let g = random_average_degree(200, 5.0, 13);
     let spec = jitter_spec(&g, Aggregate::Count, 2);
+    let mut rec = TickRecorder::new();
     let mut sim = SimBuilder::new(g)
         .delay(DelayModel::Uniform { min: 1, max: 2 })
         .seed(14)
+        .telemetry(&mut rec)
         .build(move |h| {
             if h == HostId(0) {
                 WildfireNode::query_host(1, spec, WildfireOpts::default())
@@ -150,7 +153,9 @@ fn wildfire_quiesces_under_jitter() {
             }
         });
     sim.run_until(Time(spec.deadline() + 1));
-    let last = sim.metrics().last_active_tick().expect("some traffic");
+    drop(sim);
+    let last = rec.series().ticks.iter().rev().find(|s| s.sent > 0);
+    let last = last.expect("some traffic").tick;
     assert!(
         last < spec.deadline(),
         "traffic at {last} should die before the deadline {}",

@@ -202,11 +202,6 @@ pub struct PairedSection {
 }
 
 impl PairedSection {
-    /// One metric's paired difference by name.
-    pub fn diff(&self, metric: &str) -> Option<PairedDiff> {
-        self.diffs.iter().find(|d| d.metric == metric).copied()
-    }
-
     fn to_json(&self) -> Json {
         let mut diffs = Json::obj();
         for d in &self.diffs {
@@ -1290,7 +1285,8 @@ mod tests {
             .zip(&st.records)
             .map(|(a, b)| a.messages as f64 - b.messages as f64)
             .collect();
-        let msgs = p.diff("messages").expect("messages diff");
+        let msgs = p.diffs.iter().find(|d| d.metric == "messages");
+        let msgs = msgs.expect("messages diff");
         assert_eq!(msgs.count, diffs.len());
         let mean = diffs.iter().sum::<f64>() / diffs.len() as f64;
         assert!((msgs.mean - mean).abs() < 1e-9);

@@ -348,6 +348,18 @@ impl Scenario {
                     );
                     return Err(p.err("kind", msg));
                 }
+                if matches!(kind, ProtocolKind::RandomizedReport { .. })
+                    && aggregate != Aggregate::Count
+                {
+                    let entry = doc.section("query").and_then(|q| q.get("aggregate"));
+                    let line = entry.map_or(0, |e| e.line);
+                    let msg = format!(
+                        "{} estimates count only, but [query] aggregate = \"{}\" (line {line})",
+                        kind.label(),
+                        aggregate.name()
+                    );
+                    return Err(p.err("kind", msg));
+                }
                 Ok(kind)
             };
             let kind = Keys::of(s).read(read)?;
@@ -1920,6 +1932,30 @@ seeds = [1]
             let p2p = text.replace("kind = \"radio\"", "kind = \"p2p\"");
             assert!(Scenario::from_str(&p2p).is_ok(), "{kind}");
         }
+    }
+
+    #[test]
+    fn randomized_report_rejects_aggregates_other_than_count() {
+        // RANDOMIZEDREPORT estimates a count: a file asking it for any
+        // other aggregate is refused at parse, before a run can start.
+        let text = GOOD.replace("kind = \"radio\"", "kind = \"p2p\"").replace(
+            "kind = \"wildfire\"",
+            "kind = \"randomized-report\"\np = 0.5",
+        );
+        for name in ["sum", "min", "max", "avg"] {
+            let text = text.replace("aggregate = \"count\"", &format!("aggregate = \"{name}\""));
+            let err = Scenario::from_str(&text).expect_err("should fail");
+            assert_eq!(
+                err.msg,
+                format!(
+                    "[protocol] kind: RANDOMIZEDREPORT(p=0.5) estimates count only, \
+                     but [query] aggregate = \"{name}\" (line {})",
+                    line_of(&text, &format!("aggregate = \"{name}\""))
+                )
+            );
+            assert_eq!(err.line, line_of(&text, "kind = \"randomized-report\""));
+        }
+        assert!(Scenario::from_str(&text).is_ok(), "a count parses");
     }
 
     #[test]

@@ -48,9 +48,8 @@ impl<M> EventSink<'_, M> {
 }
 
 /// Where a `Ctx` records message costs. Handlers only ever record
-/// *sends*, and every send in a delivery batch happens at the same
-/// instant, so the sharded side is a single counter merged into
-/// [`Metrics`] (messages_sent + sent_per_tick) after the batch.
+/// *sends*, so the sharded side is a single counter merged into
+/// [`Metrics::messages_sent`] after the batch.
 pub(crate) enum CostSink<'a> {
     /// Sequential path: record against the run's metrics directly.
     Direct(&'a mut Metrics),
@@ -59,15 +58,12 @@ pub(crate) enum CostSink<'a> {
 }
 
 impl CostSink<'_> {
-    /// Record `n` sends at `at` in one step.
+    /// Record `n` sends in one step.
     #[inline]
-    fn record_sends(&mut self, at: Time, n: u64) {
+    fn record_sends(&mut self, n: u64) {
         match self {
-            CostSink::Direct(m) => m.record_sends(at, n),
-            CostSink::Shard { sends } => {
-                let _ = at; // all batch sends share one instant
-                **sends += n;
-            }
+            CostSink::Direct(m) => m.record_sends(n),
+            CostSink::Shard { sends } => **sends += n,
         }
     }
 }
@@ -88,7 +84,6 @@ pub struct Ctx<'a, M> {
     pub(crate) medium: Medium,
     pub(crate) delay: DelayModel,
     pub(crate) rng: &'a mut SmallRng,
-    pub(crate) chain_depth: u32,
     pub(crate) in_timer: bool,
     /// Whether a broadcast or a [`Ctx::multicast_where`] may queue as
     /// one [`Payload::Fanout`]: set by the engine when every copy is
@@ -202,7 +197,7 @@ impl<'a, M: Clone> Ctx<'a, M> {
     /// `targets` selects (see [`Payload::Fanout`]): nothing for none, a
     /// plain delivery for one, one fanout entry for more.
     fn queue_fanout(&mut self, targets: u32, count: usize, sends: u64, msg: M) {
-        self.metrics.record_sends(self.now, sends);
+        self.metrics.record_sends(sends);
         let at = self.now + self.delay.sample(self.rng);
         match count {
             0 => {}
@@ -217,7 +212,6 @@ impl<'a, M: Clone> Ctx<'a, M> {
                     from: self.me,
                     targets,
                     msg,
-                    depth: self.chain_depth + 1,
                 },
                 count,
             ),
@@ -320,7 +314,7 @@ impl<'a, M: Clone> Ctx<'a, M> {
     /// One point-to-point copy: one message of cost, then, if it
     /// `lands`, its own `δ` and its delivery.
     fn unicast(&mut self, to: HostId, msg: M, lands: bool) {
-        self.metrics.record_sends(self.now, 1);
+        self.metrics.record_sends(1);
         if lands {
             let at = self.now + self.delay.sample(self.rng);
             self.deliver(at, to, msg);
@@ -331,7 +325,7 @@ impl<'a, M: Clone> Ctx<'a, M> {
     /// many of `targets` hear it; a target out of range (see
     /// `in_range`) hears nothing.
     fn transmit(&mut self, targets: &[HostId], msg: M) {
-        self.metrics.record_sends(self.now, 1);
+        self.metrics.record_sends(1);
         let at = self.now + self.delay.sample(self.rng);
         for &to in targets {
             if self.in_range(to) {
@@ -340,19 +334,11 @@ impl<'a, M: Clone> Ctx<'a, M> {
         }
     }
 
-    /// Queue `msg` from this host to `to`, arriving at `at`, one hop
-    /// deeper in the causal chain than the event being handled.
+    /// Queue `msg` from this host to `to`, arriving at `at`.
     #[inline]
     fn deliver(&mut self, at: Time, to: HostId, msg: M) {
-        self.queue.push(
-            at,
-            Payload::Deliver {
-                to,
-                from: self.me,
-                msg,
-                depth: self.chain_depth + 1,
-            },
-        );
+        let from = self.me;
+        self.queue.push(at, Payload::Deliver { to, from, msg });
     }
 
     /// Schedule `on_timer(key)` to fire on this host after `delay` ticks

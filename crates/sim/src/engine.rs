@@ -1,12 +1,12 @@
 //! The simulation engine: deterministic event loop over a dynamic network.
 //!
 //! At 10⁵ hosts and more the loop waits on memory: the state an event
-//! touches (its host's logic record, alive flag, chain depth and
-//! processed counter, or a fanout sender's CSR row) is rarely cached,
-//! and the events come one after another. So the loop pipelines its
-//! misses. Before it dispatches an event it prefetches what the event
-//! [`LOOKAHEAD`] pops ahead touches first (the queue names it without
-//! popping, `EventQueue::ahead`). A fanout prefetches every target's
+//! touches (its host's logic record, alive flag and processed counter,
+//! or a fanout sender's CSR row) is rarely cached, and the events come
+//! one after another. So the loop pipelines its misses. Before it
+//! dispatches an event it prefetches what the event [`LOOKAHEAD`] pops
+//! ahead touches first (the queue names it without popping,
+//! `EventQueue::ahead`). A fanout prefetches every target's
 //! state and row bounds before its first delivery, and each next
 //! target's neighbour list while the current one is delivered. The
 //! hints (`prefetch.rs`, the crate's one `unsafe`) change no dispatch
@@ -39,11 +39,11 @@ use std::borrow::Cow;
 const LOOKAHEAD: usize = 6;
 
 /// The per-host engine state, in bytes, from which a simulation
-/// prefetches: `n` logic records plus 9 bytes per host of alive flag,
-/// chain depth and processed counter. Below it (one core's 2 MiB L2)
-/// the state stays cached, and the hints would only cost their
-/// instructions: every repo workload but `scale_tree` is under 1.1 MB,
-/// the 10⁵-host ladder rung is over 4 MB.
+/// prefetches: `n` logic records plus 5 bytes per host of alive flag
+/// and processed counter. Below it (one core's 2 MiB L2) the state
+/// stays cached, and the hints would only cost their instructions:
+/// every repo workload but `scale_tree` is under 1.1 MB, the 10⁵-host
+/// ladder rung is 3.7 MB.
 const PREFETCH_MIN_BYTES: usize = 2 << 20;
 
 /// The physical communication medium (§3.1 examples).
@@ -249,7 +249,6 @@ impl<'g> SimBuilder<'g> {
                 logic,
                 alive,
                 num_alive,
-                last_depth: vec![0; n],
             },
             queue,
             metrics: Metrics::with_hosts(n),
@@ -264,7 +263,7 @@ impl<'g> SimBuilder<'g> {
             shard: None,
             shard_batches: 0,
             fanout,
-            prefetch: n * (std::mem::size_of::<L>() + 9) >= PREFETCH_MIN_BYTES,
+            prefetch: n * (std::mem::size_of::<L>() + 5) >= PREFETCH_MIN_BYTES,
             churn_buf: Vec::new(),
             now: Time::ZERO,
             started: false,
@@ -272,18 +271,15 @@ impl<'g> SimBuilder<'g> {
     }
 }
 
-/// Per-host engine state in struct-of-arrays layout: the three arrays
-/// every dispatch touches (`logic`, `alive`, `last_depth`), flattened
-/// behind one accessor so the hot path indexes parallel dense arrays
-/// rather than chasing per-host structs.
+/// Per-host engine state in struct-of-arrays layout: the two arrays
+/// every dispatch touches (`logic`, `alive`), flattened behind one
+/// accessor so the hot path indexes parallel dense arrays rather than
+/// chasing per-host structs.
 struct Hosts<L> {
     logic: Vec<L>,
     alive: Vec<bool>,
     /// Number of `true` flags in `alive`, kept by `set_alive`.
     num_alive: u32,
-    /// Deepest causal chain seen by each host; timers continue the
-    /// chain from here.
-    last_depth: Vec<u32>,
 }
 
 impl<L> Hosts<L> {
@@ -313,17 +309,6 @@ impl<L> Hosts<L> {
         &self.logic[h.index()]
     }
 
-    #[inline]
-    fn last_depth(&self, h: HostId) -> u32 {
-        self.last_depth[h.index()]
-    }
-
-    #[inline]
-    fn raise_depth(&mut self, h: HostId, depth: u32) {
-        let slot = &mut self.last_depth[h.index()];
-        *slot = (*slot).max(depth);
-    }
-
     /// Debug-only audit of the liveness bookkeeping: the counter
     /// matches a recount of the flags.
     fn audit_alive(&self) {
@@ -350,6 +335,7 @@ struct TickCounts {
 #[derive(Clone, Copy, Default)]
 struct RecordCounts {
     dispatched: u64,
+    sent: u64,
     timers: u64,
     trace_len: usize,
     overlay: OverlayStats,
@@ -535,22 +521,18 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
     /// when a sink is attached.
     fn tele_flush_tick(&mut self) {
         let tick = self.now.ticks();
-        let sent = self
-            .metrics
-            .sent_per_tick
-            .get(tick as usize)
-            .copied()
-            .unwrap_or(0);
         let queue_depth = self.queue.len() as u64;
         let alive = self.hosts.num_alive;
         let now = RecordCounts {
             dispatched: self.metrics.events_dispatched,
+            sent: self.metrics.messages_sent,
             timers: self.metrics.timers_fired,
             trace_len: self.trace.events.len(),
             overlay: self.overlay_stats().unwrap_or_default(),
         };
         let Some(t) = self.tele.as_mut() else { return };
         let last = t.last;
+        let sent = now.sent - last.sent;
         if (now.dispatched != last.dispatched || sent != 0) && t.flushed_through <= tick {
             t.flushed_through = tick + 1;
             let changes = &self.trace.events[last.trace_len..];
@@ -615,13 +597,12 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
     }
 
     /// Prefetch what a delivery to `h` or a timer of `h` reads of it:
-    /// its logic record, alive flag, chain depth and processed counter.
+    /// its logic record, alive flag and processed counter.
     #[inline]
     fn prefetch_host(&self, h: HostId) {
         let i = h.index();
         prefetch(self.hosts.logic.as_ptr().wrapping_add(i));
         prefetch(self.hosts.alive.as_ptr().wrapping_add(i));
-        prefetch(self.hosts.last_depth.as_ptr().wrapping_add(i));
         prefetch(self.metrics.processed_per_host.as_ptr().wrapping_add(i));
     }
 
@@ -637,37 +618,19 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
         match payload {
             Payload::Fail(h) => self.fail(h),
             Payload::Join(h) => self.join(h),
-            Payload::Deliver {
-                to,
-                from,
-                msg,
-                depth,
-            } => {
+            Payload::Deliver { to, from, msg } => {
                 if self.shard.is_some() {
                     // Sharded path: collect the whole (closed) delivery
                     // run of this instant and fan it out across worker
                     // threads; `drain` is the bound-carrying fn pointer
                     // installed by `enable_sharded_delivery`.
                     let drain = self.shard.as_ref().expect("checked").drain;
-                    drain(
-                        self,
-                        DeliverEvent {
-                            to,
-                            from,
-                            msg,
-                            depth,
-                        },
-                    );
+                    drain(self, DeliverEvent { to, from, msg });
                     return;
                 }
-                self.deliver(to, from, msg, depth);
+                self.deliver(to, from, msg);
             }
-            Payload::Fanout {
-                from,
-                targets,
-                msg,
-                depth,
-            } => self.fan_out(from, targets, msg, depth),
+            Payload::Fanout { from, targets, msg } => self.fan_out(from, targets, msg),
             Payload::Timer { host, key } => {
                 if self.hosts.is_alive(host) {
                     self.metrics.record_timer();
@@ -683,7 +646,7 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
     /// an active partition cut. A lost message vanishes (the sender has
     /// already paid for it).
     #[inline]
-    fn deliver(&mut self, to: HostId, from: HostId, msg: L::Msg, depth: u32) {
+    fn deliver(&mut self, to: HostId, from: HostId, msg: L::Msg) {
         let severed = self
             .partition
             .as_ref()
@@ -706,9 +669,8 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
             }
         }
         if live {
-            self.metrics.record_processed(to, depth);
-            self.hosts.raise_depth(to, depth);
-            self.activate(to, Activation::Message { from, msg, depth });
+            self.metrics.record_processed(to);
+            self.activate(to, Activation::Message { from, msg });
         }
     }
 
@@ -716,7 +678,7 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
     /// `from` that `targets` selects, in row order, through the same
     /// path a single delivery takes. `dispatch` counted the entry as one
     /// event; each further target counts one more.
-    fn fan_out(&mut self, from: HostId, targets: u32, msg: L::Msg, depth: u32) {
+    fn fan_out(&mut self, from: HostId, targets: u32, msg: L::Msg) {
         let degree = self.graph.degree(from);
         let mut count = 0usize;
         if degree <= MASK_SLOTS {
@@ -743,14 +705,14 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
                     prefetch(self.graph.neighbors(next).as_ptr());
                 }
                 count += 1;
-                self.deliver(to, from, msg.clone(), depth);
+                self.deliver(to, from, msg.clone());
             }
         } else {
             for i in 0..degree {
                 let to = self.graph.neighbors(from)[i];
                 if to.0 != targets {
                     count += 1;
-                    self.deliver(to, from, msg.clone(), depth);
+                    self.deliver(to, from, msg.clone());
                 }
             }
         }
@@ -865,10 +827,6 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
     }
 
     fn activate(&mut self, h: HostId, activation: Activation<L::Msg>) {
-        let chain_depth = match &activation {
-            Activation::Message { depth, .. } => *depth,
-            _ => self.hosts.last_depth(h),
-        };
         // Borrowed in place: the handler's `Ctx` only reaches fields
         // disjoint from `hosts.logic`.
         let logic = &mut self.hosts.logic[h.index()];
@@ -881,13 +839,12 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
             medium: self.medium,
             delay: self.delay,
             rng: &mut self.rng,
-            chain_depth,
             in_timer: matches!(activation, Activation::Timer { .. }),
             fanout: self.fanout,
         };
         match activation {
             Activation::Start => logic.on_start(&mut ctx),
-            Activation::Message { from, msg, .. } => logic.on_message(&mut ctx, from, msg),
+            Activation::Message { from, msg } => logic.on_message(&mut ctx, from, msg),
             Activation::Timer { key } => logic.on_timer(&mut ctx, key),
         }
     }
@@ -957,13 +914,12 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
     /// every host's [`Simulation::is_alive`]). The rest of the
     /// simulation is dropped, so the record is never held twice. A
     /// record can outlive its run by far (a continuous query keeps one
-    /// per window), so the two lists that grew by doubling are trimmed
-    /// to their length.
+    /// per window), so the trace's event list, which grew by doubling,
+    /// is trimmed to its length.
     pub fn into_record(self) -> (Metrics, Trace, Option<OverlayView>) {
-        let (mut metrics, mut trace) = (self.metrics, self.trace);
-        metrics.sent_per_tick.shrink_to_fit();
+        let mut trace = self.trace;
         trace.events.shrink_to_fit();
-        (metrics, trace, self.overlay.map(|st| st.view))
+        (self.metrics, trace, self.overlay.map(|st| st.view))
     }
 
     /// Number of pending events, a fanout counting one per target.
@@ -975,7 +931,7 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
 
 enum Activation<M> {
     Start,
-    Message { from: HostId, msg: M, depth: u32 },
+    Message { from: HostId, msg: M },
     Timer { key: u32 },
 }
 
@@ -999,7 +955,6 @@ struct DeliverEvent<M> {
     to: HostId,
     from: HostId,
     msg: M,
-    depth: u32,
 }
 
 /// Per-shard accumulator, merged deterministically after the batch.
@@ -1013,8 +968,6 @@ struct ShardOut<M> {
     dropped: u64,
     /// Distinct hosts newly stamped into this tick's wave frontier.
     frontier: u32,
-    /// Deepest causal chain observed (max-merged into metrics).
-    longest_chain: u32,
 }
 
 /// State shared read-only by every shard worker.
@@ -1037,7 +990,6 @@ struct ShardShared<'a> {
 struct ShardTask<'a, L: NodeLogic> {
     items: Vec<(u32, DeliverEvent<L::Msg>)>,
     logic: &'a mut [L],
-    last_depth: &'a mut [u32],
     processed: &'a mut [u32],
     touched: Option<&'a mut [u32]>,
     base: usize,
@@ -1074,17 +1026,7 @@ where
     let mut batch = vec![first];
     while let Some(p) = sim.queue.pop_deliver_at(now) {
         match p {
-            Payload::Deliver {
-                to,
-                from,
-                msg,
-                depth,
-            } => batch.push(DeliverEvent {
-                to,
-                from,
-                msg,
-                depth,
-            }),
+            Payload::Deliver { to, from, msg } => batch.push(DeliverEvent { to, from, msg }),
             _ => unreachable!("pop_deliver_at returns deliveries only"),
         }
     }
@@ -1121,7 +1063,6 @@ where
         tele_on: sim.tele.is_some(),
     };
     let mut logic_it = sim.hosts.logic.chunks_mut(chunk);
-    let mut depth_it = sim.hosts.last_depth.chunks_mut(chunk);
     let mut proc_it = sim.metrics.processed_per_host.chunks_mut(chunk);
     let mut touched_it = sim.tele.as_mut().map(|t| t.touched.chunks_mut(chunk));
 
@@ -1130,7 +1071,6 @@ where
         let mut handles = Vec::with_capacity(num_shards);
         for (s, shard_items) in items.into_iter().enumerate() {
             let logic = logic_it.next().expect("one chunk per shard");
-            let last_depth = depth_it.next().expect("one chunk per shard");
             let processed = proc_it.next().expect("one chunk per shard");
             let touched = touched_it
                 .as_mut()
@@ -1141,7 +1081,6 @@ where
             let task = ShardTask {
                 items: shard_items,
                 logic,
-                last_depth,
                 processed,
                 touched,
                 base: s * chunk,
@@ -1153,13 +1092,9 @@ where
         }
     });
 
-    // Commutative merges first: counters and maxima.
-    let mut sends = 0u64;
-    for out in &outs {
-        sends += out.sends;
-        sim.metrics.longest_chain = sim.metrics.longest_chain.max(out.longest_chain);
-    }
-    sim.metrics.record_sends(now, sends);
+    // Commutative merges first: the counters.
+    sim.metrics
+        .record_sends(outs.iter().map(|out| out.sends).sum());
     if let Some(t) = sim.tele.as_mut() {
         for out in &outs {
             t.counts.delivered += out.delivered;
@@ -1205,7 +1140,6 @@ where
     let ShardTask {
         items,
         logic,
-        last_depth,
         processed,
         mut touched,
         base,
@@ -1216,17 +1150,11 @@ where
         delivered: 0,
         dropped: 0,
         frontier: 0,
-        longest_chain: 0,
     };
     debug_assert!(shared.now.ticks() < u64::from(u32::MAX));
     let stamp = (shared.now.ticks() + 1) as u32;
     for (origin, ev) in items {
-        let DeliverEvent {
-            to,
-            from,
-            msg,
-            depth,
-        } = ev;
+        let DeliverEvent { to, from, msg } = ev;
         let li = to.index() - base;
         let severed = shared
             .partition
@@ -1252,8 +1180,6 @@ where
             "per-host processed count overflow"
         );
         processed[li] += 1;
-        out.longest_chain = out.longest_chain.max(depth);
-        last_depth[li] = last_depth[li].max(depth);
         let mut rng = SmallRng::seed_from_u64(event_seed(shared.seed, shared.batch_no, origin));
         let mut ctx = Ctx {
             now: shared.now,
@@ -1269,7 +1195,6 @@ where
             medium: shared.medium,
             delay: shared.delay,
             rng: &mut rng,
-            chain_depth: depth,
             in_timer: false,
             fanout: false,
         };
@@ -1472,21 +1397,9 @@ mod tests {
                 Medium::PointToPoint,
             );
             sim.run_to_quiescence(100_000);
-            (
-                sim.metrics().messages_sent,
-                sim.metrics().total_processed(),
-                sim.metrics().longest_chain,
-            )
+            (sim.metrics().messages_sent, sim.metrics().total_processed())
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn chain_depth_tracks_hops() {
-        let mut sim = flood_sim(special::chain(7), Medium::PointToPoint);
-        sim.run_to_quiescence(1_000);
-        // Longest causal chain = 6 hops to the end of the chain.
-        assert_eq!(sim.metrics().longest_chain, 6);
     }
 
     #[test]
@@ -1806,15 +1719,19 @@ mod tests {
             alive: Vec<bool>,
             messages: u64,
             processed: u64,
-            chain: u32,
             dispatched: u64,
             hist: Vec<u64>,
-            last_active: Option<u64>,
+            /// Each tick sample's `(tick, sent)`.
+            sent: Vec<(u64, u64)>,
         }
 
         fn run(n: u32, plan: &ChurnPlan, cut: bool, heap: bool) -> Fingerprint {
             let graph = pov_topology::generators::special::cycle(n as usize);
-            let mut b = SimBuilder::new(graph).churn(plan.clone()).seed(7);
+            let mut rec = Recorder::default();
+            let mut b = SimBuilder::new(graph)
+                .churn(plan.clone())
+                .seed(7)
+                .telemetry(&mut rec);
             if cut {
                 let sides = (0..n).map(|i| u8::from(i >= n / 2)).collect();
                 b = b.partition(PartitionPlan::new(sides).window(Time(3), Time(11)));
@@ -1824,17 +1741,19 @@ mod tests {
             }
             let mut sim = b.build(Flood::from_h0);
             sim.run_until(Time(60));
-            Fingerprint {
+            let mut fp = Fingerprint {
                 trace: sim.trace().events.clone(),
                 seen: (0..n).map(|h| sim.logic(HostId(h)).seen_at).collect(),
                 alive: (0..n).map(|h| sim.is_alive(HostId(h))).collect(),
                 messages: sim.metrics().messages_sent,
                 processed: sim.metrics().total_processed(),
-                chain: sim.metrics().longest_chain,
                 dispatched: sim.metrics().events_dispatched,
                 hist: sim.metrics().computation_histogram(),
-                last_active: sim.metrics().last_active_tick(),
-            }
+                sent: Vec::new(),
+            };
+            drop(sim);
+            fp.sent = sends_by_tick(&rec);
+            fp
         }
 
         proptest! {
@@ -1861,6 +1780,11 @@ mod tests {
         ticks: Vec<TickSample>,
         summaries: Vec<(Time, u32, u64)>,
         every: Option<u64>,
+    }
+
+    /// Each recorded tick sample's `(tick, sent)`.
+    fn sends_by_tick(rec: &Recorder) -> Vec<(u64, u64)> {
+        rec.ticks.iter().map(|s| (s.tick, s.sent)).collect()
     }
 
     impl TelemetrySink for Recorder {
@@ -2080,7 +2004,6 @@ mod tests {
                 sim.trace().events.clone(),
                 sim.metrics().messages_sent,
                 sim.metrics().total_processed(),
-                sim.metrics().longest_chain,
                 (0..8u32)
                     .map(|h| sim.logic(HostId(h)).seen_at)
                     .collect::<Vec<_>>(),
@@ -2470,7 +2393,7 @@ mod tests {
     /// and `cut`, once with fanouts, once with one delivery per target
     /// and once with fanouts and prefetching, and assert the three runs
     /// indistinguishable: metrics, trace, per-host state and every tick
-    /// sample (queue depth included).
+    /// sample (each tick's sends and queue depth included).
     fn assert_fanouts_invisible<L>(
         graph: &Graph,
         churn: &ChurnPlan,
@@ -2513,9 +2436,7 @@ mod tests {
             // forced on (a run this small skips them): neither differs.
             for (m0, trace0, states0, ticks0) in [run(false, false), run(true, true)] {
                 assert_eq!(m.messages_sent, m0.messages_sent, "{medium:?}");
-                assert_eq!(m.sent_per_tick, m0.sent_per_tick, "{medium:?}");
                 assert_eq!(m.processed_per_host, m0.processed_per_host, "{medium:?}");
-                assert_eq!(m.longest_chain, m0.longest_chain, "{medium:?}");
                 assert_eq!(m.timers_fired, m0.timers_fired, "{medium:?}");
                 assert_eq!(m.events_dispatched, m0.events_dispatched, "{medium:?}");
                 assert_eq!(trace, trace0, "{medium:?}");
@@ -2730,16 +2651,27 @@ mod tests {
         }
     }
 
+    /// A sharded run's metrics, trace, host states and each tick
+    /// sample's `(tick, sent)`.
     #[allow(clippy::type_complexity)]
-    fn sharded_fingerprint(threads: usize) -> (Metrics, Vec<(Time, bool, u32)>, Vec<(u32, u64)>) {
+    fn sharded_fingerprint(
+        threads: usize,
+    ) -> (
+        Metrics,
+        Vec<(Time, bool, u32)>,
+        Vec<(u32, u64)>,
+        Vec<(u64, u64)>,
+    ) {
         let n = 24u32;
         let churn = ChurnPlan::none()
             .with_failure(Time(2), HostId(3))
             .with_failure(Time(3), HostId(17))
             .with_join(Time(4), HostId(3));
+        let mut rec = Recorder::default();
         let mut sim = SimBuilder::new(special::cycle(n as usize))
             .churn(churn)
             .seed(7)
+            .telemetry(&mut rec)
             .build(|_| Churner { hops: 0, acc: 0 });
         sim.enable_sharded_delivery(threads);
         sim.run_to_quiescence(100_000);
@@ -2758,25 +2690,26 @@ mod tests {
                 (l.hops, l.acc)
             })
             .collect();
-        (sim.metrics().clone(), trace, states)
+        let metrics = sim.metrics().clone();
+        drop(sim);
+        (metrics, trace, states, sends_by_tick(&rec))
     }
 
     #[test]
     fn sharded_delivery_thread_count_invariance() {
         // The tentpole determinism bar: metrics, trace and every host's
         // final protocol state are byte-identical for any thread count.
-        let (base_metrics, base_trace, base_states) = sharded_fingerprint(1);
+        let (base_metrics, base_trace, base_states, base_sent) = sharded_fingerprint(1);
         assert!(base_metrics.messages_sent > 0, "workload actually ran");
         assert!(base_metrics.timers_fired > 0, "timers exercised");
         for threads in [2, 3, 8] {
-            let (m, trace, states) = sharded_fingerprint(threads);
+            let (m, trace, states, sent) = sharded_fingerprint(threads);
             assert_eq!(m.messages_sent, base_metrics.messages_sent, "t={threads}");
-            assert_eq!(m.sent_per_tick, base_metrics.sent_per_tick, "t={threads}");
+            assert_eq!(sent, base_sent, "t={threads}");
             assert_eq!(
                 m.processed_per_host, base_metrics.processed_per_host,
                 "t={threads}"
             );
-            assert_eq!(m.longest_chain, base_metrics.longest_chain, "t={threads}");
             assert_eq!(m.timers_fired, base_metrics.timers_fired, "t={threads}");
             assert_eq!(
                 m.events_dispatched, base_metrics.events_dispatched,
@@ -2795,27 +2728,30 @@ mod tests {
         // one dispatched event either way).
         let run = |shard: Option<usize>| {
             let churn = ChurnPlan::none().with_failure(Time(1), HostId(5));
+            let mut rec = Recorder::default();
             let mut sim = SimBuilder::new(special::cycle(16))
                 .churn(churn)
                 .medium(Medium::Radio)
+                .telemetry(&mut rec)
                 .build(Flood::from_h0);
             if let Some(t) = shard {
                 sim.enable_sharded_delivery(t);
             }
             sim.run_to_quiescence(10_000);
             let seen: Vec<Option<Time>> = (0..16).map(|i| sim.logic(HostId(i)).seen_at).collect();
-            (sim.metrics().clone(), seen)
+            let metrics = sim.metrics().clone();
+            drop(sim);
+            (metrics, seen, sends_by_tick(&rec))
         };
-        let (seq_m, seq_seen) = run(None);
+        let (seq_m, seq_seen, seq_sent) = run(None);
         for threads in [1, 4] {
-            let (m, seen) = run(Some(threads));
+            let (m, seen, sent) = run(Some(threads));
             assert_eq!(m.messages_sent, seq_m.messages_sent, "t={threads}");
-            assert_eq!(m.sent_per_tick, seq_m.sent_per_tick, "t={threads}");
+            assert_eq!(sent, seq_sent, "t={threads}");
             assert_eq!(
                 m.processed_per_host, seq_m.processed_per_host,
                 "t={threads}"
             );
-            assert_eq!(m.longest_chain, seq_m.longest_chain, "t={threads}");
             assert_eq!(m.events_dispatched, seq_m.events_dispatched, "t={threads}");
             assert_eq!(seen, seq_seen, "t={threads}");
         }

@@ -83,8 +83,6 @@ pub(crate) enum Payload<M> {
         from: HostId,
         /// Protocol payload.
         msg: M,
-        /// Causal chain depth (time-cost accounting, §6.3).
-        depth: u32,
     },
     /// One message arrives at several neighbours of `from`, in CSR row
     /// order: the queued form of a broadcast or an update round whose
@@ -101,8 +99,6 @@ pub(crate) enum Payload<M> {
         targets: u32,
         /// Protocol payload, cloned per target at delivery.
         msg: M,
-        /// Causal chain depth (time-cost accounting, §6.3).
-        depth: u32,
     },
     /// A timer set by `host` with protocol-chosen `key` fires.
     Timer {
@@ -803,7 +799,6 @@ mod tests {
                 to: HostId(0),
                 from: HostId(1),
                 msg: 9,
-                depth: 0,
             },
         );
         q.push(Time(1), Payload::Fail(HostId(2)));
@@ -825,7 +820,6 @@ mod tests {
                     to: HostId(0),
                     from: HostId(1),
                     msg: i,
-                    depth: 0,
                 },
             );
         }
@@ -887,7 +881,6 @@ mod tests {
                     to: HostId(0),
                     from: HostId(1),
                     msg: i,
-                    depth: 0,
                 },
             );
         }
@@ -941,7 +934,6 @@ mod tests {
             from: HostId(0),
             targets: NO_SKIP,
             msg: 7,
-            depth: 1,
         };
         q.push_fanout(Time(1), fanout, K);
         q.push(Time(1), deliver(8));
@@ -963,7 +955,6 @@ mod tests {
             to: HostId(0),
             from: HostId(1),
             msg,
-            depth: 0,
         }
     }
 
@@ -1112,7 +1103,6 @@ mod tests {
                 to: HostId(u32::from(tag)),
                 from: HostId(0),
                 msg: tag,
-                depth: 0,
             },
             5 => Payload::Timer {
                 host: HostId(u32::from(tag)),
@@ -1122,13 +1112,12 @@ mod tests {
                 from: HostId(u32::from(tag)),
                 targets: NO_SKIP,
                 msg: tag,
-                depth: fanout_targets(tag),
             },
         }
     }
 
     /// The target count of the property tests' fanout with this tag,
-    /// carried in its `depth` so the popping side can retire it.
+    /// read back from its `msg` so the popping side can retire it.
     fn fanout_targets(tag: u8) -> u32 {
         2 + u32::from(tag % 5)
     }
@@ -1138,9 +1127,10 @@ mod tests {
     /// push adds to `len`.
     fn push(q: &mut EventQueue<u8>, at: Time, payload: Payload<u8>) -> usize {
         match payload {
-            Payload::Fanout { depth, .. } => {
-                q.push_fanout(at, payload, depth as usize);
-                depth as usize
+            Payload::Fanout { msg, .. } => {
+                let n = fanout_targets(msg) as usize;
+                q.push_fanout(at, payload, n);
+                n
             }
             _ => {
                 q.push(at, payload);
@@ -1154,9 +1144,10 @@ mod tests {
     fn pop(q: &mut EventQueue<u8>) -> Option<((Time, Payload<u8>), usize)> {
         let (t, p) = q.pop()?;
         let n = match p {
-            Payload::Fanout { depth, .. } => {
-                q.retire_fanout(depth as usize);
-                depth as usize
+            Payload::Fanout { msg, .. } => {
+                let n = fanout_targets(msg) as usize;
+                q.retire_fanout(n);
+                n
             }
             _ => 1,
         };

@@ -37,9 +37,10 @@
 //!   stable → shrink → partition → heal over 10⁴+ ticks) scripted as
 //!   phases and lowered to the `ChurnPlan`/`PartitionPlan` primitives
 //!   above; the scenario `[phases]` grammar compiles through it.
-//! * [`Metrics`] — the §6.3 efficiency measures: communication cost,
-//!   per-host computation cost, time cost (longest causal message chain),
-//!   and per-tick message counts (Fig 13b).
+//! * [`Metrics`] — the §6.3 cost counters: messages sent
+//!   (communication cost) and messages processed per host (computation
+//!   cost); per-tick message counts (Fig 13b) are the tick samples a
+//!   [`TelemetrySink`] receives.
 //! * [`Trace`] — timestamped join/fail record consumed by the oracle to
 //!   compute the Single-Site-Validity bounds `HC`/`HU`.
 //!

@@ -6,11 +6,13 @@
 //! * **Computation cost** — messages *processed* per host; the protocol's
 //!   computation cost is the maximum over hosts (Fig 12 plots the whole
 //!   distribution).
-//! * **Time cost** — length of the longest causal chain of messages,
-//!   starting at `hq`'s broadcast initiation.
-//! * **Per-tick sent counts** — messages sent at each instant (Fig 13b).
+//! * **Time cost** — the instant `hq` declares its result, which the
+//!   run's outcome reads from the protocol, not from these counters.
+//!
+//! Messages sent at each instant (Fig 13b) are the `sent` of the
+//! engine's tick samples ([`TickSample`](crate::TickSample)), which a
+//! [`TelemetrySink`](crate::TelemetrySink) receives during the run.
 
-use crate::Time;
 use pov_topology::HostId;
 use serde::{Deserialize, Serialize};
 
@@ -24,10 +26,6 @@ pub struct Metrics {
     /// n = 10⁶); no host plausibly processes 4 × 10⁹ messages in one
     /// run (the increment site debug-asserts it).
     pub processed_per_host: Vec<u32>,
-    /// Messages sent at each tick (index = tick).
-    pub sent_per_tick: Vec<u64>,
-    /// Longest causal message chain observed (time cost).
-    pub longest_chain: u32,
     /// Timer events fired (not part of any paper metric; useful for
     /// sanity checks).
     pub timers_fired: u64,
@@ -51,26 +49,16 @@ impl Metrics {
         self.events_dispatched += 1;
     }
 
-    /// Account for `n` messages sent at `at` in O(1). `n == 0` leaves
-    /// the counters — including the length of `sent_per_tick` — alone.
+    /// Account for `n` messages sent.
     #[inline]
-    pub(crate) fn record_sends(&mut self, at: Time, n: u64) {
-        if n == 0 {
-            return;
-        }
+    pub(crate) fn record_sends(&mut self, n: u64) {
         self.messages_sent += n;
-        let idx = at.ticks() as usize;
-        if self.sent_per_tick.len() <= idx {
-            self.sent_per_tick.resize(idx + 1, 0);
-        }
-        self.sent_per_tick[idx] += n;
     }
 
-    pub(crate) fn record_processed(&mut self, host: HostId, depth: u32) {
+    pub(crate) fn record_processed(&mut self, host: HostId) {
         let slot = &mut self.processed_per_host[host.index()];
         debug_assert!(*slot < u32::MAX, "per-host processed count overflow");
         *slot += 1;
-        self.longest_chain = self.longest_chain.max(depth);
     }
 
     pub(crate) fn record_timer(&mut self) {
@@ -98,15 +86,6 @@ impl Metrics {
         }
         hist
     }
-
-    /// The last tick at which any message was sent (protocol quiescence;
-    /// Fig 13b shows WILDFIRE quiescing by `2Dδ`).
-    pub fn last_active_tick(&self) -> Option<u64> {
-        self.sent_per_tick
-            .iter()
-            .rposition(|&c| c > 0)
-            .map(|i| i as u64)
-    }
 }
 
 #[cfg(test)]
@@ -116,53 +95,29 @@ mod tests {
     #[test]
     fn send_accounting() {
         let mut m = Metrics::with_hosts(3);
-        m.record_sends(Time(0), 1);
-        m.record_sends(Time(2), 1);
-        m.record_sends(Time(2), 1);
+        m.record_sends(1);
+        m.record_sends(0);
+        m.record_sends(2);
         assert_eq!(m.messages_sent, 3);
-        assert_eq!(m.sent_per_tick, vec![1, 0, 2]);
-        assert_eq!(m.last_active_tick(), Some(2));
-    }
-
-    #[test]
-    fn record_sends_matches_the_per_message_loop() {
-        for (tick, n) in [(0u64, 0u64), (0, 1), (3, 5), (3, 0), (1, 2), (7, 1_000)] {
-            let mut bulk = Metrics::with_hosts(1);
-            let mut looped = Metrics::with_hosts(1);
-            // Shared history, so the bulk call lands on a non-empty table.
-            for m in [&mut bulk, &mut looped] {
-                m.record_sends(Time(2), 1);
-            }
-            bulk.record_sends(Time(tick), n);
-            for _ in 0..n {
-                looped.record_sends(Time(tick), 1);
-            }
-            assert_eq!(bulk.messages_sent, looped.messages_sent);
-            assert_eq!(
-                bulk.sent_per_tick, looped.sent_per_tick,
-                "tick {tick} n {n}"
-            );
-        }
     }
 
     #[test]
     fn processed_accounting() {
         let mut m = Metrics::with_hosts(3);
-        m.record_processed(HostId(1), 4);
-        m.record_processed(HostId(1), 2);
-        m.record_processed(HostId(2), 7);
+        m.record_processed(HostId(1));
+        m.record_processed(HostId(1));
+        m.record_processed(HostId(2));
         assert_eq!(m.processed_per_host, vec![0, 2, 1]);
         assert_eq!(m.computation_cost(), 2);
         assert_eq!(m.total_processed(), 3);
-        assert_eq!(m.longest_chain, 7);
     }
 
     #[test]
     fn histogram() {
         let mut m = Metrics::with_hosts(4);
-        m.record_processed(HostId(0), 1);
-        m.record_processed(HostId(0), 1);
-        m.record_processed(HostId(1), 1);
+        m.record_processed(HostId(0));
+        m.record_processed(HostId(0));
+        m.record_processed(HostId(1));
         let hist = m.computation_histogram();
         // host0: 2 msgs, host1: 1 msg, hosts 2,3: 0 msgs.
         assert_eq!(hist, vec![2, 1, 1]);
@@ -172,7 +127,6 @@ mod tests {
     fn empty_metrics() {
         let m = Metrics::with_hosts(0);
         assert_eq!(m.computation_cost(), 0);
-        assert_eq!(m.last_active_tick(), None);
         assert_eq!(m.computation_histogram(), vec![0]);
     }
 }

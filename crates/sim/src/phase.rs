@@ -158,13 +158,8 @@ impl PhaseSchedule {
         self.start_alive
     }
 
-    /// Total horizon in ticks: the sum of every phase span.
-    pub fn total_ticks(&self) -> u64 {
-        self.phases.iter().map(|p| p.ticks).sum()
-    }
-
-    /// The label of the phase covering instant `t` (phases tile
-    /// `[0, total_ticks)`; instants past the end keep the last phase's
+    /// The label of the phase covering instant `t` (phases tile time
+    /// from 0 in order; instants past the end keep the last phase's
     /// label — the regime that is still in force).
     ///
     /// # Panics
@@ -330,7 +325,6 @@ mod tests {
         let g = graph();
         let n = g.num_hosts();
         let s = PhaseSchedule::lifecycle(10_000);
-        assert_eq!(s.total_ticks(), 10_000);
         let lowered = s.lower(&g, HostId(0), 7);
         // Start: 70% alive.
         let start = alive_at(&lowered.churn, n, Time(0));

@@ -1,9 +1,9 @@
 //! The crate's one `unsafe`: a cache prefetch hint.
 //!
 //! At 10⁵ hosts and more, the per-host state an event touches (its
-//! logic record, alive flag, chain depth, processed counter and CSR
-//! row bounds) is rarely in cache, and the event loop takes those
-//! misses one event after another. The loop hides them by asking for
+//! logic record, alive flag, processed counter and CSR row bounds) is
+//! rarely in cache, and the event loop takes those misses one event
+//! after another. The loop hides them by asking for
 //! the state of an event a few places ahead before it dispatches the
 //! current one (`engine.rs`, `Simulation::prefetch_ahead`). Safe code
 //! has no way to express the hint: a plain load of the same word waits

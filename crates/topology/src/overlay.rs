@@ -158,16 +158,6 @@ impl OverlayView {
         true
     }
 
-    /// Remove every edge incident to `h` (SWIM eviction of a confirmed-
-    /// failed host). Returns the removed neighbours, sorted ascending.
-    pub fn isolate(&mut self, h: HostId) -> Vec<HostId> {
-        let nbrs: Vec<HostId> = self.neighbors(h).to_vec();
-        for &b in &nbrs {
-            self.remove_edge(h, b);
-        }
-        nbrs
-    }
-
     fn ensure_delta(&mut self, h: HostId) -> &mut HostDelta {
         let slot = &mut self.delta[h.index()];
         if slot.is_none() {
@@ -336,17 +326,6 @@ mod tests {
         );
         assert_eq!(v.delta_hosts(), 4);
         assert_eq!(v.delta_len(), 4);
-    }
-
-    #[test]
-    fn isolate_strips_every_incident_edge() {
-        let mut v = OverlayView::new(path(4));
-        v.add_edge(HostId(1), HostId(3));
-        let dropped = v.isolate(HostId(1));
-        assert_eq!(dropped, vec![HostId(0), HostId(2), HostId(3)]);
-        assert_eq!(v.degree(HostId(1)), 0);
-        assert!(!v.has_edge(HostId(0), HostId(1)));
-        assert_eq!(v.num_edges(), 1);
     }
 
     #[test]
